@@ -16,11 +16,16 @@ car-following example systems.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import expr as E
 from .dods import DelayKind, DodsSystem, SamplingError, check_algebra
-from .expr import Const, Expr, Param, free_symbols, parse, subs, to_text
+from .expr import (Const, Expr, Param, compile_fn, free_symbols, parse, subs,
+                   to_text)
 from .symmetry import VectorField, check_closure
 
 _X, _Y, _XM, _YM, _DY, _DYM, _DDY = E.X, E.Y, E.XM, E.YM, E.DY, E.DYM, E.DDY
@@ -89,9 +94,22 @@ def _fields(*specs: tuple[str, str]) -> tuple[VectorField, ...]:
     )
 
 
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "!=": operator.ne,
+            "==": operator.eq, "<": operator.lt, ">": operator.gt}
+
+
 def _check_rule(rule: str, params: dict[str, float]) -> bool:
-    # rules are tiny python predicates over the parameter dict
-    return bool(eval(rule, {"abs": abs}, dict(params)))
+    """A chained comparison such as `0 < abs(a) <= 1`; every operand is
+    parsed and evaluated as an expression, so a rule runs nothing else."""
+    parts = re.split(r"(<=|>=|!=|==|<|>)", rule)
+    try:
+        values = [E.evaluate(parse(text), params) for text in parts[0::2]]
+    except E.ParseError as exc:
+        raise CatalogError(f"constraint '{rule}': {exc}") from None
+    if len(values) < 2:
+        raise CatalogError(f"constraint '{rule}' is not a comparison")
+    return all(_COMPARE[op](a, b)
+               for op, a, b in zip(parts[1::2], values, values[1:]))
 
 
 def _det(rows: list[list[Expr]]) -> Expr:
@@ -565,6 +583,19 @@ def instantiate(
     The instantiated basis must pass the on-manifold invariance check at
     tol; the delay must be positive (below x) on the entry's box.
     """
+    entry, system = _build_system(inst)
+    reports = check_algebra(system, list(entry.basis), n=check_n, seed=seed,
+                            tol=tol)
+    for r in reports:
+        if not r.passed:
+            raise CatalogError(
+                f"instantiation of '{entry.id}' failed invariance: {r.summary()}"
+            )
+    return system
+
+
+def _build_system(inst: Instantiation) -> tuple[CatalogEntry, DodsSystem]:
+    """The entry and its validated concrete system, before any algebra check."""
     entry = get_entry(inst.entry_id)
     if not entry.has_system:
         raise CatalogError(f"entry '{entry.id}' is a marker without a system")
@@ -572,7 +603,7 @@ def instantiate(
     for rule, description in entry.constraints:
         try:
             ok = _check_rule(rule, params)
-        except Exception:
+        except E.ExprError:
             raise CatalogError(
                 f"constraint '{rule}' ({description}) needs parameters"
                 f" {sorted(params)}"
@@ -605,8 +636,9 @@ def instantiate(
         # a concrete delay choice may still be a constant shift of x
         shift = E.bind_params(g_expr - E.X, params)
         if free_symbols(shift) <= {"x"}:
+            shift_fn = compile_fn(shift, ("x",))
             try:
-                vals = {E.evaluate(shift, {"x": t}) for t in (0.6, 1.1, 2.3)}
+                vals = [shift_fn(t) for t in (0.6, 1.1, 2.3)]
                 if max(vals) - min(vals) < 1e-13:
                     kind = DelayKind.CONSTANT
             except E.DomainError:
@@ -625,14 +657,7 @@ def instantiate(
         ) from None
     if entry.second_order_minor is not None:
         _check_nondegeneracy(entry, system)
-    reports = check_algebra(system, list(entry.basis), n=check_n, seed=seed,
-                            tol=tol)
-    for r in reports:
-        if not r.passed:
-            raise CatalogError(
-                f"instantiation of '{entry.id}' failed invariance: {r.summary()}"
-            )
-    return system
+    return entry, system
 
 
 def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
@@ -643,14 +668,12 @@ def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
     means it vanishes inside the interval, a near-zero magnitude means it
     nearly does; either way the input is rejected.
     """
-    import numpy as np
-
     if entry.second_order_minor is None:
         return
     minor = E.subs(system.bound(entry.second_order_minor),
                    {"xm": system.bound(system.g)})
     lo, hi = system.box.get("x", (0.5, 2.5))
-    fn = E.compile_fn(minor, ("x",))
+    fn = compile_fn(minor, ("x",))
     try:
         values = [fn(float(x)) for x in np.linspace(lo, hi, 201)]
     except E.DomainError:
@@ -675,8 +698,6 @@ def negative_control(entry: CatalogEntry, system: DodsSystem | None = None,
     already contains that coefficient (x^2 d/dy and friends), so candidates
     are screened by a numeric span test first.
     """
-    import numpy as np
-
     candidates = [parse("0.1*x^2"), parse("0.1*x^3"), parse("0.1*sin(x)"),
                   parse("0.1*exp(x)"), parse("0.1*sin(5*x)"),
                   parse("0.1/(x + 0.5)")]
@@ -685,21 +706,16 @@ def negative_control(entry: CatalogEntry, system: DodsSystem | None = None,
     pts = [(float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)))
            for _ in range(len(entry.basis) + 4)]
     base = entry.basis[0]
+    cols = []
+    for f in entry.basis:
+        xi = compile_fn(E.bind_params(f.xi, params), ("x", "y"))
+        eta = compile_fn(E.bind_params(f.eta, params), ("x", "y"))
+        cols.append([xi(px, py) for px, py in pts]
+                    + [eta(px, py) for px, py in pts])
+    a = np.array(cols).T
     for pert in candidates:
-        cols = []
-        for f in entry.basis:
-            xi = E.bind_params(f.xi, params)
-            eta = E.bind_params(f.eta, params)
-            cols.append(
-                [E.evaluate(xi, {"x": px, "y": py}) for px, py in pts]
-                + [E.evaluate(eta, {"x": px, "y": py}) for px, py in pts]
-            )
-        target = (
-            [0.0] * len(pts)
-            + [E.evaluate(pert, {"x": px, "y": py}) for px, py in pts]
-        )
-        a = np.array(cols).T
-        b = np.array(target)
+        pert_fn = compile_fn(pert, ("x", "y"))
+        b = np.array([0.0] * len(pts) + [pert_fn(px, py) for px, py in pts])
         coef, *_ = np.linalg.lstsq(a, b, rcond=None)
         if float(np.max(np.abs(a @ coef - b))) > 1e-3:
             return VectorField(base.xi, E.simplify(base.eta + pert),
@@ -710,9 +726,7 @@ def negative_control(entry: CatalogEntry, system: DodsSystem | None = None,
 def check_entry(entry_id: str, n: int = 200, seed: int = 42,
                 tol: float = 1e-8):
     """Default instantiation plus full algebra check; returns the reports."""
-    entry = get_entry(entry_id)
-    system = instantiate(default_instantiation(entry_id), check_n=20,
-                         seed=seed, tol=tol)
+    entry, system = _build_system(default_instantiation(entry_id))
     return check_algebra(system, list(entry.basis), n=n, seed=seed, tol=tol)
 
 

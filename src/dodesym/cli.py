@@ -345,27 +345,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Let window flags take values like -3,3 without '=' syntax."""
-    merged = []
-    window_flags = {"--range", "--interval", "--guess", "--history"}
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in window_flags and i + 1 < len(argv) and \
-                argv[i + 1].startswith("-") and "," in argv[i + 1]:
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        merged.append(tok)
-        i += 1
+def _looks_numeric(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return "," in token
+    return True
+
+
+def _merge_negative_values(argv: list[str],
+                           parser: argparse.ArgumentParser) -> list[str]:
+    """Join a single-valued option and a negative value such as -3e-05 or
+    -3,3 into `--opt=value`; argparse would take the value for an option."""
+    options, parsers = set(), [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and action.nargs is None:
+                options.update(action.option_strings)
+    merged: list[str] = []
+    for tok in argv:
+        if merged and merged[-1] in options and tok.startswith("-") \
+                and _looks_numeric(tok):
+            merged[-1] = f"{merged[-1]}={tok}"
+        else:
+            merged.append(tok)
     return merged
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(
-        list(sys.argv[1:] if argv is None else argv)))
+        list(sys.argv[1:] if argv is None else argv), parser))
     try:
         return args.fn(args)
     except SystemExit:

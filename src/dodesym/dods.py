@@ -21,18 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    Bindings,
     DomainError,
     Expr,
     bind_params,
     compile_fn,
     diff,
-    evaluate,
     free_symbols,
     parse,
     to_text,
 )
-from .symmetry import JET, ProlongedField, VectorField, prolong
+from .symmetry import JET, VectorField, prolong
 
 
 class DelayKind(enum.Enum):
@@ -68,7 +66,7 @@ class DodsSystem:
     box: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(DEFAULT_BOX))
     label: str = ""
 
-    def __post_init__(self, validate: bool = True):
+    def __post_init__(self):
         for name, e, allowed in (
             ("f", self.f, set(FREE_COORDS) | {"xm"}),
             ("g", self.g, set(FREE_COORDS)),
@@ -156,15 +154,6 @@ class InvarianceReport:
             f"{self.max_residual_dode:.3e}, |pr X (xm - g)| <= "
             f"{self.max_residual_delay:.3e} over {self.n_samples} samples"
         )
-
-
-def apply_prolonged(pro: ProlongedField, phi: Expr, point: Bindings) -> float:
-    """Prolonged field applied to a function of the seven jet coordinates."""
-    total = 0.0
-    for coeff, v in zip(pro.coefficients(), JET):
-        d = diff(phi, v)
-        total += evaluate(coeff, point) * evaluate(d, point)
-    return total
 
 
 def _residual_fns(system: DodsSystem, x_field: VectorField):

@@ -5,10 +5,18 @@ numeric evaluation, exact partial differentiation, substitution and a
 light simplifier (constant folding, 0/1 identities, like-term collection).
 There is deliberately no general CAS machinery here; semantic checks
 elsewhere are done by residual evaluation at sampled points.
+
+There is one numeric semantics.  `compile_fn` turns a tree into a Python
+closure once; `evaluate` is that closure called for a single point.  An
+undefined operation (division by zero, ln or sqrt out of domain, pow
+without a real value) or a non-finite result raises DomainError, whose
+message names the whole compiled expression rather than the failing
+sub-node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
@@ -312,73 +320,51 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation (one numeric semantics: every value comes from compile_fn)
 
 
 def _sgn(v: float) -> float:
     return 0.0 if v == 0.0 else math.copysign(1.0, v)
 
 
-_FN_EVAL: dict[str, Callable[[float], float]] = {
+#: The numeric primitives, by the name generated code calls them by: the
+#: grammar's functions plus `pow` for ^.  The constant folds of simplify
+#: call the same table.
+_PRIMITIVES: dict[str, Callable[..., float]] = {
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
     "arctan": math.atan,
     "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
     "abs": abs,
     "sgn": _sgn,
+    "pow": math.pow,
 }
 
 
+def _checked(fn: Callable[..., float], e: Expr, *args: float) -> float:
+    """fn(*args); an undefined or non-finite result is a DomainError in e."""
+    try:
+        r = fn(*args)
+    except ZeroDivisionError:
+        raise DomainError("division by zero", e) from None
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(str(exc), e) from None
+    if not math.isfinite(r):
+        raise DomainError("non-finite result", e)
+    return r
+
+
 def evaluate(e: Expr, bindings: Bindings) -> float:
-    """Evaluate with every symbol bound; singularities raise DomainError."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise UnboundSymbolError(e.name) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    if isinstance(e, BinOp):
-        lv = evaluate(e.left, bindings)
-        rv = evaluate(e.right, bindings)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            if rv == 0.0:
-                raise DomainError("division by zero", e)
-            return lv / rv
-        if e.op == "^":
-            try:
-                r = math.pow(lv, rv)
-            except (ValueError, OverflowError):
-                raise DomainError(f"pow({lv:g}, {rv:g}) undefined", e) from None
-            return r
-        raise ValueError(f"bad operator {e.op!r}")
-    if isinstance(e, Call):
-        av = evaluate(e.arg, bindings)
-        if e.fn == "ln":
-            if av <= 0.0:
-                raise DomainError(f"ln of non-positive value {av:g}", e)
-            return math.log(av)
-        if e.fn == "sqrt":
-            if av < 0.0:
-                raise DomainError(f"sqrt of negative value {av:g}", e)
-            return math.sqrt(av)
-        try:
-            r = _FN_EVAL[e.fn](av)
-        except (ValueError, OverflowError):
-            raise DomainError(f"{e.fn}({av:g}) undefined", e) from None
-        if not math.isfinite(r):
-            raise DomainError(f"{e.fn} overflow", e)
-        return r
-    raise TypeError(f"not an expression: {e!r}")
+    """Value of e with every symbol bound, computed by compile_fn's closure."""
+    names = sorted(free_symbols(e))
+    try:
+        args = [float(bindings[name]) for name in names]
+    except KeyError as exc:
+        raise UnboundSymbolError(exc.args[0]) from None
+    return compile_fn(e, names)(*args)
 
 
 def free_symbols(e: Expr) -> set[str]:
@@ -532,7 +518,7 @@ def simplify(e: Expr) -> Expr:
         a = simplify(e.arg)
         if isinstance(a, Const):
             try:
-                return Const(evaluate(Call(e.fn, a), {}))
+                return Const(_checked(_PRIMITIVES[e.fn], e, a.value))
             except DomainError:
                 pass
         return Call(e.fn, a)
@@ -560,7 +546,8 @@ def simplify(e: Expr) -> Expr:
                     return ONE
                 if isinstance(l, Const):
                     try:
-                        return Const(evaluate(BinOp("^", l, r), {}))
+                        return Const(_checked(_PRIMITIVES["pow"], e,
+                                              l.value, r.value))
                     except DomainError:
                         pass
             return BinOp("^", l, r)
@@ -668,62 +655,42 @@ def is_zero(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compilation (hot loops evaluate compiled closures, not the tree walker)
-
-_FN_CODE = {
-    "sin": "math.sin",
-    "cos": "math.cos",
-    "tan": "math.tan",
-    "arctan": "math.atan",
-    "exp": "math.exp",
-    "ln": "math.log",
-    "sqrt": "math.sqrt",
-    "abs": "abs",
-    "sgn": "_sgn",
-}
+# compilation
 
 
-def _codegen(e: Expr) -> str:
+def _codegen(e: Expr, slots: Mapping[str, str]) -> str:
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, (Var, Param)):
-        return e.name
+        return slots[e.name]
     if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg)})"
+        return f"(-{_codegen(e.arg, slots)})"
     if isinstance(e, BinOp):
+        left, right = _codegen(e.left, slots), _codegen(e.right, slots)
         if e.op == "^":
-            return f"math.pow({_codegen(e.left)}, {_codegen(e.right)})"
-        return f"({_codegen(e.left)} {e.op} {_codegen(e.right)})"
+            return f"pow({left}, {right})"
+        return f"({left} {e.op} {right})"
     if isinstance(e, Call):
-        return f"{_FN_CODE[e.fn]}({_codegen(e.arg)})"
+        return f"{e.fn}({_codegen(e.arg, slots)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
 def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
-    """Compile to a positional-argument callable.
+    """Compile to a positional-argument callable, the one numeric evaluator.
 
-    All free symbols of e must appear in arg_names; singularities raise
-    DomainError exactly like evaluate().
+    All free symbols of e must appear in arg_names.  Arguments become
+    positional slots `_a0, _a1, ...`, so a symbol may carry any name,
+    a Python keyword included.  An undefined or non-finite result raises
+    DomainError naming the whole of e.
     """
     names = list(arg_names)
     missing = free_symbols(e) - set(names)
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
-    src = f"def _f({', '.join(names)}):\n    return {_codegen(e)}\n"
-    ns: dict = {"math": math, "_sgn": _sgn}
+    slots = {name: f"_a{i}" for i, name in enumerate(names)}
+    params = ", ".join(f"_a{i}" for i in range(len(names)))
+    src = f"def _f({params}):\n    return {_codegen(e, slots)}\n"
+    # repr() writes a non-finite Const as `inf` or `nan`
+    ns: dict = {**_PRIMITIVES, "inf": math.inf, "nan": math.nan}
     exec(src, ns)
-    raw = ns["_f"]
-    isfinite = math.isfinite
-
-    def wrapped(*args: float) -> float:
-        try:
-            r = raw(*args)
-        except ZeroDivisionError:
-            raise DomainError("division by zero", e) from None
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(str(exc), e) from None
-        if not isfinite(r):
-            raise DomainError("non-finite result", e)
-        return r
-
-    return wrapped
+    return functools.partial(_checked, ns["_f"], e)

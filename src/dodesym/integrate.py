@@ -463,7 +463,8 @@ def residual_on_trajectory(
     """Reconstruct the second derivative from the dense output and compare.
 
     Reports max |y'' - f| with delayed values interpolated, plus the delay
-    defect |xm - g| under the system's own delay resolution.
+    defect |xm - g| under the system's own delay resolution.  Samples where
+    f or g is undefined are skipped; n_samples counts the ones used.
     """
     rng = np.random.default_rng(seed)
     f_fn = compile_fn(system.bound(system.f),
@@ -475,6 +476,7 @@ def residual_on_trajectory(
     hist_lo = trajectory.history.interval[0]
     max_dode = 0.0
     max_delay = 0.0
+    used = 0
     prev_xm = lo - 0.1 * (hi - lo)
     for x in sorted(rng.uniform(lo + 1e-9, hi - 1e-9, size=n)):
         x = float(x)
@@ -489,6 +491,7 @@ def residual_on_trajectory(
             gv = g_full(x, y, ym, dy, dym)
         except DomainError:
             continue
+        used += 1
         max_dode = max(max_dode, abs(ddy - fv))
         max_delay = max(max_delay, abs(xm - gv))
-    return ResidualReport(max_dode, max_delay, n)
+    return ResidualReport(max_dode, max_delay, used)

@@ -55,32 +55,34 @@ class LinearDods:
             stray = E.free_symbols(e) & set(E.VARIABLES) - {"x"}
             if stray:
                 raise LinearError(f"{name} must be a function of x only")
-        lo, hi = self.domain
-        xs = np.linspace(lo, hi, 17)
-        a2v = [self._num(self.a2, x) for x in xs]
-        a4v = [self._num(self.a4, x) for x in xs]
-        if max(abs(v) for v in a2v + a4v) < 1e-14:
+        xs = self._probe_points()
+        a2, a4 = self._fn(self.a2), self._fn(self.a4)
+        if max(abs(fn(x)) for fn in (a2, a4) for x in xs) < 1e-14:
             raise LinearError("a2 and a4 vanish identically: no delay coupling")
+        g = self._fn(self.g)
         for x in xs:
-            if self._num(self.g, x) >= x:
+            if g(x) >= x:
                 raise LinearError(f"delay relation fails g(x) < x at x = {x:g}")
 
-    def _num(self, e: Expr, x: float) -> float:
-        return E.evaluate(E.bind_params(e, self.params), {"x": x})
+    def _probe_points(self) -> list[float]:
+        lo, hi = self.domain
+        return [float(x) for x in np.linspace(lo, hi, 17)]
+
+    def _fn(self, e: Expr):
+        """e as a compiled function of x, parameters bound."""
+        return compile_fn(E.bind_params(e, self.params), ("x",))
 
     def is_homogeneous(self) -> bool:
-        lo, hi = self.domain
-        return all(abs(self._num(self.b, x)) < 1e-14
-                   for x in np.linspace(lo, hi, 17))
+        b = self._fn(self.b)
+        return all(abs(b(x)) < 1e-14 for x in self._probe_points())
 
     def f_expr(self) -> Expr:
         return (self.a1 * E.DY + self.a2 * E.DYM + self.a3 * E.Y
                 + self.a4 * E.YM + self.b)
 
     def to_dods(self, box=None) -> DodsSystem:
-        gx = E.bind_params(self.g, self.params)
-        shift = gx - E.X
-        vals = {E.evaluate(shift, {"x": x}) for x in (0.1, 0.9, 1.7)}
+        shift = self._fn(self.g - E.X)
+        vals = [shift(x) for x in (0.1, 0.9, 1.7)]
         kind = (DelayKind.CONSTANT if max(vals) - min(vals) < 1e-13
                 else DelayKind.SOLUTION_INDEPENDENT)
         system = DodsSystem(f=E.simplify(self.f_expr()), g=self.g,
@@ -232,8 +234,6 @@ def inhomogeneous_scaling_residual(
         dy = float(rng.uniform(0.5, 2.5))
         dym = float(rng.uniform(0.5, 2.5))
         a1, a2, a3, a4, b = (c(x) for c in coeff)
-        a1m = a1  # not needed; placeholder to keep names obvious
-        del a1m
         sig, sigd = sigma.interpolate(x)
         sigm, sigdm = sigma.interpolate(xm)
         sigdd = a1 * sigd + a2 * sigdm + a3 * sig + a4 * sigm + b
@@ -339,9 +339,10 @@ def detect_extra_symmetry(
     if not L.is_homogeneous():
         raise LinearError("non-homogeneous")
     lo, hi = L.domain
-    xs_probe = np.linspace(lo, hi, 17)
-    a2_max = max(abs(L._num(L.a2, x)) for x in xs_probe)
-    a4_max = max(abs(L._num(L.a4, x)) for x in xs_probe)
+    xs_probe = L._probe_points()
+    a2_fn, a4_fn = L._fn(L.a2), L._fn(L.a4)
+    a2_max = max(abs(a2_fn(x)) for x in xs_probe)
+    a4_max = max(abs(a4_fn(x)) for x in xs_probe)
     if a2_max > 1e-14:
         K = _k1(L)
         k_used = "K1"

@@ -59,13 +59,12 @@ class InvariantSolution:
                 f" residual = {self.residual:.3e}{frees}{deg}")
 
 
-def _is_const(e: Expr, params, samples) -> float | None:
-    vals = []
-    for x, y in samples:
-        try:
-            vals.append(E.evaluate(E.bind_params(e, params), {"x": x, "y": y}))
-        except (DomainError, E.UnboundSymbolError):
-            return None
+def _is_const(e: Expr, samples) -> float | None:
+    try:
+        fn = compile_fn(e, ("x", "y"))
+        vals = [fn(x, y) for x, y in samples]
+    except (DomainError, E.UnboundSymbolError):
+        return None
     if max(vals) - min(vals) < 1e-12 * (1.0 + abs(vals[0])):
         return float(vals[0])
     return None
@@ -84,20 +83,20 @@ def invariants_of(x_field: VectorField,
     xi = E.simplify(E.bind_params(x_field.xi, params))
     eta = E.simplify(E.bind_params(x_field.eta, params))
     samples = [(0.7, 1.3), (1.9, 0.6), (2.3, 2.1), (1.1, 1.7)]
-    xi_c = _is_const(xi, {}, samples)
+    xi_c = _is_const(xi, samples)
     if xi_c is not None and xi_c == 0.0:
         raise ReduceError("xi vanishes identically: no reduction in this frame")
 
     eta_y = E.simplify(diff(eta, "y"))
     eta_yy = diff(eta_y, "y")
     eta_x = diff(eta, "x")
-    a_c = _is_const(eta_y, {}, samples)
-    linear_in_y = _is_const(eta_yy, {}, samples) == 0.0 and \
-        _is_const(eta_x, {}, samples) == 0.0
-    c_c = _is_const(subs(eta, {"y": Const(0.0)}), {}, samples)
+    a_c = _is_const(eta_y, samples)
+    linear_in_y = _is_const(eta_yy, samples) == 0.0 and \
+        _is_const(eta_x, samples) == 0.0
+    c_c = _is_const(subs(eta, {"y": Const(0.0)}), samples)
 
     if xi_c is not None:
-        eta_c = _is_const(eta, {}, samples)
+        eta_c = _is_const(eta, samples)
         if eta_c is not None:
             # translation a d/dx + b d/dy: J1 = y - (b/a) x, J2 = x - xm
             slope = eta_c / xi_c
@@ -120,7 +119,7 @@ def invariants_of(x_field: VectorField,
                 k_expr=E.X - _B,
             )
             return validate_invariants(x_field, pair, params=params)
-    if _is_const(E.simplify(xi - E.X), {}, samples) == 0.0 and linear_in_y \
+    if _is_const(E.simplify(xi - E.X), samples) == 0.0 and linear_in_y \
             and a_c is not None and c_c is not None:
         # scaling x d/dx + a(y - beta) d/dy, shifts absorbed
         beta = -c_c / a_c if a_c != 0.0 else 0.0
@@ -152,35 +151,34 @@ def validate_invariants(
     """
     params = dict(params or {})
     pro = prolong(x_field)
-    coeffs = {name: E.bind_params(c, params)
-              for name, c in zip(("x", "y", "xm", "ym"),
-                                 (pro.xi, pro.eta, pro.xi_m, pro.eta_m))}
-    rng = np.random.default_rng(seed)
+    coords = ("x", "y", "xm", "ym")
+    coeffs = [compile_fn(E.bind_params(c, params), coords)
+              for c in (pro.xi, pro.eta, pro.xi_m, pro.eta_m)]
     j1 = E.bind_params(pair.J1, params)
     j2 = E.bind_params(pair.J2, params)
+    # partials[j][v] = d J_j / d v, compiled once for every sample
+    partials = [[compile_fn(diff(j, v), coords) for v in coords]
+                for j in (j1, j2)]
+    (_, j1_y, j1_xm, _), (_, j2_y, j2_xm, _) = partials
+    rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
     jac_bad = 0
     for _ in range(6 * n):
         if checked >= n:
             break
-        pt = {
-            "x": float(rng.uniform(1.6, 2.5)),
-            "y": float(rng.uniform(0.5, 2.5)),
-            "xm": float(rng.uniform(0.5, 1.5)),
-            "ym": float(rng.uniform(0.5, 2.5)),
-        }
+        pt = (
+            float(rng.uniform(1.6, 2.5)),
+            float(rng.uniform(0.5, 2.5)),
+            float(rng.uniform(0.5, 1.5)),
+            float(rng.uniform(0.5, 2.5)),
+        )
         try:
-            for j in (j1, j2):
-                ann = sum(
-                    E.evaluate(coeffs[v], pt) * E.evaluate(diff(j, v), pt)
-                    for v in ("x", "y", "xm", "ym")
-                )
+            c = [fn(*pt) for fn in coeffs]
+            for dj in partials:
+                ann = sum(c[i] * dj[i](*pt) for i in range(4))
                 worst = max(worst, abs(ann))
-            det = (E.evaluate(diff(j1, "y"), pt)
-                   * E.evaluate(diff(j2, "xm"), pt)
-                   - E.evaluate(diff(j1, "xm"), pt)
-                   * E.evaluate(diff(j2, "y"), pt))
+            det = j1_y(*pt) * j2_xm(*pt) - j1_xm(*pt) * j2_y(*pt)
             if abs(det) < 1e-10:
                 jac_bad += 1
         except DomainError:
@@ -407,12 +405,12 @@ def verify_invariant_solution(
 def consistency_residual(sol: InvariantSolution, pair: InvariantPair,
                          interval: tuple[float, float], n: int = 25) -> float:
     """J1 evaluated at the delayed point of the solution must equal A."""
-    j1 = pair.J1
+    k_fn = compile_fn(sol.k, ("x",))
+    h_fn = compile_fn(sol.h, ("x",))
+    j1_fn = compile_fn(pair.J1, ("x", "y"))
     lo, hi = interval
     worst = 0.0
     for x in np.linspace(lo, hi, n):
-        x = float(x)
-        xm = E.evaluate(sol.k, {"x": x})
-        ym = E.evaluate(sol.h, {"x": xm})
-        worst = max(worst, abs(E.evaluate(j1, {"x": xm, "y": ym}) - sol.A))
+        xm = k_fn(float(x))
+        worst = max(worst, abs(j1_fn(xm, h_fn(xm)) - sol.A))
     return worst

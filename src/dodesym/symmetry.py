@@ -19,7 +19,6 @@ from .expr import (
     bind_params,
     compile_fn,
     diff,
-    evaluate,
     free_symbols,
     parse,
     simplify,
@@ -235,11 +234,14 @@ def jacobi_residual(
     ]
     xi = bind_params(simplify(terms[0].xi + terms[1].xi + terms[2].xi), params)
     eta = bind_params(simplify(terms[0].eta + terms[1].eta + terms[2].eta), params)
+    xi_fn = compile_fn(xi, ("x", "y"))
+    eta_fn = compile_fn(eta, ("x", "y"))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):
         p = _sample_plane(rng)
-        worst = max(worst, abs(evaluate(xi, p)), abs(evaluate(eta, p)))
+        worst = max(worst, abs(xi_fn(p["x"], p["y"])),
+                    abs(eta_fn(p["x"], p["y"])))
     return worst
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -118,6 +119,45 @@ class TestInstantiate:
             instantiate(Instantiation(entry_id="S_m"))
 
 
+class TestConstraintRules:
+    @pytest.mark.parametrize("rule,params,expected", [
+        ("0 < abs(a) <= 1", {"a": 0.5}, True),
+        ("0 < abs(a) <= 1", {"a": -1.0}, True),
+        ("0 < abs(a) <= 1", {"a": 0.0}, False),
+        ("0 < abs(a) <= 1", {"a": 1.5}, False),
+        ("0 < abs(a) <= 1", {"a": -2.0}, False),
+        ("C2 > 0", {"C2": 1.2}, True),
+        ("C2 > 0", {"C2": 0.0}, False),
+        ("C2 > 0", {"C2": -1.0}, False),
+        ("C1 != 0", {"C1": 0.0}, False),
+        ("C1 != 0", {"C1": -0.3}, True),
+        ("C1 < 1.0", {"C1": 0.99}, True),
+        ("C1 < 1.0", {"C1": 1.0}, False),
+    ])
+    def test_rule_shapes_accept_and_reject(self, rule, params, expected):
+        assert catalog._check_rule(rule, params) is expected
+
+    def test_every_stored_rule_holds_for_its_defaults(self):
+        for entry in list_entries():
+            for rule, _ in entry.constraints:
+                assert catalog._check_rule(rule, entry.default_params)
+
+    @pytest.mark.parametrize("rule", [
+        "__import__('os').getpid() > 0",
+        "__import__('sys').modules.__setitem__('dodesym_rule_ran', 1) or 1 > 0",
+        "C1",
+        "C1 > ",
+    ])
+    def test_rule_that_is_not_an_expression_comparison(self, rule):
+        with pytest.raises(CatalogError):
+            catalog._check_rule(rule, {"C1": 1.0})
+        assert "dodesym_rule_ran" not in sys.modules
+
+    def test_unbound_parameter_is_an_expression_error(self):
+        with pytest.raises(E.UnboundSymbolError):
+            catalog._check_rule("C3 > 0", {"C1": 1.0})
+
+
 class TestEveryEntry:
     @pytest.mark.parametrize("entry_id", REQUIRED_IDS + ["H3_DET", "S3_DET"])
     def test_default_instantiation_passes(self, entry_id):
@@ -181,6 +221,21 @@ class TestDeterminantFamilies:
                 instantiate(default_instantiation("H3_TMP"), check_n=10)
         finally:
             catalog._all_entries().pop("H3_TMP", None)
+
+    def test_check_entry_checks_each_field_once(self, monkeypatch):
+        from dodesym import dods
+
+        calls = []
+        real = dods.check_invariance
+
+        def counting(system, field, **kw):
+            calls.append(kw["n"])
+            return real(system, field, **kw)
+
+        monkeypatch.setattr(dods, "check_invariance", counting)
+        reports = check_entry("A3_11", n=40)
+        assert calls == [40, 40, 40]
+        assert all(r.passed for r in reports)
 
     def test_s3_passes_by_default(self):
         reports = check_entry("S3_DET", n=60)

@@ -55,6 +55,29 @@ class TestRoots:
         assert "no real roots" in proc.stdout
 
 
+    def test_negative_exponent_value_in_either_spelling(self):
+        common = ("--beta", "1", "--gamma", "0.5", "--C", "1")
+        split = run_cli("roots", "--alpha", "-3e-05", *common,
+                        "--range", "-3,3")
+        joined = run_cli("roots", "--alpha=-3e-05", *common, "--range=-3,3")
+        assert split.returncode == 0, split.stderr
+        assert "lambda = " in split.stdout
+        assert split.stdout == joined.stdout
+
+
+def test_negative_values_join_every_single_valued_option():
+    from dodesym.cli import _merge_negative_values, build_parser
+
+    argv = ["traffic", "--example", "1", "--alpha", "-1e-1", "--tau", "-2",
+            "--v", "1.5", "--A", "-0.5"]
+    assert _merge_negative_values(argv, build_parser()) == [
+        "traffic", "--example", "1", "--alpha=-1e-1", "--tau=-2",
+        "--v", "1.5", "--A=-0.5"]
+    # multi-valued options and non-numeric values are left to argparse
+    argv = ["bracket", "--fields", "-1,2", "--param", "-x"]
+    assert _merge_negative_values(argv, build_parser()) == argv
+
+
 class TestVerify:
     def test_passing_field(self, system_file):
         proc = run_cli("verify", "--system", system_file, "--field", "0;1")
@@ -141,6 +164,16 @@ class TestTraffic:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
         assert "deviation" in proc.stdout
+
+    def test_negative_alpha_in_either_spelling(self):
+        split = run_cli("traffic", "--example", "1", "--alpha", "-1e-1",
+                        "--n", "20")
+        joined = run_cli("traffic", "--example", "1", "--alpha=-1e-1",
+                         "--n", "20")
+        assert "expected one argument" not in split.stderr
+        assert split.returncode == joined.returncode
+        assert split.stdout == joined.stdout
+        assert "example 1: ddy = (((-0.1 * dy)" in split.stdout
 
     def test_example_two_collision_regime(self):
         proc = run_cli("traffic", "--example", "2", "--alpha", "1.0",

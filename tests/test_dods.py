@@ -7,7 +7,7 @@ from dodesym.dods import (
     DodsError,
     DodsSystem,
     SamplingError,
-    apply_prolonged,
+    _residual_fns,
     check_algebra,
     check_invariance,
     dump_dods,
@@ -15,7 +15,7 @@ from dodesym.dods import (
     sample_point,
 )
 from dodesym.expr import evaluate, parse
-from dodesym.symmetry import VectorField, prolong
+from dodesym.symmetry import JET, VectorField, prolong
 
 
 def a24_example():
@@ -32,29 +32,45 @@ def const(v):
     return E.Const(v)
 
 
+def prolonged_residuals(f, g, field, point=POINT):
+    """pr X (ddy - f) and pr X (xm - g) at a jet point, computed by the
+    compiled evaluators that check_invariance uses."""
+    system = DodsSystem(f=parse(f), g=parse(g))
+    residuals = _residual_fns(system, field)
+    return residuals(tuple(point[v] for v in JET))
+
+
 class TestApplyProlonged:
+    """The prolonged field applied to the two constraint functions."""
+
     def test_difference_is_translation_invariant(self):
-        pro = prolong(VectorField.from_text("0", "1"))
-        assert apply_prolonged(pro, parse("y - ym"), POINT) == 0.0
+        # pr X (ddy - (y - ym)) = zeta2 - (eta - eta_m), all zero for d/dy
+        r_dode, _ = prolonged_residuals("y - ym", "x - 1",
+                                        VectorField.from_text("0", "1"))
+        assert r_dode == 0.0
 
     def test_width_is_shift_invariant(self):
-        pro = prolong(VectorField.from_text("1", "0"))
-        assert apply_prolonged(pro, parse("x - xm"), POINT) == 0.0
+        # pr X (xm - (x - 1)) = xi_m - xi = 0 for d/dx
+        _, r_delay = prolonged_residuals("ym", "x - 1",
+                                         VectorField.from_text("1", "0"))
+        assert r_delay == 0.0
 
     def test_vertical_fields_leave_x_alone(self):
-        pro = prolong(VectorField.from_text("0", "y"))
-        assert apply_prolonged(pro, parse("x"), POINT) == 0.0
+        # pr X (xm - 0.5) = xi_m and pr X (xm - (x - 1)) = xi_m - xi
+        field = VectorField.from_text("0", "y")
+        _, moves_xm = prolonged_residuals("ym", "0.5", field)
+        _, moves_x_and_xm = prolonged_residuals("ym", "x - 1", field)
+        assert moves_xm == 0.0 and moves_x_and_xm == 0.0
 
     def test_matches_term_by_term_sum(self):
-        pro = prolong(VectorField.from_text("x", "y^2"))
-        phi = parse("ddy - dy*dym + xm*ym")
-        total = sum(
-            evaluate(c, POINT) * evaluate(E.diff(phi, v), POINT)
-            for c, v in zip(pro.coefficients(),
-                            ("x", "y", "xm", "ym", "dy", "dym", "ddy"))
-        )
-        assert apply_prolonged(pro, phi, POINT) == pytest.approx(total,
-                                                                 rel=1e-14)
+        # phi = ddy - f with f = dy*dym - xm*ym; its partials written by hand
+        field = VectorField.from_text("x", "y^2")
+        r_dode, _ = prolonged_residuals("dy*dym - xm*ym", "x - 1", field)
+        p = POINT
+        partials = (0.0, 0.0, p["ym"], p["xm"], -p["dym"], -p["dy"], 1.0)
+        total = sum(evaluate(c, p) * d
+                    for c, d in zip(prolong(field).coefficients(), partials))
+        assert r_dode == pytest.approx(total, rel=1e-14)
 
 
 class TestCheckInvariance:
@@ -94,23 +110,21 @@ class TestCheckInvariance:
         a, b = 0.7, -1.3
         combo = VectorField(E.simplify(const(a) * x1.xi + const(b) * x2.xi),
                             E.simplify(const(a) * x1.eta + const(b) * x2.eta))
-        pro1, pro2, proc = prolong(x1), prolong(x2), prolong(combo)
+        res1, res2, resc = (_residual_fns(system, fld)
+                            for fld in (x1, x2, combo))
         g_fn = E.compile_fn(system.g, ("x", "y", "ym", "dy", "dym"))
         f_fn = E.compile_fn(system.f, ("x", "y", "xm", "ym", "dy", "dym"))
         rng = np.random.default_rng(2)
-        phi1 = E.DDY - system.f
-        phi2 = E.XM - system.g
         for _ in range(25):
             p = sample_point(rng, system.box)
             xm = g_fn(p["x"], p["y"], p["ym"], p["dy"], p["dym"])
             full = {**p, "xm": xm}
             full["ddy"] = f_fn(full["x"], full["y"], full["xm"], full["ym"],
                                full["dy"], full["dym"])
-            for phi in (phi1, phi2):
-                lhs = apply_prolonged(proc, phi, full)
-                rhs = a * apply_prolonged(pro1, phi, full) \
-                    + b * apply_prolonged(pro2, phi, full)
-                assert abs(lhs - rhs) < 1e-10
+            args = tuple(full[v] for v in JET)
+            # both halves: pr X (ddy - f) and pr X (xm - g)
+            for lhs, r1, r2 in zip(resc(args), res1(args), res2(args)):
+                assert abs(lhs - (a * r1 + b * r2)) < 1e-10
 
 
 class TestCheckAlgebra:

@@ -193,12 +193,36 @@ class TestSubsAndCompile:
         e = subs(parse("x + y"), {"x": parse("xm^2")})
         assert evaluate(e, {"xm": 3.0, "y": 1.0}) == 10.0
 
-    def test_compiled_matches_tree_walker(self):
+    def test_compiled_matches_math_reference(self):
         e = parse("exp(x)*sin(y) + x/(1+y^2)")
         fn = compile_fn(e, ("x", "y"))
         for x, y in ((0.2, 1.1), (1.7, 0.4)):
-            assert fn(x, y) == pytest.approx(evaluate(e, {"x": x, "y": y}),
-                                             rel=1e-15)
+            expected = math.exp(x) * math.sin(y) + x / (1 + y ** 2)
+            assert fn(x, y) == pytest.approx(expected, rel=1e-15)
+            assert evaluate(e, {"x": x, "y": y}) == pytest.approx(expected,
+                                                                  rel=1e-15)
+
+    def test_overflow_is_a_domain_error_on_both_paths(self):
+        e = parse("x*x*x")
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate(e, {"x": 1e200})
+        with pytest.raises(DomainError, match="non-finite"):
+            compile_fn(e, ("x",))(1e200)
+
+    @pytest.mark.parametrize("name", ["lambda", "None", "_sgn", "pow", "inf"])
+    def test_any_symbol_name_evaluates_and_compiles(self, name):
+        e = parse(f"{name}*x + sgn(x)")
+        assert evaluate(e, {name: 2.0, "x": -3.0}) == -7.0
+        assert compile_fn(e, (name, "x"))(2.0, -3.0) == -7.0
+
+    def test_evaluate_returns_float_for_int_bindings(self):
+        value = evaluate(parse("x + 1"), {"x": 2})
+        assert type(value) is float and value == 3.0
+
+    def test_constant_folds_skip_undefined_calls(self):
+        folded = simplify(parse("ln(0) + sqrt(-1) + 0^(-1) + 2^3"))
+        assert "ln(0)" in to_text(folded) and "sqrt" in to_text(folded)
+        assert "^" in to_text(folded) and "8" in to_text(folded)
 
     def test_compiled_raises_domain_errors(self):
         fn = compile_fn(parse("1/x"), ("x",))

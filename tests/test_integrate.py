@@ -154,6 +154,21 @@ class TestResidual:
         assert rep.max_residual_dode > 1e-3
 
 
+    def test_skipped_samples_are_not_counted(self):
+        traj = solve(linear_delay_system(), ramp_history(), 1.0, 2.0, 1e-3)
+        # the same law, undefined for x < 1: those samples are skipped
+        partial = DodsSystem(f=parse("ym + sqrt(x - 1) - sqrt(x - 1)"),
+                             g=parse("x-1"), delay_kind=DelayKind.CONSTANT)
+        rep = residual_on_trajectory(partial, traj, n=200, seed=42)
+        xs = np.random.default_rng(42).uniform(1e-9, 2.0 - 1e-9, size=200)
+        used = int(np.sum(xs >= 1.0))
+        assert 0 < used < 200
+        assert rep.n_samples == used
+        assert rep.max_residual_dode < 1e-6
+        full = residual_on_trajectory(linear_delay_system(), traj, n=200)
+        assert full.n_samples == 200
+
+
 class TestConvergence:
     def test_fourth_order_on_smooth_history(self):
         system = linear_delay_system()

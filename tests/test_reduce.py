@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dodesym import expr as E
+from dodesym import reduce as reduce_mod
 from dodesym import traffic
 from dodesym.dods import DelayKind, DodsSystem
 from dodesym.expr import Const, evaluate, parse
@@ -61,6 +62,25 @@ class TestInvariantsOf:
                             source="user_supplied")
         with pytest.raises(ReduceError, match="not annihilated"):
             validate_invariants(x_field, bad)
+
+    def test_partials_are_differentiated_once_per_call(self, monkeypatch):
+        calls = []
+        real = reduce_mod.diff
+
+        def counting(e, v):
+            calls.append(v)
+            return real(e, v)
+
+        monkeypatch.setattr(reduce_mod, "diff", counting)
+        x_field = VectorField(E.X, Const(0.5) * E.Y)
+        pair = InvariantPair(J1=parse("y/x^0.5"), J2=parse("xm/x"))
+        counts = []
+        for n in (10, 100):
+            calls.clear()
+            validate_invariants(x_field, pair, n=n)
+            counts.append(len(calls))
+        # four partials of each of J1 and J2
+        assert counts == [8, 8]
 
     def test_jacobian_condition_rejects_xm_free_j2(self):
         x_field = VectorField(Const(1.0), Const(1.0))
