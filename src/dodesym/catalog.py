@@ -748,7 +748,8 @@ def export_text() -> str:
     for entry in list_entries():
         lines = [f"entry {entry.id}", f"algebra = {entry.algebra_label}"]
         for fld in entry.basis:
-            lines.append(f"field = {to_text(fld.xi)} ; {to_text(fld.eta)}")
+            lines.append(f"field = {to_text(fld.xi)} ; {to_text(fld.eta)}"
+                         f" :: {fld.label}")
         if entry.has_system:
             lines.append(f"f_template = {to_text(entry.f_template)}")
             lines.append(f"g_template = {to_text(entry.g_template)}")
@@ -767,6 +768,9 @@ def export_text() -> str:
             for k in sorted(entry.box):
                 lines.append(f"box {k} = {entry.box[k][0]!r},{entry.box[k][1]!r}")
             lines.append(f"delay = {entry.delay_kind.value}")
+            if entry.second_order_minor is not None:
+                lines.append("second_order_minor = "
+                             f"{to_text(entry.second_order_minor)}")
         if entry.notes:
             lines.append(f"notes = {entry.notes}")
         lines.append("end")
@@ -789,15 +793,15 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
                 "constraints": [], "notes": "", "algebra": "",
                 "f_template": None, "g_template": None,
                 "default_F": None, "default_G": None,
-                "delay": DelayKind.STATE_DEPENDENT,
+                "delay": DelayKind.STATE_DEPENDENT, "minor": None,
             }
             continue
         if current is None:
             raise CatalogError(f"line {lineno}: content outside an entry block")
         if line == "end":
             basis = tuple(
-                VectorField.from_text(xi, eta, label=f"X{i + 1}")
-                for i, (xi, eta) in enumerate(current["fields"])
+                VectorField.from_text(xi, eta, label=label or f"X{i + 1}")
+                for i, (xi, eta, label) in enumerate(current["fields"])
             )
             entries.append(CatalogEntry(
                 id=current["id"], algebra_label=current["algebra"],
@@ -813,6 +817,7 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
                 box=current["box"],
                 delay_kind=current["delay"],
                 notes=current["notes"],
+                second_order_minor=current["minor"],
             ))
             current = None
             continue
@@ -822,8 +827,9 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
         if key == "algebra":
             current["algebra"] = value
         elif key == "field":
-            xi, _, eta = value.partition(";")
-            current["fields"].append((xi.strip(), eta.strip()))
+            spec, _, label = value.partition("::")
+            xi, _, eta = spec.partition(";")
+            current["fields"].append((xi.strip(), eta.strip(), label.strip()))
         elif key == "f_template":
             current["f_template"] = parse(value)
         elif key == "g_template":
@@ -846,6 +852,8 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
             current["box"][key[len("box "):].strip()] = (float(a), float(b))
         elif key == "delay":
             current["delay"] = DelayKind(value)
+        elif key == "second_order_minor":
+            current["minor"] = parse(value)
         elif key == "notes":
             current["notes"] = value
         else:

@@ -355,22 +355,33 @@ def _looks_numeric(token: str) -> bool:
 
 def _merge_negative_values(argv: list[str],
                            parser: argparse.ArgumentParser) -> list[str]:
-    """Join a single-valued option and a negative value such as -3e-05 or
-    -3,3 into `--opt=value`; argparse would take the value for an option."""
-    options, parsers = set(), [parser]
+    """Keep argparse from reading a value that starts with `-` as an option.
+
+    A single-valued option and a negative value such as -3e-05 or -3,3 are
+    joined into `--opt=value`.  A field spec such as `-x;y` among the
+    values of a multi-valued option gets a leading space: argparse then
+    reads it as a value, and the field parser strips the space.
+    """
+    single, multi, parsers = set(), set(), [parser]
     while parsers:
         for action in parsers.pop()._actions:
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
             elif action.option_strings and action.nargs is None:
-                options.update(action.option_strings)
+                single.update(action.option_strings)
+            elif action.option_strings and action.nargs == "+":
+                multi.update(action.option_strings)
     merged: list[str] = []
+    in_values = False  # inside the values of a multi-valued option
     for tok in argv:
-        if merged and merged[-1] in options and tok.startswith("-") \
+        if merged and merged[-1] in single and tok.startswith("-") \
                 and _looks_numeric(tok):
             merged[-1] = f"{merged[-1]}={tok}"
-        else:
-            merged.append(tok)
+            continue
+        if in_values and tok.startswith("-") and ";" in tok:
+            tok = " " + tok
+        in_values = tok in multi or (in_values and not tok.startswith("-"))
+        merged.append(tok)
     return merged
 
 

@@ -8,6 +8,13 @@ evaluates the prolonged field on both constraint functions.  This one
 mechanism covers invariance in the strong and the on-solution-manifold
 sense alike.
 
+Sampling is column-wise: a block of rows is drawn at once and every
+expression is evaluated over it with `compile_columns`, whose rows hold
+exactly what `compile_fn` returns point by point, so a seeded check gives
+the same verdict, maxima and worst point as a loop over single points.
+The jet partials of f and g are compiled once per system and shared by
+the fields of `check_algebra`.
+
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling
 time.
@@ -17,14 +24,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .expr import (
-    DomainError,
     Expr,
     bind_params,
-    compile_fn,
+    compile_columns,
     diff,
     free_symbols,
     parse,
@@ -85,31 +92,25 @@ class DodsSystem:
         below x, and that g is not constant unless declared so.
         """
         rng = np.random.default_rng(seed)
-        f_ym = compile_fn(self.bound(diff(self.f, "ym")), JET)
-        f_dym = compile_fn(self.bound(diff(self.f, "dym")), JET)
-        g_fn = compile_fn(self.bound(self.g), FREE_COORDS)
-        f_fn = compile_fn(self.bound(self.f), JET)
+        f_ym = compile_columns(self.bound(diff(self.f, "ym")), JET)
+        f_dym = compile_columns(self.bound(diff(self.f, "dym")), JET)
+        g_col = compile_columns(self.bound(self.g), FREE_COORDS)
+        f_col = compile_columns(self.bound(self.f), JET)
         delayed_dep = 0.0
         g_values = []
         checked = 0
-        for _ in range(8 * n):
-            if checked >= n:
-                break
-            p = sample_point(rng, self.box)
-            try:
-                xm = g_fn(*(p[v] for v in FREE_COORDS))
-                if xm >= p["x"]:
-                    raise DomainError("delay not below x")
-                full = dict(p)
-                full["xm"] = xm
-                full["ddy"] = 0.0
-                args = tuple(full[v] for v in JET)
-                f_fn(*args)
-                delayed_dep = max(delayed_dep, abs(f_ym(*args)), abs(f_dym(*args)))
-                g_values.append(xm - p["x"])
-            except DomainError:
-                continue
-            checked += 1
+        drawn = 0
+        while checked < n and drawn < 8 * n:
+            # never more rows than still needed or left of the 8n budget
+            m = min(n - checked, 8 * n - drawn)
+            jet, _ = _sample_manifold(rng, self.box, m, g_col, f_col)
+            dep = np.maximum(np.abs(f_ym(*jet)), np.abs(f_dym(*jet)))
+            ok = np.isfinite(dep)
+            if ok.any():
+                delayed_dep = max(delayed_dep, float(dep[ok].max()))
+            g_values.extend((jet[_I_XM] - jet[_I_X])[ok].tolist())
+            checked += int(ok.sum())
+            drawn += m
         if checked < n:
             raise SamplingError(
                 "could not sample enough admissible points to validate system"
@@ -126,9 +127,36 @@ class DodsSystem:
 def sample_point(
     rng: np.random.Generator, box: dict[str, tuple[float, float]]
 ) -> dict[str, float]:
+    """One point of the free coordinates; the blocks the checks draw
+    consume the generator exactly as repeated calls of this do."""
     return {
         v: float(rng.uniform(*box.get(v, DEFAULT_BOX[v]))) for v in FREE_COORDS
     }
+
+
+_I_X, _I_XM, _I_DDY = (JET.index(v) for v in ("x", "xm", "ddy"))
+
+#: most rows one sampling block draws, so work arrays stay small at large n
+_BLOCK_ROWS = 1024
+
+
+def _sample_manifold(rng, box, m, g_col, f_col) -> tuple[np.ndarray, np.ndarray]:
+    """Draw m points of the free coordinates and put them on the manifold.
+
+    The (m, 5) draw consumes the generator exactly as m calls of
+    sample_point do.  xm := g and ddy := f (f evaluated at ddy = 0).  A row
+    is kept where both are defined and xm < x.  Returns the kept rows as
+    jet columns, shape (7, k) in JET order, and their positions in the
+    block.
+    """
+    lo, hi = zip(*(box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
+    x, y, ym, dy, dym = rng.uniform(lo, hi, size=(m, 5)).T
+    xm = g_col(x, y, ym, dy, dym)
+    rows = np.flatnonzero(xm < x)
+    jet = np.stack([x, y, xm, ym, dy, dym, np.zeros(m)])[:, rows]
+    jet[_I_DDY] = f_col(*jet)
+    keep = np.isfinite(jet[_I_DDY])
+    return jet[:, keep], rows[keep]
 
 
 @dataclass
@@ -139,6 +167,9 @@ class InvarianceReport:
     worst_point: dict[str, float]
     tol: float = 1e-8
     field_label: str = ""
+    #: rows drawn and rejected (undefined or xm >= x) before n_samples
+    #: were accepted
+    n_rejected: int = 0
 
     @property
     def passed(self) -> bool:
@@ -156,24 +187,50 @@ class InvarianceReport:
         )
 
 
-def _residual_fns(system: DodsSystem, x_field: VectorField):
-    """Compiled evaluators for pr X (ddy - f) and pr X (xm - g)."""
-    pro = prolong(x_field)
-    coeffs = [
-        compile_fn(system.bound(c), JET) for c in pro.coefficients()
-    ]
-    df = [compile_fn(system.bound(diff(system.f, v)), JET) for v in JET]
-    dg = [compile_fn(system.bound(diff(system.g, v)), JET) for v in JET]
-    i_ddy = JET.index("ddy")
-    i_xm = JET.index("xm")
+@dataclass(frozen=True)
+class _SystemKernels:
+    """Column kernels of a system: g, f and the partials of f and g along
+    every jet coordinate, in JET order."""
 
-    def residuals(args: tuple[float, ...]) -> tuple[float, float]:
-        c = [fn(*args) for fn in coeffs]
-        r_dode = c[i_ddy] - sum(c[i] * df[i](*args) for i in range(7))
-        r_delay = c[i_xm] - sum(c[i] * dg[i](*args) for i in range(7))
-        return r_dode, r_delay
+    g: Callable[..., np.ndarray]
+    f: Callable[..., np.ndarray]
+    df: tuple[Callable[..., np.ndarray], ...]
+    dg: tuple[Callable[..., np.ndarray], ...]
 
-    return residuals
+    @classmethod
+    def build(cls, system: DodsSystem) -> "_SystemKernels":
+        def partials(e: Expr):
+            return tuple(compile_columns(system.bound(diff(e, v)), JET)
+                         for v in JET)
+
+        return cls(g=compile_columns(system.bound(system.g), FREE_COORDS),
+                   f=compile_columns(system.bound(system.f), JET),
+                   df=partials(system.f), dg=partials(system.g))
+
+
+def _field_kernels(system: DodsSystem, x_field: VectorField):
+    """Column kernels of the prolonged coefficients of x_field, in JET order."""
+    return [compile_columns(system.bound(c), JET)
+            for c in prolong(x_field).coefficients()]
+
+
+def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):
+    """pr X (ddy - f) and pr X (xm - g) at the columns of jet, and the mask
+    of rows where every coefficient and partial is defined."""
+    c = [fn(*jet) for fn in coeffs]
+    df = [fn(*jet) for fn in kernels.df]
+    dg = [fn(*jet) for fn in kernels.dg]
+    with np.errstate(all="ignore"):
+        r_dode = c[_I_DDY] - sum(c[i] * df[i] for i in range(7))
+        r_delay = c[_I_XM] - sum(c[i] * dg[i] for i in range(7))
+    return r_dode, r_delay, np.isfinite(c + df + dg).all(axis=0)
+
+
+def _running_max(start: float, values: np.ndarray) -> np.ndarray:
+    """start, then the maximum after each of values (all >= 0), as max()
+    builds it: a NaN never raises the maximum."""
+    values = np.where(np.isnan(values), 0.0, values)
+    return np.maximum.accumulate(np.concatenate(([start], values)))
 
 
 def check_invariance(
@@ -182,6 +239,8 @@ def check_invariance(
     n: int = 200,
     seed: int = 42,
     tol: float = 1e-8,
+    *,
+    _kernels: _SystemKernels | None = None,
 ) -> InvarianceReport:
     """Sample the solution manifold and apply the prolonged field.
 
@@ -189,51 +248,60 @@ def check_invariance(
     ddy := f, and evaluates pr X on both constraint functions.  The field
     is accepted when both maxima stay below tol.  More than half the
     samples hitting domain errors aborts with a sampling diagnosis.
+
+    Rows are drawn in blocks and taken in draw order, and the rules of a
+    loop over single points hold row by row: before each draw, more than
+    n rejected rows and more rejected than accepted aborts; a row becomes
+    the worst point when it is the first or raises either running
+    maximum; max() ignores a NaN residual.  check_algebra passes the
+    system's kernels in `_kernels`; a lone call compiles them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    kernels = _kernels or _SystemKernels.build(system)
+    coeffs = _field_kernels(system, x_field)
     rng = np.random.default_rng(seed)
-    g_fn = compile_fn(system.bound(system.g), FREE_COORDS)
-    f_fn = compile_fn(system.bound(system.f), JET)
-    residuals = _residual_fns(system, x_field)
-    worst_point: dict[str, float] = {}
+    worst: np.ndarray | None = None
     good = 0
     bad = 0
     max_dode = 0.0
     max_delay = 0.0
     while good < n:
-        if bad > n and bad > good:
+        # a block never holds more rows than are still needed, so every
+        # row drawn is taken, in order
+        m = min(n - good, _BLOCK_ROWS)
+        jet, rows = _sample_manifold(rng, system.box, m, kernels.g, kernels.f)
+        r_dode, r_delay, ok = _residuals(kernels, coeffs, jet)
+        jet, rows = jet[:, ok], rows[ok]
+        # accepted and rejected counts before each row is drawn
+        i = np.arange(m)
+        good_before = good + np.searchsorted(rows, i)
+        bad_before = bad + i - (good_before - good)
+        if np.any((bad_before > n) & (bad_before > good_before)):
             raise SamplingError(
                 "incompatible sampling domain: more than half the samples hit"
                 " domain errors"
             )
-        p = sample_point(rng, system.box)
-        try:
-            xm = g_fn(*(p[v] for v in FREE_COORDS))
-            if xm >= p["x"]:
-                raise DomainError("delay not below x")
-            full = dict(p)
-            full["xm"] = xm
-            full["ddy"] = 0.0
-            args = list(full[v] for v in JET)
-            args[JET.index("ddy")] = f_fn(*args)
-            r_dode, r_delay = residuals(tuple(args))
-        except DomainError:
-            bad += 1
-            continue
-        good += 1
-        if not worst_point or abs(r_dode) > max_dode or \
-                abs(r_delay) > max_delay:
-            worst_point = dict(zip(JET, args))
-        max_dode = max(max_dode, abs(r_dode))
-        max_delay = max(max_delay, abs(r_delay))
+        good += len(rows)
+        bad += m - len(rows)
+        a_dode, a_delay = np.abs(r_dode[ok]), np.abs(r_delay[ok])
+        run_dode = _running_max(max_dode, a_dode)
+        run_delay = _running_max(max_delay, a_delay)
+        raises = (a_dode > run_dode[:-1]) | (a_delay > run_delay[:-1])
+        if worst is None and len(rows):
+            raises[0] = True
+        if raises.any():
+            worst = jet[:, np.flatnonzero(raises)[-1]]
+        max_dode = float(run_dode[-1])
+        max_delay = float(run_delay[-1])
     return InvarianceReport(
         max_residual_dode=max_dode,
         max_residual_delay=max_delay,
         n_samples=n,
-        worst_point=worst_point,
+        worst_point=dict(zip(JET, worst.tolist())),
         tol=tol,
         field_label=x_field.label or x_field.describe(),
+        n_rejected=bad,
     )
 
 
@@ -244,9 +312,14 @@ def check_algebra(
     seed: int = 42,
     tol: float = 1e-8,
 ) -> list[InvarianceReport]:
-    """check_invariance for each basis field; all must pass to admit the algebra."""
+    """check_invariance for each basis field; all must pass to admit the algebra.
+
+    The system's kernels are compiled once and shared by every field.
+    """
+    kernels = _SystemKernels.build(system) if fields else None
     return [
-        check_invariance(system, f, n=n, seed=seed + i, tol=tol)
+        check_invariance(system, f, n=n, seed=seed + i, tol=tol,
+                         _kernels=kernels)
         for i, f in enumerate(fields)
     ]
 

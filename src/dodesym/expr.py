@@ -6,12 +6,16 @@ light simplifier (constant folding, 0/1 identities, like-term collection).
 There is deliberately no general CAS machinery here; semantic checks
 elsewhere are done by residual evaluation at sampled points.
 
-There is one numeric semantics.  `compile_fn` turns a tree into a Python
-closure once; `evaluate` is that closure called for a single point.  An
-undefined operation (division by zero, ln or sqrt out of domain, pow
-without a real value) or a non-finite result raises DomainError, whose
-message names the whole compiled expression rather than the failing
-sub-node.
+There is one numeric semantics with two calling conventions, both built
+by one code generator over one primitive table.  `compile_fn` turns a tree
+into a Python closure of one point; `evaluate` is that closure called
+once.  An undefined operation (division by zero, ln or sqrt out of
+domain, pow without a real value) or a non-finite result raises
+DomainError, whose message names the whole compiled expression rather
+than the failing sub-node.  `compile_columns` turns a tree into a function
+of numpy columns, one row per point: each row holds exactly the value the
+closure returns for that point, and NaN where the closure raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
+
+import numpy as np
 
 # Jet alphabet: `m` suffix marks the delayed point (xm = delayed x, ym = y at
 # the delayed point, dym = first derivative there).  t and n are auxiliary
@@ -305,7 +311,7 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
 def to_text(e: Expr) -> str:
     if isinstance(e, Const):
         v = e.value
-        if v == int(v) and abs(v) < 1e16:
+        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)
     if isinstance(e, (Var, Param)):
@@ -324,6 +330,16 @@ def to_text(e: Expr) -> str:
 
 
 def _sgn(v: float) -> float:
+    """Sign of v: 0.0 at either zero and NaN at NaN.
+
+    A NaN's sign carries nothing: of two NaN operands, an operation passes
+    on the one its machine code happens to take first, and CPython's
+    specialized float operations take them in another order than its
+    generic ones, so the same closure would answer differently on
+    repeated calls.
+    """
+    if math.isnan(v):
+        return math.nan
     return 0.0 if v == 0.0 else math.copysign(1.0, v)
 
 
@@ -658,21 +674,47 @@ def is_zero(e: Expr) -> bool:
 # compilation
 
 
-def _codegen(e: Expr, slots: Mapping[str, str]) -> str:
+def _call_code(name: str, columns: bool, *args: str) -> str:
+    """A primitive call; column code passes the row-reject mask first."""
+    return f"{name}({', '.join(('_bad',) * columns + args)})"
+
+
+def _codegen(e: Expr, slots: Mapping[str, str], columns: bool = False) -> str:
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, (Var, Param)):
         return slots[e.name]
     if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg, slots)})"
+        return f"(-{_codegen(e.arg, slots, columns)})"
     if isinstance(e, BinOp):
-        left, right = _codegen(e.left, slots), _codegen(e.right, slots)
+        left = _codegen(e.left, slots, columns)
+        right = _codegen(e.right, slots, columns)
         if e.op == "^":
-            return f"pow({left}, {right})"
+            return _call_code("pow", columns, left, right)
+        if e.op == "/" and columns:
+            return _call_code("_div", columns, left, right)
         return f"({left} {e.op} {right})"
     if isinstance(e, Call):
-        return f"{e.fn}({_codegen(e.arg, slots)})"
+        return _call_code(e.fn, columns, _codegen(e.arg, slots, columns))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _generate(e: Expr, arg_names: Iterable[str], columns: bool) -> Callable:
+    """The generated function of e, for points or, with columns, for the
+    column calling convention below."""
+    names = list(arg_names)
+    missing = free_symbols(e) - set(names)
+    if missing:
+        raise UnboundSymbolError(sorted(missing)[0])
+    slots = {name: f"_a{i}" for i, name in enumerate(names)}
+    params = ", ".join(("_bad",) * columns
+                       + tuple(f"_a{i}" for i in range(len(names))))
+    src = f"def _f({params}):\n    return {_codegen(e, slots, columns)}\n"
+    # repr() writes a non-finite Const as `inf` or `nan`
+    ns = {**(_COLUMN_PRIMITIVES if columns else _PRIMITIVES),
+          "inf": math.inf, "nan": math.nan}
+    exec(src, ns)
+    return ns["_f"]
 
 
 def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
@@ -683,14 +725,72 @@ def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     a Python keyword included.  An undefined or non-finite result raises
     DomainError naming the whole of e.
     """
-    names = list(arg_names)
-    missing = free_symbols(e) - set(names)
-    if missing:
-        raise UnboundSymbolError(sorted(missing)[0])
-    slots = {name: f"_a{i}" for i, name in enumerate(names)}
-    params = ", ".join(f"_a{i}" for i in range(len(names)))
-    src = f"def _f({params}):\n    return {_codegen(e, slots)}\n"
-    # repr() writes a non-finite Const as `inf` or `nan`
-    ns: dict = {**_PRIMITIVES, "inf": math.inf, "nan": math.nan}
-    exec(src, ns)
-    return functools.partial(_checked, ns["_f"], e)
+    return functools.partial(_checked, _generate(e, arg_names, False), e)
+
+
+# -- the column calling convention ------------------------------------------
+#
+# Every row must hold what the closure of compile_fn returns for that point.
+# + - * / and negation are IEEE operations in numpy as in Python, silent
+# overflow included, and abs and sgn are numpy's, which agree with
+# builtin abs and _sgn.  Python raises on a zero divisor, -0.0 included,
+# so such rows are marked in the row-reject mask `_bad`.  The other
+# primitives of _PRIMITIVES are mapped over the rows, because numpy's exp,
+# tan, arctan, log and power can differ from math's by an ulp; a row where
+# one raises is marked too.
+
+_UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+    def apply(bad: np.ndarray, *args) -> np.ndarray:
+        rows = [np.broadcast_to(a, bad.shape).tolist() for a in args]
+        try:
+            return np.fromiter(map(fn, *rows), float, len(bad))
+        except _UNDEFINED:
+            pass
+        out = np.full(bad.shape, math.nan)
+        for i, point in enumerate(zip(*rows)):
+            try:
+                out[i] = fn(*point)
+            except _UNDEFINED:
+                bad[i] = True
+        return out
+
+    return apply
+
+
+def _column_div(bad: np.ndarray, num, den):
+    bad |= np.equal(den, 0.0)
+    return np.true_divide(num, den)
+
+
+_COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
+    **{name: _column_map(fn) for name, fn in _PRIMITIVES.items()},
+    "abs": lambda bad, v: np.abs(v),
+    "sgn": lambda bad, v: np.sign(v),
+    "_div": _column_div,
+}
+
+
+def _columns_checked(fn: Callable[..., np.ndarray], *cols) -> np.ndarray:
+    """fn over equal-length columns; NaN where a row is undefined or
+    non-finite, the rows compile_fn would answer with DomainError."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
+    bad = np.zeros(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        out = np.broadcast_to(fn(bad, *cols), shape)
+        return np.where(bad | ~np.isfinite(out), math.nan, out)
+
+
+def compile_columns(e: Expr, arg_names: Iterable[str]) -> Callable[..., np.ndarray]:
+    """Compile to a function of numpy columns, one row per point.
+
+    The function takes one 1-D float column (or a scalar, broadcast) per
+    name in arg_names and returns a new 1-D float column.  Row i holds
+    exactly the value compile_fn's closure returns for row i of the
+    arguments, and NaN where that closure raises DomainError; a row is
+    defined exactly where the result is finite.
+    """
+    return functools.partial(_columns_checked, _generate(e, arg_names, True))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -20,6 +21,7 @@ from dodesym.catalog import (
 )
 from dodesym.dods import check_invariance
 from dodesym.expr import evaluate, parse
+from dodesym.symmetry import VectorField
 
 REQUIRED_IDS = [
     "A1_1", "A2_1", "A2_2", "A2_3", "A2_4",
@@ -263,6 +265,33 @@ class TestExport:
                         pytest.approx(evaluate(getattr(original, attr), full),
                                       rel=1e-12)
                 assert again.default_params == original.default_params
+
+    def test_round_trip_keeps_every_field(self):
+        # expressions are compared after one re-parse of their text, since
+        # an exported -1 parses back as a negation of the same value
+        def normal(value):
+            if isinstance(value, E.Expr):
+                return E.to_text(E.parse(E.to_text(value)))
+            if isinstance(value, VectorField):
+                return normal(value.xi), normal(value.eta), value.label
+            if isinstance(value, (tuple, list)):
+                return tuple(normal(v) for v in value)
+            if isinstance(value, dict):
+                return {k: normal(v) for k, v in value.items()}
+            return value
+
+        originals = list_entries()
+        again = parse_catalog_text(export_text())
+        assert [e.id for e in again] == [e.id for e in originals]
+        for original, entry in zip(originals, again):
+            for f in dataclasses.fields(catalog.CatalogEntry):
+                assert normal(getattr(entry, f.name)) == \
+                    normal(getattr(original, f.name)), (original.id, f.name)
+        by_id = {e.id: e for e in again}
+        assert by_id["H3_DET"].second_order_minor is not None
+        assert by_id["S3_DET"].second_order_minor is not None
+        assert [f.label for f in by_id["TRAFFIC_EX2"].basis] == \
+            ["t d/dt + n x d/dx", "d/dx"]
 
     def test_reparsed_entry_still_checks(self):
         text = export_text()

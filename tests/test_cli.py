@@ -78,6 +78,26 @@ def test_negative_values_join_every_single_valued_option():
     assert _merge_negative_values(argv, build_parser()) == argv
 
 
+def test_field_specs_starting_with_minus_are_kept_as_values():
+    from dodesym.cli import _merge_negative_values, build_parser
+
+    argv = ["rank", "--fields", "-x;y", "0;1", "-y;x", "--param", "a=1",
+            "-x;y"]
+    assert _merge_negative_values(argv, build_parser()) == [
+        "rank", "--fields", " -x;y", "0;1", " -y;x", "--param", "a=1",
+        "-x;y"]
+
+
+@pytest.mark.parametrize("fields", [("-x;y", "0;1"), ("0;1", "-x;y")])
+def test_bracket_field_starting_with_minus(fields):
+    proc = run_cli("bracket", "--fields", *fields)
+    paren = run_cli("bracket", "--fields",
+                    *(f.replace("-x", "(-x)") for f in fields))
+    assert proc.returncode == paren.returncode == 0, proc.stderr
+    assert proc.stdout == paren.stdout
+    assert "closed under commutation" in proc.stdout
+
+
 class TestVerify:
     def test_passing_field(self, system_file):
         proc = run_cli("verify", "--system", system_file, "--field", "0;1")

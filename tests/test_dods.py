@@ -1,13 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
+from dodesym import catalog, traffic
 from dodesym import expr as E
 from dodesym.dods import (
+    DEFAULT_BOX,
+    FREE_COORDS,
     DelayKind,
     DodsError,
     DodsSystem,
+    InvarianceReport,
     SamplingError,
-    _residual_fns,
+    _field_kernels,
+    _residuals,
+    _sample_manifold,
+    _SystemKernels,
     check_algebra,
     check_invariance,
     dump_dods,
@@ -34,10 +43,13 @@ def const(v):
 
 def prolonged_residuals(f, g, field, point=POINT):
     """pr X (ddy - f) and pr X (xm - g) at a jet point, computed by the
-    compiled evaluators that check_invariance uses."""
+    column kernels that check_invariance uses."""
     system = DodsSystem(f=parse(f), g=parse(g))
-    residuals = _residual_fns(system, field)
-    return residuals(tuple(point[v] for v in JET))
+    jet = np.array([[point[v]] for v in JET])
+    r_dode, r_delay, ok = _residuals(_SystemKernels.build(system),
+                                     _field_kernels(system, field), jet)
+    assert ok.tolist() == [True]
+    return float(r_dode[0]), float(r_delay[0])
 
 
 class TestApplyProlonged:
@@ -110,21 +122,200 @@ class TestCheckInvariance:
         a, b = 0.7, -1.3
         combo = VectorField(E.simplify(const(a) * x1.xi + const(b) * x2.xi),
                             E.simplify(const(a) * x1.eta + const(b) * x2.eta))
-        res1, res2, resc = (_residual_fns(system, fld)
+        kernels = _SystemKernels.build(system)
+        jet, _ = _sample_manifold(np.random.default_rng(2), system.box, 25,
+                                  kernels.g, kernels.f)
+        assert jet.shape == (7, 25)
+        res1, res2, resc = (_residuals(kernels, _field_kernels(system, fld),
+                                       jet)
                             for fld in (x1, x2, combo))
-        g_fn = E.compile_fn(system.g, ("x", "y", "ym", "dy", "dym"))
-        f_fn = E.compile_fn(system.f, ("x", "y", "xm", "ym", "dy", "dym"))
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            p = sample_point(rng, system.box)
-            xm = g_fn(p["x"], p["y"], p["ym"], p["dy"], p["dym"])
-            full = {**p, "xm": xm}
-            full["ddy"] = f_fn(full["x"], full["y"], full["xm"], full["ym"],
-                               full["dy"], full["dym"])
-            args = tuple(full[v] for v in JET)
-            # both halves: pr X (ddy - f) and pr X (xm - g)
-            for lhs, r1, r2 in zip(resc(args), res1(args), res2(args)):
-                assert abs(lhs - (a * r1 + b * r2)) < 1e-10
+        # both halves: pr X (ddy - f) and pr X (xm - g)
+        for lhs, r1, r2 in zip(resc[:2], res1[:2], res2[:2]):
+            assert np.all(np.abs(lhs - (a * r1 + b * r2)) < 1e-10)
+
+
+def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
+    """check_invariance as a loop over single points with compile_fn
+    closures: the algorithm the column-wise check must reproduce."""
+    rng = np.random.default_rng(seed)
+    g_fn = E.compile_fn(system.bound(system.g), FREE_COORDS)
+    f_fn = E.compile_fn(system.bound(system.f), JET)
+    coeffs = [E.compile_fn(system.bound(c), JET)
+              for c in prolong(x_field).coefficients()]
+    df = [E.compile_fn(system.bound(E.diff(system.f, v)), JET) for v in JET]
+    dg = [E.compile_fn(system.bound(E.diff(system.g, v)), JET) for v in JET]
+    worst, good, bad, max_dode, max_delay = {}, 0, 0, 0.0, 0.0
+    while good < n:
+        if bad > n and bad > good:
+            raise SamplingError("incompatible sampling domain")
+        p = sample_point(rng, system.box)
+        try:
+            xm = g_fn(*(p[v] for v in FREE_COORDS))
+            if xm >= p["x"]:
+                raise E.DomainError("delay not below x")
+            args = [p["x"], p["y"], xm, p["ym"], p["dy"], p["dym"], 0.0]
+            args[6] = f_fn(*args)
+            c = [fn(*args) for fn in coeffs]
+            r_dode = c[6] - sum(c[i] * df[i](*args) for i in range(7))
+            r_delay = c[2] - sum(c[i] * dg[i](*args) for i in range(7))
+        except E.DomainError:
+            bad += 1
+            continue
+        good += 1
+        if not worst or abs(r_dode) > max_dode or abs(r_delay) > max_delay:
+            worst = dict(zip(JET, args))
+        max_dode = max(max_dode, abs(r_dode))
+        max_delay = max(max_delay, abs(r_delay))
+    return InvarianceReport(max_dode, max_delay, n, worst, tol,
+                            x_field.label or x_field.describe(), bad)
+
+
+def reference_validate(system, n=20, seed=7):
+    """DodsSystem.validate as a loop over single points; the error class
+    it raises, or None."""
+    rng = np.random.default_rng(seed)
+    f_ym = E.compile_fn(system.bound(E.diff(system.f, "ym")), JET)
+    f_dym = E.compile_fn(system.bound(E.diff(system.f, "dym")), JET)
+    g_fn = E.compile_fn(system.bound(system.g), FREE_COORDS)
+    f_fn = E.compile_fn(system.bound(system.f), JET)
+    dep, widths = 0.0, []
+    for _ in range(8 * n):
+        if len(widths) >= n:
+            break
+        p = sample_point(rng, system.box)
+        try:
+            xm = g_fn(*(p[v] for v in FREE_COORDS))
+            if xm >= p["x"]:
+                continue
+            args = (p["x"], p["y"], xm, p["ym"], p["dy"], p["dym"], 0.0)
+            f_fn(*args)
+            dep = max(dep, abs(f_ym(*args)), abs(f_dym(*args)))
+        except E.DomainError:
+            continue
+        widths.append(xm - p["x"])
+    if len(widths) < n:
+        return SamplingError
+    if dep < 1e-12:
+        return DodsError
+    if system.delay_kind is not DelayKind.CONSTANT and np.ptp(widths) < 1e-12:
+        return DodsError
+    return None
+
+
+def _rejecting_traffic_system():
+    """Example 2 (xm = x/4, f with xm^-0.5) on an x range crossing 0:
+    rows with x <= 0 put xm at or past x, where xm^-0.5 is singular."""
+    p = traffic.example_params(2)
+    system = traffic.example_system(2, p)
+    system.box = {**system.box, "x": (-0.5, 2.5)}
+    return system, traffic.example_algebra(2, p)
+
+
+class TestColumnwiseMatchesPointLoop:
+    """Reports equal the point loop's, worst point and rejections included."""
+
+    @pytest.mark.parametrize("entry_id", ["A3_11", "A6_3", "H3_DET",
+                                          "TRAFFIC_EX1", "TRAFFIC_EX3"])
+    def test_catalog_systems(self, entry_id):
+        entry, system = catalog._build_system(
+            catalog.default_instantiation(entry_id))
+        fields = list(entry.basis) + [catalog.negative_control(entry, system)]
+        want = [reference_check(system, fld, n=120, seed=7 + i)
+                for i, fld in enumerate(fields)]
+        assert [check_invariance(system, fld, n=120, seed=7 + i)
+                for i, fld in enumerate(fields)] == want
+        # kernels compiled once for the system give the same reports
+        assert check_algebra(system, fields, n=120, seed=7) == want
+        assert not want[-1].passed
+
+    @pytest.mark.parametrize("n", [50, 1300])
+    def test_box_that_rejects_rows(self, n):
+        # n=1300 spans more than one block of rows
+        system, fields = _rejecting_traffic_system()
+        for i, fld in enumerate(fields):
+            got = check_invariance(system, fld, n=n, seed=11 + i)
+            assert got == reference_check(system, fld, n=n, seed=11 + i)
+            assert got.n_rejected > 0
+
+    @pytest.mark.parametrize("f,g", [
+        # dg/dy is 0/0 where g itself is defined (y < 1)
+        ("ym + dym", "x - 1 - sqrt(abs(y - 1) + y - 1)"),
+        # the same for f
+        ("ym + sqrt(abs(y - 1) + y - 1)", "x - 1"),
+        # xm = x exactly for y >= 2: no delay there
+        ("ym + dym", "x - (abs(y - 2) - (y - 2))"),
+    ])
+    def test_each_rejection_rule(self, f, g):
+        system = DodsSystem(f=parse(f), g=parse(g))
+        fld = VectorField.from_text("x", "y")
+        got = check_invariance(system, fld, n=150, seed=9)
+        assert got == reference_check(system, fld, n=150, seed=9)
+        assert got.n_rejected > 0
+
+    @pytest.mark.parametrize("f,worst_max", [
+        # 1e160 * exp(400 (x - 1.5)) overflows for x > 2.35: the residual
+        # is inf - inf = NaN there, which max() ignores
+        ("exp(400*(x - 1.5))*(y - ym) + y^2 + dym", 4.9677449454741994e+160),
+        # here the overflowing term stands alone: the residual is -inf
+        ("exp(400*(x - 1.5))*y + ym*dym", math.inf),
+    ])
+    def test_non_finite_residuals(self, f, worst_max):
+        system = DodsSystem(f=parse(f), g=parse("x - 1"))
+        fld = VectorField.from_text("0", "1e160")
+        want = reference_check(system, fld, n=200, seed=3)
+        assert check_invariance(system, fld, n=200, seed=3) == want
+        assert want.max_residual_dode == worst_max
+
+    def test_sampling_error_on_the_same_inputs(self):
+        # sqrt(y - 1.5) is undefined on half the y range, so whether more
+        # than half the draws fail first depends on the seed
+        system = DodsSystem(f=parse("ym + sqrt(y - 1.5)"), g=parse("x - 1"))
+        fld = VectorField.from_text("1", "0")
+        outcomes = set()
+        for seed in range(40):
+            try:
+                want = reference_check(system, fld, n=12, seed=seed)
+            except SamplingError:
+                with pytest.raises(SamplingError, match="incompatible"):
+                    check_invariance(system, fld, n=12, seed=seed)
+                outcomes.add("raised")
+            else:
+                assert check_invariance(system, fld, n=12, seed=seed) == want
+                outcomes.add("report")
+        assert outcomes == {"raised", "report"}
+
+    def test_validate_on_the_same_inputs(self):
+        # sqrt(y - 2.2) leaves about 15% of rows: 20 of at most 160 draws
+        # are sometimes found and sometimes not
+        system = DodsSystem(f=parse("ym + sqrt(y - 2.2)"), g=parse("x - 1"))
+        outcomes = set()
+        for seed in range(40):
+            want = reference_validate(system, seed=seed)
+            if want is None:
+                system.validate(seed=seed)
+            else:
+                with pytest.raises(want):
+                    system.validate(seed=seed)
+            outcomes.add(want)
+        assert outcomes == {None, SamplingError}
+
+
+class TestRejectedSamples:
+    def test_counts_the_rows_rejected_before_n_were_accepted(self):
+        system, fields = _rejecting_traffic_system()
+        report = check_invariance(system, fields[1], n=200, seed=5)
+        drawn = report.n_samples + report.n_rejected
+        lo, hi = zip(*(system.box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
+        x = np.random.default_rng(5).uniform(lo, hi, size=(drawn, 5))[:, 0]
+        # exactly the rows with x <= 0 are rejected; the last row is accepted
+        assert report.n_rejected == int(np.sum(x <= 0.0)) > 0
+        assert x[-1] > 0.0
+        assert "rejected" not in report.summary()
+
+    def test_none_rejected_on_an_admissible_box(self):
+        report = check_invariance(a24_example(), VectorField.from_text("0", "1"),
+                                  n=100)
+        assert report.n_rejected == 0 and type(report.n_rejected) is int
 
 
 class TestCheckAlgebra:

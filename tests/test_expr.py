@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from dodesym.expr import (
     DomainError,
     ParseError,
     UnboundSymbolError,
+    Neg,
     Var,
+    compile_columns,
     compile_fn,
     diff,
     evaluate,
@@ -238,3 +241,80 @@ def test_expressions_are_immutable():
     e = parse("x + 1")
     with pytest.raises(Exception):
         e.op = "*"  # frozen dataclass
+
+
+# ---------------------------------------------------------------------------
+# compile_columns: every row is what compile_fn returns for that point
+
+
+def _assert_row_matches_closure(fn, args, got):
+    """got is fn(*args) bit for bit, or NaN where fn raises DomainError."""
+    try:
+        want = fn(*args)
+    except DomainError:
+        assert math.isnan(got), (args, got)
+        return
+    assert np.float64(want).tobytes() == np.float64(got).tobytes(), \
+        (args, want, got)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 800.0, 1e300, -1e300,
+            5e-324, math.inf, -math.inf, math.nan]
+_values = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_trees = st.recursive(
+    st.one_of(st.sampled_from([Var("x"), Var("y")]), _values.map(Const)),
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(E.FUNCTIONS), kids),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=_trees, rows=st.lists(st.tuples(_values, _values), min_size=1,
+                               max_size=16))
+def test_columns_match_compile_fn_bitwise(e, rows):
+    fn = compile_fn(e, ("x", "y"))
+    xs, ys = (np.array(c, dtype=float) for c in zip(*rows))
+    out = compile_columns(e, ("x", "y"))(xs, ys)
+    assert out.shape == (len(rows),)
+    for args, got in zip(rows, out):
+        _assert_row_matches_closure(fn, args, got)
+
+
+@pytest.mark.parametrize("text,x", [
+    ("x/0", 1.0), ("x/(-0.0)", 1.0), ("1/x", 0.0), ("1/x", -0.0),
+    ("ln(x)", 0.0), ("ln(x)", -1.0), ("sqrt(x)", -1.0), ("x^0.5", -2.0),
+    ("x^(-1)", 0.0), ("exp(x)", 800.0), ("sgn(x)", 0.0), ("sgn(x)", -0.0),
+    ("sgn(x)", -3.0), ("x*1e300*1e300", 2.0), ("1/(x*1e300*1e300)", 2.0),
+    ("ln(-1) + x", 2.0), ("(2^3) + sqrt(4)*x", 2.0), ("sin(1/0) + x", 2.0),
+])
+def test_columns_match_compile_fn_on_singular_rows(text, x):
+    e = parse(text)
+    fn = compile_fn(e, ("x",))
+    # the singular row among ordinary ones; constant subtrees broadcast
+    xs = np.array([1.5, x, 0.25])
+    out = compile_columns(e, ("x",))(xs)
+    assert out.shape == (3,)
+    for value, got in zip(xs.tolist(), out):
+        _assert_row_matches_closure(fn, (value,), got)
+
+
+def test_sgn_of_nan_is_nan_on_every_call():
+    # (-x)*x at NaN meets two NaNs of opposite sign; which one the product
+    # keeps changed once CPython specialized the multiplication
+    fn = compile_fn(parse("sgn((-x)*x) + 1"), ("x",))
+    for _ in range(20):
+        with pytest.raises(DomainError, match="non-finite"):
+            fn(math.nan)
+    assert np.isnan(compile_columns(parse("sgn(x)"), ("x",))(
+        np.array([math.nan, -math.nan]))).all()
+
+
+def test_columns_of_a_constant_broadcast_to_the_rows():
+    assert compile_columns(parse("2*3"), ("x",))(np.zeros(4)).tolist() == [6.0] * 4
+    assert np.isnan(compile_columns(parse("ln(-1)"), ("x",))(np.ones(3))).all()
+    with pytest.raises(UnboundSymbolError):
+        compile_columns(parse("x + y"), ("x",))
