@@ -23,6 +23,7 @@ time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -226,11 +227,11 @@ def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):
     return r_dode, r_delay, np.isfinite(c + df + dg).all(axis=0)
 
 
-def _running_max(start: float, values: np.ndarray) -> np.ndarray:
-    """start, then the maximum after each of values (all >= 0), as max()
-    builds it: a NaN never raises the maximum."""
-    values = np.where(np.isnan(values), 0.0, values)
-    return np.maximum.accumulate(np.concatenate(([start], values)))
+def _running_max(start: float, values: np.ndarray) -> tuple[float, np.ndarray]:
+    """The maximum of start and values (a NaN among them makes it NaN),
+    and the mask of values greater than the maximum before them."""
+    run = np.maximum.accumulate(np.concatenate(([start], values)))
+    return float(run[-1]), values > run[:-1]
 
 
 def check_invariance(
@@ -253,8 +254,10 @@ def check_invariance(
     loop over single points hold row by row: before each draw, more than
     n rejected rows and more rejected than accepted aborts; a row becomes
     the worst point when it is the first or raises either running
-    maximum; max() ignores a NaN residual.  check_algebra passes the
-    system's kernels in `_kernels`; a lone call compiles them.
+    maximum.  A NaN residual on an accepted row makes its maximum NaN, so
+    the report fails, and the first such row stays the worst point.
+    check_algebra passes the system's kernels in `_kernels`; a lone call
+    compiles them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -285,15 +288,17 @@ def check_invariance(
         good += len(rows)
         bad += m - len(rows)
         a_dode, a_delay = np.abs(r_dode[ok]), np.abs(r_delay[ok])
-        run_dode = _running_max(max_dode, a_dode)
-        run_delay = _running_max(max_delay, a_delay)
-        raises = (a_dode > run_dode[:-1]) | (a_delay > run_delay[:-1])
+        nan_rows = np.isnan(a_dode) | np.isnan(a_delay)
+        # rows after the first NaN residual never become the worst point
+        after_nan = np.logical_or.accumulate(np.concatenate(
+            ([math.isnan(max_dode) or math.isnan(max_delay)], nan_rows)))[:-1]
+        max_dode, raises_dode = _running_max(max_dode, a_dode)
+        max_delay, raises_delay = _running_max(max_delay, a_delay)
+        raises = (raises_dode | raises_delay | nan_rows) & ~after_nan
         if worst is None and len(rows):
             raises[0] = True
         if raises.any():
             worst = jet[:, np.flatnonzero(raises)[-1]]
-        max_dode = float(run_dode[-1])
-        max_delay = float(run_delay[-1])
     return InvarianceReport(
         max_residual_dode=max_dode,
         max_residual_delay=max_delay,

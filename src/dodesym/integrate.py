@@ -5,8 +5,9 @@ delayed values from the already-computed part of the trajectory or from
 the initial history.  For constant delay the step grid is aligned so the
 multiples of the delay are breakpoints, which confines derivative
 discontinuities to nodes.  Solution-independent delays evaluate g(x)
-directly; state-dependent delays run a damped fixed-point iteration with
-a bisection fallback.
+directly; state-dependent delays are located by a safeguarded secant
+iteration on s - g(s), warm-started from the previous stage, with a
+bracket scan and bisection as the fallback.
 """
 
 from __future__ import annotations
@@ -124,7 +125,12 @@ class Trajectory:
     h: float
     method: str = "rk4"
     warnings: list[str] = field(default_factory=list)
+    #: delay resolutions that fell back to the bracket scan
     n_fixed_point_fallbacks: int = 0
+    #: right-hand-side evaluations, one delay resolution each
+    n_rhs_evals: int = 0
+    #: g evaluations spent locating state-dependent delays
+    n_delay_iterations: int = 0
 
     @property
     def x_start(self) -> float:
@@ -192,7 +198,34 @@ def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
 # delay resolution
 
 
+def _bisect(fn, a: float, b: float) -> float:
+    """A root of fn between a and b, where fn(a) and fn(b) differ in sign.
+
+    Halves the bracket until fn is exactly zero, the bracket is below
+    1e-16 relative or cannot shrink any further, for at most 200 halvings.
+    """
+    fa = fn(a)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return m
+        fm = fn(m)
+        if fm == 0.0 or (b - a) < 1e-16 * max(1.0, abs(m)):
+            return m
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 class _DelaySpec:
+    """How a driver finds the delayed point xm at each stage.
+
+    resolve returns (xm, g evaluations spent, 1 if it fell back to the
+    bracket scan else 0).
+    """
+
     kind: DelayKind
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
@@ -207,7 +240,7 @@ class _ConstantDelay(_DelaySpec):
         self.tau = tau
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
-        return x - self.tau, 0
+        return x - self.tau, 0, 0
 
 
 class _IndependentDelay(_DelaySpec):
@@ -216,17 +249,26 @@ class _IndependentDelay(_DelaySpec):
         self.g = g_of_x
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
-        return self.g(x), 0
+        return self.g(x), 0, 0
 
 
 class _StateDelay(_DelaySpec):
-    """xm = g(x, y, ym(xm), dy, dym(xm)) by damped fixed point, then bisection.
+    """xm = g(x, y, ym(xm), dy, dym(xm)) by a safeguarded secant, then bisection.
 
-    Multiple admissible solutions (several sign changes of xm - g) pick the
-    one nearest the previous step's xm and are reported in warnings.
+    The secant iteration on F(s) = s - g(s) starts from the previous
+    stage's xm with one fixed-point step, s1 = g(s0), and clamps every
+    iterate to the admissible bracket.  It stops when a step falls below
+    5e-13 relative or F is exactly zero (the next step would be zero),
+    and accepts the last iterate when |F| < 1e-10 there.  Otherwise, and
+    on a zero secant denominator, max_iter steps without convergence, or
+    g or the dense output undefined at an iterate, it falls back to a scan
+    of F over the bracket with bisection (Bellen & Zennaro, Numerical
+    Methods for Delay Differential Equations, OUP 2003, on locating
+    state-dependent delays).  Multiple admissible solutions (several sign
+    changes of F) pick the one nearest the previous step's xm and are
+    reported in warnings.
     """
 
-    damping = 0.5
     max_iter = 100
 
     def __init__(self, g_full, warn):
@@ -234,34 +276,39 @@ class _StateDelay(_DelaySpec):
         self.g = g_full
         self._warn = warn
 
-    def _defect_target(self, x, y, dy, lookup):
+    def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
+        n_evals = 0
+
         def g_at(s: float) -> float:
+            nonlocal n_evals
+            n_evals += 1
             ym, dym = lookup(s)
             return self.g(x, y, ym, dy, dym)
 
-        return g_at
-
-    def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
-        g_at = self._defect_target(x, y, dy, lookup)
         hi = min(x - 1e-13 * max(1.0, abs(x)), completed_end)
         lo = hist_lo
-        xm = min(max(prev_xm, lo), hi)
+        s = min(max(prev_xm, lo), hi)
         try:
+            g_s = g_at(s)
+            f_s = s - g_s
+            nxt = min(max(g_s, lo), hi)
             for _ in range(self.max_iter):
-                target = g_at(xm)
-                nxt = (1.0 - self.damping) * xm + self.damping * target
-                nxt = min(max(nxt, lo), hi)
-                if abs(nxt - xm) < 5e-13 * max(1.0, abs(xm)):
-                    xm = nxt
-                    if abs(g_at(xm) - xm) < 1e-10:
-                        return xm, 0
+                f_nxt = nxt - g_at(nxt)
+                if f_nxt == 0.0 or abs(nxt - s) < 5e-13 * max(1.0, abs(nxt)):
+                    if abs(f_nxt) < 1e-10:
+                        return nxt, n_evals, 0
                     break
-                xm = nxt
+                if f_nxt == f_s:
+                    break
+                step = f_nxt * (nxt - s) / (f_nxt - f_s)
+                s, f_s = nxt, f_nxt
+                nxt = min(max(nxt - step, lo), hi)
         except (DomainError, HistoryUnderrunError):
             pass
-        return self._bisect(g_at, lo, hi, prev_xm), 1
+        xm = self._bracket_scan(g_at, lo, hi, prev_xm)
+        return xm, n_evals, 1
 
-    def _bisect(self, g_at, lo, hi, prev_xm, cells: int = 64):
+    def _bracket_scan(self, g_at, lo, hi, prev_xm, cells: int = 64):
         def defect(s: float) -> float:
             return s - g_at(s)
 
@@ -295,17 +342,7 @@ class _StateDelay(_DelaySpec):
         a, b = float(mid[0]), float(mid[1])
         if a == b:
             return a
-        fa = defect(a)
-        for _ in range(120):
-            m = 0.5 * (a + b)
-            fm = defect(m)
-            if fm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(m)):
-                return m
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
+        return _bisect(defect, a, b)
 
 
 def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:
@@ -341,16 +378,16 @@ def solve(
     """
     f_fn = compile_fn(system.bound(system.f),
                       ("x", "y", "xm", "ym", "dy", "dym"))
-
-    def f_eval(x, y, xm, ym, dy, dym):
-        return f_fn(x, y, xm, ym, dy, dym)
-
-    return solve_numeric(f_eval, system, phi, dy0, x_end, h)
+    warnings: list[str] = []
+    traj = solve_numeric(f_fn, _delay_spec(system, warnings.append), phi,
+                         dy0, x_end, h)
+    traj.warnings = warnings
+    return traj
 
 
 def solve_numeric(
     f_eval,
-    system_or_delay,
+    delay: _DelaySpec,
     phi: HistoryFunction,
     dy0: float | str,
     x_end: float,
@@ -358,8 +395,8 @@ def solve_numeric(
 ) -> Trajectory:
     """Driver over a numeric right-hand side f(x, y, xm, ym, dy, dym).
 
-    system_or_delay is either a DodsSystem (its delay relation is used) or
-    an already-built delay specification tuple ("constant", tau).
+    delay locates xm at every stage: _delay_spec(system, warn) for a
+    system's delay relation, or _ConstantDelay(tau).
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -367,34 +404,26 @@ def solve_numeric(
     if x_end <= x0:
         raise ValueError("x_end must lie beyond the history")
 
-    warnings: list[str] = []
-    if isinstance(system_or_delay, DodsSystem):
-        spec = _delay_spec(system_or_delay, warnings.append)
-    else:
-        kind, tau = system_or_delay
-        if kind != "constant":
-            raise ValueError("only constant prebuilt delay specs are supported")
-        spec = _ConstantDelay(tau)
-
     y0, phi_dy0 = phi.value(x0)
     dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
 
-    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi, h=h,
-                      warnings=warnings)
+    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi, h=h)
     hist_lo = phi.interval[0]
 
     def lookup(xq: float) -> tuple[float, float]:
         return traj.interpolate(xq)
 
-    prev_xm = x0 - (spec.tau if isinstance(spec, _ConstantDelay) else
+    prev_xm = x0 - (delay.tau if isinstance(delay, _ConstantDelay) else
                     min(1.0, x_end - x0))
-    fallbacks = 0
+    n_rhs = n_iter = fallbacks = 0
 
     def rhs(xs: float, ys: float, dys: float):
-        nonlocal prev_xm, fallbacks
-        xm, used_fallback = spec.resolve(xs, ys, dys, lookup, prev_xm,
-                                         hist_lo, traj.xs[-1])
-        fallbacks += used_fallback
+        nonlocal prev_xm, n_rhs, n_iter, fallbacks
+        xm, iters, fell_back = delay.resolve(xs, ys, dys, lookup, prev_xm,
+                                             hist_lo, traj.xs[-1])
+        n_rhs += 1
+        n_iter += iters
+        fallbacks += fell_back
         if xm >= xs:
             raise DelayViolationError(
                 f"delay relation puts the delayed point at {xm:g} >= x = {xs:g}"
@@ -410,8 +439,8 @@ def solve_numeric(
         return dys, fv
 
     # step plan: align to delay multiples for constant delay
-    if isinstance(spec, _ConstantDelay):
-        tau = spec.tau
+    if isinstance(delay, _ConstantDelay):
+        tau = delay.tau
         n_sub = max(1, math.ceil(tau / h - 1e-12))
         h_eff = tau / n_sub
         edges = []
@@ -440,6 +469,8 @@ def solve_numeric(
             traj.ys.append(y)
             traj.dys.append(dy)
     traj.n_fixed_point_fallbacks = fallbacks
+    traj.n_rhs_evals = n_rhs
+    traj.n_delay_iterations = n_iter
     return traj
 
 
@@ -481,7 +512,7 @@ def residual_on_trajectory(
     for x in sorted(rng.uniform(lo + 1e-9, hi - 1e-9, size=n)):
         x = float(x)
         y, dy = trajectory.interpolate(x)
-        xm, _ = spec.resolve(x, y, dy, trajectory.interpolate, prev_xm,
+        xm, _, _ = spec.resolve(x, y, dy, trajectory.interpolate, prev_xm,
                              hist_lo, hi)
         prev_xm = xm
         ym, dym = trajectory.interpolate(xm)

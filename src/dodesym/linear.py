@@ -28,7 +28,13 @@ import numpy as np
 from . import expr as E
 from .dods import DelayKind, DodsSystem, check_invariance, InvarianceReport
 from .expr import Const, DomainError, Expr, compile_fn, diff, parse, subs, to_text
-from .integrate import HistoryFunction, Trajectory, combine_trajectories, solve
+from .integrate import (
+    HistoryFunction,
+    Trajectory,
+    _bisect,
+    combine_trajectories,
+    solve,
+)
 from .symmetry import VectorField
 
 
@@ -547,16 +553,7 @@ def characteristic_roots(
             roots.append(a)
             continue
         if fa * fb < 0.0:
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = h(m)
-                if fm == 0.0 or (b - a) < 1e-16 * max(1.0, abs(m)):
-                    break
-                if (fa < 0.0) == (fm < 0.0):
-                    a, fa = m, fm
-                else:
-                    b = m
-            roots.append(0.5 * (a + b))
+            roots.append(_bisect(h, a, b))
     if abs(vals[-1]) < 1e-13:
         roots.append(float(grid[-1]))
     out: list[float] = []

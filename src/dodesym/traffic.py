@@ -29,6 +29,8 @@ from .integrate import (
     HistoryFunction,
     StepRejectionError,
     Trajectory,
+    _ConstantDelay,
+    _bisect,
     solve,
     solve_numeric,
 )
@@ -305,20 +307,6 @@ def _scan_roots(c, lo: float, hi: float, n_scan: int):
     return dedup
 
 
-def _bisect(fn, a: float, b: float, iters: int = 200) -> float:
-    fa = fn(a)
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0 or (b - a) < 1e-16 * max(1.0, abs(m)):
-            return m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def exact_solution(example_id: int, p: TrafficParams, A: float) -> tuple[Expr, Expr]:
     """(position h(t), delayed time k(t)) of the invariant solution."""
     if example_id == 1:
@@ -458,12 +446,12 @@ def simulate_platoon(
                 traj = solve(build_two_car(p), histories[0], "from-phi",
                              car_end, h)
             else:
-                traj = solve_numeric(make_rhs(pred_lookup), ("constant", tau),
+                traj = solve_numeric(make_rhs(pred_lookup), _ConstantDelay(tau),
                                      histories[i], "from-phi", car_end, h)
         except (_Collision, StepRejectionError) as exc:
             t_c = getattr(exc, "x", car_end)
             safe_end = max(histories[i].interval[1] + 2 * h, t_c - 2 * h)
-            traj = solve_numeric(make_rhs(pred_lookup), ("constant", tau),
+            traj = solve_numeric(make_rhs(pred_lookup), _ConstantDelay(tau),
                                  histories[i], "from-phi", safe_end, h)
             state.trajectories.append(traj)
             state.collisions.append((i + 1, float(t_c)))

@@ -134,6 +134,11 @@ class TestCheckInvariance:
             assert np.all(np.abs(lhs - (a * r1 + b * r2)) < 1e-10)
 
 
+def nan_max(a, b):
+    """max() under which a NaN, in either place, is the maximum."""
+    return b if math.isnan(b) or b > a else a
+
+
 def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
     """check_invariance as a loop over single points with compile_fn
     closures: the algorithm the column-wise check must reproduce."""
@@ -162,10 +167,15 @@ def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
             bad += 1
             continue
         good += 1
-        if not worst or abs(r_dode) > max_dode or abs(r_delay) > max_delay:
+        # a NaN residual is the maximum from its row on, and the first one
+        # stays the worst point
+        if math.isnan(max_dode) or math.isnan(max_delay):
+            continue
+        if (not worst or abs(r_dode) > max_dode or abs(r_delay) > max_delay
+                or math.isnan(r_dode) or math.isnan(r_delay)):
             worst = dict(zip(JET, args))
-        max_dode = max(max_dode, abs(r_dode))
-        max_delay = max(max_delay, abs(r_delay))
+        max_dode = nan_max(max_dode, abs(r_dode))
+        max_delay = nan_max(max_delay, abs(r_delay))
     return InvarianceReport(max_dode, max_delay, n, worst, tol,
                             x_field.label or x_field.describe(), bad)
 
@@ -254,8 +264,8 @@ class TestColumnwiseMatchesPointLoop:
 
     @pytest.mark.parametrize("f,worst_max", [
         # 1e160 * exp(400 (x - 1.5)) overflows for x > 2.35: the residual
-        # is inf - inf = NaN there, which max() ignores
-        ("exp(400*(x - 1.5))*(y - ym) + y^2 + dym", 4.9677449454741994e+160),
+        # is inf - inf = NaN there, which the maximum shows
+        ("exp(400*(x - 1.5))*(y - ym) + y^2 + dym", math.nan),
         # here the overflowing term stands alone: the residual is -inf
         ("exp(400*(x - 1.5))*y + ym*dym", math.inf),
     ])
@@ -263,8 +273,29 @@ class TestColumnwiseMatchesPointLoop:
         system = DodsSystem(f=parse(f), g=parse("x - 1"))
         fld = VectorField.from_text("0", "1e160")
         want = reference_check(system, fld, n=200, seed=3)
-        assert check_invariance(system, fld, n=200, seed=3) == want
-        assert want.max_residual_dode == worst_max
+        got = check_invariance(system, fld, n=200, seed=3)
+        # repr: NaN fields compare unequal under ==
+        assert repr(got) == repr(want)
+        assert repr(want.max_residual_dode) == repr(worst_max)
+        assert not got.passed
+        if math.isnan(worst_max):
+            # the first NaN row is the worst point: x > 2.35 overflows
+            assert got.worst_point["x"] > 2.35
+            assert "<= nan" in got.summary()
+
+    def test_nan_residual_everywhere_fails(self):
+        # 1e160*1e160 - 1e160*1e160 is inf - inf on every row; n = 1300
+        # takes two blocks, the second starting from a NaN maximum
+        system = DodsSystem(f=parse("1e160*(y - ym) + dym"), g=parse("x - 1"))
+        fld = VectorField.from_text("0", "1e160")
+        got = check_invariance(system, fld, n=1300, seed=3)
+        want = reference_check(system, fld, n=1300, seed=3)
+        assert repr(got) == repr(want)
+        assert math.isnan(got.max_residual_dode) and not got.passed
+        assert got.summary().startswith("FAIL")
+        # the first row drawn is the worst point
+        first = check_invariance(system, fld, n=1, seed=3)
+        assert got.worst_point == first.worst_point
 
     def test_sampling_error_on_the_same_inputs(self):
         # sqrt(y - 1.5) is undefined on half the y range, so whether more

@@ -14,10 +14,14 @@ from dodesym.integrate import (
     HistoryUnderrunError,
     IntegrationError,
     Trajectory,
+    _ConstantDelay,
+    _StateDelay,
+    _delay_spec,
     combine_trajectories,
     interpolate,
     residual_on_trajectory,
     solve,
+    solve_numeric,
 )
 from tests.conftest import bisect_root
 
@@ -30,6 +34,27 @@ def linear_delay_system():
     # ddy = ym with unit constant delay
     return DodsSystem(f=parse("ym"), g=parse("x-1"),
                       delay_kind=DelayKind.CONSTANT)
+
+
+class DampedReference(_StateDelay):
+    """The fixed-point iteration damped by 0.5 that the secant replaced,
+    kept as a reference on maps where it converges."""
+
+    def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
+        def g_at(s):
+            ym, dym = lookup(s)
+            return self.g(x, y, ym, dy, dym)
+
+        hi = min(x - 1e-13 * max(1.0, abs(x)), completed_end)
+        lo = hist_lo
+        xm = min(max(prev_xm, lo), hi)
+        for _ in range(100):
+            nxt = min(max(0.5 * xm + 0.5 * g_at(xm), lo), hi)
+            if abs(nxt - xm) < 5e-13 * max(1.0, abs(xm)):
+                assert abs(g_at(nxt) - nxt) < 1e-10
+                return nxt, 0, 0
+            xm = nxt
+        raise AssertionError("damped iteration did not converge")
 
 
 def stepwise_quadrature_oracle(n_steps: int):
@@ -222,10 +247,10 @@ class TestStateDependentDelay:
         rep = residual_on_trajectory(system, traj, n=150)
         assert rep.max_residual_delay < 1e-10
 
-    def test_bisection_fallback_on_noncontractive_map(self, char_root_0011):
+    def test_secant_on_noncontractive_map(self, char_root_0011):
         lam = char_root_0011
-        # steep dependence on ym makes the damped iteration diverge for
-        # later x; the bracketed defect is monotone, so bisection succeeds
+        # steep dependence on ym makes a damped fixed-point iteration
+        # diverge for later x; the secant on xm - g needs no fallback
         system = DodsSystem(
             f=parse("ym"), g=parse("x - 1 - 8*(ym - exp(L*(x-1)))"),
             params={"L": lam},
@@ -234,13 +259,109 @@ class TestStateDependentDelay:
         phi = HistoryFunction(parse("exp(L*x)"), (-1.2, 0.0),
                               params={"L": lam})
         traj = solve(system, phi, "from-phi", 2.0, 2e-3)
-        assert traj.n_fixed_point_fallbacks > 0
+        assert traj.n_fixed_point_fallbacks == 0
         worst = max(abs(y - math.exp(lam * x)) / math.exp(lam * x)
                     for x, y in zip(traj.xs, traj.ys))
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("width,g,x_end,h", [
+        # g is undefined for xm < x - 0.75, so at the first stage, where
+        # the previous delayed point is x0 - 1, and the bracket scan finds
+        # the root xm = x - 0.5
+        (0.5, "x - 0.5 + 0.1*(sqrt(ym - exp(L*(x - 0.75)))"
+              " - sqrt(exp(L*(x - 0.5)) - exp(L*(x - 0.75))))", 2.0, 2e-3),
+        # xm - g has a square-root cusp at its root, where the secant
+        # steps overshoot and do not converge
+        (1.0, "x - 1 + 3*sgn(ym - exp(L*(x - 1)))"
+              "*sqrt(abs(ym - exp(L*(x - 1))))", 1.0, 1e-2),
+    ])
+    def test_bracket_fallback(self, width, g, x_end, h):
+        # y = exp(lam x) solves ddy = y(x - width) when lam^2 e^(lam
+        # width) = 1, and on it the delay relation gives xm = x - width
+        lam = bisect_root(lambda t: t * t * math.exp(t * width) - 1.0,
+                          0.1, 2.0)
+        system = DodsSystem(f=parse("ym"), g=parse(g), params={"L": lam},
+                            delay_kind=DelayKind.STATE_DEPENDENT)
+        phi = HistoryFunction(parse("exp(L*x)"), (-1.2, 0.0),
+                              params={"L": lam})
+        traj = solve(system, phi, "from-phi", x_end, h)
+        assert traj.n_fixed_point_fallbacks > 0
+        assert traj.warnings == []
+        worst = max(abs(y - math.exp(lam * x)) / math.exp(lam * x)
+                    for x, y in zip(traj.xs, traj.ys))
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("f,g,params,phi,hist,x_end", [
+        ("ym", "x - C0*(ym/y)", {"C0": math.exp(0.7034674224983917)},
+         "exp(0.7034674224983917*x)", (-1.2, 0.0), 2.0),
+        ("-0.7*ym", "x - 1 - 0.1*sin(y)", {}, "0.4 + 0.3*sin(x)",
+         (-1.3, 0.0), 3.0),
+    ])
+    def test_matches_damped_iteration(self, f, g, params, phi, hist, x_end):
+        system = DodsSystem(f=parse(f), g=parse(g), params=params,
+                            delay_kind=DelayKind.STATE_DEPENDENT)
+        history = HistoryFunction(parse(phi), hist)
+        traj = solve(system, history, "from-phi", x_end, 2e-3)
+        reference = solve_numeric(
+            E.compile_fn(system.bound(system.f),
+                         ("x", "y", "xm", "ym", "dy", "dym")),
+            DampedReference(_delay_spec(system, None).g, None),
+            history, "from-phi", x_end, 2e-3)
+        assert traj.xs == reference.xs
+        for got, want in ((traj.ys, reference.ys), (traj.dys, reference.dys)):
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+        assert traj.n_fixed_point_fallbacks == 0
+
     def test_oracle_root_agrees_with_solver(self, char_root_0011):
         assert abs(char_root_0011 ** 2 * math.exp(char_root_0011) - 1.0) < 1e-13
+
+
+class TestCounters:
+    def test_constant_delay_needs_no_iterations(self):
+        traj = solve(linear_delay_system(), ramp_history(), 1.0, 2.0, 1e-2)
+        steps = len(traj.xs) - 1
+        assert traj.n_rhs_evals == 4 * steps
+        assert traj.n_delay_iterations == 0
+        assert traj.n_fixed_point_fallbacks == 0
+
+    def test_state_delay_iterations(self):
+        system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"),
+                            delay_kind=DelayKind.STATE_DEPENDENT)
+        history = HistoryFunction.from_text("0.4 + 0.3*sin(x)", (-1.3, 0.0))
+        traj = solve(system, history, "from-phi", 2.0, 1e-2)
+        again = solve(system, history, "from-phi", 2.0, 1e-2)
+        assert traj.n_rhs_evals == 4 * (len(traj.xs) - 1)
+        # g does not read the delayed state, so the first fixed-point step
+        # lands on the root: two g evaluations per resolution
+        assert traj.n_delay_iterations == 2 * traj.n_rhs_evals
+        assert (again.n_rhs_evals, again.n_delay_iterations) == \
+            (traj.n_rhs_evals, traj.n_delay_iterations)
+
+    def test_iterations_count_every_g_evaluation(self):
+        system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"),
+                            delay_kind=DelayKind.STATE_DEPENDENT)
+        spec = _delay_spec(system, None)
+        calls = []
+
+        def g(*args):
+            calls.append(args)
+            return spec.g(*args)
+
+        history = HistoryFunction.from_text("0.4 + 0.3*sin(x)", (-1.3, 0.0))
+        traj = solve_numeric(
+            E.compile_fn(system.bound(system.f),
+                         ("x", "y", "xm", "ym", "dy", "dym")),
+            _StateDelay(g, None), history, "from-phi", 1.0, 1e-2)
+        assert traj.n_delay_iterations == len(calls)
+
+    def test_platoon_delay_spec(self):
+        traj = solve_numeric(lambda x, y, xm, ym, dy, dym: ym,
+                             _ConstantDelay(1.0), ramp_history(), 1.0, 2.0,
+                             1e-2)
+        want = solve(linear_delay_system(), ramp_history(), 1.0, 2.0, 1e-2)
+        assert (traj.xs, traj.ys, traj.dys) == (want.xs, want.ys, want.dys)
+        assert traj.n_delay_iterations == 0
 
 
 class TestErrors:
