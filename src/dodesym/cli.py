@@ -1,26 +1,36 @@
 """Command-line front end.
 
 Subcommands: verify, bracket, rank, catalog, integrate, roots, reduce,
-traffic.  Exit code 0 on success, 1 when a check fails, 2 on usage
-errors.  All random sampling is seeded (default 42), so identical
-invocations produce byte-identical reports.
+traffic.  Exit codes: 0 success; 1 a check failed or the library rejected
+its input (stdout line `error: <Type>: <msg>`); 2 usage error; 3 any
+other exception, a bug, with its traceback on stderr.  All random
+sampling is seeded (default 42), so identical invocations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import catalog as catalog_mod
 from . import expr as E
 from . import reduce as reduce_mod
 from . import traffic as traffic_mod
-from .dods import check_invariance, load_dods
-from .integrate import HistoryFunction, solve
-from .linear import CanonicalLinear, characteristic_roots, verify_exponential_solution
-from .symmetry import ClosureError, VectorField, check_closure, invariant_count
+from .dods import DodsError, check_invariance, load_dods
+from .integrate import HistoryFunction, IntegrationError, solve
+from .linear import (CanonicalLinear, LinearError, characteristic_roots,
+                     verify_exponential_solution)
+from .symmetry import (ClosureError, SymmetryError, VectorField, check_closure,
+                       invariant_count)
 
 CHECK_FAIL = 1  # argparse itself exits 2 on usage errors
+CRASH = 3
+#: what failed checks, bad input and missing files raise; anything else is a bug
+KNOWN_ERRORS = (DodsError, SymmetryError, E.ExprError, IntegrationError,
+                catalog_mod.CatalogError, reduce_mod.ReduceError,
+                traffic_mod.TrafficError, LinearError, ValueError, OSError)
 
 
 def _field_from_spec(spec: str) -> VectorField:
@@ -38,6 +48,11 @@ def _params_from_args(pairs: list[str]) -> dict[str, float]:
             raise SystemExit(f"--param needs name=value, got '{item}'")
         out[name.strip()] = float(value)
     return out
+
+
+def _pair(text: str) -> tuple[float, float]:
+    a, _, b = text.partition(",")
+    return float(a), float(b)
 
 
 def _read(path: str) -> str:
@@ -127,8 +142,7 @@ def cmd_catalog(args) -> int:
 def cmd_integrate(args) -> int:
     system = load_dods(_read(args.system))
     system.params.update(_params_from_args(args.param))
-    lo, _, hi = args.history.partition(",")
-    phi = HistoryFunction(E.parse(args.phi), (float(lo), float(hi)))
+    phi = HistoryFunction(E.parse(args.phi), _pair(args.history))
     dy0 = args.dy0 if args.dy0 == "from-phi" else float(args.dy0)
     traj = solve(system, phi, dy0, args.to, args.h)
     csv = traj.to_csv()
@@ -144,9 +158,9 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    lo, _, hi = args.range.partition(",")
+    window = _pair(args.range)
     cl = CanonicalLinear(args.alpha, args.beta, args.gamma, args.C)
-    roots = characteristic_roots(cl, (float(lo), float(hi)), n_seed=args.nseed)
+    roots = characteristic_roots(cl, window, n_seed=args.nseed)
     if not roots:
         print("no real roots in the window")
         return 0
@@ -164,18 +178,11 @@ def cmd_reduce(args) -> int:
     pair = reduce_mod.invariants_of(fld, params=system.params)
     print(f"J1 = {E.to_text(pair.J1)}")
     print(f"J2 = {E.to_text(pair.J2)}")
-    guesses = None
-    if args.guess:
-        guesses = []
-        for g in args.guess:
-            a, _, b = g.partition(",")
-            guesses.append((float(a), float(b)))
-    interval = None
-    if args.interval:
-        a, _, b = args.interval.partition(",")
-        interval = (float(a), float(b))
-    sol = reduce_mod.reduce_and_solve(system, fld, pair, guesses=guesses,
-                                      interval=interval, seed=args.seed)
+    sol = reduce_mod.reduce_and_solve(
+        system, fld, pair,
+        guesses=[_pair(g) for g in args.guess] if args.guess else None,
+        interval=_pair(args.interval) if args.interval else None,
+        seed=args.seed)
     print(f"h(x) = {E.to_text(sol.h)}")
     print(f"k(x) = {E.to_text(sol.k)}")
     print(sol.summary())
@@ -391,11 +398,12 @@ def main(argv: list[str] | None = None) -> int:
         list(sys.argv[1:] if argv is None else argv), parser))
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
-    except Exception as exc:  # diagnostics to stdout, failure exit code
+    except KNOWN_ERRORS as exc:  # diagnostics to stdout, failure exit code
         print(f"error: {type(exc).__name__}: {exc}")
         return CHECK_FAIL
+    except Exception:
+        traceback.print_exc()
+        return CRASH
 
 
 if __name__ == "__main__":

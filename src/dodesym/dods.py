@@ -12,8 +12,7 @@ Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it with `compile_columns`, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
-The jet partials of f and g are compiled once per system and shared by
-the fields of `check_algebra`.
+g, f and their jet partials are compiled once per system.
 
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling
@@ -86,17 +85,26 @@ class DodsSystem:
     def bound(self, e: Expr) -> Expr:
         return bind_params(e, self.params)
 
+    def kernels(self) -> "_SystemKernels":
+        """The compiled g, f and jet partials, built on first use and built
+        again once f, g or params differ from what they were built from
+        (params by repr, so 0.0 and -0.0 differ)."""
+        key = (self.f, self.g, repr(self.params))
+        if getattr(self, "_compiled", (None,))[0] != key:
+            self._compiled = (key, _SystemKernels.build(self))
+        return self._compiled[1]
+
     def validate(self, n: int = 20, seed: int = 7) -> None:
         """Numeric sanity of the defining pair on the sampling box.
 
         Checks that f genuinely involves delayed quantities, that g stays
         below x, and that g is not constant unless declared so.
         """
+        if n < 1:
+            raise ValueError("n must be at least 1")
         rng = np.random.default_rng(seed)
-        f_ym = compile_columns(self.bound(diff(self.f, "ym")), JET)
-        f_dym = compile_columns(self.bound(diff(self.f, "dym")), JET)
-        g_col = compile_columns(self.bound(self.g), FREE_COORDS)
-        f_col = compile_columns(self.bound(self.f), JET)
+        kernels = self.kernels()
+        f_ym, f_dym = kernels.df[_I_YM], kernels.df[_I_DYM]
         delayed_dep = 0.0
         g_values = []
         checked = 0
@@ -104,7 +112,7 @@ class DodsSystem:
         while checked < n and drawn < 8 * n:
             # never more rows than still needed or left of the 8n budget
             m = min(n - checked, 8 * n - drawn)
-            jet, _ = _sample_manifold(rng, self.box, m, g_col, f_col)
+            jet, _ = _sample_manifold(rng, self.box, m, kernels)
             dep = np.maximum(np.abs(f_ym(*jet)), np.abs(f_dym(*jet)))
             ok = np.isfinite(dep)
             if ok.any():
@@ -135,13 +143,14 @@ def sample_point(
     }
 
 
-_I_X, _I_XM, _I_DDY = (JET.index(v) for v in ("x", "xm", "ddy"))
+_I_X, _I_XM, _I_YM, _I_DYM, _I_DDY = (
+    JET.index(v) for v in ("x", "xm", "ym", "dym", "ddy"))
 
 #: most rows one sampling block draws, so work arrays stay small at large n
 _BLOCK_ROWS = 1024
 
 
-def _sample_manifold(rng, box, m, g_col, f_col) -> tuple[np.ndarray, np.ndarray]:
+def _sample_manifold(rng, box, m, kernels) -> tuple[np.ndarray, np.ndarray]:
     """Draw m points of the free coordinates and put them on the manifold.
 
     The (m, 5) draw consumes the generator exactly as m calls of
@@ -152,10 +161,10 @@ def _sample_manifold(rng, box, m, g_col, f_col) -> tuple[np.ndarray, np.ndarray]
     """
     lo, hi = zip(*(box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
     x, y, ym, dy, dym = rng.uniform(lo, hi, size=(m, 5)).T
-    xm = g_col(x, y, ym, dy, dym)
+    xm = kernels.g(x, y, ym, dy, dym)
     rows = np.flatnonzero(xm < x)
     jet = np.stack([x, y, xm, ym, dy, dym, np.zeros(m)])[:, rows]
-    jet[_I_DDY] = f_col(*jet)
+    jet[_I_DDY] = kernels.f(*jet)
     keep = np.isfinite(jet[_I_DDY])
     return jet[:, keep], rows[keep]
 
@@ -190,8 +199,7 @@ class InvarianceReport:
 
 @dataclass(frozen=True)
 class _SystemKernels:
-    """Column kernels of a system: g, f and the partials of f and g along
-    every jet coordinate, in JET order."""
+    """Column kernels of a system, in JET order: g, f and their partials."""
 
     g: Callable[..., np.ndarray]
     f: Callable[..., np.ndarray]
@@ -240,8 +248,6 @@ def check_invariance(
     n: int = 200,
     seed: int = 42,
     tol: float = 1e-8,
-    *,
-    _kernels: _SystemKernels | None = None,
 ) -> InvarianceReport:
     """Sample the solution manifold and apply the prolonged field.
 
@@ -256,12 +262,10 @@ def check_invariance(
     the worst point when it is the first or raises either running
     maximum.  A NaN residual on an accepted row makes its maximum NaN, so
     the report fails, and the first such row stays the worst point.
-    check_algebra passes the system's kernels in `_kernels`; a lone call
-    compiles them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    kernels = _kernels or _SystemKernels.build(system)
+    kernels = system.kernels()
     coeffs = _field_kernels(system, x_field)
     rng = np.random.default_rng(seed)
     worst: np.ndarray | None = None
@@ -273,7 +277,7 @@ def check_invariance(
         # a block never holds more rows than are still needed, so every
         # row drawn is taken, in order
         m = min(n - good, _BLOCK_ROWS)
-        jet, rows = _sample_manifold(rng, system.box, m, kernels.g, kernels.f)
+        jet, rows = _sample_manifold(rng, system.box, m, kernels)
         r_dode, r_delay, ok = _residuals(kernels, coeffs, jet)
         jet, rows = jet[:, ok], rows[ok]
         # accepted and rejected counts before each row is drawn
@@ -317,16 +321,9 @@ def check_algebra(
     seed: int = 42,
     tol: float = 1e-8,
 ) -> list[InvarianceReport]:
-    """check_invariance for each basis field; all must pass to admit the algebra.
-
-    The system's kernels are compiled once and shared by every field.
-    """
-    kernels = _SystemKernels.build(system) if fields else None
-    return [
-        check_invariance(system, f, n=n, seed=seed + i, tol=tol,
-                         _kernels=kernels)
-        for i, f in enumerate(fields)
-    ]
+    """check_invariance for each basis field; all must pass to admit the algebra."""
+    return [check_invariance(system, f, n=n, seed=seed + i, tol=tol)
+            for i, f in enumerate(fields)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +342,7 @@ def load_dods(text: str, label: str = "") -> DodsSystem:
     params: dict[str, float] = {}
     kind = DelayKind.CONSTANT
     domain = (0.0, 10.0)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DodsError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_values(text):
         if key == "f":
             f_expr = parse(value)
         elif key == "g":
@@ -362,7 +351,7 @@ def load_dods(text: str, label: str = "") -> DodsSystem:
             name = key[len("param "):].strip()
             if not name:
                 raise DodsError(f"line {lineno}: param needs a name")
-            params[name] = float(value)
+            params[name] = _numbers(value, lineno)[0]
         elif key == "delay":
             try:
                 kind = DelayKind(value)
@@ -371,14 +360,37 @@ def load_dods(text: str, label: str = "") -> DodsSystem:
                     f"line {lineno}: delay must be constant, independent or state"
                 ) from None
         elif key == "domain":
-            a, _, b = value.partition(",")
-            domain = (float(a), float(b))
+            domain = _numbers(value, lineno, count=2)
         else:
             raise DodsError(f"line {lineno}: unknown key '{key}'")
     if f_expr is None or g_expr is None:
         raise DodsError("system file must define both f and g")
     return DodsSystem(f=f_expr, g=g_expr, params=params, delay_kind=kind,
                       domain=domain, label=label)
+
+
+def _key_values(text: str, error=DodsError):
+    """(line number, key, value) of each line of a `key = value` file,
+    blank lines and `#` comments skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise error(f"line {lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            yield lineno, key.strip(), value.strip()
+
+
+def _numbers(text: str, lineno: int, error=DodsError, count: int = 1):
+    """The count comma-separated numbers of a file line's value."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        what = "a number" if count == 1 else f"{count} comma-separated numbers"
+        raise error(f"line {lineno}: expected {what}, got '{text}'")
+    return values
 
 
 def dump_dods(system: DodsSystem) -> str:

@@ -665,11 +665,6 @@ def _collect_sum(e: Expr) -> Expr:
     return out
 
 
-def is_zero(e: Expr) -> bool:
-    s = simplify(e)
-    return isinstance(s, Const) and s.value == 0.0
-
-
 # ---------------------------------------------------------------------------
 # compilation
 

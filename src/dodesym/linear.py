@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .dods import DelayKind, DodsSystem, check_invariance, InvarianceReport
+from .dods import (DelayKind, DodsSystem, InvarianceReport, _key_values,
+                   _numbers, check_invariance)
 from .expr import Const, DomainError, Expr, compile_fn, diff, parse, subs, to_text
 from .integrate import (
     HistoryFunction,
@@ -598,20 +599,14 @@ def load_linear(text: str) -> LinearDods:
     values: dict[str, Expr] = {}
     params: dict[str, float] = {}
     domain = (0.0, 3.0)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_values(text, LinearError):
         if key in ("a1", "a2", "a3", "a4", "b", "g"):
             values[key] = parse(value)
         elif key.startswith("param "):
-            params[key[len("param "):].strip()] = float(value)
+            name = key[len("param "):].strip()
+            params[name] = _numbers(value, lineno, LinearError)[0]
         elif key == "domain":
-            a, _, b = value.partition(",")
-            domain = (float(a), float(b))
+            domain = _numbers(value, lineno, LinearError, count=2)
         else:
             raise LinearError(f"line {lineno}: unknown key '{key}'")
     if "g" not in values:

@@ -355,10 +355,6 @@ class SolutionVerification:
     grid_residual: float
     integrate_deviation: float | None
 
-    @property
-    def max_residual(self) -> float:
-        return self.grid_residual
-
 
 def verify_invariant_solution(
     system: DodsSystem,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as E
 from . import reduce as reduce_mod
-from .dods import DelayKind, DodsSystem
+from .dods import DelayKind, DodsSystem, _key_values
 from .expr import Const, Expr, compile_fn, diff, parse, subs
 from .integrate import (
     HistoryFunction,
@@ -484,13 +484,7 @@ def load_scenario(text: str):
     """Keys: leader, n1, n2, alpha, tau, cars, history.i, t0, t_end, h."""
     values: dict[str, str] = {}
     histories: dict[int, Expr] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_values(text, TrafficError):
         if key.startswith("history."):
             histories[int(key.split(".", 1)[1])] = parse(value)
         elif key in ("leader", "n1", "n2", "alpha", "tau", "cars", "t_end",

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from dodesym import cli
+from dodesym.dods import DodsError
+
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -245,6 +248,36 @@ class TestUsage:
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+class TestExitCodes:
+    """A library error is a failed check (1); any other exception is a bug (3)."""
+
+    def _main_raising(self, monkeypatch, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_catalog", broken)
+        return cli.main(["catalog", "list"])
+
+    def test_library_error_exits_one(self, monkeypatch, capsys):
+        assert self._main_raising(monkeypatch, DodsError("no such system")) == 1
+        out, err = capsys.readouterr()
+        assert out == "error: DodsError: no such system\n"
+        assert err == ""
+
+    def test_unexpected_exception_exits_three_with_traceback(
+            self, monkeypatch, capsys):
+        assert self._main_raising(monkeypatch, TypeError("a bug")) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" in err and "TypeError: a bug" in err
+
+    def test_missing_file_exits_one(self, tmp_path):
+        proc = run_cli("verify", "--system", str(tmp_path / "absent.txt"),
+                       "--field", "0;1")
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("error: FileNotFoundError:")
 
 
 class TestDeterminism:

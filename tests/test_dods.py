@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dodesym import catalog, traffic
+from dodesym import catalog, dods, traffic
 from dodesym import expr as E
 from dodesym.dods import (
     DEFAULT_BOX,
@@ -16,7 +16,6 @@ from dodesym.dods import (
     _field_kernels,
     _residuals,
     _sample_manifold,
-    _SystemKernels,
     check_algebra,
     check_invariance,
     dump_dods,
@@ -46,7 +45,7 @@ def prolonged_residuals(f, g, field, point=POINT):
     column kernels that check_invariance uses."""
     system = DodsSystem(f=parse(f), g=parse(g))
     jet = np.array([[point[v]] for v in JET])
-    r_dode, r_delay, ok = _residuals(_SystemKernels.build(system),
+    r_dode, r_delay, ok = _residuals(system.kernels(),
                                      _field_kernels(system, field), jet)
     assert ok.tolist() == [True]
     return float(r_dode[0]), float(r_delay[0])
@@ -122,9 +121,9 @@ class TestCheckInvariance:
         a, b = 0.7, -1.3
         combo = VectorField(E.simplify(const(a) * x1.xi + const(b) * x2.xi),
                             E.simplify(const(a) * x1.eta + const(b) * x2.eta))
-        kernels = _SystemKernels.build(system)
+        kernels = system.kernels()
         jet, _ = _sample_manifold(np.random.default_rng(2), system.box, 25,
-                                  kernels.g, kernels.f)
+                                  kernels)
         assert jet.shape == (7, 25)
         res1, res2, resc = (_residuals(kernels, _field_kernels(system, fld),
                                        jet)
@@ -375,7 +374,49 @@ class TestCheckAlgebra:
         assert reports[2].max_residual_dode > 1e-3
 
 
+class TestKernelsOncePerSystem:
+    def test_system_kernels_compile_once(self, monkeypatch):
+        calls = []
+        compile_columns = dods.compile_columns
+
+        def counted(*args):
+            calls.append(args)
+            return compile_columns(*args)
+
+        monkeypatch.setattr(dods, "compile_columns", counted)
+        system = a24_example()
+        fields = [VectorField.from_text("1", "0"),
+                  VectorField.from_text("0", "1"),
+                  VectorField.from_text("0", "y")]
+        system.validate()
+        assert len(calls) == 16  # g, f and the 7 jet partials of each
+        check_algebra(system, fields, n=50)
+        check_invariance(system, fields[0], n=50)
+        system.box = {"y": (1.0, 2.0)}
+        system.delay_kind = DelayKind.CONSTANT
+        check_invariance(system, fields[2], n=50)
+        assert len(calls) == 16 + 7 * 5
+
+    def test_params_edit_rebuilds_the_kernels(self):
+        def system(a):
+            return DodsSystem(f=parse("y - ym + a"), g=parse("x-1"),
+                              params={"a": a})
+
+        scaling = VectorField.from_text("0", "y")
+        edited = system(1.0)
+        before = check_invariance(edited, scaling, n=60)
+        edited.params["a"] = 2.5
+        after = check_invariance(edited, scaling, n=60)
+        assert repr(after) == repr(check_invariance(system(2.5), scaling, n=60))
+        assert before.max_residual_dode == pytest.approx(1.0)
+        assert after.max_residual_dode == pytest.approx(2.5)
+
+
 class TestSystemValidation:
+    def test_needs_at_least_one_sample(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            a24_example().validate(n=0)
+
     def test_requires_delayed_dependence(self):
         system = DodsSystem(f=parse("y + dy"), g=parse("x-1"))
         with pytest.raises(DodsError, match="delayed"):
@@ -421,3 +462,8 @@ class TestFileFormat:
         )
         assert system.params == {"a": 2.5}
         assert system.domain == (0.0, 5.0)
+
+    @pytest.mark.parametrize("line", ["param a = x", "domain = 5"])
+    def test_malformed_number_names_the_line(self, line):
+        with pytest.raises(DodsError, match="line 3"):
+            load_dods(f"f = ym\ng = x - 1\n{line}\n")

@@ -271,6 +271,11 @@ class TestFileFormat:
         with pytest.raises(LinearError, match="define g"):
             load_linear("a2 = 1\n")
 
+    @pytest.mark.parametrize("line", ["param a = x", "domain = 5"])
+    def test_malformed_number_names_the_line(self, line):
+        with pytest.raises(LinearError, match="line 3"):
+            load_linear(f"a2 = 1\ng = x - 1\n{line}\n")
+
 
 class TestScalingInvarianceSample:
     def test_five_random_homogeneous_instances(self):
