@@ -9,10 +9,10 @@ mechanism covers invariance in the strong and the on-solution-manifold
 sense alike.
 
 Sampling is column-wise: a block of rows is drawn at once and every
-expression is evaluated over it with `compile_columns`, whose rows hold
+expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
-g, f and their jet partials are compiled once per system.
+Per system, g, f and one 14-output kernel of their partials are compiled.
 
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling
@@ -104,7 +104,6 @@ class DodsSystem:
             raise ValueError("n must be at least 1")
         rng = np.random.default_rng(seed)
         kernels = self.kernels()
-        f_ym, f_dym = kernels.df[_I_YM], kernels.df[_I_DYM]
         delayed_dep = 0.0
         g_values = []
         checked = 0
@@ -113,7 +112,8 @@ class DodsSystem:
             # never more rows than still needed or left of the 8n budget
             m = min(n - checked, 8 * n - drawn)
             jet, _ = _sample_manifold(rng, self.box, m, kernels)
-            dep = np.maximum(np.abs(f_ym(*jet)), np.abs(f_dym(*jet)))
+            d = kernels.partials(*jet)
+            dep = np.maximum(np.abs(d[_I_YM]), np.abs(d[_I_DYM]))
             ok = np.isfinite(dep)
             if ok.any():
                 delayed_dep = max(delayed_dep, float(dep[ok].max()))
@@ -199,40 +199,36 @@ class InvarianceReport:
 
 @dataclass(frozen=True)
 class _SystemKernels:
-    """Column kernels of a system, in JET order: g, f and their partials."""
+    """Column kernels of a system: g, f and one of the partials of f and g."""
 
     g: Callable[..., np.ndarray]
     f: Callable[..., np.ndarray]
-    df: tuple[Callable[..., np.ndarray], ...]
-    dg: tuple[Callable[..., np.ndarray], ...]
+    partials: Callable[..., tuple[np.ndarray, ...]]
 
     @classmethod
     def build(cls, system: DodsSystem) -> "_SystemKernels":
-        def partials(e: Expr):
-            return tuple(compile_columns(system.bound(diff(e, v)), JET)
-                         for v in JET)
-
+        partials = [system.bound(diff(e, v))
+                    for e in (system.f, system.g) for v in JET]
         return cls(g=compile_columns(system.bound(system.g), FREE_COORDS),
                    f=compile_columns(system.bound(system.f), JET),
-                   df=partials(system.f), dg=partials(system.g))
+                   partials=compile_columns(partials, JET))
 
 
 def _field_kernels(system: DodsSystem, x_field: VectorField):
-    """Column kernels of the prolonged coefficients of x_field, in JET order."""
-    return [compile_columns(system.bound(c), JET)
-            for c in prolong(x_field).coefficients()]
+    """One column kernel of the prolonged coefficients of x_field."""
+    return compile_columns([system.bound(c)
+                           for c in prolong(x_field).coefficients()], JET)
 
 
 def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):
     """pr X (ddy - f) and pr X (xm - g) at the columns of jet, and the mask
     of rows where every coefficient and partial is defined."""
-    c = [fn(*jet) for fn in coeffs]
-    df = [fn(*jet) for fn in kernels.df]
-    dg = [fn(*jet) for fn in kernels.dg]
+    c = coeffs(*jet)
+    d = kernels.partials(*jet)  # JET order, f then g
     with np.errstate(all="ignore"):
-        r_dode = c[_I_DDY] - sum(c[i] * df[i] for i in range(7))
-        r_delay = c[_I_XM] - sum(c[i] * dg[i] for i in range(7))
-    return r_dode, r_delay, np.isfinite(c + df + dg).all(axis=0)
+        r_dode = c[_I_DDY] - sum(c[i] * d[i] for i in range(7))
+        r_delay = c[_I_XM] - sum(c[i] * d[7 + i] for i in range(7))
+    return r_dode, r_delay, np.isfinite(c + d).all(axis=0)
 
 
 def _running_max(start: float, values: np.ndarray) -> tuple[float, np.ndarray]:

@@ -7,21 +7,22 @@ There is deliberately no general CAS machinery here; semantic checks
 elsewhere are done by residual evaluation at sampled points.
 
 There is one numeric semantics with two calling conventions, both built
-by one code generator over one primitive table.  `compile_fn` turns a tree
-into a Python closure of one point; `evaluate` is that closure called
-once.  An undefined operation (division by zero, ln or sqrt out of
-domain, pow without a real value) or a non-finite result raises
-DomainError, whose message names the whole compiled expression rather
-than the failing sub-node.  `compile_columns` turns a tree into a function
-of numpy columns, one row per point: each row holds exactly the value the
-closure returns for that point, and NaN where the closure raises
-DomainError.
+by one value-numbering code generator (each repeated subtree is evaluated
+once) over one primitive table.  `compile_fn` turns a tree into a Python
+closure of one point; `evaluate` is that closure called once.  An
+undefined operation (division by zero, ln or sqrt out of domain, pow
+without a real value) or a non-finite result raises DomainError, whose
+message names the whole compiled expression rather than the failing
+sub-node.  `compile_columns` turns a tree, or a list of trees, into a
+function of numpy columns, one row per point: each row of a tree's output
+holds what its closure returns there, and NaN where that raises.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
@@ -669,42 +670,69 @@ def _collect_sum(e: Expr) -> Expr:
 # compilation
 
 
-def _call_code(name: str, columns: bool, *args: str) -> str:
-    """A primitive call; column code passes the row-reject mask first."""
-    return f"{name}({', '.join(('_bad',) * columns + args)})"
-
-
-def _codegen(e: Expr, slots: Mapping[str, str], columns: bool = False) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, (Var, Param)):
-        return slots[e.name]
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg, slots, columns)})"
-    if isinstance(e, BinOp):
-        left = _codegen(e.left, slots, columns)
-        right = _codegen(e.right, slots, columns)
-        if e.op == "^":
-            return _call_code("pow", columns, left, right)
-        if e.op == "/" and columns:
-            return _call_code("_div", columns, left, right)
-        return f"({left} {e.op} {right})"
-    if isinstance(e, Call):
-        return _call_code(e.fn, columns, _codegen(e.arg, slots, columns))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _generate(e: Expr, arg_names: Iterable[str], columns: bool) -> Callable:
-    """The generated function of e, for points or, with columns, for the
-    column calling convention below."""
+def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
+    """The function of a tree, or of a list of trees returning a tuple, for
+    points or columns.  A repeated subtree is bound by `:=` where a walk of
+    the trees first computes it, so a tree without repeats is that walk."""
+    trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
     names = list(arg_names)
-    missing = free_symbols(e) - set(names)
+    missing = set().union(*map(free_symbols, trees)) - set(names)
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
     slots = {name: f"_a{i}" for i, name in enumerate(names)}
-    params = ", ".join(("_bad",) * columns
-                       + tuple(f"_a{i}" for i in range(len(names))))
-    src = f"def _f({params}):\n    return {_codegen(e, slots, columns)}\n"
+    # value numbers of inner nodes keyed (op, *children), a child being a
+    # value number or a leaf's code, so 0.0 and -0.0 stay apart
+    number: dict[tuple, int] = {}
+    uses, readers = Counter(), Counter()
+
+    def walk(e: Expr, k: int) -> int | str:
+        if isinstance(e, Const):
+            return repr(e.value)
+        if isinstance(e, (Var, Param)):
+            return slots[e.name]
+        if isinstance(e, BinOp):
+            key = (e.op, walk(e.left, k), walk(e.right, k))
+        else:
+            key = ("neg" if isinstance(e, Neg) else e.fn, walk(e.arg, k))
+        if key not in number:
+            number[key] = len(number)
+            uses.update(key[1:])
+        readers[number[key]] |= 1 << k  # node read by tree k
+        return number[key]
+
+    roots = [walk(t, k) for k, t in enumerate(trees)]
+    uses.update(roots)
+    keys = list(number)
+    masks: dict[int, str] = {}  # the row-reject mask of each readers set
+
+    def code(ref: int | str) -> str:
+        if isinstance(ref, str) or uses[ref] < 0:  # a leaf or bound
+            return ref if isinstance(ref, str) else f"_t{ref}"
+        op, *args = keys[ref]
+        args = [code(a) for a in args]
+        if op == "neg":
+            text = f"(-{args[0]})"
+        elif op in "+-*" or (op == "/" and not columns):
+            text = f"({args[0]} {op} {args[1]})"
+        else:
+            if columns:
+                args.insert(0, masks.setdefault(readers[ref], f"_b{len(masks)}"))
+            text = f"{ {'^': 'pow', '/': '_div'}.get(op, op)}({', '.join(args)})"
+        if uses[ref] > 1:
+            uses[ref], text = -1, f"(_t{ref} := {text})"
+        return text
+
+    outs = [code(ref) for ref in roots]
+    for k, out in enumerate(outs if columns else ()):
+        # NaN where not finite or a node of the tree failed (readers 0: none)
+        bad = [m for r, m in masks.items() if r >> k & 1] or [
+            masks.setdefault(0, f"_b{len(masks)}")]
+        outs[k] = f"_where(~_isfinite(_v := {out}) | {' | '.join(bad)}, nan, _v)"
+    params = ["_shape"] * columns + [f"_a{i}" for i in range(len(names))]
+    src = "".join([f"def _f({', '.join(params)}):\n",
+                   *(f"    {m} = _mask(_shape)\n" for m in masks.values()),
+                   "    return ", outs[0] if isinstance(exprs, Expr)
+                   else f"({''.join(o + ', ' for o in outs)})", "\n"])
     # repr() writes a non-finite Const as `inf` or `nan`
     ns = {**(_COLUMN_PRIMITIVES if columns else _PRIMITIVES),
           "inf": math.inf, "nan": math.nan}
@@ -729,10 +757,10 @@ def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
 # + - * / and negation are IEEE operations in numpy as in Python, silent
 # overflow included, and abs and sgn are numpy's, which agree with
 # builtin abs and _sgn.  Python raises on a zero divisor, -0.0 included,
-# so such rows are marked in the row-reject mask `_bad`.  The other
-# primitives of _PRIMITIVES are mapped over the rows, because numpy's exp,
-# tan, arctan, log and power can differ from math's by an ulp; a row where
-# one raises is marked too.
+# so such rows are marked in the row-reject mask of the node's readers.
+# The other primitives of _PRIMITIVES are mapped over the rows, because
+# numpy's exp, tan, arctan, log and power can differ from math's by an
+# ulp; a row where one raises is marked too.
 
 _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
@@ -765,27 +793,26 @@ _COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
     "abs": lambda bad, v: np.abs(v),
     "sgn": lambda bad, v: np.sign(v),
     "_div": _column_div,
+    "_where": np.where, "_isfinite": np.isfinite,
+    "_mask": functools.partial(np.zeros, dtype=bool),
 }
 
 
-def _columns_checked(fn: Callable[..., np.ndarray], *cols) -> np.ndarray:
-    """fn over equal-length columns; NaN where a row is undefined or
-    non-finite, the rows compile_fn would answer with DomainError."""
+def _columns_checked(fn: Callable, *cols):
     cols = [np.asarray(c, dtype=float) for c in cols]
     shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
-    bad = np.zeros(shape, dtype=bool)
     with np.errstate(all="ignore"):
-        out = np.broadcast_to(fn(bad, *cols), shape)
-        return np.where(bad | ~np.isfinite(out), math.nan, out)
+        return fn(shape, *cols)
 
 
-def compile_columns(e: Expr, arg_names: Iterable[str]) -> Callable[..., np.ndarray]:
+def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
     """Compile to a function of numpy columns, one row per point.
 
     The function takes one 1-D float column (or a scalar, broadcast) per
-    name in arg_names and returns a new 1-D float column.  Row i holds
-    exactly the value compile_fn's closure returns for row i of the
-    arguments, and NaN where that closure raises DomainError; a row is
-    defined exactly where the result is finite.
+    name in arg_names and returns a new 1-D float column, or for a list of
+    trees a tuple of one such column per tree.  Row i of a tree's column
+    holds exactly the value compile_fn's closure of that tree returns for
+    row i of the arguments, and NaN where that closure raises DomainError;
+    a row is defined exactly where the result is finite.
     """
-    return functools.partial(_columns_checked, _generate(e, arg_names, True))
+    return functools.partial(_columns_checked, _generate(exprs, arg_names, True))

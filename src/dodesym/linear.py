@@ -126,7 +126,11 @@ class CanonicalLinear:
         )
 
     def char_value(self, lam: float) -> float:
-        e = math.exp(-lam * self.C)
+        try:
+            e = math.exp(-lam * self.C)
+        except OverflowError:  # the delayed terms set the sign, if any
+            k = self.alpha * lam + self.gamma
+            return lam * lam - self.beta - (k and math.copysign(math.inf, k))
         return lam * lam - self.alpha * lam * e - self.beta - self.gamma * e
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as E
 from . import reduce as reduce_mod
-from .dods import DelayKind, DodsSystem, _key_values
+from .dods import DelayKind, DodsSystem, _key_values, _numbers
 from .expr import Const, Expr, compile_fn, diff, parse, subs
 from .integrate import (
     HistoryFunction,
@@ -482,29 +482,24 @@ class _Collision(Exception):
 
 def load_scenario(text: str):
     """Keys: leader, n1, n2, alpha, tau, cars, history.i, t0, t_end, h."""
-    values: dict[str, str] = {}
+    values: dict = {"n1": 1.0, "n2": 1.0, "t0": 0.0}
     histories: dict[int, Expr] = {}
     for lineno, key, value in _key_values(text, TrafficError):
         if key.startswith("history."):
-            histories[int(key.split(".", 1)[1])] = parse(value)
-        elif key in ("leader", "n1", "n2", "alpha", "tau", "cars", "t_end",
-                     "h", "t0"):
-            values[key] = value
+            histories[_whole(key.split(".", 1)[1], lineno)] = parse(value)
+        elif key in ("leader", "cars"):
+            values[key] = value if key == "leader" else _whole(value, lineno)
+        elif key in ("n1", "n2", "alpha", "tau", "t_end", "h", "t0"):
+            values[key] = _numbers(value, lineno, TrafficError)[0]
         else:
             raise TrafficError(f"line {lineno}: unknown key '{key}'")
     for required in ("leader", "alpha", "tau", "cars", "t_end", "h"):
         if required not in values:
             raise TrafficError(f"scenario file is missing '{required}'")
-    n_cars = int(values["cars"])
-    t0 = float(values.get("t0", "0"))
-    tau = float(values["tau"])
-    params = TrafficParams(
-        alpha=float(values["alpha"]),
-        n1=float(values.get("n1", "1")),
-        n2=float(values.get("n2", "1")),
-        tau=tau,
-        leader=parse(values["leader"]),
-    )
+    n_cars, t0, tau = values["cars"], values["t0"], values["tau"]
+    params = TrafficParams(alpha=values["alpha"], n1=values["n1"],
+                           n2=values["n2"], tau=tau,
+                           leader=parse(values["leader"]))
     hist_fns = []
     for i in range(1, n_cars + 1):
         if i not in histories:
@@ -512,4 +507,12 @@ def load_scenario(text: str):
         hist_fns.append(
             HistoryFunction(subs(histories[i], {"t": E.X}), (t0 - tau, t0))
         )
-    return params, n_cars, hist_fns, float(values["t_end"]), float(values["h"])
+    return params, n_cars, hist_fns, values["t_end"], values["h"]
+
+
+def _whole(text: str, lineno: int) -> int:
+    """The whole number of a scenario line, or a TrafficError naming it."""
+    value = _numbers(text, lineno, TrafficError)[0]
+    if value.is_integer():
+        return int(value)
+    raise TrafficError(f"line {lineno}: expected a whole number, got '{text}'")

@@ -57,6 +57,19 @@ class TestRoots:
         assert proc.returncode == 0
         assert "no real roots" in proc.stdout
 
+    @pytest.mark.parametrize("alpha,beta,gamma", [("0", "1", "0"),
+                                                  ("1", "1", "0.5")])
+    def test_wide_window_finds_the_narrow_window_roots(self, alpha, beta,
+                                                       gamma):
+        # e^(-lambda C) overflows a float once lambda C < -709.8
+        common = ("--alpha", alpha, "--beta", beta, "--gamma", gamma,
+                  "--C", "1")
+        wide = run_cli("roots", *common, "--range=-1000,1000")
+        narrow = run_cli("roots", *common, "--range=-3,3")
+        assert wide.returncode == 0, wide.stderr
+        assert wide.stdout == narrow.stdout
+        assert wide.stdout.count("lambda = ") == 2
+
 
     def test_negative_exponent_value_in_either_spelling(self):
         common = ("--beta", "1", "--gamma", "0.5", "--C", "1")

@@ -375,27 +375,52 @@ class TestCheckAlgebra:
 
 
 class TestKernelsOncePerSystem:
-    def test_system_kernels_compile_once(self, monkeypatch):
-        calls = []
-        compile_columns = dods.compile_columns
+    @staticmethod
+    def _count_generated(monkeypatch):
+        """Record each function the expression compiler generates, and
+        count the calls of each."""
+        made = []
+        generate = E._generate
 
         def counted(*args):
-            calls.append(args)
-            return compile_columns(*args)
+            fn = generate(*args)
+            calls = [0]
+            made.append(calls)
 
-        monkeypatch.setattr(dods, "compile_columns", counted)
+            def call(*cols):
+                calls[0] += 1
+                return fn(*cols)
+
+            return call
+
+        monkeypatch.setattr(E, "_generate", counted)
+        return made
+
+    def test_system_kernels_compile_once(self, monkeypatch):
+        made = self._count_generated(monkeypatch)
         system = a24_example()
         fields = [VectorField.from_text("1", "0"),
                   VectorField.from_text("0", "1"),
                   VectorField.from_text("0", "y")]
         system.validate()
-        assert len(calls) == 16  # g, f and the 7 jet partials of each
+        assert len(made) == 3  # g, f and one kernel of the 14 jet partials
         check_algebra(system, fields, n=50)
         check_invariance(system, fields[0], n=50)
         system.box = {"y": (1.0, 2.0)}
         system.delay_kind = DelayKind.CONSTANT
         check_invariance(system, fields[2], n=50)
-        assert len(calls) == 16 + 7 * 5
+        assert len(made) == 3 + 5  # one kernel per field check
+
+    def test_one_call_of_each_kernel_per_block(self, monkeypatch):
+        made = self._count_generated(monkeypatch)
+        system = a24_example()
+        system.kernels()
+        check_invariance(system, VectorField.from_text("0", "y"), n=3000)
+        g_calls, f_calls, partials_calls, field_calls = (c[0] for c in made)
+        # every block draws, puts its rows on the manifold and evaluates
+        # the residuals of its kept rows: two calls in _residuals
+        assert g_calls >= 3  # n=3000 needs at least three blocks
+        assert [f_calls, partials_calls, field_calls] == [g_calls] * 3
 
     def test_params_edit_rebuilds_the_kernels(self):
         def system(a):

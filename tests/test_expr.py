@@ -318,3 +318,77 @@ def test_columns_of_a_constant_broadcast_to_the_rows():
     assert np.isnan(compile_columns(parse("ln(-1)"), ("x",))(np.ones(3))).all()
     with pytest.raises(UnboundSymbolError):
         compile_columns(parse("x + y"), ("x",))
+
+
+# ---------------------------------------------------------------------------
+# compile_columns: several trees in one function, each output as if alone
+
+#: subtrees undefined on every row, or defined only by IEEE rules
+_SINGULAR = [parse("x/0"), BinOp("/", Var("x"), Const(-0.0)), parse("ln(0)"),
+             parse("sqrt(-1)"), BinOp("^", Const(0.0), Const(-1.0)),
+             BinOp("^", Const(math.nan), Const(0.0)), parse("ln(y)^0")]
+
+
+@st.composite
+def _forests(draw):
+    """Up to four trees grown over one pool of subtrees, so that they
+    share subtrees with each other and repeat them within themselves."""
+    pool = draw(st.lists(st.one_of(_trees, st.sampled_from(_SINGULAR)),
+                         min_size=1, max_size=3))
+    leaves = st.one_of(st.sampled_from(pool),
+                       st.sampled_from([Var("x"), Var("y")]),
+                       _values.map(Const))
+    grown = st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(E.FUNCTIONS), kids),
+        kids.map(lambda k: BinOp("^", k, Const(0.0))),
+    ), max_leaves=6)
+    return draw(st.lists(grown, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=_forests(), rows=st.lists(st.tuples(_values, _values),
+                                       min_size=1, max_size=12))
+def test_kernel_outputs_match_each_tree_alone(trees, rows):
+    xs, ys = (np.array(c, dtype=float) for c in zip(*rows))
+    outs = compile_columns(trees, ("x", "y"))(xs, ys)
+    assert len(outs) == len(trees)
+    for e, out in zip(trees, outs):
+        alone = compile_columns(e, ("x", "y"))(xs, ys)
+        assert out.tobytes() == alone.tobytes(), (to_text(e), out, alone)
+        fn = compile_fn(e, ("x", "y"))
+        for args, got in zip(rows, out):
+            _assert_row_matches_closure(fn, args, got)
+
+
+def test_an_undefined_shared_subtree_is_nan_only_where_it_is_read():
+    # ln(y) is shared by the first and third trees, x/0 by the last two;
+    # sin(x), read by the first two, is defined everywhere
+    trees = [parse("sin(x) + ln(y)*ln(y)"), parse("2*sin(x)"),
+             parse("ln(y)^0 + (x/0)^0"), parse("(x/0)^0")]
+    ys = np.array([2.0, -1.0])
+    first, second, third, fourth = compile_columns(trees, ("x", "y"))(1.0, ys)
+    assert np.isnan(first).tolist() == [False, True]
+    assert second.tolist() == [2 * math.sin(1.0)] * 2
+    assert np.isnan(third).all() and np.isnan(fourth).all()
+    # pow(nan, 0) is 1 where its base is NaN without being undefined
+    assert compile_columns([parse("y^0"), parse("y")], ("y",))(
+        np.array([math.nan]))[0].tolist() == [1.0]
+
+
+def test_shared_subtrees_are_generated_once(monkeypatch):
+    sources = []
+    monkeypatch.setattr(E, "exec", lambda src, ns: (sources.append(src),
+                                                    exec(src, ns)),
+                        raising=False)
+    compile_columns([parse("sin(x)*sin(x)"), parse("sin(x) + 1"),
+                    parse("x * 0"), BinOp("*", Var("x"), Const(-0.0))], ("x",))
+    compile_fn(parse("x*y + 1"), ("x", "y"))
+    kernel, point = sources
+    assert kernel.count("sin(") == 1 and kernel.count("_t0 :=") == 1
+    assert "_t1" not in kernel
+    # 0.0 and -0.0 are equal as numbers but not as constants
+    assert "(_a0 * 0.0)" in kernel and "(_a0 * -0.0)" in kernel
+    # a tree without repeats is generated as a plain walk
+    assert point == "def _f(_a0, _a1):\n    return ((_a0 * _a1) + 1.0)\n"

@@ -217,6 +217,13 @@ class TestCharacteristicRoots:
         roots = characteristic_roots(CanonicalLinear(0, 0, 1, 1), (-3, -2))
         assert roots == []
 
+    def test_char_value_past_the_float_range_keeps_its_sign(self):
+        # e^(-lam C) overflows: the delayed terms decide, or vanish
+        assert CanonicalLinear(0, 1, 0, 1).char_value(-1000.0) == 999999.0
+        assert CanonicalLinear(1, 1, 0.5, 1).char_value(-1000.0) == math.inf
+        assert CanonicalLinear(0, 1, -0.5, 1).char_value(-1000.0) == math.inf
+        assert CanonicalLinear(0, 1, 0.5, 1).char_value(-1000.0) == -math.inf
+
     def test_every_root_verifies(self):
         for quad in ((0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),
                      (0.5, 0.3, -0.2, 0.7)):

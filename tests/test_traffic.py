@@ -279,6 +279,20 @@ h = 0.002
         with pytest.raises(TrafficError, match="unknown key"):
             load_scenario("leader = t\nwarp = 9\n")
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("alpha = 1.0", "alpha = x", 4),
+        ("tau = 0.5", "tau = 0.5,1", 7),
+        ("cars = 2", "cars = 2.5", 8),
+    ])
+    def test_bad_number_names_its_line(self, old, new, line):
+        with pytest.raises(TrafficError, match=f"line {line}: expected a"):
+            load_scenario(self.SCENARIO.replace(old, new))
+
+    def test_bad_history_index_names_its_line(self):
+        bad = self.SCENARIO.replace("history.2 =", "history.two =")
+        with pytest.raises(TrafficError, match="line 10: expected a number"):
+            load_scenario(bad)
+
     def test_missing_history(self):
         bad = self.SCENARIO.replace("history.2 = t - 2\n", "")
         with pytest.raises(TrafficError, match="history.2"):
