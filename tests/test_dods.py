@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dodesym import catalog, dods, traffic
+from dodesym import catalog, traffic
 from dodesym import expr as E
 from dodesym.dods import (
     DEFAULT_BOX,
