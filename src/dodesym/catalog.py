@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .dods import DelayKind, DodsSystem, SamplingError, check_algebra
+from .dods import (DelayKind, DodsSystem, SamplingError, _numbers,
+                   check_algebra)
 from .expr import (Const, Expr, Param, compile_fn, free_symbols, parse, subs,
                    to_text)
 from .symmetry import VectorField, check_closure
@@ -843,15 +844,20 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
         elif key == "default_G":
             current["default_G"] = parse(value)
         elif key.startswith("param "):
-            current["params"][key[len("param "):].strip()] = float(value)
+            current["params"][key[len("param "):].strip()] = _numbers(
+                value, lineno, CatalogError)[0]
         elif key == "constraint":
             rule, _, description = value.partition("::")
             current["constraints"].append((rule.strip(), description.strip()))
         elif key.startswith("box "):
-            a, _, b = value.partition(",")
-            current["box"][key[len("box "):].strip()] = (float(a), float(b))
+            current["box"][key[len("box "):].strip()] = _numbers(
+                value, lineno, CatalogError, count=2)
         elif key == "delay":
-            current["delay"] = DelayKind(value)
+            try:
+                current["delay"] = DelayKind(value)
+            except ValueError:
+                raise CatalogError(f"line {lineno}: delay must be constant,"
+                                   " independent or state") from None
         elif key == "second_order_minor":
             current["minor"] = parse(value)
         elif key == "notes":

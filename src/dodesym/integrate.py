@@ -198,15 +198,43 @@ def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
 # delay resolution
 
 
+def _sign_scan(fn, lo: float, hi: float, cells: int, zero: float = 0.0,
+               errors=()):
+    """fn on cells + 1 evenly spaced points of [lo, hi], and its brackets.
+
+    A value is NaN where fn raises one of errors.  Returns the grid (as
+    floats), the values and the root brackets in grid order: (a, a) at a
+    node where |fn| <= zero, and otherwise (a, b) over each cell whose end
+    values have strictly opposite signs.
+    """
+    grid = np.linspace(lo, hi, cells + 1).tolist()
+    values = []
+    for s in grid:
+        try:
+            values.append(fn(s))
+        except errors:
+            values.append(math.nan)
+    brackets = []
+    for s, t, v, w in zip(grid, grid[1:] + [hi], values, values[1:] + [math.nan]):
+        if abs(v) <= zero:
+            brackets.append((s, s))
+        elif v < 0.0 < w or w < 0.0 < v:
+            brackets.append((s, t))
+    return grid, values, brackets
+
+
 def _bisect(fn, a: float, b: float) -> float:
     """A root of fn between a and b, where fn(a) and fn(b) differ in sign.
 
     Halves the bracket until fn is exactly zero, the bracket is below
-    1e-16 relative or cannot shrink any further, for at most 200 halvings.
+    1e-16 relative or cannot shrink any further.  A finite bracket is at
+    most 2^1025 wide and 1e-16 exceeds 2^-54, so the relative stop comes
+    within 1080 halvings wherever the root lies: the cap of 2200 halvings
+    never ends a finite bracket early.
     """
     fa = fn(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
+    for _ in range(2200):
+        m = 0.5 * a + 0.5 * b  # 0.5 * (a + b) can overflow
         if m == a or m == b:
             return m
         fm = fn(m)
@@ -216,7 +244,7 @@ def _bisect(fn, a: float, b: float) -> float:
             a, fa = m, fm
         else:
             b = m
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b
 
 
 class _DelaySpec:
@@ -312,22 +340,8 @@ class _StateDelay(_DelaySpec):
         def defect(s: float) -> float:
             return s - g_at(s)
 
-        grid = np.linspace(lo, hi, cells + 1)
-        values = []
-        for s in grid:
-            try:
-                values.append(defect(float(s)))
-            except (DomainError, HistoryUnderrunError):
-                values.append(math.nan)
-        brackets = []
-        for i in range(cells):
-            a, b = values[i], values[i + 1]
-            if math.isnan(a) or math.isnan(b):
-                continue
-            if a == 0.0:
-                brackets.append((grid[i], grid[i]))
-            elif a * b < 0.0:
-                brackets.append((grid[i], grid[i + 1]))
+        _, _, brackets = _sign_scan(defect, lo, hi, cells,
+                                    errors=(DomainError, HistoryUnderrunError))
         if not brackets:
             raise FixedPointError(
                 "state-dependent delay: no root of xm - g located in the"
@@ -338,11 +352,8 @@ class _StateDelay(_DelaySpec):
                 f"state-dependent delay has {len(brackets)} candidate roots;"
                 " taking the one nearest the previous delayed point"
             )
-        mid = min(brackets, key=lambda ab: abs(0.5 * (ab[0] + ab[1]) - prev_xm))
-        a, b = float(mid[0]), float(mid[1])
-        if a == b:
-            return a
-        return _bisect(defect, a, b)
+        a, b = min(brackets, key=lambda ab: abs(0.5 * (ab[0] + ab[1]) - prev_xm))
+        return a if a == b else _bisect(defect, a, b)
 
 
 def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:

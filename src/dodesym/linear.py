@@ -33,6 +33,7 @@ from .integrate import (
     HistoryFunction,
     Trajectory,
     _bisect,
+    _sign_scan,
     combine_trajectories,
     solve,
 )
@@ -170,9 +171,8 @@ class LinearSymmetryReport:
 
 def _dode_residual_grid(L: LinearDods, t: Trajectory, n: int = 120):
     """|y'' - rhs| on an interior grid, y'' from the dense output."""
-    coeff = [compile_fn(E.bind_params(getattr(L, k), L.params), ("x",))
-             for k in ("a1", "a2", "a3", "a4", "b")]
-    g_fn = compile_fn(E.bind_params(L.g, L.params), ("x",))
+    coeff = [L._fn(getattr(L, k)) for k in ("a1", "a2", "a3", "a4", "b")]
+    g_fn = L._fn(L.g)
     lo = t.x_start
     hi = t.x_end
     out = []
@@ -231,9 +231,8 @@ def inhomogeneous_scaling_residual(
     accuracy.
     """
     rng = np.random.default_rng(seed)
-    coeff = [compile_fn(E.bind_params(getattr(L, k), L.params), ("x",))
-             for k in ("a1", "a2", "a3", "a4", "b")]
-    g_fn = compile_fn(E.bind_params(L.g, L.params), ("x",))
+    coeff = [L._fn(getattr(L, k)) for k in ("a1", "a2", "a3", "a4", "b")]
+    g_fn = L._fn(L.g)
     lo = max(sigma.x_start, L.domain[0])
     hi = min(sigma.x_end, L.domain[1])
     worst = 0.0
@@ -366,8 +365,8 @@ def detect_extra_symmetry(
     checks: dict[str, float] = {}
 
     g_b = E.bind_params(L.g, L.params)
-    g_fn = compile_fn(g_b, ("x",))
-    gd_fn = compile_fn(diff(g_b, "x"), ("x",))
+    gd = diff(g_b, "x")
+    g_fn, gd_fn = L._fn(L.g), compile_fn(gd, ("x",))
     # grid on which g stays inside the domain (needed for K(g), xi(g))
     grid = [float(x) for x in np.linspace(lo, hi, 4 * n_grid)
             if lo <= g_fn(float(x)) <= hi]
@@ -388,7 +387,6 @@ def detect_extra_symmetry(
     # remaining determining equations, with xi-derivatives written through K
     a1, a2, a3, a4 = (E.bind_params(getattr(L, k), L.params)
                       for k in ("a1", "a2", "a3", "a4"))
-    gd = diff(g_b, "x")
     gdd = diff(gd, "x")
     gddd = diff(gdd, "x")
     a1_g = subs(a1, {"x": g_b})
@@ -485,8 +483,7 @@ def verify_canonical_transform(
     if extra.xi is None or not extra.xi_is_constant:
         raise LinearError("canonical transform check needs constant xi")
     traj = solve(L.to_dods(), phi, "from-phi", x_end, h)
-    a1_fn = compile_fn(E.bind_params(L.a1, L.params), ("x",))
-    g_fn = compile_fn(E.bind_params(L.g, L.params), ("x",))
+    a1_fn, g_fn = L._fn(L.a1), L._fn(L.g)
     anchor = traj.x_start
 
     def int_a1(x: float) -> float:
@@ -542,31 +539,27 @@ def characteristic_roots(
     """All real roots in the window by sign-change scan plus bisection.
 
     Every returned root satisfies |h(lambda)| < value_tol; an empty list
-    is a legitimate outcome.
+    is a legitimate outcome.  A sign change whose bisection misses
+    value_tol raises LinearError naming its bracket, and so does a window
+    whose width overflows.
     """
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("need lam_lo < lam_hi")
+    if not math.isfinite(hi - lo):
+        raise LinearError(f"window ({lo:g}, {hi:g}) is too wide for floats")
     h = cl.char_value
-    grid = np.linspace(lo, hi, n_seed + 1)
-    vals = [h(float(x)) for x in grid]
-    roots: list[float] = []
-    for i in range(n_seed):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = vals[i], vals[i + 1]
-        if abs(fa) < 1e-13:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect(h, a, b))
-    if abs(vals[-1]) < 1e-13:
-        roots.append(float(grid[-1]))
+    _, _, brackets = _sign_scan(h, lo, hi, n_seed, zero=1e-13)
+    roots = sorted((a if a == b else _bisect(h, a, b), a, b) for a, b in brackets)
     out: list[float] = []
-    for r in sorted(roots):
+    for r, a, b in roots:
         if out and abs(r - out[-1]) < 1e-9 * max(1.0, abs(r)):
             continue
-        if abs(h(r)) < value_tol:
-            out.append(r)
+        if not abs(h(r)) < value_tol:
+            raise LinearError(
+                f"sign change over [{a!r}, {b!r}] refines to lambda = {r!r}"
+                f" with |h| = {abs(h(r)):.3e}, not below {value_tol:g}")
+        out.append(r)
     return out
 
 

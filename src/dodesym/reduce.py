@@ -198,9 +198,8 @@ def validate_invariants(
     return pair
 
 
-def _reduced_residual_exprs(system: DodsSystem, pair: InvariantPair):
-    """R1, R2 as expressions in (x, A, B) after the ansatz substitution."""
-    h, k = pair.h_expr, pair.k_expr
+def _reduced_residual_exprs(system: DodsSystem, h: Expr, k: Expr):
+    """R1, R2 of the ansatz y = h(x), xm = k(x) substituted into the system."""
     hp = diff(h, "x")
     hpp = diff(hp, "x")
     h_at_k = subs(h, {"x": k})
@@ -241,7 +240,7 @@ def reduce_and_solve(
         )
     lo, hi = interval if interval is not None else (1.0, 2.0)
     x_ref = 0.5 * (lo + hi)
-    r1, r2 = _reduced_residual_exprs(system, pair)
+    r1, r2 = _reduced_residual_exprs(system, pair.h_expr, pair.k_expr)
     r1_fn = compile_fn(r1, ("x", "A", "B"))
     r2_fn = compile_fn(r2, ("x", "A", "B"))
 
@@ -371,13 +370,8 @@ def verify_invariant_solution(
     curves compared over the interval.
     """
     lo, hi = interval
-    h_e, k_e = sol.h, sol.k
-    hp = diff(h_e, "x")
-    hpp = diff(hp, "x")
-    ansatz = {"y": h_e, "ym": subs(h_e, {"x": k_e}), "dy": hp,
-              "dym": subs(hp, {"x": k_e}), "xm": k_e, "ddy": hpp}
-    r1 = compile_fn(E.simplify(hpp - subs(system.bound(system.f), ansatz)), ("x",))
-    r2 = compile_fn(E.simplify(k_e - subs(system.bound(system.g), ansatz)), ("x",))
+    r1, r2 = (compile_fn(r, ("x",))
+              for r in _reduced_residual_exprs(system, sol.h, sol.k))
     grid_res = 0.0
     for x in np.linspace(lo, hi, n_grid):
         grid_res = max(grid_res, abs(r1(float(x))), abs(r2(float(x))))

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from . import expr as E
 from . import reduce as reduce_mod
 from .dods import DelayKind, DodsSystem, _key_values, _numbers
@@ -31,6 +29,7 @@ from .integrate import (
     Trajectory,
     _ConstantDelay,
     _bisect,
+    _sign_scan,
     solve,
     solve_numeric,
 )
@@ -264,40 +263,27 @@ def solve_constraint(
 
 
 def _scan_roots(c, lo: float, hi: float, n_scan: int):
-    grid = np.linspace(lo, hi, n_scan + 1)
-    vals = []
-    for a in grid:
-        try:
-            vals.append(c(float(a)))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            vals.append(math.nan)
+    errors = (ValueError, ZeroDivisionError, OverflowError)
+    grid, vals, brackets = _sign_scan(c, lo, hi, n_scan, errors=errors)
     def dc(a: float) -> float:
         da = 1e-7 * (1.0 + abs(a))
         return (c(a + da) - c(a - da)) / (2.0 * da)
 
-    found: list[tuple[float, bool]] = []
-    for i in range(n_scan):
-        fa, fb = vals[i], vals[i + 1]
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if fa == 0.0:
-            a = float(grid[i])
-            found.append((a, abs(dc(a)) < 1e-6 * (1.0 + abs(a))))
-        elif fa * fb < 0.0:
-            found.append((_bisect(c, float(grid[i]), float(grid[i + 1])), False))
-    # double roots: zero minima of |c| located via the derivative
-
+    found: list[tuple[float, bool]] = [
+        (a, abs(dc(a)) < 1e-6 * (1.0 + abs(a))) if a == b
+        else (_bisect(c, a, b), False)
+        for a, b in brackets
+    ]
+    # double roots: zero minima of |c| located via the derivative (NaN fails)
     for i in range(1, n_scan):
         fa, fb, fc_ = vals[i - 1], vals[i], vals[i + 1]
-        if any(math.isnan(v) for v in (fa, fb, fc_)):
-            continue
         if abs(fb) < abs(fa) and abs(fb) < abs(fc_) and fa * fc_ > 0.0:
             try:
-                if dc(float(grid[i - 1])) * dc(float(grid[i + 1])) < 0.0:
-                    a_star = _bisect(dc, float(grid[i - 1]), float(grid[i + 1]))
+                if dc(grid[i - 1]) * dc(grid[i + 1]) < 0.0:
+                    a_star = _bisect(dc, grid[i - 1], grid[i + 1])
                     if abs(c(a_star)) < 1e-9:
                         found.append((a_star, True))
-            except (ValueError, ZeroDivisionError, OverflowError):
+            except errors:
                 continue
     dedup: list[tuple[float, bool]] = []
     for a, dbl in sorted(found):

@@ -293,6 +293,18 @@ class TestExport:
         assert [f.label for f in by_id["TRAFFIC_EX2"].basis] == \
             ["t d/dt + n x d/dx", "d/dx"]
 
+    @pytest.mark.parametrize("line,message", [
+        ("param a = x", "line 3: expected a number, got 'x'"),
+        ("box x = 1", "line 3: expected 2 comma-separated numbers, got '1'"),
+        ("delay = bogus", "line 3: delay must be constant, independent or"
+                          " state"),
+    ])
+    def test_malformed_line_is_named(self, line, message):
+        text = f"entry Z\nalgebra = L1\n{line}\nend\n"
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text(text)
+        assert str(err.value) == message
+
     def test_reparsed_entry_still_checks(self):
         text = export_text()
         by_id = {e.id: e for e in parse_catalog_text(text)}

@@ -70,6 +70,22 @@ class TestRoots:
         assert wide.stdout == narrow.stdout
         assert wide.stdout.count("lambda = ") == 2
 
+    def test_window_near_the_float_range(self):
+        common = ("--alpha", "0", "--beta", "1", "--gamma", "0", "--C", "1")
+        wide = run_cli("roots", *common, "--range=-1e300,1e300")
+        narrow = run_cli("roots", *common, "--range=-3,3")
+        assert wide.returncode == 0, wide.stderr
+        assert wide.stdout == narrow.stdout
+        overflow = run_cli("roots", *common, "--range=-1e308,1e308")
+        assert overflow.returncode == 1
+        assert overflow.stdout.startswith("error: LinearError: window")
+        assert overflow.stderr == ""
+
+    def test_missed_refinement_is_an_error(self):
+        proc = run_cli("roots", "--alpha", "0", "--beta", "2e10", "--gamma",
+                       "0", "--C", "1", "--range=0,2e5")
+        assert proc.returncode == 1
+        assert "sign change over [141000.0, 141500.0]" in proc.stdout
 
     def test_negative_exponent_value_in_either_spelling(self):
         common = ("--beta", "1", "--gamma", "0.5", "--C", "1")

@@ -16,7 +16,9 @@ from dodesym.integrate import (
     Trajectory,
     _ConstantDelay,
     _StateDelay,
+    _bisect,
     _delay_spec,
+    _sign_scan,
     combine_trajectories,
     interpolate,
     residual_on_trajectory,
@@ -315,6 +317,64 @@ class TestStateDependentDelay:
 
     def test_oracle_root_agrees_with_solver(self, char_root_0011):
         assert abs(char_root_0011 ** 2 * math.exp(char_root_0011) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("roots,prev_xm,root", [
+        ((0.2, 0.5, 0.8), 0.1, 0.2), ((0.2, 0.5, 0.8), 0.45, 0.5),
+        ((0.2, 0.5, 0.8), 0.75, 0.8), ((0.2, 0.5), 0.4, 0.5)])
+    def test_bracket_scan_takes_the_root_nearest_the_previous_point(
+            self, roots, prev_xm, root):
+        # xm - g = (s - 0.2)(s - 0.5)...: sign changes inside the cells
+        # around 0.2 and 0.8, an exact zero at the grid node 0.5
+        def g_at(s):
+            return s - math.prod(s - r for r in roots)
+
+        warns = []
+        xm = _StateDelay(None, warns.append)._bracket_scan(g_at, 0.0, 1.0,
+                                                           prev_xm)
+        assert warns == [f"state-dependent delay has {len(roots)} candidate"
+                         " roots; taking the one nearest the previous"
+                         " delayed point"]
+        assert abs(xm - root) < 1e-15
+        if root == 0.5:
+            assert xm == 0.5
+
+
+class TestSignScanAndBisect:
+    def test_brackets_in_grid_order(self):
+        # nodes 0, 0.25, ..., 1; raises at 0.5, zero at 0.75 (next to the
+        # NaN) and at the last node, one sign change between 0 and 0.25
+        values = {0.0: -1.0, 0.25: 2.0, 0.75: 0.0, 1.0: 0.0}
+
+        def fn(s):
+            if s == 0.5:
+                raise ZeroDivisionError
+            return values[s]
+
+        grid, vals, brackets = _sign_scan(fn, 0.0, 1.0, 4,
+                                          errors=(ZeroDivisionError,))
+        assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert all(type(s) is float for s in grid)
+        assert vals[:2] == [-1.0, 2.0] and math.isnan(vals[2])
+        assert brackets == [(0.0, 0.25), (0.75, 0.75), (1.0, 1.0)]
+
+    def test_zero_tolerance_and_strict_signs(self):
+        _, _, brackets = _sign_scan(lambda s: s - 0.5, 0.0, 1.0, 2)
+        assert brackets == [(0.5, 0.5)]
+        # an exact zero ends no cell; a nonzero value within zero still does
+        _, _, brackets = _sign_scan(lambda s: s - 0.5 + 1e-14, 0.0, 1.0, 2,
+                                    zero=1e-13)
+        assert brackets == [(0.0, 0.5), (0.5, 0.5)]
+        _, _, brackets = _sign_scan(lambda s: s - 0.5 + 1e-14, 0.0, 1.0, 2)
+        assert brackets == [(0.0, 0.5)]
+
+    def test_unlisted_errors_propagate(self):
+        with pytest.raises(ZeroDivisionError):
+            _sign_scan(lambda s: 1.0 / s, 0.0, 1.0, 4)
+
+    @pytest.mark.parametrize("root", [1.5e308, -1e-300, 0.3, 7e200])
+    def test_bisect_collapses_any_finite_bracket(self, root):
+        got = _bisect(lambda s: s - root, -1.7e308, 1.7e308)
+        assert abs(got - root) <= 1e-16 * max(1.0, abs(root))
 
 
 class TestCounters:

@@ -224,6 +224,25 @@ class TestCharacteristicRoots:
         assert CanonicalLinear(0, 1, -0.5, 1).char_value(-1000.0) == math.inf
         assert CanonicalLinear(0, 1, 0.5, 1).char_value(-1000.0) == -math.inf
 
+    def test_window_wider_than_any_sign_change_bracket_halving(self):
+        # each 5e297-wide bracket next to 0 needs about 1000 halvings
+        roots = characteristic_roots(CanonicalLinear(0, 1, 0, 1),
+                                     (-1e300, 1e300))
+        assert roots == [-1.0, 1.0]
+
+    def test_window_whose_width_overflows_is_rejected(self):
+        with pytest.raises(LinearError, match="too wide for floats"):
+            characteristic_roots(CanonicalLinear(0, 1, 0, 1), (-1e308, 1e308))
+
+    def test_refinement_that_misses_value_tol_names_its_bracket(self):
+        with pytest.raises(LinearError, match=r"sign change over \[1\.41, "
+                           r"1\.4175\] refines to lambda = 1\.41421356"):
+            characteristic_roots(CanonicalLinear(0, 2, 0, 1), (0, 3),
+                                 value_tol=1e-20)
+        # near lambda = 141421.356 one float step moves h by about 4e-6
+        with pytest.raises(LinearError, match="not below 1e-10"):
+            characteristic_roots(CanonicalLinear(0, 2e10, 0, 1), (0, 2e5))
+
     def test_every_root_verifies(self):
         for quad in ((0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),
                      (0.5, 0.3, -0.2, 0.7)):
