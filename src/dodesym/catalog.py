@@ -691,8 +691,7 @@ def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
         )
 
 
-def negative_control(entry: CatalogEntry, system: DodsSystem | None = None,
-                     seed: int = 42) -> VectorField:
+def negative_control(entry: CatalogEntry, seed: int = 42) -> VectorField:
     """A perturbed field guaranteed to sit outside the entry's algebra span.
 
     A fixed eta bump would land inside the span for families whose algebra
@@ -788,6 +787,9 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
         if not line:
             continue
         if line.startswith("entry "):
+            if current is not None:
+                raise CatalogError(f"line {lineno}: entry '{current['id']}'"
+                                   " is not closed by 'end'")
             current = {
                 "id": line[len("entry "):].strip(), "fields": [],
                 "f_slots": [], "g_slots": [], "params": {}, "box": {},
@@ -864,4 +866,6 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
             current["notes"] = value
         else:
             raise CatalogError(f"line {lineno}: unknown key '{key}'")
+    if current is not None:
+        raise CatalogError(f"entry '{current['id']}' is not closed by 'end'")
     return entries

@@ -12,7 +12,8 @@ Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
-Per system, g, f and one 14-output kernel of their partials are compiled.
+Per system, g, f and one 14-output kernel of their partials are compiled,
+and per field the one `symmetry.field_kernel` of its prolongation.
 
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling
@@ -37,7 +38,7 @@ from .expr import (
     parse,
     to_text,
 )
-from .symmetry import JET, VectorField, prolong
+from .symmetry import JET, VectorField, field_kernel
 
 
 class DelayKind(enum.Enum):
@@ -214,12 +215,6 @@ class _SystemKernels:
                    partials=compile_columns(partials, JET))
 
 
-def _field_kernels(system: DodsSystem, x_field: VectorField):
-    """One column kernel of the prolonged coefficients of x_field."""
-    return compile_columns([system.bound(c)
-                           for c in prolong(x_field).coefficients()], JET)
-
-
 def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):
     """pr X (ddy - f) and pr X (xm - g) at the columns of jet, and the mask
     of rows where every coefficient and partial is defined."""
@@ -262,7 +257,7 @@ def check_invariance(
     if n < 1:
         raise ValueError("n must be at least 1")
     kernels = system.kernels()
-    coeffs = _field_kernels(system, x_field)
+    coeffs = field_kernel(x_field, system.params)
     rng = np.random.default_rng(seed)
     worst: np.ndarray | None = None
     good = 0

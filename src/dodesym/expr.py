@@ -403,10 +403,6 @@ def _collect_symbols(e: Expr, out: set[str]) -> None:
         _collect_symbols(e.arg, out)
 
 
-def free_params(e: Expr) -> set[str]:
-    return {s for s in free_symbols(e) if s not in VARIABLES}
-
-
 # ---------------------------------------------------------------------------
 # substitution
 

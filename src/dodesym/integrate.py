@@ -172,10 +172,6 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def interpolate(trajectory: Trajectory, x: float) -> tuple[float, float]:
-    return trajectory.interpolate(x)
-
-
 def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
                          cb: float) -> Trajectory:
     """Pointwise linear combination; grids must match exactly."""

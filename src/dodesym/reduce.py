@@ -18,7 +18,8 @@ import numpy as np
 
 from . import expr as E
 from .dods import DodsSystem, check_invariance
-from .expr import Const, DomainError, Expr, Param, compile_fn, diff, subs
+from .expr import (Const, DomainError, Expr, Param, compile_columns,
+                   compile_fn, diff, subs)
 from .integrate import HistoryFunction, solve
 from .symmetry import VectorField, prolong
 
@@ -136,6 +137,47 @@ def invariants_of(x_field: VectorField,
     )
 
 
+def _annihilation(x_field: VectorField, pair: InvariantPair,
+                  params: dict[str, float], n: int,
+                  seed: int) -> tuple[float, int, int]:
+    """The largest |pr X J| over the sampled points, the number of points
+    checked and the number where |det d(J1, J2)/d(y, xm)| < 1e-10.
+
+    Points are drawn until n are checked, at most 6n in all.  A point is
+    checked where the four coefficients and all eight partials of J1 and J2
+    are defined.  |pr X J1| counts where the coefficients and the partials
+    of J1 are defined, |pr X J2| at checked points, and a NaN never counts.
+    """
+    coords = ("x", "y", "xm", "ym")
+    js = [E.bind_params(j, params) for j in (pair.J1, pair.J2)]
+    # the coefficients of x, y, xm and ym come first in JET order
+    kernel = compile_columns(
+        [E.bind_params(c, params) for c in prolong(x_field).coefficients()[:4]]
+        + [diff(j, v) for j in js for v in coords], coords)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    checked = drawn = jac_bad = 0
+    while checked < n and drawn < 6 * n:
+        # never more rows than still needed or left of the draw budget
+        m = min(n - checked, 6 * n - drawn)
+        drawn += m
+        # (x, y, xm, ym) from a box on which xm < x
+        pts = rng.uniform((1.6, 0.5, 0.5, 0.5), (2.5, 2.5, 1.5, 2.5), (m, 4))
+        out = np.array(kernel(*pts.T))
+        c, d1, d2 = out[:4], out[4:8], out[8:]
+        defined = np.isfinite(out).reshape(3, 4, m).all(axis=1)
+        counts_j1 = defined[0] & defined[1]
+        counts_j2 = counts_j1 & defined[2]
+        with np.errstate(all="ignore"):
+            for d, rows in ((d1, counts_j1), (d2, counts_j2)):
+                ann = np.abs(sum(c[i] * d[i] for i in range(4)))
+                worst = float(np.fmax.reduce(ann[rows], initial=worst))
+            det = d1[1] * d2[2] - d1[2] * d2[1]
+        checked += int(counts_j2.sum())
+        jac_bad += int(np.sum(np.abs(det[counts_j2]) < 1e-10))
+    return worst, checked, jac_bad
+
+
 def validate_invariants(
     x_field: VectorField,
     pair: InvariantPair,
@@ -149,41 +191,8 @@ def validate_invariants(
     det d(J1, J2)/d(y, xm) must stay away from zero at the sampled points,
     otherwise y and xm cannot be solved for.
     """
-    params = dict(params or {})
-    pro = prolong(x_field)
-    coords = ("x", "y", "xm", "ym")
-    coeffs = [compile_fn(E.bind_params(c, params), coords)
-              for c in (pro.xi, pro.eta, pro.xi_m, pro.eta_m)]
-    j1 = E.bind_params(pair.J1, params)
-    j2 = E.bind_params(pair.J2, params)
-    # partials[j][v] = d J_j / d v, compiled once for every sample
-    partials = [[compile_fn(diff(j, v), coords) for v in coords]
-                for j in (j1, j2)]
-    (_, j1_y, j1_xm, _), (_, j2_y, j2_xm, _) = partials
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
-    jac_bad = 0
-    for _ in range(6 * n):
-        if checked >= n:
-            break
-        pt = (
-            float(rng.uniform(1.6, 2.5)),
-            float(rng.uniform(0.5, 2.5)),
-            float(rng.uniform(0.5, 1.5)),
-            float(rng.uniform(0.5, 2.5)),
-        )
-        try:
-            c = [fn(*pt) for fn in coeffs]
-            for dj in partials:
-                ann = sum(c[i] * dj[i](*pt) for i in range(4))
-                worst = max(worst, abs(ann))
-            det = j1_y(*pt) * j2_xm(*pt) - j1_xm(*pt) * j2_y(*pt)
-            if abs(det) < 1e-10:
-                jac_bad += 1
-        except DomainError:
-            continue
-        checked += 1
+    worst, checked, jac_bad = _annihilation(x_field, pair, dict(params or {}),
+                                            n, seed)
     if checked < n:
         raise ReduceError("could not sample enough admissible points")
     if worst > tol:

@@ -17,7 +17,7 @@ from .expr import (
     DomainError,
     Expr,
     bind_params,
-    compile_fn,
+    compile_columns,
     diff,
     free_symbols,
     parse,
@@ -25,7 +25,10 @@ from .expr import (
     subs,
     to_text,
     DY,
+    DYM,
     DDY,
+    XM,
+    YM,
 )
 
 JET = ("x", "y", "xm", "ym", "dy", "dym", "ddy")
@@ -106,20 +109,29 @@ def _total_d(h: Expr, with_ddy: bool) -> Expr:
 
 
 def prolong(x_field: VectorField) -> ProlongedField:
-    xi, eta = x_field.xi, x_field.eta
-    zeta1 = simplify(_total_d(eta, False) - DY * _total_d(xi, False))
-    shift = {"x": parse("xm"), "y": parse("ym")}
-    zeta1_m = simplify(subs(zeta1, {**shift, "dy": parse("dym")}))
-    zeta2 = simplify(_total_d(zeta1, True) - DDY * _total_d(xi, False))
+    """The seven prolonged coefficients.  The delayed ones rename simplified
+    trees, which simplify would give back unchanged."""
+    d_xi = _total_d(x_field.xi, False)
+    zeta1 = simplify(_total_d(x_field.eta, False) - DY * d_xi)
+    xi, eta = simplify(x_field.xi), simplify(x_field.eta)
+    shift = {"x": XM, "y": YM}
     return ProlongedField(
-        xi=simplify(xi),
-        eta=simplify(eta),
-        xi_m=simplify(subs(xi, shift)),
-        eta_m=simplify(subs(eta, shift)),
+        xi=xi,
+        eta=eta,
+        xi_m=subs(xi, shift),
+        eta_m=subs(eta, shift),
         zeta1=zeta1,
-        zeta1_m=zeta1_m,
-        zeta2=zeta2,
+        zeta1_m=subs(zeta1, {**shift, "dy": DYM}),
+        zeta2=simplify(_total_d(zeta1, True) - DDY * d_xi),
     )
+
+
+def field_kernel(x_field: VectorField, params: Bindings | None = None):
+    """One column kernel of the prolonged coefficients of x_field, params
+    bound: a function of the JET columns returning the seven coefficient
+    columns in JET order."""
+    return compile_columns([bind_params(c, params or {})
+                            for c in prolong(x_field).coefficients()], JET)
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -132,10 +144,6 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     eta = simplify(apply(a, b.eta) - apply(b, a.eta))
     label = f"[{a.label or 'X'},{b.label or 'Y'}]"
     return VectorField(xi, eta, label)
-
-
-def _sample_plane(rng: np.random.Generator, lo=0.5, hi=2.5) -> dict[str, float]:
-    return {"x": float(rng.uniform(lo, hi)), "y": float(rng.uniform(lo, hi))}
 
 
 @dataclass
@@ -159,6 +167,8 @@ def check_closure(
 
     Coefficient functions are sampled at n+3 generic plane points and the
     least-squares system solved; residual above tol names the failing pair.
+    A pair gets two draws of points: a draw where a coefficient is undefined
+    is dropped, and so is a first draw whose system is rank deficient.
     """
     n = len(fields)
     if n < 2:
@@ -166,34 +176,24 @@ def check_closure(
     params = dict(params or {})
     rng = np.random.default_rng(seed)
 
-    def field_fns(f: VectorField):
-        xi = bind_params(f.xi, params)
-        eta = bind_params(f.eta, params)
-        return compile_fn(xi, ["x", "y"]), compile_fn(eta, ["x", "y"])
+    def kernel(fs: list[VectorField]):
+        return compile_columns([bind_params(c, params)
+                                for f in fs for c in (f.xi, f.eta)], ("x", "y"))
 
-    basis_fns = [field_fns(f) for f in fields]
+    basis = kernel(fields)
     constants: dict[tuple[int, int], np.ndarray] = {}
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            br = lie_bracket(fields[i], fields[j])
-            br_fns = field_fns(br)
+            bracket = kernel([lie_bracket(fields[i], fields[j])])
             solved = None
             for attempt in range(2):
-                pts = [_sample_plane(rng) for _ in range(n + 3)]
-                rows = []
-                rhs = []
-                try:
-                    for p in pts:
-                        args = (p["x"], p["y"])
-                        rows.append([fn[0](*args) for fn in basis_fns])
-                        rows.append([fn[1](*args) for fn in basis_fns])
-                        rhs.append(br_fns[0](*args))
-                        rhs.append(br_fns[1](*args))
-                except DomainError:
+                x, y = rng.uniform(0.5, 2.5, size=(n + 3, 2)).T
+                # rows interleave xi and eta point by point
+                a = np.array(basis(x, y)).reshape(n, 2, n + 3).T.reshape(-1, n)
+                b = np.array(bracket(x, y)).T.reshape(-1)
+                if not (np.isfinite(a).all() and np.isfinite(b).all()):
                     continue
-                a = np.asarray(rows)
-                b = np.asarray(rhs)
                 c, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
                 if rank < n and attempt == 0:
                     continue  # degenerate sample, retry with new points
@@ -224,7 +224,8 @@ def jacobi_residual(
     n_points: int = 50,
     seed: int = 42,
 ) -> float:
-    """Max coefficient of the cyclic double-bracket sum at random points."""
+    """Max coefficient of the cyclic double-bracket sum at random points; a
+    point where it is undefined is a DomainError naming xi or eta."""
     a, b, c = fields
     params = dict(params or {})
     terms = [
@@ -234,28 +235,19 @@ def jacobi_residual(
     ]
     xi = bind_params(simplify(terms[0].xi + terms[1].xi + terms[2].xi), params)
     eta = bind_params(simplify(terms[0].eta + terms[1].eta + terms[2].eta), params)
-    xi_fn = compile_fn(xi, ("x", "y"))
-    eta_fn = compile_fn(eta, ("x", "y"))
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        p = _sample_plane(rng)
-        worst = max(worst, abs(xi_fn(p["x"], p["y"])),
-                    abs(eta_fn(p["x"], p["y"])))
-    return worst
+    x, y = rng.uniform(0.5, 2.5, size=(n_points, 2)).T
+    values = np.abs(compile_columns([xi, eta], ("x", "y"))(x, y)).T
+    undefined = np.flatnonzero(np.isnan(values))
+    if len(undefined):
+        raise DomainError("undefined at a sampled point",
+                          (xi, eta)[undefined[0] % 2])
+    return float(values.max(initial=0.0))
 
 
-def sample_jet_point(rng: np.random.Generator) -> dict[str, float]:
-    """Generic jet point in the standard box with xm < x enforced."""
-    return {
-        "x": float(rng.uniform(1.6, 2.5)),
-        "y": float(rng.uniform(0.5, 2.5)),
-        "xm": float(rng.uniform(0.5, 1.5)),
-        "ym": float(rng.uniform(0.5, 2.5)),
-        "dy": float(rng.uniform(0.5, 2.5)),
-        "dym": float(rng.uniform(0.5, 2.5)),
-        "ddy": float(rng.uniform(0.5, 2.5)),
-    }
+#: the jet box of invariant_count, in JET order; xm < x on all of it
+_JET_BOX = ((1.6, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+            (2.5, 2.5, 1.5, 2.5, 2.5, 2.5, 2.5))
 
 
 def invariant_count(
@@ -269,33 +261,33 @@ def invariant_count(
 
     Singular values below sv_tol * largest are treated as zero; the
     coefficients are O(1) on the sampling box so the threshold is absolute
-    in effect.
+    in effect.  Points are drawn from the jet box x in (1.6, 2.5),
+    xm in (0.5, 1.5) and the other coordinates in (0.5, 2.5).  A point
+    where a coefficient of some field is undefined or not finite is
+    dropped and another drawn, up to 20 * n_points draws in all; fewer
+    than n_points usable points is a SymmetryError.
     """
     if not fields:
         raise ValueError("need at least one field")
     params = dict(params or {})
     rng = np.random.default_rng(seed)
-    compiled = []
-    for f in fields:
-        pro = prolong(f)
-        compiled.append(
-            [compile_fn(bind_params(c, params), JET) for c in pro.coefficients()]
-        )
+    kernels = [field_kernel(f, params) for f in fields]
     best_rank = 0
     points: list[tuple[float, ...]] = []
     trials = 0
     while len(points) < n_points and trials < 20 * n_points:
-        trials += 1
-        p = sample_jet_point(rng)
-        args = tuple(p[v] for v in JET)
-        try:
-            z = np.array([[fn(*args) for fn in row] for row in compiled])
-        except DomainError:
-            continue
-        sv = np.linalg.svd(z, compute_uv=False)
-        rank = int(np.sum(sv > sv_tol * max(sv[0], 1e-300)))
-        best_rank = max(best_rank, rank)
-        points.append(args)
+        # never more rows than still needed or left of the draw budget
+        m = min(n_points - len(points), 20 * n_points - trials)
+        trials += m
+        jet = rng.uniform(*_JET_BOX, size=(m, 7))
+        # z[r] is the (fields, 7) coefficient matrix at row r
+        z = np.array([k(*jet.T) for k in kernels]).transpose(2, 0, 1)
+        ok = np.isfinite(z).all(axis=(1, 2))
+        if ok.any():
+            sv = np.linalg.svd(z[ok], compute_uv=False)
+            rank = np.sum(sv > sv_tol * np.maximum(sv[:, :1], 1e-300), axis=1)
+            best_rank = max(best_rank, int(rank.max()))
+        points.extend(map(tuple, jet[ok].tolist()))
     if len(points) < n_points:
         raise SymmetryError("could not sample enough generic jet points")
     return ZReport(dim_m=7, rank_z=best_rank, k=7 - best_rank,

@@ -305,6 +305,22 @@ class TestExport:
             parse_catalog_text(text)
         assert str(err.value) == message
 
+    def test_unclosed_last_entry_is_an_error(self):
+        # three exported blocks with the last `end` removed
+        blocks = export_text().split("end\n\n")[:3]
+        text = "end\n\n".join(blocks[:2] + [blocks[2].removesuffix("end\n")])
+        assert text.count("\nend\n") == 2
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text(text)
+        assert str(err.value) == "entry 'A2_2' is not closed by 'end'"
+
+    def test_entry_opened_inside_another_is_an_error(self):
+        text = "entry A1_1\nalgebra = L1\nentry A2_1\nalgebra = L2\nend\n"
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text(text)
+        assert str(err.value) == \
+            "line 3: entry 'A1_1' is not closed by 'end'"
+
     def test_reparsed_entry_still_checks(self):
         text = export_text()
         by_id = {e.id: e for e in parse_catalog_text(text)}

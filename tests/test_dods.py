@@ -13,7 +13,6 @@ from dodesym.dods import (
     DodsSystem,
     InvarianceReport,
     SamplingError,
-    _field_kernels,
     _residuals,
     _sample_manifold,
     check_algebra,
@@ -23,7 +22,7 @@ from dodesym.dods import (
     sample_point,
 )
 from dodesym.expr import evaluate, parse
-from dodesym.symmetry import JET, VectorField, prolong
+from dodesym.symmetry import JET, VectorField, field_kernel, prolong
 
 
 def a24_example():
@@ -46,7 +45,7 @@ def prolonged_residuals(f, g, field, point=POINT):
     system = DodsSystem(f=parse(f), g=parse(g))
     jet = np.array([[point[v]] for v in JET])
     r_dode, r_delay, ok = _residuals(system.kernels(),
-                                     _field_kernels(system, field), jet)
+                                     field_kernel(field, system.params), jet)
     assert ok.tolist() == [True]
     return float(r_dode[0]), float(r_delay[0])
 
@@ -125,9 +124,9 @@ class TestCheckInvariance:
         jet, _ = _sample_manifold(np.random.default_rng(2), system.box, 25,
                                   kernels)
         assert jet.shape == (7, 25)
-        res1, res2, resc = (_residuals(kernels, _field_kernels(system, fld),
-                                       jet)
-                            for fld in (x1, x2, combo))
+        res1, res2, resc = (
+            _residuals(kernels, field_kernel(fld, system.params), jet)
+            for fld in (x1, x2, combo))
         # both halves: pr X (ddy - f) and pr X (xm - g)
         for lhs, r1, r2 in zip(resc[:2], res1[:2], res2[:2]):
             assert np.all(np.abs(lhs - (a * r1 + b * r2)) < 1e-10)
@@ -228,7 +227,7 @@ class TestColumnwiseMatchesPointLoop:
     def test_catalog_systems(self, entry_id):
         entry, system = catalog._build_system(
             catalog.default_instantiation(entry_id))
-        fields = list(entry.basis) + [catalog.negative_control(entry, system)]
+        fields = list(entry.basis) + [catalog.negative_control(entry)]
         want = [reference_check(system, fld, n=120, seed=7 + i)
                 for i, fld in enumerate(fields)]
         assert [check_invariance(system, fld, n=120, seed=7 + i)

@@ -39,7 +39,7 @@ class TestParse:
         expected = 2.0 * 1.5 ** 2 * (1.0 - 0.25) / (4.0 - 2.0)
         assert evaluate(e, binds) == pytest.approx(expected, rel=1e-15)
         # alpha, n1, n2 come out as parameters, not variables
-        assert {"alpha", "n1", "n2"} <= E.free_params(e)
+        assert {"alpha", "n1", "n2"} <= E.free_symbols(e) - set(E.VARIABLES)
 
     def test_unbalanced_parenthesis_offset(self):
         with pytest.raises(ParseError) as err:

@@ -20,7 +20,6 @@ from dodesym.integrate import (
     _delay_spec,
     _sign_scan,
     combine_trajectories,
-    interpolate,
     residual_on_trajectory,
     solve,
     solve_numeric,
@@ -128,7 +127,7 @@ class TestInterpolate:
     def test_breakpoints_are_exact(self):
         traj = solve(linear_delay_system(), ramp_history(), 1.0, 1.5, 0.01)
         for i in (0, 7, len(traj.xs) - 1):
-            y, dy = interpolate(traj, traj.xs[i])
+            y, dy = traj.interpolate(traj.xs[i])
             assert y == traj.ys[i] and dy == traj.dys[i]
 
     def test_cubic_segments_are_reproduced(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dodesym import catalog
 from dodesym import expr as E
 from dodesym import reduce as reduce_mod
 from dodesym import traffic
@@ -17,7 +18,7 @@ from dodesym.reduce import (
     validate_invariants,
     verify_invariant_solution,
 )
-from dodesym.symmetry import VectorField
+from dodesym.symmetry import VectorField, prolong
 from tests.conftest import bisect_root
 
 
@@ -242,3 +243,100 @@ class TestAnnihilationProperties:
         sol = InvariantSolution(h=h_expr, k=k_expr, A=closed, B=p.tau,
                                 residual=0.0)
         assert consistency_residual(sol, pair, (0.5, 2.5)) < 1e-10
+
+
+def reference_annihilation(x_field, pair, params=None, n=100, seed=42):
+    """validate_invariants' numbers as a loop over single points of
+    compile_fn closures: (worst |pr X J|, points checked, singular points)."""
+    params = dict(params or {})
+    pro = prolong(x_field)
+    coords = ("x", "y", "xm", "ym")
+    coeffs = [E.compile_fn(E.bind_params(c, params), coords)
+              for c in (pro.xi, pro.eta, pro.xi_m, pro.eta_m)]
+    partials = [[E.compile_fn(E.diff(E.bind_params(j, params), v), coords)
+                 for v in coords] for j in (pair.J1, pair.J2)]
+    (_, j1_y, j1_xm, _), (_, j2_y, j2_xm, _) = partials
+    rng = np.random.default_rng(seed)
+    worst, checked, jac_bad = 0.0, 0, 0
+    for _ in range(6 * n):
+        if checked >= n:
+            break
+        pt = (float(rng.uniform(1.6, 2.5)), float(rng.uniform(0.5, 2.5)),
+              float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 2.5)))
+        try:
+            c = [fn(*pt) for fn in coeffs]
+            for dj in partials:
+                ann = 0.0  # summed left to right
+                for i in range(4):
+                    ann += c[i] * dj[i](*pt)
+                worst = max(worst, abs(ann))  # a NaN never wins
+            det = j1_y(*pt) * j2_xm(*pt) - j1_xm(*pt) * j2_y(*pt)
+            jac_bad += abs(det) < 1e-10
+        except E.DomainError:
+            continue
+        checked += 1
+    return worst, checked, jac_bad
+
+
+#: a generic pair, annihilated by few fields, so the maxima are not zero
+GENERIC_PAIR = InvariantPair(J1=parse("y - x^2"), J2=parse("x*ym - xm"))
+
+#: pairs whose coefficients or partials are undefined or overflow on part
+#: of the box
+PARTIAL_PAIRS = [
+    (VectorField.from_text("1", "sqrt(y - 1.5)"),
+     InvariantPair(J1=parse("ln(y - 1.2) - x"), J2=parse("x - xm"))),
+    (VectorField.from_text("x", "y"),
+     InvariantPair(J1=parse("sqrt(y - 1)/x"), J2=parse("ln(xm - 0.7)/x"))),
+    (VectorField.from_text("1", "sqrt(y - 1)"),
+     InvariantPair(J1=parse("y - x"), J2=parse("ln(ym - 1.1) + x - xm"))),
+    (VectorField.from_text("1", "0"),
+     InvariantPair(J1=parse("exp(705*y)"), J2=parse("x - xm"))),
+    # |pr X J1| = exp(-4 ym) is largest where J2 is undefined (ym < 1.1)
+    (VectorField.from_text("1", "0"),
+     InvariantPair(J1=parse("y - x*exp(-4*ym)"),
+                   J2=parse("sqrt(ym - 1.1) + x - xm"))),
+    # singular everywhere, and counted only where the field is defined
+    (VectorField.from_text("1", "sqrt(y - 1.5)"),
+     InvariantPair(J1=parse("y - x"), J2=parse("y + x"))),
+    # pr X J1 is inf - inf = NaN at every point, and never counts
+    (VectorField.from_text("1e300", "-1e300"),
+     InvariantPair(J1=parse("1e10*x + 1e10*y"), J2=parse("x - xm"))),
+    # pr X J1 overflows to inf on part of the box
+    (VectorField.from_text("1e300", "1e300*(y - 1.5)"),
+     InvariantPair(J1=parse("1e10*x - 1e10*y"), J2=parse("x - xm"))),
+]
+
+
+class TestAnnihilationMatchesPointLoop:
+    """validate_invariants' maxima and counts equal a loop over single
+    points, bit for bit."""
+
+    @pytest.mark.parametrize("entry", [e for e in catalog.list_entries()
+                                       if e.basis], ids=lambda e: e.id)
+    def test_catalog_fields(self, entry):
+        for i, f in enumerate(entry.basis):
+            for seed in (0, 1):
+                got = reduce_mod._annihilation(f, GENERIC_PAIR,
+                                               entry.default_params, 30,
+                                               seed + i)
+                assert repr(got) == repr(reference_annihilation(
+                    f, GENERIC_PAIR, entry.default_params, 30, seed + i))
+
+    @pytest.mark.parametrize("x_field,pair", PARTIAL_PAIRS)
+    def test_undefined_and_overflowing_points(self, x_field, pair):
+        for seed in range(6):
+            for n in (1, 13, 100):
+                got = reduce_mod._annihilation(x_field, pair, {}, n, seed)
+                assert repr(got) == repr(
+                    reference_annihilation(x_field, pair, {}, n, seed))
+
+    def test_draw_budget(self):
+        # partials defined on y < 0.52 only: 6n draws leave too few points
+        pair = InvariantPair(J1=parse("sqrt(0.52 - y)"), J2=parse("x - xm"))
+        x_field = VectorField.from_text("1", "0")
+        got = reduce_mod._annihilation(x_field, pair, {}, 20, 4)
+        assert got == reference_annihilation(x_field, pair, {}, 20, 4)
+        assert got[1] < 20
+        with pytest.raises(ReduceError, match="enough admissible"):
+            validate_invariants(x_field, pair, n=20, seed=4)

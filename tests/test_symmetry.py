@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dodesym import catalog
 from dodesym import expr as E
 from dodesym.expr import Const, evaluate, parse
 from dodesym.symmetry import (
     ClosureError,
+    SymmetryError,
     VectorField,
     check_closure,
     invariant_count,
     jacobi_residual,
     lie_bracket,
     prolong,
-    sample_jet_point,
     JET,
 )
 
@@ -22,11 +23,32 @@ def field(xi, eta, label=""):
     return VectorField.from_text(xi, eta, label)
 
 
+def sample_jet_point(rng):
+    """A jet point of the box invariant_count samples, drawn coordinate by
+    coordinate in JET order."""
+    lo = (1.6, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+    hi = (2.5, 2.5, 1.5, 2.5, 2.5, 2.5, 2.5)
+    return {v: float(rng.uniform(a, b)) for v, a, b in zip(JET, lo, hi)}
+
+
 def assert_expr_zero(e, samples=20, seed=3):
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         pt = sample_jet_point(rng)
         assert abs(evaluate(e, pt)) < 1e-12
+
+
+#: every catalog field list with its default parameters
+CATALOG_BASES = [(entry.id, list(entry.basis), entry.default_params)
+                 for entry in catalog.list_entries() if entry.basis]
+
+#: fields whose coefficients simplify to other trees
+UNSIMPLIFIED = ("unsimplified", [field("x + x - x*1", "y*1 + 0*x"),
+                                 field("x^1*y - 0", "(y - y) + 3*2")], {})
+
+#: fields undefined on part of the sampling boxes
+PARTIAL_FIELDS = [field("1", "sqrt(y - 1.5)"), field("0", "ln(y - 0.6)"),
+                  field("x", "sqrt(2.2 - x) + y")]
 
 
 class TestProlong:
@@ -85,6 +107,24 @@ class TestProlong:
 
             central = (slope_after(+1) - slope_after(-1)) / (2 * eps)
             assert abs(central - evaluate(pro.zeta1, pt)) < 1e-6
+
+    @pytest.mark.parametrize("entry_id,basis,params",
+                             CATALOG_BASES + [UNSIMPLIFIED])
+    def test_coefficients_are_simplified_renamings(self, entry_id, basis,
+                                                   params):
+        # compared by repr, so 0.0 and -0.0 differ
+        shift = {"x": E.XM, "y": E.YM}
+        for f in basis:
+            pro = prolong(f)
+            for c in pro.coefficients():
+                assert repr(E.simplify(c)) == repr(c)
+            assert repr(pro.xi_m) == repr(E.subs(pro.xi, shift))
+            assert repr(pro.eta_m) == repr(E.subs(pro.eta, shift))
+            assert repr(pro.zeta1_m) == repr(
+                E.subs(pro.zeta1, {**shift, "dy": E.DYM}))
+            # the renamings are what simplifying the renamed trees gives
+            assert repr(pro.xi_m) == repr(E.simplify(E.subs(f.xi, shift)))
+            assert repr(pro.eta_m) == repr(E.simplify(E.subs(f.eta, shift)))
 
     def test_rejects_jet_symbols_in_coefficients(self):
         with pytest.raises(ValueError):
@@ -157,6 +197,34 @@ class TestJacobi:
         fields = tuple(field(*spec) for spec in triple)
         assert jacobi_residual(fields, params={"a": 0.5}) < 1e-10
 
+    @pytest.mark.parametrize("entry_id,basis,params",
+                             [c for c in CATALOG_BASES if len(c[1]) >= 3])
+    def test_matches_point_loop(self, entry_id, basis, params):
+        a, b, c = basis[:3]
+        t = [lie_bracket(lie_bracket(a, b), c),
+             lie_bracket(lie_bracket(b, c), a),
+             lie_bracket(lie_bracket(c, a), b)]
+        fns = [E.compile_fn(E.bind_params(E.simplify(s), params), ("x", "y"))
+               for s in (t[0].xi + t[1].xi + t[2].xi,
+                         t[0].eta + t[1].eta + t[2].eta)]
+        rng = np.random.default_rng(5)
+        want = 0.0
+        for _ in range(50):
+            x, y = float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5))
+            want = max(want, abs(fns[0](x, y)), abs(fns[1](x, y)))
+        got = jacobi_residual((a, b, c), params=params, seed=5)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("spec", [("sqrt(y - 0.52)", "0"),
+                                      ("0", "sqrt(y - 0.52)")])
+    def test_undefined_point_names_the_coefficient(self, spec):
+        # the double brackets leave sqrt(y - 0.52) in xi or in eta only
+        fields = (field("x", "y"), field("y", "x"), field(*spec))
+        with pytest.raises(E.DomainError,
+                           match="undefined at a sampled point in") as err:
+            jacobi_residual(fields)
+        assert "sqrt" in E.to_text(err.value.subexpr)
+
 
 class TestInvariantCount:
     def test_single_vertical_field(self):
@@ -197,3 +265,187 @@ class TestInvariantCount:
         for pt in report.sample_points:
             as_dict = dict(zip(JET, pt))
             assert as_dict["xm"] < as_dict["x"]
+
+
+# ---------------------------------------------------------------------------
+# the column-kernel checks against loops over single points
+
+
+def reference_invariant_count(fields, params=None, n_points=5, seed=42,
+                              sv_tol=1e-8):
+    """invariant_count as a loop over single points of compile_fn closures:
+    (rank_z, sample_points)."""
+    params = dict(params or {})
+    rng = np.random.default_rng(seed)
+    compiled = [[E.compile_fn(E.bind_params(c, params), JET)
+                 for c in prolong(f).coefficients()] for f in fields]
+    best_rank = 0
+    points = []
+    trials = 0
+    while len(points) < n_points and trials < 20 * n_points:
+        trials += 1
+        pt = sample_jet_point(rng)
+        args = tuple(pt[v] for v in JET)
+        try:
+            z = np.array([[fn(*args) for fn in row] for row in compiled])
+        except E.DomainError:
+            continue
+        sv = np.linalg.svd(z, compute_uv=False)
+        best_rank = max(best_rank,
+                        int(np.sum(sv > sv_tol * max(sv[0], 1e-300))))
+        points.append(args)
+    if len(points) < n_points:
+        raise SymmetryError("could not sample enough generic jet points")
+    return best_rank, points
+
+
+def reference_closure(fields, params=None, seed=42, tol=1e-9):
+    """check_closure as a loop over single points of compile_fn closures:
+    the sorted constants and the residual, or the error text."""
+    n = len(fields)
+    params = dict(params or {})
+    rng = np.random.default_rng(seed)
+
+    def fns(f):
+        return [E.compile_fn(E.bind_params(c, params), ("x", "y"))
+                for c in (f.xi, f.eta)]
+
+    basis = [fns(f) for f in fields]
+    constants, worst = {}, 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = fns(lie_bracket(fields[i], fields[j]))
+            solved = None
+            for attempt in range(2):
+                pts = [(float(rng.uniform(0.5, 2.5)),
+                        float(rng.uniform(0.5, 2.5))) for _ in range(n + 3)]
+                rows, rhs = [], []
+                try:
+                    for p in pts:
+                        rows.append([fn[0](*p) for fn in basis])
+                        rows.append([fn[1](*p) for fn in basis])
+                        rhs.append(bracket[0](*p))
+                        rhs.append(bracket[1](*p))
+                except E.DomainError:
+                    continue
+                a, b = np.asarray(rows), np.asarray(rhs)
+                c, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+                if rank < n and attempt == 0:
+                    continue
+                solved = (c, float(np.max(np.abs(a @ c - b))))
+                break
+            names = (fields[i].label or i, fields[j].label or j)
+            if solved is None:
+                return ("could not sample a well-posed span system for "
+                        f"[{names[0]}, {names[1]}]")
+            if solved[1] > tol:
+                return (f"bracket [{names[0]}, {names[1]}] leaves the span"
+                        f" (residual {solved[1]:.3e})")
+            constants[(i, j)] = solved[0].tolist()
+            worst = max(worst, solved[1])
+    return sorted(constants.items()), worst
+
+
+def closure_outcome(fields, params=None, seed=42):
+    try:
+        result = check_closure(fields, params=params, seed=seed)
+    except ClosureError as exc:
+        return str(exc)
+    return (sorted((k, v.tolist()) for k, v in result.constants.items()),
+            result.residual)
+
+
+def rank_outcome(fields, params=None, n_points=5, seed=42):
+    try:
+        report = invariant_count(fields, params=params, n_points=n_points,
+                                 seed=seed)
+    except SymmetryError as exc:
+        return str(exc)
+    assert report.k == 7 - report.rank_z
+    return report.rank_z, report.sample_points
+
+
+def reference_rank_outcome(fields, params=None, n_points=5, seed=42):
+    try:
+        return reference_invariant_count(fields, params, n_points, seed)
+    except SymmetryError as exc:
+        return str(exc)
+
+
+class TestColumnsMatchPointLoop:
+    """Rank and closure answers equal a loop over single points, bit for bit
+    (compared by repr, so 0.0 and -0.0 differ)."""
+
+    @pytest.mark.parametrize("entry_id,basis,params", CATALOG_BASES)
+    def test_catalog_rank(self, entry_id, basis, params):
+        for seed in (0, 1, 2):
+            assert repr(rank_outcome(basis, params, seed=seed)) == \
+                repr(reference_rank_outcome(basis, params, seed=seed))
+
+    @pytest.mark.parametrize("entry_id,basis,params",
+                             [c for c in CATALOG_BASES if len(c[1]) >= 2])
+    def test_catalog_closure(self, entry_id, basis, params):
+        for seed in (0, 1, 2):
+            assert repr(closure_outcome(basis, params, seed)) == \
+                repr(reference_closure(basis, params, seed))
+
+    @pytest.mark.parametrize("partial", PARTIAL_FIELDS)
+    def test_rank_redraws_undefined_points(self, partial):
+        fields = [partial, field("1", "0")]
+        redrawn = 0
+        for seed in range(8):
+            for n_points in (1, 5, 9):
+                want = reference_rank_outcome(fields, n_points=n_points,
+                                              seed=seed)
+                got = rank_outcome(fields, n_points=n_points, seed=seed)
+                assert repr(got) == repr(want)
+                # the points kept are not the first ones drawn
+                rng = np.random.default_rng(seed)
+                first = [tuple(sample_jet_point(rng).values())
+                         for _ in range(n_points)]
+                redrawn += got[1] != first
+        assert redrawn
+
+    def test_rank_draw_budget(self):
+        # defined on y < 0.51 only: 20 * n_points draws are not enough
+        fields = [field("1", "sqrt(0.51 - y)")]
+        assert rank_outcome(fields, seed=3) == \
+            reference_rank_outcome(fields, seed=3) == \
+            "could not sample enough generic jet points"
+
+    @pytest.mark.parametrize("partial", PARTIAL_FIELDS)
+    def test_closure_with_undefined_points(self, partial):
+        for seed in range(10):
+            fields = [field("1", "0"), partial, field("0", "1")]
+            assert repr(closure_outcome(fields, seed=seed)) == \
+                repr(reference_closure(fields, seed=seed))
+
+    def test_closure_redraws_after_an_undefined_first_draw(self):
+        # ln(y - 0.6) is undefined at the first draw of seed 1 and defined
+        # at its second; [d/dx, ln(y - 0.6) d/dy] = 0 is in the span
+        fields = [field("1", "0"), field("0", "ln(y - 0.6)")]
+        rng = np.random.default_rng(1)
+        first, second = (rng.uniform(0.5, 2.5, size=(5, 2)) for _ in "12")
+        assert (first[:, 1] <= 0.6).any() and (second[:, 1] > 0.6).all()
+        result = check_closure(fields, seed=1)
+        assert result.constants[(0, 1)].tolist() == [0.0, 0.0]
+        assert repr(closure_outcome(fields, seed=1)) == \
+            repr(reference_closure(fields, seed=1))
+
+    def test_closure_redraws_after_a_rank_deficient_first_draw(self):
+        # y - 1.5 and abs(y - 1.5) are parallel when every y of the first
+        # draw of seed 34 lies on one side of 1.5
+        fields = [field("0", "1"), field("0", "y - 1.5"),
+                  field("0", "abs(y - 1.5)")]
+        first = np.random.default_rng(34).uniform(0.5, 2.5, size=(6, 2))
+        assert len(set(np.sign(first[:, 1] - 1.5))) == 1
+        assert repr(closure_outcome(fields, seed=34)) == \
+            repr(reference_closure(fields, seed=34))
+
+    def test_closure_rejects_an_overflowing_bracket(self):
+        # the basis is finite on the box, the bracket 2e308*y is not
+        # wherever y > 0.9
+        fields = [field("0", "1e200"), field("0", "1e108*y^2")]
+        assert closure_outcome(fields, seed=3) == reference_closure(
+            fields, seed=3) == ("could not sample a well-posed span system"
+                                " for [0;1e200, 0;1e108*y^2]")
