@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .dods import (DelayKind, DodsSystem, SamplingError, _numbers,
-                   check_algebra)
+from .dods import (DelayKind, DodsSystem, SamplingError, _delay_kind,
+                   _numbers, check_algebra)
 from .expr import (Const, Expr, Param, compile_fn, free_symbols, parse, subs,
                    to_text)
-from .symmetry import VectorField, check_closure
+from .symmetry import VectorField, _plane_kernel, _span_fit, check_closure
 
 _X, _Y, _XM, _YM, _DY, _DYM, _DDY = E.X, E.Y, E.XM, E.YM, E.DY, E.DYM, E.DDY
 
@@ -631,23 +631,14 @@ def _build_system(inst: Instantiation) -> tuple[CatalogEntry, DodsSystem]:
             "delay relation is not explicit: the chosen G slots involve the"
             " delayed abscissa; this family only admits xm-free delay choices"
         )
-    g_expr = E.simplify(g_expr)
-    kind = entry.delay_kind
-    if kind is not DelayKind.CONSTANT:
-        # a concrete delay choice may still be a constant shift of x
-        shift = E.bind_params(g_expr - E.X, params)
-        if free_symbols(shift) <= {"x"}:
-            shift_fn = compile_fn(shift, ("x",))
-            try:
-                vals = [shift_fn(t) for t in (0.6, 1.1, 2.3)]
-                if max(vals) - min(vals) < 1e-13:
-                    kind = DelayKind.CONSTANT
-            except E.DomainError:
-                pass
     system = DodsSystem(
-        f=E.simplify(f_expr), g=g_expr, params=params,
-        delay_kind=kind, label=entry.id,
+        f=E.simplify(f_expr), g=E.simplify(g_expr), params=params,
+        delay_kind=entry.delay_kind, label=entry.id,
     )
+    # a concrete delay choice may still be a constant shift of x
+    if system.delay_kind is not DelayKind.CONSTANT \
+            and system.constant_delay() is not None:
+        system.delay_kind = DelayKind.CONSTANT
     system.box = {**system.box, **entry.box}
     try:
         system.validate()
@@ -669,8 +660,6 @@ def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
     means it vanishes inside the interval, a near-zero magnitude means it
     nearly does; either way the input is rejected.
     """
-    if entry.second_order_minor is None:
-        return
     minor = E.subs(system.bound(entry.second_order_minor),
                    {"xm": system.bound(system.g)})
     lo, hi = system.box.get("x", (0.5, 2.5))
@@ -701,23 +690,14 @@ def negative_control(entry: CatalogEntry, seed: int = 42) -> VectorField:
     candidates = [parse("0.1*x^2"), parse("0.1*x^3"), parse("0.1*sin(x)"),
                   parse("0.1*exp(x)"), parse("0.1*sin(5*x)"),
                   parse("0.1/(x + 0.5)")]
-    params = dict(entry.default_params)
+    basis = _plane_kernel(list(entry.basis), entry.default_params)
     rng = np.random.default_rng(seed)
-    pts = [(float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)))
-           for _ in range(len(entry.basis) + 4)]
+    x, y = rng.uniform(0.5, 2.5, size=(len(entry.basis) + 4, 2)).T
     base = entry.basis[0]
-    cols = []
-    for f in entry.basis:
-        xi = compile_fn(E.bind_params(f.xi, params), ("x", "y"))
-        eta = compile_fn(E.bind_params(f.eta, params), ("x", "y"))
-        cols.append([xi(px, py) for px, py in pts]
-                    + [eta(px, py) for px, py in pts])
-    a = np.array(cols).T
     for pert in candidates:
-        pert_fn = compile_fn(pert, ("x", "y"))
-        b = np.array([0.0] * len(pts) + [pert_fn(px, py) for px, py in pts])
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if float(np.max(np.abs(a @ coef - b))) > 1e-3:
+        fit = _span_fit(basis, _plane_kernel([VectorField(Const(0.0), pert)],
+                                             {}), x, y)
+        if fit is not None and fit[1] > 1e-3:
             return VectorField(base.xi, E.simplify(base.eta + pert),
                                label=f"{base.label}+perturbation")
     raise CatalogError(f"no perturbation outside the span for '{entry.id}'")
@@ -778,10 +758,20 @@ def export_text() -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+#: keys of an entry block that set one CatalogEntry field: the field and
+#: the reader of the value
+_SCALAR_KEYS = {
+    "algebra": ("algebra_label", str), "notes": ("notes", str),
+    "f_template": ("f_template", parse), "g_template": ("g_template", parse),
+    "default_F": ("default_f", parse), "default_G": ("default_g", parse),
+    "second_order_minor": ("second_order_minor", parse),
+}
+
+
 def parse_catalog_text(text: str) -> list[CatalogEntry]:
     """Rebuild entry structures from export_text output."""
     entries: list[CatalogEntry] = []
-    current: dict | None = None
+    current: dict | None = None  # the open block's CatalogEntry fields
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -790,63 +780,34 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
             if current is not None:
                 raise CatalogError(f"line {lineno}: entry '{current['id']}'"
                                    " is not closed by 'end'")
-            current = {
-                "id": line[len("entry "):].strip(), "fields": [],
-                "f_slots": [], "g_slots": [], "params": {}, "box": {},
-                "constraints": [], "notes": "", "algebra": "",
-                "f_template": None, "g_template": None,
-                "default_F": None, "default_G": None,
-                "delay": DelayKind.STATE_DEPENDENT, "minor": None,
-            }
+            current = {"id": line[len("entry "):].strip(), "algebra_label": "",
+                       "basis": [], "f_slots": [], "g_slots": [],
+                       "default_params": {}, "constraints": [], "box": {}}
             continue
         if current is None:
             raise CatalogError(f"line {lineno}: content outside an entry block")
         if line == "end":
-            basis = tuple(
-                VectorField.from_text(xi, eta, label=label or f"X{i + 1}")
-                for i, (xi, eta, label) in enumerate(current["fields"])
-            )
-            entries.append(CatalogEntry(
-                id=current["id"], algebra_label=current["algebra"],
-                basis=basis,
-                f_template=current["f_template"],
-                g_template=current["g_template"],
-                f_slots=tuple(current["f_slots"]),
-                g_slots=tuple(current["g_slots"]),
-                default_f=current["default_F"],
-                default_g=current["default_G"],
-                default_params=current["params"],
-                constraints=tuple(current["constraints"]),
-                box=current["box"],
-                delay_kind=current["delay"],
-                notes=current["notes"],
-                second_order_minor=current["minor"],
-            ))
+            entries.append(CatalogEntry(**{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in current.items()}))
             current = None
             continue
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "algebra":
-            current["algebra"] = value
+        if key in _SCALAR_KEYS:
+            name, read = _SCALAR_KEYS[key]
+            current[name] = read(value)
         elif key == "field":
             spec, _, label = value.partition("::")
             xi, _, eta = spec.partition(";")
-            current["fields"].append((xi.strip(), eta.strip(), label.strip()))
-        elif key == "f_template":
-            current["f_template"] = parse(value)
-        elif key == "g_template":
-            current["g_template"] = parse(value)
-        elif key.startswith("f_slot"):
-            current["f_slots"].append(parse(value))
-        elif key.startswith("g_slot"):
-            current["g_slots"].append(parse(value))
-        elif key == "default_F":
-            current["default_F"] = parse(value)
-        elif key == "default_G":
-            current["default_G"] = parse(value)
+            basis = current["basis"]
+            basis.append(VectorField.from_text(
+                xi.strip(), eta.strip(), label.strip() or f"X{len(basis) + 1}"))
+        elif key.startswith(("f_slot", "g_slot")):
+            current[key[:6] + "s"].append(parse(value))
         elif key.startswith("param "):
-            current["params"][key[len("param "):].strip()] = _numbers(
+            current["default_params"][key[len("param "):].strip()] = _numbers(
                 value, lineno, CatalogError)[0]
         elif key == "constraint":
             rule, _, description = value.partition("::")
@@ -855,15 +816,7 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
             current["box"][key[len("box "):].strip()] = _numbers(
                 value, lineno, CatalogError, count=2)
         elif key == "delay":
-            try:
-                current["delay"] = DelayKind(value)
-            except ValueError:
-                raise CatalogError(f"line {lineno}: delay must be constant,"
-                                   " independent or state") from None
-        elif key == "second_order_minor":
-            current["minor"] = parse(value)
-        elif key == "notes":
-            current["notes"] = value
+            current["delay_kind"] = _delay_kind(value, lineno, CatalogError)
         else:
             raise CatalogError(f"line {lineno}: unknown key '{key}'")
     if current is not None:

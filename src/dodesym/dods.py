@@ -30,9 +30,11 @@ from typing import Callable
 import numpy as np
 
 from .expr import (
+    DomainError,
     Expr,
     bind_params,
     compile_columns,
+    compile_fn,
     diff,
     free_symbols,
     parse,
@@ -94,6 +96,24 @@ class DodsSystem:
         if getattr(self, "_compiled", (None,))[0] != key:
             self._compiled = (key, _SystemKernels.build(self))
         return self._compiled[1]
+
+    def constant_delay(self) -> float | None:
+        """tau where g is x - tau, else None.
+
+        x - g is taken at x = 0, 0.7 and 1.3 and must spread by at most
+        1e-12; tau = 0 - g(0).  A g that reads a jet coordinate other than
+        x, or is undefined at one of these points, is not a constant delay.
+        An unbound parameter raises UnboundSymbolError.
+        """
+        g = self.bound(self.g)
+        if free_symbols(g) & set(JET) - {"x"}:
+            return None
+        g_fn = compile_fn(g, ("x",))
+        try:
+            taus = [x - g_fn(x) for x in (0.0, 0.7, 1.3)]
+        except DomainError:
+            return None
+        return taus[0] if max(taus) - min(taus) <= 1e-12 else None
 
     def validate(self, n: int = 20, seed: int = 7) -> None:
         """Numeric sanity of the defining pair on the sampling box.
@@ -344,12 +364,7 @@ def load_dods(text: str, label: str = "") -> DodsSystem:
                 raise DodsError(f"line {lineno}: param needs a name")
             params[name] = _numbers(value, lineno)[0]
         elif key == "delay":
-            try:
-                kind = DelayKind(value)
-            except ValueError:
-                raise DodsError(
-                    f"line {lineno}: delay must be constant, independent or state"
-                ) from None
+            kind = _delay_kind(value, lineno)
         elif key == "domain":
             domain = _numbers(value, lineno, count=2)
         else:
@@ -382,6 +397,15 @@ def _numbers(text: str, lineno: int, error=DodsError, count: int = 1):
         what = "a number" if count == 1 else f"{count} comma-separated numbers"
         raise error(f"line {lineno}: expected {what}, got '{text}'")
     return values
+
+
+def _delay_kind(text: str, lineno: int, error=DodsError) -> DelayKind:
+    """The delay kind a file line's value names."""
+    try:
+        return DelayKind(text)
+    except ValueError:
+        raise error(f"line {lineno}: delay must be constant, independent"
+                    " or state") from None
 
 
 def dump_dods(system: DodsSystem) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dods import DelayKind, DodsSystem, FREE_COORDS
-from .expr import Bindings, DomainError, Expr, bind_params, compile_fn, diff, parse
+from .expr import DomainError, Expr, bind_params, compile_fn, diff, parse
 
 
 class IntegrationError(Exception):
@@ -65,9 +65,8 @@ class HistoryFunction:
             raise ValueError("history needs either phi or samples")
 
     @staticmethod
-    def from_text(text: str, interval: tuple[float, float],
-                  params: Bindings | None = None) -> "HistoryFunction":
-        return HistoryFunction(parse(text), interval, dict(params or {}))
+    def from_text(text: str, interval: tuple[float, float]) -> "HistoryFunction":
+        return HistoryFunction(parse(text), interval)
 
     @staticmethod
     def from_samples(xs, ys, dys) -> "HistoryFunction":
@@ -250,8 +249,6 @@ class _DelaySpec:
     bracket scan else 0).
     """
 
-    kind: DelayKind
-
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
         raise NotImplementedError
 
@@ -260,7 +257,6 @@ class _ConstantDelay(_DelaySpec):
     def __init__(self, tau: float):
         if tau <= 0:
             raise DelayViolationError(f"constant delay must be positive, got {tau:g}")
-        self.kind = DelayKind.CONSTANT
         self.tau = tau
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
@@ -269,7 +265,6 @@ class _ConstantDelay(_DelaySpec):
 
 class _IndependentDelay(_DelaySpec):
     def __init__(self, g_of_x):
-        self.kind = DelayKind.SOLUTION_INDEPENDENT
         self.g = g_of_x
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
@@ -296,7 +291,6 @@ class _StateDelay(_DelaySpec):
     max_iter = 100
 
     def __init__(self, g_full, warn):
-        self.kind = DelayKind.STATE_DEPENDENT
         self.g = g_full
         self._warn = warn
 
@@ -353,13 +347,12 @@ class _StateDelay(_DelaySpec):
 
 
 def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:
-    g = system.bound(system.g)
     if system.delay_kind is DelayKind.CONSTANT:
-        g_fn = compile_fn(g, ("x",))
-        taus = [x - g_fn(x) for x in (0.0, 0.7, 1.3)]
-        if max(taus) - min(taus) > 1e-12:
+        tau = system.constant_delay()
+        if tau is None:
             raise DelayViolationError("declared constant delay is not constant")
-        return _ConstantDelay(taus[0])
+        return _ConstantDelay(tau)
+    g = system.bound(system.g)
     if system.delay_kind is DelayKind.SOLUTION_INDEPENDENT:
         return _IndependentDelay(compile_fn(g, ("x",)))
     return _StateDelay(compile_fn(g, FREE_COORDS), warn)
@@ -390,6 +383,18 @@ def solve(
                          dy0, x_end, h)
     traj.warnings = warnings
     return traj
+
+
+def _exact_drift(system: DodsSystem, phi: HistoryFunction, x_end: float,
+                 h: float) -> float:
+    """max |y - exact| / max(1, |exact|) over the nodes of the solve from
+    phi, where phi's own expression is the exact solution."""
+    traj = solve(system, phi, "from-phi", x_end, h)
+    dev = 0.0
+    for x, y in zip(traj.xs, traj.ys):
+        exact = phi._y(x)
+        dev = max(dev, abs(y - exact) / max(1.0, abs(exact)))
+    return dev
 
 
 def solve_numeric(

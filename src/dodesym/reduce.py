@@ -20,7 +20,7 @@ from . import expr as E
 from .dods import DodsSystem, check_invariance
 from .expr import (Const, DomainError, Expr, Param, compile_columns,
                    compile_fn, diff, subs)
-from .integrate import HistoryFunction, solve
+from .integrate import HistoryFunction, _exact_drift
 from .symmetry import VectorField, prolong
 
 
@@ -146,7 +146,8 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
     Points are drawn until n are checked, at most 6n in all.  A point is
     checked where the four coefficients and all eight partials of J1 and J2
     are defined.  |pr X J1| counts where the coefficients and the partials
-    of J1 are defined, |pr X J2| at checked points, and a NaN never counts.
+    of J1 are defined and |pr X J2| at checked points.  A NaN there (inf
+    - inf after an overflow) makes the largest value NaN.
     """
     coords = ("x", "y", "xm", "ym")
     js = [E.bind_params(j, params) for j in (pair.J1, pair.J2)]
@@ -171,7 +172,7 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
         with np.errstate(all="ignore"):
             for d, rows in ((d1, counts_j1), (d2, counts_j2)):
                 ann = np.abs(sum(c[i] * d[i] for i in range(4)))
-                worst = float(np.fmax.reduce(ann[rows], initial=worst))
+                worst = float(np.max(ann[rows], initial=worst))
             det = d1[1] * d2[2] - d1[2] * d2[1]
         checked += int(counts_j2.sum())
         jac_bad += int(np.sum(np.abs(det[counts_j2]) < 1e-10))
@@ -195,7 +196,7 @@ def validate_invariants(
                                             n, seed)
     if checked < n:
         raise ReduceError("could not sample enough admissible points")
-    if worst > tol:
+    if not worst <= tol:  # a NaN fails
         raise ReduceError(
             f"candidate invariants are not annihilated (residual {worst:.3e})"
         )
@@ -389,14 +390,8 @@ def verify_invariant_solution(
     if cross_check:
         k_fn = compile_fn(sol.k, ("x",))
         hist_lo = min(k_fn(float(x)) for x in np.linspace(lo, hi, n_grid))
-        phi = HistoryFunction(sol.h, (hist_lo, lo))
-        traj = solve(system, phi, "from-phi", hi, h_step)
-        h_fn = compile_fn(sol.h, ("x",))
-        dev = 0.0
-        for x, y in zip(traj.xs, traj.ys):
-            exact = h_fn(x)
-            dev = max(dev, abs(y - exact) / max(1.0, abs(exact)))
-        deviation = dev
+        deviation = _exact_drift(system, HistoryFunction(sol.h, (hist_lo, lo)),
+                                 hi, h_step)
     return SolutionVerification(grid_residual=grid_res,
                                 integrate_deviation=deviation)
 

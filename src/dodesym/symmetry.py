@@ -16,6 +16,7 @@ from .expr import (
     Bindings,
     DomainError,
     Expr,
+    _diff,
     bind_params,
     compile_columns,
     diff,
@@ -101,16 +102,18 @@ class ZReport:
 
 
 def _total_d(h: Expr, with_ddy: bool) -> Expr:
-    """Total derivative d/dx acting on a function of (x, y[, dy])."""
-    out = diff(h, "x") + DY * diff(h, "y")
+    """Total derivative d/dx acting on a function of (x, y[, dy]), not
+    simplified."""
+    out = _diff(h, "x") + DY * _diff(h, "y")
     if with_ddy:
-        out = out + DDY * diff(h, "dy")
-    return simplify(out)
+        out = out + DDY * _diff(h, "dy")
+    return out
 
 
 def prolong(x_field: VectorField) -> ProlongedField:
-    """The seven prolonged coefficients.  The delayed ones rename simplified
-    trees, which simplify would give back unchanged."""
+    """The seven prolonged coefficients, each simplified once.  The delayed
+    ones rename simplified trees, which simplify would give back
+    unchanged."""
     d_xi = _total_d(x_field.xi, False)
     zeta1 = simplify(_total_d(x_field.eta, False) - DY * d_xi)
     xi, eta = simplify(x_field.xi), simplify(x_field.eta)
@@ -175,38 +178,26 @@ def check_closure(
         raise ValueError("need at least two fields")
     params = dict(params or {})
     rng = np.random.default_rng(seed)
-
-    def kernel(fs: list[VectorField]):
-        return compile_columns([bind_params(c, params)
-                                for f in fs for c in (f.xi, f.eta)], ("x", "y"))
-
-    basis = kernel(fields)
+    basis = _plane_kernel(fields, params)
     constants: dict[tuple[int, int], np.ndarray] = {}
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = kernel([lie_bracket(fields[i], fields[j])])
+            bracket = _plane_kernel([lie_bracket(fields[i], fields[j])], params)
             solved = None
             for attempt in range(2):
                 x, y = rng.uniform(0.5, 2.5, size=(n + 3, 2)).T
-                # rows interleave xi and eta point by point
-                a = np.array(basis(x, y)).reshape(n, 2, n + 3).T.reshape(-1, n)
-                b = np.array(bracket(x, y)).T.reshape(-1)
-                if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                    continue
-                c, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-                if rank < n and attempt == 0:
-                    continue  # degenerate sample, retry with new points
-                resid = float(np.max(np.abs(a @ c - b)))
-                solved = (c, resid)
-                break
+                solved = _span_fit(basis, bracket, x, y)
+                if solved is not None and (solved[2] == n or attempt == 1):
+                    break
+                solved = None  # undefined or degenerate: retry with new points
             if solved is None:
                 raise ClosureError(
                     "could not sample a well-posed span system for "
                     f"[{fields[i].label or i}, {fields[j].label or j}]",
                     (fields[i].label or str(i), fields[j].label or str(j)),
                 )
-            c, resid = solved
+            c, resid, _ = solved
             if resid > tol:
                 raise ClosureError(
                     f"bracket [{fields[i].label or i}, {fields[j].label or j}]"
@@ -216,6 +207,32 @@ def check_closure(
             constants[(i, j)] = c
             worst = max(worst, resid)
     return ClosureResult(constants, worst)
+
+
+def _plane_kernel(fields: list[VectorField], params: Bindings):
+    """One column kernel over (x, y) of the (xi, eta) coefficients of
+    fields, params bound, field by field."""
+    return compile_columns([bind_params(c, params)
+                            for f in fields for c in (f.xi, f.eta)], ("x", "y"))
+
+
+def _span_fit(basis, target, x, y):
+    """Least-squares fit of the first field of the plane kernel target by
+    the fields of the plane kernel basis at the points (x, y).
+
+    Returns (coefficients, largest residual, rank), or None where a
+    coefficient is undefined at some point.
+    """
+    def rows(kernel):
+        # rows interleave xi and eta point by point, one column per field
+        return np.array(kernel(x, y)).reshape(-1, 2, len(x)).T.reshape(
+            2 * len(x), -1)
+
+    a, b = rows(basis), rows(target)[:, 0]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return None
+    c, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return c, float(np.max(np.abs(a @ c - b))), rank
 
 
 def jacobi_residual(

@@ -22,15 +22,14 @@ from dataclasses import dataclass, field as dc_field
 from . import expr as E
 from . import reduce as reduce_mod
 from .dods import DelayKind, DodsSystem, _key_values, _numbers
-from .expr import Const, Expr, compile_fn, diff, parse, subs
+from .expr import Const, DomainError, Expr, compile_fn, diff, parse, subs
 from .integrate import (
     HistoryFunction,
-    StepRejectionError,
     Trajectory,
     _ConstantDelay,
     _bisect,
+    _exact_drift,
     _sign_scan,
-    solve,
     solve_numeric,
 )
 from .symmetry import VectorField
@@ -347,14 +346,7 @@ def compare_exact_vs_numeric(
     else:
         t0 = 0.0
         hist = (-p.tau, t0)
-    phi = HistoryFunction(h_expr, hist)
-    traj = solve(system, phi, "from-phi", t_end, h)
-    exact = compile_fn(h_expr, ("x",))
-    dev = 0.0
-    for x, y in zip(traj.xs, traj.ys):
-        e = exact(x)
-        dev = max(dev, abs(y - e) / max(1.0, abs(e)))
-    return dev
+    return _exact_drift(system, HistoryFunction(h_expr, hist), t_end, h)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +376,18 @@ def simulate_platoon(
     """Follower chain under a constant reaction delay.
 
     Cars integrate in index order; car i only ever reads car i-1's past,
-    so the sequential sweep reproduces the lockstep result exactly.  An
-    ordering violation (or a headway below the floor, which would make the
-    right-hand side singular) is recorded as a collision with its car and
-    time, the colliding car's trajectory is truncated, and the remaining
-    cars are not advanced.
+    so the sequential sweep reproduces the lockstep result exactly.  Every
+    car, the first included, runs the same right-hand side, its two powers
+    taken with math.pow: a power without a real value or a non-finite
+    result is a DomainError, which the integrator reports as a
+    StepRejectionError.  A car collides
+    at the first node after its history where it has reached the car in
+    front, its trajectory truncated at that node.  If no node does, it
+    collides where the delayed headway falls below the floor (which would
+    make the right-hand side singular), its trajectory ending two steps
+    before, or at its start when no step ends that early.  The collision
+    is recorded with its car and time, and the remaining cars are not
+    advanced.
     """
     if p.q is not None:
         raise TrafficError("platoon simulation is stated for constant delay")
@@ -396,8 +395,8 @@ def simulate_platoon(
         raise TrafficError("need at least one car")
     if len(histories) != n_cars:
         raise TrafficError("need one history per car")
-    tau = p.tau
-    lead_pos = compile_fn(E.bind_params(subs(p.leader, {"t": E.X}), {}), ("x",))
+    delay = _ConstantDelay(p.tau)
+    lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",))
     lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",))
     state = PlatoonState(trajectories=[], leader=p.leader, count=n_cars)
 
@@ -406,53 +405,51 @@ def simulate_platoon(
 
         def f_eval(x, y, xm, ym, dy, dym):
             pred_pos_d, pred_vel_d = pred_lookup(xm)
-            acc = alpha * dy ** n1 * (pred_vel_d - dym)
-            if n2 != 0.0:
-                gap = pred_pos_d - ym
-                if gap < headway_floor:
-                    raise _Collision(x)
-                acc /= gap ** n2
+            gap = pred_pos_d - ym
+            if n2 != 0.0 and gap < headway_floor:
+                raise _Collision(x)
+            try:
+                acc = alpha * math.pow(dy, n1) * (pred_vel_d - dym)
+                acc = acc / math.pow(gap, n2) if n2 != 0.0 else acc
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(str(exc)) from None
+            if not math.isfinite(acc):
+                raise DomainError("non-finite result")
             return acc
 
         return f_eval
 
-    for i in range(n_cars):
+    for i, phi in enumerate(histories):
         if i == 0:
             pred_lookup = lambda s: (lead_pos(s), lead_vel(s))  # noqa: E731
             pred_now = lead_pos
+            car_end = t_end
         else:
             pred_traj = state.trajectories[i - 1]
             pred_lookup = pred_traj.interpolate
             pred_now = lambda s: pred_traj.interpolate(s)[0]  # noqa: E731
-        car_end = t_end
-        if i > 0:
-            car_end = min(t_end, state.trajectories[i - 1].x_end)
+            car_end = min(t_end, pred_traj.x_end)
+        rhs = make_rhs(pred_lookup)
+        x0, t_c = phi.interval[1], None
         try:
-            if i == 0 and p.leader is not None:
-                traj = solve(build_two_car(p), histories[0], "from-phi",
-                             car_end, h)
-            else:
-                traj = solve_numeric(make_rhs(pred_lookup), _ConstantDelay(tau),
-                                     histories[i], "from-phi", car_end, h)
-        except (_Collision, StepRejectionError) as exc:
-            t_c = getattr(exc, "x", car_end)
-            safe_end = max(histories[i].interval[1] + 2 * h, t_c - 2 * h)
-            traj = solve_numeric(make_rhs(pred_lookup), _ConstantDelay(tau),
-                                 histories[i], "from-phi", safe_end, h)
-            state.trajectories.append(traj)
+            traj = solve_numeric(rhs, delay, phi, "from-phi", car_end, h)
+        except _Collision as exc:
+            t_c = exc.x
+            if t_c - 2 * h > x0:
+                traj = solve_numeric(rhs, delay, phi, "from-phi", t_c - 2 * h, h)
+            else:  # no step ends two steps before the collision
+                y0, dy0 = phi.value(x0)
+                traj = Trajectory([x0], [y0], [dy0], phi, h)
+        # ordering violation scan at the nodes
+        for j, (x, y) in enumerate(zip(traj.xs, traj.ys)):
+            if x > x0 and pred_now(x) - y <= 0.0:
+                t_c = x
+                del traj.xs[j + 1:], traj.ys[j + 1:], traj.dys[j + 1:]
+                break
+        state.trajectories.append(traj)
+        if t_c is not None:
             state.collisions.append((i + 1, float(t_c)))
             return state
-        # ordering violation scan at the nodes
-        for x, y in zip(traj.xs, traj.ys):
-            if x > traj.history.interval[1] and pred_now(x) - y <= 0.0:
-                state.collisions.append((i + 1, float(x)))
-                cut = [j for j, xx in enumerate(traj.xs) if xx <= x]
-                traj.xs = traj.xs[: cut[-1] + 1]
-                traj.ys = traj.ys[: cut[-1] + 1]
-                traj.dys = traj.dys[: cut[-1] + 1]
-                state.trajectories.append(traj)
-                return state
-        state.trajectories.append(traj)
     return state
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +254,36 @@ class TestTraffic:
         for i in (1, 2):
             lines = (tmp_path / f"run_car{i}.csv").read_text().splitlines()
             assert lines[0] == "x,y,dy"
+
+    @pytest.mark.parametrize("lines,expected", [
+        # the first car reaches the leader at a node before its headway
+        # collapses, as every other car does
+        ("leader = 0.2*t + 1\nn1 = 1\nn2 = 1.5\nhistory.1 = 2*t + 0.5\n"
+         "history.2 = t - 1\n", r"collision: car 1 at t = 0\.38\n$"),
+        # car 2 passes car 1 at node 0.39, before its delayed headway
+        # collapses
+        ("leader = t + 10\nn1 = 1\nn2 = 1\nhistory.1 = 0.2*t + 1\n"
+         "history.2 = 2*t + 0.5\n",
+         r"car 2: 40 breakpoints, t in \[0, 0\.39\]\n"
+         r"collision: car 2 at t = 0\.39\n$"),
+        # dy^0.5 at a negative velocity has no real value
+        ("leader = t + 10\nn1 = 0.5\nn2 = 1\nhistory.1 = t + 5\n"
+         "history.2 = -t\n",
+         r"^error: StepRejectionError: .* math domain error\n$"),
+        # car 2 starts inside the headway floor: collision at its start
+        ("leader = t + 10\nn1 = 1\nn2 = 1\nhistory.1 = t + 1\n"
+         "history.2 = t + 1 - 1e-7\n",
+         r"car 2: 1 breakpoints, t in \[0, 0\]\n"
+         r"collision: car 2 at t = 0\n$"),
+    ])
+    def test_scenario_failure_is_a_failed_check(self, tmp_path, lines,
+                                                expected):
+        scenario = tmp_path / "platoon.txt"
+        scenario.write_text("alpha = 1\ntau = 0.5\ncars = 2\nt_end = 3\n"
+                            "h = 0.01\n" + lines)
+        proc = run_cli("traffic", "--scenario", str(scenario))
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(expected, proc.stdout), proc.stdout
 
     def test_traffic_needs_example_or_scenario(self):
         proc = run_cli("traffic")

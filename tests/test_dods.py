@@ -460,6 +460,37 @@ class TestSystemValidation:
         DodsSystem(f=parse("ym + xm"), g=parse("x-1"))
 
 
+class TestConstantDelay:
+    @staticmethod
+    def system(g, **params):
+        return DodsSystem(f=parse("ym"), g=parse(g), params=params)
+
+    def test_tau_keeps_its_bits(self):
+        # x - g(x) is 0.1 at 0 but 0.09999999999999998 at 0.7
+        g = parse("x - 0.1")
+        tau = self.system("x - 0.1").constant_delay()
+        assert repr(tau) == repr(0.0 - evaluate(g, {"x": 0.0}))
+        assert tau != 0.7 - evaluate(g, {"x": 0.7})
+
+    def test_bound_parameter(self):
+        assert self.system("x - T", T=0.25).constant_delay() == 0.25
+
+    def test_g_reading_y_is_not_constant(self):
+        assert self.system("x - 1 - 0*y").constant_delay() is None
+
+    def test_g_undefined_at_a_probe_is_not_constant(self):
+        # ln(x) is undefined at the probe x = 0
+        assert self.system("x - 1 + 0*ln(x)").constant_delay() is None
+
+    def test_spread_bound(self):
+        assert self.system("x - 1 - 1e-11*x").constant_delay() is None
+        assert self.system("x - 1 - 1e-13*x").constant_delay() == 1.0
+
+    def test_unbound_parameter_is_named(self):
+        with pytest.raises(E.UnboundSymbolError, match="'T'"):
+            self.system("x - T").constant_delay()
+
+
 class TestFileFormat:
     def test_round_trip(self):
         system = a24_example()

@@ -429,6 +429,12 @@ class TestErrors:
         with pytest.raises(DelayViolationError):
             solve(system, ramp_history(), 1.0, 2.0, 1e-2)
 
+    def test_declared_constant_delay_reading_y(self):
+        system = DodsSystem(f=parse("ym"), g=parse("x - 1 - 0.1*y"),
+                            delay_kind=DelayKind.CONSTANT)
+        with pytest.raises(DelayViolationError, match="not constant"):
+            solve(system, ramp_history(), 1.0, 2.0, 1e-2)
+
     def test_history_underrun(self):
         short = HistoryFunction.from_text("x", (-0.25, 0.0))
         with pytest.raises(HistoryUnderrunError):

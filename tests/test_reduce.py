@@ -269,7 +269,9 @@ def reference_annihilation(x_field, pair, params=None, n=100, seed=42):
                 ann = 0.0  # summed left to right
                 for i in range(4):
                     ann += c[i] * dj[i](*pt)
-                worst = max(worst, abs(ann))  # a NaN never wins
+                # a NaN wins and stays
+                worst = worst if math.isnan(worst) or abs(ann) <= worst \
+                    else abs(ann)
             det = j1_y(*pt) * j2_xm(*pt) - j1_xm(*pt) * j2_y(*pt)
             jac_bad += abs(det) < 1e-10
         except E.DomainError:
@@ -299,10 +301,10 @@ PARTIAL_PAIRS = [
     # singular everywhere, and counted only where the field is defined
     (VectorField.from_text("1", "sqrt(y - 1.5)"),
      InvariantPair(J1=parse("y - x"), J2=parse("y + x"))),
-    # pr X J1 is inf - inf = NaN at every point, and never counts
+    # pr X J1 is inf - inf = NaN at every point, so the maximum is NaN
     (VectorField.from_text("1e300", "-1e300"),
      InvariantPair(J1=parse("1e10*x + 1e10*y"), J2=parse("x - xm"))),
-    # pr X J1 overflows to inf on part of the box
+    # pr X J1 is inf on part of the box and inf - inf = NaN on the rest
     (VectorField.from_text("1e300", "1e300*(y - 1.5)"),
      InvariantPair(J1=parse("1e10*x - 1e10*y"), J2=parse("x - xm"))),
 ]
@@ -340,3 +342,10 @@ class TestAnnihilationMatchesPointLoop:
         assert got[1] < 20
         with pytest.raises(ReduceError, match="enough admissible"):
             validate_invariants(x_field, pair, n=20, seed=4)
+
+    def test_nan_annihilation_fails(self):
+        # |pr X J1| is inf - inf = NaN at every point: a NaN at a counted
+        # point fails, as a NaN residual does in check_invariance
+        x_field, pair = PARTIAL_PAIRS[6]
+        with pytest.raises(ReduceError, match=r"not annihilated \(residual nan\)"):
+            validate_invariants(x_field, pair)

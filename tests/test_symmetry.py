@@ -46,6 +46,26 @@ CATALOG_BASES = [(entry.id, list(entry.basis), entry.default_params)
 UNSIMPLIFIED = ("unsimplified", [field("x + x - x*1", "y*1 + 0*x"),
                                  field("x^1*y - 0", "(y - y) + 3*2")], {})
 
+#: every catalog basis field and the bracket of every pair of one basis
+CATALOG_FIELDS = [f for _, basis, _ in CATALOG_BASES for f in basis] + [
+    lie_bracket(a, b) for _, basis, _ in CATALOG_BASES
+    for i, a in enumerate(basis) for b in basis[i + 1:]]
+
+
+def reference_zetas(f):
+    """zeta1 and zeta2 built with three simplify passes: every partial,
+    every total derivative and every coefficient."""
+    def total_d(h, with_ddy):
+        out = E.diff(h, "x") + E.DY * E.diff(h, "y")
+        if with_ddy:
+            out = out + E.DDY * E.diff(h, "dy")
+        return E.simplify(out)
+
+    d_xi = total_d(f.xi, False)
+    zeta1 = E.simplify(total_d(f.eta, False) - E.DY * d_xi)
+    return zeta1, E.simplify(total_d(zeta1, True) - E.DDY * d_xi)
+
+
 #: fields undefined on part of the sampling boxes
 PARTIAL_FIELDS = [field("1", "sqrt(y - 1.5)"), field("0", "ln(y - 0.6)"),
                   field("x", "sqrt(2.2 - x) + y")]
@@ -125,6 +145,28 @@ class TestProlong:
             # the renamings are what simplifying the renamed trees gives
             assert repr(pro.xi_m) == repr(E.simplify(E.subs(f.xi, shift)))
             assert repr(pro.eta_m) == repr(E.simplify(E.subs(f.eta, shift)))
+
+    def test_one_simplify_pass_matches_three(self):
+        # compared by repr, so 0.0 and -0.0 differ
+        for f in CATALOG_FIELDS + UNSIMPLIFIED[1]:
+            pro = prolong(f)
+            assert repr((pro.zeta1, pro.zeta2)) == repr(reference_zetas(f))
+
+    def test_simplify_is_idempotent_on_catalog_trees(self):
+        trees = [c for f in CATALOG_FIELDS for c in prolong(f).coefficients()]
+        for e in catalog.list_entries():
+            trees += [t for t in (e.f_template, e.g_template, e.default_f,
+                                  e.default_g, e.second_order_minor,
+                                  *e.f_slots, *e.g_slots) if t is not None]
+            if e.has_system:
+                _, system = catalog._build_system(
+                    catalog.default_instantiation(e.id))
+                trees += [system.f, system.g] + [
+                    E.diff(t, v) for t in (system.f, system.g) for v in JET]
+        assert len(trees) > 1500
+        for tree in trees:
+            once = E.simplify(tree)
+            assert repr(E.simplify(once)) == repr(once)
 
     def test_rejects_jet_symbols_in_coefficients(self):
         with pytest.raises(ValueError):

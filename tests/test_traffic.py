@@ -5,7 +5,7 @@ import pytest
 from dodesym import expr as E
 from dodesym.dods import check_invariance
 from dodesym.expr import evaluate, parse
-from dodesym.integrate import HistoryFunction, solve
+from dodesym.integrate import HistoryFunction, StepRejectionError, solve
 from dodesym.traffic import (
     ConstraintResult,
     TrafficError,
@@ -224,6 +224,30 @@ class TestPlatoon:
         state = simulate_platoon(p, 2, hists, t_end=8.0, h=1e-3)
         assert state.collided
         assert len(state.trajectories) == 1  # second car never advanced
+
+    def test_reaching_node_precedes_headway_collapse(self):
+        # car 2's delayed headway collapses at t = 0.885, but it passes
+        # car 1 at the node t = 0.39, where its trajectory ends
+        p = TrafficParams(alpha=1.0, n1=1.0, n2=1.0, tau=0.5,
+                          leader=parse("t + 10"))
+        hists = [HistoryFunction(parse("0.2*x + 1"), (-0.5, 0.0)),
+                 HistoryFunction(parse("2*x + 0.5"), (-0.5, 0.0))]
+        state = simulate_platoon(p, 2, hists, t_end=3.0, h=0.01)
+        car1, car2 = state.trajectories
+        assert state.collisions == [(2, car2.x_end)]
+        assert car2.x_end == pytest.approx(0.39, abs=1e-12)
+        assert car2.ys[-1] >= car1.interpolate(car2.x_end)[0]
+        assert all(y < car1.interpolate(x)[0]
+                   for x, y in zip(car2.xs[1:-1], car2.ys[1:-1]))
+
+    def test_non_finite_acceleration_is_a_step_rejection(self):
+        # 1e300 * (1e10 - 1) overflows to inf: a named failure, never an
+        # infinite trajectory
+        p = TrafficParams(alpha=1e300, n1=1.0, n2=1.0, tau=0.5,
+                          leader=parse("1e10*t + 1e10"))
+        phi = HistoryFunction(parse("x"), (-0.5, 0.0))
+        with pytest.raises(StepRejectionError, match="non-finite"):
+            simulate_platoon(p, 1, [phi], t_end=1.0, h=0.01)
 
     def test_proportional_delay_is_refused(self):
         p = example_params(2)
