@@ -25,8 +25,8 @@ import numpy as np
 from . import expr as E
 from .dods import (DelayKind, DodsSystem, SamplingError, _delay_kind,
                    _numbers, check_algebra)
-from .expr import (Const, Expr, Param, compile_fn, free_symbols, parse, subs,
-                   to_text)
+from .expr import (Const, Expr, Param, compile_columns, free_symbols, parse,
+                   subs, to_text)
 from .symmetry import VectorField, _plane_kernel, _span_fit, check_closure
 
 _X, _Y, _XM, _YM, _DY, _DYM, _DDY = E.X, E.Y, E.XM, E.YM, E.DY, E.DYM, E.DDY
@@ -663,17 +663,15 @@ def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
     minor = E.subs(system.bound(entry.second_order_minor),
                    {"xm": system.bound(system.g)})
     lo, hi = system.box.get("x", (0.5, 2.5))
-    fn = compile_fn(minor, ("x",))
-    try:
-        values = [fn(float(x)) for x in np.linspace(lo, hi, 201)]
-    except E.DomainError:
+    values = compile_columns(minor, ("x",))(np.linspace(lo, hi, 201))
+    if np.isnan(values).any():
         raise CatalogError(
             f"entry '{entry.id}': the second-order condition is singular on"
             " the requested interval; rejected"
-        ) from None
-    top = max(abs(v) for v in values)
-    if min(values) < 0.0 < max(values) or \
-            min(abs(v) for v in values) < 1e-9 * (1.0 + top):
+        )
+    size = np.abs(values)
+    if values.min() < 0.0 < values.max() or \
+            size.min() < 1e-9 * (1.0 + size.max()):
         raise CatalogError(
             f"entry '{entry.id}': the second-order condition vanishes on the"
             " requested interval; rejected"

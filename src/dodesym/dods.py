@@ -13,7 +13,12 @@ expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
 Per system, g, f and one 14-output kernel of their partials are compiled,
-and per field the one `symmetry.field_kernel` of its prolongation.
+and per field the one `symmetry.field_kernel` of its prolongation.  Both
+go through the kernel memo of `expr` (`expr.memo_info()`), keyed by the
+exact text of f, g or the field's xi and eta and of the params, so every
+system or field of equal content, a new object included, shares one
+kernel and gets bit-identical answers.  The memo keeps the 256 most
+recently used kernels.
 
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling
@@ -32,6 +37,7 @@ import numpy as np
 from .expr import (
     DomainError,
     Expr,
+    _memoized,
     bind_params,
     compile_columns,
     compile_fn,
@@ -89,13 +95,10 @@ class DodsSystem:
         return bind_params(e, self.params)
 
     def kernels(self) -> "_SystemKernels":
-        """The compiled g, f and jet partials, built on first use and built
-        again once f, g or params differ from what they were built from
-        (params by repr, so 0.0 and -0.0 differ)."""
-        key = (self.f, self.g, repr(self.params))
-        if getattr(self, "_compiled", (None,))[0] != key:
-            self._compiled = (key, _SystemKernels.build(self))
-        return self._compiled[1]
+        """The compiled g, f and jet partials, built once per content of f,
+        g and params and shared through the kernel memo of `expr`."""
+        return _memoized("system", (self.f, self.g), self.params,
+                         lambda: _SystemKernels.build(self))
 
     def constant_delay(self) -> float | None:
         """tau where g is x - tau, else None.

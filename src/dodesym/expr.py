@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -812,3 +812,56 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
     a row is defined exactly where the result is finite.
     """
     return functools.partial(_columns_checked, _generate(exprs, arg_names, True))
+
+
+# -- the kernel memo ----------------------------------------------------------
+#
+# One bounded memo shares the compiled kernels of the other modules (system,
+# field and plane kernels) between every object of equal content.  A key is
+# the repr of a kind, the trees and the sorted params: equal frozen trees may
+# still differ in a Const's sign of zero, their repr does not, and the code
+# generator writes each Const by repr, so equal keys generate equal code.
+# Generated functions keep no state between calls, so sharing them is safe.
+
+#: kernels the memo keeps, least recently used first out; it holds the
+#: working set of a pass over the catalog (about 185 kernels), and a cyclic
+#: pass larger than the bound would get no hits
+_MEMO_BOUND = 256
+_memo: OrderedDict[str, object] = OrderedDict()
+_memo_counts = {"hits": 0, "misses": 0}
+
+
+class MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    size: int
+    bound: int
+
+
+def memo_info() -> MemoInfo:
+    """Hits, misses, size and bound of the kernel memo, in the manner of
+    `functools.lru_cache`'s `cache_info()`."""
+    return MemoInfo(_memo_counts["hits"], _memo_counts["misses"], len(_memo),
+                    _MEMO_BOUND)
+
+
+def _memo_clear() -> None:
+    """Empty the kernel memo and zero its counts."""
+    _memo.clear()
+    _memo_counts.update(hits=0, misses=0)
+
+
+def _memoized(kind: str, trees: Iterable[Expr], params: Bindings | None,
+              build: Callable[[], object]):
+    """build() kept under the content of kind, trees and params; a build
+    that raises is not kept."""
+    key = repr((kind, tuple(trees), sorted((params or {}).items())))
+    if key in _memo:
+        _memo_counts["hits"] += 1
+        _memo.move_to_end(key)
+        return _memo[key]
+    _memo_counts["misses"] += 1
+    value = _memo[key] = build()
+    if len(_memo) > _MEMO_BOUND:
+        _memo.popitem(last=False)
+    return value

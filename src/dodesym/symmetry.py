@@ -17,6 +17,7 @@ from .expr import (
     DomainError,
     Expr,
     _diff,
+    _memoized,
     bind_params,
     compile_columns,
     diff,
@@ -132,9 +133,12 @@ def prolong(x_field: VectorField) -> ProlongedField:
 def field_kernel(x_field: VectorField, params: Bindings | None = None):
     """One column kernel of the prolonged coefficients of x_field, params
     bound: a function of the JET columns returning the seven coefficient
-    columns in JET order."""
-    return compile_columns([bind_params(c, params or {})
-                            for c in prolong(x_field).coefficients()], JET)
+    columns in JET order.  Memoized by xi, eta and params; the label is
+    not part of the key."""
+    return _memoized(
+        "field", (x_field.xi, x_field.eta), params,
+        lambda: compile_columns([bind_params(c, params or {})
+                                 for c in prolong(x_field).coefficients()], JET))
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -183,7 +187,7 @@ def check_closure(
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = _plane_kernel([lie_bracket(fields[i], fields[j])], params)
+            bracket = _bracket_kernel(fields[i], fields[j], params)
             solved = None
             for attempt in range(2):
                 x, y = rng.uniform(0.5, 2.5, size=(n + 3, 2)).T
@@ -211,7 +215,20 @@ def check_closure(
 
 def _plane_kernel(fields: list[VectorField], params: Bindings):
     """One column kernel over (x, y) of the (xi, eta) coefficients of
-    fields, params bound, field by field."""
+    fields, params bound, field by field; memoized by the coefficients and
+    params."""
+    return _memoized("plane", [c for f in fields for c in (f.xi, f.eta)],
+                     params, lambda: _plane_columns(fields, params))
+
+
+def _bracket_kernel(a: VectorField, b: VectorField, params: Bindings):
+    """The plane kernel of [a, b], memoized by the coefficients of a and b
+    and params, so a bracket seen before is not formed again."""
+    return _memoized("bracket", (a.xi, a.eta, b.xi, b.eta), params,
+                     lambda: _plane_columns([lie_bracket(a, b)], params))
+
+
+def _plane_columns(fields: list[VectorField], params: Bindings):
     return compile_columns([bind_params(c, params)
                             for f in fields for c in (f.xi, f.eta)], ("x", "y"))
 

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from dodesym import expr
+
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
     """Plain bisection, used as an independent oracle in several tests."""
@@ -24,3 +26,10 @@ def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
 def char_root_0011() -> float:
     """Positive root of lam^2 e^lam = 1, computed independently."""
     return bisect_root(lambda t: t * t * math.exp(t) - 1.0, 0.1, 2.0)
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_memo():
+    """Every test starts with an empty kernel memo, so no test depends on
+    kernels an earlier one left behind, nor on the order tests run in."""
+    expr._memo_clear()

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import re
 import sys
 
 import pytest
@@ -19,7 +21,7 @@ from dodesym.catalog import (
     parse_catalog_text,
     verify_entry_closure,
 )
-from dodesym.dods import check_invariance
+from dodesym.dods import DodsSystem, check_invariance
 from dodesym.expr import evaluate, parse
 from dodesym.symmetry import VectorField
 
@@ -224,6 +226,27 @@ class TestDeterminantFamilies:
         finally:
             catalog._all_entries().pop("H3_TMP", None)
 
+    @pytest.mark.parametrize("minor, reason", [
+        ("sqrt(x - 1)", "is singular"),  # undefined on part of the grid
+        ("exp(1000*x)", "is singular"),  # overflows
+        ("xm - 0.2", "vanishes"),  # a sign change along xm = x - 1
+        ("1e-12*x", "vanishes"),  # nearly zero against its largest value
+    ])
+    def test_second_order_condition_rejections(self, minor, reason):
+        entry = dataclasses.replace(get_entry("H3_DET"),
+                                    second_order_minor=parse(minor))
+        system = DodsSystem(f=parse("ym"), g=parse("x - 1"))
+        message = (f"entry 'H3_DET': the second-order condition {reason} on"
+                   " the requested interval; rejected")
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            catalog._check_nondegeneracy(entry, system)
+
+    def test_second_order_condition_accepted(self):
+        entry = dataclasses.replace(get_entry("H3_DET"),
+                                    second_order_minor=parse("1 + xm^2"))
+        system = DodsSystem(f=parse("ym"), g=parse("x - 1"))
+        assert catalog._check_nondegeneracy(entry, system) is None
+
     def test_check_entry_checks_each_field_once(self, monkeypatch):
         from dodesym import dods
 
@@ -242,6 +265,49 @@ class TestDeterminantFamilies:
     def test_s3_passes_by_default(self):
         reports = check_entry("S3_DET", n=60)
         assert all(r.passed for r in reports)
+
+
+#: sha256 prefixes of repr(check_entry(id, n=200)), pinned from the code
+#: before kernels were shared between systems of equal content
+CHECK_ENTRY_DIGESTS = {
+    "A1_1": "568dd5a361b686f7",
+    "A2_1": "a10211f6feb85496",
+    "A2_2": "16e6842902eab9cb",
+    "A2_3": "5d93038457b71ced",
+    "A2_4": "8961c6bde6eb90ef",
+    "A3_1": "5a0f863ea935b616",
+    "A3_2a": "e4b4ad4fc596e099",
+    "A3_8": "40eec48d17894553",
+    "A3_11": "b205721c54c64ae5",
+    "A3_13": "5dd4c91322f1ae1c",
+    "A3_15": "dc450c07149983e6",
+    "A4_1": "40d9f52a76bb1aab",
+    "A4_8": "1bc993c7f0c26df6",
+    "A4_11": "3f5d5dba56952bec",
+    "A4_20": "36a7ed00b8660e52",
+    "A5_1": "3e5fe46783714be6",
+    "A5_6": "32c65018d20002e6",
+    "A5_8": "7266a4389d1f92fb",
+    "A6_2": "ae60d2dbf2198c22",
+    "A6_3": "dc3e82e4613a0733",
+    "H3_DET": "aed65bccd62b0686",
+    "S3_DET": "7b28a8d2bcaf0e80",
+    "TRAFFIC_EX1": "6d5adba978ca4ebe",
+    "TRAFFIC_EX2": "8a9274a231c09b0f",
+    "TRAFFIC_EX3": "085be5a744e85663",
+}
+
+
+def test_check_entry_reports_are_the_same_cold_and_warm():
+    ids = [e.id for e in list_entries() if e.has_system]
+    cold = [repr(check_entry(i, n=200)) for i in ids]
+    misses = E.memo_info().misses
+    warm = [repr(check_entry(i, n=200)) for i in ids]
+    assert E.memo_info().misses == misses  # every kernel was shared
+    assert warm == cold
+    digests = {i: hashlib.sha256(r.encode()).hexdigest()[:16]
+               for i, r in zip(ids, cold)}
+    assert digests == CHECK_ENTRY_DIGESTS
 
 
 class TestExport:

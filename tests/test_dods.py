@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -408,7 +409,7 @@ class TestKernelsOncePerSystem:
         system.box = {"y": (1.0, 2.0)}
         system.delay_kind = DelayKind.CONSTANT
         check_invariance(system, fields[2], n=50)
-        assert len(made) == 3 + 5  # one kernel per field check
+        assert len(made) == 3 + 3  # one kernel per distinct field
 
     def test_one_call_of_each_kernel_per_block(self, monkeypatch):
         made = self._count_generated(monkeypatch)
@@ -434,6 +435,69 @@ class TestKernelsOncePerSystem:
         assert repr(after) == repr(check_invariance(system(2.5), scaling, n=60))
         assert before.max_residual_dode == pytest.approx(1.0)
         assert after.max_residual_dode == pytest.approx(2.5)
+
+
+class TestKernelMemo:
+    """System and field kernels are built once per distinct content and
+    shared by every object that carries it."""
+
+    def test_equal_content_generates_nothing_new(self, monkeypatch):
+        made = TestKernelsOncePerSystem._count_generated(monkeypatch)
+        first = check_invariance(a24_example(), VectorField.from_text("0", "y"),
+                                 n=50)
+        assert len(made) == 4  # g, f, the partials and the field
+        again = check_invariance(
+            a24_example(), VectorField.from_text("0", "y", label="scaling"),
+            n=50)
+        assert len(made) == 4
+        assert repr(again) == repr(dataclasses.replace(first,
+                                                       field_label="scaling"))
+
+    def test_signed_zeros_get_separate_entries(self):
+        def system(a):
+            return DodsSystem(f=parse("ym + a*dy"), g=parse("x-1"),
+                              params={"a": a})
+
+        assert system(0.0).kernels() is not system(-0.0).kernels()
+        assert system(0.0).kernels() is system(0.0).kernels()
+        # frozen trees compare equal across the sign of zero; keys do not
+        zero, minus_zero = (VectorField(const(v), parse("y"))
+                            for v in (0.0, -0.0))
+        assert zero == minus_zero
+        assert field_kernel(zero) is not field_kernel(minus_zero)
+        assert E.memo_info().size == 4
+
+    def test_size_stays_at_the_bound(self):
+        bound = E.memo_info().bound
+        systems = [DodsSystem(f=parse("ym + a"), g=parse("x-1"),
+                              params={"a": float(i)}) for i in range(bound + 5)]
+        kernels = [s.kernels() for s in systems]
+        assert E.memo_info().size == bound
+        # the least recently used entries left first
+        assert systems[-1].kernels() is kernels[-1]
+        assert systems[0].kernels() is not kernels[0]
+        assert E.memo_info().misses == bound + 6
+
+    def test_failed_build_is_not_kept(self):
+        system = DodsSystem(f=parse("ym + a"), g=parse("x-1"))
+        for _ in range(2):
+            with pytest.raises(E.UnboundSymbolError):
+                system.kernels()
+        assert E.memo_info() == (0, 2, 0, E.memo_info().bound)
+
+    def test_memo_info_counts(self):
+        system, scaling = a24_example(), VectorField.from_text("0", "y")
+        assert E.memo_info() == (0, 0, 0, 256)
+        check_invariance(system, scaling, n=50)
+        assert E.memo_info() == (0, 2, 2, 256)  # the system and the field
+        check_invariance(a24_example(), scaling, n=50)
+        info = E.memo_info()
+        assert (info.hits, info.misses, info.size, info.bound) == (2, 2, 2, 256)
+
+    def test_no_attribute_on_the_system(self):
+        system = a24_example()
+        system.kernels()
+        assert not hasattr(system, "_compiled")
 
 
 class TestSystemValidation:
