@@ -44,36 +44,23 @@ class StepRejectionError(IntegrationError):
 
 @dataclass
 class HistoryFunction:
-    """Initial data on [lo, hi]: symbolic phi(x) or a tabulated segment."""
+    """Initial data phi(x) on [lo, hi]."""
 
-    phi: Expr | None
+    phi: Expr
     interval: tuple[float, float]
     params: dict[str, float] = field(default_factory=dict)
-    xs: np.ndarray | None = None
-    ys: np.ndarray | None = None
-    dys: np.ndarray | None = None
 
     def __post_init__(self):
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("history interval must have positive length")
-        if self.phi is not None:
-            bound = bind_params(self.phi, self.params)
-            self._y = compile_fn(bound, ("x",))
-            self._dy = compile_fn(diff(bound, "x"), ("x",))
-        elif self.xs is None:
-            raise ValueError("history needs either phi or samples")
+        bound = bind_params(self.phi, self.params)
+        self._y = compile_fn(bound, ("x",))
+        self._dy = compile_fn(diff(bound, "x"), ("x",))
 
     @staticmethod
     def from_text(text: str, interval: tuple[float, float]) -> "HistoryFunction":
         return HistoryFunction(parse(text), interval)
-
-    @staticmethod
-    def from_samples(xs, ys, dys) -> "HistoryFunction":
-        xs = np.asarray(xs, dtype=float)
-        return HistoryFunction(None, (float(xs[0]), float(xs[-1])),
-                               xs=xs, ys=np.asarray(ys, dtype=float),
-                               dys=np.asarray(dys, dtype=float))
 
     def value(self, x: float) -> tuple[float, float]:
         lo, hi = self.interval
@@ -81,11 +68,7 @@ class HistoryFunction:
             raise HistoryUnderrunError(
                 f"history covers [{lo:g}, {hi:g}], asked for {x:g}"
             )
-        if self.phi is not None:
-            return self._y(x), self._dy(x)
-        i = _segment_index(self.xs, x)
-        return _hermite(x, self.xs[i], self.xs[i + 1], self.ys[i],
-                        self.ys[i + 1], self.dys[i], self.dys[i + 1])
+        return self._y(x), self._dy(x)
 
 
 def _segment_index(xs, x: float) -> int:
@@ -102,6 +85,23 @@ def _hermite(x, x0, x1, y0, y1, d0, d1) -> tuple[float, float]:
     y = y0 + s * (d0 + s * (c2 + s * c3))
     dy = d0 + s * (2.0 * c2 + 3.0 * s * c3)
     return y, dy
+
+
+def _hermite_rows(x, x0, x1, ys0, ys1, ds0, ds1) -> tuple[list, list]:
+    """_hermite at x for every lane of rows that share the nodes x0 < x1,
+    with the same float operations, so each lane's value is bit-identical."""
+    h = x1 - x0
+    s = x - x0
+    hh = h * h
+    s3 = 3.0 * s
+    ys, dys = [], []
+    for y0, y1, d0, d1 in zip(ys0, ys1, ds0, ds1):
+        slope = (y1 - y0) / h
+        c2 = (3.0 * slope - 2.0 * d0 - d1) / h
+        c3 = (d0 + d1 - 2.0 * slope) / hh
+        ys.append(y0 + s * (d0 + s * (c2 + s * c3)))
+        dys.append(d0 + s * (2.0 * c2 + s3 * c3))
+    return ys, dys
 
 
 def _hermite_dd(x, x0, x1, y0, y1, d0, d1) -> float:
@@ -176,8 +176,6 @@ def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
     """Pointwise linear combination; grids must match exactly."""
     if a.xs != b.xs:
         raise ValueError("trajectories live on different grids")
-    if a.history.phi is None or b.history.phi is None:
-        raise ValueError("combination needs symbolic histories")
     phi = bind_params(a.history.phi, a.history.params) * ca \
         + bind_params(b.history.phi, b.history.params) * cb
     hist = HistoryFunction(phi, a.history.interval)
@@ -359,7 +357,39 @@ def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:
 
 
 # ---------------------------------------------------------------------------
-# the driver
+# the drivers
+
+
+def _step_plan(x0: float, x_end: float, h: float, tau: float | None = None):
+    """The (start, size) of every step from x0 to x_end, in order, lazily.
+
+    Under a constant delay tau the multiples of tau past x0 are edges, and
+    each stretch between two edges takes steps of h_eff = tau / n_sub with
+    n_sub = ceil(tau / h); otherwise the one stretch takes steps of h.  The
+    last step of a stretch is cut short to end on its edge.  Raises
+    ValueError for h <= 0 or x_end <= x0 before any step is planned.
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    if x_end <= x0:
+        raise ValueError("x_end must lie beyond the history")
+    if tau is None:
+        return _steps(x0, h, [x_end])
+    n_sub = max(1, math.ceil(tau / h - 1e-12))
+    edges = []
+    edge = x0
+    while edge < x_end - 1e-12:
+        edge = min(edge + tau, x_end)
+        edges.append(edge)
+    return _steps(x0, tau / n_sub, edges)
+
+
+def _steps(x: float, h_eff: float, edges: list[float]):
+    for edge in edges:
+        while x < edge - 1e-12:
+            step = min(h_eff, edge - x)
+            yield x, step
+            x = x + step
 
 
 def solve(
@@ -383,6 +413,11 @@ def solve(
                          dy0, x_end, h)
     traj.warnings = warnings
     return traj
+
+
+def _rejection(x: float, reason) -> StepRejectionError:
+    """The failure of a right-hand side that has no value at stage x."""
+    return StepRejectionError(f"right-hand side not evaluable at x = {x:g}: {reason}")
 
 
 def _exact_drift(system: DodsSystem, phi: HistoryFunction, x_end: float,
@@ -410,12 +445,9 @@ def solve_numeric(
     delay locates xm at every stage: _delay_spec(system, warn) for a
     system's delay relation, or _ConstantDelay(tau).
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
     x0 = phi.interval[1]
-    if x_end <= x0:
-        raise ValueError("x_end must lie beyond the history")
-
+    plan = _step_plan(x0, x_end, h, delay.tau if isinstance(delay, _ConstantDelay)
+                      else None)
     y0, phi_dy0 = phi.value(x0)
     dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
 
@@ -445,41 +477,22 @@ def solve_numeric(
         try:
             fv = f_eval(xs, ys, xm, ym, dys, dym)
         except DomainError as exc:
-            raise StepRejectionError(
-                f"right-hand side not evaluable at x = {xs:g}: {exc}"
-            ) from None
+            raise _rejection(xs, exc) from None
         return dys, fv
 
-    # step plan: align to delay multiples for constant delay
-    if isinstance(delay, _ConstantDelay):
-        tau = delay.tau
-        n_sub = max(1, math.ceil(tau / h - 1e-12))
-        h_eff = tau / n_sub
-        edges = []
-        edge = x0
-        while edge < x_end - 1e-12:
-            edge = min(edge + tau, x_end)
-            edges.append(edge)
-    else:
-        h_eff = h
-        edges = [x_end]
-
-    x, y, dy = x0, y0, dy_start
-    for edge in edges:
-        while x < edge - 1e-12:
-            step = min(h_eff, edge - x)
-            k1y, k1d = rhs(x, y, dy)
-            k2y, k2d = rhs(x + 0.5 * step, y + 0.5 * step * k1y,
-                           dy + 0.5 * step * k1d)
-            k3y, k3d = rhs(x + 0.5 * step, y + 0.5 * step * k2y,
-                           dy + 0.5 * step * k2d)
-            k4y, k4d = rhs(x + step, y + step * k3y, dy + step * k3d)
-            y = y + step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-            dy = dy + step * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
-            x = x + step
-            traj.xs.append(x)
-            traj.ys.append(y)
-            traj.dys.append(dy)
+    y, dy = y0, dy_start
+    for x, step in plan:
+        k1y, k1d = rhs(x, y, dy)
+        k2y, k2d = rhs(x + 0.5 * step, y + 0.5 * step * k1y,
+                       dy + 0.5 * step * k1d)
+        k3y, k3d = rhs(x + 0.5 * step, y + 0.5 * step * k2y,
+                       dy + 0.5 * step * k2d)
+        k4y, k4d = rhs(x + step, y + step * k3y, dy + step * k3d)
+        y = y + step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        dy = dy + step * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+        traj.xs.append(x + step)
+        traj.ys.append(y)
+        traj.dys.append(dy)
     traj.n_fixed_point_fallbacks = fallbacks
     traj.n_rhs_evals = n_rhs
     traj.n_delay_iterations = n_iter

@@ -472,13 +472,6 @@ class TestCsv:
 
 
 class TestHistoryFunction:
-    def test_tabulated_segment(self):
-        xs = np.linspace(-1.0, 0.0, 11)
-        hist = HistoryFunction.from_samples(xs, np.sin(xs), np.cos(xs))
-        y, dy = hist.value(-0.37)
-        assert y == pytest.approx(math.sin(-0.37), abs=1e-6)
-        assert dy == pytest.approx(math.cos(-0.37), abs=1e-4)
-
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValueError):
             HistoryFunction(parse("x"), (0.0, 0.0))

@@ -1,8 +1,12 @@
+import hashlib
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from dodesym import expr as E
+from dodesym import integrate
 from dodesym.dods import check_invariance
 from dodesym.expr import evaluate, parse
 from dodesym.integrate import HistoryFunction, StepRejectionError, solve
@@ -259,6 +263,36 @@ class TestPlatoon:
         with pytest.raises(TrafficError, match="one history per car"):
             simulate_platoon(p, 2, [], t_end=1.0, h=1e-2)
 
+    def test_histories_must_end_at_one_time(self):
+        p = example_params(1)
+        hists = [HistoryFunction(parse("x - 1"), (-0.5, 0.0)),
+                 HistoryFunction(parse("x - 2"), (-0.5, 0.0)),
+                 HistoryFunction(parse("x - 3"), (-0.4, 0.1)),
+                 HistoryFunction(parse("x - 4"), (-0.5, 0.2))]
+        with pytest.raises(TrafficError,
+                           match="history of car 3 ends at 0.1, not at t0 = 0"):
+            simulate_platoon(p, 4, hists, t_end=1.0, h=1e-2)
+
+    def test_collapse_inside_the_partial_step_drops_it(self):
+        # car 1's history spikes past the stopped leader at two delayed
+        # points: the grid's stage at t_c = 10 h_eff reads the wide spike,
+        # and only the partial step to t_c - 2h reads the narrow one
+        tau, h = 0.5, 0.03
+        h_eff = tau / 17
+        wide, narrow = 10 * h_eff - tau, 10 * h_eff - 2 * h - tau
+        phi = parse(f"x + 1 + 10*exp(-((x - {wide!r})/0.001)^2)"
+                    f" + 10*exp(-((x - {narrow!r})/0.00002)^2)")
+        p = TrafficParams(alpha=1.0, n1=1.0, n2=1.0, tau=tau,
+                          leader=parse("5 + 0*t"))
+        state = simulate_platoon(p, 1, [HistoryFunction(phi, (-tau, 0.0))],
+                                 t_end=1.0, h=h)
+        traj = state.trajectories[0]
+        assert state.collisions == [(1, pytest.approx(10 * h_eff, abs=1e-12))]
+        # the grid nodes up to t_c - 2h, without the partial step
+        assert len(traj.xs) == 8
+        assert traj.x_end == pytest.approx(7 * h_eff, abs=1e-12)
+        assert traj.n_rhs_evals == 4 * 7
+
 
 class TestExactSolutionForms:
     def test_invariant_forms(self):
@@ -299,6 +333,14 @@ h = 0.002
                     zip(state.trajectories[0].xs, state.trajectories[0].ys))
         assert drift < 1e-8
 
+    def test_example_scenario_runs_without_collision(self):
+        path = Path(__file__).resolve().parents[1] / "examples" / "platoon.txt"
+        p, n_cars, hists, t_end, h = load_scenario(path.read_text())
+        state = simulate_platoon(p, n_cars, hists, t_end, h)
+        assert n_cars == 4 and not state.collided
+        assert [t.x_end for t in state.trajectories] == \
+            pytest.approx([t_end] * 4, abs=1e-9)
+
     def test_unknown_key(self):
         with pytest.raises(TrafficError, match="unknown key"):
             load_scenario("leader = t\nwarp = 9\n")
@@ -321,3 +363,198 @@ h = 0.002
         bad = self.SCENARIO.replace("history.2 = t - 2\n", "")
         with pytest.raises(TrafficError, match="history.2"):
             load_scenario(bad)
+
+
+# ---------------------------------------------------------------------------
+# the lock-step platoon against the car-by-car sweep it replaced
+
+#: (alpha, tau, v, spacing, jitter) of round 0 of the benchmark's
+#: steps-pipelines workload at seeds 101-103: the 10-car platoon request
+#: uses every jitter, the 4-car scenario file the first four.
+BENCH_PLATOONS = {
+    101: (1.0854623864797661, 0.548275326050432, 1.2563811136222836,
+          1.847028424612676,
+          [0.0004547944889501977, -0.007743857837381334, -0.02668782876316739,
+           -0.014975447980217977, 0.020457782292471215, 0.019089264877520544,
+           0.010039525574152136, -0.0017647445341149662, 0.028190669562938683,
+           0.020415645238776044]),
+    102: (1.883366866698335, 0.4136167004931325, 1.21304977941021,
+          2.2256430750639886,
+          [0.0251379788332639, -0.021215374786372122, 0.0067569147701586965,
+           -0.026753688093848475, 0.014586764606197983, 0.004377568773545289,
+           -0.02240292169870213, -0.023179331950823022, 0.0014681869884790866,
+           -0.00035935642254948663]),
+    103: (0.8798590824398611, 0.33910971589806704, 1.4454812809476079,
+          2.1488396141222257,
+          [-0.018221293973721638, -0.02779472745034832, 0.020810248812019073,
+           -0.0077360712398866355, -0.017441320935979908, -0.005605331784807776,
+           -0.020227420431923906, -0.025708856247493687, -0.028692018591995425,
+           -0.029487225745339376]),
+}
+
+
+def _bench_histories(seed, n_cars):
+    _, _, v, spacing, jitter = BENCH_PLATOONS[seed]
+    return [f"{v * (1.0 + j)!r}*x - {(i + 1) * spacing!r}"
+            for i, j in enumerate(jitter[:n_cars])]
+
+
+def _bench10(seed):
+    alpha, tau, v, _, _ = BENCH_PLATOONS[seed]
+    p = example_params(1, alpha=alpha, tau=tau, v=v)
+    hists = [HistoryFunction.from_text(text, (-tau, 0.0))
+             for text in _bench_histories(seed, 10)]
+    return p, 10, hists, 5.0, 0.01
+
+
+def _bench4(seed):
+    alpha, tau, v, _, _ = BENCH_PLATOONS[seed]
+    lines = [f"leader = {v!r}*t", f"alpha = {alpha!r}", "n1 = 1", "n2 = 1",
+             f"tau = {tau!r}", "cars = 4", "t_end = 5.0", "h = 0.01"]
+    lines += [f"history.{i + 1} = {text.replace('x', 't')}"
+              for i, text in enumerate(_bench_histories(seed, 4))]
+    return load_scenario("\n".join(lines) + "\n")
+
+
+def _cars(leader, histories, t_end, h, tau=0.5, alpha=0.05, n1=1.0, n2=1.0):
+    p = TrafficParams(alpha=alpha, n1=n1, n2=n2, tau=tau, leader=parse(leader))
+    return (p, len(histories),
+            [HistoryFunction(parse(text), (-tau, 0.0)) for text in histories],
+            t_end, h)
+
+
+PLATOON_CASES = {
+    **{f"bench10-{seed}": (lambda seed=seed: _bench10(seed))
+       for seed in BENCH_PLATOONS},
+    **{f"bench4-{seed}": (lambda seed=seed: _bench4(seed))
+       for seed in BENCH_PLATOONS},
+    # stopped leader: car 1's headway collapses, its last step is partial
+    "braking": lambda: _cars("5 + 0*t", ["x + 4.9", "x + 3", "x + 1"], 6.0,
+                             0.003, tau=0.05, alpha=1.0),
+    # stopped leader: car 1 collapses, but its re-run reaches the leader
+    "braking-reach": lambda: _cars("5 + 0*t", ["x", "x - 1", "x - 2"], 8.0,
+                                   0.03),
+    # car 2 passes car 1 at a node before its headway collapses
+    "reach-then-collapse": lambda: _cars(
+        "t + 10", ["0.2*x + 1", "2*x + 0.5"], 3.0, 0.01, alpha=1.0),
+    # car 2 collapses within two steps of t0: only its start node is kept
+    "collapse-at-start": lambda: _cars(
+        "t + 10", ["x + 5", "x + 5 - 1e-6 + 1e-3*(x + 0.5)"], 2.0, 1e-3),
+    # car 1's acceleration overflows
+    "overflow": lambda: _cars("1e10*t + 1e10", ["x", "x - 1"], 1.0, 0.01,
+                              alpha=1e300),
+    # car 2 fails at t0, but car 1 collides later: the collision stands
+    "lower-collides-later": lambda: _cars(
+        "5 + 0*t", ["x", "-x - 3"], 8.0, 0.01, n1=0.5),
+    # car 2 fails at t0, but car 1 fails later: car 1's failure is raised
+    "lower-raises-later": lambda: _cars(
+        "exp(exp(t))", ["x", "-x - 3"], 8.0, 0.01, n1=0.5),
+    # car 1 passes the leader at a node and runs on to t_end
+    "reach-completes": lambda: _cars("t + 0.3", ["2*x + 0.5", "x - 1"], 6.0,
+                                     0.01, alpha=3.0, n1=0.5, n2=0.0),
+    # car 1 passes the leader at a node, then fails: the failure is raised
+    "reach-then-raise": lambda: _cars("t + 0.3", ["2*x + 0.5", "x - 1"], 6.0,
+                                      0.01, alpha=5.0, n1=0.5, n2=0.0),
+    # car 2's history does not reach back a whole delay
+    "short-history": lambda: (
+        TrafficParams(alpha=1.0, n1=1.0, n2=1.0, tau=0.5, leader=parse("t")),
+        2, [HistoryFunction(parse("x - 1"), (-0.5, 0.0)),
+            HistoryFunction(parse("x - 2"), (-0.25, 0.0))], 2.0, 0.01),
+    # one step per delay: stage 4 reads car 1 just past its newest node
+    "one-step-per-delay": lambda: _cars(
+        "t + 3 + 0.5*sin(3*t)",
+        ["2.5570244371987876*x - 1.6428767367910138",
+         "0.5*x - 2.9793926242698827"],
+        3.110446121668833, 0.13723709241004053, tau=0.1,
+        alpha=2.7011652761450753, n2=2.0),
+    # the leader is undefined at nodes before its delayed values fail
+    "leader-domain-solve": lambda: _cars(
+        "sqrt(4 - t) + 10", ["x - 3", "x - 4"], 5.0, 0.01),
+    # the leader is undefined at nodes only: the node scan fails
+    "leader-domain-scan": lambda: _cars(
+        "sqrt(4 - t) + 10", ["x - 3", "x - 4"], 4.3, 0.01),
+}
+
+#: Recorded from the sweep that integrated one car after another with the
+#: scalar integrator: the collisions, each trajectory's n_rhs_evals and
+#: node count, and a sha256 prefix of the trajectories' CSVs in car order;
+#: or the error raised.
+PLATOON_PINS = {
+    "bench10-101": ([], [2008] * 10, [503] * 10, "af54c166e0fdb542"),
+    "bench10-102": ([], [2032] * 10, [509] * 10, "fd7a2dc8cd7284c4"),
+    "bench10-103": ([], [2008] * 10, [503] * 10, "b4d711fa4a03d3d5"),
+    "bench4-101": ([], [2008] * 4, [503] * 4, "fb77fd6f5f9f1b2a"),
+    "bench4-102": ([], [2032] * 4, [509] * 4, "871a674f6e89e449"),
+    "bench4-103": ([], [2008] * 4, [503] * 4, "7f3c2cafc20cbe1b"),
+    "braking": ([(1, 0.9911764705882323)], [1340], [336], "f426bdb556436d0a"),
+    "braking-reach": ([(1, 5.2058823529411615)], [768], [178],
+                      "0a682f2e562d3844"),
+    "reach-then-collapse": ([(2, 0.3900000000000002)], [1200, 348], [301, 40],
+                            "6a8952ac0a9dfae6"),
+    "collapse-at-start": ([(2, 0.0005)], [8000, 0], [2001, 1],
+                          "12f3475d20326787"),
+    "overflow": ("raises", "StepRejectionError",
+                 "right-hand side not evaluable at x = 0: non-finite result"),
+    "lower-collides-later": ([(1, 5.209999999999932)], [2276], [522],
+                             "020a5942e435ef2e"),
+    "lower-raises-later": (
+        "raises", "StepRejectionError",
+        "right-hand side not evaluable at x = 7.06: non-finite result in"
+        " '(exp(exp(x)) * exp(x))'"),
+    "reach-completes": ([(1, 0.01)], [2400], [2], "929a307bb60109ca"),
+    "reach-then-raise": (
+        "raises", "StepRejectionError",
+        "right-hand side not evaluable at x = 0.595: math domain error"),
+    "short-history": ("raises", "HistoryUnderrunError",
+                      "-0.5 is below the covered range"),
+    "one-step-per-delay": ([], [128, 128], [33, 33], "7061b18d0c2a2267"),
+    "leader-domain-solve": (
+        "raises", "StepRejectionError",
+        "right-hand side not evaluable at x = 4.505: math domain error in"
+        " '(sqrt((4 - x)) + 10)'"),
+    "leader-domain-scan": ("raises", "DomainError",
+                           "math domain error in '(sqrt((4 - x)) + 10)'"),
+}
+
+
+def _fingerprint(case):
+    try:
+        state = simulate_platoon(*case)
+    except Exception as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    digest = hashlib.sha256()
+    for traj in state.trajectories:
+        digest.update(traj.to_csv().encode())
+    return (state.collisions, [t.n_rhs_evals for t in state.trajectories],
+            [len(t.xs) for t in state.trajectories], digest.hexdigest()[:16])
+
+
+class TestLockStepPlatoon:
+    @pytest.mark.parametrize("name", list(PLATOON_CASES))
+    def test_matches_the_car_by_car_sweep(self, name):
+        assert _fingerprint(PLATOON_CASES[name]()) == PLATOON_PINS[name]
+
+    @pytest.mark.parametrize("name", ["bench10-101", "bench4-102"])
+    def test_no_scalar_solve_and_no_interpolation(self, name, monkeypatch):
+        calls = {"solve_numeric": 0, "interpolate": 0}
+        solve_numeric = integrate.solve_numeric
+        interpolate = integrate.Trajectory.interpolate
+
+        def counted_solve(*args, **kwargs):
+            calls["solve_numeric"] += 1
+            return solve_numeric(*args, **kwargs)
+
+        def counted_interpolate(traj, x):
+            calls["interpolate"] += 1
+            return interpolate(traj, x)
+
+        # every dodesym namespace that binds the driver
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("dodesym") and \
+                    getattr(module, "solve_numeric", None) is solve_numeric:
+                monkeypatch.setattr(module, "solve_numeric", counted_solve)
+        monkeypatch.setattr(integrate.Trajectory, "interpolate",
+                            counted_interpolate)
+        state = simulate_platoon(*PLATOON_CASES[name]())
+        assert not state.collided
+        assert calls == {"solve_numeric": 0, "interpolate": 0}
