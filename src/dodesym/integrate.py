@@ -4,10 +4,12 @@ Classical 4th-order one-step integration of (y, dy)' = (dy, f), reading
 delayed values from the already-computed part of the trajectory or from
 the initial history.  For constant delay the step grid is aligned so the
 multiples of the delay are breakpoints, which confines derivative
-discontinuities to nodes.  Solution-independent delays evaluate g(x)
-directly; state-dependent delays are located by a safeguarded secant
-iteration on s - g(s), warm-started from the previous stage, with a
-bracket scan and bisection as the fallback.
+discontinuities to nodes.  A delayed point at the newest node, or rounded
+just past it (one step per delay allows that), reads that node.
+Solution-independent delays evaluate g(x) directly; state-dependent
+delays are located by a safeguarded secant iteration on s - g(s),
+warm-started from the previous stage, with a bracket scan and bisection
+as the fallback.
 """
 
 from __future__ import annotations
@@ -76,32 +78,22 @@ def _segment_index(xs, x: float) -> int:
     return min(max(i, 0), len(xs) - 2)
 
 
-def _hermite(x, x0, x1, y0, y1, d0, d1) -> tuple[float, float]:
+def _hermite_terms(x, x0, x1) -> tuple[float, float, float, float]:
+    """The terms of the cubic Hermite interpolant at x on [x0, x1] that the
+    node values do not enter: every trajectory on that segment shares them."""
     h = x1 - x0
     s = x - x0
+    return h, s, h * h, 3.0 * s
+
+
+def _hermite(terms, y0, y1, d0, d1) -> tuple[float, float]:
+    """(y, dy) of the cubic Hermite interpolant from _hermite_terms and the
+    values and slopes at the two nodes."""
+    h, s, hh, s3 = terms
     slope = (y1 - y0) / h
     c2 = (3.0 * slope - 2.0 * d0 - d1) / h
-    c3 = (d0 + d1 - 2.0 * slope) / (h * h)
-    y = y0 + s * (d0 + s * (c2 + s * c3))
-    dy = d0 + s * (2.0 * c2 + 3.0 * s * c3)
-    return y, dy
-
-
-def _hermite_rows(x, x0, x1, ys0, ys1, ds0, ds1) -> tuple[list, list]:
-    """_hermite at x for every lane of rows that share the nodes x0 < x1,
-    with the same float operations, so each lane's value is bit-identical."""
-    h = x1 - x0
-    s = x - x0
-    hh = h * h
-    s3 = 3.0 * s
-    ys, dys = [], []
-    for y0, y1, d0, d1 in zip(ys0, ys1, ds0, ds1):
-        slope = (y1 - y0) / h
-        c2 = (3.0 * slope - 2.0 * d0 - d1) / h
-        c3 = (d0 + d1 - 2.0 * slope) / hh
-        ys.append(y0 + s * (d0 + s * (c2 + s * c3)))
-        dys.append(d0 + s * (2.0 * c2 + s3 * c3))
-    return ys, dys
+    c3 = (d0 + d1 - 2.0 * slope) / hh
+    return y0 + s * (d0 + s * (c2 + s * c3)), d0 + s * (2.0 * c2 + s3 * c3)
 
 
 def _hermite_dd(x, x0, x1, y0, y1, d0, d1) -> float:
@@ -122,7 +114,6 @@ class Trajectory:
     dys: list[float]
     history: HistoryFunction
     h: float
-    method: str = "rk4"
     warnings: list[str] = field(default_factory=list)
     #: delay resolutions that fell back to the bracket scan
     n_fixed_point_fallbacks: int = 0
@@ -140,21 +131,26 @@ class Trajectory:
         return self.xs[-1]
 
     def interpolate(self, x: float) -> tuple[float, float]:
-        """(y, dy) from the Hermite dense output or the history."""
+        """(y, dy) from the Hermite dense output or the history.
+
+        A point at the newest node, or rounded just past it (within 1e-12),
+        reads that node.
+        """
+        xs = self.xs
         if x < self.history.interval[0] - 1e-12:
             raise HistoryUnderrunError(
                 f"{x:g} is below the covered range"
             )
-        if x < self.xs[0]:
+        if x < xs[0]:
             return self.history.value(x)
-        if x > self.xs[-1] + 1e-12:
-            raise IntegrationError(f"{x:g} is beyond the computed range")
-        i = _segment_index(self.xs, x)
-        if x == self.xs[i]:
+        if x >= xs[-1]:
+            if x > xs[-1] + 1e-12:
+                raise IntegrationError(f"{x:g} is beyond the computed range")
+            return self.ys[-1], self.dys[-1]
+        i = bisect.bisect_right(xs, x) - 1
+        if x == xs[i]:
             return self.ys[i], self.dys[i]
-        if x == self.xs[i + 1]:
-            return self.ys[i + 1], self.dys[i + 1]
-        return _hermite(x, self.xs[i], self.xs[i + 1], self.ys[i],
+        return _hermite(_hermite_terms(x, xs[i], xs[i + 1]), self.ys[i],
                         self.ys[i + 1], self.dys[i], self.dys[i + 1])
 
     def second_derivative(self, x: float) -> float:
@@ -183,7 +179,7 @@ def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
         xs=list(a.xs),
         ys=[ca * u + cb * v for u, v in zip(a.ys, b.ys)],
         dys=[ca * u + cb * v for u, v in zip(a.dys, b.dys)],
-        history=hist, h=a.h, method=a.method,
+        history=hist, h=a.h,
     )
 
 

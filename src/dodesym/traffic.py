@@ -16,6 +16,7 @@ proportional delay, exponential leader with constant delay.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -30,9 +31,8 @@ from .integrate import (
     _bisect,
     _exact_drift,
     _hermite,
-    _hermite_rows,
+    _hermite_terms,
     _rejection,
-    _segment_index,
     _sign_scan,
     _step_plan,
 )
@@ -360,8 +360,6 @@ def compare_exact_vs_numeric(
 @dataclass
 class PlatoonState:
     trajectories: list[Trajectory]
-    leader: Expr
-    count: int
     collisions: list[tuple[int, float]] = dc_field(default_factory=list)
 
     @property
@@ -381,28 +379,29 @@ def simulate_platoon(
 
     Every history must end at the same t0 (a TrafficError names the first
     car whose history ends elsewhere), so that all cars share one node
-    grid: the steps of a method-of-steps solve from t0 to t_end aligned to
-    the delay tau.  The cars advance over it in lock-step, one lane of
-    floats per car.  At each RK4 stage one Hermite row at the delayed point
-    gives every car its own delayed values, car i reads car i-1's entry of
-    that row as its predecessor's, and car 1 reads the leader.  Every car
-    runs the same right-hand side, its two powers taken with math.pow: a
-    power without a real value or a non-finite result is a
-    StepRejectionError.
+    grid, and with it one stage plan: the steps of a method-of-steps solve
+    from t0 to t_end aligned to the delay tau, and the delayed point of
+    every RK4 stage.  The cars are integrated one after another in index
+    order over that plan.  Car i reads car i-1 only at those delayed
+    points, so each car keeps the values it read there for itself, and the
+    car behind reads them; car 1 reads the leader.  A delayed point at the
+    newest node, or rounded just past it (only one step per delay allows
+    that), reads that node.  Every car runs the same right-hand side, its
+    two powers taken with math.pow: a power without a real value or a
+    non-finite result is a StepRejectionError.
 
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
     falls below the floor first (which would make the right-hand side
     singular), its trajectory is cut two steps of h before that time: the
-    grid nodes up to there and one partial step to it, or only its start
-    when that time is not past t0.  It collides at that time unless one of
-    the kept nodes has reached the car in front.  A car that fails -- a
-    rejected step or a history that does not reach back one delay --
-    raises the failure, even after a node where it reached the car in
-    front.  The lowest car with such an event decides the outcome: the cars
-    behind it are dropped, even one that failed earlier in time, and its
-    collision is recorded or its failure raised.  That is the outcome of
-    integrating the cars one after another in index order.
+    grid nodes up to there and one partial step to it, which reads both
+    cars through Trajectory.interpolate, or only its start when that time
+    is not past t0.  A collapse inside the partial step drops it.  The car
+    collides at that time unless one of the kept nodes has reached the car
+    in front.  A car that fails -- a rejected step or a history that does
+    not reach back one delay -- raises the failure, even after a node where
+    it reached the car in front.  The first car that collides or fails ends
+    the run: the cars behind it are not integrated.
     """
     if p.q is not None:
         raise TrafficError("platoon simulation is stated for constant delay")
@@ -417,334 +416,203 @@ def simulate_platoon(
                 f"the history of car {i} ends at {phi.interval[1]:g}, not at"
                 f" t0 = {t0:g}: the cars of a platoon share one node grid"
             )
-    run = _LockStep(p, histories, t_end, h, headway_floor)
-    run.advance()
-    return run.settle()
+    lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",))
+    lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",))
+
+    def leader(s: float) -> tuple[float, float]:
+        return lead_pos(s), lead_vel(s)
+
+    steps = list(_step_plan(t0, t_end, h, p.tau))
+    grid, plan = _stage_plan(t0, steps, p.tau)
+    front = None
+    ahead = _front_values(leader, plan)
+    state = PlatoonState(trajectories=[])
+    for car, phi in enumerate(histories, start=1):
+        y0, dy0 = phi.value(t0)
+        ys, dys = [y0], [dy0]
+        try:
+            ahead = _drive(p, headway_floor, plan, phi, ys, dys, ahead)
+            xs, n_grid, t_c = grid[:len(ys)], len(ys), None
+        except _Collapse as exc:
+            t_c = exc.x
+            xs, n_grid = _cut(p, headway_floor, steps, h, phi, ys, dys, t_c,
+                              leader if front is None else front.interpolate)
+        traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi, h=h)
+        traj.n_rhs_evals = 4 * (len(xs) - 1)
+        for j in range(1, len(xs)):
+            if front is None:
+                front_y = lead_pos(xs[j])
+            elif j < n_grid:
+                front_y = front.ys[j]
+            else:
+                front_y = front.interpolate(xs[j])[0]
+            if front_y - ys[j] <= 0.0:
+                t_c = xs[j]
+                del xs[j + 1:], ys[j + 1:], dys[j + 1:]
+                break
+        state.trajectories.append(traj)
+        if t_c is not None:
+            state.collisions.append((car, float(t_c)))
+            return state
+        front = traj
+    return state
 
 
-class _Collapse:
+def _stage_plan(t0: float, steps: list, tau: float):
+    """The node grid of steps taken from t0, and per step (x, step, half,
+    points): the delayed points of its stages at x, x + half and x + step.
+
+    A point is (j, xm, terms).  j < 0 puts xm in the history; terms None
+    puts it at node j, and otherwise inside the segment from node j to
+    node j + 1 with the Hermite terms every car shares.  A point at the
+    newest node when the step starts, or rounded just past it, is at that
+    node.
+    """
+    grid, plan = [t0], []
+    for x, step in steps:
+        half = 0.5 * step
+        points = []
+        for xm in (x - tau, x + half - tau, x + step - tau):
+            if xm < t0:
+                points.append((-1, xm, None))
+            elif xm >= grid[-1]:
+                points.append((len(grid) - 1, xm, None))
+            else:
+                j = bisect.bisect_right(grid, xm) - 1
+                points.append((j, xm, None if xm == grid[j] else
+                               _hermite_terms(xm, grid[j], grid[j + 1])))
+        plan.append((x, step, half, points))
+        grid.append(x + step)
+    return grid, plan
+
+
+def _front_values(lookup, plan):
+    """(ys, dys, error): lookup at the delayed points of plan, in order, up
+    to the first where it raises a DomainError, and that error."""
+    ys, dys = [], []
+    try:
+        for _, _, _, points in plan:
+            for _, xm, _ in points:
+                y, dy = lookup(xm)
+                ys.append(y)
+                dys.append(dy)
+    except DomainError as err:
+        return ys, dys, err
+    return ys, dys, None
+
+
+def _cut(p: TrafficParams, floor: float, steps: list, h: float,
+         phi: HistoryFunction, ys: list, dys: list, t_c: float, front):
+    """Cut the rows ys, dys of a car whose headway collapsed at t_c back to
+    two steps of h before it, in place; returns the nodes kept and how many
+    of them are grid nodes.
+
+    The grid's steps are kept while the solve to t_c - 2h takes them.  Its
+    remaining step, partial, is taken again, reading the car in front
+    through front (the leader, or Trajectory.interpolate) and the car
+    itself off the nodes it kept.
+    """
+    t0, end = phi.interval[1], t_c - 2 * h
+    if not end > t0:
+        del ys[1:], dys[1:]
+        return [t0], 1
+    rerun = list(_step_plan(t0, end, h, p.tau))
+    shared = 0
+    while shared < min(len(rerun), len(steps)) and \
+            rerun[shared] == steps[shared]:
+        shared += 1
+    del ys[shared + 1:], dys[shared + 1:]
+    grid, plan = _stage_plan(t0, rerun, p.tau)
+    tail = plan[shared:]
+    try:
+        _drive(p, floor, tail, phi, ys, dys, _front_values(front, tail))
+    except _Collapse:
+        pass
+    return grid[:len(ys)], shared + 1
+
+
+class _Collapse(Exception):
     """The delayed headway fell below the floor at stage time x."""
 
     def __init__(self, x: float):
+        super().__init__(f"headway collapsed at t = {x:g}")
         self.x = x
 
 
-class _Event:
-    """What stops a car: the first node where it reached the car in front
-    (or where the leader is undefined, node_error), a headway collapse at
-    t_c or a failure."""
+def _drive(p: TrafficParams, floor: float, plan, phi: HistoryFunction,
+           ys: list, dys: list, ahead) -> tuple:
+    """Take the steps of plan from the last of the rows ys, dys, one row
+    appended per step, under the car-following law of p.
 
-    def __init__(self, lane: int):
-        self.lane = lane
-        self.node: int | None = None
-        self.node_error: Exception | None = None
-        self.t_c: float | None = None
-        self.error: Exception | None = None
-
-    @property
-    def final(self) -> bool:
-        """A collapse or a failure ends the car's lane; a node does not, as
-        a later failure of the same car still overrides it."""
-        return self.t_c is not None or self.error is not None
-
-
-class _LockStep:
-    """Every car of a platoon as one lane of per-node rows on a shared grid.
-
-    rows_y[j] and rows_d[j] hold position and velocity at grid[j] for the
-    lanes still advancing then, car 1 first.  Those lanes are always the
-    first `active`: a car's event drops every car behind it.  `event` is
-    the event of the lowest car that has one.
+    ahead is (ys, dys, error) of the car in front at the delayed points of
+    plan, as _front_values gives it: a stage past the values it holds
+    fails with its error.  Returns the car's own values at those points,
+    in the same form, for the car behind.  Raises _Collapse at a stage
+    whose delayed headway is below the floor, and the failure of a stage
+    that has no value.
     """
+    alpha, n1, n2 = p.alpha, p.n1, p.n2
+    # with n2 = 0 the headway never enters: no floor, and a division by
+    # pow(gap, 0.0) = 1.0, which is exact
+    if n2 == 0.0:
+        floor = -math.inf
+    pow_, isfinite = math.pow, math.isfinite
+    front_y, front_d, front_err = ahead
+    n_front = len(front_y)
+    own_y, own_d = [], []
+    lo = phi.interval[0] - 1e-12
 
-    def __init__(self, p: TrafficParams, histories: list[HistoryFunction],
-                 t_end: float, h: float, floor: float):
-        self.alpha, self.n1, self.n2, self.tau = p.alpha, p.n1, p.n2, p.tau
-        self.leader = p.leader
-        self.lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",))
-        self.lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}),
-                                   ("x",))
-        self.floor = floor
-        self.histories = histories
-        self.lows = [phi.interval[0] - 1e-12 for phi in histories]
-        self.t0, self.h = histories[0].interval[1], h
-        self.steps = list(_step_plan(self.t0, t_end, h, p.tau))
-        self.event: _Event | None = None
-        self.active = len(histories)
-        ys, dys, exc = self._history_rows(self.t0, 0, self.active)
-        if exc is not None:
-            self._record(len(ys), error=exc)
-        self.grid = [self.t0]
-        self.rows_y, self.rows_d = [ys], [dys]
-
-    def _record(self, lane: int, **what) -> None:
-        if self.event is None or lane < self.event.lane:
-            self.event = _Event(lane)
-        for name, value in what.items():
-            setattr(self.event, name, value)
-        self.active = lane if self.event.final else lane + 1
-
-    def _history_rows(self, x: float, lo: int, hi: int):
-        """(y, dy) of lanes lo..hi-1 at x from their histories, as two
-        lists, and None; or, when a lane's history is undefined at x, the
-        lists of the lanes before it and the error."""
-        ys, dys = [], []
-        try:
-            for lane in range(lo, hi):
-                if x < self.lows[lane]:
-                    raise HistoryUnderrunError(
-                        f"{x:g} is below the covered range")
-                y, dy = self.histories[lane].value(x)
-                ys.append(y)
-                dys.append(dy)
-        except (HistoryUnderrunError, DomainError) as exc:
-            return ys, dys, exc
-        return ys, dys, None
-
-    def _rows(self, x: float, lo: int, hi: int):
-        """_history_rows before t0; after it, the rows at the node x or
-        their Hermite interpolant, as Trajectory.interpolate finds them: a
-        point rounded just past the last node extrapolates the last
-        segment."""
-        if x < self.t0:
-            return self._history_rows(x, lo, hi)
-        grid, rows_y, rows_d = self.grid, self.rows_y, self.rows_d
-        i = _segment_index(grid, x)
-        if x == grid[i]:
-            return rows_y[i][lo:hi], rows_d[i][lo:hi], None
-        if x == grid[i + 1]:
-            return rows_y[i + 1][lo:hi], rows_d[i + 1][lo:hi], None
-        ys, dys = _hermite_rows(x, grid[i], grid[i + 1], rows_y[i][lo:hi],
-                                rows_y[i + 1][lo:hi], rows_d[i][lo:hi],
-                                rows_d[i + 1][lo:hi])
-        return ys, dys, None
-
-    def _accelerations(self, x: float, dys: list, lo: int):
-        """Accelerations at stage time x of lanes lo, lo+1, ..., one per
-        velocity in dys.
-
-        Returns the accelerations of the lanes before the first that
-        fails, and that lane's failure: a _Collapse, or the error that the
-        scalar integrator would raise.  The failure is None when no lane
-        fails.
-        """
-        xm = x - self.tau
-        yms, dyms, exc = self._rows(xm, max(lo - 1, 0), lo + len(dys))
-        if lo == 0:
-            if not yms:
-                return [], exc
-            try:
-                pred_y = [self.lead_pos(xm)] + yms
-                pred_d = [self.lead_vel(xm)] + dyms
-            except DomainError as err:
-                return [], _rejection(x, err)
+    def delayed(k, point, xs):
+        """(gap, velocity difference) to the car in front at point k of the
+        plan, read at stage time xs."""
+        j, xm, terms = point
+        if terms is not None:
+            ym, dym = _hermite(terms, ys[j], ys[j + 1], dys[j], dys[j + 1])
+        elif j >= 0:
+            ym, dym = ys[j], dys[j]
+        elif xm < lo:
+            raise HistoryUnderrunError(f"{xm:g} is below the covered range")
         else:
-            pred_y, pred_d, yms, dyms = yms, dyms, yms[1:], dyms[1:]
-        accs, failure = self._law(x, pred_y, pred_d, yms, dyms, dys)
-        return accs, exc if failure is None else failure
+            ym, dym = phi.value(xm)
+        own_y.append(ym)
+        own_d.append(dym)
+        if k >= n_front:
+            raise _rejection(xs, front_err)
+        gap = front_y[k] - ym
+        if gap < floor:
+            raise _Collapse(xs)
+        return gap, front_d[k] - dym
 
-    def _law(self, x, pred_y, pred_d, yms, dyms, dys):
-        """The car-following law at stage time x, lane by lane, up to the
-        first lane that fails; returns the accelerations and the failure."""
-        alpha, n1, n2, floor = self.alpha, self.n1, self.n2, self.floor
-        pow_, isfinite = math.pow, math.isfinite
-        accs = []
+    def accel(xs, d, gap, dv):
         try:
-            for pp, pv, ym, dym, dy in zip(pred_y, pred_d, yms, dyms, dys):
-                gap = pp - ym
-                if n2 != 0.0 and gap < floor:
-                    return accs, _Collapse(x)
-                acc = alpha * pow_(dy, n1) * (pv - dym)
-                if n2 != 0.0:
-                    acc = acc / pow_(gap, n2)
-                if not isfinite(acc):
-                    return accs, _rejection(x, "non-finite result")
-                accs.append(acc)
+            acc = alpha * pow_(d, n1) * dv / pow_(gap, n2)
         except (ValueError, OverflowError) as err:
-            return accs, _rejection(x, err)
-        except ZeroDivisionError as err:
-            return accs, err
-        return accs, None
+            raise _rejection(xs, err) from None
+        if not isfinite(acc):
+            raise _rejection(xs, "non-finite result")
+        return acc
 
-    def _last_stage_in_order(self, x: float, step: float, ys: list,
-                             dys: list, new_y: list, ks: tuple, d4: list):
-        """Stage 4 of the step from x - step to x, whose delayed point has
-        rounded past the newest node x - step (only one step per delay
-        allows that), lane by lane.
-
-        A car reads its own delayed values off its last segment there, but
-        the car in front's off that car's next one, from x - step to x, as
-        the car-by-car sweep did.  So each lane takes the row the lane in
-        front has just finished; ks holds the first three stages.
-        """
-        xm, xn = x - self.tau, self.grid[-1]
-        yms, dyms, exc = self._rows(xm, 0, len(d4))
-        if not yms:
-            return [], exc
-        try:
-            pred = self.lead_pos(xm), self.lead_vel(xm)
-        except DomainError as err:
-            return [], _rejection(x, err)
-        accs = []
-        for lane, (ym, dym, dy) in enumerate(zip(yms, dyms, d4)):
-            acc, failure = self._law(x, [pred[0]], [pred[1]], [ym], [dym],
-                                     [dy])
-            if failure is not None:
-                return accs, failure
-            accs.append(acc[0])
-            k1, k2, k3 = (k[lane] for k in ks)
-            new_d = dys[lane] + step * (k1 + 2.0 * k2 + 2.0 * k3 + acc[0]) / 6.0
-            pred = _hermite(xm, xn, x, ys[lane], new_y[lane], dys[lane], new_d)
-        return accs, exc
-
-    def _rk4(self, x: float, step: float, ys: list, dys: list, lo: int = 0):
-        """One RK4 step from x of lanes lo, lo+1, ... at (ys, dys).
-
-        Returns the new rows of the lanes before the first that fails in
-        some stage, and that failure (None if every lane takes the step).
-        The right-hand side does not read the stage position, so only the
-        stage velocities are formed.
-        """
-        accel = self._accelerations
-        half = 0.5 * step
-        k1, exc = accel(x, dys, lo)
-        d2 = [d + half * a for d, a in zip(dys, k1)]
-        k2, exc2 = accel(x + half, d2, lo)
-        d3 = [d + half * a for d, a in zip(dys, k2)]
-        k3, exc3 = accel(x + half, d3, lo)
-        d4 = [d + step * a for d, a in zip(dys, k3)]
-        new_y = [y + step * (a + 2.0 * b + 2.0 * c + e) / 6.0
-                 for y, a, b, c, e in zip(ys, dys, d2, d3, d4)]
-        if x + step - self.tau > self.grid[-1]:
-            k4, exc4 = self._last_stage_in_order(x + step, step, ys, dys,
-                                                 new_y, (k1, k2, k3), d4)
-        else:
-            k4, exc4 = accel(x + step, d4, lo)
-        new_d = [d + step * (a + 2.0 * b + 2.0 * c + e) / 6.0
-                 for d, a, b, c, e in zip(dys, k1, k2, k3, k4)]
-        del new_y[len(new_d):]
-        # a later stage fails only on a lane below an earlier failure
-        for failure in (exc4, exc3, exc2, exc):
-            if failure is not None:
-                return new_y, new_d, failure
-        return new_y, new_d, None
-
-    def advance(self) -> None:
-        """Take every step of the grid, while any lane is advancing."""
-        grid, rows_y, rows_d = self.grid, self.rows_y, self.rows_d
-        for node, (x, step) in enumerate(self.steps, start=1):
-            if not self.active:
-                return
-            ys, dys, exc = self._rk4(x, step, rows_y[-1], rows_d[-1])
-            if isinstance(exc, _Collapse):
-                self._record(len(ys), t_c=exc.x)
-            elif exc is not None:
-                self._record(len(ys), error=exc)
-            grid.append(x + step)
-            rows_y.append(ys)
-            rows_d.append(dys)
-            self._scan(node)
-
-    def _scan(self, node: int) -> None:
-        """Record the lowest lane at or past the car in front at the node.
-
-        A lane with a node event already is not scanned again."""
-        ys = self.rows_y[node]
-        pending = self.event is not None and not self.event.final
-        n_scan = self.active - 1 if pending else self.active
-        if not n_scan:
-            return
-        try:
-            pred = self.lead_pos(self.grid[node])
-        except DomainError as exc:
-            self._record(0, node=node, node_error=exc)
-        else:
-            for lane in range(n_scan):
-                if pred - ys[lane] <= 0.0:
-                    self._record(lane, node=node)
-                    break
-                pred = ys[lane]
-        del ys[self.active:], self.rows_d[node][self.active:]
-
-    def settle(self) -> PlatoonState:
-        """The state the sequential sweep over the cars reports, or the
-        error it raises."""
-        ev = self.event
-        if ev is not None and ev.error is not None:
-            raise ev.error
-        n_cars = len(self.histories)
-        kept = n_cars if ev is None else ev.lane
-        state = PlatoonState(trajectories=[], leader=self.leader, count=n_cars)
-        for lane in range(kept):
-            state.trajectories.append(
-                self._trajectory(lane, len(self.grid) - 1, len(self.steps)))
-        if ev is None:
-            return state
-        if ev.t_c is None:
-            if ev.node_error is not None:
-                raise ev.node_error
-            traj = self._trajectory(ev.lane, ev.node, len(self.steps))
-            t_c = self.grid[ev.node]
-        else:
-            traj, t_c = self._collapsed(ev)
-        state.trajectories.append(traj)
-        state.collisions.append((ev.lane + 1, float(t_c)))
-        return state
-
-    def _trajectory(self, lane: int, last: int, n_steps: int) -> Trajectory:
-        """Lane's trajectory over grid nodes 0..last, after n_steps steps."""
-        traj = Trajectory(xs=self.grid[:last + 1],
-                          ys=[row[lane] for row in self.rows_y[:last + 1]],
-                          dys=[row[lane] for row in self.rows_d[:last + 1]],
-                          history=self.histories[lane], h=self.h)
-        traj.n_rhs_evals = 4 * n_steps
-        return traj
-
-    def _collapsed(self, ev: _Event) -> tuple[Trajectory, float]:
-        """The trajectory of a lane whose headway collapsed at ev.t_c, and
-        its collision time.
-
-        The lane is solved again to two steps of h before the collapse:
-        the grid's own steps while they fit, then at most one partial step
-        of this lane alone.  A collapse inside that partial step drops it.
-        The re-run's nodes are then scanned for the car in front.
-        """
-        lane, t0 = ev.lane, self.t0
-        end = ev.t_c - 2 * self.h
-        if not end > t0:
-            return self._trajectory(lane, 0, 0), ev.t_c
-        shared, tail = 0, []
-        for step in _step_plan(t0, end, self.h, self.tau):
-            if not tail and shared < len(self.steps) \
-                    and step == self.steps[shared]:
-                shared += 1
-            else:
-                tail.append(step)
-        traj = self._trajectory(lane, shared, shared)
-        for x, step in tail:
-            ys, dys, exc = self._rk4(x, step, traj.ys[-1:], traj.dys[-1:],
-                                     lo=lane)
-            if isinstance(exc, _Collapse):
-                break
-            if exc is not None:
-                raise exc
-            traj.xs.append(x + step)
-            traj.ys.append(ys[0])
-            traj.dys.append(dys[0])
-            traj.n_rhs_evals += 4
-        if ev.node is not None and ev.node <= shared:
-            if ev.node_error is not None:
-                raise ev.node_error
-            return self._trajectory(lane, ev.node, len(traj.xs) - 1), \
-                self.grid[ev.node]
-        for j in range(shared + 1, len(traj.xs)):
-            x = traj.xs[j]
-            pred = (self.lead_pos(x) if lane == 0
-                    else self._rows(x, lane - 1, lane)[0][0])
-            if pred - traj.ys[j] <= 0.0:
-                del traj.xs[j + 1:], traj.ys[j + 1:], traj.dys[j + 1:]
-                return traj, x
-        return traj, ev.t_c
+    y, dy = ys[-1], dys[-1]
+    k = 0
+    for x, step, half, (p1, p2, p4) in plan:
+        gap, dv = delayed(k, p1, x)
+        a1 = accel(x, dy, gap, dv)
+        xh = x + half
+        d2 = dy + half * a1
+        gap, dv = delayed(k + 1, p2, xh)
+        a2 = accel(xh, d2, gap, dv)
+        d3 = dy + half * a2
+        a3 = accel(xh, d3, gap, dv)
+        d4 = dy + step * a3
+        xe = x + step
+        gap, dv = delayed(k + 2, p4, xe)
+        a4 = accel(xe, d4, gap, dv)
+        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+        dy = dy + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        ys.append(y)
+        dys.append(dy)
+        k += 3
+    return own_y, own_d, None
 
 
 # ---------------------------------------------------------------------------

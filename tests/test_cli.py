@@ -202,6 +202,20 @@ class TestIntegrate:
         assert proc.stdout.startswith("x,y,dy")
 
 
+    def test_one_step_per_delay(self):
+        # with h >= tau the first step's last delayed point rounds just past
+        # the only node, and reads it
+        proc = run_cli("integrate", "--system",
+                       "examples/one_step_per_delay.txt", "--phi", "1",
+                       "--history", "-0.7,0.2", "--to", "2", "--h", "0.9")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "x,y,dy\n"
+            "0.20000000000000001,1,0\n"
+            "1.1000000000000001,0.59499999999999997,-0.90000000000000002\n"
+            "2,-0.59266250000000009,-1.6785000000000001\n")
+
+
 class TestReduce:
     def test_drift_reduction(self, drift_file):
         proc = run_cli("reduce", "--system", drift_file, "--field", "1;1",

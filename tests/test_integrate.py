@@ -148,6 +148,19 @@ class TestInterpolate:
         with pytest.raises(HistoryUnderrunError):
             traj.interpolate(-1.5)
 
+    @pytest.mark.parametrize("x_end", [1.5, None])
+    def test_just_past_the_newest_node_reads_it(self, x_end):
+        # one step per delay can round a delayed point one ulp past the
+        # newest node, also when that node is the only one
+        if x_end is None:
+            traj = Trajectory(xs=[1.0], ys=[2.0], dys=[1.0],
+                              history=ramp_history(), h=0.5)
+        else:
+            traj = solve(linear_delay_system(), ramp_history(), 1.0, x_end,
+                         0.01)
+        x = math.nextafter(traj.xs[-1], math.inf)
+        assert traj.interpolate(x) == (traj.ys[-1], traj.dys[-1])
+
     def test_beyond_computed_range_is_an_error(self):
         traj = solve(linear_delay_system(), ramp_history(), 1.0, 1.5, 0.01)
         with pytest.raises(IntegrationError):

@@ -366,7 +366,8 @@ h = 0.002
 
 
 # ---------------------------------------------------------------------------
-# the lock-step platoon against the car-by-car sweep it replaced
+# the platoon over its shared stage plan against the sweep that integrated
+# one car after another with the scalar integrator
 
 #: (alpha, tau, v, spacing, jitter) of round 0 of the benchmark's
 #: steps-pipelines workload at seeds 101-103: the 10-car platoon request
@@ -467,6 +468,18 @@ PLATOON_CASES = {
          "0.5*x - 2.9793926242698827"],
         3.110446121668833, 0.13723709241004053, tau=0.1,
         alpha=2.7011652761450753, n2=2.0),
+    # one step per delay: a stage-4 delayed point rounds one ulp past the
+    # newest node.  It reads that node now; the sweep that recorded the
+    # other pins extrapolated the car's last segment there, and y and dy
+    # moved by rounding (at most 1.1e-16)
+    "one-step-rounds-past": lambda: _cars(
+        "5.21935152549392 + 0*t",
+        ["0.996508718949237*x - 0.6594397184886095",
+         "0.282743897280908*x - 1.9145933826662884"
+         " + 0.040449098886270296*sin(1.2082675424257432*x)",
+         "1.80369487521425*x - 3.5937358592621127"],
+        5.035614243568393, 1.175876917988393, tau=0.9064263382083607,
+        alpha=1.7732599294790634),
     # the leader is undefined at nodes before its delayed values fail
     "leader-domain-solve": lambda: _cars(
         "sqrt(4 - t) + 10", ["x - 3", "x - 4"], 5.0, 0.01),
@@ -476,9 +489,9 @@ PLATOON_CASES = {
 }
 
 #: Recorded from the sweep that integrated one car after another with the
-#: scalar integrator: the collisions, each trajectory's n_rhs_evals and
-#: node count, and a sha256 prefix of the trajectories' CSVs in car order;
-#: or the error raised.
+#: scalar integrator, all but one-step-rounds-past (see its case): the
+#: collisions, each trajectory's n_rhs_evals and node count, and a sha256
+#: prefix of the trajectories' CSVs in car order; or the error raised.
 PLATOON_PINS = {
     "bench10-101": ([], [2008] * 10, [503] * 10, "af54c166e0fdb542"),
     "bench10-102": ([], [2032] * 10, [509] * 10, "fd7a2dc8cd7284c4"),
@@ -508,6 +521,7 @@ PLATOON_PINS = {
     "short-history": ("raises", "HistoryUnderrunError",
                       "-0.5 is below the covered range"),
     "one-step-per-delay": ([], [128, 128], [33, 33], "7061b18d0c2a2267"),
+    "one-step-rounds-past": ([], [24, 24, 24], [7, 7, 7], "c18efc4dbd39d7d3"),
     "leader-domain-solve": (
         "raises", "StepRejectionError",
         "right-hand side not evaluable at x = 4.505: math domain error in"
