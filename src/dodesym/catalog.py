@@ -596,11 +596,27 @@ def instantiate(
 
 
 def _build_system(inst: Instantiation) -> tuple[CatalogEntry, DodsSystem]:
-    """The entry and its validated concrete system, before any algebra check."""
+    """The entry and its validated concrete system, before any algebra check.
+
+    The system is built once per entry, F and G choice and params, through
+    the memo of `expr`; each call returns a new DodsSystem of that content.
+    """
     entry = get_entry(inst.entry_id)
     if not entry.has_system:
         raise CatalogError(f"entry '{entry.id}' is a marker without a system")
     params = {**entry.default_params, **inst.params}
+    f, g, delay_kind, box = E._memoized(
+        ("instantiation", entry.id), (inst.f_expr, inst.g_expr), params,
+        lambda: _concrete_system(entry, inst, params))
+    return entry, DodsSystem(f=f, g=g, params=params, delay_kind=delay_kind,
+                             box=dict(box), label=entry.id)
+
+
+def _concrete_system(entry: CatalogEntry, inst: Instantiation,
+                     params: dict[str, float]):
+    """The simplified f and g, the delay kind and the box of an
+    instantiation that meets the constraints, validates and, for the
+    determinant families, is nondegenerate; else a CatalogError."""
     for rule, description in entry.constraints:
         try:
             ok = _check_rule(rule, params)
@@ -649,7 +665,7 @@ def _build_system(inst: Instantiation) -> tuple[CatalogEntry, DodsSystem]:
         ) from None
     if entry.second_order_minor is not None:
         _check_nondegeneracy(entry, system)
-    return entry, system
+    return system.f, system.g, system.delay_kind, system.box
 
 
 def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:

@@ -14,11 +14,11 @@ exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
 Per system, g, f and one 14-output kernel of their partials are compiled,
 and per field the one `symmetry.field_kernel` of its prolongation.  Both
-go through the kernel memo of `expr` (`expr.memo_info()`), keyed by the
-exact text of f, g or the field's xi and eta and of the params, so every
-system or field of equal content, a new object included, shares one
-kernel and gets bit-identical answers.  The memo keeps the 256 most
-recently used kernels.
+go through the memo of `expr` (`expr.memo_info()`), keyed by the interned
+nodes of f, g or the field's xi and eta and by the bit patterns of the
+params, so every system or field of equal content, a new object
+included, shares one kernel and gets bit-identical answers.  The memo
+keeps the 256 most recently used entries.
 
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling

@@ -6,6 +6,10 @@ light simplifier (constant folding, 0/1 identities, like-term collection).
 There is deliberately no general CAS machinery here; semantic checks
 elsewhere are done by residual evaluation at sampled points.
 
+Nodes are hash-consed (interned): equal content is one object, so `==`
+and hash are identity, and simplify, diff and free_symbols keep their
+results on the node, computing each once per node.
+
 There is one numeric semantics with two calling conventions, both built
 by one value-numbering code generator (each repeated subtree is evaluated
 once) over one primitive table.  `compile_fn` turns a tree into a Python
@@ -22,8 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+import weakref
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -67,9 +72,34 @@ class DomainError(ExprError):
 
 
 class Expr:
-    """Base node; subclasses are frozen dataclasses, safe to share."""
+    """Base node of an immutable, hash-consed expression tree.
 
-    __slots__ = ()
+    Nodes are interned when constructed: a node of the same class,
+    operator, function or name and the same children is the one live node
+    of that content, so equal content is the same object, and `==` and
+    hash are identity.  A Const is keyed by the bit pattern of its value,
+    so Const(0.0) and Const(-0.0) are two nodes, and two NaNs of one bit
+    pattern are one.  A node carries the caches of simplify, diff and
+    free_symbols, which die with it.
+    """
+
+    __slots__ = ("_simple", "_derivs", "_symbols", "__weakref__")
+    #: the content of a node, in constructor order
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __reduce__(self):
+        # copies and unpickled nodes are interned like constructed ones
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __add__(self, other):
         return BinOp("+", self, _coerce(other))
@@ -108,48 +138,96 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+#: the bit pattern of a float: keys made of it keep 0.0 and -0.0 apart
+_bits = struct.Struct("<d").pack
+
+#: the one live node of each content, keyed by its class and fields, a
+#: child by the node itself and a Const's value by its bit pattern; an
+#: entry leaves with its node
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _node(cls, key: tuple, *fields) -> Expr:
+    """A new node of cls with fields, entered in the table under key."""
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        _set(node, name, value)
+    _set(node, "_simple", None)
+    _set(node, "_derivs", None)
+    _set(node, "_symbols", None)
+    _NODES[key] = node
+    return node
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, value: float):
+        value = float(value)
+        key = (cls, _bits(value))
+        node = _NODES.get(key)
+        return _node(cls, key, value) if node is None else node
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
 
-    def __post_init__(self):
-        if self.name not in VARIABLES:
-            raise ValueError(f"'{self.name}' is not in the variable alphabet")
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _NODES.get(key)
+        if node is None:
+            if name not in VARIABLES:
+                raise ValueError(f"'{name}' is not in the variable alphabet")
+            node = _node(cls, key, name)
+        return node
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _NODES.get(key)
+        return _node(cls, key, name) if node is None else node
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+    _fields = ("arg",)
+
+    def __new__(cls, arg: Expr):
+        key = (cls, arg)
+        node = _NODES.get(key)
+        return _node(cls, key, arg) if node is None else node
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: one of + - * / ^
+    _fields = ("op", "left", "right")
+
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        key = (cls, op, left, right)
+        node = _NODES.get(key)
+        return _node(cls, key, op, left, right) if node is None else node
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+    _fields = ("fn", "arg")
 
-    def __post_init__(self):
-        if self.fn not in FUNCTIONS:
-            raise ValueError(f"unknown function '{self.fn}'")
+    def __new__(cls, fn: str, arg: Expr):
+        key = (cls, fn, arg)
+        node = _NODES.get(key)
+        if node is None:
+            if fn not in FUNCTIONS:
+                raise ValueError(f"unknown function '{fn}'")
+            node = _node(cls, key, fn, arg)
+        return node
 
 
 def _coerce(v) -> Expr:
@@ -384,11 +462,15 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
     return compile_fn(e, names)(*args)
 
 
-def free_symbols(e: Expr) -> set[str]:
-    """Names of all variables and parameters appearing in e."""
-    out: set[str] = set()
-    _collect_symbols(e, out)
-    return out
+def free_symbols(e: Expr) -> frozenset[str]:
+    """Names of all variables and parameters appearing in e, cached on e."""
+    names = e._symbols
+    if names is None:
+        out: set[str] = set()
+        _collect_symbols(e, out)
+        names = frozenset(out)
+        _set(e, "_symbols", names)
+    return names
 
 
 def _collect_symbols(e: Expr, out: set[str]) -> None:
@@ -437,14 +519,28 @@ def bind_params(e: Expr, params: Bindings) -> Expr:
 
 
 def diff(e: Expr, v: str) -> Expr:
-    """Exact partial derivative with respect to alphabet symbol v.
+    """Exact partial derivative with respect to alphabet symbol v,
+    simplified.
 
     abs and sgn differentiate as sgn and 0; the origin is excluded from
     every sampling domain used by the callers.
     """
     if v not in VARIABLES:
         raise ValueError(f"cannot differentiate with respect to '{v}'")
-    return simplify(_diff(e, v))
+    return simplify(_derivative(e, v))
+
+
+def _derivative(e: Expr, v: str) -> Expr:
+    """The partial derivative of e by v before simplification, cached on
+    e; diff simplifies it through the cache of simplify."""
+    cache = e._derivs
+    if cache is None:
+        cache = {}
+        _set(e, "_derivs", cache)
+    d = cache.get(v)
+    if d is None:
+        d = cache[v] = _diff(e, v)
+    return d
 
 
 def _diff(e: Expr, v: str) -> Expr:
@@ -517,9 +613,24 @@ def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities and like-term collection.
 
     Value-preserving up to removable singularities (0*u and 0/u fold to 0).
+    The result is cached on e, so each node is simplified once.
     """
-    if isinstance(e, (Const, Var, Param)):
-        return e
+    s = e._simple
+    if s is None:
+        if isinstance(e, (Const, Var, Param)):
+            return e
+        s = _simplify(e)
+        # a node that is its own result keeps no reference to itself
+        _set(e, "_simple", _SAME if s is e else s)
+    return e if s is _SAME else s
+
+
+#: the cached result of simplify for a node that simplifies to itself
+_SAME = object()
+
+
+def _simplify(e: Expr) -> Expr:
+    """One rewrite of simplify, its children simplified through the cache."""
     if isinstance(e, Neg):
         a = simplify(e.arg)
         if isinstance(a, Const):
@@ -616,8 +727,8 @@ def _collect_sum(e: Expr) -> Expr:
     raw: list[tuple[float, Expr]] = []
     _flatten_sum(e, 1.0, raw)
     const_part = 0.0
-    buckets: dict[str, tuple[float, Expr]] = {}
-    order: list[str] = []
+    # like terms share their symbolic factor, which is one node
+    buckets: dict[Expr, float] = {}
     work = list(reversed(raw))
     while work:
         sign, t = work.pop()
@@ -634,15 +745,9 @@ def _collect_sum(e: Expr) -> Expr:
         if key is None:
             const_part += coeff
             continue
-        kid = to_text(key)
-        if kid in buckets:
-            buckets[kid] = (buckets[kid][0] + coeff, key)
-        else:
-            buckets[kid] = (coeff, key)
-            order.append(kid)
+        buckets[key] = buckets[key] + coeff if key in buckets else coeff
     parts: list[Expr] = []
-    for kid in order:
-        coeff, key = buckets[kid]
+    for key, coeff in buckets.items():
         if coeff == 0.0:
             continue
         if coeff == 1.0:
@@ -676,9 +781,9 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
     slots = {name: f"_a{i}" for i, name in enumerate(names)}
-    # value numbers of inner nodes keyed (op, *children), a child being a
-    # value number or a leaf's code, so 0.0 and -0.0 stay apart
-    number: dict[tuple, int] = {}
+    # value numbers of inner nodes, by node: equal content is one node
+    number: dict[Expr, int] = {}
+    keys: list[tuple] = []  # (op, *children), a child a number or leaf code
     uses, readers = Counter(), Counter()
 
     def walk(e: Expr, k: int) -> int | str:
@@ -686,19 +791,22 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
             return repr(e.value)
         if isinstance(e, (Var, Param)):
             return slots[e.name]
+        ref = number.get(e)
+        if ref is not None and readers[ref] >> k & 1:
+            return ref  # its subtree is already read by tree k
         if isinstance(e, BinOp):
             key = (e.op, walk(e.left, k), walk(e.right, k))
         else:
             key = ("neg" if isinstance(e, Neg) else e.fn, walk(e.arg, k))
-        if key not in number:
-            number[key] = len(number)
+        if ref is None:
+            ref = number[e] = len(keys)
+            keys.append(key)
             uses.update(key[1:])
-        readers[number[key]] |= 1 << k  # node read by tree k
-        return number[key]
+        readers[ref] |= 1 << k  # node read by tree k
+        return ref
 
     roots = [walk(t, k) for k, t in enumerate(trees)]
     uses.update(roots)
-    keys = list(number)
     masks: dict[int, str] = {}  # the row-reject mask of each readers set
 
     def code(ref: int | str) -> str:
@@ -744,7 +852,9 @@ def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     a Python keyword included.  An undefined or non-finite result raises
     DomainError naming the whole of e.
     """
-    return functools.partial(_checked, _generate(e, arg_names, False), e)
+    names = tuple(arg_names)
+    return _memoized(("point", names), (e,), None, lambda: functools.partial(
+        _checked, _generate(e, names, False), e))
 
 
 # -- the column calling convention ------------------------------------------
@@ -814,20 +924,23 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
     return functools.partial(_columns_checked, _generate(exprs, arg_names, True))
 
 
-# -- the kernel memo ----------------------------------------------------------
+# -- the memo ------------------------------------------------------------------
 #
-# One bounded memo shares the compiled kernels of the other modules (system,
-# field and plane kernels) between every object of equal content.  A key is
-# the repr of a kind, the trees and the sorted params: equal frozen trees may
-# still differ in a Const's sign of zero, their repr does not, and the code
-# generator writes each Const by repr, so equal keys generate equal code.
+# One bounded memo shares what other modules build from trees -- compiled
+# kernels (point closures, system, field and plane kernels) and the
+# concrete systems of catalog instantiations -- between every object of
+# equal content.  A key is a kind, the trees themselves and the params by
+# the bit pattern of their values.  Interning makes equal content one node
+# and keeps 0.0 and -0.0 apart, so the key costs O(number of trees), and
+# it holds its nodes, so no dead node's address can alias a live one.
 # Generated functions keep no state between calls, so sharing them is safe.
 
-#: kernels the memo keeps, least recently used first out; it holds the
-#: working set of a pass over the catalog (about 185 kernels), and a cyclic
-#: pass larger than the bound would get no hits
+#: entries the memo keeps, least recently used first out; it holds the
+#: working set of a pass over the catalog (216 entries), and a cyclic pass
+#: larger than the bound would get no hits.  The memo is the one strong
+#: store of built things: the per-node caches die with their nodes.
 _MEMO_BOUND = 256
-_memo: OrderedDict[str, object] = OrderedDict()
+_memo: OrderedDict[tuple, object] = OrderedDict()
 _memo_counts = {"hits": 0, "misses": 0}
 
 
@@ -839,23 +952,24 @@ class MemoInfo(NamedTuple):
 
 
 def memo_info() -> MemoInfo:
-    """Hits, misses, size and bound of the kernel memo, in the manner of
+    """Hits, misses, size and bound of the memo, in the manner of
     `functools.lru_cache`'s `cache_info()`."""
     return MemoInfo(_memo_counts["hits"], _memo_counts["misses"], len(_memo),
                     _MEMO_BOUND)
 
 
 def _memo_clear() -> None:
-    """Empty the kernel memo and zero its counts."""
+    """Empty the memo and zero its counts."""
     _memo.clear()
     _memo_counts.update(hits=0, misses=0)
 
 
-def _memoized(kind: str, trees: Iterable[Expr], params: Bindings | None,
+def _memoized(kind, trees: Iterable[Expr | None], params: Bindings | None,
               build: Callable[[], object]):
-    """build() kept under the content of kind, trees and params; a build
-    that raises is not kept."""
-    key = repr((kind, tuple(trees), sorted((params or {}).items())))
+    """build() kept under kind (any hashable), the trees (None allowed) and
+    the params; a build that raises is not kept."""
+    key = (kind, tuple(trees), tuple(sorted(
+        (name, _bits(float(v))) for name, v in (params or {}).items())))
     if key in _memo:
         _memo_counts["hits"] += 1
         _memo.move_to_end(key)

@@ -16,11 +16,10 @@ from .expr import (
     Bindings,
     DomainError,
     Expr,
-    _diff,
+    _derivative,
     _memoized,
     bind_params,
     compile_columns,
-    diff,
     free_symbols,
     parse,
     simplify,
@@ -104,17 +103,19 @@ class ZReport:
 
 def _total_d(h: Expr, with_ddy: bool) -> Expr:
     """Total derivative d/dx acting on a function of (x, y[, dy]), not
-    simplified."""
-    out = _diff(h, "x") + DY * _diff(h, "y")
+    simplified; the partials come from the derivative cache of h."""
+    out = _derivative(h, "x") + DY * _derivative(h, "y")
     if with_ddy:
-        out = out + DDY * _diff(h, "dy")
+        out = out + DDY * _derivative(h, "dy")
     return out
 
 
 def prolong(x_field: VectorField) -> ProlongedField:
     """The seven prolonged coefficients, each simplified once.  The delayed
     ones rename simplified trees, which simplify would give back
-    unchanged."""
+    unchanged.  Partials and simplified trees come from the per-node
+    caches of `expr`, so a field seen before is not differentiated or
+    simplified again."""
     d_xi = _total_d(x_field.xi, False)
     zeta1 = simplify(_total_d(x_field.eta, False) - DY * d_xi)
     xi, eta = simplify(x_field.xi), simplify(x_field.eta)
@@ -142,10 +143,13 @@ def field_kernel(x_field: VectorField, params: Bindings | None = None):
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
-    """[a, b] = (a(xi_b) - b(xi_a)) d/dx + (a(eta_b) - b(eta_a)) d/dy."""
+    """[a, b] = (a(xi_b) - b(xi_a)) d/dx + (a(eta_b) - b(eta_a)) d/dy.
+
+    Each coefficient is one simplify over the cached partials before
+    simplification, so no partial is simplified twice."""
 
     def apply(f: VectorField, h: Expr) -> Expr:
-        return f.xi * diff(h, "x") + f.eta * diff(h, "y")
+        return f.xi * _derivative(h, "x") + f.eta * _derivative(h, "y")
 
     xi = simplify(apply(a, b.xi) - apply(b, a.xi))
     eta = simplify(apply(a, b.eta) - apply(b, a.eta))
@@ -260,8 +264,24 @@ def jacobi_residual(
 ) -> float:
     """Max coefficient of the cyclic double-bracket sum at random points; a
     point where it is undefined is a DomainError naming xi or eta."""
-    a, b, c = fields
     params = dict(params or {})
+    kernel, xi, eta = _memoized(
+        "jacobi", [c for f in fields for c in (f.xi, f.eta)], params,
+        lambda: _jacobi_columns(fields, params))
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0.5, 2.5, size=(n_points, 2)).T
+    values = np.abs(kernel(x, y)).T
+    undefined = np.flatnonzero(np.isnan(values))
+    if len(undefined):
+        raise DomainError("undefined at a sampled point",
+                          (xi, eta)[undefined[0] % 2])
+    return float(values.max(initial=0.0))
+
+
+def _jacobi_columns(fields, params: Bindings):
+    """The plane kernel of the cyclic double-bracket sum of three fields,
+    params bound, and its xi and eta."""
+    a, b, c = fields
     terms = [
         lie_bracket(lie_bracket(a, b), c),
         lie_bracket(lie_bracket(b, c), a),
@@ -269,14 +289,7 @@ def jacobi_residual(
     ]
     xi = bind_params(simplify(terms[0].xi + terms[1].xi + terms[2].xi), params)
     eta = bind_params(simplify(terms[0].eta + terms[1].eta + terms[2].eta), params)
-    rng = np.random.default_rng(seed)
-    x, y = rng.uniform(0.5, 2.5, size=(n_points, 2)).T
-    values = np.abs(compile_columns([xi, eta], ("x", "y"))(x, y)).T
-    undefined = np.flatnonzero(np.isnan(values))
-    if len(undefined):
-        raise DomainError("undefined at a sampled point",
-                          (xi, eta)[undefined[0] % 2])
-    return float(values.max(initial=0.0))
+    return compile_columns([xi, eta], ("x", "y")), xi, eta
 
 
 #: the jet box of invariant_count, in JET order; xm < x on all of it

@@ -310,6 +310,41 @@ def test_check_entry_reports_are_the_same_cold_and_warm():
     assert digests == CHECK_ENTRY_DIGESTS
 
 
+def test_warm_check_entry_runs_no_symbolic_work(monkeypatch):
+    # after one pass, a second finds every system, kernel and simplified
+    # tree in the memo or the per-node caches of expr
+    ids = [e.id for e in list_entries() if e.has_system]
+    cold = [repr(check_entry(i, n=20)) for i in ids]
+    calls = {"_simplify": 0, "_diff": 0, "_generate": 0, "validate": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("_simplify", "_diff", "_generate"):
+        counted(E, name, name)
+    counted(DodsSystem, "validate", "validate")
+    warm = [repr(check_entry(i, n=20)) for i in ids]
+    assert calls == {"_simplify": 0, "_diff": 0, "_generate": 0, "validate": 0}
+    assert warm == cold
+
+
+def test_each_call_builds_a_new_system():
+    first, second = (catalog._build_system(default_instantiation("A2_4"))[1]
+                     for _ in range(2))
+    assert first is not second and first.box is not second.box
+    first.box["x"] = (7.0, 8.0)
+    first.params["a"] = 99.0
+    again = catalog._build_system(default_instantiation("A2_4"))[1]
+    assert again.box == second.box and again.params == second.params
+    assert again.f is second.f and again.g is second.g
+
+
 class TestExport:
     def test_round_trip(self):
         # the printer guarantees value-preserving reparse, not node-identical

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -239,8 +243,95 @@ class TestSubsAndCompile:
 
 def test_expressions_are_immutable():
     e = parse("x + 1")
-    with pytest.raises(Exception):
-        e.op = "*"  # frozen dataclass
+    with pytest.raises(AttributeError):
+        e.op = "*"
+    with pytest.raises(AttributeError):
+        del e.left
+
+
+# ---------------------------------------------------------------------------
+# interning: equal content is one node
+
+
+class TestInterning:
+    def test_signed_zeros_are_two_nodes(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert Const(0.0) != Const(-0.0)
+        assert parse("0.0") is Const(0.0)
+        assert simplify(parse("-0.0")) is Const(-0.0)
+
+    def test_equal_texts_parse_to_one_node(self):
+        text = "sin(x)*exp(0.3*y) - alpha/(1 + dym^2)"
+        assert parse(text) is parse(text)
+        assert parse(text) is parse(to_text(parse(text)))
+        assert BinOp("+", Var("x"), Const(1)) is parse("x + 1")
+        assert parse("x + 1") is not parse("1 + x")
+
+    def test_nan_constants_by_bit_pattern(self):
+        assert Const(float("nan")) is Const(math.nan)
+        quiet_one = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+        assert Const(quiet_one) is not Const(math.nan)
+
+    def test_equality_and_hash_are_identity(self):
+        a, b = parse("x*y + 2"), parse("x*y + 2")
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert repr(a) == ("BinOp(op='+', left=BinOp(op='*', left=Var(name='x'),"
+                           " right=Var(name='y')), right=Const(value=2.0))")
+
+    def test_copies_and_pickles_are_the_same_node(self):
+        e = parse("ln(x) - gamma*ym")
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_validation_still_applies(self):
+        with pytest.raises(ValueError):
+            Var("alpha")
+        with pytest.raises(ValueError):
+            Call("cosh", Var("x"))
+
+    def test_simplify_and_diff_are_cached_on_the_node(self, monkeypatch):
+        e = parse("x*x + 3*sin(y)*x - x*x")
+        first = (simplify(e), diff(e, "x"), E.free_symbols(e))
+        calls = []
+
+        def counted(name):
+            real = getattr(E, name)
+
+            def worker(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(E, name, worker)
+
+        for name in ("_simplify", "_diff", "_collect_symbols"):
+            counted(name)
+        assert (simplify(e), diff(e, "x"), E.free_symbols(e)) == first
+        assert calls == []
+        assert E.free_symbols(e) == frozenset({"x", "y"})
+
+    def test_compile_fn_is_memoized_per_tree_and_names(self):
+        fn = compile_fn(parse("x*y + 1"), ("x", "y"))
+        assert compile_fn(parse("x*y + 1"), ["x", "y"]) is fn
+        assert compile_fn(parse("x*y + 1"), ("y", "x")) is not fn
+        assert compile_fn(parse("x*y - 1"), ("x", "y"))(2.0, 3.0) == 5.0
+
+    def test_table_returns_to_its_size_after_dropping_systems(self):
+        from dodesym.dods import DodsSystem
+
+        gc.collect()
+        before = len(E._NODES)
+        rng = np.random.default_rng(2006)
+        for a, b, c in rng.uniform(0.5, 2.0, size=(2000, 3)):
+            system = DodsSystem(f=parse(f"{a}*(y - ym) + {b}*sin(dym)*dy"),
+                                g=parse(f"x - {c}"))
+            system.kernels()
+            diff(simplify(system.f * system.g), "x")
+        assert E.memo_info().size <= E.memo_info().bound
+        del system
+        E._memo_clear()  # the memo is the one strong store
+        gc.collect()
+        assert abs(len(E._NODES) - before) <= 0.01 * before
 
 
 # ---------------------------------------------------------------------------

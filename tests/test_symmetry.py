@@ -257,6 +257,17 @@ class TestJacobi:
         got = jacobi_residual((a, b, c), params=params, seed=5)
         assert repr(got) == repr(want)
 
+    def test_kernel_is_built_once_per_content(self):
+        fields = (field("1", "0"), field("0", "1"), field("x", "a*y"))
+        first = jacobi_residual(fields, params={"a": 0.5})
+        misses = E.memo_info().misses
+        relabelled = tuple(field(E.to_text(f.xi), E.to_text(f.eta), "Z")
+                           for f in fields)
+        assert jacobi_residual(relabelled, params={"a": 0.5}) == first
+        assert E.memo_info().misses == misses
+        jacobi_residual(fields, params={"a": -0.5})
+        assert E.memo_info().misses == misses + 1
+
     @pytest.mark.parametrize("spec", [("sqrt(y - 0.52)", "0"),
                                       ("0", "sqrt(y - 0.52)")])
     def test_undefined_point_names_the_coefficient(self, spec):
