@@ -24,10 +24,11 @@ import numpy as np
 
 from . import expr as E
 from .dods import (DelayKind, DodsSystem, SamplingError, _delay_kind,
-                   _numbers, check_algebra)
+                   _expression, _numbers, check_algebra)
 from .expr import (Const, Expr, Param, compile_columns, free_symbols, parse,
                    subs, to_text)
-from .symmetry import VectorField, _plane_kernel, _span_fit, check_closure
+from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel, _span_fit,
+                       check_closure)
 
 _X, _Y, _XM, _YM, _DY, _DYM, _DDY = E.X, E.Y, E.XM, E.YM, E.DY, E.DYM, E.DDY
 
@@ -706,7 +707,7 @@ def negative_control(entry: CatalogEntry, seed: int = 42) -> VectorField:
                   parse("0.1/(x + 0.5)")]
     basis = _plane_kernel(list(entry.basis), entry.default_params)
     rng = np.random.default_rng(seed)
-    x, y = rng.uniform(0.5, 2.5, size=(len(entry.basis) + 4, 2)).T
+    x, y = rng.uniform(*_PLANE_BOX, size=(len(entry.basis) + 4, 2)).T
     base = entry.basis[0]
     for pert in candidates:
         fit = _span_fit(basis, _plane_kernel([VectorField(Const(0.0), pert)],
@@ -772,13 +773,14 @@ def export_text() -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-#: keys of an entry block that set one CatalogEntry field: the field and
-#: the reader of the value
-_SCALAR_KEYS = {
-    "algebra": ("algebra_label", str), "notes": ("notes", str),
-    "f_template": ("f_template", parse), "g_template": ("g_template", parse),
-    "default_F": ("default_f", parse), "default_G": ("default_g", parse),
-    "second_order_minor": ("second_order_minor", parse),
+#: keys of an entry block whose text sets one CatalogEntry field
+_TEXT_KEYS = {"algebra": "algebra_label", "notes": "notes"}
+
+#: keys of an entry block whose expression sets one CatalogEntry field
+_EXPRESSION_KEYS = {
+    "f_template": "f_template", "g_template": "g_template",
+    "default_F": "default_f", "default_G": "default_g",
+    "second_order_minor": "second_order_minor",
 }
 
 
@@ -809,17 +811,22 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _SCALAR_KEYS:
-            name, read = _SCALAR_KEYS[key]
-            current[name] = read(value)
+        if key in _TEXT_KEYS:
+            current[_TEXT_KEYS[key]] = value
+        elif key in _EXPRESSION_KEYS:
+            current[_EXPRESSION_KEYS[key]] = _expression(value, lineno,
+                                                         CatalogError)
         elif key == "field":
             spec, _, label = value.partition("::")
             xi, _, eta = spec.partition(";")
             basis = current["basis"]
-            basis.append(VectorField.from_text(
-                xi.strip(), eta.strip(), label.strip() or f"X{len(basis) + 1}"))
+            basis.append(VectorField(
+                _expression(xi.strip(), lineno, CatalogError),
+                _expression(eta.strip(), lineno, CatalogError),
+                label.strip() or f"X{len(basis) + 1}"))
         elif key.startswith(("f_slot", "g_slot")):
-            current[key[:6] + "s"].append(parse(value))
+            current[key[:6] + "s"].append(
+                _expression(value, lineno, CatalogError))
         elif key.startswith("param "):
             current["default_params"][key[len("param "):].strip()] = _numbers(
                 value, lineno, CatalogError)[0]

@@ -37,6 +37,7 @@ import numpy as np
 from .expr import (
     DomainError,
     Expr,
+    ParseError,
     _memoized,
     bind_params,
     compile_columns,
@@ -358,9 +359,9 @@ def load_dods(text: str, label: str = "") -> DodsSystem:
     domain = (0.0, 10.0)
     for lineno, key, value in _key_values(text):
         if key == "f":
-            f_expr = parse(value)
+            f_expr = _expression(value, lineno)
         elif key == "g":
-            g_expr = parse(value)
+            g_expr = _expression(value, lineno)
         elif key.startswith("param "):
             name = key[len("param "):].strip()
             if not name:
@@ -400,6 +401,14 @@ def _numbers(text: str, lineno: int, error=DodsError, count: int = 1):
         what = "a number" if count == 1 else f"{count} comma-separated numbers"
         raise error(f"line {lineno}: expected {what}, got '{text}'")
     return values
+
+
+def _expression(text: str, lineno: int, error=DodsError) -> Expr:
+    """The expression of a file line's value."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise error(f"line {lineno}: {exc}") from exc
 
 
 def _delay_kind(text: str, lineno: int, error=DodsError) -> DelayKind:

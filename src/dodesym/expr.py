@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import struct
 import weakref
 from collections import Counter, OrderedDict
@@ -253,134 +254,88 @@ ONE = Const(1.0)
 # parsing
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+#: one token after optional white space: a number (decimal digits of any
+#: script, an optional fraction and exponent), a name (word characters
+#: from one that is not a decimal digit; _atom rejects one that does not
+#: start with a letter or _) or any other single character
+_TOKEN = re.compile(
+    r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d*(?:[eE][+-]?\d+)?|[^\W\d]\w*|\S)")
 
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        where = self.pos if pos is None else pos
-        return ParseError(message, where + 1)
+#: binding level of the binary operators below ^; unary minus binds
+#: tighter than these and looser than ^
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_number(self) -> float:
-        start = self.pos
-        t = self.text
-        n = len(t)
-        while self.pos < n and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < n and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and t[self.pos].isdigit():
-                while self.pos < n and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # trailing 'e' belongs to an identifier
-        try:
-            return float(t[start:self.pos])
-        except ValueError:
-            raise self.error("bad numeric literal", start)
-
-    def take_ident(self) -> str:
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        return t[start:self.pos]
+class _Stop(Exception):
+    """A syntax error at token index args[1], with message args[0]."""
 
 
 def parse(text: str) -> Expr:
     """Parse infix text into an expression tree.
 
-    Grammar: + - * / ^ with usual precedence, ^ binding tightest and
-    right-associative, unary minus, parentheses, `name(arg)` calls,
-    decimal literals.  Unknown identifiers become parameters.
+    Grammar: + - bind loosest, then * /, all left-associative; unary minus
+    binds tighter than these and looser than ^, which is right-associative
+    and takes a unary exponent.  Parentheses, `name(arg)` calls of
+    FUNCTIONS and decimal literals; other names become parameters.  A
+    ParseError names the 1-based offset of the token where parsing stops.
     """
-    tz = _Tokenizer(text)
-    e = _parse_sum(tz)
-    if tz.peek():
-        raise tz.error(f"unexpected '{tz.peek()}'")
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the input
+    try:
+        e, i = _climb(tokens, 0, 1)
+        if tokens[i]:
+            raise _Stop(f"unexpected '{tokens[i][0]}'", i)
+    except _Stop as stop:
+        message, i = stop.args
+        starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+        raise ParseError(message, starts[i] + 1) from None
     return e
 
 
-def _parse_sum(tz: _Tokenizer) -> Expr:
-    e = _parse_term(tz)
-    while True:
-        c = tz.peek()
-        if c == "+" or c == "-":
-            tz.pos += 1
-            rhs = _parse_term(tz)
-            e = BinOp(c, e, rhs)
-        else:
-            return e
+def _climb(tokens: list[str], i: int, level: int) -> tuple[Expr, int]:
+    """The expression at tokens[i] whose binary operators all bind at level
+    or tighter, and the index of the token after it."""
+    e, i = _unary(tokens, i)
+    while _LEVEL.get(tokens[i], 0) >= level:
+        op = tokens[i]
+        right, i = _climb(tokens, i + 1, _LEVEL[op] + 1)
+        e = BinOp(op, e, right)
+    return e, i
 
 
-def _parse_term(tz: _Tokenizer) -> Expr:
-    e = _parse_unary(tz)
-    while True:
-        c = tz.peek()
-        if c == "*" or c == "/":
-            tz.pos += 1
-            rhs = _parse_unary(tz)
-            e = BinOp(c, e, rhs)
-        else:
-            return e
+def _unary(tokens: list[str], i: int) -> tuple[Expr, int]:
+    if tokens[i] == "-":
+        e, i = _unary(tokens, i + 1)
+        return Neg(e), i
+    e, i = _atom(tokens, i)
+    if tokens[i] == "^":
+        # the exponent may carry a unary minus: x^-2
+        power, i = _unary(tokens, i + 1)
+        return BinOp("^", e, power), i
+    return e, i
 
 
-def _parse_unary(tz: _Tokenizer) -> Expr:
-    if tz.peek() == "-":
-        tz.pos += 1
-        return Neg(_parse_unary(tz))
-    return _parse_power(tz)
-
-
-def _parse_power(tz: _Tokenizer) -> Expr:
-    base = _parse_atom(tz)
-    if tz.peek() == "^":
-        tz.pos += 1
-        # exponent may carry a unary minus: x^-2
-        return BinOp("^", base, _parse_unary(tz))
-    return base
-
-
-def _parse_atom(tz: _Tokenizer) -> Expr:
-    c = tz.peek()
-    if not c:
-        raise tz.error("unexpected end of input")
-    if c == "(":
-        tz.pos += 1
-        e = _parse_sum(tz)
-        if tz.peek() != ")":
-            raise tz.error("expected ')'")
-        tz.pos += 1
-        return e
-    if c.isdigit() or c == ".":
-        return Const(tz.take_number())
-    if c.isalpha() or c == "_":
-        start = tz.pos
-        name = tz.take_ident()
-        if tz.peek() == "(":
-            if name not in FUNCTIONS:
-                raise tz.error(f"unknown function '{name}'", start)
-            tz.pos += 1
-            arg = _parse_sum(tz)
-            if tz.peek() != ")":
-                raise tz.error("expected ')'")
-            tz.pos += 1
-            return Call(name, arg)
-        return symbol(name)
-    raise tz.error(f"unknown character '{c}'")
+def _atom(tokens: list[str], i: int) -> tuple[Expr, int]:
+    token = tokens[i]
+    if not token:
+        raise _Stop("unexpected end of input", i)
+    name = token[0].isalpha() or token[0] == "_"
+    if name and tokens[i + 1] != "(":
+        return symbol(token), i + 1
+    if name and token not in FUNCTIONS:
+        raise _Stop(f"unknown function '{token}'", i)
+    if name or token == "(":
+        # a call's argument or a parenthesised expression
+        e, i = _climb(tokens, i + 2 if name else i + 1, 1)
+        if tokens[i] != ")":
+            raise _Stop("expected ')'", i)
+        return (Call(token, e) if name else e), i + 1
+    if token[0].isdigit() or token[0] == ".":
+        try:
+            return Const(float(token)), i + 1
+        except ValueError:
+            raise _Stop("bad numeric literal", i) from None
+    raise _Stop(f"unknown character '{token[0]}'", i)
 
 
 # ---------------------------------------------------------------------------
@@ -732,16 +687,16 @@ def _collect_sum(e: Expr) -> Expr:
     work = list(reversed(raw))
     while work:
         sign, t = work.pop()
-        t = simplify(t)
-        if isinstance(t, Neg) or (isinstance(t, BinOp) and t.op in "+-"):
-            # a term may simplify back into a sum; flatten it again
-            nested: list[tuple[float, Expr]] = []
-            _flatten_sum(t, sign, nested)
-            if len(nested) > 1 or nested[0][1] is not t:
-                work.extend(reversed(nested))
-                continue
-        coeff, key = _term_key(t)
+        coeff, key = _term_key(simplify(t))
         coeff *= sign
+        if coeff in (1.0, -1.0) and isinstance(key, BinOp) and key.op in "+-":
+            # a term may simplify back into plus or minus a sum (a factor
+            # whose coefficients multiply to exactly 1 or -1 included):
+            # flatten it again, which is exact
+            nested: list[tuple[float, Expr]] = []
+            _flatten_sum(key, coeff, nested)
+            work.extend(reversed(nested))
+            continue
         if key is None:
             const_part += coeff
             continue

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .dods import (DelayKind, DodsSystem, InvarianceReport, _key_values,
-                   _numbers, check_invariance)
-from .expr import Const, DomainError, Expr, compile_fn, diff, parse, subs, to_text
+from .dods import (DelayKind, DodsSystem, InvarianceReport, _expression,
+                   _key_values, _numbers, check_invariance)
+from .expr import Const, DomainError, Expr, compile_fn, diff, subs, to_text
 from .integrate import (
     HistoryFunction,
     Trajectory,
@@ -597,7 +597,7 @@ def load_linear(text: str) -> LinearDods:
     domain = (0.0, 3.0)
     for lineno, key, value in _key_values(text, LinearError):
         if key in ("a1", "a2", "a3", "a4", "b", "g"):
-            values[key] = parse(value)
+            values[key] = _expression(value, lineno, LinearError)
         elif key.startswith("param "):
             name = key[len("param "):].strip()
             params[name] = _numbers(value, lineno, LinearError)[0]

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import expr as E
 from .dods import DodsSystem, check_invariance
-from .expr import (Const, DomainError, Expr, Param, compile_columns,
-                   compile_fn, diff, subs)
+from .expr import (Const, DomainError, Expr, Param, _memoized,
+                   compile_columns, compile_fn, diff, subs)
 from .integrate import HistoryFunction, _exact_drift
-from .symmetry import VectorField, prolong
+from .symmetry import _JET_BOX, VectorField, prolong
 
 
 class ReduceError(Exception):
@@ -149,12 +149,9 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
     of J1 are defined and |pr X J2| at checked points.  A NaN there (inf
     - inf after an overflow) makes the largest value NaN.
     """
-    coords = ("x", "y", "xm", "ym")
-    js = [E.bind_params(j, params) for j in (pair.J1, pair.J2)]
-    # the coefficients of x, y, xm and ym come first in JET order
-    kernel = compile_columns(
-        [E.bind_params(c, params) for c in prolong(x_field).coefficients()[:4]]
-        + [diff(j, v) for j in js for v in coords], coords)
+    kernel = _memoized(
+        "annihilation", (x_field.xi, x_field.eta, pair.J1, pair.J2), params,
+        lambda: _annihilation_columns(x_field, pair, params))
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = drawn = jac_bad = 0
@@ -162,8 +159,9 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
         # never more rows than still needed or left of the draw budget
         m = min(n - checked, 6 * n - drawn)
         drawn += m
-        # (x, y, xm, ym) from a box on which xm < x
-        pts = rng.uniform((1.6, 0.5, 0.5, 0.5), (2.5, 2.5, 1.5, 2.5), (m, 4))
+        # (x, y, xm, ym) from the first four columns of the jet box, on
+        # which xm < x
+        pts = rng.uniform(_JET_BOX[0][:4], _JET_BOX[1][:4], (m, 4))
         out = np.array(kernel(*pts.T))
         c, d1, d2 = out[:4], out[4:8], out[8:]
         defined = np.isfinite(out).reshape(3, 4, m).all(axis=1)
@@ -177,6 +175,18 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
         checked += int(counts_j2.sum())
         jac_bad += int(np.sum(np.abs(det[counts_j2]) < 1e-10))
     return worst, checked, jac_bad
+
+
+def _annihilation_columns(x_field: VectorField, pair: InvariantPair,
+                          params: dict[str, float]):
+    """One column kernel over (x, y, xm, ym) of the first four prolonged
+    coefficients of x_field and the partials of J1 and J2, params bound."""
+    coords = ("x", "y", "xm", "ym")
+    js = [E.bind_params(j, params) for j in (pair.J1, pair.J2)]
+    # the coefficients of x, y, xm and ym come first in JET order
+    return compile_columns(
+        [E.bind_params(c, params) for c in prolong(x_field).coefficients()[:4]]
+        + [diff(j, v) for j in js for v in coords], coords)
 
 
 def validate_invariants(

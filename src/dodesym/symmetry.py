@@ -34,6 +34,10 @@ from .expr import (
 
 JET = ("x", "y", "xm", "ym", "dy", "dym", "ddy")
 
+#: the interval of x and of y from which points of the (x, y) plane are
+#: drawn, in check_closure, jacobi_residual and catalog.negative_control
+_PLANE_BOX = (0.5, 2.5)
+
 _BASE_ALLOWED = {"x", "y"}
 
 
@@ -194,7 +198,7 @@ def check_closure(
             bracket = _bracket_kernel(fields[i], fields[j], params)
             solved = None
             for attempt in range(2):
-                x, y = rng.uniform(0.5, 2.5, size=(n + 3, 2)).T
+                x, y = rng.uniform(*_PLANE_BOX, size=(n + 3, 2)).T
                 solved = _span_fit(basis, bracket, x, y)
                 if solved is not None and (solved[2] == n or attempt == 1):
                     break
@@ -269,7 +273,7 @@ def jacobi_residual(
         "jacobi", [c for f in fields for c in (f.xi, f.eta)], params,
         lambda: _jacobi_columns(fields, params))
     rng = np.random.default_rng(seed)
-    x, y = rng.uniform(0.5, 2.5, size=(n_points, 2)).T
+    x, y = rng.uniform(*_PLANE_BOX, size=(n_points, 2)).T
     values = np.abs(kernel(x, y)).T
     undefined = np.flatnonzero(np.isnan(values))
     if len(undefined):

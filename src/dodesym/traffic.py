@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 
 from . import expr as E
 from . import reduce as reduce_mod
-from .dods import DelayKind, DodsSystem, _key_values, _numbers
-from .expr import Const, DomainError, Expr, compile_fn, diff, parse, subs
+from .dods import DelayKind, DodsSystem, _expression, _key_values, _numbers
+from .expr import Const, DomainError, Expr, compile_fn, diff, subs
 from .integrate import (
     HistoryFunction,
     HistoryUnderrunError,
@@ -625,9 +625,12 @@ def load_scenario(text: str):
     histories: dict[int, Expr] = {}
     for lineno, key, value in _key_values(text, TrafficError):
         if key.startswith("history."):
-            histories[_whole(key.split(".", 1)[1], lineno)] = parse(value)
-        elif key in ("leader", "cars"):
-            values[key] = value if key == "leader" else _whole(value, lineno)
+            histories[_whole(key.split(".", 1)[1], lineno)] = _expression(
+                value, lineno, TrafficError)
+        elif key == "leader":
+            values[key] = _expression(value, lineno, TrafficError)
+        elif key == "cars":
+            values[key] = _whole(value, lineno)
         elif key in ("n1", "n2", "alpha", "tau", "t_end", "h", "t0"):
             values[key] = _numbers(value, lineno, TrafficError)[0]
         else:
@@ -638,7 +641,7 @@ def load_scenario(text: str):
     n_cars, t0, tau = values["cars"], values["t0"], values["tau"]
     params = TrafficParams(alpha=values["alpha"], n1=values["n1"],
                            n2=values["n2"], tau=tau,
-                           leader=parse(values["leader"]))
+                           leader=values["leader"])
     hist_fns = []
     for i in range(1, n_cars + 1):
         if i not in histories:

@@ -399,6 +399,11 @@ class TestExport:
         ("box x = 1", "line 3: expected 2 comma-separated numbers, got '1'"),
         ("delay = bogus", "line 3: delay must be constant, independent or"
                           " state"),
+        ("f_template = F +", "line 3: unexpected end of input at offset 4"),
+        ("default_G = 0.5*", "line 3: unexpected end of input at offset 5"),
+        ("g_slot u1 = x y", "line 3: unexpected 'y' at offset 3"),
+        ("field = 1 ; y^ :: X1", "line 3: unexpected end of input at offset 3"),
+        ("second_order_minor = (ddy", "line 3: expected ')' at offset 5"),
     ])
     def test_malformed_line_is_named(self, line, message):
         text = f"entry Z\nalgebra = L1\n{line}\nend\n"

@@ -327,6 +327,14 @@ class TestUsage:
 class TestExitCodes:
     """A library error is a failed check (1); any other exception is a bug (3)."""
 
+    def test_malformed_expression_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("f = -ym\ng = x - \n")
+        proc = run_cli("verify", "--system", str(path), "--field", "1;0")
+        assert proc.returncode == 1
+        assert proc.stdout == ("error: DodsError: line 2: unexpected end of"
+                               " input at offset 4\n")
+
     def _main_raising(self, monkeypatch, exc):
         def broken(args):
             raise exc

@@ -586,3 +586,9 @@ class TestFileFormat:
     def test_malformed_number_names_the_line(self, line):
         with pytest.raises(DodsError, match="line 3"):
             load_dods(f"f = ym\ng = x - 1\n{line}\n")
+
+    def test_malformed_expression_names_the_line(self):
+        with pytest.raises(DodsError) as err:
+            load_dods("# y'' = -ym\nf = -ym + \ng = x - 1\n")
+        assert str(err.value) == "line 2: unexpected end of input at offset 6"
+        assert isinstance(err.value.__cause__, E.ParseError)

@@ -1,7 +1,11 @@
 import copy
 import gc
+import hashlib
 import math
+import pathlib
 import pickle
+import random
+import re
 import struct
 
 import numpy as np
@@ -63,6 +67,117 @@ class TestParse:
 
     def test_unary_minus_binds_below_power(self):
         assert evaluate(parse("-x^2"), {"x": 3.0}) == -9.0
+
+
+# ---------------------------------------------------------------------------
+# the parser's outcome on a fixed corpus, pinned by digest
+
+#: symbols of the random corpus texts
+_CORPUS_SYMBOLS = (*"0123456789.eE+-*/^()", " ", "\t", "\xa0", "x", "xm",
+                   "sin", "foo", "_a", "1e5", ".5", "$", "٣", "\xe9")
+
+_EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+def _file_expressions() -> list[str]:
+    """Every expression text of the catalog dump and the example files."""
+    from dodesym import catalog
+
+    texts = []
+    for line in catalog.export_text().splitlines():
+        key, _, value = line.partition(" = ")
+        if key == "field":
+            xi, _, eta = value.partition(" :: ")[0].partition(" ; ")
+            texts += [xi, eta]
+        elif key == "constraint":
+            rule = value.partition(" :: ")[0]
+            texts += re.split(r"<=|>=|!=|==|<|>", rule)
+        elif key.split(" ")[0] in ("f_template", "g_template", "f_slot",
+                                   "g_slot", "default_F", "default_G",
+                                   "second_order_minor"):
+            texts.append(value)
+    for path in sorted(_EXAMPLES.glob("*.txt")):
+        for line in path.read_text().splitlines():
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key in ("f", "g", "leader") or key.startswith("history."):
+                texts.append(value.strip())
+    return texts
+
+
+def _random_texts(count: int = 20_000, seed: int = 1973) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choice(_CORPUS_SYMBOLS)
+                    for _ in range(rng.randint(1, 12))) for _ in range(count)]
+
+
+def _outcome(text: str) -> str:
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return repr(("ParseError", str(err), err.position))
+
+
+def _digest(texts: list[str]) -> str:
+    return hashlib.sha256("\n".join(map(_outcome, texts)).encode()).hexdigest()
+
+
+class TestParserCorpus:
+    """The parser's node or error on every corpus text, as the
+    character-cursor recursive-descent parser gave them.  The file corpus
+    follows the catalog and the examples: a change to either changes its
+    texts, and its digest is then recorded anew from the parser that
+    precedes the change."""
+
+    def test_file_expressions(self):
+        assert len(_file_expressions()) >= 318
+        assert _digest(_file_expressions()) == (
+            "448b73c0846817192f1fc252acd3879058452c1e2d17ec0472c098bbe00f0d54")
+
+    def test_random_texts(self):
+        assert _digest(_random_texts()) == (
+            "7419793cef955838c34c3c94ee28d83fc7756676a87fb47cea3cc29256e07bdc")
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, message, position", [
+        pytest.param("x + ", "unexpected end of input", 5, id="end-of-input"),
+        pytest.param("", "unexpected end of input", 1, id="empty"),
+        pytest.param("(x + 1 y", "expected ')'", 8, id="expected-paren"),
+        pytest.param("sin(x", "expected ')'", 6, id="unclosed-call"),
+        pytest.param("2 * spam (x)", "unknown function 'spam'", 5,
+                     id="unknown-function"),
+        pytest.param("x * \t$", "unknown character '$'", 6,
+                     id="unknown-character"),
+        pytest.param("()", "unknown character ')'", 2, id="empty-parens"),
+        pytest.param("1 + .e5", "bad numeric literal", 5, id="bad-number"),
+        pytest.param("x +  .", "bad numeric literal", 6, id="lone-point"),
+        pytest.param("x y", "unexpected 'y'", 3, id="trailing-token"),
+        pytest.param("2x", "unexpected 'x'", 2, id="trailing-name"),
+        pytest.param("1.5.3", "unexpected '.'", 4, id="trailing-number"),
+    ])
+    def test_message_and_offset(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} at offset {position}"
+
+    def test_a_number_is_decimal_digits_of_any_script(self):
+        assert parse("\u0663.\u0665e1") is Const(35.0)
+        assert parse("x\xb2") is E.Param("x\xb2")  # a name takes any digit
+        # a non-decimal digit ends a number, and is then a token of its own
+        with pytest.raises(ParseError) as err:
+            parse("1\xb2")
+        assert str(err.value) == "unexpected '\xb2' at offset 2"
+        with pytest.raises(ParseError) as err:
+            parse("\xb2")
+        assert str(err.value) == "bad numeric literal at offset 1"
+        with pytest.raises(ParseError) as err:
+            parse("\xbd")
+        assert str(err.value) == "unknown character '\xbd' at offset 1"
+
+    def test_any_unicode_white_space_separates(self):
+        assert parse("\xa0x\u2003*\x1c2\n") is parse("x*2")
 
 
 class TestEvaluate:
@@ -154,6 +269,24 @@ class TestSimplify:
 
     def test_constant_folding(self):
         assert simplify(parse("2*3 + 1")) == Const(7.0)
+
+    def test_a_sum_inside_a_unit_product_is_flattened(self):
+        s = simplify(parse("(2 + 0) * (0.5 * (((0 + 3) + a^x)^3"
+                           " + (--1)*(1^0)/((-1 - 2)*3))) - 2"))
+        assert s is BinOp("+", parse("((a^x) + 3)^3"),
+                          Const(-2.111111111111111))
+        assert simplify(s) is s
+        # minus a sum times one: its constant joins the others
+        assert simplify(parse("1 - 0.5*((x + 0.5)*2)")) is \
+            BinOp("+", E.Neg(Var("x")), Const(0.5))
+
+    @pytest.mark.parametrize("text", [
+        line for line in (pathlib.Path(__file__).parent / "data"
+                          / "two_pass_trees.txt").read_text().splitlines()
+        if not line.startswith("#")])
+    def test_one_pass_is_a_fixed_point(self, text):
+        s = simplify(parse(text))
+        assert simplify(s) is s
 
 
 def _random_bindings(rng_vals, names):

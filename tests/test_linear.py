@@ -302,6 +302,12 @@ class TestFileFormat:
         with pytest.raises(LinearError, match="line 3"):
             load_linear(f"a2 = 1\ng = x - 1\n{line}\n")
 
+    def test_malformed_expression_names_the_line(self):
+        with pytest.raises(LinearError) as err:
+            load_linear("a2 = 1\ng = x - (1\n")
+        assert str(err.value) == "line 2: expected ')' at offset 7"
+        assert isinstance(err.value.__cause__, E.ParseError)
+
 
 class TestScalingInvarianceSample:
     def test_five_random_homogeneous_instances(self):

@@ -78,10 +78,23 @@ class TestInvariantsOf:
         counts = []
         for n in (10, 100):
             calls.clear()
+            E._memo_clear()  # a warm call reuses the kernel and runs no diff
             validate_invariants(x_field, pair, n=n)
             counts.append(len(calls))
         # four partials of each of J1 and J2
         assert counts == [8, 8]
+
+    def test_a_second_validation_adds_only_memo_hits(self):
+        x_field = VectorField(E.X, Const(0.5) * E.Y)
+        pair = InvariantPair(J1=parse("y/x^0.5"), J2=parse("xm/x"))
+        first = validate_invariants(x_field, pair, params={"c": 1.0})
+        before = E.memo_info()
+        again = validate_invariants(x_field, pair, params={"c": 1.0})
+        after = E.memo_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        assert again == first
+        validate_invariants(x_field, pair, params={"c": 2.0})
+        assert E.memo_info().misses > after.misses
 
     def test_jacobian_condition_rejects_xm_free_j2(self):
         x_field = VectorField(Const(1.0), Const(1.0))

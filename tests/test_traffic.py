@@ -359,6 +359,18 @@ h = 0.002
         with pytest.raises(TrafficError, match="line 10: expected a number"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("leader = 1*t", "leader = 1*$t",
+         "line 3: unknown character '$' at offset 3"),
+        ("history.2 = t - 2", "history.2 = spam(t)",
+         "line 10: unknown function 'spam' at offset 1"),
+    ])
+    def test_bad_expression_names_its_line(self, old, new, message):
+        with pytest.raises(TrafficError) as err:
+            load_scenario(self.SCENARIO.replace(old, new))
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, E.ParseError)
+
     def test_missing_history(self):
         bad = self.SCENARIO.replace("history.2 = t - 2\n", "")
         with pytest.raises(TrafficError, match="history.2"):
