@@ -11,6 +11,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -283,23 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="'xi;eta'")
     p.add_argument("--param", action="append", help="name=value")
     p.add_argument("--n", type=int, default=200)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bracket", help="structure constants of a field list")
     p.add_argument("--fields", nargs="+", required=True)
     p.add_argument("--param", action="append")
-    p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("rank", help="prolonged coefficient rank and k")
     p.add_argument("--fields", nargs="+", required=True)
     p.add_argument("--param", action="append")
-    p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("catalog", help="list/show/check/export stored families")
     p.add_argument("action", choices=("list", "show", "check", "export"))
     p.add_argument("id", nargs="?")
     p.add_argument("--n", type=int, default=200)
-    p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("integrate", help="method-of-steps run, CSV output")
     p.add_argument("--system", required=True)
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.add_argument("--param", action="append")
-    p.set_defaults(fn=cmd_integrate)
 
     p = sub.add_parser("roots", help="real characteristic roots")
     p.add_argument("--alpha", type=float, required=True)
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, required=True)
     p.add_argument("--range", required=True, help="lo,hi")
     p.add_argument("--nseed", type=int, default=400)
-    p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("reduce", help="group-invariant solution constants")
     p.add_argument("--system", required=True)
@@ -327,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guess", action="append", help="a,b (repeatable)")
     p.add_argument("--interval", help="lo,hi reference window")
     p.add_argument("--param", action="append")
-    p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("traffic", help="run a car-following example pipeline")
     p.add_argument("--example", type=int, choices=(1, 2, 3))
@@ -348,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--allow-collision-regime", action="store_true")
-    p.set_defaults(fn=cmd_traffic)
     return parser
 
 
@@ -392,12 +385,20 @@ def _merge_negative_values(argv: list[str],
     return merged
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once: parsing leaves it as it is."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_merge_negative_values(
         list(sys.argv[1:] if argv is None else argv), parser))
     try:
-        return args.fn(args)
+        # looked up by name at call time, so that a command function
+        # replaced on this module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except KNOWN_ERRORS as exc:  # diagnostics to stdout, failure exit code
         print(f"error: {type(exc).__name__}: {exc}")
         return CHECK_FAIL

@@ -18,7 +18,11 @@ go through the memo of `expr` (`expr.memo_info()`), keyed by the interned
 nodes of f, g or the field's xi and eta and by the bit patterns of the
 params, so every system or field of equal content, a new object
 included, shares one kernel and gets bit-identical answers.  The memo
-keeps the 256 most recently used entries.
+keeps the 256 most recently used entries.  A system that differs only in
+its constants (another parameter value) misses the memo but has a known
+shape: its kernels reuse code from the shape table of `expr`, keyed by
+the generated text, in which every constant is a closure cell, so
+building them compiles nothing.
 
 f may refer to xm (classified families often carry the delayed abscissa
 inside finite slopes); g never may, so the delay is explicit at sampling

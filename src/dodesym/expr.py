@@ -12,14 +12,27 @@ results on the node, computing each once per node.
 
 There is one numeric semantics with two calling conventions, both built
 by one value-numbering code generator (each repeated subtree is evaluated
-once) over one primitive table.  `compile_fn` turns a tree into a Python
-closure of one point; `evaluate` is that closure called once.  An
-undefined operation (division by zero, ln or sqrt out of domain, pow
-without a real value) or a non-finite result raises DomainError, whose
-message names the whole compiled expression rather than the failing
-sub-node.  `compile_columns` turns a tree, or a list of trees, into a
-function of numpy columns, one row per point: each row of a tree's output
-holds what its closure returns there, and NaN where that raises.
+once, one statement per node) over one primitive table.  `compile_fn`
+turns a tree into a Python closure of one point; `evaluate` is that
+closure called once.  An undefined operation (division by zero, ln or
+sqrt out of domain, pow without a real value) or a non-finite result
+raises DomainError, whose message names the whole compiled expression
+rather than the failing sub-node.  `compile_columns` turns a tree, or a
+list of trees, into a function of numpy columns, one row per point: each
+row of a tree's output holds what its closure returns there, and NaN
+where that raises.
+
+The generated text depends on the shape of the trees, not on their
+constants: each constant node is a closure cell holding its float, bit
+pattern and all.  The code of each text is compiled once and kept in a
+shape table (an LRU of 512 texts, holding no tree), so trees that differ
+only in their constants, as in a parameter sweep, share one compiled
+function body and each gets its own cells.
+
+parse rejects text nested deeper than MAX_NESTING levels with a
+ParseError, so that the recursive walks of this module stay within
+Python's recursion limit on what it returns (a run of hundreds of
+left-associative operators aside, which nests no level).
 """
 
 from __future__ import annotations
@@ -265,6 +278,14 @@ _TOKEN = re.compile(
 #: tighter than these and looser than ^
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
+#: the deepest nesting parse accepts.  Each parenthesis or call, unary
+#: minus, exponent and right operand nests one level deeper; a run of
+#: left-associative operators does not.  A tree holds no node deeper than
+#: its nesting (beyond such runs), and every recursive walk of this module
+#: (to_text, diff, simplify, the compiler) handles this depth, and first
+#: derivatives of it, within Python's default recursion limit.
+MAX_NESTING = 100
+
 
 class _Stop(Exception):
     """A syntax error at token index args[1], with message args[0]."""
@@ -277,12 +298,14 @@ def parse(text: str) -> Expr:
     binds tighter than these and looser than ^, which is right-associative
     and takes a unary exponent.  Parentheses, `name(arg)` calls of
     FUNCTIONS and decimal literals; other names become parameters.  A
-    ParseError names the 1-based offset of the token where parsing stops.
+    ParseError names the 1-based offset of the token where parsing stops,
+    which for text nested deeper than MAX_NESTING levels is the token that
+    opens the first level too many.
     """
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end of the input
     try:
-        e, i = _climb(tokens, 0, 1)
+        e, i = _climb(tokens, 0, 1, 0)
         if tokens[i]:
             raise _Stop(f"unexpected '{tokens[i][0]}'", i)
     except _Stop as stop:
@@ -292,30 +315,35 @@ def parse(text: str) -> Expr:
     return e
 
 
-def _climb(tokens: list[str], i: int, level: int) -> tuple[Expr, int]:
-    """The expression at tokens[i] whose binary operators all bind at level
-    or tighter, and the index of the token after it."""
-    e, i = _unary(tokens, i)
+def _climb(tokens: list[str], i: int, level: int,
+           depth: int) -> tuple[Expr, int]:
+    """The expression at tokens[i], nested depth levels deep, whose binary
+    operators all bind at level or tighter, and the index of the token
+    after it."""
+    e, i = _unary(tokens, i, depth)
     while _LEVEL.get(tokens[i], 0) >= level:
         op = tokens[i]
-        right, i = _climb(tokens, i + 1, _LEVEL[op] + 1)
+        right, i = _climb(tokens, i + 1, _LEVEL[op] + 1, depth + 1)
         e = BinOp(op, e, right)
     return e, i
 
 
-def _unary(tokens: list[str], i: int) -> tuple[Expr, int]:
+def _unary(tokens: list[str], i: int, depth: int) -> tuple[Expr, int]:
+    if depth > MAX_NESTING:
+        # the token before opens the level: ( - ^ or an operator
+        raise _Stop(f"nesting deeper than {MAX_NESTING} levels", i - 1)
     if tokens[i] == "-":
-        e, i = _unary(tokens, i + 1)
+        e, i = _unary(tokens, i + 1, depth + 1)
         return Neg(e), i
-    e, i = _atom(tokens, i)
+    e, i = _atom(tokens, i, depth)
     if tokens[i] == "^":
         # the exponent may carry a unary minus: x^-2
-        power, i = _unary(tokens, i + 1)
+        power, i = _unary(tokens, i + 1, depth + 1)
         return BinOp("^", e, power), i
     return e, i
 
 
-def _atom(tokens: list[str], i: int) -> tuple[Expr, int]:
+def _atom(tokens: list[str], i: int, depth: int) -> tuple[Expr, int]:
     token = tokens[i]
     if not token:
         raise _Stop("unexpected end of input", i)
@@ -326,7 +354,7 @@ def _atom(tokens: list[str], i: int) -> tuple[Expr, int]:
         raise _Stop(f"unknown function '{token}'", i)
     if name or token == "(":
         # a call's argument or a parenthesised expression
-        e, i = _climb(tokens, i + 2 if name else i + 1, 1)
+        e, i = _climb(tokens, i + 2 if name else i + 1, 1, depth + 1)
         if tokens[i] != ")":
             raise _Stop("expected ')'", i)
         return (Call(token, e) if name else e), i + 1
@@ -393,9 +421,14 @@ _PRIMITIVES: dict[str, Callable[..., float]] = {
     "pow": math.pow,
 }
 
+#: what a point kernel reads: the primitives and its own domain check
+_POINT_PRIMITIVES = {**_PRIMITIVES, "DomainError": DomainError,
+                     "_isfinite": math.isfinite}
+
 
 def _checked(fn: Callable[..., float], e: Expr, *args: float) -> float:
-    """fn(*args); an undefined or non-finite result is a DomainError in e."""
+    """fn(*args); an undefined or non-finite result is a DomainError in e.
+    The constant folds of simplify call it; a point kernel checks itself."""
     try:
         r = fn(*args)
     except ZeroDivisionError:
@@ -727,23 +760,31 @@ def _collect_sum(e: Expr) -> Expr:
 
 
 def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
-    """The function of a tree, or of a list of trees returning a tuple, for
-    points or columns.  A repeated subtree is bound by `:=` where a walk of
-    the trees first computes it, so a tree without repeats is that walk."""
+    """The function of one tree for points, or of a tree or a list of trees
+    (returning a tuple) for columns.
+
+    Each inner node is one statement `_tN = ...`, in the order a
+    left-to-right walk of the trees first computes it, so a repeated
+    subtree is computed once, the same operation fails first as in a
+    nested evaluation, and no line nests however deep the tree.  Each
+    constant node is a closure cell `_cN`, numbered in first-read order,
+    so trees that differ only in their constants have one text, whose
+    factory is compiled once (`_factory`) and called with their cells."""
     trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
     names = list(arg_names)
     missing = set().union(*map(free_symbols, trees)) - set(names)
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
     slots = {name: f"_a{i}" for i, name in enumerate(names)}
+    cells: dict[Expr, str] = {}  # constant nodes: 0.0 and -0.0 are two
     # value numbers of inner nodes, by node: equal content is one node
     number: dict[Expr, int] = {}
     keys: list[tuple] = []  # (op, *children), a child a number or leaf code
-    uses, readers = Counter(), Counter()
+    readers = Counter()
 
     def walk(e: Expr, k: int) -> int | str:
         if isinstance(e, Const):
-            return repr(e.value)
+            return cells.setdefault(e, f"_c{len(cells)}")
         if isinstance(e, (Var, Param)):
             return slots[e.name]
         ref = number.get(e)
@@ -756,47 +797,70 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
         if ref is None:
             ref = number[e] = len(keys)
             keys.append(key)
-            uses.update(key[1:])
         readers[ref] |= 1 << k  # node read by tree k
         return ref
 
     roots = [walk(t, k) for k, t in enumerate(trees)]
-    uses.update(roots)
     masks: dict[int, str] = {}  # the row-reject mask of each readers set
 
     def code(ref: int | str) -> str:
-        if isinstance(ref, str) or uses[ref] < 0:  # a leaf or bound
-            return ref if isinstance(ref, str) else f"_t{ref}"
-        op, *args = keys[ref]
+        return ref if isinstance(ref, str) else f"_t{ref}"
+
+    body = []
+    for ref, (op, *args) in enumerate(keys):
         args = [code(a) for a in args]
         if op == "neg":
-            text = f"(-{args[0]})"
+            text = f"-{args[0]}"
         elif op in "+-*" or (op == "/" and not columns):
-            text = f"({args[0]} {op} {args[1]})"
+            text = f"{args[0]} {op} {args[1]}"
         else:
             if columns:
                 args.insert(0, masks.setdefault(readers[ref], f"_b{len(masks)}"))
             text = f"{ {'^': 'pow', '/': '_div'}.get(op, op)}({', '.join(args)})"
-        if uses[ref] > 1:
-            uses[ref], text = -1, f"(_t{ref} := {text})"
-        return text
-
+        body.append(f"_t{ref} = {text}")
     outs = [code(ref) for ref in roots]
-    for k, out in enumerate(outs if columns else ()):
-        # NaN where not finite or a node of the tree failed (readers 0: none)
-        bad = [m for r, m in masks.items() if r >> k & 1] or [
-            masks.setdefault(0, f"_b{len(masks)}")]
-        outs[k] = f"_where(~_isfinite(_v := {out}) | {' | '.join(bad)}, nan, _v)"
-    params = ["_shape"] * columns + [f"_a{i}" for i in range(len(names))]
-    src = "".join([f"def _f({', '.join(params)}):\n",
-                   *(f"    {m} = _mask(_shape)\n" for m in masks.values()),
-                   "    return ", outs[0] if isinstance(exprs, Expr)
-                   else f"({''.join(o + ', ' for o in outs)})", "\n"])
-    # repr() writes a non-finite Const as `inf` or `nan`
-    ns = {**(_COLUMN_PRIMITIVES if columns else _PRIMITIVES),
-          "inf": math.inf, "nan": math.nan}
+    if columns:
+        for k, out in enumerate(outs):
+            # NaN where not finite or a node of the tree failed (readers 0: none)
+            bad = [m for r, m in masks.items() if r >> k & 1] or [
+                masks.setdefault(0, f"_b{len(masks)}")]
+            outs[k] = (f"_where(~_isfinite({out}) | {' | '.join(bad)},"
+                       f" nan, {out})")
+        body[:0] = [f"{m} = _mask(_shape)" for m in masks.values()]
+        body.append("return " + (outs[0] if isinstance(exprs, Expr)
+                                 else f"({''.join(o + ', ' for o in outs)})"))
+        tree, params = [], ["_shape"]
+    else:
+        (out,) = outs
+        body = ["try:", *(f"    {line}" for line in body or ["pass"]),
+                "except ZeroDivisionError:",
+                "    raise DomainError('division by zero', _e) from None",
+                "except (ValueError, OverflowError) as exc:",
+                "    raise DomainError(str(exc), _e) from None",
+                f"if _isfinite({out}):", f"    return {out}",
+                "raise DomainError('non-finite result', _e)"]
+        tree, params = [exprs], []
+    params += [f"_a{i}" for i in range(len(names))]
+    src = "".join([
+        f"def _make({', '.join(['_e'] * len(tree) + list(cells.values()))}):\n",
+        f"    def _f({', '.join(params)}):\n",
+        *(f"        {line}\n" for line in body),
+        "    return _f\n"])
+    return _factory(src, columns)(*tree, *(c.value for c in cells))
+
+
+#: factories the shape table keeps, least recently used first out; a pass
+#: over the catalog compiles 136 shapes
+_SHAPE_BOUND = 512
+
+
+@functools.lru_cache(maxsize=_SHAPE_BOUND)
+def _factory(src: str, columns: bool) -> Callable:
+    """The factory `_make` that src defines: the shape table, keyed by the
+    text, which holds no tree, so exec runs once per shape."""
+    ns = dict(_COLUMN_PRIMITIVES if columns else _POINT_PRIMITIVES)
     exec(src, ns)
-    return ns["_f"]
+    return ns["_make"]
 
 
 def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
@@ -808,8 +872,8 @@ def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     DomainError naming the whole of e.
     """
     names = tuple(arg_names)
-    return _memoized(("point", names), (e,), None, lambda: functools.partial(
-        _checked, _generate(e, names, False), e))
+    return _memoized(("point", names), (e,), None,
+                     lambda: _generate(e, names, False))
 
 
 # -- the column calling convention ------------------------------------------
@@ -828,7 +892,9 @@ _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
 def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     def apply(bad: np.ndarray, *args) -> np.ndarray:
-        rows = [np.broadcast_to(a, bad.shape).tolist() for a in args]
+        # a float argument (a constant cell) is the same on every row
+        rows = [[a] * len(bad) if isinstance(a, float)
+                else np.broadcast_to(a, bad.shape).tolist() for a in args]
         try:
             return np.fromiter(map(fn, *rows), float, len(bad))
         except _UNDEFINED:
@@ -854,7 +920,7 @@ _COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
     "abs": lambda bad, v: np.abs(v),
     "sgn": lambda bad, v: np.sign(v),
     "_div": _column_div,
-    "_where": np.where, "_isfinite": np.isfinite,
+    "_where": np.where, "_isfinite": np.isfinite, "nan": math.nan,
     "_mask": functools.partial(np.zeros, dtype=bool),
 }
 
@@ -889,6 +955,8 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
 # and keeps 0.0 and -0.0 apart, so the key costs O(number of trees), and
 # it holds its nodes, so no dead node's address can alias a live one.
 # Generated functions keep no state between calls, so sharing them is safe.
+# Beneath it, the shape table (`_factory`) keeps compiled code by its text
+# alone; _memo_clear empties both.
 
 #: entries the memo keeps, least recently used first out; it holds the
 #: working set of a pass over the catalog (216 entries), and a cyclic pass
@@ -914,8 +982,9 @@ def memo_info() -> MemoInfo:
 
 
 def _memo_clear() -> None:
-    """Empty the memo and zero its counts."""
+    """Empty the memo and the shape table and zero the memo's counts."""
     _memo.clear()
+    _factory.cache_clear()
     _memo_counts.update(hits=0, misses=0)
 
 

@@ -355,11 +355,42 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" in err and "TypeError: a bug" in err
 
+    def test_nesting_past_the_bound_exits_one(self, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("f = " + "(" * 600 + "ym" + ")" * 600 + "\ng = x - 1\n")
+        proc = run_cli("verify", "--system", str(path), "--field", "1;0")
+        assert proc.returncode == 1
+        assert proc.stdout == ("error: DodsError: line 1: nesting deeper than"
+                               " 100 levels at offset 101\n")
+
+    @pytest.mark.parametrize("f, verdict", [
+        pytest.param("-ym + " + " + ".join(f"{k + 1}*dym*x^{k}"
+                                           for k in range(399)),
+                     "FAIL", id="400-term-sum"),
+        pytest.param("sin(" * 99 + "ym*dym" + ")" * 99, "PASS", id="99-calls"),
+    ])
+    def test_deep_expressions_are_checked(self, tmp_path, f, verdict):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"f = {f}\ng = x - 1\n")
+        proc = run_cli("verify", "--system", str(path), "--field", "1;0")
+        assert proc.returncode == (verdict == "FAIL")
+        assert proc.stdout.startswith(f"{verdict} 1;0: ")
+
     def test_missing_file_exits_one(self, tmp_path):
         proc = run_cli("verify", "--system", str(tmp_path / "absent.txt"),
                        "--field", "0;1")
         assert proc.returncode == 1
         assert proc.stdout.startswith("error: FileNotFoundError:")
+
+
+def test_the_parser_is_built_once(capsys):
+    assert cli._parser() is cli._parser()
+    outs = []
+    for _ in range(2):
+        assert cli.main(["roots", "--alpha", "0", "--beta", "1", "--gamma",
+                         "0", "--C", "1", "--range", "-3,3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "lambda = -1" in outs[0]
 
 
 class TestDeterminism:

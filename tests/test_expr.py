@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,41 @@ class TestParseErrors:
 
     def test_any_unicode_white_space_separates(self):
         assert parse("\xa0x\u2003*\x1c2\n") is parse("x*2")
+
+
+class TestNestingBound:
+    """parse accepts MAX_NESTING levels of nesting and stops at the token
+    that opens one more; every walk handles the deepest tree it accepts."""
+
+    @pytest.mark.parametrize("opener, levels, leaf, closer, offset", [
+        pytest.param("(", 1, "x", ")", 101, id="parentheses"),
+        pytest.param("sin(", 1, "x", ")", 404, id="calls"),
+        pytest.param("-", 1, "x", "", 101, id="unary-minus"),
+        pytest.param("-(", 2, "x", ")", 101, id="negated-groups"),
+        pytest.param("x^", 1, "y", "", 202, id="power-tower"),
+        pytest.param("x - (", 2, "y", ")", 253, id="right-operands"),
+        pytest.param("x + y*(", 3, "x", ")", 237, id="sum-of-products"),
+    ])
+    def test_at_the_bound_and_one_past(self, opener, levels, leaf, closer,
+                                       offset):
+        n = E.MAX_NESTING // levels
+        deepest = parse(opener * n + leaf + closer * n)
+        with pytest.raises(ParseError) as err:
+            parse(opener * (n + 1) + leaf + closer * (n + 1))
+        assert str(err.value) == (f"nesting deeper than {E.MAX_NESTING}"
+                                  f" levels at offset {offset}")
+        to_text(deepest)
+        simplify(deepest)
+        rows = (np.array([0.3, 0.9, -0.4]), np.array([1.1, 0.6, 2.0]))
+        for tree in (deepest, diff(deepest, "x"), diff(deepest, "y")):
+            fn = compile_fn(tree, ("x", "y"))
+            out = compile_columns([tree, deepest], ("x", "y"))(*rows)[0]
+            for args, got in zip(zip(*(r.tolist() for r in rows)), out):
+                _assert_row_matches_closure(fn, args, got)
+
+    def test_a_run_of_left_associative_operators_nests_no_level(self):
+        e = parse(" + ".join(["x*y"] * 400) + " - " + " / ".join(["y"] * 300))
+        assert e.op == "-" and e.left.op == "+" and e.right.op == "/"
 
 
 class TestEvaluate:
@@ -455,16 +491,28 @@ class TestInterning:
         gc.collect()
         before = len(E._NODES)
         rng = np.random.default_rng(2006)
-        for a, b, c in rng.uniform(0.5, 2.0, size=(2000, 3)):
+        for i, (a, b, c) in enumerate(rng.uniform(0.5, 2.0, size=(2000, 3))):
             system = DodsSystem(f=parse(f"{a}*(y - ym) + {b}*sin(dym)*dy"),
                                 g=parse(f"x - {c}"))
             system.kernels()
             diff(simplify(system.f * system.g), "x")
+            if i == 0:
+                shapes = E._factory.cache_info()
         assert E.memo_info().size <= E.memo_info().bound
+        # the systems differ only in their constants: no new shape after
+        # the first, and the shape table stays within its bound
+        table = E._factory.cache_info()
+        assert (table.misses, table.currsize) == (shapes.misses, shapes.currsize)
+        assert table.maxsize == E._SHAPE_BOUND and table.currsize > 0
+        last = weakref.ref(system.f)
         del system
-        E._memo_clear()  # the memo is the one strong store
+        E._memo.clear()  # the memo is the one strong store
         gc.collect()
+        # the shape table keeps no tree alive
+        assert E._factory.cache_info().currsize == table.currsize
+        assert last() is None
         assert abs(len(E._NODES) - before) <= 0.01 * before
+        E._memo_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +650,7 @@ def test_an_undefined_shared_subtree_is_nan_only_where_it_is_read():
 
 
 def test_shared_subtrees_are_generated_once(monkeypatch):
+    E._memo_clear()  # so that both shapes are new
     sources = []
     monkeypatch.setattr(E, "exec", lambda src, ns: (sources.append(src),
                                                     exec(src, ns)),
@@ -610,9 +659,161 @@ def test_shared_subtrees_are_generated_once(monkeypatch):
                     parse("x * 0"), BinOp("*", Var("x"), Const(-0.0))], ("x",))
     compile_fn(parse("x*y + 1"), ("x", "y"))
     kernel, point = sources
-    assert kernel.count("sin(") == 1 and kernel.count("_t0 :=") == 1
-    assert "_t1" not in kernel
-    # 0.0 and -0.0 are equal as numbers but not as constants
-    assert "(_a0 * 0.0)" in kernel and "(_a0 * -0.0)" in kernel
-    # a tree without repeats is generated as a plain walk
-    assert point == "def _f(_a0, _a1):\n    return ((_a0 * _a1) + 1.0)\n"
+    # one statement per distinct inner node: sin(x) once, read three times
+    assert kernel.count("sin(") == 1 and kernel.count("_t0 = ") == 1
+    assert kernel.count("_t0") == 4
+    assert [line.split(" = ")[0].strip() for line in kernel.splitlines()
+            if line.strip().startswith("_t")] == [f"_t{i}" for i in range(5)]
+    # 0.0 and -0.0 are equal as numbers but not as constants: two cells
+    assert "_t3 = _a0 * _c1" in kernel and "_t4 = _a0 * _c2" in kernel
+    assert kernel.startswith("def _make(_c0, _c1, _c2):")
+    # a tree without repeats is one statement per node, in walk order
+    assert point == (
+        "def _make(_e, _c0):\n"
+        "    def _f(_a0, _a1):\n"
+        "        try:\n"
+        "            _t0 = _a0 * _a1\n"
+        "            _t1 = _t0 + _c0\n"
+        "        except ZeroDivisionError:\n"
+        "            raise DomainError('division by zero', _e) from None\n"
+        "        except (ValueError, OverflowError) as exc:\n"
+        "            raise DomainError(str(exc), _e) from None\n"
+        "        if _isfinite(_t1):\n"
+        "            return _t1\n"
+        "        raise DomainError('non-finite result', _e)\n"
+        "    return _f\n")
+
+
+# ---------------------------------------------------------------------------
+# the shape table: trees that differ only in constants share one compile
+
+
+def _cells(fn) -> dict:
+    """The closure cells of a generated function, by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__)))
+
+
+class TestShapeTable:
+    @staticmethod
+    def _record_exec(monkeypatch) -> list[str]:
+        E._memo_clear()
+        sources = []
+        monkeypatch.setattr(E, "exec", lambda src, ns: (sources.append(src),
+                                                        exec(src, ns)),
+                            raising=False)
+        return sources
+
+    def test_memo_clear_empties_the_shape_table(self):
+        compile_fn(parse("0.25*x + 7"), ("x",))
+        compile_columns(parse("0.25*x - 7"), ("x",))
+        assert E._factory.cache_info().currsize > 0
+        E._memo_clear()
+        assert E._factory.cache_info().currsize == 0
+        assert E.memo_info() == (0, 0, 0, E._MEMO_BOUND)
+
+    def test_constants_share_one_shape(self, monkeypatch):
+        sources = self._record_exec(monkeypatch)
+        a = parse("2.5*sin(x) - x/3 + exp(0.1*y)")
+        b = parse("1.25*sin(x) - x/7 + exp(0.3*y)")
+        fa, fb = compile_fn(a, ("x", "y")), compile_fn(b, ("x", "y"))
+        ca, cb = (compile_columns(t, ("x", "y")) for t in (a, b))
+        assert len(sources) == 2  # one point shape and one column shape
+        assert fa.__code__ is fb.__code__ and fa is not fb
+        xs, ys = np.array([0.3, -1.7, 2.0, 1e-3]), np.array([1.0, -2.0, 0.5, 9.0])
+        rows = list(zip(xs.tolist(), ys.tolist()))
+        # each is what Python computes for its own constants, bit for bit
+        assert [fa(x, y) for x, y in rows] == [
+            2.5 * math.sin(x) - x / 3.0 + math.exp(0.1 * y) for x, y in rows]
+        assert [fb(x, y) for x, y in rows] == [
+            1.25 * math.sin(x) - x / 7.0 + math.exp(0.3 * y) for x, y in rows]
+        for fn, columns in ((fa, ca), (fb, cb)):
+            for args, got in zip(rows, columns(xs, ys)):
+                _assert_row_matches_closure(fn, args, got)
+        # and what a shape compiled for the one tree alone gives
+        E._memo_clear()
+        alone = compile_fn(b, ("x", "y"))
+        assert alone is not fb and len(sources) == 3
+        assert [np.float64(alone(*r)).tobytes() for r in rows] == [
+            np.float64(fb(*r)).tobytes() for r in rows]
+
+    def test_a_domain_error_names_its_own_tree(self):
+        a, b = parse("4/(x - 1) + ln(x)"), parse("4/(x - 2) + ln(x)")
+        fa, fb = compile_fn(a, ("x",)), compile_fn(b, ("x",))
+        assert fa.__code__ is fb.__code__
+        for fn, tree, pole in ((fa, a, 1.0), (fb, b, 2.0)):
+            with pytest.raises(DomainError) as err:
+                fn(pole)
+            assert err.value.subexpr is tree
+            assert str(err.value) == f"division by zero in '{to_text(tree)}'"
+            with pytest.raises(DomainError, match="math domain error"):
+                fn(-1.0)
+        # the first operation to fail is the first a left-to-right walk meets
+        with pytest.raises(DomainError, match="division by zero"):
+            compile_fn(parse("1/(x - 2) + ln(x - 2)"), ("x",))(2.0)
+        with pytest.raises(DomainError, match="math domain error"):
+            compile_fn(parse("ln(x - 2) + 1/(x - 2)"), ("x",))(2.0)
+
+    def test_signed_zeros_get_separate_cells(self):
+        zero, minus_zero = Const(0.0), Const(-0.0)
+        e = BinOp("+", BinOp("*", Var("x"), zero), BinOp("*", Var("y"), minus_zero))
+        fn = compile_fn(e, ("x", "y"))
+        cells = _cells(fn)
+        assert cells["_e"] is e
+        assert [np.float64(cells[c]).tobytes() for c in ("_c0", "_c1")] == [
+            np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()]
+        assert np.float64(fn(-1.0, 1.0)).tobytes() == np.float64(-0.0).tobytes()
+        # the same shape with the zeros swapped is a new tree, with new cells
+        swapped = compile_fn(BinOp("+", BinOp("*", Var("x"), minus_zero),
+                                   BinOp("*", Var("y"), zero)), ("x", "y"))
+        assert swapped.__code__ is fn.__code__
+        assert np.float64(swapped(-1.0, 1.0)).tobytes() == \
+            np.float64(0.0).tobytes()
+
+    def test_nan_constants_keep_their_bit_pattern(self):
+        payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+        for nan in (math.nan, payload):
+            e = BinOp("+", Var("x"), Const(nan))
+            fn = compile_fn(e, ("x",))
+            assert struct.pack("<d", _cells(fn)["_c0"]) == struct.pack("<d", nan)
+            with pytest.raises(DomainError, match="non-finite"):
+                fn(1.0)
+            assert np.isnan(compile_columns(e, ("x",))(np.ones(3))).all()
+            # pow(nan, 0) is 1 on both paths
+            power = BinOp("^", Const(nan), Var("x"))
+            assert compile_fn(power, ("x",))(0.0) == 1.0
+            assert compile_columns(power, ("x",))(
+                np.array([0.0, 1.0])).tolist()[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# deep trees: one statement per node, so no line nests
+
+
+def test_a_400_term_sum_compiles_and_its_rows_agree():
+    terms = " + ".join(f"{k + 1}*dym*x^{k}" for k in range(399))
+    e = parse(f"-ym + {terms}")
+    names = ("x", "ym", "dym")
+    fn = compile_fn(e, names)
+    cols = [np.array([0.5, -0.9, 1.01, 0.0, 10.0]), np.array([1.0, 2.0, -3.0, 0.5, 1.0]),
+            np.array([0.25, -1.0, 2.0, 3.0, 1.0])]
+    out = compile_columns(e, names)(*cols)
+    for args, got in zip(zip(*(c.tolist() for c in cols)), out):
+        _assert_row_matches_closure(fn, args, got)
+    assert np.isnan(out[-1])  # 10^398 overflows
+    assert not np.isnan(out[:-1]).any()
+
+
+def test_150_nested_calls_compile_and_their_rows_agree():
+    e = Call("ln", Var("x"))
+    for k in range(150):
+        e = Call(("sin", "arctan", "cos", "sqrt", "exp")[k % 5], e)
+    fn = compile_fn(e, ("x",))
+    xs = np.array([0.5, 2.0, 1e-300, 0.0, -1.0, 7.0])
+    out = compile_columns([e, diff(e, "x")], ("x",))(xs)
+    assert np.isnan(out[0]).tolist() == [False, False, False, True, True, False]
+    for value, got in zip(xs.tolist(), out[0]):
+        _assert_row_matches_closure(fn, (value,), got)
+    derivative = compile_fn(diff(e, "x"), ("x",))
+    for value, got in zip(xs.tolist(), out[1]):
+        _assert_row_matches_closure(derivative, (value,), got)
