@@ -606,8 +606,11 @@ def _build_system(inst: Instantiation) -> tuple[CatalogEntry, DodsSystem]:
     if not entry.has_system:
         raise CatalogError(f"entry '{entry.id}' is a marker without a system")
     params = {**entry.default_params, **inst.params}
+    # the constraints and the validation read the values, so they are part
+    # of the kind
     f, g, delay_kind, box = E._memoized(
-        ("instantiation", entry.id), (inst.f_expr, inst.g_expr), params,
+        ("instantiation", entry.id, E.value_key(params)),
+        (inst.f_expr, inst.g_expr), None,
         lambda: _concrete_system(entry, inst, params))
     return entry, DodsSystem(f=f, g=g, params=params, delay_kind=delay_kind,
                              box=dict(box), label=entry.id)

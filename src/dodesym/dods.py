@@ -43,9 +43,10 @@ from .expr import (
     Expr,
     ParseError,
     _memoized,
+    bind_kernel,
     bind_params,
-    compile_columns,
-    compile_fn,
+    column_template,
+    compile_bound,
     diff,
     free_symbols,
     parse,
@@ -100,10 +101,11 @@ class DodsSystem:
         return bind_params(e, self.params)
 
     def kernels(self) -> "_SystemKernels":
-        """The compiled g, f and jet partials, built once per content of f,
-        g and params and shared through the kernel memo of `expr`."""
+        """The compiled g, f and jet partials with the values of params,
+        built once per content of f and g and names of params and shared
+        through the kernel memo of `expr`."""
         return _memoized("system", (self.f, self.g), self.params,
-                         lambda: _SystemKernels.build(self))
+                         lambda: _SystemKernels.build(self)).bind(self.params)
 
     def constant_delay(self) -> float | None:
         """tau where g is x - tau, else None.
@@ -113,10 +115,9 @@ class DodsSystem:
         x, or is undefined at one of these points, is not a constant delay.
         An unbound parameter raises UnboundSymbolError.
         """
-        g = self.bound(self.g)
-        if free_symbols(g) & set(JET) - {"x"}:
+        if free_symbols(self.g) & set(JET) - {"x"} - set(self.params):
             return None
-        g_fn = compile_fn(g, ("x",))
+        g_fn = compile_bound(self.g, ("x",), self.params)
         try:
             taus = [x - g_fn(x) for x in (0.0, 0.7, 1.3)]
         except DomainError:
@@ -236,11 +237,20 @@ class _SystemKernels:
 
     @classmethod
     def build(cls, system: DodsSystem) -> "_SystemKernels":
-        partials = [system.bound(diff(e, v))
-                    for e in (system.f, system.g) for v in JET]
-        return cls(g=compile_columns(system.bound(system.g), FREE_COORDS),
-                   f=compile_columns(system.bound(system.f), JET),
-                   partials=compile_columns(partials, JET))
+        """The kernels of system with its params as closure cells."""
+        names = tuple(system.params)
+        partials = [diff(e, v) for e in (system.f, system.g) for v in JET]
+        return cls(g=column_template(system.g, FREE_COORDS, names),
+                   f=column_template(system.f, JET, names),
+                   partials=column_template(partials, JET, names))
+
+    def bind(self, params) -> "_SystemKernels":
+        """These kernels with the values of params in their cells."""
+        kernels = [bind_kernel(k, params)
+                   for k in (self.g, self.f, self.partials)]
+        if kernels == [self.g, self.f, self.partials]:
+            return self  # none reads a parameter
+        return _SystemKernels(*kernels)
 
 
 def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):

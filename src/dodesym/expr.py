@@ -421,11 +421,6 @@ _PRIMITIVES: dict[str, Callable[..., float]] = {
     "pow": math.pow,
 }
 
-#: what a point kernel reads: the primitives and its own domain check
-_POINT_PRIMITIVES = {**_PRIMITIVES, "DomainError": DomainError,
-                     "_isfinite": math.isfinite}
-
-
 def _checked(fn: Callable[..., float], e: Expr, *args: float) -> float:
     """fn(*args); an undefined or non-finite result is a DomainError in e.
     The constant folds of simplify call it; a point kernel checks itself."""
@@ -759,24 +754,31 @@ def _collect_sum(e: Expr) -> Expr:
 # compilation
 
 
-def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
-    """The function of one tree for points, or of a tree or a list of trees
-    (returning a tuple) for columns.
+def _generate(exprs, arg_names: Iterable[str], columns: bool,
+              params: Iterable[str] = ()):
+    """The kernel of one tree for points, or of a tree or a list of trees
+    (returning a tuple) for columns.  Where the trees read a name of params,
+    a Template, whose bind(values) is that kernel with the values in place.
 
     Each inner node is one statement `_tN = ...`, in the order a
     left-to-right walk of the trees first computes it, so a repeated
     subtree is computed once, the same operation fails first as in a
     nested evaluation, and no line nests however deep the tree.  Each
-    constant node is a closure cell `_cN`, numbered in first-read order,
-    so trees that differ only in their constants have one text, whose
-    factory is compiled once (`_factory`) and called with their cells."""
+    constant node, and each symbol named in params (bound before the
+    arguments, as bind_params binds it), is a closure cell `_cN`, numbered
+    in first-read order.  So trees that differ only in their constants
+    have one text, whose factory is compiled once (`_factory`) and called
+    with their cells, and a tree of parameters is walked once for every
+    set of values."""
     trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
     names = list(arg_names)
-    missing = set().union(*map(free_symbols, trees)) - set(names)
+    bound = set(params or ())
+    missing = set().union(*map(free_symbols, trees)) - set(names) - bound
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
     slots = {name: f"_a{i}" for i, name in enumerate(names)}
-    cells: dict[Expr, str] = {}  # constant nodes: 0.0 and -0.0 are two
+    # constant nodes (0.0 and -0.0 are two) and bound symbols
+    cells: dict[Expr, str] = {}
     # value numbers of inner nodes, by node: equal content is one node
     number: dict[Expr, int] = {}
     keys: list[tuple] = []  # (op, *children), a child a number or leaf code
@@ -786,6 +788,8 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
         if isinstance(e, Const):
             return cells.setdefault(e, f"_c{len(cells)}")
         if isinstance(e, (Var, Param)):
+            if e.name in bound:
+                return cells.setdefault(e, f"_c{len(cells)}")
             return slots[e.name]
         ref = number.get(e)
         if ref is not None and readers[ref] >> k & 1:
@@ -801,6 +805,9 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
         return ref
 
     roots = [walk(t, k) for k, t in enumerate(trees)]
+    # what each cell holds: a constant's value, or the name of a parameter
+    sources = [c.value if isinstance(c, Const) else c.name for c in cells]
+    named = any(isinstance(c, str) for c in sources)
     masks: dict[int, str] = {}  # the row-reject mask of each readers set
 
     def code(ref: int | str) -> str:
@@ -832,26 +839,70 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool) -> Callable:
         tree, params = [], ["_shape"]
     else:
         (out,) = outs
+        # a DomainError names the tree with the values of its parameters
+        e = "_bind(_e, _p)" if named else "_e"
         body = ["try:", *(f"    {line}" for line in body or ["pass"]),
                 "except ZeroDivisionError:",
-                "    raise DomainError('division by zero', _e) from None",
+                f"    raise DomainError('division by zero', {e}) from None",
                 "except (ValueError, OverflowError) as exc:",
-                "    raise DomainError(str(exc), _e) from None",
+                f"    raise DomainError(str(exc), {e}) from None",
                 f"if _isfinite({out}):", f"    return {out}",
-                "raise DomainError('non-finite result', _e)"]
-        tree, params = [exprs], []
+                f"raise DomainError('non-finite result', {e})"]
+        tree, params = ["_e", "_p"] if named else ["_e"], []
     params += [f"_a{i}" for i in range(len(names))]
     src = "".join([
-        f"def _make({', '.join(['_e'] * len(tree) + list(cells.values()))}):\n",
+        f"def _make({', '.join(tree + list(cells.values()))}):\n",
         f"    def _f({', '.join(params)}):\n",
         *(f"        {line}\n" for line in body),
         "    return _f\n"])
-    return _factory(src, columns)(*tree, *(c.value for c in cells))
+    template = Template(_factory(src, columns), None if columns else exprs,
+                        sources)
+    return template if named else template.bind({})
+
+
+class Template:
+    """A kernel whose parameters are closure cells: bind(params) calls its
+    factory with their values, which costs no walk of the trees and no
+    compile.  `_generate` makes one for trees that read parameters."""
+
+    __slots__ = ("_make", "_tree", "_cells")
+
+    def __init__(self, make: Callable, tree: Expr | None, cells: list):
+        self._make = make
+        self._tree = tree  # a point kernel's tree, which a DomainError names
+        self._cells = cells  # constant values and parameter names
+
+    def bind(self, params: Bindings) -> Callable:
+        """The kernel with the values of params, as floats, in its cells."""
+        values: dict[str, float] = {}
+        cells = []
+        for c in self._cells:
+            if isinstance(c, str):
+                if c not in values:
+                    values[c] = float(params[c])
+                c = values[c]
+            cells.append(c)
+        if self._tree is None:
+            return functools.partial(_columns_checked, self._make(*cells))
+        if values:
+            return self._make(self._tree, values, *cells)
+        return self._make(self._tree, *cells)
+
+
+def bind_kernel(kernel, params: Bindings | None):
+    """A kernel that `_memoized` keeps, bound to the values of params: a
+    Template's binding, or the kernel itself where it reads no parameter."""
+    return kernel.bind(params) if isinstance(kernel, Template) else kernel
 
 
 #: factories the shape table keeps, least recently used first out; a pass
 #: over the catalog compiles 136 shapes
 _SHAPE_BOUND = 512
+
+
+#: what a point kernel reads: the primitives and its own domain check
+_POINT_PRIMITIVES = {**_PRIMITIVES, "DomainError": DomainError,
+                     "_isfinite": math.isfinite, "_bind": bind_params}
 
 
 @functools.lru_cache(maxsize=_SHAPE_BOUND)
@@ -871,9 +922,23 @@ def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     a Python keyword included.  An undefined or non-finite result raises
     DomainError naming the whole of e.
     """
+    return compile_bound(e, arg_names, None)
+
+
+def compile_bound(e: Expr, arg_names: Iterable[str],
+                  params: Bindings | None) -> Callable[..., float]:
+    """compile_fn of bind_params(e, params), without building that tree.
+
+    The closure is built once per tree, argument names and names of the
+    params that e reads, with each of those params a closure cell, and
+    each call fills the cells with its values.  A DomainError names e with
+    the values in place, as compile_fn of the bound tree would.
+    """
     names = tuple(arg_names)
-    return _memoized(("point", names), (e,), None,
-                     lambda: _generate(e, names, False))
+    params = params or {}
+    return bind_kernel(_memoized(("point", names), (e,), params,
+                                 lambda: _generate(e, names, False, params)),
+                       params)
 
 
 # -- the column calling convention ------------------------------------------
@@ -932,8 +997,10 @@ def _columns_checked(fn: Callable, *cols):
         return fn(shape, *cols)
 
 
-def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
-    """Compile to a function of numpy columns, one row per point.
+def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
+                    params: Bindings | None = None):
+    """Compile to a function of numpy columns, one row per point, with the
+    values of params bound as bind_params would bind them.
 
     The function takes one 1-D float column (or a scalar, broadcast) per
     name in arg_names and returns a new 1-D float column, or for a list of
@@ -942,7 +1009,15 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
     row i of the arguments, and NaN where that closure raises DomainError;
     a row is defined exactly where the result is finite.
     """
-    return functools.partial(_columns_checked, _generate(exprs, arg_names, True))
+    return bind_kernel(_generate(exprs, arg_names, True, params or ()), params)
+
+
+def column_template(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
+                    params: Iterable[str]):
+    """compile_columns with the symbols named in params left as closure
+    cells: the kernel, or a Template where the trees read one of them.  A
+    memo keeps it, and `bind_kernel` gives it the values of each call."""
+    return _generate(exprs, arg_names, True, params)
 
 
 # -- the memo ------------------------------------------------------------------
@@ -950,18 +1025,24 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
 # One bounded memo shares what other modules build from trees -- compiled
 # kernels (point closures, system, field and plane kernels) and the
 # concrete systems of catalog instantiations -- between every object of
-# equal content.  A key is a kind, the trees themselves and the params by
-# the bit pattern of their values.  Interning makes equal content one node
-# and keeps 0.0 and -0.0 apart, so the key costs O(number of trees), and
-# it holds its nodes, so no dead node's address can alias a live one.
-# Generated functions keep no state between calls, so sharing them is safe.
-# Beneath it, the shape table (`_factory`) keeps compiled code by its text
-# alone; _memo_clear empties both.
+# equal content.  A key is a kind, the trees themselves and the names of
+# the params the trees read, never their values: a kernel reads each
+# parameter from a closure cell (see Template), so one entry serves every
+# set of values of a family, and binding one costs a factory call.  What
+# depends on the values themselves puts them in its kind (`value_key`).
+# Interning makes equal content one node and keeps 0.0 and -0.0 apart, so
+# the key costs O(number of trees), and it holds its nodes, so no dead
+# node's address can alias a live one and their per-node caches live as
+# long as the entry.  Generated functions keep no state between calls, so
+# sharing them is safe.  Beneath it, the shape table (`_factory`) keeps
+# compiled code by its text alone; _memo_clear empties both.
 
 #: entries the memo keeps, least recently used first out; it holds the
-#: working set of a pass over the catalog (216 entries), and a cyclic pass
-#: larger than the bound would get no hits.  The memo is the one strong
-#: store of built things: the per-node caches die with their nodes.
+#: working set of a pass over the catalog (216 entries) and that of a
+#: sweep over parameters, which needs one set of entries per family (a
+#: dense-verify round reads 28), and a cyclic pass larger than the bound
+#: would get no hits.  The memo is the one strong store of built things:
+#: the per-node caches die with their nodes.
 _MEMO_BOUND = 256
 _memo: OrderedDict[tuple, object] = OrderedDict()
 _memo_counts = {"hits": 0, "misses": 0}
@@ -988,12 +1069,23 @@ def _memo_clear() -> None:
     _memo_counts.update(hits=0, misses=0)
 
 
+def value_key(params: Bindings | None) -> tuple:
+    """The params as a hashable key, each value by its bit pattern, for a
+    memo kind that depends on the values."""
+    return tuple(sorted((name, _bits(float(v)))
+                        for name, v in (params or {}).items()))
+
+
 def _memoized(kind, trees: Iterable[Expr | None], params: Bindings | None,
               build: Callable[[], object]):
     """build() kept under kind (any hashable), the trees (None allowed) and
-    the params; a build that raises is not kept."""
-    key = (kind, tuple(trees), tuple(sorted(
-        (name, _bits(float(v))) for name, v in (params or {}).items())))
+    the names of the params that the trees read; a build that raises is
+    not kept.  build must not depend on the values of params."""
+    trees = tuple(trees)
+    read = set().union(*(free_symbols(t) for t in trees if t is not None)) \
+        if params else ()
+    key = (kind, trees, tuple(sorted(name for name in params or ()
+                                     if name in read)))
     if key in _memo:
         _memo_counts["hits"] += 1
         _memo.move_to_end(key)

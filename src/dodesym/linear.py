@@ -28,7 +28,8 @@ import numpy as np
 from . import expr as E
 from .dods import (DelayKind, DodsSystem, InvarianceReport, _expression,
                    _key_values, _numbers, check_invariance)
-from .expr import Const, DomainError, Expr, compile_fn, diff, subs, to_text
+from .expr import (Const, DomainError, Expr, compile_bound, compile_fn, diff,
+                   subs, to_text)
 from .integrate import (
     HistoryFunction,
     Trajectory,
@@ -78,7 +79,7 @@ class LinearDods:
 
     def _fn(self, e: Expr):
         """e as a compiled function of x, parameters bound."""
-        return compile_fn(E.bind_params(e, self.params), ("x",))
+        return compile_bound(e, ("x",), self.params)
 
     def is_homogeneous(self) -> bool:
         b = self._fn(self.b)
@@ -263,15 +264,14 @@ def inhomogeneous_scaling_residual(
 def compatibility_residual(g: Expr, K: Expr, xs: list[float],
                            params=None) -> float:
     """max |K(g(x)) g'^2 - g'' - K(x) g'| over xs."""
-    params = dict(params or {})
-    g_b = E.bind_params(g, params)
-    K_b = E.bind_params(K, params)
-    gd = diff(g_b, "x")
-    gdd = diff(gd, "x")
-    K_at_g = subs(K_b, {"x": g_b})
-    residual = K_at_g * gd ** 2 - gdd - K_b * gd
-    fn = compile_fn(residual, ("x",))
+    fn = compile_bound(_compatibility(g, K), ("x",), params)
     return max(abs(fn(float(x))) for x in xs)
+
+
+def _compatibility(g: Expr, K: Expr) -> Expr:
+    """K(g(x)) g'^2 - g'' - K(x) g'."""
+    gd = diff(g, "x")
+    return subs(K, {"x": g}) * gd ** 2 - diff(gd, "x") - K * gd
 
 
 def _k1(L: LinearDods) -> Expr:
@@ -332,6 +332,33 @@ class _XiQuadrature:
         return math.exp(self.integral(x))
 
 
+def _determining_trees(L: LinearDods, k_used: str):
+    """K (K1 or K2, as k_used names), g', the compatibility residual and
+    the three remaining determining equations, with the xi-derivatives
+    written through K, all with L's params as symbols."""
+    K = E.simplify((_k1 if k_used == "K1" else _k2)(L))
+    a1, a2, a3, a4 = L.a1, L.a2, L.a3, L.a4
+    gd = diff(L.g, "x")
+    gdd = diff(gd, "x")
+    gddd = diff(gdd, "x")
+    a1_g = subs(a1, {"x": L.g})
+    Kd = diff(K, "x")
+    Kdd = diff(Kd, "x")
+    ratio2 = Kd + K ** 2            # xi''/xi
+    ratio3 = Kdd + 3 * K * Kd + K ** 3  # xi'''/xi
+    cond_a = a2 * K + (diff(a2, "x")
+                       + (a2 / 2) * (-a1 + a1_g * gd - gdd / gd))
+    cond_b = ratio3 + (2 * diff(a1, "x") - a1 ** 2 - 4 * a3) * K \
+        + (diff(diff(a1, "x"), "x") - a1 * diff(a1, "x") - 2 * diff(a3, "x"))
+    cond_c = (a2 / gd) * ratio2 \
+        + (a2 * (a1_g + gdd / gd ** 2) + 4 * a4) * K \
+        + (2 * diff(a4, "x")
+           + a2 * (subs(diff(a1, "x"), {"x": L.g}) * gd + a1_g * gdd / gd
+                   + gddd / gd ** 2 - gdd ** 2 / gd ** 3)
+           + a4 * (-a1 + a1_g * gd + gdd / gd))
+    return K, gd, _compatibility(L.g, K), (cond_a, cond_b, cond_c)
+
+
 def detect_extra_symmetry(
     L: LinearDods,
     n_grid: int = 50,
@@ -354,19 +381,17 @@ def detect_extra_symmetry(
     a2_max = max(abs(a2_fn(x)) for x in xs_probe)
     a4_max = max(abs(a4_fn(x)) for x in xs_probe)
     if a2_max > 1e-14:
-        K = _k1(L)
         k_used = "K1"
     elif a4_max > 1e-14:
-        K = _k2(L)
         k_used = "K2"
     else:
         raise LinearError("invalid linear system: a2 and a4 both vanish")
-    K = E.simplify(E.bind_params(K, L.params))
+    K, gd, compat_tree, conditions = E._memoized(
+        ("determining", k_used), (L.a1, L.a2, L.a3, L.a4, L.g), L.params,
+        lambda: _determining_trees(L, k_used))
     checks: dict[str, float] = {}
 
-    g_b = E.bind_params(L.g, L.params)
-    gd = diff(g_b, "x")
-    g_fn, gd_fn = L._fn(L.g), compile_fn(gd, ("x",))
+    g_fn, gd_fn = L._fn(L.g), L._fn(gd)
     # grid on which g stays inside the domain (needed for K(g), xi(g))
     grid = [float(x) for x in np.linspace(lo, hi, 4 * n_grid)
             if lo <= g_fn(float(x)) <= hi]
@@ -377,39 +402,19 @@ def detect_extra_symmetry(
     grid = grid[:: max(1, len(grid) // n_grid)][:n_grid]
 
     try:
-        compat = compatibility_residual(L.g, K, grid, params=L.params)
+        compat_fn = L._fn(compat_tree)
+        checks["compatibility"] = max(abs(compat_fn(x)) for x in grid)
     except DomainError:
         return None
-    checks["compatibility"] = compat
-    if compat > compat_tol:
+    if checks["compatibility"] > compat_tol:
         return None
 
-    # remaining determining equations, with xi-derivatives written through K
-    a1, a2, a3, a4 = (E.bind_params(getattr(L, k), L.params)
-                      for k in ("a1", "a2", "a3", "a4"))
-    gdd = diff(gd, "x")
-    gddd = diff(gdd, "x")
-    a1_g = subs(a1, {"x": g_b})
-    Kd = diff(K, "x")
-    Kdd = diff(Kd, "x")
-    ratio2 = Kd + K ** 2            # xi''/xi
-    ratio3 = Kdd + 3 * K * Kd + K ** 3  # xi'''/xi
-    cond_a = a2 * K + (diff(a2, "x")
-                       + (a2 / 2) * (-a1 + a1_g * gd - gdd / gd))
-    cond_b = ratio3 + (2 * diff(a1, "x") - a1 ** 2 - 4 * a3) * K \
-        + (diff(diff(a1, "x"), "x") - a1 * diff(a1, "x") - 2 * diff(a3, "x"))
-    cond_c = (a2 / gd) * ratio2 \
-        + (a2 * (a1_g + gdd / gd ** 2) + 4 * a4) * K \
-        + (2 * diff(a4, "x")
-           + a2 * (subs(diff(a1, "x"), {"x": g_b}) * gd + a1_g * gdd / gd
-                   + gddd / gd ** 2 - gdd ** 2 / gd ** 3)
-           + a4 * (-a1 + a1_g * gd + gdd / gd))
-    K_fn = compile_fn(K, ("x",))
+    K_fn = L._fn(K)
     xi = _XiQuadrature(K_fn, lo)
     try:
-        for name, cond in (("condition_a", cond_a), ("condition_b", cond_b),
-                           ("condition_c", cond_c)):
-            fn = compile_fn(cond, ("x",))
+        for name, cond in zip(("condition_a", "condition_b", "condition_c"),
+                              conditions):
+            fn = L._fn(cond)
             checks[name] = max(abs(fn(x) * xi(x)) for x in grid)
         checks["connection"] = max(
             abs(xi(g_fn(x)) - gd_fn(x) * xi(x)) for x in grid
@@ -432,7 +437,9 @@ def detect_extra_symmetry(
             xi_expr = E.Call("exp", Const(k_bar) * (E.X - Const(lo)))
     fieldv = None
     inv_report = None
+    K = E.simplify(E.bind_params(K, L.params))
     if xi_expr is not None:
+        a1 = E.bind_params(L.a1, L.params)
         eta_coeff = E.simplify((diff(xi_expr, "x") + a1 * xi_expr) / 2)
         fieldv = VectorField(xi_expr, E.simplify(eta_coeff * E.Y), label="Z")
         box = {"x": (max(0.5, lo + 1e-3), max(1.5, hi - 1e-3))}

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import expr as E
 from .dods import DodsSystem, check_invariance
-from .expr import (Const, DomainError, Expr, Param, _memoized,
-                   compile_columns, compile_fn, diff, subs)
+from .expr import (Const, DomainError, Expr, Param, _memoized, bind_kernel,
+                   column_template, compile_fn, diff, subs)
 from .integrate import HistoryFunction, _exact_drift
 from .symmetry import _JET_BOX, VectorField, prolong
 
@@ -149,9 +149,9 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
     of J1 are defined and |pr X J2| at checked points.  A NaN there (inf
     - inf after an overflow) makes the largest value NaN.
     """
-    kernel = _memoized(
+    kernel = bind_kernel(_memoized(
         "annihilation", (x_field.xi, x_field.eta, pair.J1, pair.J2), params,
-        lambda: _annihilation_columns(x_field, pair, params))
+        lambda: _annihilation_columns(x_field, pair, params)), params)
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = drawn = jac_bad = 0
@@ -180,13 +180,14 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
 def _annihilation_columns(x_field: VectorField, pair: InvariantPair,
                           params: dict[str, float]):
     """One column kernel over (x, y, xm, ym) of the first four prolonged
-    coefficients of x_field and the partials of J1 and J2, params bound."""
+    coefficients of x_field and the partials of J1 and J2, with params as
+    cells."""
     coords = ("x", "y", "xm", "ym")
-    js = [E.bind_params(j, params) for j in (pair.J1, pair.J2)]
     # the coefficients of x, y, xm and ym come first in JET order
-    return compile_columns(
-        [E.bind_params(c, params) for c in prolong(x_field).coefficients()[:4]]
-        + [diff(j, v) for j in js for v in coords], coords)
+    return column_template(
+        list(prolong(x_field).coefficients()[:4])
+        + [diff(j, v) for j in (pair.J1, pair.J2) for v in coords], coords,
+        params)
 
 
 def validate_invariants(

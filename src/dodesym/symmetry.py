@@ -18,8 +18,9 @@ from .expr import (
     Expr,
     _derivative,
     _memoized,
+    bind_kernel,
     bind_params,
-    compile_columns,
+    column_template,
     free_symbols,
     parse,
     simplify,
@@ -138,12 +139,13 @@ def prolong(x_field: VectorField) -> ProlongedField:
 def field_kernel(x_field: VectorField, params: Bindings | None = None):
     """One column kernel of the prolonged coefficients of x_field, params
     bound: a function of the JET columns returning the seven coefficient
-    columns in JET order.  Memoized by xi, eta and params; the label is
-    not part of the key."""
-    return _memoized(
+    columns in JET order.  Memoized by xi, eta and the names of params;
+    the label is not part of the key."""
+    params = params or {}
+    return bind_kernel(_memoized(
         "field", (x_field.xi, x_field.eta), params,
-        lambda: compile_columns([bind_params(c, params or {})
-                                 for c in prolong(x_field).coefficients()], JET))
+        lambda: column_template(prolong(x_field).coefficients(), JET, params)),
+        params)
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -224,21 +226,24 @@ def check_closure(
 def _plane_kernel(fields: list[VectorField], params: Bindings):
     """One column kernel over (x, y) of the (xi, eta) coefficients of
     fields, params bound, field by field; memoized by the coefficients and
-    params."""
-    return _memoized("plane", [c for f in fields for c in (f.xi, f.eta)],
-                     params, lambda: _plane_columns(fields, params))
+    the names of params."""
+    return bind_kernel(_memoized(
+        "plane", [c for f in fields for c in (f.xi, f.eta)], params,
+        lambda: _plane_columns(fields, params)), params)
 
 
 def _bracket_kernel(a: VectorField, b: VectorField, params: Bindings):
     """The plane kernel of [a, b], memoized by the coefficients of a and b
-    and params, so a bracket seen before is not formed again."""
-    return _memoized("bracket", (a.xi, a.eta, b.xi, b.eta), params,
-                     lambda: _plane_columns([lie_bracket(a, b)], params))
+    and the names of params, so a bracket seen before is not formed
+    again."""
+    return bind_kernel(_memoized(
+        "bracket", (a.xi, a.eta, b.xi, b.eta), params,
+        lambda: _plane_columns([lie_bracket(a, b)], params)), params)
 
 
 def _plane_columns(fields: list[VectorField], params: Bindings):
-    return compile_columns([bind_params(c, params)
-                            for f in fields for c in (f.xi, f.eta)], ("x", "y"))
+    return column_template([c for f in fields for c in (f.xi, f.eta)],
+                           ("x", "y"), params)
 
 
 def _span_fit(basis, target, x, y):
@@ -274,26 +279,26 @@ def jacobi_residual(
         lambda: _jacobi_columns(fields, params))
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(*_PLANE_BOX, size=(n_points, 2)).T
-    values = np.abs(kernel(x, y)).T
+    values = np.abs(bind_kernel(kernel, params)(x, y)).T
     undefined = np.flatnonzero(np.isnan(values))
     if len(undefined):
         raise DomainError("undefined at a sampled point",
-                          (xi, eta)[undefined[0] % 2])
+                          bind_params((xi, eta)[undefined[0] % 2], params))
     return float(values.max(initial=0.0))
 
 
 def _jacobi_columns(fields, params: Bindings):
     """The plane kernel of the cyclic double-bracket sum of three fields,
-    params bound, and its xi and eta."""
+    with params as cells, and its xi and eta."""
     a, b, c = fields
     terms = [
         lie_bracket(lie_bracket(a, b), c),
         lie_bracket(lie_bracket(b, c), a),
         lie_bracket(lie_bracket(c, a), b),
     ]
-    xi = bind_params(simplify(terms[0].xi + terms[1].xi + terms[2].xi), params)
-    eta = bind_params(simplify(terms[0].eta + terms[1].eta + terms[2].eta), params)
-    return compile_columns([xi, eta], ("x", "y")), xi, eta
+    xi = simplify(terms[0].xi + terms[1].xi + terms[2].xi)
+    eta = simplify(terms[0].eta + terms[1].eta + terms[2].eta)
+    return column_template([xi, eta], ("x", "y"), params), xi, eta
 
 
 #: the jet box of invariant_count, in JET order; xm < x on all of it

@@ -345,6 +345,22 @@ def test_each_call_builds_a_new_system():
     assert again.f is second.f and again.g is second.g
 
 
+def test_each_parameter_value_is_checked_against_the_constraints():
+    # kernels are shared by parameter name; a concrete system is not,
+    # because its constraints and its validation read the values
+    def build(a):
+        inst = dataclasses.replace(default_instantiation("A3_2a"),
+                                   params={"a": a})
+        return catalog._build_system(inst)[1]
+
+    assert build(0.5).params == {"a": 0.5}
+    assert build(0.25).params == {"a": 0.25}
+    with pytest.raises(CatalogError, match="constraint violated"):
+        build(2.0)
+    kinds = [key[0] for key in E._memo if key[0][0] == "instantiation"]
+    assert len(kinds) == 2
+
+
 class TestExport:
     def test_round_trip(self):
         # the printer guarantees value-preserving reparse, not node-identical

@@ -458,19 +458,25 @@ class TestKernelMemo:
             return DodsSystem(f=parse("ym + a*dy"), g=parse("x-1"),
                               params={"a": a})
 
-        assert system(0.0).kernels() is not system(-0.0).kernels()
-        assert system(0.0).kernels() is system(0.0).kernels()
+        # a parameter is a closure cell: both systems bind the one entry,
+        # each with its own sign of zero (ym = -0.0, dy = 1.0)
+        row = [np.array([v]) for v in (1.0, 1.0, 0.5, -0.0, 1.0, 1.0, 0.0)]
+        plus, minus = (system(a).kernels().f(*row) for a in (0.0, -0.0))
+        assert np.signbit(plus).tolist() == [False]
+        assert np.signbit(minus).tolist() == [True]
+        assert E.memo_info().size == 1
         # interned nodes keep the sign of zero apart, and so do fields
         zero, minus_zero = (VectorField(const(v), parse("y"))
                             for v in (0.0, -0.0))
         assert zero != minus_zero
         assert field_kernel(zero) is not field_kernel(minus_zero)
-        assert E.memo_info().size == 4
+        assert field_kernel(zero) is field_kernel(zero)
+        assert E.memo_info().size == 3
 
     def test_size_stays_at_the_bound(self):
         bound = E.memo_info().bound
-        systems = [DodsSystem(f=parse("ym + a"), g=parse("x-1"),
-                              params={"a": float(i)}) for i in range(bound + 5)]
+        systems = [DodsSystem(f=parse(f"ym + {i}"), g=parse("x-1"))
+                   for i in range(bound + 5)]
         kernels = [s.kernels() for s in systems]
         assert E.memo_info().size == bound
         # the least recently used entries left first

@@ -93,8 +93,9 @@ class TestInvariantsOf:
         after = E.memo_info()
         assert after.misses == before.misses and after.hits > before.hits
         assert again == first
+        # the memo keys parameters by name, and these trees read no "c"
         validate_invariants(x_field, pair, params={"c": 2.0})
-        assert E.memo_info().misses > after.misses
+        assert E.memo_info().misses == after.misses
 
     def test_jacobian_condition_rejects_xm_free_j2(self):
         x_field = VectorField(Const(1.0), Const(1.0))

@@ -265,8 +265,9 @@ class TestJacobi:
                            for f in fields)
         assert jacobi_residual(relabelled, params={"a": 0.5}) == first
         assert E.memo_info().misses == misses
+        # a parameter is a closure cell: new values bind the same kernel
         jacobi_residual(fields, params={"a": -0.5})
-        assert E.memo_info().misses == misses + 1
+        assert E.memo_info().misses == misses
 
     @pytest.mark.parametrize("spec", [("sqrt(y - 0.52)", "0"),
                                       ("0", "sqrt(y - 0.52)")])
