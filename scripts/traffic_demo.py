@@ -29,7 +29,8 @@ def main() -> int:
         p = traffic.example_params(example_id)
         system = traffic.example_system(example_id, p)
         print(f"--- example {example_id} ---")
-        print(f"acceleration law: {E.to_text(system.f)}")
+        law = traffic.bound_system(system).f
+        print(f"acceleration law: {E.to_text(law)}")
         for fld in traffic.example_algebra(example_id, p):
             report = check_invariance(system, fld, n=200, tol=1e-9)
             print(f"  {report.summary()}")

@@ -510,7 +510,9 @@ def _traffic_entries() -> dict[str, CatalogEntry]:
     for ex in (1, 2, 3):
         p = traffic.example_params(ex)
         system = traffic.example_system(ex, p)
-        basis = traffic.example_algebra(ex, p)
+        basis = [traffic.bound_field(f, system.params)
+                 for f in traffic.example_algebra(ex, p)]
+        system = traffic.bound_system(system)
         entry = CatalogEntry(
             id=f"TRAFFIC_EX{ex}",
             algebra_label="car-following example",

@@ -205,8 +205,9 @@ def cmd_traffic(args) -> int:
             overrides[name] = value
     p = traffic_mod.example_params(args.example, **overrides)
     system = traffic_mod.example_system(args.example, p)
-    print(f"example {args.example}: ddy = {E.to_text(system.f)}")
-    print(f"            delay: xm = {E.to_text(system.g)}")
+    bound = traffic_mod.bound_system(system)
+    print(f"example {args.example}: ddy = {E.to_text(bound.f)}")
+    print(f"            delay: xm = {E.to_text(bound.g)}")
     ok = True
     for fld in traffic_mod.example_algebra(args.example, p):
         r = check_invariance(system, fld, n=args.n, seed=args.seed, tol=1e-9)

@@ -26,13 +26,25 @@ The generated text depends on the shape of the trees, not on their
 constants: each constant node is a closure cell holding its float, bit
 pattern and all.  The code of each text is compiled once and kept in a
 shape table (an LRU of 512 texts, holding no tree), so trees that differ
-only in their constants, as in a parameter sweep, share one compiled
-function body and each gets its own cells.
+only in their constants share one compiled function body and each gets
+its own cells.  A parameter can be a cell as well: `compile_bound` and
+`column_template` compile the tree as written, each symbol params names
+a cell filled with its value when the kernel is bound (`bind_kernel`),
+and give what compiling bind_params(tree, params) gives.  So a family of
+systems written with parameters, as in a parameter sweep, is derived,
+walked and compiled once, and each set of values costs one call of the
+compiled factory.
+
+One bounded memo (`_memoized`, `memo_info`) keeps what other modules
+build from trees, keyed by a kind, the interned trees and the names of
+the params they read: see the comment above `_MEMO_BOUND`.
 
 parse rejects text nested deeper than MAX_NESTING levels with a
 ParseError, so that the recursive walks of this module stay within
-Python's recursion limit on what it returns (a run of hundreds of
-left-associative operators aside, which nests no level).
+Python's recursion limit on what it returns.  A run of hundreds of
+left-associative operators nests no level, and derivation deepens a
+tree; where a walk of diff, simplify, subs or to_text reaches the limit
+it raises ExprError(TOO_DEEP).
 """
 
 from __future__ import annotations
@@ -59,6 +71,12 @@ Bindings = Mapping[str, float]
 
 class ExprError(Exception):
     pass
+
+
+#: the message of the ExprError that diff, simplify, subs, to_text and
+#: symmetry.prolong raise where a tree is too deep for Python's recursion
+#: limit
+TOO_DEEP = "expression too deep"
 
 
 class ParseError(ExprError):
@@ -371,6 +389,13 @@ def _atom(tokens: list[str], i: int, depth: int) -> tuple[Expr, int]:
 
 
 def to_text(e: Expr) -> str:
+    try:
+        return _text(e)
+    except RecursionError:
+        raise ExprError(TOO_DEEP) from None
+
+
+def _text(e: Expr) -> str:
     if isinstance(e, Const):
         v = e.value
         if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
@@ -379,11 +404,11 @@ def to_text(e: Expr) -> str:
     if isinstance(e, (Var, Param)):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{to_text(e.arg)})"
+        return f"(-{_text(e.arg)})"
     if isinstance(e, BinOp):
-        return f"({to_text(e.left)} {e.op} {to_text(e.right)})"
+        return f"({_text(e.left)} {e.op} {_text(e.right)})"
     if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
+        return f"{e.fn}({_text(e.arg)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -475,7 +500,10 @@ def _collect_symbols(e: Expr, out: set[str]) -> None:
 def subs(e: Expr, mapping: Mapping[str, Union[Expr, float]]) -> Expr:
     """Replace variables/parameters by expressions, by name."""
     exprs = {k: _coerce(v) for k, v in mapping.items()}
-    return _subs(e, exprs)
+    try:
+        return _subs(e, exprs)
+    except RecursionError:
+        raise ExprError(TOO_DEEP) from None
 
 
 def _subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -510,7 +538,11 @@ def diff(e: Expr, v: str) -> Expr:
     """
     if v not in VARIABLES:
         raise ValueError(f"cannot differentiate with respect to '{v}'")
-    return simplify(_derivative(e, v))
+    try:
+        d = _derivative(e, v)
+    except RecursionError:
+        raise ExprError(TOO_DEEP) from None
+    return simplify(d)
 
 
 def _derivative(e: Expr, v: str) -> Expr:
@@ -553,6 +585,11 @@ def _diff(e: Expr, v: str) -> Expr:
                     BinOp("*", Const(c), BinOp("^", lu, Const(c - 1.0))),
                     dl,
                 )
+            if isinstance(ru, Param):
+                # the power rule, as for a constant exponent: bound to a
+                # value, it simplifies to what the constant gives
+                return BinOp(
+                    "*", BinOp("*", ru, BinOp("^", lu, BinOp("-", ru, ONE))), dl)
             # u^w = exp(w ln u): derivative u^w (w' ln u + w u'/u)
             inner = BinOp(
                 "+",
@@ -602,7 +639,10 @@ def simplify(e: Expr) -> Expr:
     if s is None:
         if isinstance(e, (Const, Var, Param)):
             return e
-        s = _simplify(e)
+        try:
+            s = _simplify(e)
+        except RecursionError:
+            raise ExprError(TOO_DEEP) from None
         # a node that is its own result keeps no reference to itself
         _set(e, "_simple", _SAME if s is e else s)
     return e if s is _SAME else s
@@ -755,24 +795,25 @@ def _collect_sum(e: Expr) -> Expr:
 
 
 def _generate(exprs, arg_names: Iterable[str], columns: bool,
-              params: Iterable[str] = ()):
+              bound: Iterable[str] = ()):
     """The kernel of one tree for points, or of a tree or a list of trees
-    (returning a tuple) for columns.  Where the trees read a name of params,
-    a Template, whose bind(values) is that kernel with the values in place.
+    (returning a tuple) for columns.  Where the trees read a name in bound,
+    a Template, whose bind(params) is that kernel with their values in
+    place.
 
     Each inner node is one statement `_tN = ...`, in the order a
     left-to-right walk of the trees first computes it, so a repeated
     subtree is computed once, the same operation fails first as in a
     nested evaluation, and no line nests however deep the tree.  Each
-    constant node, and each symbol named in params (bound before the
-    arguments, as bind_params binds it), is a closure cell `_cN`, numbered
+    constant node, and each symbol named in bound (before the arguments,
+    as bind_params binds it), is a closure cell `_cN`, numbered
     in first-read order.  So trees that differ only in their constants
     have one text, whose factory is compiled once (`_factory`) and called
     with their cells, and a tree of parameters is walked once for every
     set of values."""
     trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
     names = list(arg_names)
-    bound = set(params or ())
+    bound = set(bound)
     missing = set().union(*map(free_symbols, trees)) - set(names) - bound
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
@@ -896,7 +937,7 @@ def bind_kernel(kernel, params: Bindings | None):
 
 
 #: factories the shape table keeps, least recently used first out; a pass
-#: over the catalog compiles 136 shapes
+#: over the catalog compiles 135 shapes
 _SHAPE_BOUND = 512
 
 
@@ -997,10 +1038,8 @@ def _columns_checked(fn: Callable, *cols):
         return fn(shape, *cols)
 
 
-def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
-                    params: Bindings | None = None):
-    """Compile to a function of numpy columns, one row per point, with the
-    values of params bound as bind_params would bind them.
+def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
+    """Compile to a function of numpy columns, one row per point.
 
     The function takes one 1-D float column (or a scalar, broadcast) per
     name in arg_names and returns a new 1-D float column, or for a list of
@@ -1009,7 +1048,7 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
     row i of the arguments, and NaN where that closure raises DomainError;
     a row is defined exactly where the result is finite.
     """
-    return bind_kernel(_generate(exprs, arg_names, True, params or ()), params)
+    return _generate(exprs, arg_names, True)
 
 
 def column_template(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
@@ -1037,12 +1076,14 @@ def column_template(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
 # sharing them is safe.  Beneath it, the shape table (`_factory`) keeps
 # compiled code by its text alone; _memo_clear empties both.
 
-#: entries the memo keeps, least recently used first out; it holds the
-#: working set of a pass over the catalog (216 entries) and that of a
-#: sweep over parameters, which needs one set of entries per family (a
-#: dense-verify round reads 28), and a cyclic pass larger than the bound
-#: would get no hits.  The memo is the one strong store of built things:
-#: the per-node caches die with their nodes.
+#: entries the memo keeps, least recently used first out.  It holds the
+#: working set of a pass over the catalog (154 entries) and that of a
+#: sweep over parameters, which is one set of entries per family: the
+#: benchmark's dense-verify workload builds 26 in its first round and
+#: then misses only on the 6 fields a round perturbs by a new constant.
+#: A cyclic pass larger than the bound would get no hits.  The memo is
+#: the one strong store of built things: the per-node caches die with
+#: their nodes.
 _MEMO_BOUND = 256
 _memo: OrderedDict[tuple, object] = OrderedDict()
 _memo_counts = {"hits": 0, "misses": 0}

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dods import DelayKind, DodsSystem, FREE_COORDS
-from .expr import DomainError, Expr, bind_params, compile_fn, diff, parse
+from .expr import (DomainError, Expr, bind_params, compile_bound, compile_fn,
+                   diff, parse)
 
 
 class IntegrationError(Exception):
@@ -346,10 +347,10 @@ def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:
         if tau is None:
             raise DelayViolationError("declared constant delay is not constant")
         return _ConstantDelay(tau)
-    g = system.bound(system.g)
     if system.delay_kind is DelayKind.SOLUTION_INDEPENDENT:
-        return _IndependentDelay(compile_fn(g, ("x",)))
-    return _StateDelay(compile_fn(g, FREE_COORDS), warn)
+        return _IndependentDelay(compile_bound(system.g, ("x",), system.params))
+    return _StateDelay(compile_bound(system.g, FREE_COORDS, system.params),
+                       warn)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +403,8 @@ def solve(
     breakpoint by construction; continuity of the second derivative at the
     start is neither required nor expected.
     """
-    f_fn = compile_fn(system.bound(system.f),
-                      ("x", "y", "xm", "ym", "dy", "dym"))
+    f_fn = compile_bound(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
+                         system.params)
     warnings: list[str] = []
     traj = solve_numeric(f_fn, _delay_spec(system, warnings.append), phi,
                          dy0, x_end, h)
@@ -519,11 +520,11 @@ def residual_on_trajectory(
     f or g is undefined are skipped; n_samples counts the ones used.
     """
     rng = np.random.default_rng(seed)
-    f_fn = compile_fn(system.bound(system.f),
-                      ("x", "y", "xm", "ym", "dy", "dym"))
+    f_fn = compile_bound(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
+                         system.params)
     warnings: list[str] = []
     spec = _delay_spec(system, warnings.append)
-    g_full = compile_fn(system.bound(system.g), FREE_COORDS)
+    g_full = compile_bound(system.g, FREE_COORDS, system.params)
     lo, hi = trajectory.x_start, trajectory.x_end
     hist_lo = trajectory.history.interval[0]
     max_dode = 0.0

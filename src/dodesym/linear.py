@@ -20,6 +20,7 @@ Exponential solutions of that form correspond to real roots of
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -115,15 +116,19 @@ class CanonicalLinear:
             raise LinearError("delay width C must be positive")
 
     def to_linear(self, domain=(0.0, 3.0)) -> LinearDods:
+        """The linear system, with alpha, beta, gamma and C as parameters
+        of those names: every canonical system is one family, whose
+        kernels are built once."""
         # a genuine delay system needs a delayed term present
         if self.alpha ** 2 + self.gamma ** 2 == 0.0:
             raise LinearError(
                 "alpha and gamma both zero: no delayed term, not a delay system"
             )
         return LinearDods(
-            a1=Const(0.0), a2=Const(self.alpha), a3=Const(self.beta),
-            a4=Const(self.gamma), b=Const(0.0),
-            g=E.X - Const(self.C), domain=domain,
+            a1=E.ZERO, a2=E.Param("alpha"), a3=E.Param("beta"),
+            a4=E.Param("gamma"), b=E.ZERO, g=E.X - E.Param("C"),
+            domain=domain, params={"alpha": self.alpha, "beta": self.beta,
+                                   "gamma": self.gamma, "C": self.C},
         )
 
     def char_value(self, lam: float) -> float:
@@ -319,14 +324,40 @@ class _XiQuadrature:
         self.K = K_fn
         self.anchor = anchor
         self._known: dict[float, float] = {anchor: 0.0}
+        # the known points but NaN, sorted, and their insertion order
+        self._sorted = [anchor]
+        self._order = {anchor: 0}
 
     def integral(self, x: float) -> float:
         if x in self._known:
             return self._known[x]
-        nearest = min(self._known, key=lambda t: abs(t - x))
+        nearest = self._nearest(x)
         val = self._known[nearest] + _adaptive_simpson(self.K, nearest, x)
+        if x == x:
+            bisect.insort(self._sorted, x)
+            self._order[x] = len(self._known)
         self._known[x] = val
         return val
+
+    def _nearest(self, x: float) -> float:
+        """The known point nearest x; of several at the least distance, the
+        first inserted.  The points at each side's least distance are a run
+        next to x's place in the sorted points (longer than one only where
+        distances round to one float)."""
+        if x != x:  # every distance is NaN
+            return self.anchor
+        points = self._sorted
+        i = bisect.bisect_left(points, x)
+        tied = []
+        for side in (range(i - 1, -1, -1), range(i, len(points))):
+            least = None
+            for j in side:
+                d = abs(points[j] - x)
+                if least is not None and d != least:
+                    break
+                least = d
+                tied.append((d, self._order[points[j]], points[j]))
+        return min(tied)[2]
 
     def __call__(self, x: float) -> float:
         return math.exp(self.integral(x))

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
+    TOO_DEEP,
     Bindings,
     DomainError,
     Expr,
+    ExprError,
     _derivative,
     _memoized,
     bind_kernel,
@@ -120,7 +122,15 @@ def prolong(x_field: VectorField) -> ProlongedField:
     ones rename simplified trees, which simplify would give back
     unchanged.  Partials and simplified trees come from the per-node
     caches of `expr`, so a field seen before is not differentiated or
-    simplified again."""
+    simplified again.  A field too deep for Python's recursion limit is an
+    ExprError."""
+    try:
+        return _prolong(x_field)
+    except RecursionError:
+        raise ExprError(TOO_DEEP) from None
+
+
+def _prolong(x_field: VectorField) -> ProlongedField:
     d_xi = _total_d(x_field.xi, False)
     zeta1 = simplify(_total_d(x_field.eta, False) - DY * d_xi)
     xi, eta = simplify(x_field.xi), simplify(x_field.eta)

@@ -17,13 +17,15 @@ proportional delay, exponential leader with constant delay.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 
 from . import expr as E
 from . import reduce as reduce_mod
 from .dods import DelayKind, DodsSystem, _expression, _key_values, _numbers
-from .expr import Const, DomainError, Expr, compile_fn, diff, subs
+from .expr import (Const, DomainError, Expr, Param, bind_params, compile_bound,
+                   diff, subs)
 from .integrate import (
     HistoryFunction,
     HistoryUnderrunError,
@@ -48,7 +50,9 @@ class TrafficParams:
     alpha: float
     n1: float
     n2: float
-    leader: Expr  # position of the car in front, as a function of t
+    # position of the car in front, as a function of t; it may read the
+    # numeric fields below as parameters of their names
+    leader: Expr
     tau: float | None = None  # constant reaction delay
     q: float | None = None    # proportional delay t_- = q t
     v: float | None = None
@@ -68,6 +72,12 @@ class TrafficParams:
         if self.q is not None and not 0.0 < self.q < 1.0:
             raise TrafficError("proportional delay needs 0 < q < 1")
 
+    def values(self) -> dict[str, float]:
+        """The numeric fields that are set, by name: the params of the
+        two-car system and of the leader."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name != "leader" and getattr(self, f.name) is not None}
+
 
 def example_params(example_id: int, **overrides) -> TrafficParams:
     """Defaults for the three worked examples; overrides are keyword fields."""
@@ -76,7 +86,7 @@ def example_params(example_id: int, **overrides) -> TrafficParams:
         base.update(overrides)
         v = base["v"]
         return TrafficParams(alpha=base["alpha"], n1=base["n1"], n2=base["n2"],
-                             tau=base["tau"], v=v, leader=Const(v) * E.T)
+                             tau=base["tau"], v=v, leader=Param("v") * E.T)
     if example_id == 2:
         base = dict(alpha=-1.0, n1=2.0, q=0.25, k=4.0, beta=0.0)
         base.update(overrides)
@@ -92,7 +102,7 @@ def example_params(example_id: int, **overrides) -> TrafficParams:
         k = base["k"]
         return TrafficParams(alpha=base["alpha"], n1=n1, n2=0.0,
                              q=base["q"], k=k, n=n, beta=base["beta"],
-                             leader=Const(k) * E.T ** Const(n))
+                             leader=Param("k") * E.T ** Param("n"))
     if example_id == 3:
         base = dict(alpha=1.0, n=2.0, epsilon=0.5, tau=1.0, k=1.0)
         base.update(overrides)
@@ -102,7 +112,8 @@ def example_params(example_id: int, **overrides) -> TrafficParams:
         k, eps = base["k"], base["epsilon"]
         return TrafficParams(alpha=base["alpha"], n1=n, n2=n, tau=base["tau"],
                              k=k, n=n, epsilon=eps,
-                             leader=Const(k) * E.Call("exp", Const(eps) * E.T))
+                             leader=Param("k") * E.Call(
+                                 "exp", Param("epsilon") * E.T))
     raise TrafficError(f"no example {example_id}")
 
 
@@ -110,23 +121,49 @@ def build_two_car(p: TrafficParams) -> DodsSystem:
     """Two-car system: the leader folded into the right-hand side.
 
     The leader's velocity is obtained by symbolic differentiation of its
-    position expression, never numerically.
+    position expression, never numerically.  alpha, n1, n2, tau and q
+    enter as parameters of those names and the system's params hold the
+    values of p, so every parameter set of one family gives the same f and
+    g, whose kernels are built once.  Only an exponent n2 of 0 and an
+    exponent of exactly 1 stay in the structure, so that they cost no
+    power.  bound_system(system) gives the trees built from constants.
     """
     lead_pos_delayed = subs(p.leader, {"t": E.XM})
     lead_vel_delayed = subs(diff(p.leader, "t"), {"t": E.XM})
-    core = Const(p.alpha) * E.DY ** Const(p.n1) * (lead_vel_delayed - E.DYM)
+    core = Param("alpha") * E.DY ** _exponent(p, "n1") * (
+        lead_vel_delayed - E.DYM)
     if p.n2 != 0.0:
-        core = core / (lead_pos_delayed - E.YM) ** Const(p.n2)
+        core = core / (lead_pos_delayed - E.YM) ** _exponent(p, "n2")
     if p.q is not None:
-        g = Const(p.q) * E.X
+        g = Param("q") * E.X
         kind = DelayKind.SOLUTION_INDEPENDENT
     else:
-        g = E.X - Const(p.tau)
+        g = E.X - Param("tau")
         kind = DelayKind.CONSTANT
-    system = DodsSystem(f=E.simplify(core), g=g, delay_kind=kind,
-                        label="two-car")
+    system = DodsSystem(f=E.simplify(core), g=g, params=p.values(),
+                        delay_kind=kind, label="two-car")
     system.box = _sampling_box(p)
     return system
+
+
+def _exponent(p: TrafficParams, name: str) -> Expr:
+    """The exponent of p named name: a parameter, or 1 where it is 1."""
+    return E.ONE if getattr(p, name) == 1.0 else Param(name)
+
+
+def bound_system(system: DodsSystem) -> DodsSystem:
+    """A two-car system with its params bound into f and g as constants:
+    the trees build_two_car makes from constants, f simplified and g as it
+    is, with no params."""
+    return dataclasses.replace(system, f=E.simplify(system.bound(system.f)),
+                               g=system.bound(system.g), params={},
+                               box=dict(system.box))
+
+
+def bound_field(x_field: VectorField, params) -> VectorField:
+    """x_field with params bound into its coefficients as constants."""
+    return VectorField(bind_params(x_field.xi, params),
+                       bind_params(x_field.eta, params), x_field.label)
 
 
 def _sampling_box(p: TrafficParams) -> dict[str, tuple[float, float]]:
@@ -156,28 +193,35 @@ def example_system(example_id: int, p: TrafficParams | None = None) -> DodsSyste
 
 
 def example_symmetry(example_id: int, p: TrafficParams | None = None) -> VectorField:
-    """The generator whose invariant solution the example constructs."""
+    """The generator whose invariant solution the example constructs, with
+    the values of p as constants."""
     p = p if p is not None else example_params(example_id)
+    return bound_field(_symmetry(example_id), p.values())
+
+
+def _symmetry(example_id: int) -> VectorField:
+    """example_symmetry with the parameters as symbols."""
     if example_id == 1:
-        return VectorField(Const(1.0), Const(p.v), label="d/dt + v d/dx")
+        return VectorField(Const(1.0), Param("v"), label="d/dt + v d/dx")
     if example_id == 2:
-        return VectorField(E.X, Const(p.n) * (E.Y - Const(p.beta)),
+        return VectorField(E.X, Param("n") * (E.Y - Param("beta")),
                            label="t d/dt + n (x - beta) d/dx")
     if example_id == 3:
-        return VectorField(Const(1.0), Const(p.epsilon) * E.Y,
+        return VectorField(Const(1.0), Param("epsilon") * E.Y,
                            label="d/dt + eps x d/dx")
     raise TrafficError(f"no example {example_id}")
 
 
 def example_algebra(example_id: int, p: TrafficParams | None = None) -> list[VectorField]:
-    """Basis admitted by the example system (dimension two for example 2)."""
-    p = p if p is not None else example_params(example_id)
+    """Basis admitted by the example system (dimension two for example 2),
+    with the parameters as symbols whose values are the params of
+    example_system(example_id, p)."""
     if example_id == 2:
         return [
-            VectorField(E.X, Const(p.n) * E.Y, label="t d/dt + n x d/dx"),
+            VectorField(E.X, Param("n") * E.Y, label="t d/dt + n x d/dx"),
             VectorField(Const(0.0), Const(1.0), label="d/dx"),
         ]
-    return [example_symmetry(example_id, p)]
+    return [_symmetry(example_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +460,10 @@ def simulate_platoon(
                 f"the history of car {i} ends at {phi.interval[1]:g}, not at"
                 f" t0 = {t0:g}: the cars of a platoon share one node grid"
             )
-    lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",))
-    lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",))
+    values = p.values()
+    lead_pos = compile_bound(subs(p.leader, {"t": E.X}), ("x",), values)
+    lead_vel = compile_bound(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
+                             values)
 
     def leader(s: float) -> tuple[float, float]:
         return lead_pos(s), lead_vel(s)

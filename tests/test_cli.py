@@ -376,6 +376,21 @@ class TestExitCodes:
         assert proc.returncode == (verdict == "FAIL")
         assert proc.stdout.startswith(f"{verdict} 1;0: ")
 
+    @pytest.mark.parametrize("f, field", [
+        # prolong's second total derivative of a 100-level power tower
+        pytest.param("ym", "x^" * 100 + "y;0", id="100-level-field"),
+        # the product rule nests the derivative of a flat 199-factor product
+        pytest.param("*".join(["dym*ym^dym"] * 100), "1;0",
+                     id="100-copy-product"),
+    ])
+    def test_too_deep_for_the_walkers_exits_one(self, tmp_path, f, field):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"f = {f}\ng = x - 1\n")
+        proc = run_cli("verify", "--system", str(path), "--field", field)
+        assert proc.returncode == 1
+        assert proc.stdout == "error: ExprError: expression too deep\n"
+        assert proc.stderr == ""
+
     def test_missing_file_exits_one(self, tmp_path):
         proc = run_cli("verify", "--system", str(tmp_path / "absent.txt"),
                        "--field", "0;1")

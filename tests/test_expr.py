@@ -216,6 +216,45 @@ class TestNestingBound:
         assert e.op == "-" and e.left.op == "+" and e.right.op == "/"
 
 
+class TestTooDeep:
+    """A tree too deep for Python's recursion limit is an ExprError, which
+    a caller can report, and never a RecursionError."""
+
+    @staticmethod
+    def _chain(n: int):
+        e = Var("y")
+        for _ in range(n):
+            e = BinOp("*", e, Var("x"))
+        return e
+
+    @pytest.mark.parametrize("walk", [
+        pytest.param(to_text, id="to_text"),
+        pytest.param(simplify, id="simplify"),
+        pytest.param(lambda e: diff(e, "x"), id="diff"),
+        pytest.param(lambda e: subs(e, {"x": Var("y")}), id="subs"),
+    ])
+    def test_each_walk_names_the_depth(self, walk):
+        with pytest.raises(E.ExprError) as err:
+            walk(self._chain(5000))
+        assert type(err.value) is E.ExprError
+        assert str(err.value) == E.TOO_DEEP == "expression too deep"
+
+    def test_a_flat_product_that_parses(self):
+        e = parse("*".join(["y*x^y"] * 100))
+        with pytest.raises(E.ExprError, match="^expression too deep$"):
+            diff(e, "x")
+        # the walks that fit still work after the failed one
+        assert to_text(e).count("*") == 199
+        assert to_text(diff(parse("y*x^y"), "x")) == "(y * ((x ^ y) * (y / x)))"
+
+    def test_prolong_of_a_power_tower(self):
+        from dodesym.symmetry import VectorField, prolong
+
+        field = VectorField.from_text("x^" * 100 + "y", "0")
+        with pytest.raises(E.ExprError, match="^expression too deep$"):
+            prolong(field)
+
+
 class TestEvaluate:
     def test_polynomial(self):
         assert evaluate(parse("x^2+y"), {"x": 2, "y": 1}) == 5.0
@@ -282,6 +321,17 @@ class TestDiff:
         fd = (evaluate(e, {"x": x0 + 1e-6, "dy": p0})
               - evaluate(e, {"x": x0 - 1e-6, "dy": p0})) / 2e-6
         assert evaluate(d, {"x": x0, "dy": p0}) == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [2.5, 1.0, 0.0, -0.5, 3.0])
+    def test_a_parameter_exponent_takes_the_power_rule(self, p):
+        d = diff(parse("sin(x)^p"), "x")
+        assert to_text(d) == "((p * (sin(x) ^ (p + -1))) * cos(x))"
+        # bound and simplified, it is the derivative of the constant power
+        assert simplify(E.bind_params(d, {"p": p})) is \
+            diff(BinOp("^", Call("sin", Var("x")), Const(p)), "x")
+        # an exponent that is not a bare parameter keeps the general rule
+        assert to_text(diff(parse("x^(2*p)"), "x")) == \
+            "((x ^ (2 * p)) * ((2 * p) / x))"
 
     def test_constant_and_parameter(self):
         assert diff(parse("3.5"), "x") == Const(0.0)

@@ -1,15 +1,20 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
 from dodesym import expr as E
+from dodesym.dods import check_invariance
 from dodesym.expr import Const, parse
 from dodesym.integrate import HistoryFunction, solve
 from dodesym.linear import (
     CanonicalLinear,
     LinearDods,
     LinearError,
+    _adaptive_simpson,
+    _XiQuadrature,
     characteristic_roots,
     compatibility_residual,
     detect_extra_symmetry,
@@ -20,6 +25,7 @@ from dodesym.linear import (
     verify_exponential_solution,
     verify_linear_symmetries,
 )
+from dodesym.symmetry import VectorField
 from tests.conftest import bisect_root
 
 
@@ -171,6 +177,111 @@ class TestDetector:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(LinearError, match="non-homogeneous"):
             detect_extra_symmetry(delayed_position_system(b="1"))
+
+
+def _linear(a1, a2, a3, a4, g, domain):
+    return LinearDods(a1=parse(a1), a2=parse(a2), a3=parse(a3), a4=parse(a4),
+                      b=Const(0.0), g=parse(g), domain=domain)
+
+
+#: sha256 of repr(detect_extra_symmetry(...)), first 16 hex digits, as the
+#: detector gave them when its quadrature scanned every known point for the
+#: nearest and the canonical systems were built from constants
+DETECTOR_DIGESTS = {
+    "canonical-K1": "e021f8f7fc8affdc",
+    "a1-feeds-eta": "ef74989bd0eb9123",
+    "gamma-only-K2": "e904b9d7505fb8dc",
+    "constant-a1-K2": "f2428f5b4f50f38d",
+    "varying-K-proportional": "05ec67334bf358b4",
+}
+
+
+class TestDetectorResults:
+    """detect_extra_symmetry's results, bit for bit."""
+
+    @pytest.mark.parametrize("name, system", [
+        ("canonical-K1", lambda: CanonicalLinear(1.0, 0.2, 0.3, 1.0).to_linear()),
+        ("a1-feeds-eta", lambda: _linear("0.4", "1", "0", "0.3", "x-1",
+                                         (0.0, 3.0))),
+        ("gamma-only-K2", lambda: CanonicalLinear(0.0, 0.1, 1.0, 1.0).to_linear()),
+        ("constant-a1-K2", lambda: _linear("0.4", "0", "0", "0.3", "x-1",
+                                           (0.0, 4.0))),
+        # K = 1/x: xi = x comes from the quadrature, which sets every check
+        ("varying-K-proportional",
+         lambda: _linear("0", "1/x", "0.3/x^2", "0.2/x^2", "0.5*x", (1.0, 3.0))),
+    ])
+    def test_digest(self, name, system):
+        r = repr(detect_extra_symmetry(system()))
+        assert hashlib.sha256(r.encode()).hexdigest()[:16] == \
+            DETECTOR_DIGESTS[name]
+
+    def test_varying_k_is_detected_without_a_closed_form(self):
+        found = detect_extra_symmetry(
+            _linear("0", "1/x", "0.3/x^2", "0.2/x^2", "0.5*x", (1.0, 3.0)))
+        assert found is not None and found.xi is None
+        assert found.checks["connection"] < 1e-12
+
+    def test_canonical_systems_share_their_kernels(self, monkeypatch):
+        calls = []
+        for name in ("_diff", "_generate"):
+            real = getattr(E, name)
+            monkeypatch.setattr(E, name, lambda *a, _r=real, _n=name: (
+                calls.append(_n), _r(*a))[1])
+        scaling = VectorField(Const(0.0), E.Y)
+        first = CanonicalLinear(0.7, -0.3, 0.4, 0.6).to_linear()
+        check_invariance(first.to_dods(), scaling, n=2000, seed=3)
+        detect_extra_symmetry(first)
+        calls.clear()
+        misses = E.memo_info().misses
+        second = CanonicalLinear(-0.45, 0.8, -0.9, 0.35).to_linear()
+        report = check_invariance(second.to_dods(), scaling, n=2000, seed=4)
+        found = detect_extra_symmetry(second)
+        assert calls == [] and E.memo_info().misses == misses
+        assert report.passed and found is not None and found.xi_is_constant
+
+
+class TestXiQuadrature:
+    class _Reference(_XiQuadrature):
+        """The nearest known point by a scan of every point, in insertion
+        order."""
+
+        def integral(self, x):
+            if x in self._known:
+                return self._known[x]
+            nearest = min(self._known, key=lambda t: abs(t - x))
+            val = self._known[nearest] + _adaptive_simpson(self.K, nearest, x)
+            self._known[x] = val
+            return val
+
+    def test_ties_go_to_the_first_inserted_point(self):
+        def K(x):
+            return math.cos(3.0 * x) + 0.1 * x
+
+        rng = random.Random(11)
+        for _ in range(20):
+            fast, scan = _XiQuadrature(K, 0.0), self._Reference(K, 0.0)
+            points = [0.0]
+            for _ in range(40):
+                r = rng.random()
+                if r < 0.3:  # a midpoint: equally far from two points
+                    x = 0.5 * sum(rng.sample(points, 2)) if len(points) > 1 \
+                        else 1.0
+                elif r < 0.4:  # within rounding of a known point
+                    x = rng.choice(points) + rng.choice((-1, 1)) * 2.0 ** \
+                        -rng.randint(40, 60)
+                else:
+                    x = rng.uniform(-3.0, 3.0)
+                points.append(x)
+                assert repr(fast.integral(x)) == repr(scan.integral(x))
+            assert list(fast._known.items()) == list(scan._known.items())
+
+    def test_a_nan_point_starts_at_the_anchor(self):
+        quad = _XiQuadrature(lambda x: 1.0, 0.5)
+        quad.integral(2.0)
+        assert quad.integral(1.0) == 0.5
+        # every distance to NaN is NaN, and min keeps the first point
+        assert min(quad._known, key=lambda t: abs(t - math.nan)) == 0.5
+        assert quad._nearest(math.nan) == 0.5
 
 
 class TestCanonicalTransform:

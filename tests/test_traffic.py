@@ -69,6 +69,102 @@ class TestBuildTwoCar:
         assert "exp" in f_text  # derivative of k e^(eps t) stays exponential
 
 
+def _const_built(example_id: int, p):
+    """f, g and the symmetry of an example built with its values as
+    constants, as build_two_car and example_symmetry built them before the
+    parameters became symbols: the oracle of the templates."""
+    Const = E.Const
+    leader = {1: lambda: Const(p.v) * E.T,
+              2: lambda: Const(p.k) * E.T ** Const(p.n),
+              3: lambda: Const(p.k) * E.Call("exp", Const(p.epsilon) * E.T),
+              }[example_id]()
+    pos = E.subs(leader, {"t": E.XM})
+    vel = E.subs(E.diff(leader, "t"), {"t": E.XM})
+    core = Const(p.alpha) * E.DY ** Const(p.n1) * (vel - E.DYM)
+    if p.n2 != 0.0:
+        core = core / (pos - E.YM) ** Const(p.n2)
+    g = Const(p.q) * E.X if p.q is not None else E.X - Const(p.tau)
+    symmetry = {1: lambda: (Const(1.0), Const(p.v)),
+                2: lambda: (E.X, Const(p.n) * (E.Y - Const(p.beta))),
+                3: lambda: (Const(1.0), Const(p.epsilon) * E.Y),
+                }[example_id]()
+    return E.simplify(core), g, symmetry
+
+
+def _sweep_params(rng, example_id: int) -> dict:
+    """A parameter set from the ranges of the benchmark's traffic sweep."""
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    if example_id == 1:
+        return {"alpha": u(0.5, 2.0), "tau": u(0.3, 1.0), "v": u(0.8, 1.5)}
+    if example_id == 2:
+        return {"n1": u(1.5, 3.0), "q": u(0.2, 0.6), "k": u(2.0, 6.0),
+                "beta": u(-0.5, 0.5)}
+    return {"alpha": u(0.5, 1.5), "n": u(1.5, 3.0), "epsilon": u(0.3, 0.8),
+            "tau": u(0.5, 1.5), "k": u(1.0, 2.0)}
+
+
+class TestParameterTemplates:
+    """The examples are templates with their parameters as symbols; bound,
+    they are the trees built from constants."""
+
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    def test_bound_templates_are_the_constant_built_trees(self, example_id):
+        import numpy as np
+
+        from dodesym.traffic import bound_system
+
+        rng = np.random.default_rng(100 + example_id)
+        template = example_system(example_id).f
+        for _ in range(100):
+            p = example_params(example_id, **_sweep_params(rng, example_id))
+            system = example_system(example_id, p)
+            assert system.f is template  # one tree per family
+            f, g, (xi, eta) = _const_built(example_id, p)
+            bound = bound_system(system)
+            assert bound.f is f and bound.g is g and bound.params == {}
+            symmetry = example_symmetry(example_id, p)
+            assert symmetry.xi is xi and symmetry.eta is eta
+
+    def test_a_second_parameter_set_builds_nothing(self, monkeypatch):
+        import numpy as np
+
+        calls = []
+        for name in ("_diff", "_generate"):
+            real = getattr(E, name)
+            monkeypatch.setattr(E, name, lambda *a, _r=real, _n=name: (
+                calls.append(_n), _r(*a))[1])
+        rng = np.random.default_rng(7)
+        for example_id in (1, 2, 3):
+            for request in range(2):
+                p = example_params(example_id,
+                                   **_sweep_params(rng, example_id))
+                system = example_system(example_id, p)
+                basis = example_algebra(example_id, p)
+                calls.clear()
+                misses = E.memo_info().misses
+                reports = [check_invariance(system, f, n=2000, seed=request)
+                           for f in basis]
+                assert all(r.passed for r in reports)
+            assert calls == [] and E.memo_info().misses == misses
+
+    def test_a_domain_error_names_the_values(self):
+        from dodesym.expr import DomainError, compile_bound
+
+        p = example_params(1, v=1.25, alpha=0.5)
+        system = example_system(1, p)
+        names = ("x", "y", "xm", "ym", "dy", "dym")
+        f = compile_bound(system.f, names, system.params)
+        # the headway v xm - ym is zero
+        with pytest.raises(DomainError) as err:
+            f(3.0, 1.0, 2.0, 2.5, 1.0, 1.0)
+        bound = E.bind_params(system.f, system.params)
+        assert err.value.subexpr is bound
+        assert str(err.value) == f"division by zero in '{E.to_text(bound)}'"
+        assert "0.5" in str(err.value) and "1.25" in str(err.value)
+
+
 class TestParamsValidation:
     def test_alpha_nonzero(self):
         with pytest.raises(TrafficError, match="alpha"):
