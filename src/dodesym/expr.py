@@ -446,6 +446,7 @@ _PRIMITIVES: dict[str, Callable[..., float]] = {
     "pow": math.pow,
 }
 
+
 def _checked(fn: Callable[..., float], e: Expr, *args: float) -> float:
     """fn(*args); an undefined or non-finite result is a DomainError in e.
     The constant folds of simplify call it; a point kernel checks itself."""

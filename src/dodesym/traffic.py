@@ -17,9 +17,8 @@ proportional delay, exponential leader with constant delay.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 from . import expr as E
 from . import reduce as reduce_mod
@@ -75,7 +74,7 @@ class TrafficParams:
     def values(self) -> dict[str, float]:
         """The numeric fields that are set, by name: the params of the
         two-car system and of the leader."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "leader" and getattr(self, f.name) is not None}
 
 
@@ -155,9 +154,8 @@ def bound_system(system: DodsSystem) -> DodsSystem:
     """A two-car system with its params bound into f and g as constants:
     the trees build_two_car makes from constants, f simplified and g as it
     is, with no params."""
-    return dataclasses.replace(system, f=E.simplify(system.bound(system.f)),
-                               g=system.bound(system.g), params={},
-                               box=dict(system.box))
+    return replace(system, f=E.simplify(system.bound(system.f)),
+                   g=system.bound(system.g), params={}, box=dict(system.box))
 
 
 def bound_field(x_field: VectorField, params) -> VectorField:
