@@ -682,10 +682,10 @@ def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
     means it vanishes inside the interval, a near-zero magnitude means it
     nearly does; either way the input is rejected.
     """
-    minor = E.subs(system.bound(entry.second_order_minor),
-                   {"xm": system.bound(system.g)})
+    minor = E.subs(entry.second_order_minor, {"xm": system.g})
     lo, hi = system.box.get("x", (0.5, 2.5))
-    values = compile_columns(minor, ("x",))(np.linspace(lo, hi, 201))
+    values = compile_columns(minor, ("x",), system.params)(
+        np.linspace(lo, hi, 201))
     if np.isnan(values).any():
         raise CatalogError(
             f"entry '{entry.id}': the second-order condition is singular on"

@@ -12,12 +12,13 @@ Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
-Per system, g, f and one 14-output kernel of their partials are compiled,
-and per field the one `symmetry.field_kernel` of its prolongation.  Both
-go through the memo of `expr` (`expr.memo_info()`), keyed by the interned
-nodes of f, g or the field's xi and eta and by the names of the params
-they read, with each param a closure cell that gets its value when the
-kernel is bound, on every call.  So every system or field of equal
+Per system, `expr.compile_columns` compiles g, f and one 14-output kernel
+of their partials with the system's params, and per field it compiles the
+one `symmetry.field_kernel` of its prolongation.  Both go through the memo
+of `expr` (`expr.memo_info()`), keyed by the interned nodes of f, g or the
+field's xi and eta and by the names of the params they read.  Each param
+is a closure cell, and the memo hands the kernels back with the values of
+each call in their cells.  So every system or field of equal
 content, a new object included, shares one kernel and gets bit-identical
 answers, and so does every parameter set of a system written with
 parameters: another value differentiates and compiles nothing.  The memo
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,10 +46,9 @@ from .expr import (
     Expr,
     ParseError,
     _memoized,
-    bind_kernel,
     bind_params,
-    column_template,
-    compile_bound,
+    compile_columns,
+    compile_fn,
     diff,
     free_symbols,
     parse,
@@ -107,7 +107,14 @@ class DodsSystem:
         built once per content of f and g and names of params and shared
         through the kernel memo of `expr`."""
         return _memoized("system", (self.f, self.g), self.params,
-                         lambda: _SystemKernels.build(self)).bind(self.params)
+                         self._compile_kernels)
+
+    def _compile_kernels(self) -> "_SystemKernels":
+        partials = [diff(e, v) for e in (self.f, self.g) for v in JET]
+        return _SystemKernels(
+            g=compile_columns(self.g, FREE_COORDS, self.params),
+            f=compile_columns(self.f, JET, self.params),
+            partials=compile_columns(partials, JET, self.params))
 
     def constant_delay(self) -> float | None:
         """tau where g is x - tau, else None.
@@ -119,7 +126,7 @@ class DodsSystem:
         """
         if free_symbols(self.g) & set(JET) - {"x"} - set(self.params):
             return None
-        g_fn = compile_bound(self.g, ("x",), self.params)
+        g_fn = compile_fn(self.g, ("x",), self.params)
         try:
             taus = [x - g_fn(x) for x in (0.0, 0.7, 1.3)]
         except DomainError:
@@ -229,30 +236,12 @@ class InvarianceReport:
         )
 
 
-@dataclass(frozen=True)
-class _SystemKernels:
+class _SystemKernels(NamedTuple):
     """Column kernels of a system: g, f and one of the partials of f and g."""
 
     g: Callable[..., np.ndarray]
     f: Callable[..., np.ndarray]
     partials: Callable[..., tuple[np.ndarray, ...]]
-
-    @classmethod
-    def build(cls, system: DodsSystem) -> "_SystemKernels":
-        """The kernels of system with its params as closure cells."""
-        names = tuple(system.params)
-        partials = [diff(e, v) for e in (system.f, system.g) for v in JET]
-        return cls(g=column_template(system.g, FREE_COORDS, names),
-                   f=column_template(system.f, JET, names),
-                   partials=column_template(partials, JET, names))
-
-    def bind(self, params) -> "_SystemKernels":
-        """These kernels with the values of params in their cells."""
-        kernels = [bind_kernel(k, params)
-                   for k in (self.g, self.f, self.partials)]
-        if kernels == [self.g, self.f, self.partials]:
-            return self  # none reads a parameter
-        return _SystemKernels(*kernels)
 
 
 def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):

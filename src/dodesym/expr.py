@@ -10,34 +10,36 @@ Nodes are hash-consed (interned): equal content is one object, so `==`
 and hash are identity, and simplify, diff and free_symbols keep their
 results on the node, computing each once per node.
 
-There is one numeric semantics with two calling conventions, both built
-by one value-numbering code generator (each repeated subtree is evaluated
-once, one statement per node) over one primitive table.  `compile_fn`
-turns a tree into a Python closure of one point; `evaluate` is that
-closure called once.  An undefined operation (division by zero, ln or
-sqrt out of domain, pow without a real value) or a non-finite result
-raises DomainError, whose message names the whole compiled expression
-rather than the failing sub-node.  `compile_columns` turns a tree, or a
-list of trees, into a function of numpy columns, one row per point: each
-row of a tree's output holds what its closure returns there, and NaN
-where that raises.
+There is one numeric semantics with two calling conventions, one call
+each, both built by one value-numbering code generator (each repeated
+subtree is evaluated once, one statement per node) over one primitive
+table.  `compile_fn(e, names, params)` turns a tree into a Python closure
+of one point; `evaluate` is that closure called once.  An undefined
+operation (division by zero, ln or sqrt out of domain, pow without a real
+value) or a non-finite result raises DomainError, whose message names the
+whole compiled expression rather than the failing sub-node.
+`compile_columns(trees, names, params)` turns a tree, or a list of trees,
+into a function of numpy columns, one row per point: each row of a tree's
+output holds what its closure returns there, and NaN where that raises.
+A name that is both an argument and a param the trees read is an
+ExprError.
 
 The generated text depends on the shape of the trees, not on their
 constants: each constant node is a closure cell holding its float, bit
 pattern and all.  The code of each text is compiled once and kept in a
 shape table (an LRU of 512 texts, holding no tree), so trees that differ
 only in their constants share one compiled function body and each gets
-its own cells.  A parameter can be a cell as well: `compile_bound` and
-`column_template` compile the tree as written, each symbol params names
-a cell filled with its value when the kernel is bound (`bind_kernel`),
-and give what compiling bind_params(tree, params) gives.  So a family of
-systems written with parameters, as in a parameter sweep, is derived,
-walked and compiled once, and each set of values costs one call of the
-compiled factory.
+its own cells.  Each param a tree reads is a cell as well, filled with
+its value: both calls compile the tree as written and give what compiling
+bind_params(tree, params) gives.
 
 One bounded memo (`_memoized`, `memo_info`) keeps what other modules
 build from trees, keyed by a kind, the interned trees and the names of
-the params they read: see the comment above `_MEMO_BOUND`.
+the params they read, and hands back kernels bound to the values of each
+lookup: see the comment above `_MEMO_BOUND`.  So a family of systems
+written with parameters, as in a parameter sweep, is derived, walked and
+compiled once, and each set of values costs one call of the compiled
+factory per kernel.
 
 parse rejects text nested deeper than MAX_NESTING levels with a
 ParseError, so that the recursive walks of this module stay within
@@ -796,30 +798,33 @@ def _collect_sum(e: Expr) -> Expr:
 
 
 def _generate(exprs, arg_names: Iterable[str], columns: bool,
-              bound: Iterable[str] = ()):
+              params: Bindings | None = None):
     """The kernel of one tree for points, or of a tree or a list of trees
-    (returning a tuple) for columns.  Where the trees read a name in bound,
-    a Template, whose bind(params) is that kernel with their values in
-    place.
+    (returning a tuple) for columns, with the values of the params that
+    the trees read in closure cells.
 
     Each inner node is one statement `_tN = ...`, in the order a
     left-to-right walk of the trees first computes it, so a repeated
     subtree is computed once, the same operation fails first as in a
     nested evaluation, and no line nests however deep the tree.  Each
-    constant node, and each symbol named in bound (before the arguments,
-    as bind_params binds it), is a closure cell `_cN`, numbered
-    in first-read order.  So trees that differ only in their constants
-    have one text, whose factory is compiled once (`_factory`) and called
-    with their cells, and a tree of parameters is walked once for every
-    set of values."""
+    constant node, and each symbol named in params, is a closure cell
+    `_cN`, numbered in first-read order.  So trees that differ only in
+    their constants have one text, whose factory is compiled once
+    (`_factory`) and called with their cells, and a tree of parameters is
+    walked once for every set of values (see `_bind`).  A name the trees
+    read as an argument and a parameter both is an ExprError."""
     trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
     names = list(arg_names)
-    bound = set(bound)
-    missing = set().union(*map(free_symbols, trees)) - set(names) - bound
+    params = params or {}
+    read = set().union(*map(free_symbols, trees))
+    clash = read.intersection(names, params)
+    if clash:
+        raise ExprError(f"parameter '{sorted(clash)[0]}' is also an argument")
+    missing = read - set(names) - set(params)
     if missing:
         raise UnboundSymbolError(sorted(missing)[0])
     slots = {name: f"_a{i}" for i, name in enumerate(names)}
-    # constant nodes (0.0 and -0.0 are two) and bound symbols
+    # constant nodes (0.0 and -0.0 are two) and parameters
     cells: dict[Expr, str] = {}
     # value numbers of inner nodes, by node: equal content is one node
     number: dict[Expr, int] = {}
@@ -830,7 +835,7 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
         if isinstance(e, Const):
             return cells.setdefault(e, f"_c{len(cells)}")
         if isinstance(e, (Var, Param)):
-            if e.name in bound:
+            if e.name in params:
                 return cells.setdefault(e, f"_c{len(cells)}")
             return slots[e.name]
         ref = number.get(e)
@@ -878,7 +883,7 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
         body[:0] = [f"{m} = _mask(_shape)" for m in masks.values()]
         body.append("return " + (outs[0] if isinstance(exprs, Expr)
                                  else f"({''.join(o + ', ' for o in outs)})"))
-        tree, params = [], ["_shape"]
+        tree, inputs = [], ["_shape"]
     else:
         (out,) = outs
         # a DomainError names the tree with the values of its parameters
@@ -890,51 +895,41 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
                 f"    raise DomainError(str(exc), {e}) from None",
                 f"if _isfinite({out}):", f"    return {out}",
                 f"raise DomainError('non-finite result', {e})"]
-        tree, params = ["_e", "_p"] if named else ["_e"], []
-    params += [f"_a{i}" for i in range(len(names))]
+        tree, inputs = ["_e", "_p"] if named else ["_e"], []
+    inputs += [f"_a{i}" for i in range(len(names))]
     src = "".join([
         f"def _make({', '.join(tree + list(cells.values()))}):\n",
-        f"    def _f({', '.join(params)}):\n",
+        f"    def _f({', '.join(inputs)}):\n",
         *(f"        {line}\n" for line in body),
         "    return _f\n"])
-    template = Template(_factory(src, columns), None if columns else exprs,
-                        sources)
-    return template if named else template.bind({})
+    return _bind(_factory(src, columns), None if columns else exprs, sources,
+                 params)
 
 
-class Template:
-    """A kernel whose parameters are closure cells: bind(params) calls its
-    factory with their values, which costs no walk of the trees and no
-    compile.  `_generate` makes one for trees that read parameters."""
-
-    __slots__ = ("_make", "_tree", "_cells")
-
-    def __init__(self, make: Callable, tree: Expr | None, cells: list):
-        self._make = make
-        self._tree = tree  # a point kernel's tree, which a DomainError names
-        self._cells = cells  # constant values and parameter names
-
-    def bind(self, params: Bindings) -> Callable:
-        """The kernel with the values of params, as floats, in its cells."""
-        values: dict[str, float] = {}
-        cells = []
-        for c in self._cells:
-            if isinstance(c, str):
-                if c not in values:
-                    values[c] = float(params[c])
-                c = values[c]
-            cells.append(c)
-        if self._tree is None:
-            return functools.partial(_columns_checked, self._make(*cells))
-        if values:
-            return self._make(self._tree, values, *cells)
-        return self._make(self._tree, *cells)
-
-
-def bind_kernel(kernel, params: Bindings | None):
-    """A kernel that `_memoized` keeps, bound to the values of params: a
-    Template's binding, or the kernel itself where it reads no parameter."""
-    return kernel.bind(params) if isinstance(kernel, Template) else kernel
+def _bind(make: Callable, tree: Expr | None, sources: list,
+          params: Bindings):
+    """The kernel that the factory make returns with its cells filled:
+    sources holds a constant's value, kept as it is, or a parameter's name,
+    whose value params gives, as a float.  A point kernel's tree is tree,
+    which its DomainError names; a column kernel's is None.  A kernel with
+    parameter cells keeps this binding as `_rebind`, so that the memo fills
+    its cells with the values of each lookup, which costs no walk of the
+    trees and no compile."""
+    values: dict[str, float] = {}
+    cells = []
+    for c in sources:
+        if isinstance(c, str):
+            if c not in values:
+                values[c] = float(params[c])
+            c = values[c]
+        cells.append(c)
+    if tree is None:
+        kernel = functools.partial(_columns_checked, make(*cells))
+    else:
+        kernel = make(tree, values, *cells) if values else make(tree, *cells)
+    if values:
+        kernel._rebind = functools.partial(_bind, make, tree, sources)
+    return kernel
 
 
 #: factories the shape table keeps, least recently used first out; a pass
@@ -956,31 +951,23 @@ def _factory(src: str, columns: bool) -> Callable:
     return ns["_make"]
 
 
-def compile_fn(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
+def compile_fn(e: Expr, arg_names: Iterable[str],
+               params: Bindings | None = None) -> Callable[..., float]:
     """Compile to a positional-argument callable, the one numeric evaluator.
 
-    All free symbols of e must appear in arg_names.  Arguments become
-    positional slots `_a0, _a1, ...`, so a symbol may carry any name,
-    a Python keyword included.  An undefined or non-finite result raises
-    DomainError naming the whole of e.
-    """
-    return compile_bound(e, arg_names, None)
-
-
-def compile_bound(e: Expr, arg_names: Iterable[str],
-                  params: Bindings | None) -> Callable[..., float]:
-    """compile_fn of bind_params(e, params), without building that tree.
-
-    The closure is built once per tree, argument names and names of the
-    params that e reads, with each of those params a closure cell, and
-    each call fills the cells with its values.  A DomainError names e with
-    the values in place, as compile_fn of the bound tree would.
+    Every free symbol of e must be named in arg_names or in params.
+    Arguments become positional slots `_a0, _a1, ...`, so a symbol may
+    carry any name, a Python keyword included.  Each param that e reads is
+    a closure cell holding its value, so the closure is what compile_fn of
+    bind_params(e, params) is, without building that tree: it is built
+    once per tree, argument names and names of the params e reads, and a
+    call with other values only fills the cells.  An undefined or
+    non-finite result raises DomainError naming the whole of e, with the
+    values of its params in place.
     """
     names = tuple(arg_names)
-    params = params or {}
-    return bind_kernel(_memoized(("point", names), (e,), params,
-                                 lambda: _generate(e, names, False, params)),
-                       params)
+    return _memoized(("point", names), (e,), params,
+                     lambda: _generate(e, names, False, params))
 
 
 # -- the column calling convention ------------------------------------------
@@ -1039,24 +1026,20 @@ def _columns_checked(fn: Callable, *cols):
         return fn(shape, *cols)
 
 
-def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str]):
+def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
+                    params: Bindings | None = None):
     """Compile to a function of numpy columns, one row per point.
 
     The function takes one 1-D float column (or a scalar, broadcast) per
     name in arg_names and returns a new 1-D float column, or for a list of
     trees a tuple of one such column per tree.  Row i of a tree's column
-    holds exactly the value compile_fn's closure of that tree returns for
-    row i of the arguments, and NaN where that closure raises DomainError;
-    a row is defined exactly where the result is finite.
+    holds exactly the value compile_fn's closure of that tree (with the
+    same params) returns for row i of the arguments, and NaN where that
+    closure raises DomainError; a row is defined exactly where the result
+    is finite.  As in compile_fn, each param the trees read is a closure
+    cell, so a memo that keeps the function gives it other values without
+    compiling it again.
     """
-    return _generate(exprs, arg_names, True)
-
-
-def column_template(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
-                    params: Iterable[str]):
-    """compile_columns with the symbols named in params left as closure
-    cells: the kernel, or a Template where the trees read one of them.  A
-    memo keeps it, and `bind_kernel` gives it the values of each call."""
     return _generate(exprs, arg_names, True, params)
 
 
@@ -1067,8 +1050,9 @@ def column_template(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
 # concrete systems of catalog instantiations -- between every object of
 # equal content.  A key is a kind, the trees themselves and the names of
 # the params the trees read, never their values: a kernel reads each
-# parameter from a closure cell (see Template), so one entry serves every
-# set of values of a family, and binding one costs a factory call.  What
+# parameter from a closure cell (see `_bind`), so one entry serves every
+# set of values of a family, and a lookup binds what it returns to its
+# values, which costs a factory call per kernel.  What
 # depends on the values themselves puts them in its kind (`value_key`).
 # Interning makes equal content one node and keeps 0.0 and -0.0 apart, so
 # the key costs O(number of trees), and it holds its nodes, so no dead
@@ -1122,7 +1106,9 @@ def _memoized(kind, trees: Iterable[Expr | None], params: Bindings | None,
               build: Callable[[], object]):
     """build() kept under kind (any hashable), the trees (None allowed) and
     the names of the params that the trees read; a build that raises is
-    not kept.  build must not depend on the values of params."""
+    not kept.  build must not depend on the values of params, but for the
+    values in the cells of the kernels it compiles: what a lookup returns
+    has its kernel, or each kernel of a tuple, bound to those of params."""
     trees = tuple(trees)
     read = set().union(*(free_symbols(t) for t in trees if t is not None)) \
         if params else ()
@@ -1131,9 +1117,23 @@ def _memoized(kind, trees: Iterable[Expr | None], params: Bindings | None,
     if key in _memo:
         _memo_counts["hits"] += 1
         _memo.move_to_end(key)
-        return _memo[key]
+        return _rebound(_memo[key], params)
     _memo_counts["misses"] += 1
     value = _memo[key] = build()
     if len(_memo) > _MEMO_BOUND:
         _memo.popitem(last=False)
     return value
+
+
+def _rebound(value, params: Bindings | None):
+    """value, a kernel with parameter cells bound to the values of params,
+    and a tuple (a NamedTuple included) with each of its items so bound;
+    anything else, and a tuple with nothing to bind, as it is."""
+    if isinstance(value, tuple):
+        items = [_rebound(v, params) for v in value]
+        if all(a is b for a, b in zip(items, value)):
+            return value
+        return type(value)(*items) if hasattr(value, "_fields") \
+            else tuple(items)
+    rebind = getattr(value, "_rebind", None)
+    return value if rebind is None else rebind(params)

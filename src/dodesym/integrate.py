@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dods import DelayKind, DodsSystem, FREE_COORDS
-from .expr import (DomainError, Expr, bind_params, compile_bound, compile_fn,
-                   diff, parse)
+from .expr import DomainError, Expr, bind_params, compile_fn, diff, parse
 
 
 class IntegrationError(Exception):
@@ -57,9 +56,8 @@ class HistoryFunction:
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("history interval must have positive length")
-        bound = bind_params(self.phi, self.params)
-        self._y = compile_fn(bound, ("x",))
-        self._dy = compile_fn(diff(bound, "x"), ("x",))
+        self._y = compile_fn(self.phi, ("x",), self.params)
+        self._dy = compile_fn(diff(self.phi, "x"), ("x",), self.params)
 
     @staticmethod
     def from_text(text: str, interval: tuple[float, float]) -> "HistoryFunction":
@@ -274,16 +272,14 @@ class _StateDelay(_DelaySpec):
     iterate to the admissible bracket.  It stops when a step falls below
     5e-13 relative or F is exactly zero (the next step would be zero),
     and accepts the last iterate when |F| < 1e-10 there.  Otherwise, and
-    on a zero secant denominator, max_iter steps without convergence, or
-    g or the dense output undefined at an iterate, it falls back to a scan
-    of F over the bracket with bisection (Bellen & Zennaro, Numerical
+    on a zero secant denominator, 100 steps without convergence, or g or
+    the dense output undefined at an iterate, it falls back to a scan of F
+    over 64 cells of the bracket with bisection (Bellen & Zennaro, Numerical
     Methods for Delay Differential Equations, OUP 2003, on locating
     state-dependent delays).  Multiple admissible solutions (several sign
     changes of F) pick the one nearest the previous step's xm and are
     reported in warnings.
     """
-
-    max_iter = 100
 
     def __init__(self, g_full, warn):
         self.g = g_full
@@ -305,7 +301,7 @@ class _StateDelay(_DelaySpec):
             g_s = g_at(s)
             f_s = s - g_s
             nxt = min(max(g_s, lo), hi)
-            for _ in range(self.max_iter):
+            for _ in range(100):
                 f_nxt = nxt - g_at(nxt)
                 if f_nxt == 0.0 or abs(nxt - s) < 5e-13 * max(1.0, abs(nxt)):
                     if abs(f_nxt) < 1e-10:
@@ -321,11 +317,11 @@ class _StateDelay(_DelaySpec):
         xm = self._bracket_scan(g_at, lo, hi, prev_xm)
         return xm, n_evals, 1
 
-    def _bracket_scan(self, g_at, lo, hi, prev_xm, cells: int = 64):
+    def _bracket_scan(self, g_at, lo, hi, prev_xm):
         def defect(s: float) -> float:
             return s - g_at(s)
 
-        _, _, brackets = _sign_scan(defect, lo, hi, cells,
+        _, _, brackets = _sign_scan(defect, lo, hi, 64,
                                     errors=(DomainError, HistoryUnderrunError))
         if not brackets:
             raise FixedPointError(
@@ -348,8 +344,8 @@ def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:
             raise DelayViolationError("declared constant delay is not constant")
         return _ConstantDelay(tau)
     if system.delay_kind is DelayKind.SOLUTION_INDEPENDENT:
-        return _IndependentDelay(compile_bound(system.g, ("x",), system.params))
-    return _StateDelay(compile_bound(system.g, FREE_COORDS, system.params),
+        return _IndependentDelay(compile_fn(system.g, ("x",), system.params))
+    return _StateDelay(compile_fn(system.g, FREE_COORDS, system.params),
                        warn)
 
 
@@ -403,8 +399,8 @@ def solve(
     breakpoint by construction; continuity of the second derivative at the
     start is neither required nor expected.
     """
-    f_fn = compile_bound(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
-                         system.params)
+    f_fn = compile_fn(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
+                      system.params)
     warnings: list[str] = []
     traj = solve_numeric(f_fn, _delay_spec(system, warnings.append), phi,
                          dy0, x_end, h)
@@ -520,11 +516,11 @@ def residual_on_trajectory(
     f or g is undefined are skipped; n_samples counts the ones used.
     """
     rng = np.random.default_rng(seed)
-    f_fn = compile_bound(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
-                         system.params)
+    f_fn = compile_fn(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
+                      system.params)
     warnings: list[str] = []
     spec = _delay_spec(system, warnings.append)
-    g_full = compile_bound(system.g, FREE_COORDS, system.params)
+    g_full = compile_fn(system.g, FREE_COORDS, system.params)
     lo, hi = trajectory.x_start, trajectory.x_end
     hist_lo = trajectory.history.interval[0]
     max_dode = 0.0

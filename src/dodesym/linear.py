@@ -29,8 +29,7 @@ import numpy as np
 from . import expr as E
 from .dods import (DelayKind, DodsSystem, InvarianceReport, _expression,
                    _key_values, _numbers, check_invariance)
-from .expr import (Const, DomainError, Expr, compile_bound, compile_fn, diff,
-                   subs, to_text)
+from .expr import Const, DomainError, Expr, compile_fn, diff, subs, to_text
 from .integrate import (
     HistoryFunction,
     Trajectory,
@@ -80,7 +79,7 @@ class LinearDods:
 
     def _fn(self, e: Expr):
         """e as a compiled function of x, parameters bound."""
-        return compile_bound(e, ("x",), self.params)
+        return compile_fn(e, ("x",), self.params)
 
     def is_homogeneous(self) -> bool:
         b = self._fn(self.b)
@@ -269,7 +268,7 @@ def inhomogeneous_scaling_residual(
 def compatibility_residual(g: Expr, K: Expr, xs: list[float],
                            params=None) -> float:
     """max |K(g(x)) g'^2 - g'' - K(x) g'| over xs."""
-    fn = compile_bound(_compatibility(g, K), ("x",), params)
+    fn = compile_fn(_compatibility(g, K), ("x",), params)
     return max(abs(fn(float(x))) for x in xs)
 
 
@@ -294,8 +293,9 @@ def _k2(L: LinearDods) -> Expr:
             - gdd / (4 * gd))
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
-                      depth: int = 24) -> float:
+def _adaptive_simpson(f, a: float, b: float) -> float:
+    """The integral of f over [a, b] by adaptive Simpson, to 1e-12 per
+    panel, bisecting at most 24 levels deep."""
     def simpson(l, r, fl, fm, fr):
         return (r - l) / 6.0 * (fl + 4.0 * fm + fr)
 
@@ -305,7 +305,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
         flm, frm = f(lm), f(rm)
         left = simpson(l, m, fl, flm, fm)
         right = simpson(m, r, fm, frm, fr)
-        if d <= 0 or abs(left + right - whole) < 15.0 * tol:
+        if d <= 0 or abs(left + right - whole) < 15.0 * 1e-12:
             return left + right + (left + right - whole) / 15.0
         return (recurse(l, m, fl, flm, fm, left, d - 1)
                 + recurse(m, r, fm, frm, fr, right, d - 1))
@@ -314,7 +314,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
         return 0.0
     fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, depth)
+    return recurse(a, b, fa, fm, fb, whole, 24)
 
 
 class _XiQuadrature:
@@ -390,19 +390,19 @@ def _determining_trees(L: LinearDods, k_used: str):
     return K, gd, _compatibility(L.g, K), (cond_a, cond_b, cond_c)
 
 
-def detect_extra_symmetry(
-    L: LinearDods,
-    n_grid: int = 50,
-    compat_tol: float = 1e-9,
-    cond_tol: float = 1e-7,
-) -> ExtraSymmetry | None:
+#: the points of the grid on which detect_extra_symmetry checks
+_N_GRID = 50
+
+
+def detect_extra_symmetry(L: LinearDods) -> ExtraSymmetry | None:
     """Case split on a2, build K symbolically, verify every condition.
 
-    Checks, in order: the compatibility condition on a 50-point grid; the
-    three remaining determining equations with xi from high-order
-    quadrature; the discrete connection xi(g) = g' xi.  On success the
-    field is assembled (closed form when K is constant) and must pass
-    check_invariance.  Any failed check returns None.
+    Checks, in order: the compatibility condition on a 50-point grid, to
+    1e-9; the three remaining determining equations with xi from
+    high-order quadrature and the discrete connection xi(g) = g' xi, each
+    to 1e-7.  On success the field is assembled (closed form when K is
+    constant) and must pass check_invariance.  Any failed check returns
+    None.
     """
     if not L.is_homogeneous():
         raise LinearError("non-homogeneous")
@@ -424,20 +424,20 @@ def detect_extra_symmetry(
 
     g_fn, gd_fn = L._fn(L.g), L._fn(gd)
     # grid on which g stays inside the domain (needed for K(g), xi(g))
-    grid = [float(x) for x in np.linspace(lo, hi, 4 * n_grid)
+    grid = [float(x) for x in np.linspace(lo, hi, 4 * _N_GRID)
             if lo <= g_fn(float(x)) <= hi]
-    if len(grid) < n_grid:
+    if len(grid) < _N_GRID:
         raise LinearError(
             "domain too short: g(x) leaves it for almost every x"
         )
-    grid = grid[:: max(1, len(grid) // n_grid)][:n_grid]
+    grid = grid[:: max(1, len(grid) // _N_GRID)][:_N_GRID]
 
     try:
         compat_fn = L._fn(compat_tree)
         checks["compatibility"] = max(abs(compat_fn(x)) for x in grid)
     except DomainError:
         return None
-    if checks["compatibility"] > compat_tol:
+    if checks["compatibility"] > 1e-9:
         return None
 
     K_fn = L._fn(K)
@@ -452,7 +452,7 @@ def detect_extra_symmetry(
         )
     except DomainError:
         return None
-    if any(checks[k] > cond_tol for k in
+    if any(checks[k] > 1e-7 for k in
            ("condition_a", "condition_b", "condition_c", "connection")):
         return None
 
@@ -600,12 +600,9 @@ def characteristic_roots(
     return out
 
 
-def verify_exponential_solution(
-    cl: CanonicalLinear,
-    lam: float,
-    grid: tuple[float, float, int] = (0.0, 1.0, 50),
-) -> float:
-    """Substitute y = e^(lambda x) symbolically; residual relative to e^(lambda x).
+def verify_exponential_solution(cl: CanonicalLinear, lam: float) -> float:
+    """Substitute y = e^(lambda x) symbolically; residual relative to
+    e^(lambda x), the largest over 50 points of [0, 1].
 
     The substituted defect equals e^(lambda x) times the characteristic
     value, so the scaled residual is grid-independent; it is below 1e-10
@@ -620,8 +617,7 @@ def verify_exponential_solution(
                     + Const(cl.gamma) * ym)
     scaled = E.simplify(defect / y)
     fn = compile_fn(scaled, ("x",))
-    lo, hi, n = grid
-    return max(abs(fn(float(x))) for x in np.linspace(lo, hi, n))
+    return max(abs(fn(float(x))) for x in np.linspace(0.0, 1.0, 50))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import expr as E
 from .dods import DodsSystem, check_invariance
-from .expr import (Const, DomainError, Expr, Param, _memoized, bind_kernel,
-                   column_template, compile_fn, diff, subs)
+from .expr import (Const, DomainError, Expr, Param, _memoized, compile_columns,
+                   compile_fn, diff, subs)
 from .integrate import HistoryFunction, _exact_drift
 from .symmetry import _JET_BOX, VectorField, prolong
 
@@ -149,9 +149,9 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
     of J1 are defined and |pr X J2| at checked points.  A NaN there (inf
     - inf after an overflow) makes the largest value NaN.
     """
-    kernel = bind_kernel(_memoized(
+    kernel = _memoized(
         "annihilation", (x_field.xi, x_field.eta, pair.J1, pair.J2), params,
-        lambda: _annihilation_columns(x_field, pair, params)), params)
+        lambda: _annihilation_columns(x_field, pair, params))
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = drawn = jac_bad = 0
@@ -180,11 +180,10 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
 def _annihilation_columns(x_field: VectorField, pair: InvariantPair,
                           params: dict[str, float]):
     """One column kernel over (x, y, xm, ym) of the first four prolonged
-    coefficients of x_field and the partials of J1 and J2, with params as
-    cells."""
+    coefficients of x_field and the partials of J1 and J2, params bound."""
     coords = ("x", "y", "xm", "ym")
     # the coefficients of x, y, xm and ym come first in JET order
-    return column_template(
+    return compile_columns(
         list(prolong(x_field).coefficients()[:4])
         + [diff(j, v) for j in (pair.J1, pair.J2) for v in coords], coords,
         params)
@@ -241,13 +240,14 @@ def reduce_and_solve(
     guesses: list[tuple[float, float]] | None = None,
     interval: tuple[float, float] | None = None,
     seed: int = 42,
-    tol: float = 1e-10,
 ) -> InvariantSolution:
     """Substitute the reduction formulas and solve for the constants.
 
-    The reduced residuals are solved at a reference abscissa, then checked
-    for x-independence at ten spread-out abscissae, the operational
-    signature that the field really is a symmetry and the ansatz valid.
+    The reduced residuals are solved at a reference abscissa, by damped
+    Newton from each guess, keeping the root of smallest residual below
+    1e-10, then checked for x-independence at ten spread-out abscissae,
+    the operational signature that the field really is a symmetry and the
+    ansatz valid.
     """
     if not pair.can_reduce():
         raise ReduceError(
@@ -312,7 +312,7 @@ def reduce_and_solve(
         if not ok:
             continue
         res = float(np.max(np.abs(fz)))
-        if res < tol and (best is None or res < best[1]):
+        if res < 1e-10 and (best is None or res < best[1]):
             best = (z.copy(), res)
     if best is None:
         raise ReduceError("no root found from any starting guess")
@@ -380,27 +380,28 @@ def verify_invariant_solution(
     system: DodsSystem,
     sol: InvariantSolution,
     interval: tuple[float, float],
-    n_grid: int = 50,
     h_step: float = 1e-3,
     cross_check: bool = True,
 ) -> SolutionVerification:
-    """Grid residual of the exact solution plus a method-of-steps cross-check.
+    """Grid residual of the exact solution, at 50 points of the interval,
+    plus a method-of-steps cross-check.
 
     The integrator is seeded with the solution restricted to the first
     step (the initial data must already satisfy y = h(x, A)) and the two
     curves compared over the interval.
     """
     lo, hi = interval
+    grid = np.linspace(lo, hi, 50)
     r1, r2 = (compile_fn(r, ("x",))
               for r in _reduced_residual_exprs(system, sol.h, sol.k))
     grid_res = 0.0
-    for x in np.linspace(lo, hi, n_grid):
+    for x in grid:
         grid_res = max(grid_res, abs(r1(float(x))), abs(r2(float(x))))
 
     deviation = None
     if cross_check:
         k_fn = compile_fn(sol.k, ("x",))
-        hist_lo = min(k_fn(float(x)) for x in np.linspace(lo, hi, n_grid))
+        hist_lo = min(k_fn(float(x)) for x in grid)
         deviation = _exact_drift(system, HistoryFunction(sol.h, (hist_lo, lo)),
                                  hi, h_step)
     return SolutionVerification(grid_residual=grid_res,

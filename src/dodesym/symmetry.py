@@ -20,9 +20,8 @@ from .expr import (
     ExprError,
     _derivative,
     _memoized,
-    bind_kernel,
     bind_params,
-    column_template,
+    compile_columns,
     free_symbols,
     parse,
     simplify,
@@ -151,11 +150,9 @@ def field_kernel(x_field: VectorField, params: Bindings | None = None):
     bound: a function of the JET columns returning the seven coefficient
     columns in JET order.  Memoized by xi, eta and the names of params;
     the label is not part of the key."""
-    params = params or {}
-    return bind_kernel(_memoized(
+    return _memoized(
         "field", (x_field.xi, x_field.eta), params,
-        lambda: column_template(prolong(x_field).coefficients(), JET, params)),
-        params)
+        lambda: compile_columns(prolong(x_field).coefficients(), JET, params))
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -188,14 +185,14 @@ def check_closure(
     fields: list[VectorField],
     params: Bindings | None = None,
     seed: int = 42,
-    tol: float = 1e-9,
 ) -> ClosureResult:
     """Express every pairwise bracket in the span of the basis numerically.
 
     Coefficient functions are sampled at n+3 generic plane points and the
-    least-squares system solved; residual above tol names the failing pair.
-    A pair gets two draws of points: a draw where a coefficient is undefined
-    is dropped, and so is a first draw whose system is rank deficient.
+    least-squares system solved; residual above 1e-9 names the failing
+    pair.  A pair gets two draws of points: a draw where a coefficient is
+    undefined is dropped, and so is a first draw whose system is rank
+    deficient.
     """
     n = len(fields)
     if n < 2:
@@ -222,7 +219,7 @@ def check_closure(
                     (fields[i].label or str(i), fields[j].label or str(j)),
                 )
             c, resid, _ = solved
-            if resid > tol:
+            if resid > 1e-9:
                 raise ClosureError(
                     f"bracket [{fields[i].label or i}, {fields[j].label or j}]"
                     f" leaves the span (residual {resid:.3e})",
@@ -237,23 +234,22 @@ def _plane_kernel(fields: list[VectorField], params: Bindings):
     """One column kernel over (x, y) of the (xi, eta) coefficients of
     fields, params bound, field by field; memoized by the coefficients and
     the names of params."""
-    return bind_kernel(_memoized(
-        "plane", [c for f in fields for c in (f.xi, f.eta)], params,
-        lambda: _plane_columns(fields, params)), params)
+    coefficients = [c for f in fields for c in (f.xi, f.eta)]
+    return _memoized(
+        "plane", coefficients, params,
+        lambda: compile_columns(coefficients, ("x", "y"), params))
 
 
 def _bracket_kernel(a: VectorField, b: VectorField, params: Bindings):
     """The plane kernel of [a, b], memoized by the coefficients of a and b
     and the names of params, so a bracket seen before is not formed
     again."""
-    return bind_kernel(_memoized(
-        "bracket", (a.xi, a.eta, b.xi, b.eta), params,
-        lambda: _plane_columns([lie_bracket(a, b)], params)), params)
 
+    def build():
+        bracket = lie_bracket(a, b)
+        return compile_columns([bracket.xi, bracket.eta], ("x", "y"), params)
 
-def _plane_columns(fields: list[VectorField], params: Bindings):
-    return column_template([c for f in fields for c in (f.xi, f.eta)],
-                           ("x", "y"), params)
+    return _memoized("bracket", (a.xi, a.eta, b.xi, b.eta), params, build)
 
 
 def _span_fit(basis, target, x, y):
@@ -278,18 +274,18 @@ def _span_fit(basis, target, x, y):
 def jacobi_residual(
     fields: tuple[VectorField, VectorField, VectorField],
     params: Bindings | None = None,
-    n_points: int = 50,
     seed: int = 42,
 ) -> float:
-    """Max coefficient of the cyclic double-bracket sum at random points; a
-    point where it is undefined is a DomainError naming xi or eta."""
+    """Max coefficient of the cyclic double-bracket sum at 50 random
+    points; a point where it is undefined is a DomainError naming xi or
+    eta."""
     params = dict(params or {})
     kernel, xi, eta = _memoized(
         "jacobi", [c for f in fields for c in (f.xi, f.eta)], params,
         lambda: _jacobi_columns(fields, params))
     rng = np.random.default_rng(seed)
-    x, y = rng.uniform(*_PLANE_BOX, size=(n_points, 2)).T
-    values = np.abs(bind_kernel(kernel, params)(x, y)).T
+    x, y = rng.uniform(*_PLANE_BOX, size=(50, 2)).T
+    values = np.abs(kernel(x, y)).T
     undefined = np.flatnonzero(np.isnan(values))
     if len(undefined):
         raise DomainError("undefined at a sampled point",
@@ -308,7 +304,7 @@ def _jacobi_columns(fields, params: Bindings):
     ]
     xi = simplify(terms[0].xi + terms[1].xi + terms[2].xi)
     eta = simplify(terms[0].eta + terms[1].eta + terms[2].eta)
-    return column_template([xi, eta], ("x", "y"), params), xi, eta
+    return compile_columns([xi, eta], ("x", "y"), params), xi, eta
 
 
 #: the jet box of invariant_count, in JET order; xm < x on all of it

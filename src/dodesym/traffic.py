@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 from . import expr as E
 from . import reduce as reduce_mod
 from .dods import DelayKind, DodsSystem, _expression, _key_values, _numbers
-from .expr import (Const, DomainError, Expr, Param, bind_params, compile_bound,
+from .expr import (Const, DomainError, Expr, Param, bind_params, compile_fn,
                    diff, subs)
 from .integrate import (
     HistoryFunction,
@@ -270,10 +270,10 @@ class ConstraintResult:
 def solve_constraint(
     example_id: int,
     p: TrafficParams,
-    n_scan: int = 4000,
     verify: bool = True,
 ) -> ConstraintResult:
-    """All real roots of the constraint by sign scan plus bisection.
+    """All real roots of the constraint by a sign scan of 4000 cells per
+    window plus bisection.
 
     Double roots (the constraint touching zero) are located through a sign
     change of the derivative and flagged.  Roots at or beyond the leader
@@ -293,7 +293,7 @@ def solve_constraint(
         roots.extend(
             ConstraintRoot(A=a, B=b_value, admissible=(0.0 < a < k),
                            double=dbl)
-            for a, dbl in _scan_roots(c, lo, hi, n_scan)
+            for a, dbl in _scan_roots(c, lo, hi, 4000)
         )
     roots.sort(key=lambda r: r.A)
     warning = None
@@ -415,7 +415,6 @@ def simulate_platoon(
     histories: list[HistoryFunction],
     t_end: float,
     h: float,
-    headway_floor: float = 1e-6,
 ) -> PlatoonState:
     """Follower chain under a constant reaction delay.
 
@@ -434,7 +433,7 @@ def simulate_platoon(
 
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
-    falls below the floor first (which would make the right-hand side
+    falls below 1e-6 first (which would make the right-hand side
     singular), its trajectory is cut two steps of h before that time: the
     grid nodes up to there and one partial step to it, which reads both
     cars through Trajectory.interpolate, or only its start when that time
@@ -459,9 +458,9 @@ def simulate_platoon(
                 f" t0 = {t0:g}: the cars of a platoon share one node grid"
             )
     values = p.values()
-    lead_pos = compile_bound(subs(p.leader, {"t": E.X}), ("x",), values)
-    lead_vel = compile_bound(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
-                             values)
+    lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",), values)
+    lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
+                          values)
 
     def leader(s: float) -> tuple[float, float]:
         return lead_pos(s), lead_vel(s)
@@ -475,11 +474,11 @@ def simulate_platoon(
         y0, dy0 = phi.value(t0)
         ys, dys = [y0], [dy0]
         try:
-            ahead = _drive(p, headway_floor, plan, phi, ys, dys, ahead)
+            ahead = _drive(p, plan, phi, ys, dys, ahead)
             xs, n_grid, t_c = grid[:len(ys)], len(ys), None
         except _Collapse as exc:
             t_c = exc.x
-            xs, n_grid = _cut(p, headway_floor, steps, h, phi, ys, dys, t_c,
+            xs, n_grid = _cut(p, steps, h, phi, ys, dys, t_c,
                               leader if front is None else front.interpolate)
         traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi, h=h)
         traj.n_rhs_evals = 4 * (len(xs) - 1)
@@ -545,8 +544,8 @@ def _front_values(lookup, plan):
     return ys, dys, None
 
 
-def _cut(p: TrafficParams, floor: float, steps: list, h: float,
-         phi: HistoryFunction, ys: list, dys: list, t_c: float, front):
+def _cut(p: TrafficParams, steps: list, h: float, phi: HistoryFunction,
+         ys: list, dys: list, t_c: float, front):
     """Cut the rows ys, dys of a car whose headway collapsed at t_c back to
     two steps of h before it, in place; returns the nodes kept and how many
     of them are grid nodes.
@@ -569,10 +568,14 @@ def _cut(p: TrafficParams, floor: float, steps: list, h: float,
     grid, plan = _stage_plan(t0, rerun, p.tau)
     tail = plan[shared:]
     try:
-        _drive(p, floor, tail, phi, ys, dys, _front_values(front, tail))
+        _drive(p, tail, phi, ys, dys, _front_values(front, tail))
     except _Collapse:
         pass
     return grid[:len(ys)], shared + 1
+
+
+#: the delayed headway below which a platoon car's trajectory is cut
+_HEADWAY_FLOOR = 1e-6
 
 
 class _Collapse(Exception):
@@ -583,8 +586,8 @@ class _Collapse(Exception):
         self.x = x
 
 
-def _drive(p: TrafficParams, floor: float, plan, phi: HistoryFunction,
-           ys: list, dys: list, ahead) -> tuple:
+def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
+           dys: list, ahead) -> tuple:
     """Take the steps of plan from the last of the rows ys, dys, one row
     appended per step, under the car-following law of p.
 
@@ -598,8 +601,7 @@ def _drive(p: TrafficParams, floor: float, plan, phi: HistoryFunction,
     alpha, n1, n2 = p.alpha, p.n1, p.n2
     # with n2 = 0 the headway never enters: no floor, and a division by
     # pow(gap, 0.0) = 1.0, which is exact
-    if n2 == 0.0:
-        floor = -math.inf
+    floor = -math.inf if n2 == 0.0 else _HEADWAY_FLOOR
     pow_, isfinite = math.pow, math.isfinite
     front_y, front_d, front_err = ahead
     n_front = len(front_y)

@@ -142,6 +142,15 @@ class TestVerify:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    def test_a_parameter_named_like_a_coordinate_is_rejected(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "shadow.txt"
+        path.write_text("f = -ym*y\ng = x - 1\nparam y = 2\n")
+        assert cli.main(["verify", "--system", str(path),
+                         "--field", "0;y"]) == 1
+        assert capsys.readouterr().out == (
+            "error: ExprError: parameter 'y' is also an argument\n")
+
 
 class TestBracketAndRank:
     def test_bracket_table(self):

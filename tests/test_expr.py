@@ -23,6 +23,7 @@ from dodesym.expr import (
     ParseError,
     UnboundSymbolError,
     Neg,
+    Param,
     Var,
     compile_columns,
     compile_fn,
@@ -459,6 +460,15 @@ class TestSubsAndCompile:
         with pytest.raises(UnboundSymbolError):
             compile_fn(parse("x + y"), ("x",))
 
+    @pytest.mark.parametrize("compile", [compile_fn, compile_columns])
+    def test_a_parameter_may_not_shadow_an_argument(self, compile):
+        e = parse("-ym*y")
+        with pytest.raises(E.ExprError,
+                           match="^parameter 'y' is also an argument$"):
+            compile(e, ("y", "ym"), {"y": 2.0})
+        # a param the tree does not read is harmless
+        assert compile(e, ("y", "ym"), {"x": 5.0})(2.0, 3.0) == -6.0
+
 
 def test_expressions_are_immutable():
     e = parse("x + 1")
@@ -583,27 +593,44 @@ def _assert_row_matches_closure(fn, args, got):
 _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 800.0, 1e300, -1e300,
             5e-324, math.inf, -math.inf, math.nan]
 _values = st.one_of(st.sampled_from(_SPECIAL), st.floats())
-_trees = st.recursive(
-    st.one_of(st.sampled_from([Var("x"), Var("y")]), _values.map(Const)),
-    lambda kids: st.one_of(
+_leaves = st.one_of(st.sampled_from([Var("x"), Var("y")]), _values.map(Const))
+
+
+def _trees_over(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
         kids.map(Neg),
         st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
         st.builds(Call, st.sampled_from(E.FUNCTIONS), kids),
-    ),
-    max_leaves=12,
-)
+    ), max_leaves=12)
+
+
+_trees = _trees_over(_leaves)
+
+
+def _result(fn, args):
+    """The bit pattern of fn(*args), or the text of its DomainError."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except DomainError as exc:
+        return str(exc)
 
 
 @settings(max_examples=400, deadline=None)
-@given(e=_trees, rows=st.lists(st.tuples(_values, _values), min_size=1,
-                               max_size=16))
-def test_columns_match_compile_fn_bitwise(e, rows):
-    fn = compile_fn(e, ("x", "y"))
+@given(e=_trees_over(st.one_of(_leaves, st.just(Param("p")))), p=_values,
+       rows=st.lists(st.tuples(_values, _values), min_size=1, max_size=16))
+def test_columns_match_compile_fn_bitwise(e, p, rows):
+    # the parameter is a closure cell; bind_params makes it a constant
+    params = {"p": p}
+    bound = E.bind_params(e, params)
+    fn = compile_fn(e, ("x", "y"), params)
+    frozen = compile_fn(bound, ("x", "y"))
     xs, ys = (np.array(c, dtype=float) for c in zip(*rows))
-    out = compile_columns(e, ("x", "y"))(xs, ys)
+    out = compile_columns(e, ("x", "y"), params)(xs, ys)
     assert out.shape == (len(rows),)
+    assert out.tobytes() == compile_columns(bound, ("x", "y"))(xs, ys).tobytes()
     for args, got in zip(rows, out):
         _assert_row_matches_closure(fn, args, got)
+        assert _result(fn, args) == _result(frozen, args)
 
 
 @pytest.mark.parametrize("text,x", [

@@ -150,12 +150,12 @@ class TestParameterTemplates:
             assert calls == [] and E.memo_info().misses == misses
 
     def test_a_domain_error_names_the_values(self):
-        from dodesym.expr import DomainError, compile_bound
+        from dodesym.expr import DomainError, compile_fn
 
         p = example_params(1, v=1.25, alpha=0.5)
         system = example_system(1, p)
         names = ("x", "y", "xm", "ym", "dy", "dym")
-        f = compile_bound(system.f, names, system.params)
+        f = compile_fn(system.f, names, system.params)
         # the headway v xm - ym is zero
         with pytest.raises(DomainError) as err:
             f(3.0, 1.0, 2.0, 2.5, 1.0, 1.0)
