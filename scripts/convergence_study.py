@@ -17,14 +17,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dodesym.dods import DelayKind, DodsSystem  # noqa: E402
+from dodesym.dods import DodsSystem  # noqa: E402
 from dodesym.expr import parse  # noqa: E402
 from dodesym.integrate import HistoryFunction, solve  # noqa: E402
 
 
 def main() -> int:
-    system = DodsSystem(f=parse("ym"), g=parse("x-1"),
-                        delay_kind=DelayKind.CONSTANT)
+    system = DodsSystem(f=parse("ym"), g=parse("x-1"))
     phi = HistoryFunction.from_text("sin(x)", (-1.0, 0.0))
 
     def value(h):

@@ -576,20 +576,16 @@ def _substitute_slots(user: Expr, slots: tuple[Expr, ...],
     return subs(user, {f"u{i + 1}": s for i, s in enumerate(slots)})
 
 
-def instantiate(
-    inst: Instantiation,
-    check_n: int = 60,
-    seed: int = 42,
-    tol: float = 1e-8,
-) -> DodsSystem:
+def instantiate(inst: Instantiation, check_n: int = 60) -> DodsSystem:
     """Concrete system from an entry; postcondition checked numerically.
 
     The instantiated basis must pass the on-manifold invariance check at
-    tol; the delay must be positive (below x) on the entry's box.
+    tol 1e-8, seed 42; the delay must be positive (below x) on the entry's
+    box.
     """
     entry, system = _build_system(inst)
-    reports = check_algebra(system, list(entry.basis), n=check_n, seed=seed,
-                            tol=tol)
+    reports = check_algebra(system, list(entry.basis), n=check_n, seed=42,
+                            tol=1e-8)
     for r in reports:
         if not r.passed:
             raise CatalogError(
@@ -610,19 +606,18 @@ def _build_system(inst: Instantiation) -> tuple[CatalogEntry, DodsSystem]:
     params = {**entry.default_params, **inst.params}
     # the constraints and the validation read the values, so they are part
     # of the kind
-    f, g, delay_kind, box = E._memoized(
+    f, g, box = E._memoized(
         ("instantiation", entry.id, E.value_key(params)),
         (inst.f_expr, inst.g_expr), None,
         lambda: _concrete_system(entry, inst, params))
-    return entry, DodsSystem(f=f, g=g, params=params, delay_kind=delay_kind,
-                             box=dict(box), label=entry.id)
+    return entry, DodsSystem(f=f, g=g, params=params, box=dict(box))
 
 
 def _concrete_system(entry: CatalogEntry, inst: Instantiation,
                      params: dict[str, float]):
-    """The simplified f and g, the delay kind and the box of an
-    instantiation that meets the constraints, validates and, for the
-    determinant families, is nondegenerate; else a CatalogError."""
+    """The simplified f and g and the box of an instantiation that meets
+    the constraints, validates and, for the determinant families, is
+    nondegenerate; else a CatalogError."""
     for rule, description in entry.constraints:
         try:
             ok = _check_rule(rule, params)
@@ -653,14 +648,8 @@ def _concrete_system(entry: CatalogEntry, inst: Instantiation,
             "delay relation is not explicit: the chosen G slots involve the"
             " delayed abscissa; this family only admits xm-free delay choices"
         )
-    system = DodsSystem(
-        f=E.simplify(f_expr), g=E.simplify(g_expr), params=params,
-        delay_kind=entry.delay_kind, label=entry.id,
-    )
-    # a concrete delay choice may still be a constant shift of x
-    if system.delay_kind is not DelayKind.CONSTANT \
-            and system.constant_delay() is not None:
-        system.delay_kind = DelayKind.CONSTANT
+    system = DodsSystem(f=E.simplify(f_expr), g=E.simplify(g_expr),
+                        params=params)
     system.box = {**system.box, **entry.box}
     try:
         system.validate()
@@ -671,7 +660,7 @@ def _concrete_system(entry: CatalogEntry, inst: Instantiation,
         ) from None
     if entry.second_order_minor is not None:
         _check_nondegeneracy(entry, system)
-    return system.f, system.g, system.delay_kind, system.box
+    return system.f, system.g, system.box
 
 
 def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:

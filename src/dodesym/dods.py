@@ -1,12 +1,13 @@
 """Second-order one-delay systems and on-manifold invariance checking.
 
 A DodsSystem is the pair (f, g): the differential half ddy = f and the
-delay relation xm = g.  Verification samples the free coordinates
-(x, y, ym, dy, dym), computes xm from g first and ddy from f last (x, y,
-ym, dy, dym are treated as independent; xm and ddy are tied to them), and
-evaluates the prolonged field on both constraint functions.  This one
-mechanism covers invariance in the strong and the on-solution-manifold
-sense alike.
+delay relation xm = g, with the values of its params and a sampling box.
+g alone decides the delay kind (`DodsSystem.delay_kind`).  Verification
+samples the free coordinates (x, y, ym, dy, dym), computes xm from g
+first and ddy from f last (x, y, ym, dy, dym are treated as independent;
+xm and ddy are tied to them), and evaluates the prolonged field on both
+constraint functions.  This one mechanism covers invariance in the strong
+and the on-solution-manifold sense alike.
 
 Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it by column functions, whose rows hold
@@ -85,10 +86,7 @@ class DodsSystem:
     f: Expr
     g: Expr
     params: dict[str, float] = field(default_factory=dict)
-    delay_kind: DelayKind = DelayKind.CONSTANT
-    domain: tuple[float, float] = (0.0, 10.0)
     box: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(DEFAULT_BOX))
-    label: str = ""
 
     def __post_init__(self):
         for name, e, allowed in (
@@ -133,18 +131,28 @@ class DodsSystem:
             return None
         return taus[0] if max(taus) - min(taus) <= 1e-12 else None
 
+    @property
+    def delay_kind(self) -> DelayKind:
+        """The kind of delay g gives, the one place it is decided: constant
+        where constant_delay finds a tau, solution-independent where g reads
+        no jet coordinate but x, state-dependent otherwise."""
+        if self.constant_delay() is not None:
+            return DelayKind.CONSTANT
+        if free_symbols(self.g) & set(JET) - {"x"}:
+            return DelayKind.STATE_DEPENDENT
+        return DelayKind.SOLUTION_INDEPENDENT
+
     def validate(self, n: int = 20, seed: int = 7) -> None:
         """Numeric sanity of the defining pair on the sampling box.
 
-        Checks that f genuinely involves delayed quantities, that g stays
-        below x, and that g is not constant unless declared so.
+        Checks that f genuinely involves delayed quantities and that g
+        stays below x.
         """
         if n < 1:
             raise ValueError("n must be at least 1")
         rng = np.random.default_rng(seed)
         kernels = self.kernels()
         delayed_dep = 0.0
-        g_values = []
         checked = 0
         drawn = 0
         while checked < n and drawn < 8 * n:
@@ -156,7 +164,6 @@ class DodsSystem:
             ok = np.isfinite(dep)
             if ok.any():
                 delayed_dep = max(delayed_dep, float(dep[ok].max()))
-            g_values.extend((jet[_I_XM] - jet[_I_X])[ok].tolist())
             checked += int(ok.sum())
             drawn += m
         if checked < n:
@@ -167,9 +174,6 @@ class DodsSystem:
             raise DodsError(
                 "f does not involve the delayed point (df/dym and df/ddym vanish)"
             )
-        if self.delay_kind is not DelayKind.CONSTANT:
-            if float(np.ptp(g_values)) < 1e-12:
-                raise DodsError("g is constant but delay kind says otherwise")
 
 
 def sample_point(
@@ -182,8 +186,8 @@ def sample_point(
     }
 
 
-_I_X, _I_XM, _I_YM, _I_DYM, _I_DDY = (
-    JET.index(v) for v in ("x", "xm", "ym", "dym", "ddy"))
+_I_XM, _I_YM, _I_DYM, _I_DDY = (
+    JET.index(v) for v in ("xm", "ym", "dym", "ddy"))
 
 #: most rows one sampling block draws, so work arrays stay small at large n
 _BLOCK_ROWS = 1024
@@ -350,18 +354,18 @@ def check_algebra(
 # plain-text definition files
 
 
-def load_dods(text: str, label: str = "") -> DodsSystem:
+def load_dods(text: str) -> DodsSystem:
     """Parse the key=value system format.
 
-    Lines: `f = <expr>`, `g = <expr>`, `param <name> = <value>`,
-    `delay = constant|independent|state`, `domain = a,b`.  Blank lines and
-    `#` comments are ignored; unknown keys are errors.
+    Lines: `f = <expr>`, `g = <expr>` and `param <name> = <value>`.  Blank
+    lines and `#` comments are ignored; unknown keys are errors.  A line
+    `delay = constant|independent|state` is accepted, a word outside those
+    three being an error that names its line, and otherwise unused: g alone
+    decides the kind (`DodsSystem.delay_kind`).
     """
     f_expr = None
     g_expr = None
     params: dict[str, float] = {}
-    kind = DelayKind.CONSTANT
-    domain = (0.0, 10.0)
     for lineno, key, value in _key_values(text):
         if key == "f":
             f_expr = _expression(value, lineno)
@@ -373,15 +377,12 @@ def load_dods(text: str, label: str = "") -> DodsSystem:
                 raise DodsError(f"line {lineno}: param needs a name")
             params[name] = _numbers(value, lineno)[0]
         elif key == "delay":
-            kind = _delay_kind(value, lineno)
-        elif key == "domain":
-            domain = _numbers(value, lineno, count=2)
+            _delay_kind(value, lineno)
         else:
             raise DodsError(f"line {lineno}: unknown key '{key}'")
     if f_expr is None or g_expr is None:
         raise DodsError("system file must define both f and g")
-    return DodsSystem(f=f_expr, g=g_expr, params=params, delay_kind=kind,
-                      domain=domain, label=label)
+    return DodsSystem(f=f_expr, g=g_expr, params=params)
 
 
 def _key_values(text: str, error=DodsError):
@@ -429,6 +430,4 @@ def dump_dods(system: DodsSystem) -> str:
     lines = [f"f = {to_text(system.f)}", f"g = {to_text(system.g)}"]
     for k in sorted(system.params):
         lines.append(f"param {k} = {system.params[k]!r}")
-    lines.append(f"delay = {system.delay_kind.value}")
-    lines.append(f"domain = {system.domain[0]!r},{system.domain[1]!r}")
     return "\n".join(lines) + "\n"

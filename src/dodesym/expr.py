@@ -45,8 +45,8 @@ parse rejects text nested deeper than MAX_NESTING levels with a
 ParseError, so that the recursive walks of this module stay within
 Python's recursion limit on what it returns.  A run of hundreds of
 left-associative operators nests no level, and derivation deepens a
-tree; where a walk of diff, simplify, subs or to_text reaches the limit
-it raises ExprError(TOO_DEEP).
+tree; where a walk of diff, simplify, subs, to_text, free_symbols or
+the compiler reaches the limit it raises ExprError(TOO_DEEP).
 """
 
 from __future__ import annotations
@@ -478,7 +478,10 @@ def free_symbols(e: Expr) -> frozenset[str]:
     names = e._symbols
     if names is None:
         out: set[str] = set()
-        _collect_symbols(e, out)
+        try:
+            _collect_symbols(e, out)
+        except RecursionError:
+            raise ExprError(TOO_DEEP) from None
         names = frozenset(out)
         _set(e, "_symbols", names)
     return names
@@ -851,7 +854,10 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
         readers[ref] |= 1 << k  # node read by tree k
         return ref
 
-    roots = [walk(t, k) for k, t in enumerate(trees)]
+    try:
+        roots = [walk(t, k) for k, t in enumerate(trees)]
+    except RecursionError:
+        raise ExprError(TOO_DEEP) from None
     # what each cell holds: a constant's value, or the name of a parameter
     sources = [c.value if isinstance(c, Const) else c.name for c in cells]
     named = any(isinstance(c, str) for c in sources)

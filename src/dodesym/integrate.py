@@ -112,7 +112,6 @@ class Trajectory:
     ys: list[float]
     dys: list[float]
     history: HistoryFunction
-    h: float
     warnings: list[str] = field(default_factory=list)
     #: delay resolutions that fell back to the bracket scan
     n_fixed_point_fallbacks: int = 0
@@ -178,7 +177,7 @@ def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
         xs=list(a.xs),
         ys=[ca * u + cb * v for u, v in zip(a.ys, b.ys)],
         dys=[ca * u + cb * v for u, v in zip(a.dys, b.dys)],
-        history=hist, h=a.h,
+        history=hist,
     )
 
 
@@ -235,18 +234,12 @@ def _bisect(fn, a: float, b: float) -> float:
     return 0.5 * a + 0.5 * b
 
 
-class _DelaySpec:
-    """How a driver finds the delayed point xm at each stage.
-
-    resolve returns (xm, g evaluations spent, 1 if it fell back to the
-    bracket scan else 0).
-    """
-
-    def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
-        raise NotImplementedError
+# How a driver finds the delayed point xm at each stage: the resolve of
+# each class below returns (xm, g evaluations spent, 1 if it fell back to
+# the bracket scan else 0).
 
 
-class _ConstantDelay(_DelaySpec):
+class _ConstantDelay:
     def __init__(self, tau: float):
         if tau <= 0:
             raise DelayViolationError(f"constant delay must be positive, got {tau:g}")
@@ -256,7 +249,7 @@ class _ConstantDelay(_DelaySpec):
         return x - self.tau, 0, 0
 
 
-class _IndependentDelay(_DelaySpec):
+class _IndependentDelay:
     def __init__(self, g_of_x):
         self.g = g_of_x
 
@@ -264,7 +257,7 @@ class _IndependentDelay(_DelaySpec):
         return self.g(x), 0, 0
 
 
-class _StateDelay(_DelaySpec):
+class _StateDelay:
     """xm = g(x, y, ym(xm), dy, dym(xm)) by a safeguarded secant, then bisection.
 
     The secant iteration on F(s) = s - g(s) starts from the previous
@@ -337,13 +330,12 @@ class _StateDelay(_DelaySpec):
         return a if a == b else _bisect(defect, a, b)
 
 
-def _delay_spec(system: DodsSystem, warn) -> _DelaySpec:
-    if system.delay_kind is DelayKind.CONSTANT:
-        tau = system.constant_delay()
-        if tau is None:
-            raise DelayViolationError("declared constant delay is not constant")
-        return _ConstantDelay(tau)
-    if system.delay_kind is DelayKind.SOLUTION_INDEPENDENT:
+def _delay_spec(system: DodsSystem, warn):
+    """The delay resolution of the system's delay kind."""
+    kind = system.delay_kind
+    if kind is DelayKind.CONSTANT:
+        return _ConstantDelay(system.constant_delay())
+    if kind is DelayKind.SOLUTION_INDEPENDENT:
         return _IndependentDelay(compile_fn(system.g, ("x",), system.params))
     return _StateDelay(compile_fn(system.g, FREE_COORDS, system.params),
                        warn)
@@ -427,7 +419,7 @@ def _exact_drift(system: DodsSystem, phi: HistoryFunction, x_end: float,
 
 def solve_numeric(
     f_eval,
-    delay: _DelaySpec,
+    delay,
     phi: HistoryFunction,
     dy0: float | str,
     x_end: float,
@@ -444,7 +436,7 @@ def solve_numeric(
     y0, phi_dy0 = phi.value(x0)
     dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
 
-    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi, h=h)
+    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi)
     hist_lo = phi.interval[0]
 
     def lookup(xq: float) -> tuple[float, float]:

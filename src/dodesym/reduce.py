@@ -35,7 +35,6 @@ _A, _B = Param("A"), Param("B")
 class InvariantPair:
     J1: Expr  # in (x, y)
     J2: Expr  # in (x, y, xm, ym)
-    source: str = "closed_form_family"
     h_expr: Expr | None = None  # y = h(x, A)
     k_expr: Expr | None = None  # xm = k(x, A, B)
 
@@ -195,18 +194,18 @@ def validate_invariants(
     params: dict[str, float] | None = None,
     n: int = 100,
     seed: int = 42,
-    tol: float = 1e-9,
 ) -> InvariantPair:
     """Annihilation by the prolonged field and the Jacobian condition.
 
-    det d(J1, J2)/d(y, xm) must stay away from zero at the sampled points,
-    otherwise y and xm cannot be solved for.
+    |pr X J| must stay at or below 1e-9 at the sampled points, and
+    det d(J1, J2)/d(y, xm) away from zero, otherwise y and xm cannot be
+    solved for.
     """
     worst, checked, jac_bad = _annihilation(x_field, pair, dict(params or {}),
                                             n, seed)
     if checked < n:
         raise ReduceError("could not sample enough admissible points")
-    if not worst <= tol:  # a NaN fails
+    if not worst <= 1e-9:  # a NaN fails
         raise ReduceError(
             f"candidate invariants are not annihilated (residual {worst:.3e})"
         )
@@ -358,12 +357,14 @@ def reduce_and_solve(
     )
 
 
-def _fd_jacobian(fn, z, rel=1e-7):
+def _fd_jacobian(fn, z):
+    """The forward-difference Jacobian of fn at z, each step 1e-7 relative
+    (1e-7 * (1 + |z_i|))."""
     n = len(z)
     f0 = fn(z)
     jac = np.zeros((len(f0), n))
     for i in range(n):
-        dz = rel * (1.0 + abs(float(z[i])))
+        dz = 1e-7 * (1.0 + abs(float(z[i])))
         zp = z.copy()
         zp[i] += dz
         jac[:, i] = (fn(zp) - f0) / dz
@@ -409,14 +410,15 @@ def verify_invariant_solution(
 
 
 def consistency_residual(sol: InvariantSolution, pair: InvariantPair,
-                         interval: tuple[float, float], n: int = 25) -> float:
-    """J1 evaluated at the delayed point of the solution must equal A."""
+                         interval: tuple[float, float]) -> float:
+    """J1 evaluated at the delayed point of the solution must equal A: the
+    largest deviation at 25 evenly spaced points of interval."""
     k_fn = compile_fn(sol.k, ("x",))
     h_fn = compile_fn(sol.h, ("x",))
     j1_fn = compile_fn(pair.J1, ("x", "y"))
     lo, hi = interval
     worst = 0.0
-    for x in np.linspace(lo, hi, n):
+    for x in np.linspace(lo, hi, 25):
         xm = k_fn(float(x))
         worst = max(worst, abs(j1_fn(xm, h_fn(xm)) - sol.A))
     return worst

@@ -317,11 +317,10 @@ def invariant_count(
     params: Bindings | None = None,
     n_points: int = 5,
     seed: int = 42,
-    sv_tol: float = 1e-8,
 ) -> ZReport:
     """k = 7 - max rank of the prolonged coefficient matrix over sample points.
 
-    Singular values below sv_tol * largest are treated as zero; the
+    Singular values below 1e-8 * largest are treated as zero; the
     coefficients are O(1) on the sampling box so the threshold is absolute
     in effect.  Points are drawn from the jet box x in (1.6, 2.5),
     xm in (0.5, 1.5) and the other coordinates in (0.5, 2.5).  A point
@@ -347,7 +346,7 @@ def invariant_count(
         ok = np.isfinite(z).all(axis=(1, 2))
         if ok.any():
             sv = np.linalg.svd(z[ok], compute_uv=False)
-            rank = np.sum(sv > sv_tol * np.maximum(sv[:, :1], 1e-300), axis=1)
+            rank = np.sum(sv > 1e-8 * np.maximum(sv[:, :1], 1e-300), axis=1)
             best_rank = max(best_rank, int(rank.max()))
         points.extend(map(tuple, jet[ok].tolist()))
     if len(points) < n_points:

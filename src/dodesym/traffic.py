@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 
 from . import expr as E
 from . import reduce as reduce_mod
-from .dods import DelayKind, DodsSystem, _expression, _key_values, _numbers
+from .dods import DodsSystem, _expression, _key_values, _numbers
 from .expr import (Const, DomainError, Expr, Param, bind_params, compile_fn,
                    diff, subs)
 from .integrate import (
@@ -133,16 +133,9 @@ def build_two_car(p: TrafficParams) -> DodsSystem:
         lead_vel_delayed - E.DYM)
     if p.n2 != 0.0:
         core = core / (lead_pos_delayed - E.YM) ** _exponent(p, "n2")
-    if p.q is not None:
-        g = Param("q") * E.X
-        kind = DelayKind.SOLUTION_INDEPENDENT
-    else:
-        g = E.X - Param("tau")
-        kind = DelayKind.CONSTANT
-    system = DodsSystem(f=E.simplify(core), g=g, params=p.values(),
-                        delay_kind=kind, label="two-car")
-    system.box = _sampling_box(p)
-    return system
+    g = Param("q") * E.X if p.q is not None else E.X - Param("tau")
+    return DodsSystem(f=E.simplify(core), g=g, params=p.values(),
+                      box=_sampling_box(p))
 
 
 def _exponent(p: TrafficParams, name: str) -> Expr:
@@ -185,9 +178,7 @@ def _sampling_box(p: TrafficParams) -> dict[str, tuple[float, float]]:
 
 def example_system(example_id: int, p: TrafficParams | None = None) -> DodsSystem:
     p = p if p is not None else example_params(example_id)
-    system = build_two_car(p)
-    system.label = f"traffic-example-{example_id}"
-    return system
+    return build_two_car(p)
 
 
 def example_symmetry(example_id: int, p: TrafficParams | None = None) -> VectorField:
@@ -480,7 +471,7 @@ def simulate_platoon(
             t_c = exc.x
             xs, n_grid = _cut(p, steps, h, phi, ys, dys, t_c,
                               leader if front is None else front.interpolate)
-        traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi, h=h)
+        traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi)
         traj.n_rhs_evals = 4 * (len(xs) - 1)
         for j in range(1, len(xs)):
             if front is None:

@@ -457,6 +457,6 @@ class TestExport:
         g = subs(entry.g_template,
                  {"G": subs(entry.default_g,
                             {f"u{i+1}": s for i, s in enumerate(entry.g_slots)})})
-        system = DodsSystem(f=f, g=g, delay_kind=entry.delay_kind)
+        system = DodsSystem(f=f, g=g)
         reports = check_algebra(system, list(entry.basis), n=80)
         assert all(r.passed for r in reports)

@@ -225,6 +225,27 @@ class TestIntegrate:
             "2,-0.59266250000000009,-1.6785000000000001\n")
 
 
+@pytest.mark.parametrize("text, field, history, to", [
+    pytest.param("f = -ym\ng = 0.5*x\n", "0;y", "0.5,1", "2",
+                 id="no-delay-line"),
+    pytest.param("f = -ym\ng = x - 1 - 0.1*sin(y)\ndelay = constant\n",
+                 "1;0", "-1.2,0", "1", id="constant-line-g-reading-y"),
+    pytest.param("f = -ym\ng = x - 1\ndelay = state\n", "0;y", "-1.2,0",
+                 "1", id="state-line-constant-g"),
+])
+def test_g_decides_the_delay_kind_for_verify_and_integrate(
+        tmp_path, text, field, history, to):
+    path = tmp_path / "system.txt"
+    path.write_text(text)
+    verify = run_cli("verify", "--system", str(path), "--field", field)
+    integrate = run_cli("integrate", "--system", str(path), "--phi", "1",
+                        "--history", history, "--to", to, "--h", "0.01")
+    assert (verify.returncode, integrate.returncode) == (0, 0), \
+        verify.stdout + integrate.stdout
+    assert verify.stdout.startswith(f"PASS {field}: ")
+    assert integrate.stdout.startswith("x,y,dy\n")
+
+
 class TestReduce:
     def test_drift_reduction(self, drift_file):
         proc = run_cli("reduce", "--system", drift_file, "--field", "1;1",
@@ -396,6 +417,20 @@ class TestExitCodes:
         path = tmp_path / "deep.txt"
         path.write_text(f"f = {f}\ng = x - 1\n")
         proc = run_cli("verify", "--system", str(path), "--field", field)
+        assert proc.returncode == 1
+        assert proc.stdout == "error: ExprError: expression too deep\n"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("terms", [1000, 5000])
+    @pytest.mark.parametrize("command", [
+        ("verify", "--field", "1;0"),
+        ("integrate", "--phi", "1", "--history", "-1,0", "--to", "1"),
+    ], ids=["verify", "integrate"])
+    def test_long_flat_sums_exit_one(self, tmp_path, terms, command):
+        path = tmp_path / "sum.txt"
+        path.write_text("f = -ym + " + " + ".join(
+            f"{k + 1}*dym*x^{k}" for k in range(terms - 1)) + "\ng = x - 1\n")
+        proc = run_cli(command[0], "--system", str(path), *command[1:])
         assert proc.returncode == 1
         assert proc.stdout == "error: ExprError: expression too deep\n"
         assert proc.stderr == ""

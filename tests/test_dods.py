@@ -23,13 +23,13 @@ from dodesym.dods import (
     sample_point,
 )
 from dodesym.expr import evaluate, parse
+from dodesym.linear import CanonicalLinear
 from dodesym.symmetry import JET, VectorField, field_kernel, prolong
 
 
 def a24_example():
     # ddy = (y - ym) sin(dy) + dym, with delay width 1 + dy^2
-    return DodsSystem(f=parse("(y-ym)*sin(dy)+dym"), g=parse("x-(1+dy^2)"),
-                      delay_kind=DelayKind.STATE_DEPENDENT)
+    return DodsSystem(f=parse("(y-ym)*sin(dy)+dym"), g=parse("x-(1+dy^2)"))
 
 
 POINT = {"x": 1.0, "y": 2.0, "xm": 0.5, "ym": 1.5, "dy": 1.0, "dym": 0.7,
@@ -187,9 +187,9 @@ def reference_validate(system, n=20, seed=7):
     f_dym = E.compile_fn(system.bound(E.diff(system.f, "dym")), JET)
     g_fn = E.compile_fn(system.bound(system.g), FREE_COORDS)
     f_fn = E.compile_fn(system.bound(system.f), JET)
-    dep, widths = 0.0, []
+    dep, accepted = 0.0, 0
     for _ in range(8 * n):
-        if len(widths) >= n:
+        if accepted >= n:
             break
         p = sample_point(rng, system.box)
         try:
@@ -201,12 +201,10 @@ def reference_validate(system, n=20, seed=7):
             dep = max(dep, abs(f_ym(*args)), abs(f_dym(*args)))
         except E.DomainError:
             continue
-        widths.append(xm - p["x"])
-    if len(widths) < n:
+        accepted += 1
+    if accepted < n:
         return SamplingError
     if dep < 1e-12:
-        return DodsError
-    if system.delay_kind is not DelayKind.CONSTANT and np.ptp(widths) < 1e-12:
         return DodsError
     return None
 
@@ -354,7 +352,6 @@ class TestCheckAlgebra:
         system = DodsSystem(
             f=parse("dy*(dy/(y-ym))"),
             g=parse("x - (dym/(y-ym) + 1)"),
-            delay_kind=DelayKind.STATE_DEPENDENT,
             box={"y": (1.6, 2.5), "ym": (0.5, 1.4)},
         )
         fields = [VectorField.from_text("1", "0"),
@@ -407,7 +404,6 @@ class TestKernelsOncePerSystem:
         check_algebra(system, fields, n=50)
         check_invariance(system, fields[0], n=50)
         system.box = {"y": (1.0, 2.0)}
-        system.delay_kind = DelayKind.CONSTANT
         check_invariance(system, fields[2], n=50)
         assert len(made) == 3 + 3  # one kernel per distinct field
 
@@ -516,11 +512,11 @@ class TestSystemValidation:
         with pytest.raises(DodsError, match="delayed"):
             system.validate()
 
-    def test_rejects_constant_g_when_kind_says_otherwise(self):
-        system = DodsSystem(f=parse("ym"), g=parse("x-1"),
-                            delay_kind=DelayKind.STATE_DEPENDENT)
-        with pytest.raises(DodsError, match="constant"):
-            system.validate()
+    def test_delay_line_does_not_override_constant_g(self):
+        # g decides the kind: a constant g under `delay = state` validates
+        system = load_dods("f = ym\ng = x - 1\ndelay = state\n")
+        system.validate()
+        assert system.delay_kind is DelayKind.CONSTANT
 
     def test_g_must_not_use_xm(self):
         with pytest.raises(DodsError):
@@ -528,6 +524,45 @@ class TestSystemValidation:
 
     def test_f_may_use_xm(self):
         DodsSystem(f=parse("ym + xm"), g=parse("x-1"))
+
+
+class TestDelayKind:
+    #: the kind each system was declared with before g alone decided it
+    DECLARED = {
+        **{eid: "state" for eid in (
+            "A1_1", "A2_1", "A2_2", "A2_3", "A2_4", "A3_1", "A3_2a", "A3_8",
+            "A3_11", "A3_13", "A4_8", "A4_11", "A4_20", "A5_1", "A5_6",
+            "A5_8", "A6_2", "A6_3")},
+        **{eid: "constant" for eid in (
+            "A3_15", "A4_1", "H3_DET", "S3_DET", "TRAFFIC_EX1",
+            "TRAFFIC_EX3", "traffic 1", "traffic 3", "canonical linear",
+            "solve constant")},
+        **{name: "independent" for name in (
+            "TRAFFIC_EX2", "traffic 2", "solve independent")},
+        "solve state": "state",
+    }
+
+    #: system files of the shapes the benchmark solves, with their own line
+    SOLVE_FILES = {
+        "constant": "f = -1.3*ym - 0.2*dy\ng = x - 0.8\n",
+        "independent": "f = -1.3*ym + 0.2*dym\ng = 0.5*x\n",
+        "state": "f = -1.3*ym\ng = x - 1 - 0.1*sin(y)\n",
+    }
+
+    def test_derived_kind_is_the_declared_kind(self):
+        systems = {
+            entry.id: catalog._build_system(
+                catalog.default_instantiation(entry.id))[1]
+            for entry in catalog.list_entries() if entry.has_system}
+        assert len(systems) == 25
+        for ex in (1, 2, 3):
+            systems[f"traffic {ex}"] = traffic.example_system(ex)
+        systems["canonical linear"] = CanonicalLinear(
+            0.5, 0.3, -0.2, 0.7).to_linear().to_dods()
+        for kind, text in self.SOLVE_FILES.items():
+            systems[f"solve {kind}"] = load_dods(f"{text}delay = {kind}\n")
+        assert {name: system.delay_kind.value
+                for name, system in systems.items()} == self.DECLARED
 
 
 class TestConstantDelay:
@@ -580,14 +615,23 @@ class TestFileFormat:
         with pytest.raises(DodsError, match="both f and g"):
             load_dods("f = ym\n")
 
-    def test_param_and_domain_lines(self):
+    def test_param_and_delay_lines(self):
         system = load_dods(
-            "f = a*ym\ng = x - 1\nparam a = 2.5\ndelay = constant\n"
-            "domain = 0,5\n"
-        )
+            "f = a*ym\ng = x - 1\nparam a = 2.5\ndelay = constant\n")
         assert system.params == {"a": 2.5}
-        assert system.domain == (0.0, 5.0)
+        with pytest.raises(DodsError, match="line 3: unknown key 'domain'"):
+            load_dods("f = ym\ng = x - 1\ndomain = 0,5\n")
 
+    def test_bad_delay_word_names_its_line(self):
+        with pytest.raises(DodsError, match="line 3: delay must be"):
+            load_dods("f = ym\ng = x - 1\ndelay = fixed\n")
+
+    def test_dump_writes_f_g_and_params(self):
+        system = DodsSystem(f=parse("a*ym"), g=parse("x - 1"),
+                            params={"a": 2.5})
+        assert dump_dods(system) == "f = (a * ym)\ng = (x - 1)\nparam a = 2.5\n"
+
+    # `domain` is not a key: its line is named as an unknown key
     @pytest.mark.parametrize("line", ["param a = x", "domain = 5"])
     def test_malformed_number_names_the_line(self, line):
         with pytest.raises(DodsError, match="line 3"):

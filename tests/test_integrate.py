@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dodesym import expr as E
-from dodesym.dods import DelayKind, DodsSystem
+from dodesym.dods import DelayKind, DodsSystem, load_dods
 from dodesym.expr import parse
 from dodesym.integrate import (
     DelayViolationError,
@@ -33,8 +33,7 @@ def ramp_history():
 
 def linear_delay_system():
     # ddy = ym with unit constant delay
-    return DodsSystem(f=parse("ym"), g=parse("x-1"),
-                      delay_kind=DelayKind.CONSTANT)
+    return DodsSystem(f=parse("ym"), g=parse("x-1"))
 
 
 class DampedReference(_StateDelay):
@@ -136,7 +135,7 @@ class TestInterpolate:
         dcubic = lambda x: 3 * x ** 2 - 4 * x + 0.5  # noqa: E731
         traj = Trajectory(
             xs=xs, ys=[cubic(x) for x in xs], dys=[dcubic(x) for x in xs],
-            history=ramp_history(), h=0.5,
+            history=ramp_history(),
         )
         for x in (0.25, 0.4, 0.75):
             y, dy = traj.interpolate(x)
@@ -154,7 +153,7 @@ class TestInterpolate:
         # newest node, also when that node is the only one
         if x_end is None:
             traj = Trajectory(xs=[1.0], ys=[2.0], dys=[1.0],
-                              history=ramp_history(), h=0.5)
+                              history=ramp_history())
         else:
             traj = solve(linear_delay_system(), ramp_history(), 1.0, x_end,
                          0.01)
@@ -197,7 +196,7 @@ class TestResidual:
         traj = solve(linear_delay_system(), ramp_history(), 1.0, 2.0, 1e-3)
         # the same law, undefined for x < 1: those samples are skipped
         partial = DodsSystem(f=parse("ym + sqrt(x - 1) - sqrt(x - 1)"),
-                             g=parse("x-1"), delay_kind=DelayKind.CONSTANT)
+                             g=parse("x-1"))
         rep = residual_on_trajectory(partial, traj, n=200, seed=42)
         xs = np.random.default_rng(42).uniform(1e-9, 2.0 - 1e-9, size=200)
         used = int(np.sum(xs >= 1.0))
@@ -242,6 +241,16 @@ class TestLinearity:
 
 
 class TestStateDependentDelay:
+    def test_constant_delay_line_with_g_reading_y_is_state_dependent(self):
+        # g decides the kind: the `delay = constant` line is not a promise
+        system = load_dods("f = ym\ng = x - 1 - 0.1*y\ndelay = constant\n")
+        assert system.delay_kind is DelayKind.STATE_DEPENDENT
+        traj = solve(system, ramp_history(), 1.0, 2.0, 1e-2)
+        assert traj.n_delay_iterations > 0
+        want = solve(DodsSystem(f=parse("ym"), g=parse("x - 1 - 0.1*y")),
+                     ramp_history(), 1.0, 2.0, 1e-2)
+        assert (traj.xs, traj.ys) == (want.xs, want.ys)
+
     def test_contractive_fixed_point(self, char_root_0011):
         lam = char_root_0011
         # delay relation xm = x - c ym / y holds with width one on the
@@ -249,7 +258,6 @@ class TestStateDependentDelay:
         system = DodsSystem(
             f=parse("ym"), g=parse("x - C0*(ym/y)"),
             params={"C0": math.exp(lam)},
-            delay_kind=DelayKind.STATE_DEPENDENT,
         )
         phi = HistoryFunction(parse("exp(L*x)"), (-1.2, 0.0),
                               params={"L": lam})
@@ -268,7 +276,6 @@ class TestStateDependentDelay:
         system = DodsSystem(
             f=parse("ym"), g=parse("x - 1 - 8*(ym - exp(L*(x-1)))"),
             params={"L": lam},
-            delay_kind=DelayKind.STATE_DEPENDENT,
         )
         phi = HistoryFunction(parse("exp(L*x)"), (-1.2, 0.0),
                               params={"L": lam})
@@ -294,8 +301,7 @@ class TestStateDependentDelay:
         # width) = 1, and on it the delay relation gives xm = x - width
         lam = bisect_root(lambda t: t * t * math.exp(t * width) - 1.0,
                           0.1, 2.0)
-        system = DodsSystem(f=parse("ym"), g=parse(g), params={"L": lam},
-                            delay_kind=DelayKind.STATE_DEPENDENT)
+        system = DodsSystem(f=parse("ym"), g=parse(g), params={"L": lam})
         phi = HistoryFunction(parse("exp(L*x)"), (-1.2, 0.0),
                               params={"L": lam})
         traj = solve(system, phi, "from-phi", x_end, h)
@@ -312,8 +318,7 @@ class TestStateDependentDelay:
          (-1.3, 0.0), 3.0),
     ])
     def test_matches_damped_iteration(self, f, g, params, phi, hist, x_end):
-        system = DodsSystem(f=parse(f), g=parse(g), params=params,
-                            delay_kind=DelayKind.STATE_DEPENDENT)
+        system = DodsSystem(f=parse(f), g=parse(g), params=params)
         history = HistoryFunction(parse(phi), hist)
         traj = solve(system, history, "from-phi", x_end, 2e-3)
         reference = solve_numeric(
@@ -398,8 +403,7 @@ class TestCounters:
         assert traj.n_fixed_point_fallbacks == 0
 
     def test_state_delay_iterations(self):
-        system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"),
-                            delay_kind=DelayKind.STATE_DEPENDENT)
+        system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"))
         history = HistoryFunction.from_text("0.4 + 0.3*sin(x)", (-1.3, 0.0))
         traj = solve(system, history, "from-phi", 2.0, 1e-2)
         again = solve(system, history, "from-phi", 2.0, 1e-2)
@@ -411,8 +415,7 @@ class TestCounters:
             (traj.n_rhs_evals, traj.n_delay_iterations)
 
     def test_iterations_count_every_g_evaluation(self):
-        system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"),
-                            delay_kind=DelayKind.STATE_DEPENDENT)
+        system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"))
         spec = _delay_spec(system, None)
         calls = []
 
@@ -442,12 +445,6 @@ class TestErrors:
         with pytest.raises(DelayViolationError):
             solve(system, ramp_history(), 1.0, 2.0, 1e-2)
 
-    def test_declared_constant_delay_reading_y(self):
-        system = DodsSystem(f=parse("ym"), g=parse("x - 1 - 0.1*y"),
-                            delay_kind=DelayKind.CONSTANT)
-        with pytest.raises(DelayViolationError, match="not constant"):
-            solve(system, ramp_history(), 1.0, 2.0, 1e-2)
-
     def test_history_underrun(self):
         short = HistoryFunction.from_text("x", (-0.25, 0.0))
         with pytest.raises(HistoryUnderrunError):
@@ -456,7 +453,6 @@ class TestErrors:
     def test_noncovered_state_delay_fails(self):
         system = DodsSystem(
             f=parse("ym"), g=parse("x - 5 - 0.001*y"),
-            delay_kind=DelayKind.STATE_DEPENDENT,
         )
         with pytest.raises((FixedPointError, HistoryUnderrunError,
                             DelayViolationError)):

@@ -346,12 +346,9 @@ class TestCharacteristicRoots:
             characteristic_roots(CanonicalLinear(0, 1, 0, 1), (-1e308, 1e308))
 
     def test_refinement_that_misses_value_tol_names_its_bracket(self):
-        with pytest.raises(LinearError, match=r"sign change over \[1\.41, "
-                           r"1\.4175\] refines to lambda = 1\.41421356"):
-            characteristic_roots(CanonicalLinear(0, 2, 0, 1), (0, 3),
-                                 value_tol=1e-20)
         # near lambda = 141421.356 one float step moves h by about 4e-6
-        with pytest.raises(LinearError, match="not below 1e-10"):
+        with pytest.raises(LinearError, match=r"^sign change over \[.*\]"
+                           r" refines to lambda = 141421\.356.* not below 1e-10$"):
             characteristic_roots(CanonicalLinear(0, 2e10, 0, 1), (0, 2e5))
 
     def test_every_root_verifies(self):

@@ -7,7 +7,7 @@ from dodesym import catalog
 from dodesym import expr as E
 from dodesym import reduce as reduce_mod
 from dodesym import traffic
-from dodesym.dods import DelayKind, DodsSystem
+from dodesym.dods import DodsSystem
 from dodesym.expr import Const, evaluate, parse
 from dodesym.reduce import (
     InvariantPair,
@@ -56,11 +56,9 @@ class TestInvariantsOf:
 
     def test_user_pair_is_validated(self):
         x_field = VectorField(Const(1.0), Const(1.0))
-        good = InvariantPair(J1=parse("y - x"), J2=parse("x - xm"),
-                             source="user_supplied")
+        good = InvariantPair(J1=parse("y - x"), J2=parse("x - xm"))
         validate_invariants(x_field, good)
-        bad = InvariantPair(J1=parse("y - 2*x"), J2=parse("x - xm"),
-                            source="user_supplied")
+        bad = InvariantPair(J1=parse("y - 2*x"), J2=parse("x - xm"))
         with pytest.raises(ReduceError, match="not annihilated"):
             validate_invariants(x_field, bad)
 
@@ -99,8 +97,7 @@ class TestInvariantsOf:
 
     def test_jacobian_condition_rejects_xm_free_j2(self):
         x_field = VectorField(Const(1.0), Const(1.0))
-        pair = InvariantPair(J1=parse("y - x"), J2=parse("y - x"),
-                             source="user_supplied")
+        pair = InvariantPair(J1=parse("y - x"), J2=parse("y - x"))
         with pytest.raises(ReduceError, match="Jacobian"):
             validate_invariants(x_field, pair)
 
@@ -167,7 +164,6 @@ class TestReduceAndSolve:
         system = traffic.example_system(1, p)
         lone_time_shift = VectorField(Const(1.0), Const(0.0))
         pair = InvariantPair(J1=parse("y"), J2=parse("x - xm"),
-                             source="user_supplied",
                              h_expr=parse("A + 0*x"), k_expr=parse("x - B"))
         with pytest.raises(ReduceError, match="not a symmetry"):
             reduce_and_solve(system, lone_time_shift, pair)
@@ -176,8 +172,7 @@ class TestReduceAndSolve:
         p = traffic.example_params(1)
         system = traffic.example_system(1, p)
         x_field = traffic.example_symmetry(1, p)
-        bare = InvariantPair(J1=parse("y - x"), J2=parse("x - xm"),
-                             source="user_supplied")
+        bare = InvariantPair(J1=parse("y - x"), J2=parse("x - xm"))
         with pytest.raises(ReduceError, match="no reduction formulas"):
             reduce_and_solve(system, x_field, bare)
 
@@ -186,7 +181,6 @@ class TestReduceAndSolve:
         # the second reduced equation vanishes for every (A, B)
         system = DodsSystem(
             f=parse("dy - dym"), g=parse("x - (y - ym)/dy"),
-            delay_kind=DelayKind.STATE_DEPENDENT,
             box={"y": (1.6, 2.5), "ym": (0.5, 1.4)},
         )
         x_field = VectorField(Const(1.0), Const(1.0))
