@@ -133,14 +133,20 @@ class DodsSystem:
 
     @property
     def delay_kind(self) -> DelayKind:
-        """The kind of delay g gives, the one place it is decided: constant
-        where constant_delay finds a tau, solution-independent where g reads
-        no jet coordinate but x, state-dependent otherwise."""
-        if self.constant_delay() is not None:
-            return DelayKind.CONSTANT
+        """The kind of delay g gives, as _delay decides it."""
+        return self._delay()[0]
+
+    def _delay(self) -> tuple[DelayKind, float | None]:
+        """(kind, tau) of the delay g gives, the one place the kind is
+        decided: constant where constant_delay finds a tau,
+        solution-independent where g reads no jet coordinate but x,
+        state-dependent otherwise; tau is None unless constant."""
+        tau = self.constant_delay()
+        if tau is not None:
+            return DelayKind.CONSTANT, tau
         if free_symbols(self.g) & set(JET) - {"x"}:
-            return DelayKind.STATE_DEPENDENT
-        return DelayKind.SOLUTION_INDEPENDENT
+            return DelayKind.STATE_DEPENDENT, None
+        return DelayKind.SOLUTION_INDEPENDENT, None
 
     def validate(self, n: int = 20, seed: int = 7) -> None:
         """Numeric sanity of the defining pair on the sampling box.

@@ -332,9 +332,9 @@ class _StateDelay:
 
 def _delay_spec(system: DodsSystem, warn):
     """The delay resolution of the system's delay kind."""
-    kind = system.delay_kind
+    kind, tau = system._delay()
     if kind is DelayKind.CONSTANT:
-        return _ConstantDelay(system.constant_delay())
+        return _ConstantDelay(tau)
     if kind is DelayKind.SOLUTION_INDEPENDENT:
         return _IndependentDelay(compile_fn(system.g, ("x",), system.params))
     return _StateDelay(compile_fn(system.g, FREE_COORDS, system.params),

@@ -78,17 +78,31 @@ class TrafficParams:
                 if f.name != "leader" and getattr(self, f.name) is not None}
 
 
+#: the fields each worked example takes, with their defaults
+_EXAMPLE_DEFAULTS = {
+    1: dict(alpha=1.0, n1=1.0, n2=1.0, tau=0.5, v=1.0),
+    2: dict(alpha=-1.0, n1=2.0, q=0.25, k=4.0, beta=0.0),
+    3: dict(alpha=1.0, n=2.0, epsilon=0.5, tau=1.0, k=1.0),
+}
+
+
 def example_params(example_id: int, **overrides) -> TrafficParams:
-    """Defaults for the three worked examples; overrides are keyword fields."""
+    """Defaults for the three worked examples; overrides are keyword fields.
+
+    A field the example does not take is a TrafficError naming it and the
+    fields the example takes.
+    """
+    if example_id not in _EXAMPLE_DEFAULTS:
+        raise TrafficError(f"no example {example_id}")
+    base = _EXAMPLE_DEFAULTS[example_id]
+    for name in overrides:
+        if name not in base:
+            raise TrafficError(f"example {example_id} takes no {name}; it"
+                               f" takes {', '.join(base)}")
+    base = {**base, **overrides}
     if example_id == 1:
-        base = dict(alpha=1.0, n1=1.0, n2=1.0, tau=0.5, v=1.0)
-        base.update(overrides)
-        v = base["v"]
-        return TrafficParams(alpha=base["alpha"], n1=base["n1"], n2=base["n2"],
-                             tau=base["tau"], v=v, leader=Param("v") * E.T)
+        return TrafficParams(**base, leader=Param("v") * E.T)
     if example_id == 2:
-        base = dict(alpha=-1.0, n1=2.0, q=0.25, k=4.0, beta=0.0)
-        base.update(overrides)
         n1 = base["n1"]
         if n1 * (n1 - 1.0) == 0.0:
             raise TrafficError("example 2 needs n1 (n1 - 1) != 0")
@@ -97,23 +111,14 @@ def example_params(example_id: int, **overrides) -> TrafficParams:
                 "example 2 constraint coefficient is ill-defined for"
                 " non-integer n1 < 1; restrict to n1 > 1 or integer n1"
             )
-        n = 1.0 - 1.0 / n1
-        k = base["k"]
-        return TrafficParams(alpha=base["alpha"], n1=n1, n2=0.0,
-                             q=base["q"], k=k, n=n, beta=base["beta"],
+        return TrafficParams(**base, n2=0.0, n=1.0 - 1.0 / n1,
                              leader=Param("k") * E.T ** Param("n"))
-    if example_id == 3:
-        base = dict(alpha=1.0, n=2.0, epsilon=0.5, tau=1.0, k=1.0)
-        base.update(overrides)
-        n = base["n"]
-        if n == 0.0:
-            raise TrafficError("example 3 needs n != 0")
-        k, eps = base["k"], base["epsilon"]
-        return TrafficParams(alpha=base["alpha"], n1=n, n2=n, tau=base["tau"],
-                             k=k, n=n, epsilon=eps,
-                             leader=Param("k") * E.Call(
-                                 "exp", Param("epsilon") * E.T))
-    raise TrafficError(f"no example {example_id}")
+    n = base["n"]
+    if n == 0.0:
+        raise TrafficError("example 3 needs n != 0")
+    return TrafficParams(**base, n1=n, n2=n,
+                         leader=Param("k") * E.Call(
+                             "exp", Param("epsilon") * E.T))
 
 
 def build_two_car(p: TrafficParams) -> DodsSystem:
@@ -425,15 +430,14 @@ def simulate_platoon(
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
     falls below 1e-6 first (which would make the right-hand side
-    singular), its trajectory is cut two steps of h before that time: the
-    grid nodes up to there and one partial step to it, which reads both
-    cars through Trajectory.interpolate, or only its start when that time
-    is not past t0.  A collapse inside the partial step drops it.  The car
-    collides at that time unless one of the kept nodes has reached the car
-    in front.  A car that fails -- a rejected step or a history that does
-    not reach back one delay -- raises the failure, even after a node where
-    it reached the car in front.  The first car that collides or fails ends
-    the run: the cars behind it are not integrated.
+    singular), at stage time t_c, its trajectory ends at the last grid
+    node at or before t_c - 2h, or at its start if there is none past t0:
+    no car is integrated twice.  The car collides at t_c unless one of the
+    kept nodes has reached the car in front.  A car that fails -- a
+    rejected step or a history that does not reach back one delay --
+    raises the failure, even after a node where it reached the car in
+    front.  The first car that collides or fails ends the run: the cars
+    behind it are not integrated.
     """
     if p.q is not None:
         raise TrafficError("platoon simulation is stated for constant delay")
@@ -452,34 +456,29 @@ def simulate_platoon(
     lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",), values)
     lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
                           values)
-
-    def leader(s: float) -> tuple[float, float]:
-        return lead_pos(s), lead_vel(s)
-
-    steps = list(_step_plan(t0, t_end, h, p.tau))
-    grid, plan = _stage_plan(t0, steps, p.tau)
-    front = None
-    ahead = _front_values(leader, plan)
+    grid, plan = _stage_plan(t0, _step_plan(t0, t_end, h, p.tau), p.tau)
+    ahead = _front_values(lead_pos, lead_vel, plan)
+    front_ys = None
     state = PlatoonState(trajectories=[])
     for car, phi in enumerate(histories, start=1):
         y0, dy0 = phi.value(t0)
         ys, dys = [y0], [dy0]
         try:
             ahead = _drive(p, plan, phi, ys, dys, ahead)
-            xs, n_grid, t_c = grid[:len(ys)], len(ys), None
+            t_c = None
         except _Collapse as exc:
-            t_c = exc.x
-            xs, n_grid = _cut(p, steps, h, phi, ys, dys, t_c,
-                              leader if front is None else front.interpolate)
+            t_c, end = exc.x, exc.x - 2 * h
+            kept = 1  # the start node and the steps a solve to end takes
+            for x, step, _, _ in plan:
+                if step > end - x:
+                    break
+                kept += 1
+            del ys[kept:], dys[kept:]
+        xs = grid[:len(ys)]
         traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi)
         traj.n_rhs_evals = 4 * (len(xs) - 1)
         for j in range(1, len(xs)):
-            if front is None:
-                front_y = lead_pos(xs[j])
-            elif j < n_grid:
-                front_y = front.ys[j]
-            else:
-                front_y = front.interpolate(xs[j])[0]
+            front_y = lead_pos(xs[j]) if front_ys is None else front_ys[j]
             if front_y - ys[j] <= 0.0:
                 t_c = xs[j]
                 del xs[j + 1:], ys[j + 1:], dys[j + 1:]
@@ -488,11 +487,11 @@ def simulate_platoon(
         if t_c is not None:
             state.collisions.append((car, float(t_c)))
             return state
-        front = traj
+        front_ys = ys
     return state
 
 
-def _stage_plan(t0: float, steps: list, tau: float):
+def _stage_plan(t0: float, steps, tau: float):
     """The node grid of steps taken from t0, and per step (x, step, half,
     points): the delayed points of its stages at x, x + half and x + step.
 
@@ -520,49 +519,20 @@ def _stage_plan(t0: float, steps: list, tau: float):
     return grid, plan
 
 
-def _front_values(lookup, plan):
-    """(ys, dys, error): lookup at the delayed points of plan, in order, up
-    to the first where it raises a DomainError, and that error."""
+def _front_values(lead_pos, lead_vel, plan):
+    """(ys, dys, error): the leader's position and velocity at the delayed
+    points of plan, in order, up to the first where either raises a
+    DomainError, and that error."""
     ys, dys = [], []
     try:
         for _, _, _, points in plan:
             for _, xm, _ in points:
-                y, dy = lookup(xm)
+                y, dy = lead_pos(xm), lead_vel(xm)
                 ys.append(y)
                 dys.append(dy)
     except DomainError as err:
         return ys, dys, err
     return ys, dys, None
-
-
-def _cut(p: TrafficParams, steps: list, h: float, phi: HistoryFunction,
-         ys: list, dys: list, t_c: float, front):
-    """Cut the rows ys, dys of a car whose headway collapsed at t_c back to
-    two steps of h before it, in place; returns the nodes kept and how many
-    of them are grid nodes.
-
-    The grid's steps are kept while the solve to t_c - 2h takes them.  Its
-    remaining step, partial, is taken again, reading the car in front
-    through front (the leader, or Trajectory.interpolate) and the car
-    itself off the nodes it kept.
-    """
-    t0, end = phi.interval[1], t_c - 2 * h
-    if not end > t0:
-        del ys[1:], dys[1:]
-        return [t0], 1
-    rerun = list(_step_plan(t0, end, h, p.tau))
-    shared = 0
-    while shared < min(len(rerun), len(steps)) and \
-            rerun[shared] == steps[shared]:
-        shared += 1
-    del ys[shared + 1:], dys[shared + 1:]
-    grid, plan = _stage_plan(t0, rerun, p.tau)
-    tail = plan[shared:]
-    try:
-        _drive(p, tail, phi, ys, dys, _front_values(front, tail))
-    except _Collapse:
-        pass
-    return grid[:len(ys)], shared + 1
 
 
 #: the delayed headway below which a platoon car's trajectory is cut

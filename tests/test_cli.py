@@ -283,6 +283,12 @@ class TestTraffic:
                        "--k", "1.0", "--allow-collision-regime")
         assert proc.returncode == 0
 
+    def test_override_the_example_does_not_take_is_rejected(self):
+        proc = run_cli("traffic", "--example", "3", "--v", "7")
+        assert proc.returncode == 1
+        assert proc.stdout == ("error: TrafficError: example 3 takes no v;"
+                               " it takes alpha, n, epsilon, tau, k\n")
+
     def test_scenario_file_with_csv_output(self, tmp_path):
         scenario = tmp_path / "platoon.txt"
         scenario.write_text(

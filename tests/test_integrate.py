@@ -430,6 +430,15 @@ class TestCounters:
             _StateDelay(g, None), history, "from-phi", 1.0, 1e-2)
         assert traj.n_delay_iterations == len(calls)
 
+    def test_constant_delay_is_found_once_per_solve(self, monkeypatch):
+        calls = []
+        real = DodsSystem.constant_delay
+        monkeypatch.setattr(DodsSystem, "constant_delay",
+                            lambda self: (calls.append(self), real(self))[1])
+        system = DodsSystem(f=parse("-ym"), g=parse("x - 1"))
+        solve(system, ramp_history(), 1.0, 2.0, 1e-2)
+        assert calls == [system]
+
     def test_platoon_delay_spec(self):
         traj = solve_numeric(lambda x, y, xm, ym, dy, dym: ym,
                              _ConstantDelay(1.0), ramp_history(), 1.0, 2.0,

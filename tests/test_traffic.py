@@ -187,6 +187,20 @@ class TestParamsValidation:
         with pytest.raises(TrafficError, match="0 < q < 1"):
             example_params(2, q=1.5)
 
+    @pytest.mark.parametrize("example_id,overrides,message", [
+        (1, {"k": 9.0, "epsilon": 3.0},
+         "example 1 takes no k; it takes alpha, n1, n2, tau, v"),
+        (2, {"n2": 5.0, "tau": 3.0},
+         "example 2 takes no n2; it takes alpha, n1, q, k, beta"),
+        (3, {"v": 7.0, "q": 0.3},
+         "example 3 takes no v; it takes alpha, n, epsilon, tau, k"),
+    ])
+    def test_field_the_example_does_not_take(self, example_id, overrides,
+                                             message):
+        with pytest.raises(TrafficError) as err:
+            example_params(example_id, **overrides)
+        assert str(err.value) == message
+
     def test_example3_nonzero_exponent(self):
         with pytest.raises(TrafficError, match="n != 0"):
             example_params(3, n=0.0)
@@ -369,10 +383,11 @@ class TestPlatoon:
                            match="history of car 3 ends at 0.1, not at t0 = 0"):
             simulate_platoon(p, 4, hists, t_end=1.0, h=1e-2)
 
-    def test_collapse_inside_the_partial_step_drops_it(self):
+    def test_collapse_keeps_the_grid_nodes_up_to_two_steps_before_it(self):
         # car 1's history spikes past the stopped leader at two delayed
         # points: the grid's stage at t_c = 10 h_eff reads the wide spike,
-        # and only the partial step to t_c - 2h reads the narrow one
+        # and the narrow one, at t_c - 2h - tau, lies between the delayed
+        # points of the grid, where no stage reads it
         tau, h = 0.5, 0.03
         h_eff = tau / 17
         wide, narrow = 10 * h_eff - tau, 10 * h_eff - 2 * h - tau
@@ -384,7 +399,7 @@ class TestPlatoon:
                                  t_end=1.0, h=h)
         traj = state.trajectories[0]
         assert state.collisions == [(1, pytest.approx(10 * h_eff, abs=1e-12))]
-        # the grid nodes up to t_c - 2h, without the partial step
+        # the grid nodes up to t_c - 2h, and no partial step to it
         assert len(traj.xs) == 8
         assert traj.x_end == pytest.approx(7 * h_eff, abs=1e-12)
         assert traj.n_rhs_evals == 4 * 7
@@ -537,10 +552,11 @@ PLATOON_CASES = {
        for seed in BENCH_PLATOONS},
     **{f"bench4-{seed}": (lambda seed=seed: _bench4(seed))
        for seed in BENCH_PLATOONS},
-    # stopped leader: car 1's headway collapses, its last step is partial
+    # stopped leader: car 1's headway collapses, its trajectory ends at
+    # the last grid node at or before t_c - 2h
     "braking": lambda: _cars("5 + 0*t", ["x + 4.9", "x + 3", "x + 1"], 6.0,
                              0.003, tau=0.05, alpha=1.0),
-    # stopped leader: car 1 collapses, but its re-run reaches the leader
+    # stopped leader: car 1 collapses, but a kept node reaches the leader
     "braking-reach": lambda: _cars("5 + 0*t", ["x", "x - 1", "x - 2"], 8.0,
                                    0.03),
     # car 2 passes car 1 at a node before its headway collapses
@@ -597,9 +613,12 @@ PLATOON_CASES = {
 }
 
 #: Recorded from the sweep that integrated one car after another with the
-#: scalar integrator, all but one-step-rounds-past (see its case): the
-#: collisions, each trajectory's n_rhs_evals and node count, and a sha256
-#: prefix of the trajectories' CSVs in car order; or the error raised.
+#: scalar integrator, all but one-step-rounds-past (see its case) and the
+#: four whose headway collapses (braking, braking-reach,
+#: reach-then-collapse, lower-collides-later), recorded from the cut to
+#: the grid nodes at or before t_c - 2h: the collisions, each trajectory's
+#: n_rhs_evals and node count, and a sha256 prefix of the trajectories'
+#: CSVs in car order; or the error raised.
 PLATOON_PINS = {
     "bench10-101": ([], [2008] * 10, [503] * 10, "af54c166e0fdb542"),
     "bench10-102": ([], [2032] * 10, [509] * 10, "fd7a2dc8cd7284c4"),
@@ -607,16 +626,16 @@ PLATOON_PINS = {
     "bench4-101": ([], [2008] * 4, [503] * 4, "fb77fd6f5f9f1b2a"),
     "bench4-102": ([], [2032] * 4, [509] * 4, "871a674f6e89e449"),
     "bench4-103": ([], [2008] * 4, [503] * 4, "7f3c2cafc20cbe1b"),
-    "braking": ([(1, 0.9911764705882323)], [1340], [336], "f426bdb556436d0a"),
-    "braking-reach": ([(1, 5.2058823529411615)], [768], [178],
+    "braking": ([(1, 0.9911764705882323)], [1336], [335], "9d674abd4c471eb2"),
+    "braking-reach": ([(1, 5.2058823529411615)], [764], [178],
                       "0a682f2e562d3844"),
-    "reach-then-collapse": ([(2, 0.3900000000000002)], [1200, 348], [301, 40],
+    "reach-then-collapse": ([(2, 0.3900000000000002)], [1200, 344], [301, 40],
                             "6a8952ac0a9dfae6"),
     "collapse-at-start": ([(2, 0.0005)], [8000, 0], [2001, 1],
                           "12f3475d20326787"),
     "overflow": ("raises", "StepRejectionError",
                  "right-hand side not evaluable at x = 0: non-finite result"),
-    "lower-collides-later": ([(1, 5.209999999999932)], [2276], [522],
+    "lower-collides-later": ([(1, 5.209999999999932)], [2272], [522],
                              "020a5942e435ef2e"),
     "lower-raises-later": (
         "raises", "StepRejectionError",
@@ -656,7 +675,7 @@ class TestLockStepPlatoon:
     def test_matches_the_car_by_car_sweep(self, name):
         assert _fingerprint(PLATOON_CASES[name]()) == PLATOON_PINS[name]
 
-    @pytest.mark.parametrize("name", ["bench10-101", "bench4-102"])
+    @pytest.mark.parametrize("name", list(PLATOON_CASES))
     def test_no_scalar_solve_and_no_interpolation(self, name, monkeypatch):
         calls = {"solve_numeric": 0, "interpolate": 0}
         solve_numeric = integrate.solve_numeric
@@ -677,6 +696,7 @@ class TestLockStepPlatoon:
                 monkeypatch.setattr(module, "solve_numeric", counted_solve)
         monkeypatch.setattr(integrate.Trajectory, "interpolate",
                             counted_interpolate)
-        state = simulate_platoon(*PLATOON_CASES[name]())
-        assert not state.collided
+        outcome = _fingerprint(PLATOON_CASES[name]())
         assert calls == {"solve_numeric": 0, "interpolate": 0}
+        if name.startswith("bench"):
+            assert outcome[0] == []  # no collision
