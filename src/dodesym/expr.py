@@ -536,14 +536,12 @@ def bind_params(e: Expr, params: Bindings) -> Expr:
 
 
 def diff(e: Expr, v: str) -> Expr:
-    """Exact partial derivative with respect to alphabet symbol v,
-    simplified.
+    """Exact partial derivative with respect to the symbol named v, a
+    variable or a parameter, simplified; 0 where no node of e carries v.
 
     abs and sgn differentiate as sgn and 0; the origin is excluded from
     every sampling domain used by the callers.
     """
-    if v not in VARIABLES:
-        raise ValueError(f"cannot differentiate with respect to '{v}'")
     try:
         d = _derivative(e, v)
     except RecursionError:
@@ -565,9 +563,9 @@ def _derivative(e: Expr, v: str) -> Expr:
 
 
 def _diff(e: Expr, v: str) -> Expr:
-    if isinstance(e, Const) or isinstance(e, Param):
+    if isinstance(e, Const):
         return ZERO
-    if isinstance(e, Var):
+    if isinstance(e, (Var, Param)):
         return ONE if e.name == v else ZERO
     if isinstance(e, Neg):
         return Neg(_diff(e.arg, v))
@@ -591,7 +589,7 @@ def _diff(e: Expr, v: str) -> Expr:
                     BinOp("*", Const(c), BinOp("^", lu, Const(c - 1.0))),
                     dl,
                 )
-            if isinstance(ru, Param):
+            if isinstance(ru, Param) and ru.name != v:
                 # the power rule, as for a constant exponent: bound to a
                 # value, it simplifies to what the constant gives
                 return BinOp(

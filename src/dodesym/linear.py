@@ -506,20 +506,21 @@ def verify_canonical_transform(
 
     Only the constant-xi case is handled (that is what the detector returns
     in closed form); the transform is then x -> x / xi with
-    y -> exp(-int a1 / 2) y up to constants.  A small fit residual and a
-    constant transformed delay certify the constant-coefficient form.
+    y -> u y, u = exp(-int a1 / 2), up to constants.  The image's
+    derivatives follow by the product rule, with u' = -a1 u / 2 and
+    u'' = (a1^2 / 4 - a1' / 2) u: y and y' come from the dense output, y''
+    from Trajectory.second_derivative and a1' from diff.  A small fit
+    residual and a constant transformed delay certify the
+    constant-coefficient form.
     """
     if extra.xi is None or not extra.xi_is_constant:
         raise LinearError("canonical transform check needs constant xi")
     traj = solve(L.to_dods(), phi, "from-phi", x_end, h)
-    a1_fn, g_fn = L._fn(L.a1), L._fn(L.g)
+    a1_fn, da1_fn, g_fn = L._fn(L.a1), L._fn(diff(L.a1, "x")), L._fn(L.g)
     anchor = traj.x_start
 
-    def int_a1(x: float) -> float:
-        return _adaptive_simpson(a1_fn, anchor, x)
-
-    def to_bar(x: float, y: float):
-        return x, y * math.exp(-0.5 * int_a1(x))
+    def u(x: float) -> float:
+        return math.exp(-0.5 * _adaptive_simpson(a1_fn, anchor, x))
 
     lo = traj.x_start
     hi = traj.x_end
@@ -529,18 +530,13 @@ def verify_canonical_transform(
     rows, rhs, delays = [], [], []
     for x in xs:
         xm = g_fn(x)
-        xb, yb = to_bar(x, traj.interpolate(x)[0])
-        _, ymb = to_bar(xm, traj.interpolate(xm)[0])
-        eps = 1e-4
-        y_p = to_bar(x + eps, traj.interpolate(x + eps)[0])[1]
-        y_m = to_bar(x - eps, traj.interpolate(x - eps)[0])[1]
-        ydd = (y_p - 2.0 * yb + y_m) / eps ** 2
-        ym_p = to_bar(xm + eps, traj.interpolate(xm + eps)[0])[1]
-        ym_m = to_bar(xm - eps, traj.interpolate(xm - eps)[0])[1]
-        ydm = (ym_p - ym_m) / (2.0 * eps)
-        rows.append([ydm, yb, ymb])
-        rhs.append(ydd)
-        delays.append(xb - xm)
+        y, dy = traj.interpolate(x)
+        ym, dym = traj.interpolate(xm)
+        ax, ux, am, um = a1_fn(x), u(x), a1_fn(xm), u(xm)
+        rows.append([um * (dym - 0.5 * am * ym), ux * y, um * ym])
+        rhs.append(ux * (traj.second_derivative(x) - ax * dy
+                         + (0.25 * ax * ax - 0.5 * da1_fn(x)) * y))
+        delays.append(x - xm)
     a = np.asarray(rows)
     b = np.asarray(rhs)
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)

@@ -5,9 +5,10 @@ two-point invariant J2(x, y, xm, ym) are set to constants A and B, the
 resulting reduction formulas y = h(x, A) and xm = k(x, A, B) are
 substituted into both halves of the system, and the two reduced residual
 functions, constant in x precisely when the field is a symmetry and the
-ansatz valid, are solved for (A, B) by a damped Newton iteration with
-finite-difference Jacobian.  A rank-deficient Jacobian at the root marks
-a free direction (a solution family rather than a point).
+ansatz valid, are solved for (A, B) by a damped Newton iteration on
+their exact Jacobian, the compiled partials by A and B that diff derives.
+A rank-deficient Jacobian at the root marks a free direction (a solution
+family rather than a point).
 """
 
 from __future__ import annotations
@@ -261,12 +262,18 @@ def reduce_and_solve(
     lo, hi = interval if interval is not None else (1.0, 2.0)
     x_ref = 0.5 * (lo + hi)
     r1, r2 = _reduced_residual_exprs(system, pair.h_expr, pair.k_expr)
-    r1_fn = compile_fn(r1, ("x", "A", "B"))
-    r2_fn = compile_fn(r2, ("x", "A", "B"))
+    args = ("x", "A", "B")
+    r1_fn, r2_fn = (compile_fn(r, args) for r in (r1, r2))
+    partials = [compile_fn(diff(r, v), args) for r in (r1, r2)
+                for v in ("A", "B")]
 
     def residual_vec(z):
         a, b = z
         return np.array([r1_fn(x_ref, a, b), r2_fn(x_ref, a, b)])
+
+    def jacobian(z):
+        a, b = z
+        return np.array([fn(x_ref, a, b) for fn in partials]).reshape(2, 2)
 
     if guesses is None:
         span = hi - lo
@@ -286,7 +293,7 @@ def reduce_and_solve(
             if np.max(np.abs(fz)) < 1e-13:
                 break
             try:
-                jac = _fd_jacobian(residual_vec, z)
+                jac = jacobian(z)
             except DomainError:
                 ok = False
                 break
@@ -334,7 +341,7 @@ def reduce_and_solve(
             f" symmetry): spread {spread:.3e}"
         )
 
-    jac = _fd_jacobian(residual_vec, z)
+    jac = jacobian(z)
     u, s, vt = np.linalg.svd(jac)
     frees: list[str] = []
     s_max = max(float(s[0]), 1e-300)
@@ -355,20 +362,6 @@ def reduce_and_solve(
         h=E.simplify(h_bound), k=E.simplify(k_bound), A=a_val, B=b_val,
         residual=res, free_parameters=frees, degenerate_delay=degenerate,
     )
-
-
-def _fd_jacobian(fn, z):
-    """The forward-difference Jacobian of fn at z, each step 1e-7 relative
-    (1e-7 * (1 + |z_i|))."""
-    n = len(z)
-    f0 = fn(z)
-    jac = np.zeros((len(f0), n))
-    for i in range(n):
-        dz = 1e-7 * (1.0 + abs(float(z[i])))
-        zp = z.copy()
-        zp[i] += dz
-        jac[:, i] = (fn(zp) - f0) / dz
-    return jac
 
 
 @dataclass

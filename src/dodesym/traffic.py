@@ -223,23 +223,23 @@ def example_algebra(example_id: int, p: TrafficParams | None = None) -> list[Vec
 
 
 def constraint_function(example_id: int, p: TrafficParams):
-    """Scalar equation c(A) = 0 that the invariant amplitude must satisfy."""
+    """Scalar equation c(A) = 0 that the invariant amplitude must satisfy,
+    compiled: where c is undefined or not finite it raises DomainError."""
+    return compile_fn(_constraint(example_id, p), ("A",))
+
+
+def _constraint(example_id: int, p: TrafficParams) -> Expr:
+    """c(A) as one expression in the parameter A."""
+    a = Param("A")
     if example_id == 2:
         n1, q, k, alpha = p.n1, p.q, p.k, p.alpha
         coeff = alpha * (n1 - 1.0) ** n1 / n1 ** (n1 - 1.0) * q ** (-1.0 / n1)
-
-        def c(a: float) -> float:
-            return coeff * (k - a) * a ** (n1 - 1.0) + 1.0
-
-        return c
+        return Const(coeff) * (Const(k) - a) * a ** Const(n1 - 1.0) + 1.0
     if example_id == 3:
         n, eps, tau, k, alpha = p.n, p.epsilon, p.tau, p.k, p.alpha
-
-        def c(a: float) -> float:
-            base = eps * math.exp(eps * tau) * a / (k - a)
-            return alpha * base ** (n - 1.0) - 1.0
-
-        return c
+        base = (Const(eps) * E.Call("exp", Const(eps) * Const(tau)) * a
+                / (Const(k) - a))
+        return Const(alpha) * base ** Const(n - 1.0) - 1.0
     raise TrafficError("constraint equations exist for examples 2 and 3 only")
 
 
@@ -271,12 +271,14 @@ def solve_constraint(
     """All real roots of the constraint by a sign scan of 4000 cells per
     window plus bisection.
 
-    Double roots (the constraint touching zero) are located through a sign
-    change of the derivative and flagged.  Roots at or beyond the leader
-    amplitude mean the follower would sit on or ahead of the leader, so
-    they are inadmissible; none admissible yields a collision warning.
+    Double roots (the constraint touching zero) are located by bisecting
+    the exact derivative c' that diff derives, where it changes sign, and
+    flagged.  Roots at or beyond the leader amplitude mean the follower
+    would sit on or ahead of the leader, so they are inadmissible; none
+    admissible yields a collision warning.
     """
-    c = constraint_function(example_id, p)
+    c_expr = _constraint(example_id, p)
+    c, dc = (compile_fn(e, ("A",)) for e in (c_expr, diff(c_expr, "A")))
     k = p.k
     b_value = p.q if example_id == 2 else p.tau
     eps_edge = 1e-9 * k
@@ -289,7 +291,7 @@ def solve_constraint(
         roots.extend(
             ConstraintRoot(A=a, B=b_value, admissible=(0.0 < a < k),
                            double=dbl)
-            for a, dbl in _scan_roots(c, lo, hi, 4000)
+            for a, dbl in _scan_roots(c, dc, lo, hi, 4000)
         )
     roots.sort(key=lambda r: r.A)
     warning = None
@@ -303,13 +305,9 @@ def solve_constraint(
     return ConstraintResult(roots=roots, B=b_value, warning=warning)
 
 
-def _scan_roots(c, lo: float, hi: float, n_scan: int):
-    errors = (ValueError, ZeroDivisionError, OverflowError)
-    grid, vals, brackets = _sign_scan(c, lo, hi, n_scan, errors=errors)
-    def dc(a: float) -> float:
-        da = 1e-7 * (1.0 + abs(a))
-        return (c(a + da) - c(a - da)) / (2.0 * da)
-
+def _scan_roots(c, dc, lo: float, hi: float, n_scan: int):
+    """The roots of c on [lo, hi], each with its double flag; dc is c'."""
+    grid, vals, brackets = _sign_scan(c, lo, hi, n_scan, errors=DomainError)
     found: list[tuple[float, bool]] = [
         (a, abs(dc(a)) < 1e-6 * (1.0 + abs(a))) if a == b
         else (_bisect(c, a, b), False)
@@ -324,7 +322,7 @@ def _scan_roots(c, lo: float, hi: float, n_scan: int):
                     a_star = _bisect(dc, grid[i - 1], grid[i + 1])
                     if abs(c(a_star)) < 1e-9:
                         found.append((a_star, True))
-            except errors:
+            except DomainError:
                 continue
     dedup: list[tuple[float, bool]] = []
     for a, dbl in sorted(found):
@@ -433,11 +431,12 @@ def simulate_platoon(
     singular), at stage time t_c, its trajectory ends at the last grid
     node at or before t_c - 2h, or at its start if there is none past t0:
     no car is integrated twice.  The car collides at t_c unless one of the
-    kept nodes has reached the car in front.  A car that fails -- a
-    rejected step or a history that does not reach back one delay --
-    raises the failure, even after a node where it reached the car in
-    front.  The first car that collides or fails ends the run: the cars
-    behind it are not integrated.
+    kept nodes has reached the car in front.  A car's n_rhs_evals counts
+    every acceleration it computed, past its last kept node too.  A car
+    that fails -- a rejected step or a history that does not reach back
+    one delay -- raises the failure, even after a node where it reached
+    the car in front.  The first car that collides or fails ends the run:
+    the cars behind it are not integrated.
     """
     if p.q is not None:
         raise TrafficError("platoon simulation is stated for constant delay")
@@ -465,9 +464,9 @@ def simulate_platoon(
         ys, dys = [y0], [dy0]
         try:
             ahead = _drive(p, plan, phi, ys, dys, ahead)
-            t_c = None
+            t_c, n_accels = None, 4 * (len(ys) - 1)
         except _Collapse as exc:
-            t_c, end = exc.x, exc.x - 2 * h
+            t_c, end, n_accels = exc.x, exc.x - 2 * h, exc.n_accels
             kept = 1  # the start node and the steps a solve to end takes
             for x, step, _, _ in plan:
                 if step > end - x:
@@ -476,7 +475,7 @@ def simulate_platoon(
             del ys[kept:], dys[kept:]
         xs = grid[:len(ys)]
         traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi)
-        traj.n_rhs_evals = 4 * (len(xs) - 1)
+        traj.n_rhs_evals = n_accels
         for j in range(1, len(xs)):
             front_y = lead_pos(xs[j]) if front_ys is None else front_ys[j]
             if front_y - ys[j] <= 0.0:
@@ -540,11 +539,13 @@ _HEADWAY_FLOOR = 1e-6
 
 
 class _Collapse(Exception):
-    """The delayed headway fell below the floor at stage time x."""
+    """The delayed headway fell below the floor at stage time x, after
+    n_accels accelerations of the car."""
 
-    def __init__(self, x: float):
+    def __init__(self, x: float, n_accels: int):
         super().__init__(f"headway collapsed at t = {x:g}")
         self.x = x
+        self.n_accels = n_accels
 
 
 def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
@@ -587,7 +588,8 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
             raise _rejection(xs, front_err)
         gap = front_y[k] - ym
         if gap < floor:
-            raise _Collapse(xs)
+            # a step reads its points 0, 1, 2 after 0, 1, 3 accelerations
+            raise _Collapse(xs, 4 * (k // 3) + (0, 1, 3)[k % 3])
         return gap, front_d[k] - dym
 
     def accel(xs, d, gap, dv):

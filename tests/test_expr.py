@@ -338,9 +338,24 @@ class TestDiff:
         assert diff(parse("3.5"), "x") == Const(0.0)
         assert diff(parse("alpha"), "x") == Const(0.0)
 
-    def test_rejects_non_alphabet_symbol(self):
-        with pytest.raises(ValueError):
-            diff(parse("x"), "alpha")
+    def test_by_a_parameter(self):
+        d = diff(parse("p*x + p^2"), "p")
+        for xv, pv in ((0.3, 1.7), (-2.0, 0.5)):
+            assert evaluate(d, {"x": xv, "p": pv}) == xv + 2.0 * pv
+
+    def test_by_the_parameter_of_an_exponent(self):
+        # the power rule of a parameter exponent holds only for another
+        # symbol; by the exponent itself, d/dp x^p = x^p ln(x)
+        d = diff(parse("x^p"), "p")
+        assert simplify(d - parse("x^p * ln(x)")) == Const(0.0)
+        assert evaluate(d, {"x": 1.7, "p": 2.3}) == \
+            pytest.approx(1.7 ** 2.3 * math.log(1.7), rel=1e-15)
+
+    def test_by_another_symbol_than_a_parameter_exponent(self):
+        assert to_text(diff(parse("x^p"), "x")) == "(p * (x ^ (p + -1)))"
+
+    def test_by_a_name_no_node_carries(self):
+        assert diff(parse("p*x + exp(q)"), "alpha") == Const(0.0)
 
 
 class TestSimplify:

@@ -285,11 +285,12 @@ class TestXiQuadrature:
 
 
 class TestCanonicalTransform:
-    def test_constant_a1_maps_to_constant_coefficients(self):
-        a1, gamma, delay = 0.4, 0.3, 1.0
+    @pytest.mark.parametrize("a1,gamma,delay", [
+        (0.4, 0.3, 1.0), (-0.7, 0.5, 0.8), (1.1, -0.4, 0.5), (0.0, 0.9, 1.0)])
+    def test_constant_a1_maps_to_constant_coefficients(self, a1, gamma, delay):
         L = LinearDods(a1=Const(a1), a2=Const(0.0), a3=Const(0.0),
-                       a4=Const(gamma), b=Const(0.0), g=parse("x-1"),
-                       domain=(0.0, 4.0))
+                       a4=Const(gamma), b=Const(0.0),
+                       g=E.X - Const(delay), domain=(0.0, 4.0))
         found = detect_extra_symmetry(L)
         assert found is not None
         phi = HistoryFunction.from_text("1 + 0.2*x", (-1.0, 0.0))

@@ -159,6 +159,23 @@ class TestReduceAndSolve:
                                           cross_check=False)
         assert check.grid_residual < 1e-10
 
+    @pytest.mark.parametrize("guess", [(-1.5, 2.0), (3.0, -1.0)])
+    def test_family_along_a_mixed_direction(self, guess):
+        # d/dx reduces this system to R1 = exp(10 (A + B - 1)) - 1 and
+        # R2 = 1 - A - B, which vanish on the whole line A + B = 1: the free
+        # direction (1, -1) mixes A and B, so whether A or B is named
+        # follows rounding
+        system = DodsSystem(
+            f=parse("1 - exp(10*(ym + x - xm - 1))"), g=parse("x - 1 + y"),
+            box={"y": (0.5, 0.95), "ym": (0.5, 0.9)},
+        )
+        x_field = VectorField(Const(1.0), Const(0.0))
+        sol = reduce_and_solve(system, x_field, invariants_of(x_field),
+                               guesses=[guess])
+        assert sol.free_parameters
+        assert abs(sol.A + sol.B - 1.0) <= 1e-12
+        assert abs(sol.A) <= 5.0
+
     def test_non_symmetry_is_rejected_upfront(self):
         p = traffic.example_params(1)
         system = traffic.example_system(1, p)

@@ -3,12 +3,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dodesym import expr as E
 from dodesym import integrate
 from dodesym.dods import check_invariance
-from dodesym.expr import evaluate, parse
+from dodesym.expr import DomainError, evaluate, parse
 from dodesym.integrate import HistoryFunction, StepRejectionError, solve
 from dodesym.traffic import (
     ConstraintResult,
@@ -259,6 +260,59 @@ class TestConstraints:
         assert root.A == pytest.approx(0.5, abs=1e-12)
         assert root.double and root.admissible
 
+    @pytest.mark.parametrize("q,k", [(0.25, 1.5), (0.3, 2.0), (0.5, 0.9),
+                                     (0.2, 3.7)])
+    def test_example2_double_root_to_full_precision(self, q, k):
+        # n1 = 3: c(A) = coeff (k - A) A^2 + 1, where (k - A) A^2 peaks at
+        # A = 2k/3 with 4k^3/27, and this alpha makes c touch zero there
+        alpha = -243.0 / (32.0 * k ** 3) * q ** (1.0 / 3.0)
+        p = example_params(2, alpha=alpha, n1=3.0, q=q, k=k)
+        result = solve_constraint(2, p, verify=False)
+        assert len(result.roots) == 1
+        root = result.roots[0]
+        assert root.double
+        assert abs(root.A - 2.0 * k / 3.0) <= 1e-15
+
+    @pytest.mark.parametrize("example_id,overrides", [
+        (2, {}), (2, dict(alpha=-2.0, q=0.5, k=2.0)),
+        (2, dict(alpha=1.3, n1=2.5, q=0.7, k=3.0)),
+        (2, dict(alpha=-1.4174111811317323, n1=3.0, q=0.25, k=1.5)),
+        (2, dict(alpha=0.6, n1=-1.0, q=0.4, k=0.8)),
+        (3, {}), (3, dict(alpha=-0.7, n=3.0, epsilon=0.8, tau=0.4, k=2.0)),
+        (3, dict(alpha=2.0, n=0.5, epsilon=1.2, tau=2.0, k=0.6)),
+        (3, dict(alpha=1.0, n=2.5, epsilon=-0.5, tau=1.0, k=1.0)),
+        (3, dict(alpha=1.0, n=40.0, epsilon=0.5, tau=1.0, k=1.0)),
+        (3, dict(alpha=1.0, n=2.0, epsilon=30.0, tau=30.0, k=1.0)),
+    ])
+    def test_constraint_keeps_the_closure_values(self, example_id, overrides):
+        # the closures that computed c before it was one expression in A:
+        # where one raised or gave no finite real value, c is a DomainError
+        p = example_params(example_id, **overrides)
+        if example_id == 2:
+            coeff = (p.alpha * (p.n1 - 1.0) ** p.n1 / p.n1 ** (p.n1 - 1.0)
+                     * p.q ** (-1.0 / p.n1))
+
+            def closure(a):
+                return coeff * (p.k - a) * a ** (p.n1 - 1.0) + 1.0
+        else:
+            def closure(a):
+                base = p.epsilon * math.exp(p.epsilon * p.tau) * a / (p.k - a)
+                return p.alpha * base ** (p.n - 1.0) - 1.0
+
+        c = constraint_function(example_id, p)
+        edge = 1e-9 * p.k
+        for lo, hi in ((edge, p.k - edge), (p.k + edge, 3.0 * p.k)):
+            for a in np.linspace(lo, hi, 401).tolist():
+                try:
+                    want = closure(a)
+                except (ValueError, ZeroDivisionError, OverflowError):
+                    want = None
+                if isinstance(want, float) and math.isfinite(want):
+                    assert c(a).hex() == want.hex()
+                else:
+                    with pytest.raises(DomainError):
+                        c(a)
+
     def test_example2_collision_regime_warns(self):
         p = example_params(2, alpha=1.0, k=1.0)
         result = solve_constraint(2, p, verify=False)
@@ -402,7 +456,9 @@ class TestPlatoon:
         # the grid nodes up to t_c - 2h, and no partial step to it
         assert len(traj.xs) == 8
         assert traj.x_end == pytest.approx(7 * h_eff, abs=1e-12)
-        assert traj.n_rhs_evals == 4 * 7
+        # every acceleration it computed: nine steps, and the three of the
+        # tenth before its last stage at t_c read the spike
+        assert traj.n_rhs_evals == 4 * 9 + 3
 
 
 class TestExactSolutionForms:
@@ -616,7 +672,9 @@ PLATOON_CASES = {
 #: scalar integrator, all but one-step-rounds-past (see its case) and the
 #: four whose headway collapses (braking, braking-reach,
 #: reach-then-collapse, lower-collides-later), recorded from the cut to
-#: the grid nodes at or before t_c - 2h: the collisions, each trajectory's
+#: the grid nodes at or before t_c - 2h, with the n_rhs_evals of a
+#: collapsed car (those four and collapse-at-start) counting every
+#: acceleration it computed: the collisions, each trajectory's
 #: n_rhs_evals and node count, and a sha256 prefix of the trajectories'
 #: CSVs in car order; or the error raised.
 PLATOON_PINS = {
@@ -626,16 +684,16 @@ PLATOON_PINS = {
     "bench4-101": ([], [2008] * 4, [503] * 4, "fb77fd6f5f9f1b2a"),
     "bench4-102": ([], [2032] * 4, [509] * 4, "871a674f6e89e449"),
     "bench4-103": ([], [2008] * 4, [503] * 4, "7f3c2cafc20cbe1b"),
-    "braking": ([(1, 0.9911764705882323)], [1336], [335], "9d674abd4c471eb2"),
-    "braking-reach": ([(1, 5.2058823529411615)], [764], [178],
+    "braking": ([(1, 0.9911764705882323)], [1347], [335], "9d674abd4c471eb2"),
+    "braking-reach": ([(1, 5.2058823529411615)], [775], [178],
                       "0a682f2e562d3844"),
-    "reach-then-collapse": ([(2, 0.3900000000000002)], [1200, 344], [301, 40],
+    "reach-then-collapse": ([(2, 0.3900000000000002)], [1200, 353], [301, 40],
                             "6a8952ac0a9dfae6"),
-    "collapse-at-start": ([(2, 0.0005)], [8000, 0], [2001, 1],
+    "collapse-at-start": ([(2, 0.0005)], [8000, 1], [2001, 1],
                           "12f3475d20326787"),
     "overflow": ("raises", "StepRejectionError",
                  "right-hand side not evaluable at x = 0: non-finite result"),
-    "lower-collides-later": ([(1, 5.209999999999932)], [2272], [522],
+    "lower-collides-later": ([(1, 5.209999999999932)], [2281], [522],
                              "020a5942e435ef2e"),
     "lower-raises-later": (
         "raises", "StepRejectionError",
@@ -674,6 +732,24 @@ class TestLockStepPlatoon:
     @pytest.mark.parametrize("name", list(PLATOON_CASES))
     def test_matches_the_car_by_car_sweep(self, name):
         assert _fingerprint(PLATOON_CASES[name]()) == PLATOON_PINS[name]
+
+    @pytest.mark.parametrize("name", list(PLATOON_CASES))
+    def test_n_rhs_evals_counts_every_acceleration(self, name, monkeypatch):
+        # each acceleration takes two powers with math.pow, past a car's
+        # last kept node and in the step whose headway collapsed too
+        calls = [0]
+        pow_ = math.pow
+
+        def counted_pow(a, b):
+            calls[0] += 1
+            return pow_(a, b)
+
+        monkeypatch.setattr(math, "pow", counted_pow)
+        try:
+            state = simulate_platoon(*PLATOON_CASES[name]())
+        except Exception:
+            return
+        assert calls[0] == 2 * sum(t.n_rhs_evals for t in state.trajectories)
 
     @pytest.mark.parametrize("name", list(PLATOON_CASES))
     def test_no_scalar_solve_and_no_interpolation(self, name, monkeypatch):
