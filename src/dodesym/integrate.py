@@ -234,6 +234,49 @@ def _bisect(fn, a: float, b: float) -> float:
     return 0.5 * a + 0.5 * b
 
 
+def _real_roots(fn, dfn, lo: float, hi: float, cells: int, zero: float = 0.0):
+    """The roots of fn on [lo, hi], sorted, as (root, double, a, b) with
+    bracket [a, b]; dfn is fn', and a DomainError skips a node or extremum.
+
+    A node where |fn| <= zero is a root, double where |dfn| < 1e-6
+    (1 + |node|); a cell whose ends differ in sign holds one, bisected.  A
+    node whose |fn| is above zero and below both neighbours', all three of
+    one sign, may hide a double root or two roots (Press et al., Numerical
+    Recipes, 3rd ed., 2007, 9.1): where dfn changes sign there, its root r
+    is a double root if |fn(r)| < 1e-10, and fn(r) of the other sign
+    splits two roots.  A root within 1e-9 relative of the one before it is
+    dropped.
+    """
+    grid, values, brackets = _sign_scan(fn, lo, hi, cells, zero=zero,
+                                        errors=DomainError)
+    found = []
+    for a, b in brackets:
+        try:
+            double = a == b and abs(dfn(a)) < 1e-6 * (1.0 + abs(a))
+        except DomainError:
+            double = False
+        found.append((a if a == b else _bisect(fn, a, b), double, a, b))
+    for a, b, fa, fb, fc in zip(grid, grid[2:], values, values[1:],
+                                values[2:]):
+        # |fb| below both neighbours', the three of one sign (NaN fails)
+        if (fa > fb < fc if fb > 0.0 else fa < fb > fc) and abs(fb) > zero:
+            try:
+                if dfn(a) * dfn(b) < 0.0:
+                    r = _bisect(dfn, a, b)
+                    if abs(fr := fn(r)) < 1e-10:
+                        found.append((r, True, a, b))
+                    elif (fr < 0.0) != (fb < 0.0):
+                        found += [(_bisect(fn, a, r), False, a, r),
+                                  (_bisect(fn, r, b), False, r, b)]
+            except DomainError:
+                pass
+    out = []
+    for r in sorted(found):
+        if not out or abs(r[0] - out[-1][0]) >= 1e-9 * max(1.0, abs(r[0])):
+            out.append(r)
+    return out
+
+
 # How a driver finds the delayed point xm at each stage: the resolve of
 # each class below returns (xm, g evaluations spent, 1 if it fell back to
 # the bracket scan else 0).
@@ -501,7 +544,8 @@ def residual_on_trajectory(
     n: int = 200,
     seed: int = 42,
 ) -> ResidualReport:
-    """Reconstruct the second derivative from the dense output and compare.
+    """The dense output's consistency with the system, to O(h^2): not the
+    solve's error (8.7e-5 against 1.35e-9 for y'' = y(x-1), h = 0.04).
 
     Reports max |y'' - f| with delayed values interpolated, plus the delay
     defect |xm - g| under the system's own delay resolution.  Samples where

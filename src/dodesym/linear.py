@@ -33,8 +33,7 @@ from .expr import Const, DomainError, Expr, compile_fn, diff, subs, to_text
 from .integrate import (
     HistoryFunction,
     Trajectory,
-    _bisect,
-    _sign_scan,
+    _real_roots,
     combine_trajectories,
     solve,
 )
@@ -269,21 +268,6 @@ def _compatibility(g: Expr, K: Expr) -> Expr:
     return subs(K, {"x": g}) * gd ** 2 - diff(gd, "x") - K * gd
 
 
-def _k1(L: LinearDods) -> Expr:
-    gd = diff(L.g, "x")
-    gdd = diff(gd, "x")
-    a1_g = subs(L.a1, {"x": L.g})
-    return (-diff(L.a2, "x") / L.a2 + L.a1 / 2 - a1_g * gd / 2
-            + gdd / (2 * gd))
-
-def _k2(L: LinearDods) -> Expr:
-    gd = diff(L.g, "x")
-    gdd = diff(gd, "x")
-    a1_g = subs(L.a1, {"x": L.g})
-    return (-diff(L.a4, "x") / (2 * L.a4) + L.a1 / 4 - a1_g * gd / 4
-            - gdd / (4 * gd))
-
-
 def _adaptive_simpson(f, a: float, b: float) -> float:
     """The integral of f over [a, b] by adaptive Simpson, to 1e-12 per
     panel, bisecting at most 24 levels deep."""
@@ -358,12 +342,15 @@ def _determining_trees(L: LinearDods, k_used: str):
     """K (K1 or K2, as k_used names), g', the compatibility residual and
     the three remaining determining equations, with the xi-derivatives
     written through K, all with L's params as symbols."""
-    K = E.simplify((_k1 if k_used == "K1" else _k2)(L))
     a1, a2, a3, a4 = L.a1, L.a2, L.a3, L.a4
     gd = diff(L.g, "x")
     gdd = diff(gd, "x")
     gddd = diff(gdd, "x")
     a1_g = subs(a1, {"x": L.g})
+    K = E.simplify(
+        -diff(a2, "x") / a2 + a1 / 2 - a1_g * gd / 2 + gdd / (2 * gd)
+        if k_used == "K1" else
+        -diff(a4, "x") / (2 * a4) + a1 / 4 - a1_g * gd / 4 - gdd / (4 * gd))
     Kd = diff(K, "x")
     Kdd = diff(Kd, "x")
     ratio2 = Kd + K ** 2            # xi''/xi
@@ -554,30 +541,37 @@ def verify_canonical_transform(
 # characteristic roots
 
 
+def _char_slope(cl: CanonicalLinear):
+    """h'(lambda) with cl's values, derived by diff and compiled once."""
+    h = "lam*lam - alpha*lam*exp(-lam*C) - beta - gamma*exp(-lam*C)"
+    return E._memoized("characteristic slope", (), vars(cl), lambda: (
+        compile_fn(diff(E.parse(h), "lam"), ("lam",), vars(cl))))
+
+
 def characteristic_roots(
     cl: CanonicalLinear,
     lam_range: tuple[float, float],
     n_seed: int = 400,
 ) -> list[float]:
-    """All real roots in the window by sign-change scan plus bisection.
+    """All real roots in the window, by integrate._real_roots over n_seed
+    cells with h' from diff.  Two roots inside the first or last cell are
+    missed, and a root of multiplicity 3 or more is bisected on h alone.
 
     Every returned root satisfies |h(lambda)| < 1e-10; an empty list is a
-    legitimate outcome.  A sign change whose bisection misses 1e-10
-    raises LinearError naming its bracket, and so does a window whose
-    width overflows.
+    legitimate outcome.  A root refined to no better raises LinearError
+    naming its bracket, and so does a window whose width overflows.
     """
+    if n_seed < 1:
+        raise ValueError(f"n_seed must be at least 1, got {n_seed}")
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("need lam_lo < lam_hi")
     if not math.isfinite(hi - lo):
         raise LinearError(f"window ({lo:g}, {hi:g}) is too wide for floats")
     h = cl.char_value
-    _, _, brackets = _sign_scan(h, lo, hi, n_seed, zero=1e-13)
-    roots = sorted((a if a == b else _bisect(h, a, b), a, b) for a, b in brackets)
     out: list[float] = []
-    for r, a, b in roots:
-        if out and abs(r - out[-1]) < 1e-9 * max(1.0, abs(r)):
-            continue
+    for r, _, a, b in _real_roots(h, _char_slope(cl), lo, hi, n_seed,
+                                  zero=1e-13):
         if not abs(h(r)) < 1e-10:
             raise LinearError(
                 f"sign change over [{a!r}, {b!r}] refines to lambda = {r!r}"

@@ -29,12 +29,11 @@ from .integrate import (
     HistoryFunction,
     HistoryUnderrunError,
     Trajectory,
-    _bisect,
     _exact_drift,
     _hermite,
     _hermite_terms,
+    _real_roots,
     _rejection,
-    _sign_scan,
     _step_plan,
 )
 from .symmetry import VectorField
@@ -268,14 +267,14 @@ def solve_constraint(
     p: TrafficParams,
     verify: bool = True,
 ) -> ConstraintResult:
-    """All real roots of the constraint by a sign scan of 4000 cells per
-    window plus bisection.
+    """All real roots of the constraint by integrate._real_roots over 4000
+    cells per window, with the exact c' that diff derives; two roots
+    inside a window's first or last cell are missed.
 
-    Double roots (the constraint touching zero) are located by bisecting
-    the exact derivative c' that diff derives, where it changes sign, and
-    flagged.  Roots at or beyond the leader amplitude mean the follower
-    would sit on or ahead of the leader, so they are inadmissible; none
-    admissible yields a collision warning.
+    A double root (c touching zero) is flagged.  Roots at or beyond the
+    leader amplitude mean the follower would sit on or ahead of the
+    leader, so they are inadmissible; none admissible yields a collision
+    warning.
     """
     c_expr = _constraint(example_id, p)
     c, dc = (compile_fn(e, ("A",)) for e in (c_expr, diff(c_expr, "A")))
@@ -291,7 +290,7 @@ def solve_constraint(
         roots.extend(
             ConstraintRoot(A=a, B=b_value, admissible=(0.0 < a < k),
                            double=dbl)
-            for a, dbl in _scan_roots(c, dc, lo, hi, 4000)
+            for a, dbl, _, _ in _real_roots(c, dc, lo, hi, 4000)
         )
     roots.sort(key=lambda r: r.A)
     warning = None
@@ -303,33 +302,6 @@ def solve_constraint(
             if r.admissible:
                 r.verification = _verify_example_root(example_id, p, r.A)
     return ConstraintResult(roots=roots, B=b_value, warning=warning)
-
-
-def _scan_roots(c, dc, lo: float, hi: float, n_scan: int):
-    """The roots of c on [lo, hi], each with its double flag; dc is c'."""
-    grid, vals, brackets = _sign_scan(c, lo, hi, n_scan, errors=DomainError)
-    found: list[tuple[float, bool]] = [
-        (a, abs(dc(a)) < 1e-6 * (1.0 + abs(a))) if a == b
-        else (_bisect(c, a, b), False)
-        for a, b in brackets
-    ]
-    # double roots: zero minima of |c| located via the derivative (NaN fails)
-    for i in range(1, n_scan):
-        fa, fb, fc_ = vals[i - 1], vals[i], vals[i + 1]
-        if abs(fb) < abs(fa) and abs(fb) < abs(fc_) and fa * fc_ > 0.0:
-            try:
-                if dc(grid[i - 1]) * dc(grid[i + 1]) < 0.0:
-                    a_star = _bisect(dc, grid[i - 1], grid[i + 1])
-                    if abs(c(a_star)) < 1e-9:
-                        found.append((a_star, True))
-            except DomainError:
-                continue
-    dedup: list[tuple[float, bool]] = []
-    for a, dbl in sorted(found):
-        if dedup and abs(a - dedup[-1][0]) < 1e-9 * max(1.0, abs(a)):
-            continue
-        dedup.append((a, dbl))
-    return dedup
 
 
 def exact_solution(example_id: int, p: TrafficParams, A: float) -> tuple[Expr, Expr]:

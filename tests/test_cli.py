@@ -88,6 +88,29 @@ class TestRoots:
         assert proc.returncode == 1
         assert "sign change over [141000.0, 141500.0]" in proc.stdout
 
+    @pytest.mark.parametrize("gamma,lines", [
+        # gamma = -2e: lambda = 1 is a double root, h(1) = 0.0 exactly
+        ("-5.43656365691809",
+         ["lambda = 1   exponential-solution residual 4.177e-16"]),
+        # gamma = -2e (1 - 1e-6): two roots inside one pair of cells
+        ("-5.436558220354433",
+         ["lambda = 0.998999583087   exponential-solution residual 5.908e-16",
+          "lambda = 1.00099958358   exponential-solution residual 4.435e-16"]),
+    ])
+    def test_double_root_and_close_pair(self, gamma, lines):
+        proc = run_cli("roots", "--alpha", "0", "--beta", "3",
+                       f"--gamma={gamma}", "--C", "1", "--range=-3,3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == lines
+
+    @pytest.mark.parametrize("n_seed", ["0", "-3"])
+    def test_fewer_than_one_cell_is_rejected(self, n_seed):
+        proc = run_cli("roots", "--alpha", "0", "--beta", "1", "--gamma", "0",
+                       "--C", "1", "--range=-3,3", f"--nseed={n_seed}")
+        assert proc.returncode == 1
+        assert proc.stdout == (f"error: ValueError: n_seed must be at least"
+                               f" 1, got {n_seed}\n")
+
     def test_negative_exponent_value_in_either_spelling(self):
         common = ("--beta", "1", "--gamma", "0.5", "--C", "1")
         split = run_cli("roots", "--alpha", "-3e-05", *common,
@@ -282,6 +305,20 @@ class TestTraffic:
         proc = run_cli("traffic", "--example", "2", "--alpha", "1.0",
                        "--k", "1.0", "--allow-collision-regime")
         assert proc.returncode == 0
+
+    def test_example_two_close_pair_past_the_double_root(self):
+        # alpha 1e-8 past the double-root value: two admissible amplitudes
+        proc = run_cli("traffic", "--example", "2",
+                       "--alpha=-1.417411195305844", "--n1", "3", "--q",
+                       "0.25", "--k", "1.5")
+        assert proc.returncode == 0, proc.stdout
+        roots = [line for line in proc.stdout.splitlines()
+                 if line.startswith("  A = ")]
+        assert roots == [
+            "  A = 0.999942263863  [admissible]  solution residual 1.388e-16",
+            "  A = 1.00005773391  [admissible]  solution residual 1.388e-16",
+        ]
+        assert "warning" not in proc.stdout
 
     def test_override_the_example_does_not_take_is_rejected(self):
         proc = run_cli("traffic", "--example", "3", "--v", "7")

@@ -6,7 +6,7 @@ import pytest
 
 from dodesym import expr as E
 from dodesym.dods import DelayKind, DodsSystem, load_dods
-from dodesym.expr import parse
+from dodesym.expr import DomainError, parse
 from dodesym.integrate import (
     DelayViolationError,
     FixedPointError,
@@ -18,6 +18,7 @@ from dodesym.integrate import (
     _StateDelay,
     _bisect,
     _delay_spec,
+    _real_roots,
     _sign_scan,
     combine_trajectories,
     residual_on_trajectory,
@@ -392,6 +393,63 @@ class TestSignScanAndBisect:
     def test_bisect_collapses_any_finite_bracket(self, root):
         got = _bisect(lambda s: s - root, -1.7e308, 1.7e308)
         assert abs(got - root) <= 1e-16 * max(1.0, abs(root))
+
+
+class TestRealRoots:
+    def test_touching_zero_inside_a_cell_is_one_double_root(self):
+        # no node is a root and no cell changes sign
+        roots = _real_roots(lambda s: (s - 0.33) ** 2, lambda s: 2 * (s - 0.33),
+                            0.0, 1.0, 10)
+        assert len(roots) == 1
+        r, double, a, b = roots[0]
+        assert double and r == pytest.approx(0.33, abs=1e-15)
+        assert a < r < b
+
+    def test_two_roots_inside_one_cell_are_split(self):
+        roots = _real_roots(lambda s: (s - 0.33) ** 2 - 1e-8,
+                            lambda s: 2 * (s - 0.33), 0.0, 1.0, 10)
+        assert [r for r, _, _, _ in roots] == pytest.approx(
+            [0.33 - 1e-4, 0.33 + 1e-4], abs=1e-15)
+        assert not any(double for _, double, _, _ in roots)
+        # both lie in the cell [0.3, 0.4], on either side of the minimum
+        assert roots[0][3] == roots[1][2] == pytest.approx(0.33, abs=1e-15)
+
+    def test_roots_on_grid_nodes(self):
+        assert _real_roots(lambda s: s - 0.5, lambda s: 1.0,
+                           0.0, 1.0, 10) == [(0.5, False, 0.5, 0.5)]
+        assert _real_roots(lambda s: (s - 0.5) ** 2, lambda s: 2 * (s - 0.5),
+                           0.0, 1.0, 10) == [(0.5, True, 0.5, 0.5)]
+        # a node within zero that also ends a sign change is one root
+        roots = _real_roots(lambda s: s - 0.5 + 1e-14, lambda s: 1.0,
+                            0.0, 1.0, 2, zero=1e-13)
+        assert [(r, double) for r, double, _, _ in roots] == [
+            (_bisect(lambda s: s - 0.5 + 1e-14, 0.0, 0.5), False)]
+
+    def test_where_fn_or_its_derivative_is_undefined_is_skipped(self):
+        def fn(s):
+            if 0.6 <= s <= 0.9:
+                raise DomainError("undefined")
+            return (s - 0.33) * (s - 0.77)
+
+        roots = _real_roots(fn, lambda s: 2 * s - 1.1, 0.0, 1.0, 10)
+        assert [r for r, _, _, _ in roots] == pytest.approx([0.33], abs=1e-15)
+
+        def undefined(s):
+            raise DomainError("undefined")
+
+        assert _real_roots(lambda s: (s - 0.33) ** 2 - 1e-8, undefined,
+                           0.0, 1.0, 10) == []
+
+    def test_roots_in_adjacent_cells_keep_their_bisected_values(self):
+        # node 0.3 lies between the two roots: two sign changes
+        def fn(s):
+            return (s - 0.3) ** 2 - 1e-8
+
+        grid = np.linspace(0.0, 1.0, 11).tolist()
+        assert _real_roots(fn, lambda s: 2 * (s - 0.3), 0.0, 1.0, 10) == [
+            (_bisect(fn, grid[2], grid[3]), False, grid[2], grid[3]),
+            (_bisect(fn, grid[3], grid[4]), False, grid[3], grid[4]),
+        ]
 
 
 class TestCounters:

@@ -15,6 +15,7 @@ from dodesym.linear import (
     LinearError,
     _adaptive_simpson,
     _XiQuadrature,
+    _determining_trees,
     characteristic_roots,
     compatibility_residual,
     detect_extra_symmetry,
@@ -146,9 +147,7 @@ class TestDetector:
         L = LinearDods(a1=Const(0.0), a2=parse("1/x^2"), a3=Const(0.0),
                        a4=Const(0.0), b=Const(0.0), g=parse("0.5*x"),
                        domain=(1.0, 3.0))
-        from dodesym.linear import _k1
-
-        k1 = E.simplify(_k1(L))
+        k1 = _determining_trees(L, "K1")[0]
         for x in (1.2, 2.0, 2.8):
             assert E.evaluate(k1, {"x": x}) == pytest.approx(2.0 / x,
                                                              rel=1e-12)
@@ -159,9 +158,7 @@ class TestDetector:
         L = LinearDods(a1=Const(0.0), a2=Const(0.0), a3=Const(0.0),
                        a4=parse("exp(x)"), b=Const(0.0), g=parse("x-1"),
                        domain=(0.0, 3.0))
-        from dodesym.linear import _k2
-
-        k2 = E.simplify(_k2(L))
+        k2 = _determining_trees(L, "K2")[0]
         for x in (0.5, 1.5):
             assert E.evaluate(k2, {"x": x}) == pytest.approx(-0.5, rel=1e-12)
         xs = list(np.linspace(1.0, 3.0, 30))
@@ -351,6 +348,44 @@ class TestCharacteristicRoots:
         with pytest.raises(LinearError, match=r"^sign change over \[.*\]"
                            r" refines to lambda = 141421\.356.* not below 1e-10$"):
             characteristic_roots(CanonicalLinear(0, 2e10, 0, 1), (0, 2e5))
+
+    @pytest.mark.parametrize("window,n_seed", [((-3, 3), 400),
+                                               ((0.5, 2), 400),
+                                               ((-2, 2), 1000)])
+    def test_double_root_is_one_root(self, window, n_seed):
+        # gamma = -2e: h(1) = h'(1) = 0 and h''(1) > 0; with n_seed 1000 a
+        # grid node lands on 1
+        cl = CanonicalLinear(0.0, 3.0, -2.0 * math.e, 1.0)
+        roots = characteristic_roots(cl, window, n_seed=n_seed)
+        assert roots == pytest.approx([1.0], abs=1e-12)
+
+    def test_double_root_next_to_a_root_node_is_one_root(self):
+        # the middle node lies 1e-7 past lambda = 1, where |h| is 2e-14:
+        # the node is the root, and the minimum beside it is not a second
+        cl = CanonicalLinear(0.0, 3.0, -2.0 * math.e, 1.0)
+        lo = 1.0 + 1e-7 - 3.0
+        assert characteristic_roots(cl, (lo, lo + 6.0)) == [1.0000001]
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+    def test_close_pair_inside_one_pair_of_cells(self, delta):
+        cl = CanonicalLinear(0.0, 3.0, -2.0 * math.e * (1.0 - delta), 1.0)
+        roots = characteristic_roots(cl, (-3, 3))
+        assert len(roots) == 2
+        for lam in roots:
+            assert abs(cl.char_value(lam)) < 1e-10
+            assert abs(lam - 1.0) <= 2.0 * math.sqrt(delta)
+
+    def test_root_on_a_node_where_the_slope_overflows(self):
+        # h = lambda^2 - 1e6 with no delayed term: e^(-lambda C) overflows
+        # at the node -1000, where h' is undefined
+        assert characteristic_roots(CanonicalLinear(0, 1e6, 0, 1),
+                                    (-2000, 0)) == [-1000.0]
+
+    @pytest.mark.parametrize("n_seed", [0, -3])
+    def test_rejects_fewer_than_one_cell(self, n_seed):
+        with pytest.raises(ValueError, match="n_seed must be at least 1"):
+            characteristic_roots(CanonicalLinear(0, 1, 0, 1), (-3, 3),
+                                 n_seed=n_seed)
 
     def test_every_root_verifies(self):
         for quad in ((0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),

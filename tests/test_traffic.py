@@ -273,6 +273,33 @@ class TestConstraints:
         assert root.double
         assert abs(root.A - 2.0 * k / 3.0) <= 1e-15
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9])
+    def test_example2_close_pair_past_the_double_root(self, eps):
+        # c(A) ~ -eps + 3 (A - 1)^2 near A = 1: roots at 1 -+ sqrt(eps/3),
+        # with no grid node of the scan between them
+        q, k = 0.25, 1.5
+        alpha = -243.0 / (32.0 * k ** 3) * q ** (1.0 / 3.0) * (1.0 + eps)
+        p = example_params(2, alpha=alpha, n1=3.0, q=q, k=k)
+        result = solve_constraint(2, p, verify=False)
+        assert result.warning is None
+        assert len(result.roots) == 2
+        d = math.sqrt(eps / 3.0)
+        for root, sign in zip(result.roots, (-1.0, 1.0)):
+            assert root.admissible and not root.double
+            assert (root.A - 1.0) * sign == pytest.approx(d, rel=1e-3)
+
+    @pytest.mark.parametrize("eps", [1e-11, 0.0])
+    def test_example2_double_root_within_the_acceptance(self, eps):
+        # |c| at the extremum is about eps, below the 1e-10 acceptance
+        q, k = 0.25, 1.5
+        alpha = -243.0 / (32.0 * k ** 3) * q ** (1.0 / 3.0) * (1.0 + eps)
+        p = example_params(2, alpha=alpha, n1=3.0, q=q, k=k)
+        result = solve_constraint(2, p, verify=False)
+        assert len(result.roots) == 1
+        root = result.roots[0]
+        assert root.double and root.admissible
+        assert abs(root.A - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("example_id,overrides", [
         (2, {}), (2, dict(alpha=-2.0, q=0.5, k=2.0)),
         (2, dict(alpha=1.3, n1=2.5, q=0.7, k=3.0)),
