@@ -235,16 +235,23 @@ def _bisect(fn, a: float, b: float) -> float:
 
 
 def _real_roots(fn, dfn, lo: float, hi: float, cells: int, zero: float = 0.0):
-    """The roots of fn on [lo, hi], sorted, as (root, double, a, b) with
-    bracket [a, b]; dfn is fn', and a DomainError skips a node or extremum.
+    """The roots of fn on [lo, hi] over cells >= 1 scan cells, sorted, as
+    (root, double, a, b) with bracket [a, b]; dfn is fn', and a DomainError
+    skips a node or extremum.
 
     A node where |fn| <= zero is a root, double where |dfn| < 1e-6
-    (1 + |node|); a cell whose ends differ in sign holds one, bisected.  A
-    node whose |fn| is above zero and below both neighbours', all three of
-    one sign, may hide a double root or two roots (Press et al., Numerical
-    Recipes, 3rd ed., 2007, 9.1): where dfn changes sign there, its root r
-    is a double root if |fn(r)| < 1e-10, and fn(r) of the other sign
-    splits two roots.  A root within 1e-9 relative of the one before it is
+    (1 + |node|); a cell whose ends differ in sign holds one, bisected.
+    Every node, the two ends included, is a candidate for more (Press et
+    al., Numerical Recipes, 3rd ed., 2007, 9.1): one whose |fn| is above
+    zero and below both neighbours', all three of one sign, or a root node
+    whose two neighbours share one strict sign.  Past an end the missing
+    neighbour counts as farther from zero with the other one's sign, and
+    the bracket [a, b] of a candidate's neighbours is clipped to [lo, hi].
+    Where dfn changes sign over [a, b], its root r is a double root if
+    |fn(r)| < 1e-10, and fn(r) of the other sign splits two roots, bisected
+    on [a, r] and [r, b].  A root node keeps its value: it gets no double
+    root beside it, and of the split only the side of r away from the node
+    is bisected.  A root within 1e-9 relative of the one before it is
     dropped.
     """
     grid, values, brackets = _sign_scan(fn, lo, hi, cells, zero=zero,
@@ -256,20 +263,34 @@ def _real_roots(fn, dfn, lo: float, hi: float, cells: int, zero: float = 0.0):
         except DomainError:
             double = False
         found.append((a if a == b else _bisect(fn, a, b), double, a, b))
-    for a, b, fa, fb, fc in zip(grid, grid[2:], values, values[1:],
-                                values[2:]):
+    # the neighbours padded past each end: a value farther from zero with
+    # the other neighbour's sign, and the end itself as the bracket end
+    ends = [grid[0], *grid, grid[-1]]
+    near = [math.copysign(math.inf, values[1]), *values,
+            math.copysign(math.inf, values[-2])]
+    for a, x, b, fa, fb, fc in zip(ends, grid, ends[2:], near, values,
+                                   near[2:]):
+        node_root = abs(fb) <= zero
+        if node_root:  # its neighbours of one strict sign
+            if not (fa > 0.0 < fc or fa < 0.0 > fc):
+                continue
         # |fb| below both neighbours', the three of one sign (NaN fails)
-        if (fa > fb < fc if fb > 0.0 else fa < fb > fc) and abs(fb) > zero:
-            try:
-                if dfn(a) * dfn(b) < 0.0:
-                    r = _bisect(dfn, a, b)
-                    if abs(fr := fn(r)) < 1e-10:
+        elif not (fa > fb < fc if fb > 0.0 else fa < fb > fc):
+            continue
+        try:
+            if dfn(a) * dfn(b) < 0.0:
+                r = _bisect(dfn, a, b)
+                if abs(fr := fn(r)) < 1e-10:
+                    if not node_root:
                         found.append((r, True, a, b))
-                    elif (fr < 0.0) != (fb < 0.0):
-                        found += [(_bisect(fn, a, r), False, a, r),
-                                  (_bisect(fn, r, b), False, r, b)]
-            except DomainError:
-                pass
+                elif (fr < 0.0) != (fa < 0.0):
+                    sides = [(a, r), (r, b)]
+                    if node_root:
+                        sides = [sides[r > x]]
+                    found += [(_bisect(fn, p, q), False, p, q)
+                              for p, q in sides]
+        except DomainError:
+            pass
     out = []
     for r in sorted(found):
         if not out or abs(r[0] - out[-1][0]) >= 1e-9 * max(1.0, abs(r[0])):

@@ -20,7 +20,7 @@ Exponential solutions of that form correspond to real roots of
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -292,50 +292,10 @@ def _adaptive_simpson(f, a: float, b: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, 24)
 
 
-class _XiQuadrature:
-    """xi(x) = exp of the running integral of K, anchored at the left end."""
-
-    def __init__(self, K_fn, anchor: float):
-        self.K = K_fn
-        self.anchor = anchor
-        self._known: dict[float, float] = {anchor: 0.0}
-        # the known points but NaN, sorted, and their insertion order
-        self._sorted = [anchor]
-        self._order = {anchor: 0}
-
-    def integral(self, x: float) -> float:
-        if x in self._known:
-            return self._known[x]
-        nearest = self._nearest(x)
-        val = self._known[nearest] + _adaptive_simpson(self.K, nearest, x)
-        if x == x:
-            bisect.insort(self._sorted, x)
-            self._order[x] = len(self._known)
-        self._known[x] = val
-        return val
-
-    def _nearest(self, x: float) -> float:
-        """The known point nearest x; of several at the least distance, the
-        first inserted.  The points at each side's least distance are a run
-        next to x's place in the sorted points (longer than one only where
-        distances round to one float)."""
-        if x != x:  # every distance is NaN
-            return self.anchor
-        points = self._sorted
-        i = bisect.bisect_left(points, x)
-        tied = []
-        for side in (range(i - 1, -1, -1), range(i, len(points))):
-            least = None
-            for j in side:
-                d = abs(points[j] - x)
-                if least is not None and d != least:
-                    break
-                least = d
-                tied.append((d, self._order[points[j]], points[j]))
-        return min(tied)[2]
-
-    def __call__(self, x: float) -> float:
-        return math.exp(self.integral(x))
+def _xi(K_fn, anchor: float):
+    """x -> exp of the integral of K_fn from anchor, computed once per x."""
+    return functools.cache(
+        lambda x: math.exp(_adaptive_simpson(K_fn, anchor, x)))
 
 
 def _determining_trees(L: LinearDods, k_used: str):
@@ -419,7 +379,7 @@ def detect_extra_symmetry(L: LinearDods) -> ExtraSymmetry | None:
         return None
 
     K_fn = L._fn(K)
-    xi = _XiQuadrature(K_fn, lo)
+    xi = _xi(K_fn, lo)
     try:
         for name, cond in zip(("condition_a", "condition_b", "condition_c"),
                               conditions):
@@ -444,8 +404,6 @@ def detect_extra_symmetry(L: LinearDods) -> ExtraSymmetry | None:
             xi_expr = Const(1.0)
         else:
             xi_expr = E.Call("exp", Const(k_bar) * (E.X - Const(lo)))
-    fieldv = None
-    inv_report = None
     K = E.simplify(E.bind_params(K, L.params))
     if xi_expr is not None:
         a1 = E.bind_params(L.a1, L.params)
@@ -554,8 +512,8 @@ def characteristic_roots(
     n_seed: int = 400,
 ) -> list[float]:
     """All real roots in the window, by integrate._real_roots over n_seed
-    cells with h' from diff.  Two roots inside the first or last cell are
-    missed, and a root of multiplicity 3 or more is bisected on h alone.
+    cells with h' from diff.  A root of multiplicity 3 or more is bisected
+    on h alone.
 
     Every returned root satisfies |h(lambda)| < 1e-10; an empty list is a
     legitimate outcome.  A root refined to no better raises LinearError

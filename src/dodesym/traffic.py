@@ -268,8 +268,7 @@ def solve_constraint(
     verify: bool = True,
 ) -> ConstraintResult:
     """All real roots of the constraint by integrate._real_roots over 4000
-    cells per window, with the exact c' that diff derives; two roots
-    inside a window's first or last cell are missed.
+    cells per window, with the exact c' that diff derives.
 
     A double root (c touching zero) is flagged.  Roots at or beyond the
     leader amplitude mean the follower would sit on or ahead of the

@@ -103,6 +103,16 @@ class TestRoots:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == lines
 
+    def test_close_pair_inside_the_first_cell(self):
+        # the window starts 0.001 below the pair, whose cell ends hold no
+        # sign change
+        proc = run_cli("roots", "--alpha", "0", "--beta", "3",
+                       "--gamma=-5.436558220354433", "--C", "1",
+                       "--range=0.998,3")
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split("   ")[0] for line in proc.stdout.splitlines()] \
+            == ["lambda = 0.998999583087", "lambda = 1.00099958358"]
+
     @pytest.mark.parametrize("n_seed", ["0", "-3"])
     def test_fewer_than_one_cell_is_rejected(self, n_seed):
         proc = run_cli("roots", "--alpha", "0", "--beta", "1", "--gamma", "0",

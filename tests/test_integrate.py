@@ -425,6 +425,29 @@ class TestRealRoots:
         assert [(r, double) for r, double, _, _ in roots] == [
             (_bisect(lambda s: s - 0.5 + 1e-14, 0.0, 0.5), False)]
 
+    @pytest.mark.parametrize("p,q", [(0.95, 0.97), (0.03, 0.05)])
+    def test_two_roots_inside_an_end_cell_are_split(self, p, q):
+        # the end node is the dip: its missing outer neighbour counts as
+        # farther from zero, and the derivative is bisected inside the cell
+        roots = _real_roots(lambda s: (s - p) * (s - q),
+                            lambda s: 2 * s - p - q, 0.0, 1.0, 10)
+        assert [r for r, _, _, _ in roots] == pytest.approx([p, q],
+                                                            abs=1e-15)
+        assert not any(double for _, double, _, _ in roots)
+        assert all(0.0 <= a < r < b <= 1.0 for r, _, a, b in roots)
+
+    @pytest.mark.parametrize("q", [0.505, 0.595])
+    def test_second_root_in_the_cell_beside_a_root_node(self, q):
+        roots = _real_roots(lambda s: (s - 0.5) * (s - q),
+                            lambda s: 2 * s - 0.5 - q, 0.0, 1.0, 10)
+        assert len(roots) == 2
+        assert roots[0] == (0.5, False, 0.5, 0.5)
+        r, double, a, b = roots[1]
+        assert not double and r == pytest.approx(q, abs=1e-15)
+        # bisected between the extremum and the node after it
+        assert a == pytest.approx((0.5 + q) / 2, abs=1e-15)
+        assert b == np.linspace(0.0, 1.0, 11)[6]
+
     def test_where_fn_or_its_derivative_is_undefined_is_skipped(self):
         def fn(s):
             if 0.6 <= s <= 0.9:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 
 import numpy as np
 import pytest
@@ -13,9 +12,8 @@ from dodesym.linear import (
     CanonicalLinear,
     LinearDods,
     LinearError,
-    _adaptive_simpson,
-    _XiQuadrature,
     _determining_trees,
+    _xi,
     characteristic_roots,
     compatibility_residual,
     detect_extra_symmetry,
@@ -181,15 +179,14 @@ def _linear(a1, a2, a3, a4, g, domain):
                       b=Const(0.0), g=parse(g), domain=domain)
 
 
-#: sha256 of repr(detect_extra_symmetry(...)), first 16 hex digits, as the
-#: detector gave them when its quadrature scanned every known point for the
-#: nearest and the canonical systems were built from constants
+#: sha256 of repr(detect_extra_symmetry(...)), first 16 hex digits, with xi
+#: integrated from the left end of the domain at every point
 DETECTOR_DIGESTS = {
     "canonical-K1": "e021f8f7fc8affdc",
     "a1-feeds-eta": "ef74989bd0eb9123",
     "gamma-only-K2": "e904b9d7505fb8dc",
     "constant-a1-K2": "f2428f5b4f50f38d",
-    "varying-K-proportional": "05ec67334bf358b4",
+    "varying-K-proportional": "aac029ef981144c3",
 }
 
 
@@ -237,48 +234,21 @@ class TestDetectorResults:
         assert report.passed and found is not None and found.xi_is_constant
 
 
-class TestXiQuadrature:
-    class _Reference(_XiQuadrature):
-        """The nearest known point by a scan of every point, in insertion
-        order."""
+class TestXi:
+    # K = 1/x anchored at 1: xi = x.  The points are the detector's 200
+    # candidate grid points on (1, 3) and their images under g = 0.5 x
+    grid = np.linspace(1.0, 3.0, 200).tolist()
+    points = grid + [0.5 * x for x in grid]
 
-        def integral(self, x):
-            if x in self._known:
-                return self._known[x]
-            nearest = min(self._known, key=lambda t: abs(t - x))
-            val = self._known[nearest] + _adaptive_simpson(self.K, nearest, x)
-            self._known[x] = val
-            return val
+    def test_values_do_not_depend_on_the_order_asked(self):
+        forward, backward = (_xi(lambda x: 1.0 / x, 1.0) for _ in "ab")
+        ahead = [forward(x).hex() for x in self.points]
+        behind = [backward(x).hex() for x in reversed(self.points)]
+        assert ahead == behind[::-1]
 
-    def test_ties_go_to_the_first_inserted_point(self):
-        def K(x):
-            return math.cos(3.0 * x) + 0.1 * x
-
-        rng = random.Random(11)
-        for _ in range(20):
-            fast, scan = _XiQuadrature(K, 0.0), self._Reference(K, 0.0)
-            points = [0.0]
-            for _ in range(40):
-                r = rng.random()
-                if r < 0.3:  # a midpoint: equally far from two points
-                    x = 0.5 * sum(rng.sample(points, 2)) if len(points) > 1 \
-                        else 1.0
-                elif r < 0.4:  # within rounding of a known point
-                    x = rng.choice(points) + rng.choice((-1, 1)) * 2.0 ** \
-                        -rng.randint(40, 60)
-                else:
-                    x = rng.uniform(-3.0, 3.0)
-                points.append(x)
-                assert repr(fast.integral(x)) == repr(scan.integral(x))
-            assert list(fast._known.items()) == list(scan._known.items())
-
-    def test_a_nan_point_starts_at_the_anchor(self):
-        quad = _XiQuadrature(lambda x: 1.0, 0.5)
-        quad.integral(2.0)
-        assert quad.integral(1.0) == 0.5
-        # every distance to NaN is NaN, and min keeps the first point
-        assert min(quad._known, key=lambda t: abs(t - math.nan)) == 0.5
-        assert quad._nearest(math.nan) == 0.5
+    def test_reciprocal_k_gives_the_identity(self):
+        xi = _xi(lambda x: 1.0 / x, 1.0)
+        assert max(abs(xi(x) / x - 1.0) for x in self.points) < 1e-14
 
 
 class TestCanonicalTransform:
