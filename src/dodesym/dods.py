@@ -13,9 +13,11 @@ Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
-Per system, `expr.compile_columns` compiles g, f and one 14-output kernel
-of their partials with the system's params, and per field it compiles the
-one `symmetry.field_kernel` of its prolongation.  Both go through the memo
+Per system, `expr.compile_columns` compiles g and one 15-output kernel
+of f and the 14 jet partials of f and g with the system's params, so each
+block evaluates f and its partials in one pass that computes every
+subtree they share once, and per field it compiles the one
+`symmetry.field_kernel` of its prolongation.  Both go through the memo
 of `expr` (`expr.memo_info()`), keyed by the interned nodes of f, g or the
 field's xi and eta and by the names of the params they read.  Each param
 is a closure cell, and the memo hands the kernels back with the values of
@@ -101,9 +103,9 @@ class DodsSystem:
         return bind_params(e, self.params)
 
     def kernels(self) -> "_SystemKernels":
-        """The compiled g, f and jet partials with the values of params,
-        built once per content of f and g and names of params and shared
-        through the kernel memo of `expr`."""
+        """The compiled g and f with the jet partials, with the values of
+        params, built once per content of f and g and names of params and
+        shared through the kernel memo of `expr`."""
         return _memoized("system", (self.f, self.g), self.params,
                          self._compile_kernels)
 
@@ -111,8 +113,7 @@ class DodsSystem:
         partials = [diff(e, v) for e in (self.f, self.g) for v in JET]
         return _SystemKernels(
             g=compile_columns(self.g, FREE_COORDS, self.params),
-            f=compile_columns(self.f, JET, self.params),
-            partials=compile_columns(partials, JET, self.params))
+            f_partials=compile_columns([self.f, *partials], JET, self.params))
 
     def constant_delay(self) -> float | None:
         """tau where g is x - tau, else None.
@@ -164,8 +165,7 @@ class DodsSystem:
         while checked < n and drawn < 8 * n:
             # never more rows than still needed or left of the 8n budget
             m = min(n - checked, 8 * n - drawn)
-            jet, _ = _sample_manifold(rng, self.box, m, kernels)
-            d = kernels.partials(*jet)
+            _, _, d = _sample_manifold(rng, self.box, m, kernels)
             dep = np.maximum(np.abs(d[_I_YM]), np.abs(d[_I_DYM]))
             ok = np.isfinite(dep)
             if ok.any():
@@ -195,27 +195,35 @@ def sample_point(
 _I_XM, _I_YM, _I_DYM, _I_DDY = (
     JET.index(v) for v in ("xm", "ym", "dym", "ddy"))
 
-#: most rows one sampling block draws, so work arrays stay small at large n
-_BLOCK_ROWS = 1024
+#: most rows one sampling block draws.  Each block pays a fixed cost of a
+#: few dozen numpy calls and three kernel calls, so a check of up to 4096
+#: rows is drawn as one block, plus tail blocks for rejected rows.  Work
+#: arrays hold one 32 kB column per kernel node, so a block peaks at about
+#: 2-3 MB on the traffic systems, A6_3 and A3_11 (5.3 MB on H3_DET,
+#: measured by tracemalloc) however large n is.
+_BLOCK_ROWS = 4096
 
 
-def _sample_manifold(rng, box, m, kernels) -> tuple[np.ndarray, np.ndarray]:
+def _sample_manifold(rng, box, m, kernels) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
     """Draw m points of the free coordinates and put them on the manifold.
 
     The (m, 5) draw consumes the generator exactly as m calls of
-    sample_point do.  xm := g and ddy := f (f evaluated at ddy = 0).  A row
-    is kept where both are defined and xm < x.  Returns the kept rows as
-    jet columns, shape (7, k) in JET order, and their positions in the
-    block.
+    sample_point do.  xm := g and ddy := f (f evaluated at ddy = 0, which
+    neither f nor its partials read).  A row is kept where both are
+    defined and xm < x.  Returns the kept rows as jet columns, shape
+    (7, k) in JET order, their positions in the block, and the partials
+    of f and g at them, shape (14, k) in JET order, f then g.
     """
     lo, hi = zip(*(box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
     x, y, ym, dy, dym = rng.uniform(lo, hi, size=(m, 5)).T
     xm = kernels.g(x, y, ym, dy, dym)
     rows = np.flatnonzero(xm < x)
     jet = np.stack([x, y, xm, ym, dy, dym, np.zeros(m)])[:, rows]
-    jet[_I_DDY] = kernels.f(*jet)
-    keep = np.isfinite(jet[_I_DDY])
-    return jet[:, keep], rows[keep]
+    f, *partials = kernels.f_partials(*jet)
+    jet[_I_DDY] = f
+    keep = np.isfinite(f)
+    return jet[:, keep], rows[keep], np.stack(partials)[:, keep]
 
 
 @dataclass
@@ -247,22 +255,25 @@ class InvarianceReport:
 
 
 class _SystemKernels(NamedTuple):
-    """Column kernels of a system: g, f and one of the partials of f and g."""
+    """Column kernels of a system: g of the free coordinates, and one
+    kernel of the jet returning f, then the 7 jet partials of f and the 7
+    of g, in JET order, which computes each subtree f shares with its
+    partials once."""
 
     g: Callable[..., np.ndarray]
-    f: Callable[..., np.ndarray]
-    partials: Callable[..., tuple[np.ndarray, ...]]
+    f_partials: Callable[..., tuple[np.ndarray, ...]]
 
 
-def _residuals(kernels: _SystemKernels, coeffs, jet: np.ndarray):
-    """pr X (ddy - f) and pr X (xm - g) at the columns of jet, and the mask
-    of rows where every coefficient and partial is defined."""
+def _residuals(coeffs, jet: np.ndarray, d: np.ndarray):
+    """pr X (ddy - f) and pr X (xm - g) at the columns of jet, where d
+    holds the partials of f and g there (JET order, f then g), and the
+    mask of rows where every coefficient and partial is defined."""
     c = coeffs(*jet)
-    d = kernels.partials(*jet)  # JET order, f then g
     with np.errstate(all="ignore"):
         r_dode = c[_I_DDY] - sum(c[i] * d[i] for i in range(7))
         r_delay = c[_I_XM] - sum(c[i] * d[7 + i] for i in range(7))
-    return r_dode, r_delay, np.isfinite(c + d).all(axis=0)
+    ok = np.isfinite(c).all(axis=0) & np.isfinite(d).all(axis=0)
+    return r_dode, r_delay, ok
 
 
 def _running_max(start: float, values: np.ndarray) -> tuple[float, np.ndarray]:
@@ -307,8 +318,8 @@ def check_invariance(
         # a block never holds more rows than are still needed, so every
         # row drawn is taken, in order
         m = min(n - good, _BLOCK_ROWS)
-        jet, rows = _sample_manifold(rng, system.box, m, kernels)
-        r_dode, r_delay, ok = _residuals(kernels, coeffs, jet)
+        jet, rows, d = _sample_manifold(rng, system.box, m, kernels)
+        r_dode, r_delay, ok = _residuals(coeffs, jet, d)
         jet, rows = jet[:, ok], rows[ok]
         # accepted and rejected counts before each row is drawn
         i = np.arange(m)

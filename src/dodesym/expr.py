@@ -992,6 +992,7 @@ def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     def apply(bad: np.ndarray, *args) -> np.ndarray:
         # a float argument (a constant cell) is the same on every row
         rows = [[a] * len(bad) if isinstance(a, float)
+                else a.tolist() if a.shape == bad.shape
                 else np.broadcast_to(a, bad.shape).tolist() for a in args]
         try:
             return np.fromiter(map(fn, *rows), float, len(bad))

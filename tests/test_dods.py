@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dodesym import catalog, traffic
+from dodesym import catalog, dods, traffic
 from dodesym import expr as E
 from dodesym.dods import (
     DEFAULT_BOX,
@@ -45,8 +45,9 @@ def prolonged_residuals(f, g, field, point=POINT):
     column kernels that check_invariance uses."""
     system = DodsSystem(f=parse(f), g=parse(g))
     jet = np.array([[point[v]] for v in JET])
-    r_dode, r_delay, ok = _residuals(system.kernels(),
-                                     field_kernel(field, system.params), jet)
+    _, *partials = system.kernels().f_partials(*jet)
+    r_dode, r_delay, ok = _residuals(field_kernel(field, system.params), jet,
+                                     np.stack(partials))
     assert ok.tolist() == [True]
     return float(r_dode[0]), float(r_delay[0])
 
@@ -122,11 +123,11 @@ class TestCheckInvariance:
         combo = VectorField(E.simplify(const(a) * x1.xi + const(b) * x2.xi),
                             E.simplify(const(a) * x1.eta + const(b) * x2.eta))
         kernels = system.kernels()
-        jet, _ = _sample_manifold(np.random.default_rng(2), system.box, 25,
-                                  kernels)
+        jet, _, d = _sample_manifold(np.random.default_rng(2), system.box, 25,
+                                     kernels)
         assert jet.shape == (7, 25)
         res1, res2, resc = (
-            _residuals(kernels, field_kernel(fld, system.params), jet)
+            _residuals(field_kernel(fld, system.params), jet, d)
             for fld in (x1, x2, combo))
         # both halves: pr X (ddy - f) and pr X (xm - g)
         for lhs, r1, r2 in zip(resc[:2], res1[:2], res2[:2]):
@@ -236,19 +237,34 @@ class TestColumnwiseMatchesPointLoop:
         assert not want[-1].passed
 
     @pytest.mark.parametrize("n", [50, 1300])
-    def test_box_that_rejects_rows(self, n):
-        # n=1300 spans more than one block of rows
+    def test_box_that_rejects_rows(self, n, monkeypatch):
+        # n=1300 spans three blocks of 512 rows
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", 512)
         system, fields = _rejecting_traffic_system()
         for i, fld in enumerate(fields):
             got = check_invariance(system, fld, n=n, seed=11 + i)
             assert got == reference_check(system, fld, n=n, seed=11 + i)
             assert got.n_rejected > 0
 
+    @pytest.mark.parametrize("block_rows", [7, 1024, 4096])
+    def test_block_size_does_not_change_the_report(self, block_rows,
+                                                   monkeypatch):
+        # n=1300 takes at least 186 blocks of 7 rows, two of 1024 or one of
+        # 4096, then tail blocks for the rejected rows
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", block_rows)
+        system, fields = _rejecting_traffic_system()
+        for i, fld in enumerate(fields):
+            got = check_invariance(system, fld, n=1300, seed=11 + i)
+            assert repr(got) == repr(reference_check(system, fld, n=1300,
+                                                     seed=11 + i))
+
     @pytest.mark.parametrize("f,g", [
         # dg/dy is 0/0 where g itself is defined (y < 1)
         ("ym + dym", "x - 1 - sqrt(abs(y - 1) + y - 1)"),
         # the same for f
         ("ym + sqrt(abs(y - 1) + y - 1)", "x - 1"),
+        # f itself is undefined for y < 1, its partials vary by row
+        ("ym*dy + sqrt(y - 1)", "x - 1"),
         # xm = x exactly for y >= 2: no delay there
         ("ym + dym", "x - (abs(y - 2) - (y - 2))"),
     ])
@@ -280,9 +296,11 @@ class TestColumnwiseMatchesPointLoop:
             assert got.worst_point["x"] > 2.35
             assert "<= nan" in got.summary()
 
-    def test_nan_residual_everywhere_fails(self):
+    def test_nan_residual_everywhere_fails(self, monkeypatch):
         # 1e160*1e160 - 1e160*1e160 is inf - inf on every row; n = 1300
-        # takes two blocks, the second starting from a NaN maximum
+        # takes three blocks of 512, the later ones starting from a NaN
+        # maximum
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", 512)
         system = DodsSystem(f=parse("1e160*(y - ym) + dym"), g=parse("x - 1"))
         fld = VectorField.from_text("0", "1e160")
         got = check_invariance(system, fld, n=1300, seed=3)
@@ -400,23 +418,24 @@ class TestKernelsOncePerSystem:
                   VectorField.from_text("0", "1"),
                   VectorField.from_text("0", "y")]
         system.validate()
-        assert len(made) == 3  # g, f and one kernel of the 14 jet partials
+        assert len(made) == 2  # g, and one kernel of f and the 14 partials
         check_algebra(system, fields, n=50)
         check_invariance(system, fields[0], n=50)
         system.box = {"y": (1.0, 2.0)}
         check_invariance(system, fields[2], n=50)
-        assert len(made) == 3 + 3  # one kernel per distinct field
+        assert len(made) == 2 + 3  # one kernel per distinct field
 
     def test_one_call_of_each_kernel_per_block(self, monkeypatch):
         made = self._count_generated(monkeypatch)
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", 512)
         system = a24_example()
         system.kernels()
         check_invariance(system, VectorField.from_text("0", "y"), n=3000)
-        g_calls, f_calls, partials_calls, field_calls = (c[0] for c in made)
-        # every block draws, puts its rows on the manifold and evaluates
-        # the residuals of its kept rows: two calls in _residuals
-        assert g_calls >= 3  # n=3000 needs at least three blocks
-        assert [f_calls, partials_calls, field_calls] == [g_calls] * 3
+        g_calls, f_partials_calls, field_calls = (c[0] for c in made)
+        # every block draws, puts its rows on the manifold with f and the
+        # partials in one call, and evaluates the field at its kept rows
+        assert g_calls >= 6  # n=3000 needs at least six blocks of 512
+        assert [f_partials_calls, field_calls] == [g_calls] * 2
 
     def test_params_edit_rebuilds_the_kernels(self):
         def system(a):
@@ -433,6 +452,32 @@ class TestKernelsOncePerSystem:
         assert after.max_residual_dode == pytest.approx(2.5)
 
 
+class TestMergedKernel:
+    def test_equals_separate_kernels_of_f_and_the_partials(self):
+        system = DodsSystem(f=parse("a*ym*xm + ln(y - 1) + dym*sqrt(dy)"),
+                            g=parse("x - 1 - 0.1*sin(y)"), params={"a": 1.5})
+        partials = [E.diff(e, v) for e in (system.f, system.g) for v in JET]
+        block = np.random.default_rng(23).uniform(0.5, 2.5, size=(7, 200))
+        # columns in JET order: x, y, xm, ym, dy, dym, ddy
+        singular = np.array([
+            [1.0, 0.7, 0.5, 1.5, 1.0, 0.7, 0.0],  # ln(y - 1) undefined
+            [1.0, 2.0, 0.5, 1.5, 0.0, 0.7, 0.0],  # 1/(2*sqrt(dy)) at dy = 0
+            [1.0, 2.0, 0.5, -0.0, -0.0, 0.7, 0.0],  # signed zeros
+        ]).T
+        jet = np.hstack([block, singular])
+        merged = system.kernels().f_partials(*jet)
+        separate = (E.compile_columns(system.f, JET, system.params)(*jet),
+                    *E.compile_columns(partials, JET, system.params)(*jet))
+        assert [m.tobytes() for m in merged] == [s.tobytes() for s in separate]
+        # the singular rows are what they claim to be
+        f, f_y, f_dy, f_xm = (merged[i] for i in (
+            0, 1 + JET.index("y"), 1 + JET.index("dy"), 1 + JET.index("xm")))
+        assert np.isnan(f[-3]) and np.isfinite(f_y[-3])
+        assert np.isfinite(f[-2]) and np.isnan(f_dy[-2])
+        assert np.signbit(f_xm[-1]) and f_xm[-1] == 0.0
+        assert np.isnan(f[:200]).any() and np.isfinite(f[:200]).any()
+
+
 class TestKernelMemo:
     """System and field kernels are built once per distinct content and
     shared by every object that carries it."""
@@ -441,11 +486,11 @@ class TestKernelMemo:
         made = TestKernelsOncePerSystem._count_generated(monkeypatch)
         first = check_invariance(a24_example(), VectorField.from_text("0", "y"),
                                  n=50)
-        assert len(made) == 4  # g, f, the partials and the field
+        assert len(made) == 3  # g, f with the partials, and the field
         again = check_invariance(
             a24_example(), VectorField.from_text("0", "y", label="scaling"),
             n=50)
-        assert len(made) == 4
+        assert len(made) == 3
         assert repr(again) == repr(dataclasses.replace(first,
                                                        field_label="scaling"))
 
@@ -457,7 +502,8 @@ class TestKernelMemo:
         # a parameter is a closure cell: both systems bind the one entry,
         # each with its own sign of zero (ym = -0.0, dy = 1.0)
         row = [np.array([v]) for v in (1.0, 1.0, 0.5, -0.0, 1.0, 1.0, 0.0)]
-        plus, minus = (system(a).kernels().f(*row) for a in (0.0, -0.0))
+        plus, minus = (system(a).kernels().f_partials(*row)[0]
+                       for a in (0.0, -0.0))
         assert np.signbit(plus).tolist() == [False]
         assert np.signbit(minus).tolist() == [True]
         assert E.memo_info().size == 1
