@@ -10,6 +10,15 @@ Solution-independent delays evaluate g(x) directly; state-dependent
 delays are located by a safeguarded secant iteration on s - g(s),
 warm-started from the previous stage, with a bracket scan and bisection
 as the fallback.
+
+Constant and solution-independent delays are planned: the delayed point
+of a stage depends on the stage time alone, so a stage plan places the
+points of each step once, and the driver reads each distinct delayed
+point once (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, OUP 2003, on planning the method of steps).  Stages 2 and 3
+share their time and so their point, and stage 1 shares the previous
+step's stage-4 point unless that one was read at the newest node it
+rounded past.  A state-dependent delay resolves the point of every stage.
 """
 
 from __future__ import annotations
@@ -115,7 +124,7 @@ class Trajectory:
     warnings: list[str] = field(default_factory=list)
     #: delay resolutions that fell back to the bracket scan
     n_fixed_point_fallbacks: int = 0
-    #: right-hand-side evaluations, one delay resolution each
+    #: evaluations of f: four per step of a solve
     n_rhs_evals: int = 0
     #: g evaluations spent locating state-dependent delays
     n_delay_iterations: int = 0
@@ -300,7 +309,8 @@ def _real_roots(fn, dfn, lo: float, hi: float, cells: int, zero: float = 0.0):
 
 # How a driver finds the delayed point xm at each stage: the resolve of
 # each class below returns (xm, g evaluations spent, 1 if it fell back to
-# the bracket scan else 0).
+# the bracket scan else 0).  xm_of is xm as a function of the stage time
+# alone, which a stage plan reads, or None where xm depends on the state.
 
 
 class _ConstantDelay:
@@ -309,16 +319,19 @@ class _ConstantDelay:
             raise DelayViolationError(f"constant delay must be positive, got {tau:g}")
         self.tau = tau
 
+    def xm_of(self, x):
+        return x - self.tau
+
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
         return x - self.tau, 0, 0
 
 
 class _IndependentDelay:
     def __init__(self, g_of_x):
-        self.g = g_of_x
+        self.xm_of = g_of_x
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
-        return self.g(x), 0, 0
+        return self.xm_of(x), 0, 0
 
 
 class _StateDelay:
@@ -337,6 +350,8 @@ class _StateDelay:
     changes of F) pick the one nearest the previous step's xm and are
     reported in warnings.
     """
+
+    xm_of = None
 
     def __init__(self, g_full, warn):
         self.g = g_full
@@ -481,6 +496,63 @@ def _exact_drift(system: DodsSystem, phi: HistoryFunction, x_end: float,
     return dev
 
 
+def _violation(xm: float, x: float) -> DelayViolationError:
+    """The failure of a delayed point xm that is not behind its stage x."""
+    return DelayViolationError(
+        f"delay relation puts the delayed point at {xm:g} >= x = {x:g}")
+
+
+def _stage_plan(grid: list, steps, xm_of=None):
+    """Per step (x, step) of steps, lazily: (x, step, half, points), with
+    points the delayed points of its stages at x, x + half and x + step
+    under the map xm_of, or None where there is no map.
+
+    grid holds the nodes, the first of them where the history ends, and
+    the plan appends each step's end x + step to it once the step is
+    taken; each step starts where the one before it ended.  A point is (j,
+    xm, terms): terms None puts xm at node j, and otherwise inside the
+    segment from node j to node j + 1 with the Hermite terms that every
+    trajectory on that grid shares.  A point at or past the newest node
+    when the step starts is at that node (solve_numeric refuses one more
+    than 1e-12 past it).  j = -1 puts xm in the history, and there terms
+    holds the error the stage fails with, if any: xm_of's own DomainError,
+    or a DelayViolationError where xm is not behind the stage.  A reader
+    raises it when it reaches the stage, so failures keep stage order.  A
+    step's point 0 is the previous step's point 2 object unless that one
+    lies past the node it is at.
+    """
+    x0 = grid[0]
+
+    def place(xs: float, newest: float):
+        try:
+            xm = xm_of(xs)
+        except DomainError as err:
+            return -1, None, err
+        if xm >= xs:
+            return -1, xm, _violation(xm, xs)
+        if xm < x0:
+            return -1, xm, None
+        if xm >= newest:
+            return len(grid) - 1, xm, None
+        j = bisect.bisect_right(grid, xm) - 1
+        return j, xm, (None if xm == grid[j] else
+                       _hermite_terms(xm, grid[j], grid[j + 1]))
+
+    last = None
+    for x, step in steps:
+        half = 0.5 * step
+        points = None
+        if xm_of is not None:
+            newest = grid[-1]
+            points = (last or place(x, newest), place(x + half, newest),
+                      place(x + step, newest))
+            j, xm, _ = last = points[2]
+            if j >= 0 and xm > newest:
+                last = None
+        yield x, step, half, points
+        grid.append(x + step)
+
+
 def solve_numeric(
     f_eval,
     delay,
@@ -492,58 +564,89 @@ def solve_numeric(
     """Driver over a numeric right-hand side f(x, y, xm, ym, dy, dym).
 
     delay locates xm at every stage: _delay_spec(system, warn) for a
-    system's delay relation, or _ConstantDelay(tau).
+    system's delay relation, or _ConstantDelay(tau).  Where its xm_of is
+    set, the stage plan places the delayed points and each distinct one is
+    read once; otherwise every stage resolves its own.
     """
     x0 = phi.interval[1]
-    plan = _step_plan(x0, x_end, h, delay.tau if isinstance(delay, _ConstantDelay)
-                      else None)
+    steps = _step_plan(x0, x_end, h, delay.tau if isinstance(
+        delay, _ConstantDelay) else None)
     y0, phi_dy0 = phi.value(x0)
     dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
 
     traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi)
+    xs, ys, dys = traj.xs, traj.ys, traj.dys
     hist_lo = phi.interval[0]
-
-    def lookup(xq: float) -> tuple[float, float]:
-        return traj.interpolate(xq)
-
     prev_xm = x0 - (delay.tau if isinstance(delay, _ConstantDelay) else
                     min(1.0, x_end - x0))
-    n_rhs = n_iter = fallbacks = 0
+    n_iter = fallbacks = 0
 
-    def rhs(xs: float, ys: float, dys: float):
-        nonlocal prev_xm, n_rhs, n_iter, fallbacks
-        xm, iters, fell_back = delay.resolve(xs, ys, dys, lookup, prev_xm,
-                                             hist_lo, traj.xs[-1])
-        n_rhs += 1
-        n_iter += iters
-        fallbacks += fell_back
-        if xm >= xs:
-            raise DelayViolationError(
-                f"delay relation puts the delayed point at {xm:g} >= x = {xs:g}"
-            )
-        prev_xm = xm
-        ym, dym = lookup(xm)
+    def read(point):
+        """(xm, ym, dym) at a point of the stage plan, as interpolate
+        reads it."""
+        j, xm, terms = point
+        if j >= 0:
+            if terms is not None:
+                return (xm, *_hermite(terms, ys[j], ys[j + 1], dys[j],
+                                      dys[j + 1]))
+            if xm > xs[j] + 1e-12:
+                raise IntegrationError(f"{xm:g} is beyond the computed range")
+            return xm, ys[j], dys[j]
+        if terms is not None:
+            raise terms
+        if xm < hist_lo - 1e-12:
+            raise HistoryUnderrunError(f"{xm:g} is below the covered range")
+        return (xm, *phi.value(xm))
+
+    def rhs(x: float, y: float, dy: float, at) -> float:
+        """f at stage x, with at the (xm, ym, dym) read from the plan, or
+        None to have the delay locate xm."""
+        nonlocal prev_xm, n_iter, fallbacks
+        if at is None:
+            xm, iters, fell_back = delay.resolve(x, y, dy, traj.interpolate,
+                                                 prev_xm, hist_lo, xs[-1])
+            n_iter += iters
+            fallbacks += fell_back
+            if xm >= x:
+                raise _violation(xm, x)
+            prev_xm = xm
+            ym, dym = traj.interpolate(xm)
+        else:
+            xm, ym, dym = at
         try:
-            fv = f_eval(xs, ys, xm, ym, dys, dym)
+            return f_eval(x, y, xm, ym, dy, dym)
         except DomainError as exc:
-            raise _rejection(xs, exc) from None
-        return dys, fv
+            raise _rejection(x, exc) from None
 
     y, dy = y0, dy_start
-    for x, step in plan:
-        k1y, k1d = rhs(x, y, dy)
-        k2y, k2d = rhs(x + 0.5 * step, y + 0.5 * step * k1y,
-                       dy + 0.5 * step * k1d)
-        k3y, k3d = rhs(x + 0.5 * step, y + 0.5 * step * k2y,
-                       dy + 0.5 * step * k2d)
-        k4y, k4d = rhs(x + step, y + step * k3y, dy + step * k3d)
-        y = y + step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        dy = dy + step * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
-        traj.xs.append(x + step)
-        traj.ys.append(y)
-        traj.dys.append(dy)
+    # the readings of the plan's points, None where there is no plan;
+    # last is the previous step's stage-4 point, whose reading is a4
+    a1 = a2 = a4 = last = None
+    for x, step, half, points in _stage_plan(xs, steps, delay.xm_of):
+        planned = points is not None
+        if planned:
+            p1, p2, p4 = points
+            a1 = a4 if p1 is last else read(p1)
+            last = p4
+        k1 = rhs(x, y, dy, a1)
+        xh = x + half
+        if planned:
+            a2 = read(p2)
+        y2, d2 = y + half * dy, dy + half * k1
+        k2 = rhs(xh, y2, d2, a2)
+        y3, d3 = y + half * d2, dy + half * k2
+        k3 = rhs(xh, y3, d3, a2)
+        xe = x + step
+        if planned:
+            a4 = read(p4)
+        y4, d4 = y + step * d3, dy + step * k3
+        k4 = rhs(xe, y4, d4, a4)
+        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+        dy = dy + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        ys.append(y)
+        dys.append(dy)
     traj.n_fixed_point_fallbacks = fallbacks
-    traj.n_rhs_evals = n_rhs
+    traj.n_rhs_evals = 4 * (len(xs) - 1)
     traj.n_delay_iterations = n_iter
     return traj
 

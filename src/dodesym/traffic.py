@@ -16,7 +16,6 @@ proportional delay, exponential leader with constant delay.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field as dc_field, fields, replace
 
@@ -29,11 +28,12 @@ from .integrate import (
     HistoryFunction,
     HistoryUnderrunError,
     Trajectory,
+    _ConstantDelay,
     _exact_drift,
     _hermite,
-    _hermite_terms,
     _real_roots,
     _rejection,
+    _stage_plan,
     _step_plan,
 )
 from .symmetry import VectorField
@@ -385,12 +385,13 @@ def simulate_platoon(
 
     Every history must end at the same t0 (a TrafficError names the first
     car whose history ends elsewhere), so that all cars share one node
-    grid, and with it one stage plan: the steps of a method-of-steps solve
-    from t0 to t_end aligned to the delay tau, and the delayed point of
-    every RK4 stage.  The cars are integrated one after another in index
-    order over that plan.  Car i reads car i-1 only at those delayed
-    points, so each car keeps the values it read there for itself, and the
-    car behind reads them; car 1 reads the leader.  A delayed point at the
+    grid, and with it one stage plan, integrate._stage_plan as a solve
+    under the delay tau reads it: the steps from t0 to t_end aligned to
+    tau, and the delayed point of every RK4 stage, each distinct one once.
+    The cars are integrated one after another in index order over that
+    plan.  Car i reads car i-1 only at those delayed points, so each car
+    keeps the values it read there for itself, and the car behind reads
+    them; car 1 reads the leader.  A delayed point at the
     newest node, or rounded just past it (only one step per delay allows
     that), reads that node.  Every car runs the same right-hand side, its
     two powers taken with math.pow: a power without a real value or a
@@ -426,7 +427,9 @@ def simulate_platoon(
     lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",), values)
     lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
                           values)
-    grid, plan = _stage_plan(t0, _step_plan(t0, t_end, h, p.tau), p.tau)
+    grid = [t0]
+    plan = list(_stage_plan(grid, _step_plan(t0, t_end, h, p.tau),
+                            _ConstantDelay(p.tau).xm_of))
     ahead = _front_values(lead_pos, lead_vel, plan)
     front_ys = None
     state = PlatoonState(trajectories=[])
@@ -461,45 +464,21 @@ def simulate_platoon(
     return state
 
 
-def _stage_plan(t0: float, steps, tau: float):
-    """The node grid of steps taken from t0, and per step (x, step, half,
-    points): the delayed points of its stages at x, x + half and x + step.
-
-    A point is (j, xm, terms).  j < 0 puts xm in the history; terms None
-    puts it at node j, and otherwise inside the segment from node j to
-    node j + 1 with the Hermite terms every car shares.  A point at the
-    newest node when the step starts, or rounded just past it, is at that
-    node.
-    """
-    grid, plan = [t0], []
-    for x, step in steps:
-        half = 0.5 * step
-        points = []
-        for xm in (x - tau, x + half - tau, x + step - tau):
-            if xm < t0:
-                points.append((-1, xm, None))
-            elif xm >= grid[-1]:
-                points.append((len(grid) - 1, xm, None))
-            else:
-                j = bisect.bisect_right(grid, xm) - 1
-                points.append((j, xm, None if xm == grid[j] else
-                               _hermite_terms(xm, grid[j], grid[j + 1])))
-        plan.append((x, step, half, points))
-        grid.append(x + step)
-    return grid, plan
-
-
 def _front_values(lead_pos, lead_vel, plan):
-    """(ys, dys, error): the leader's position and velocity at the delayed
-    points of plan, in order, up to the first where either raises a
-    DomainError, and that error."""
+    """(ys, dys, error): the leader's position and velocity at the distinct
+    delayed points of plan, in order, up to the first where either raises
+    a DomainError, and that error.  A step's point 0 that is the previous
+    step's point 2 is not read again."""
     ys, dys = [], []
+    last = None
     try:
         for _, _, _, points in plan:
-            for _, xm, _ in points:
+            for point in points[1:] if points[0] is last else points:
+                xm = point[1]
                 y, dy = lead_pos(xm), lead_vel(xm)
                 ys.append(y)
                 dys.append(dy)
+            last = points[2]
     except DomainError as err:
         return ys, dys, err
     return ys, dys, None
@@ -524,12 +503,12 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
     """Take the steps of plan from the last of the rows ys, dys, one row
     appended per step, under the car-following law of p.
 
-    ahead is (ys, dys, error) of the car in front at the delayed points of
-    plan, as _front_values gives it: a stage past the values it holds
-    fails with its error.  Returns the car's own values at those points,
-    in the same form, for the car behind.  Raises _Collapse at a stage
-    whose delayed headway is below the floor, and the failure of a stage
-    that has no value.
+    ahead is (ys, dys, error) of the car in front at the distinct delayed
+    points of plan, as _front_values gives it: a stage past the values it
+    holds fails with its error.  Returns the car's own values at those
+    points, in the same form, for the car behind.  Raises _Collapse at a
+    stage whose delayed headway is below the floor, and the failure of a
+    stage that has no value.
     """
     alpha, n1, n2 = p.alpha, p.n1, p.n2
     # with n2 = 0 the headway never enters: no floor, and a division by
@@ -541,9 +520,10 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
     own_y, own_d = [], []
     lo = phi.interval[0] - 1e-12
 
-    def delayed(k, point, xs):
-        """(gap, velocity difference) to the car in front at point k of the
-        plan, read at stage time xs."""
+    def delayed(point, xs, done):
+        """(gap, velocity difference) to the car in front at the next
+        distinct point of the plan, read at stage time xs after done
+        accelerations of the step."""
         j, xm, terms = point
         if terms is not None:
             ym, dym = _hermite(terms, ys[j], ys[j + 1], dys[j], dys[j + 1])
@@ -553,14 +533,14 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
             raise HistoryUnderrunError(f"{xm:g} is below the covered range")
         else:
             ym, dym = phi.value(xm)
+        k = len(own_y)
         own_y.append(ym)
         own_d.append(dym)
         if k >= n_front:
             raise _rejection(xs, front_err)
         gap = front_y[k] - ym
         if gap < floor:
-            # a step reads its points 0, 1, 2 after 0, 1, 3 accelerations
-            raise _Collapse(xs, 4 * (k // 3) + (0, 1, 3)[k % 3])
+            raise _Collapse(xs, 4 * (len(ys) - 1) + done)
         return gap, front_d[k] - dym
 
     def accel(xs, d, gap, dv):
@@ -573,25 +553,26 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
         return acc
 
     y, dy = ys[-1], dys[-1]
-    k = 0
+    last = None  # the previous step's stage-4 point, read into gap and dv
     for x, step, half, (p1, p2, p4) in plan:
-        gap, dv = delayed(k, p1, x)
+        if p1 is not last:
+            gap, dv = delayed(p1, x, 0)
         a1 = accel(x, dy, gap, dv)
         xh = x + half
         d2 = dy + half * a1
-        gap, dv = delayed(k + 1, p2, xh)
+        gap, dv = delayed(p2, xh, 1)
         a2 = accel(xh, d2, gap, dv)
         d3 = dy + half * a2
         a3 = accel(xh, d3, gap, dv)
         d4 = dy + step * a3
         xe = x + step
-        gap, dv = delayed(k + 2, p4, xe)
+        gap, dv = delayed(p4, xe, 3)
         a4 = accel(xe, d4, gap, dv)
         y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
         dy = dy + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
         ys.append(y)
         dys.append(dy)
-        k += 3
+        last = p4
     return own_y, own_d, None
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from dodesym.integrate import (
     _bisect,
     _delay_spec,
     _real_roots,
+    _rejection,
     _sign_scan,
+    _stage_plan,
+    _step_plan,
     combine_trajectories,
     residual_on_trajectory,
     solve,
@@ -574,3 +578,223 @@ class TestHistoryFunction:
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValueError):
             HistoryFunction(parse("x"), (0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the stage plan against the driver that resolved every stage
+
+
+def per_stage_reference(f_eval, delay, phi, dy0, x_end, h):
+    """The driver before the stage plan: each of the four RK4 stages
+    resolves its delayed point and reads it through Trajectory.interpolate.
+    Kept as the reference that the planned reads reproduce bit for bit."""
+    x0 = phi.interval[1]
+    plan = _step_plan(x0, x_end, h, delay.tau if isinstance(
+        delay, _ConstantDelay) else None)
+    y0, phi_dy0 = phi.value(x0)
+    dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
+    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi)
+    hist_lo = phi.interval[0]
+    prev_xm = x0 - (delay.tau if isinstance(delay, _ConstantDelay) else
+                    min(1.0, x_end - x0))
+    n_rhs = n_iter = fallbacks = 0
+
+    def rhs(xs, ys, dys):
+        nonlocal prev_xm, n_rhs, n_iter, fallbacks
+        xm, iters, fell_back = delay.resolve(xs, ys, dys, traj.interpolate,
+                                             prev_xm, hist_lo, traj.xs[-1])
+        n_rhs += 1
+        n_iter += iters
+        fallbacks += fell_back
+        if xm >= xs:
+            raise DelayViolationError(
+                f"delay relation puts the delayed point at {xm:g} >= x = {xs:g}"
+            )
+        prev_xm = xm
+        ym, dym = traj.interpolate(xm)
+        try:
+            fv = f_eval(xs, ys, xm, ym, dys, dym)
+        except DomainError as exc:
+            raise _rejection(xs, exc) from None
+        return dys, fv
+
+    y, dy = y0, dy_start
+    for x, step in plan:
+        k1y, k1d = rhs(x, y, dy)
+        k2y, k2d = rhs(x + 0.5 * step, y + 0.5 * step * k1y,
+                       dy + 0.5 * step * k1d)
+        k3y, k3d = rhs(x + 0.5 * step, y + 0.5 * step * k2y,
+                       dy + 0.5 * step * k2d)
+        k4y, k4d = rhs(x + step, y + step * k3y, dy + step * k3d)
+        y = y + step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        dy = dy + step * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+        traj.xs.append(x + step)
+        traj.ys.append(y)
+        traj.dys.append(dy)
+    traj.n_fixed_point_fallbacks = fallbacks
+    traj.n_rhs_evals = n_rhs
+    traj.n_delay_iterations = n_iter
+    return traj
+
+
+F_ARGS = ("x", "y", "xm", "ym", "dy", "dym")
+ONE_STEP_PER_DELAY = Path(__file__).resolve().parent.parent / "examples" \
+    / "one_step_per_delay.txt"
+
+
+def _seeded(seed, g):
+    """A system of delay g whose f and history take seeded coefficients."""
+    a, b, c, d, p, q, w = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, 7).tolist()
+    system = DodsSystem(f=parse("a*ym + b*dym - c*y*ym + d*sin(x)*dy"),
+                        g=parse(g), params={"a": a, "b": b, "c": c, "d": d})
+    phi = f"{p!r} + {q!r}*sin({2.0 + w!r}*x)"
+    return system, phi
+
+
+def _run(driver, system, phi, hist, dy0, x_end, h, f_eval=None):
+    """The trajectory of driver as float.hex rows, with its counters and
+    warnings."""
+    warnings = []
+    traj = driver(f_eval or E.compile_fn(system.f, F_ARGS, system.params),
+                  _delay_spec(system, warnings.append),
+                  HistoryFunction(parse(phi), hist), dy0, x_end, h)
+    return ([[v.hex() for v in vs] for vs in (traj.xs, traj.ys, traj.dys)],
+            traj.n_rhs_evals, traj.n_delay_iterations,
+            traj.n_fixed_point_fallbacks, warnings)
+
+
+#: (g, history interval, x_end, h) of seeded systems
+PLANNED_CASES = {
+    # h does not divide tau: steps of tau / 3 that do not land on nodes
+    "constant-h-not-dividing": ("x - 0.7", (-0.7, 0.0), 2.5, 0.3),
+    "constant-fine": ("x - 1", (-1.0, 0.0), 3.3, 0.015),
+    # one step per delay, where the newest-node clamp applies
+    "one-step-per-delay": ("x - 0.9", (-0.7, 0.2), 4.0, 0.9),
+    "one-step-h-past-tau": ("x - 0.35", (-0.5, 0.0), 3.0, 1.3),
+    # x_end inside the first delay: every point in the history
+    "inside-first-delay": ("x - 1", (-1.0, 0.0), 0.55, 0.01),
+    # pantograph g = q x crossing x = 1/q, where xm leaves the history
+    "pantograph-half": ("0.5*x", (0.5, 1.0), 3.0, 0.05),
+    "pantograph-on-nodes": ("0.5*x", (0.5, 1.0), 3.0, 0.25),
+    "pantograph-0.8": ("0.8*x", (0.8, 1.0), 1.6, 0.03),
+    "independent-sin": ("x - 1 - 0.2*sin(x)", (-1.0, 0.0), 2.5, 0.02),
+    # the unplanned kind runs in the same loop
+    "state": ("x - 1 - 0.1*sin(y)", (-1.3, 0.0), 2.0, 0.02),
+}
+
+
+class TestStagePlan:
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("name", list(PLANNED_CASES))
+    def test_matches_the_per_stage_driver(self, name, seed):
+        g, hist, x_end, h = PLANNED_CASES[name]
+        system, phi = _seeded(seed, g)
+        args = (system, phi, hist, "from-phi", x_end, h)
+        assert _run(solve_numeric, *args) == _run(per_stage_reference, *args)
+
+    def test_one_step_per_delay_example(self):
+        system = load_dods(ONE_STEP_PER_DELAY.read_text())
+        for x_end in (2.0, 9.0):
+            args = (system, "1", (-0.7, 0.2), "from-phi", x_end, 0.9)
+            assert _run(solve_numeric, *args) == \
+                _run(per_stage_reference, *args)
+
+    def test_one_step_per_delay_plans_past_the_newest_node(self):
+        # the example's last delayed point of a step rounds past the newest
+        # node: it reads that node, and the next step reads its own point 0
+        grid = [0.2]
+        plan = list(_stage_plan(grid, _step_plan(0.2, 9.0, 0.9, 0.9),
+                                _ConstantDelay(0.9).xm_of))
+        past = [k for k, (_, _, _, (_, _, (j, xm, terms))) in enumerate(plan)
+                if j >= 0 and terms is None and xm > grid[j]]
+        assert past
+        for k in range(1, len(plan)):
+            assert (plan[k][3][0] is plan[k - 1][3][2]) == (k - 1 not in past)
+
+
+def _failure(driver, f, g, phi, hist, dy0, x_end, h):
+    """(type, message, f evaluations made) of the failure driver raises."""
+    system = DodsSystem(f=parse(f), g=parse(g))
+    kernel = E.compile_fn(system.f, F_ARGS)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    with pytest.raises(Exception) as info:
+        _run(driver, system, phi, hist, dy0, x_end, h, f_eval=counted)
+    return type(info.value).__name__, str(info.value), calls[0]
+
+
+#: (f, g, phi, history interval, dy0, x_end, h) and the failure's type
+FAILURES = {
+    "f-at-first-stage": (("ln(ym)", "0.5*x", "x - 0.9", (0.5, 1.0),
+                          "from-phi", 3.0, 0.05), "StepRejectionError"),
+    "f-at-a-half-step": (("ym*sqrt(1.234 - x)", "x - 1", "1", (-1.0, 0.0),
+                          1.0, 2.0, 0.1), "StepRejectionError"),
+    "g-undefined": (("-ym", "0.5*x + 0.1*sqrt(1.72 - x)", "1", (0.5, 1.0),
+                     0.0, 2.0, 0.1), "DomainError"),
+    "violation-at-start": (("-ym", "x + 0.5*sin(x) + 0.1", "1", (-1.0, 0.0),
+                            0.0, 2.0, 0.1), "DelayViolationError"),
+    "violation-later": (("-ym", "x - 1 + 2*exp(-50*(x - 1.5)^2)", "1",
+                         (-1.0, 0.0), 0.0, 2.0, 0.1), "DelayViolationError"),
+    "underrun-constant": (("-ym", "x - 1", "1", (-0.5, 0.0), 0.0, 2.0,
+                           0.1), "HistoryUnderrunError"),
+    "underrun-at-stage-4": (("ym", "-x - 0.5", "1", (-0.55, 0.0), 0.0, 1.0,
+                             0.1), "HistoryUnderrunError"),
+    "beyond-the-computed-range": (("-ym", "0.99*x", "1", (0.99, 1.0), 0.0,
+                                   2.0, 0.05), "IntegrationError"),
+    "history-undefined": (("-ym", "x - 1", "sqrt(x + 0.5)", (-1.0, 0.0),
+                           0.0, 2.0, 0.1), "DomainError"),
+    # stage 1's f fails where stage 4's point would fail too
+    "f-before-an-underrun": (("ln(dy)", "-x - 0.5", "1", (-0.55, 0.0), -1.0,
+                              1.0, 0.1), "StepRejectionError"),
+    "f-before-g": (("ln(dy)", "0.5*x + 0.1*sqrt(1.05 - x)", "1", (0.5, 1.0),
+                    -1.0, 2.0, 0.1), "StepRejectionError"),
+}
+
+
+class TestFailureParity:
+    @pytest.mark.parametrize("name", list(FAILURES))
+    def test_same_failure_at_the_same_stage(self, name):
+        case, kind = FAILURES[name]
+        got = _failure(solve_numeric, *case)
+        assert got == _failure(per_stage_reference, *case)
+        assert got[0] == kind
+
+    def test_stage_four_point_of_the_first_step_fails(self):
+        # the reference pins the stage: stages 1 and 2 evaluate f first
+        case, _ = FAILURES["underrun-at-stage-4"]
+        assert _failure(solve_numeric, *case) == (
+            "HistoryUnderrunError", "-0.6 is below the covered range", 3)
+
+
+class TestReadCounts:
+    def test_constant_delay_reads_the_history_twice_a_step(self, monkeypatch):
+        calls = [0]
+        value = HistoryFunction.value
+
+        def counted(history, x):
+            calls[0] += 1
+            return value(history, x)
+
+        monkeypatch.setattr(HistoryFunction, "value", counted)
+        traj = solve(linear_delay_system(), ramp_history(), 1.0, 1.0, 0.01)
+        steps = len(traj.xs) - 1
+        assert steps == 100
+        assert calls[0] <= 2 * steps + 2
+
+    @pytest.mark.parametrize("g,hist", [("x - 1", (-1.0, 0.0)),
+                                        ("0.5*x", (0.5, 1.0)),
+                                        ("x - 1 - 0.2*sin(x)", (-1.0, 0.0))])
+    def test_planned_delays_never_interpolate(self, g, hist, monkeypatch):
+        def refuse(traj, x):
+            raise AssertionError("interpolate called")
+
+        monkeypatch.setattr(Trajectory, "interpolate", refuse)
+        system = DodsSystem(f=parse("-ym"), g=parse(g))
+        traj = solve(system, HistoryFunction.from_text("1 + x", hist), 0.0,
+                     3.0, 0.01)
+        assert traj.n_rhs_evals == 4 * (len(traj.xs) - 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dodesym import expr as E
-from dodesym import integrate
+from dodesym import integrate, traffic
 from dodesym.dods import check_invariance
 from dodesym.expr import DomainError, evaluate, parse
 from dodesym.integrate import HistoryFunction, StepRejectionError, solve
@@ -803,3 +803,39 @@ class TestLockStepPlatoon:
         assert calls == {"solve_numeric": 0, "interpolate": 0}
         if name.startswith("bench"):
             assert outcome[0] == []  # no collision
+
+    @pytest.mark.parametrize("name", ["bench10-101", "bench4-102",
+                                      "one-step-per-delay",
+                                      "one-step-rounds-past"])
+    def test_leader_is_read_once_per_distinct_point(self, name, monkeypatch):
+        # stage 3 shares stage 2's delayed point, and stage 1 the previous
+        # step's stage-4 point: two leader reads a step, plus one, plus one
+        # for each stage-4 point read at a newest node it rounded past
+        case = PLATOON_CASES[name]()
+        p, _, histories, t_end, h = case
+        grid = [histories[0].interval[1]]
+        plan = list(integrate._stage_plan(
+            grid, integrate._step_plan(grid[0], t_end, h, p.tau),
+            integrate._ConstantDelay(p.tau).xm_of))
+        past = sum(j >= 0 and terms is None and xm > grid[j]
+                   for *_, (_, _, (j, xm, terms)) in plan)
+        assert (past > 0) == name.startswith("one-step")
+        calls = {"pos": 0, "vel": 0}
+        front_values = traffic._front_values
+
+        def counted(lead_pos, lead_vel, plan):
+            def pos(x):
+                calls["pos"] += 1
+                return lead_pos(x)
+
+            def vel(x):
+                calls["vel"] += 1
+                return lead_vel(x)
+
+            return front_values(pos, vel, plan)
+
+        monkeypatch.setattr(traffic, "_front_values", counted)
+        state = simulate_platoon(*case)
+        steps = len(plan)
+        assert len(state.trajectories[0].xs) == steps + 1
+        assert calls["pos"] == calls["vel"] == 2 * steps + 1 + past
