@@ -6,10 +6,11 @@ the initial history.  For constant delay the step grid is aligned so the
 multiples of the delay are breakpoints, which confines derivative
 discontinuities to nodes.  A delayed point at the newest node, or rounded
 just past it (one step per delay allows that), reads that node.
-Solution-independent delays evaluate g(x) directly; state-dependent
-delays are located by a safeguarded secant iteration on s - g(s),
-warm-started from the previous stage, with a bracket scan and bisection
-as the fallback.
+Solution-independent delays evaluate g(x) directly.  A state-dependent g
+that reads no delayed value (neither ym nor dym) gives xm in one
+evaluation at each stage; one that does is located by a safeguarded
+secant iteration on s - g(s), warm-started from the previous stage, with
+a bracket scan and bisection as the fallback.
 
 Constant and solution-independent delays are planned: the delayed point
 of a stage depends on the stage time alone, so a stage plan places the
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dods import DelayKind, DodsSystem, FREE_COORDS
-from .expr import DomainError, Expr, bind_params, compile_fn, diff, parse
+from .expr import (DomainError, Expr, bind_params, compile_fn, diff,
+                   free_symbols, parse)
 
 
 class IntegrationError(Exception):
@@ -126,7 +128,8 @@ class Trajectory:
     n_fixed_point_fallbacks: int = 0
     #: evaluations of f: four per step of a solve
     n_rhs_evals: int = 0
-    #: g evaluations spent locating state-dependent delays
+    #: g evaluations spent locating state-dependent delays: one per stage
+    #: where g reads no delayed value
     n_delay_iterations: int = 0
 
     @property
@@ -334,21 +337,36 @@ class _IndependentDelay:
         return self.xm_of(x), 0, 0
 
 
+#: the failure of a state-dependent delay that has no admissible xm
+_NO_ROOT = ("state-dependent delay: no root of xm - g located in the"
+            " admissible bracket")
+
+
+def _bracket_top(x: float, completed_end: float) -> float:
+    """The upper end of the admissible bracket of a state-dependent xm at
+    stage x, whose lower end is the start of the history: 1e-13 relative
+    behind x, and not past the newest node completed_end."""
+    return min(x - 1e-13 * max(1.0, abs(x)), completed_end)
+
+
 class _StateDelay:
     """xm = g(x, y, ym(xm), dy, dym(xm)) by a safeguarded secant, then bisection.
 
-    The secant iteration on F(s) = s - g(s) starts from the previous
-    stage's xm with one fixed-point step, s1 = g(s0), and clamps every
-    iterate to the admissible bracket.  It stops when a step falls below
-    5e-13 relative or F is exactly zero (the next step would be zero),
-    and accepts the last iterate when |F| < 1e-10 there.  Otherwise, and
-    on a zero secant denominator, 100 steps without convergence, or g or
-    the dense output undefined at an iterate, it falls back to a scan of F
-    over 64 cells of the bracket with bisection (Bellen & Zennaro, Numerical
-    Methods for Delay Differential Equations, OUP 2003, on locating
-    state-dependent delays).  Multiple admissible solutions (several sign
-    changes of F) pick the one nearest the previous step's xm and are
-    reported in warnings.
+    For a g that reads the delayed state; _ExplicitStateDelay resolves one
+    that does not in a single evaluation.  The secant iteration on F(s) =
+    s - g(s) starts from the previous stage's xm with one fixed-point step,
+    s1 = g(s0), and clamps every iterate to the admissible bracket.  It
+    accepts the first iterate after s0 where |F| < 1e-12, which for a g
+    that reads no delayed value is s1 = g.  It also stops when a step
+    falls below 5e-13 relative, and accepts the iterate there when
+    |F| < 1e-10.  Otherwise, and on a zero secant denominator, 100 steps
+    without convergence, or g or the dense output undefined at an
+    iterate, it falls back to a scan of F over 64 cells of the bracket
+    with bisection (Bellen & Zennaro, Numerical Methods for Delay
+    Differential Equations, OUP 2003, on locating state-dependent
+    delays).  Multiple admissible solutions (several sign changes of F)
+    pick the one nearest the previous step's xm and are reported in
+    warnings.
     """
 
     xm_of = None
@@ -366,7 +384,7 @@ class _StateDelay:
             ym, dym = lookup(s)
             return self.g(x, y, ym, dy, dym)
 
-        hi = min(x - 1e-13 * max(1.0, abs(x)), completed_end)
+        hi = _bracket_top(x, completed_end)
         lo = hist_lo
         s = min(max(prev_xm, lo), hi)
         try:
@@ -375,7 +393,9 @@ class _StateDelay:
             nxt = min(max(g_s, lo), hi)
             for _ in range(100):
                 f_nxt = nxt - g_at(nxt)
-                if f_nxt == 0.0 or abs(nxt - s) < 5e-13 * max(1.0, abs(nxt)):
+                if abs(f_nxt) < 1e-12:
+                    return nxt, n_evals, 0
+                if abs(nxt - s) < 5e-13 * max(1.0, abs(nxt)):
                     if abs(f_nxt) < 1e-10:
                         return nxt, n_evals, 0
                     break
@@ -396,10 +416,7 @@ class _StateDelay:
         _, _, brackets = _sign_scan(defect, lo, hi, 64,
                                     errors=(DomainError, HistoryUnderrunError))
         if not brackets:
-            raise FixedPointError(
-                "state-dependent delay: no root of xm - g located in the"
-                " admissible bracket"
-            )
+            raise FixedPointError(_NO_ROOT)
         if len(brackets) > 1:
             self._warn(
                 f"state-dependent delay has {len(brackets)} candidate roots;"
@@ -409,15 +426,43 @@ class _StateDelay:
         return a if a == b else _bisect(defect, a, b)
 
 
+class _ExplicitStateDelay:
+    """xm = g(x, y, dy) for a state-dependent g that reads no delayed value.
+
+    One evaluation of g at the stage gives xm, and no dense output is
+    read.  xm must lie in the bracket _StateDelay searches, from the start
+    of the history to _bracket_top; outside it, or where g is undefined,
+    the delay fails with the FixedPointError that _StateDelay's bracket
+    scan raises for such a g.
+    """
+
+    xm_of = None
+
+    def __init__(self, g_full):
+        self.g = g_full
+
+    def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
+        try:
+            xm = self.g(x, y, 0.0, dy, 0.0)  # ym and dym do not enter
+        except DomainError:
+            raise FixedPointError(_NO_ROOT) from None
+        if not hist_lo <= xm <= _bracket_top(x, completed_end):
+            raise FixedPointError(_NO_ROOT)
+        return xm, 1, 0
+
+
 def _delay_spec(system: DodsSystem, warn):
-    """The delay resolution of the system's delay kind."""
+    """The delay resolution of the system's delay kind and, for a
+    state-dependent delay, of whether g reads a delayed value."""
     kind, tau = system._delay()
     if kind is DelayKind.CONSTANT:
         return _ConstantDelay(tau)
     if kind is DelayKind.SOLUTION_INDEPENDENT:
         return _IndependentDelay(compile_fn(system.g, ("x",), system.params))
-    return _StateDelay(compile_fn(system.g, FREE_COORDS, system.params),
-                       warn)
+    g_full = compile_fn(system.g, FREE_COORDS, system.params)
+    if free_symbols(system.g) & {"ym", "dym"}:
+        return _StateDelay(g_full, warn)
+    return _ExplicitStateDelay(g_full)
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,10 @@ def simulate_platoon(
     keeps the values it read there for itself, and the car behind reads
     them; car 1 reads the leader.  A delayed point at the
     newest node, or rounded just past it (only one step per delay allows
-    that), reads that node.  Every car runs the same right-hand side, its
-    two powers taken with math.pow: a power without a real value or a
-    non-finite result is a StepRejectionError.
+    that), reads that node.  Every car runs the same right-hand side.  Its
+    two powers are taken with math.pow, except that an exponent of 1 gives
+    the base itself and one of 0 gives 1.0, as math.pow would: a power
+    without a real value or a non-finite result is a StepRejectionError.
 
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
@@ -511,8 +512,7 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
     stage that has no value.
     """
     alpha, n1, n2 = p.alpha, p.n1, p.n2
-    # with n2 = 0 the headway never enters: no floor, and a division by
-    # pow(gap, 0.0) = 1.0, which is exact
+    # with n2 = 0 the headway never enters: no floor and no division
     floor = -math.inf if n2 == 0.0 else _HEADWAY_FLOOR
     pow_, isfinite = math.pow, math.isfinite
     front_y, front_d, front_err = ahead
@@ -543,9 +543,17 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
             raise _Collapse(xs, 4 * (len(ys) - 1) + done)
         return gap, front_d[k] - dym
 
+    # math.pow(v, 1.0) is v and math.pow(v, 0.0) is 1.0 for every float v,
+    # so those exponents take no power and give the same acceleration
     def accel(xs, d, gap, dv):
         try:
-            acc = alpha * pow_(d, n1) * dv / pow_(gap, n2)
+            if n1 != 1.0:
+                d = 1.0 if n1 == 0.0 else pow_(d, n1)
+            acc = alpha * d * dv
+            if n2 == 1.0:
+                acc = acc / gap
+            elif n2 != 0.0:
+                acc = acc / pow_(gap, n2)
         except (ValueError, OverflowError) as err:
             raise _rejection(xs, err) from None
         if not isfinite(acc):

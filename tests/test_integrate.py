@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dodesym import expr as E
-from dodesym.dods import DelayKind, DodsSystem, load_dods
+from dodesym import integrate
+from dodesym.dods import FREE_COORDS, DelayKind, DodsSystem, load_dods
 from dodesym.expr import DomainError, parse
 from dodesym.integrate import (
     DelayViolationError,
@@ -16,6 +17,7 @@ from dodesym.integrate import (
     IntegrationError,
     Trajectory,
     _ConstantDelay,
+    _ExplicitStateDelay,
     _StateDelay,
     _bisect,
     _delay_spec,
@@ -361,6 +363,134 @@ class TestStateDependentDelay:
             assert xm == 0.5
 
 
+def _secant_spec(system, warn):
+    """_StateDelay on the g that _delay_spec compiles."""
+    return _StateDelay(E.compile_fn(system.g, FREE_COORDS, system.params),
+                       warn)
+
+
+def _outcome(spec_of, f, g, phi, hist, x_end, h):
+    """The solve under the delay spec_of(system, warn) gives: the
+    trajectory as float.hex rows with its fallbacks, warnings and residual
+    report, or the type and message of its failure; and the f evaluations
+    made and the g evaluations counted."""
+    system = DodsSystem(f=parse(f), g=parse(g))
+    kernel = E.compile_fn(system.f, F_ARGS)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    warnings = []
+    try:
+        traj = solve_numeric(counted, spec_of(system, warnings.append),
+                             HistoryFunction(parse(phi), hist), "from-phi",
+                             x_end, h)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc)), calls[0], None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrate, "_delay_spec", spec_of)
+        report = residual_on_trajectory(system, traj)
+    rows = [[v.hex() for v in vs] for vs in (traj.xs, traj.ys, traj.dys)]
+    return ((rows, traj.n_fixed_point_fallbacks, warnings, report),
+            calls[0], traj.n_delay_iterations)
+
+
+#: (f, g, phi, history interval, x_end, h) of state-dependent delays whose
+#: g reads no delayed value, and the failures such a g meets
+EXPLICIT_CASES = {
+    "sin-y": ("-0.7*ym", "x - 1 - 0.1*sin(y)", "0.4 + 0.3*sin(x)",
+              (-1.3, 0.0), 3.0, 0.02),
+    "dy-squared": ("-ym + 0.2*dym", "x - 1 - 0.05*dy^2", "0.4 + 0.3*sin(x)",
+                   (-1.3, 0.0), 3.0, 0.02),
+    "pantograph-y": ("-0.7*ym", "0.5*x - 0.01*y", "1 + 0.2*sin(x)",
+                     (0.4, 1.0), 3.0, 0.02),
+    "g-ahead-at-the-start": ("-ym", "x + 0.1 + 0.01*sin(y)", "1",
+                             (-1.0, 0.0), 1.0, 0.1),
+    "g-ahead-later": ("-ym", "x - 1 + 2*exp(-50*(x - 1.5)^2) + 0.01*sin(y)",
+                      "1", (-1.0, 0.0), 2.0, 0.1),
+    "below-the-history": ("ym", "x - 5 - 0.001*y", "x", (-1.0, 0.0), 1.0,
+                          0.01),
+    "g-undefined": ("-ym", "x - 1 + sqrt(y - 10)", "1", (-1.0, 0.0), 1.0,
+                    0.1),
+    "g-undefined-later": ("-ym", "x - 1 - 0.1*sin(y) + 0.1*sqrt(1.5 - x)",
+                          "1", (-1.0, 0.0), 2.0, 0.1),
+}
+
+
+class TestExplicitStateDelay:
+    @pytest.mark.parametrize("name", list(EXPLICIT_CASES))
+    def test_matches_the_secant(self, name):
+        case = EXPLICIT_CASES[name]
+        system = DodsSystem(f=parse(case[0]), g=parse(case[1]))
+        assert isinstance(_delay_spec(system, None), _ExplicitStateDelay)
+        got, n_f, n_g = _outcome(_delay_spec, *case)
+        want, want_f, _ = _outcome(_secant_spec, *case)
+        assert (got, n_f) == (want, want_f)
+        if n_g is None:
+            assert got == ("FixedPointError", "state-dependent delay: no root"
+                           " of xm - g located in the admissible bracket")
+        else:
+            assert n_g == n_f  # one g evaluation per stage
+
+    @pytest.mark.parametrize("g,explicit", [
+        ("x - 1 - 0.1*sin(y)*dy", True), ("x - 1 - 0.1*ym", False),
+        ("x - 1 - 0.1*dym", False), ("x - 1 - 0.1*sin(y)*ym*dym", False)])
+    def test_a_g_reading_a_delayed_value_keeps_the_secant(self, g, explicit):
+        spec = _delay_spec(DodsSystem(f=parse("-ym"), g=parse(g)), None)
+        assert type(spec) is (_ExplicitStateDelay if explicit else
+                              _StateDelay)
+
+    @pytest.mark.parametrize("g,x,y,completed_end,xm", [
+        ("x - y", 0.0, 1.0, 0.0, -1.0),          # at the start of the history
+        ("x - y", 0.0, 1.0 + 2.0 ** -40, 0.0, None),  # below it
+        ("x - y", 2.0, 0.5, 1.5, 1.5),           # at the newest node
+        ("x - y", 2.0, 0.5 - 2.0 ** -40, 1.5, None),  # past it
+        ("x - y", 2.0, 2e-13, 2.0, 2.0 - 2e-13),  # 1e-13 relative behind x
+        ("x - y", 2.0, 1e-13, 2.0, None),        # closer to x
+        ("x - sqrt(y)", 2.0, -1.0, 2.0, None),   # g undefined
+    ])
+    def test_one_evaluation_inside_the_bracket(self, g, x, y, completed_end,
+                                               xm):
+        # the bracket is the secant's: from the start of the history to
+        # min(x - 1e-13 max(1, |x|), the newest node)
+        def refuse(s):
+            raise AssertionError("dense output read")
+
+        spec = _delay_spec(DodsSystem(f=parse("-ym"), g=parse(g)), None)
+        args = (x, y, 0.0, refuse, 0.5, -1.0, completed_end)
+        if xm is None:
+            with pytest.raises(FixedPointError, match="^state-dependent delay:"
+                               " no root of xm - g located in the admissible"
+                               " bracket$"):
+                spec.resolve(*args)
+        else:
+            assert spec.resolve(*args) == (xm, 1, 0)
+
+    def test_history_undefined_where_the_secant_starts(self):
+        # phi is undefined at x0 - 1, the first stage's warm start: the
+        # secant falls back to the bracket scan there and bisects xm - g to
+        # the same xm; the explicit delay reads no history to find it
+        case = ("-0.7*ym", "x - 0.5 - 0.1*sin(y)", "1/(x + 1)", (-2.0, 0.0),
+                1.0, 0.01)
+        got, n_f, n_g = _outcome(_delay_spec, *case)
+        want, want_f, _ = _outcome(_secant_spec, *case)
+        assert (got[0], got[2], got[3], n_f) == (want[0], want[2], want[3],
+                                                 want_f)
+        assert (got[1], want[1]) == (0, 1)
+        assert n_g == n_f
+
+    def test_history_undefined_at_xm(self):
+        # phi is undefined at the first warm start and at xm: the secant's
+        # scan found no root, the explicit delay reads the history at xm
+        case = ("-0.7*ym", "x - 0.75 - 0.1*sin(y)", "1 + sqrt(x + 0.6)",
+                (-2.0, 0.0), 0.3, 0.01)
+        assert _outcome(_secant_spec, *case)[0][0] == "FixedPointError"
+        assert _outcome(_delay_spec, *case)[0] == (
+            "DomainError", "math domain error in '(1 + sqrt((x + 0.6)))'")
+
+
 class TestSignScanAndBisect:
     def test_brackets_in_grid_order(self):
         # nodes 0, 0.25, ..., 1; raises at 0.5, zero at 0.75 (next to the
@@ -493,11 +623,23 @@ class TestCounters:
         traj = solve(system, history, "from-phi", 2.0, 1e-2)
         again = solve(system, history, "from-phi", 2.0, 1e-2)
         assert traj.n_rhs_evals == 4 * (len(traj.xs) - 1)
-        # g does not read the delayed state, so the first fixed-point step
-        # lands on the root: two g evaluations per resolution
-        assert traj.n_delay_iterations == 2 * traj.n_rhs_evals
+        # g does not read the delayed state: one g evaluation per resolution
+        assert traj.n_delay_iterations == traj.n_rhs_evals
         assert (again.n_rhs_evals, again.n_delay_iterations) == \
             (traj.n_rhs_evals, traj.n_delay_iterations)
+
+    @pytest.mark.parametrize("g,params,n_iter", [
+        ("x - C0*(ym/y)", {"C0": math.exp(0.7034674224983917)}, 15999),
+        ("x - 1 - 8*(ym - exp(L*(x-1)))", {"L": 0.7034674224983917}, 14000),
+    ])
+    def test_implicit_delay_iterations(self, g, params, n_iter):
+        # the secant accepts the first iterate where |xm - g| < 1e-12
+        system = DodsSystem(f=parse("ym"), g=parse(g), params=params)
+        history = HistoryFunction(parse("exp(0.7034674224983917*x)"),
+                                  (-1.2, 0.0))
+        traj = solve(system, history, "from-phi", 2.0, 2e-3)
+        assert (traj.n_rhs_evals, traj.n_delay_iterations,
+                traj.n_fixed_point_fallbacks) == (4000, n_iter, 0)
 
     def test_iterations_count_every_g_evaluation(self):
         system = DodsSystem(f=parse("-0.7*ym"), g=parse("x - 1 - 0.1*sin(y)"))

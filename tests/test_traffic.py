@@ -755,6 +755,81 @@ def _fingerprint(case):
             [len(t.xs) for t in state.trajectories], digest.hexdigest()[:16])
 
 
+def reference_drive(p, plan, phi, ys, dys, ahead, counter):
+    """traffic._drive as it took both powers with math.pow at every
+    acceleration, counting the accelerations in counter[0]: the reference
+    the power-free law at exponents 0 and 1 reproduces bit for bit."""
+    alpha, n1, n2 = p.alpha, p.n1, p.n2
+    floor = -math.inf if n2 == 0.0 else traffic._HEADWAY_FLOOR
+    front_y, front_d, front_err = ahead
+    own_y, own_d = [], []
+    lo = phi.interval[0] - 1e-12
+
+    def delayed(point, xs, done):
+        j, xm, terms = point
+        if terms is not None:
+            ym, dym = integrate._hermite(terms, ys[j], ys[j + 1], dys[j],
+                                         dys[j + 1])
+        elif j >= 0:
+            ym, dym = ys[j], dys[j]
+        elif xm < lo:
+            raise integrate.HistoryUnderrunError(
+                f"{xm:g} is below the covered range")
+        else:
+            ym, dym = phi.value(xm)
+        k = len(own_y)
+        own_y.append(ym)
+        own_d.append(dym)
+        if k >= len(front_y):
+            raise integrate._rejection(xs, front_err)
+        gap = front_y[k] - ym
+        if gap < floor:
+            raise traffic._Collapse(xs, 4 * (len(ys) - 1) + done)
+        return gap, front_d[k] - dym
+
+    def accel(xs, d, gap, dv):
+        counter[0] += 1
+        try:
+            acc = alpha * math.pow(d, n1) * dv / math.pow(gap, n2)
+        except (ValueError, OverflowError) as err:
+            raise integrate._rejection(xs, err) from None
+        if not math.isfinite(acc):
+            raise integrate._rejection(xs, "non-finite result")
+        return acc
+
+    y, dy = ys[-1], dys[-1]
+    last = None
+    for x, step, half, (p1, p2, p4) in plan:
+        if p1 is not last:
+            gap, dv = delayed(p1, x, 0)
+        a1 = accel(x, dy, gap, dv)
+        xh = x + half
+        d2 = dy + half * a1
+        gap, dv = delayed(p2, xh, 1)
+        a2 = accel(xh, d2, gap, dv)
+        d3 = dy + half * a2
+        a3 = accel(xh, d3, gap, dv)
+        d4 = dy + step * a3
+        xe = x + step
+        gap, dv = delayed(p4, xe, 3)
+        a4 = accel(xe, d4, gap, dv)
+        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+        dy = dy + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        ys.append(y)
+        dys.append(dy)
+        last = p4
+    return own_y, own_d, None
+
+
+def _reference_run(case, monkeypatch):
+    """(fingerprint, accelerations computed) of case under reference_drive."""
+    counter = [0]
+    with monkeypatch.context() as patch:
+        patch.setattr(traffic, "_drive", lambda *args: reference_drive(
+            *args, counter))
+        return _fingerprint(case), counter[0]
+
+
 class TestLockStepPlatoon:
     @pytest.mark.parametrize("name", list(PLATOON_CASES))
     def test_matches_the_car_by_car_sweep(self, name):
@@ -762,8 +837,25 @@ class TestLockStepPlatoon:
 
     @pytest.mark.parametrize("name", list(PLATOON_CASES))
     def test_n_rhs_evals_counts_every_acceleration(self, name, monkeypatch):
-        # each acceleration takes two powers with math.pow, past a car's
-        # last kept node and in the step whose headway collapsed too
+        # every acceleration the reference computed, past a car's last kept
+        # node and in the step whose headway collapsed too
+        case = PLATOON_CASES[name]
+        got = _fingerprint(case())
+        want, n_accels = _reference_run(case(), monkeypatch)
+        assert got == want
+        if got[0] != "raises":
+            assert n_accels == sum(got[1])
+
+    @pytest.mark.parametrize("n1", [0.0, 1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("n2", [0.0, 1.0, 2.0])
+    def test_exponents_of_zero_and_one_take_no_power(self, n1, n2,
+                                                     monkeypatch):
+        # the same floats as math.pow gives, and no pow call at 0 and 1
+        def case():
+            return _cars("1.3*t + 4", ["1.1*x + 2.2", "x + 0.9"], 3.0, 0.01,
+                         tau=0.4, alpha=0.8, n1=n1, n2=n2)
+
+        want, _ = _reference_run(case(), monkeypatch)
         calls = [0]
         pow_ = math.pow
 
@@ -772,11 +864,11 @@ class TestLockStepPlatoon:
             return pow_(a, b)
 
         monkeypatch.setattr(math, "pow", counted_pow)
-        try:
-            state = simulate_platoon(*PLATOON_CASES[name]())
-        except Exception:
-            return
-        assert calls[0] == 2 * sum(t.n_rhs_evals for t in state.trajectories)
+        got = _fingerprint(case())
+        assert got == want
+        assert got[0] != "raises"
+        powers = sum(n not in (0.0, 1.0) for n in (n1, n2))
+        assert calls[0] == powers * sum(got[1])
 
     @pytest.mark.parametrize("name", list(PLATOON_CASES))
     def test_no_scalar_solve_and_no_interpolation(self, name, monkeypatch):
