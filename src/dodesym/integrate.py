@@ -55,6 +55,10 @@ class StepRejectionError(IntegrationError):
     pass
 
 
+class StepPlanError(IntegrationError):
+    """A step plan too long to take, or whose step does not advance x."""
+
+
 @dataclass
 class HistoryFunction:
     """Initial data phi(x) on [lo, hi]."""
@@ -356,11 +360,10 @@ class _StateDelay:
     that does not in a single evaluation.  The secant iteration on F(s) =
     s - g(s) starts from the previous stage's xm with one fixed-point step,
     s1 = g(s0), and clamps every iterate to the admissible bracket.  It
-    accepts the first iterate after s0 where |F| < 1e-12, which for a g
-    that reads no delayed value is s1 = g.  It also stops when a step
-    falls below 5e-13 relative, and accepts the iterate there when
-    |F| < 1e-10.  Otherwise, and on a zero secant denominator, 100 steps
-    without convergence, or g or the dense output undefined at an
+    accepts the first iterate after s0 where |F| < 1e-12.  It also stops
+    when a step falls below 5e-13 relative, and accepts the iterate there
+    when |F| < 1e-10.  Otherwise, and on a zero secant denominator, 100
+    steps without convergence, or g or the dense output undefined at an
     iterate, it falls back to a scan of F over 64 cells of the bracket
     with bisection (Bellen & Zennaro, Numerical Methods for Delay
     Differential Equations, OUP 2003, on locating state-dependent
@@ -469,6 +472,11 @@ def _delay_spec(system: DodsSystem, warn):
 # the drivers
 
 
+#: the most steps a plan may take; the largest plan of the tests and
+#: scripts takes 8000
+_MAX_STEPS = 10**6
+
+
 def _step_plan(x0: float, x_end: float, h: float, tau: float | None = None):
     """The (start, size) of every step from x0 to x_end, in order, lazily.
 
@@ -476,21 +484,34 @@ def _step_plan(x0: float, x_end: float, h: float, tau: float | None = None):
     each stretch between two edges takes steps of h_eff = tau / n_sub with
     n_sub = ceil(tau / h); otherwise the one stretch takes steps of h.  The
     last step of a stretch is cut short to end on its edge.  Raises
-    ValueError for h <= 0 or x_end <= x0 before any step is planned.
+    ValueError for h <= 0 or x_end <= x0, and StepPlanError for a plan of
+    more than _MAX_STEPS steps or one whose step does not advance x at x0
+    or at x_end (there, |x| is largest), before any step is planned.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     if x_end <= x0:
         raise ValueError("x_end must lie beyond the history")
+    h_eff = h if tau is None else tau / max(1, math.ceil(tau / h - 1e-12))
+    delay = "" if tau is None else f"tau = {tau:g}, "
+    n_steps = (x_end - x0) / h_eff
+    if n_steps > _MAX_STEPS:
+        raise StepPlanError(
+            f"the plan from {x0:g} to {x_end:g} ({delay}h = {h:g}) takes"
+            f" {n_steps:.0f} steps, more than {_MAX_STEPS}")
+    for x in (x0, x_end):
+        if x + h_eff == x:
+            raise StepPlanError(
+                f"a step of {h_eff:g} ({delay}h = {h:g}) does not advance"
+                f" x at {x:g}")
     if tau is None:
         return _steps(x0, h, [x_end])
-    n_sub = max(1, math.ceil(tau / h - 1e-12))
     edges = []
     edge = x0
     while edge < x_end - 1e-12:
         edge = min(edge + tau, x_end)
         edges.append(edge)
-    return _steps(x0, tau / n_sub, edges)
+    return _steps(x0, h_eff, edges)
 
 
 def _steps(x: float, h_eff: float, edges: list[float]):
@@ -622,8 +643,7 @@ def solve_numeric(
     traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi)
     xs, ys, dys = traj.xs, traj.ys, traj.dys
     hist_lo = phi.interval[0]
-    prev_xm = x0 - (delay.tau if isinstance(delay, _ConstantDelay) else
-                    min(1.0, x_end - x0))
+    prev_xm = x0 - min(1.0, x_end - x0)
     n_iter = fallbacks = 0
 
     def read(point):

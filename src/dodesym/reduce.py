@@ -401,17 +401,3 @@ def verify_invariant_solution(
     return SolutionVerification(grid_residual=grid_res,
                                 integrate_deviation=deviation)
 
-
-def consistency_residual(sol: InvariantSolution, pair: InvariantPair,
-                         interval: tuple[float, float]) -> float:
-    """J1 evaluated at the delayed point of the solution must equal A: the
-    largest deviation at 25 evenly spaced points of interval."""
-    k_fn = compile_fn(sol.k, ("x",))
-    h_fn = compile_fn(sol.h, ("x",))
-    j1_fn = compile_fn(pair.J1, ("x", "y"))
-    lo, hi = interval
-    worst = 0.0
-    for x in np.linspace(lo, hi, 25):
-        xm = k_fn(float(x))
-        worst = max(worst, abs(j1_fn(xm, h_fn(xm)) - sol.A))
-    return worst

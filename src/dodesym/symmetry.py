@@ -15,12 +15,10 @@ import numpy as np
 from .expr import (
     TOO_DEEP,
     Bindings,
-    DomainError,
     Expr,
     ExprError,
     _derivative,
     _memoized,
-    bind_params,
     compile_columns,
     free_symbols,
     parse,
@@ -37,7 +35,7 @@ from .expr import (
 JET = ("x", "y", "xm", "ym", "dy", "dym", "ddy")
 
 #: the interval of x and of y from which points of the (x, y) plane are
-#: drawn, in check_closure, jacobi_residual and catalog.negative_control
+#: drawn, in check_closure and catalog.negative_control
 _PLANE_BOX = (0.5, 2.5)
 
 _BASE_ALLOWED = {"x", "y"}
@@ -269,42 +267,6 @@ def _span_fit(basis, target, x, y):
         return None
     c, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     return c, float(np.max(np.abs(a @ c - b))), rank
-
-
-def jacobi_residual(
-    fields: tuple[VectorField, VectorField, VectorField],
-    params: Bindings | None = None,
-    seed: int = 42,
-) -> float:
-    """Max coefficient of the cyclic double-bracket sum at 50 random
-    points; a point where it is undefined is a DomainError naming xi or
-    eta."""
-    params = dict(params or {})
-    kernel, xi, eta = _memoized(
-        "jacobi", [c for f in fields for c in (f.xi, f.eta)], params,
-        lambda: _jacobi_columns(fields, params))
-    rng = np.random.default_rng(seed)
-    x, y = rng.uniform(*_PLANE_BOX, size=(50, 2)).T
-    values = np.abs(kernel(x, y)).T
-    undefined = np.flatnonzero(np.isnan(values))
-    if len(undefined):
-        raise DomainError("undefined at a sampled point",
-                          bind_params((xi, eta)[undefined[0] % 2], params))
-    return float(values.max(initial=0.0))
-
-
-def _jacobi_columns(fields, params: Bindings):
-    """The plane kernel of the cyclic double-bracket sum of three fields,
-    with params as cells, and its xi and eta."""
-    a, b, c = fields
-    terms = [
-        lie_bracket(lie_bracket(a, b), c),
-        lie_bracket(lie_bracket(b, c), a),
-        lie_bracket(lie_bracket(c, a), b),
-    ]
-    xi = simplify(terms[0].xi + terms[1].xi + terms[2].xi)
-    eta = simplify(terms[0].eta + terms[1].eta + terms[2].eta)
-    return compile_columns([xi, eta], ("x", "y"), params), xi, eta
 
 
 #: the jet box of invariant_count, in JET order; xm < x on all of it

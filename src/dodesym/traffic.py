@@ -221,12 +221,6 @@ def example_algebra(example_id: int, p: TrafficParams | None = None) -> list[Vec
 # the constraint equations for the invariant-solution constants
 
 
-def constraint_function(example_id: int, p: TrafficParams):
-    """Scalar equation c(A) = 0 that the invariant amplitude must satisfy,
-    compiled: where c is undefined or not finite it raises DomainError."""
-    return compile_fn(_constraint(example_id, p), ("A",))
-
-
 def _constraint(example_id: int, p: TrafficParams) -> Expr:
     """c(A) as one expression in the parameter A."""
     a = Param("A")
@@ -368,10 +362,6 @@ def compare_exact_vs_numeric(
 class PlatoonState:
     trajectories: list[Trajectory]
     collisions: list[tuple[int, float]] = dc_field(default_factory=list)
-
-    @property
-    def collided(self) -> bool:
-        return bool(self.collisions)
 
 
 def simulate_platoon(
@@ -554,7 +544,7 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
                 acc = acc / gap
             elif n2 != 0.0:
                 acc = acc / pow_(gap, n2)
-        except (ValueError, OverflowError) as err:
+        except (ValueError, OverflowError, ZeroDivisionError) as err:
             raise _rejection(xs, err) from None
         if not isfinite(acc):
             raise _rejection(xs, "non-finite result")

@@ -29,8 +29,8 @@ from dodesym.linear import (
     verify_exponential_solution,
 )
 from dodesym.reduce import invariants_of, reduce_and_solve
-from dodesym.symmetry import VectorField, invariant_count, jacobi_residual
-from tests.conftest import bisect_root
+from dodesym.symmetry import VectorField, invariant_count
+from tests.conftest import bisect_root, jacobi_sum
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,7 +97,7 @@ def test_criterion_2_algebra_structure():
         for triple in itertools.combinations(entry.basis, 3):
             worst_jacobi = max(
                 worst_jacobi,
-                jacobi_residual(triple, params=entry.default_params))
+                jacobi_sum(triple, params=entry.default_params))
     assert worst_jacobi < 1e-10
     verdict(
         "criterion 2 (algebra structure)",
@@ -247,7 +247,8 @@ def test_criterion_8_traffic_examples_two_three():
     closed = p3.k / (1.0 + p3.epsilon * math.exp(p3.epsilon * p3.tau))
     root3 = res3.roots[0]
     assert abs(root3.A - closed) < 1e-12
-    assert abs(traffic.constraint_function(3, p3)(root3.A)) < 1e-12
+    c3 = E.compile_fn(traffic._constraint(3, p3), ("A",))
+    assert abs(c3(root3.A)) < 1e-12
     assert root3.verification.grid_residual < 1e-10
     assert root3.A < p3.k
     dev3 = traffic.compare_exact_vs_numeric(3, p3, t_end=3 * p3.tau, h=1e-3)
@@ -256,7 +257,7 @@ def test_criterion_8_traffic_examples_two_three():
     # example 2: both amplitudes verify and respect the collision bound
     p2 = traffic.example_params(2)
     res2 = traffic.solve_constraint(2, p2)
-    c2 = traffic.constraint_function(2, p2)
+    c2 = E.compile_fn(traffic._constraint(2, p2), ("A",))
     assert res2.admissible_roots
     for root in res2.admissible_roots:
         assert abs(c2(root.A)) < 1e-12

@@ -257,6 +257,25 @@ class TestIntegrate:
             "1.1000000000000001,0.59499999999999997,-0.90000000000000002\n"
             "2,-0.59266250000000009,-1.6785000000000001\n")
 
+    @pytest.mark.parametrize("g, history, to, h, expected", [
+        # ten million steps of 1e-7
+        ("x - 1e-7", "-1,0", "1", "0.01",
+         "the plan from 0 to 1 (tau = 1e-07, h = 0.01) takes 10000000"
+         " steps, more than 1000000"),
+        # 1e17 + 1 == 1e17: planning the edges would never end
+        ("x - 1", "0,1e17", "2e17", "0.001",
+         "the plan from 1e+17 to 2e+17 (tau = 1, h = 0.001) takes"
+         " 100000000000000000000 steps, more than 1000000"),
+    ])
+    def test_plan_refused_before_any_step(self, tmp_path, g, history, to, h,
+                                          expected):
+        path = tmp_path / "system.txt"
+        path.write_text(f"f = -ym\ng = {g}\n")
+        proc = run_cli("integrate", "--system", str(path), "--phi", "1",
+                       "--history", history, "--to", to, "--h", h)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == f"error: StepPlanError: {expected}\n"
+
 
 @pytest.mark.parametrize("text, field, history, to", [
     pytest.param("f = -ym\ng = 0.5*x\n", "0;y", "0.5,1", "2",
@@ -367,6 +386,11 @@ class TestTraffic:
         ("leader = t + 10\nn1 = 0.5\nn2 = 1\nhistory.1 = t + 5\n"
          "history.2 = -t\n",
          r"^error: StepRejectionError: .* math domain error\n$"),
+        # headway^400 underflows to 0.0: a division by zero
+        ("leader = t + 10\nn2 = 400\nhistory.1 = t + 9.9\n"
+         "history.2 = t + 5\n",
+         r"^error: StepRejectionError: right-hand side not evaluable at"
+         r" x = 0: float division by zero\n$"),
         # car 2 starts inside the headway floor: collision at its start
         ("leader = t + 10\nn1 = 1\nn2 = 1\nhistory.1 = t + 1\n"
          "history.2 = t + 1 - 1e-7\n",

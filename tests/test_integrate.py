@@ -15,6 +15,7 @@ from dodesym.integrate import (
     HistoryFunction,
     HistoryUnderrunError,
     IntegrationError,
+    StepPlanError,
     Trajectory,
     _ConstantDelay,
     _ExplicitStateDelay,
@@ -703,6 +704,47 @@ class TestErrors:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
             solve(linear_delay_system(), ramp_history(), 1.0, 2.0, 0.0)
+
+
+class TestStepPlanBounds:
+    def test_more_than_a_million_steps_is_refused(self):
+        # g = x - 1e-7 with h = 0.01: ten million steps of 1e-7
+        with pytest.raises(StepPlanError, match=(
+                r"^the plan from 0 to 1 \(tau = 1e-07, h = 0.01\) takes"
+                r" 10000000 steps, more than 1000000$")):
+            _step_plan(0.0, 1.0, 0.01, 1e-7)
+        with pytest.raises(StepPlanError, match=r"^the plan from 0 to 1"
+                                                r" \(h = 1e-07\)"):
+            _step_plan(0.0, 1.0, 1e-7)
+        with pytest.raises(StepPlanError, match="1000001 steps"):
+            _step_plan(0.0, 1e6 + 1, 1.0)
+        # a million steps is planned; the lazy plan takes none here
+        _step_plan(0.0, 1e6, 1.0)
+        _step_plan(0.0, 1e6, 1.0, 2.0)
+
+    def test_step_that_does_not_advance_x_is_refused(self):
+        # 1e17 + 1 == 1e17 at x0
+        with pytest.raises(StepPlanError, match=(
+                r"^a step of 1 \(tau = 2, h = 1\) does not advance x"
+                r" at 1e\+17$")):
+            _step_plan(1e17, 1e17 + 1024, 1.0, 2.0)
+        # x0 advances but x_end, past 2^53, does not
+        with pytest.raises(StepPlanError, match=(
+                r"^a step of 1 \(h = 1\) does not advance x at 9.0072e\+15$")):
+            _step_plan(2.0**53 - 100, 2.0**53 + 100, 1.0)
+
+    def test_solve_refuses_before_the_first_step(self):
+        system = DodsSystem(f=parse("-ym"), g=parse("x - 1e-7"))
+        calls = [0]
+
+        def f_eval(*args):
+            calls[0] += 1
+            return 0.0
+
+        with pytest.raises(StepPlanError):
+            solve_numeric(f_eval, _delay_spec(system, None), ramp_history(),
+                          0.0, 1.0, 0.01)
+        assert calls[0] == 0
 
 
 class TestCsv:

@@ -17,7 +17,6 @@ from dodesym.traffic import (
     TrafficParams,
     build_two_car,
     compare_exact_vs_numeric,
-    constraint_function,
     exact_solution,
     example_algebra,
     example_params,
@@ -235,7 +234,8 @@ class TestConstraints:
         assert root.A == pytest.approx(0.5481, abs=1e-4)
         assert root.admissible and root.A < p.k
         assert result.B == p.tau
-        assert abs(constraint_function(3, p)(root.A)) < 1e-12
+        c = E.compile_fn(traffic._constraint(3, p), ("A",))
+        assert abs(c(root.A)) < 1e-12
         assert root.verification.grid_residual < 1e-10
 
     def test_example2_two_admissible_roots(self):
@@ -244,7 +244,7 @@ class TestConstraints:
         admissible = [r.A for r in result.admissible_roots]
         assert admissible == pytest.approx(
             [2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)], abs=1e-12)
-        c = constraint_function(2, p)
+        c = E.compile_fn(traffic._constraint(2, p), ("A",))
         for r in result.admissible_roots:
             assert abs(c(r.A)) < 1e-12
             assert r.A < p.k
@@ -326,7 +326,7 @@ class TestConstraints:
                 base = p.epsilon * math.exp(p.epsilon * p.tau) * a / (p.k - a)
                 return p.alpha * base ** (p.n - 1.0) - 1.0
 
-        c = constraint_function(example_id, p)
+        c = E.compile_fn(traffic._constraint(example_id, p), ("A",))
         edge = 1e-9 * p.k
         for lo, hi in ((edge, p.k - edge), (p.k + edge, 3.0 * p.k)):
             for a in np.linspace(lo, hi, 401).tolist():
@@ -384,7 +384,7 @@ class TestPlatoon:
         hists = [HistoryFunction(parse(f"x - {a}"), (-p.tau, 0.0))
                  for a in offsets]
         state = simulate_platoon(p, 3, hists, t_end=2.5, h=1e-3)
-        assert not state.collided
+        assert not state.collisions
         for a, traj in zip(offsets, state.trajectories):
             drift = max(abs(y - (x - a)) for x, y in zip(traj.xs, traj.ys))
             assert drift < 1e-8
@@ -405,7 +405,7 @@ class TestPlatoon:
                           leader=parse("5 + 0*t"))
         phi = HistoryFunction(parse("x"), (-0.5, 0.0))
         state = simulate_platoon(p, 1, [phi], t_end=8.0, h=1e-3)
-        assert state.collided
+        assert state.collisions
         car, t_c = state.collisions[0]
         assert car == 1
         assert 4.0 < t_c < 6.0
@@ -417,7 +417,7 @@ class TestPlatoon:
         hists = [HistoryFunction(parse("x"), (-0.5, 0.0)),
                  HistoryFunction(parse("x - 1"), (-0.5, 0.0))]
         state = simulate_platoon(p, 2, hists, t_end=8.0, h=1e-3)
-        assert state.collided
+        assert state.collisions
         assert len(state.trajectories) == 1  # second car never advanced
 
     def test_reaching_node_precedes_headway_collapse(self):
@@ -442,6 +442,16 @@ class TestPlatoon:
                           leader=parse("1e10*t + 1e10"))
         phi = HistoryFunction(parse("x"), (-0.5, 0.0))
         with pytest.raises(StepRejectionError, match="non-finite"):
+            simulate_platoon(p, 1, [phi], t_end=1.0, h=0.01)
+
+    def test_underflowing_headway_power_is_a_step_rejection(self):
+        # 0.1^400 underflows to 0.0: the division by it is a named failure
+        p = TrafficParams(alpha=1.0, n1=1.0, n2=400.0, tau=0.5,
+                          leader=parse("t + 10"))
+        phi = HistoryFunction(parse("x + 9.9"), (-0.5, 0.0))
+        with pytest.raises(StepRejectionError,
+                           match="^right-hand side not evaluable at x = 0:"
+                                 " float division by zero$"):
             simulate_platoon(p, 1, [phi], t_end=1.0, h=0.01)
 
     def test_proportional_delay_is_refused(self):
@@ -522,7 +532,7 @@ h = 0.002
         p, n_cars, hists, t_end, h = load_scenario(self.SCENARIO)
         assert n_cars == 2 and t_end == 2.0 and h == 0.002
         state = simulate_platoon(p, n_cars, hists, t_end, h)
-        assert not state.collided
+        assert not state.collisions
         drift = max(abs(y - (x - 1.0)) for x, y in
                     zip(state.trajectories[0].xs, state.trajectories[0].ys))
         assert drift < 1e-8
@@ -531,7 +541,7 @@ h = 0.002
         path = Path(__file__).resolve().parents[1] / "examples" / "platoon.txt"
         p, n_cars, hists, t_end, h = load_scenario(path.read_text())
         state = simulate_platoon(p, n_cars, hists, t_end, h)
-        assert n_cars == 4 and not state.collided
+        assert n_cars == 4 and not state.collisions
         assert [t.x_end for t in state.trajectories] == \
             pytest.approx([t_end] * 4, abs=1e-9)
 
