@@ -798,6 +798,20 @@ def _collect_sum(e: Expr) -> Expr:
 # compilation
 
 
+class _PointBody(NamedTuple):
+    """The text a point kernel's factory is made from, for a caller that
+    runs the kernel's statements inline in its own generated code: the
+    factory's parameters (`_e`, `_p` where the tree reads parameters, then
+    the cells `_cN`), the statements `_tN = ...` over the arguments `_aN`,
+    the code of the result, and the code of the tree its DomainError names.
+    """
+
+    head: str
+    statements: tuple[str, ...]
+    out: str
+    tree: str
+
+
 def _generate(exprs, arg_names: Iterable[str], columns: bool,
               params: Bindings | None = None):
     """The kernel of one tree for points, or of a tree or a list of trees
@@ -812,8 +826,9 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
     `_cN`, numbered in first-read order.  So trees that differ only in
     their constants have one text, whose factory is compiled once
     (`_factory`) and called with their cells, and a tree of parameters is
-    walked once for every set of values (see `_bind`).  A name the trees
-    read as an argument and a parameter both is an ExprError."""
+    walked once for every set of values (see `_bind`).  A point kernel's
+    factory keeps its _PointBody as `_body`.  A name the trees read as an
+    argument and a parameter both is an ExprError."""
     trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
     names = list(arg_names)
     params = params or {}
@@ -892,6 +907,7 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
         (out,) = outs
         # a DomainError names the tree with the values of its parameters
         e = "_bind(_e, _p)" if named else "_e"
+        statements = tuple(body)
         body = ["try:", *(f"    {line}" for line in body or ["pass"]),
                 "except ZeroDivisionError:",
                 f"    raise DomainError('division by zero', {e}) from None",
@@ -901,13 +917,16 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
                 f"raise DomainError('non-finite result', {e})"]
         tree, inputs = ["_e", "_p"] if named else ["_e"], []
     inputs += [f"_a{i}" for i in range(len(names))]
+    head = ", ".join(tree + list(cells.values()))
     src = "".join([
-        f"def _make({', '.join(tree + list(cells.values()))}):\n",
+        f"def _make({head}):\n",
         f"    def _f({', '.join(inputs)}):\n",
         *(f"        {line}\n" for line in body),
         "    return _f\n"])
-    return _bind(_factory(src, columns), None if columns else exprs, sources,
-                 params)
+    make = _factory(src, columns)
+    if not columns:
+        make._body = _PointBody(head, statements, out, e)
+    return _bind(make, None if columns else exprs, sources, params)
 
 
 def _bind(make: Callable, tree: Expr | None, sources: list,
@@ -918,7 +937,9 @@ def _bind(make: Callable, tree: Expr | None, sources: list,
     which its DomainError names; a column kernel's is None.  A kernel with
     parameter cells keeps this binding as `_rebind`, so that the memo fills
     its cells with the values of each lookup, which costs no walk of the
-    trees and no compile."""
+    trees and no compile.  A point kernel keeps (make, the arguments make
+    took) as `_made`, so that code inlining its statements fills the same
+    cells."""
     values: dict[str, float] = {}
     cells = []
     for c in sources:
@@ -930,7 +951,9 @@ def _bind(make: Callable, tree: Expr | None, sources: list,
     if tree is None:
         kernel = functools.partial(_columns_checked, make(*cells))
     else:
-        kernel = make(tree, values, *cells) if values else make(tree, *cells)
+        args = (tree, values, *cells) if values else (tree, *cells)
+        kernel = make(*args)
+        kernel._made = make, args
     if values:
         kernel._rebind = functools.partial(_bind, make, tree, sources)
     return kernel
@@ -969,7 +992,14 @@ def compile_fn(e: Expr, arg_names: Iterable[str],
     non-finite result raises DomainError naming the whole of e, with the
     values of its params in place.
     """
-    names = tuple(arg_names)
+    return _point_kernel(e, tuple(arg_names), params)
+
+
+def _point_kernel(e: Expr, names: tuple[str, ...],
+                  params: Bindings | None) -> Callable[..., float]:
+    """compile_fn's memo lookup, for a caller that reads the kernel's
+    `_made` where a wrapper of compile_fn (a counter, a tracer) hands it
+    a kernel without one."""
     return _memoized(("point", names), (e,), params,
                      lambda: _generate(e, names, False, params))
 

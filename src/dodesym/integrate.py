@@ -13,26 +13,33 @@ secant iteration on s - g(s), warm-started from the previous stage, with
 a bracket scan and bisection as the fallback.
 
 Constant and solution-independent delays are planned: the delayed point
-of a stage depends on the stage time alone, so a stage plan places the
-points of each step once, and the driver reads each distinct delayed
-point once (Bellen & Zennaro, Numerical Methods for Delay Differential
-Equations, OUP 2003, on planning the method of steps).  Stages 2 and 3
-share their time and so their point, and stage 1 shares the previous
-step's stage-4 point unless that one was read at the newest node it
-rounded past.  A state-dependent delay resolves the point of every stage.
+of a stage depends on the stage time alone, so each distinct delayed
+point is placed and read once (Bellen & Zennaro, Numerical Methods for
+Delay Differential Equations, OUP 2003, on planning the method of
+steps).  Stages 2 and 3 share their time and so their point, and stage
+1 shares the previous step's stage-4 point unless that one was read at
+the newest node it rounded past.  solve runs them in a generated
+stepper, one per shape of f, that evaluates f's own statements at the
+four stages inline.  A state-dependent delay runs the per-stage driver
+solve_numeric, which resolves the point of every stage and calls f; for
+the planned delays it is the reference that the stepper reproduces bit
+for bit.  The platoon of the traffic module places its points with the
+same rules (_stage_plan).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dods import DelayKind, DodsSystem, FREE_COORDS
-from .expr import (DomainError, Expr, bind_params, compile_fn, diff,
-                   free_symbols, parse)
+from .expr import (_POINT_PRIMITIVES, DomainError, Expr, _point_kernel,
+                   _PointBody, bind_params, compile_fn, diff, free_symbols,
+                   parse)
 
 
 class IntegrationError(Exception):
@@ -316,29 +323,31 @@ def _real_roots(fn, dfn, lo: float, hi: float, cells: int, zero: float = 0.0):
 
 # How a driver finds the delayed point xm at each stage: the resolve of
 # each class below returns (xm, g evaluations spent, 1 if it fell back to
-# the bracket scan else 0).  xm_of is xm as a function of the stage time
-# alone, which a stage plan reads, or None where xm depends on the state.
+# the bracket scan else 0).  The two planned delays, whose xm depends on
+# the stage time alone, also give the stepper their xm as code: `xm`
+# reads the stage time `_a0` and the value `at` is passed as `delay`.
 
 
 class _ConstantDelay:
+    xm = "_a0 - delay"
+
     def __init__(self, tau: float):
         if tau <= 0:
             raise DelayViolationError(f"constant delay must be positive, got {tau:g}")
-        self.tau = tau
-
-    def xm_of(self, x):
-        return x - self.tau
+        self.tau = self.at = tau
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
         return x - self.tau, 0, 0
 
 
 class _IndependentDelay:
+    xm = "delay(_a0)"
+
     def __init__(self, g_of_x):
-        self.xm_of = g_of_x
+        self.g = self.at = g_of_x
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
-        return self.xm_of(x), 0, 0
+        return self.g(x), 0, 0
 
 
 #: the failure of a state-dependent delay that has no admissible xm
@@ -371,8 +380,6 @@ class _StateDelay:
     pick the one nearest the previous step's xm and are reported in
     warnings.
     """
-
-    xm_of = None
 
     def __init__(self, g_full, warn):
         self.g = g_full
@@ -439,8 +446,6 @@ class _ExplicitStateDelay:
     scan raises for such a g.
     """
 
-    xm_of = None
-
     def __init__(self, g_full):
         self.g = g_full
 
@@ -484,16 +489,21 @@ def _step_plan(x0: float, x_end: float, h: float, tau: float | None = None):
     each stretch between two edges takes steps of h_eff = tau / n_sub with
     n_sub = ceil(tau / h); otherwise the one stretch takes steps of h.  The
     last step of a stretch is cut short to end on its edge.  Raises
-    ValueError for h <= 0 or x_end <= x0, and StepPlanError for a plan of
-    more than _MAX_STEPS steps or one whose step does not advance x at x0
-    or at x_end (there, |x| is largest), before any step is planned.
+    StepPlanError for a non-finite x_end, h or tau, ValueError for h <= 0
+    or x_end <= x0, and StepPlanError for a plan of more than _MAX_STEPS
+    steps or one whose step does not advance x at x0 or at x_end (there,
+    |x| is largest), before any step is planned.
     """
+    delay = "" if tau is None else f"tau = {tau:g}, "
+    if not all(map(math.isfinite, (x_end, h, 0.0 if tau is None else tau))):
+        raise StepPlanError(
+            f"the plan from {x0:g} to {x_end:g} ({delay}h = {h:g}) is not"
+            " finite")
     if h <= 0:
         raise ValueError("step size must be positive")
     if x_end <= x0:
         raise ValueError("x_end must lie beyond the history")
     h_eff = h if tau is None else tau / max(1, math.ceil(tau / h - 1e-12))
-    delay = "" if tau is None else f"tau = {tau:g}, "
     n_steps = (x_end - x0) / h_eff
     if n_steps > _MAX_STEPS:
         raise StepPlanError(
@@ -522,6 +532,10 @@ def _steps(x: float, h_eff: float, edges: list[float]):
             x = x + step
 
 
+#: the arguments of a right-hand side f, in the order its kernel takes them
+_F_ARGS = ("x", "y", "xm", "ym", "dy", "dym")
+
+
 def solve(
     system: DodsSystem,
     phi: HistoryFunction,
@@ -535,12 +549,26 @@ def solve(
     its right end).  The first derivative is continuous across every
     breakpoint by construction; continuity of the second derivative at the
     start is neither required nor expected.
+
+    A constant or solution-independent delay runs the stepper of f's shape
+    (_stepper), and a state-dependent one the per-stage driver
+    solve_numeric.  On a planned delay the two give the same trajectory,
+    counters and failures.
     """
-    f_fn = compile_fn(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
-                      system.params)
+    f_fn = compile_fn(system.f, _F_ARGS, system.params)
     warnings: list[str] = []
-    traj = solve_numeric(f_fn, _delay_spec(system, warnings.append), phi,
-                         dy0, x_end, h)
+    delay = _delay_spec(system, warnings.append)
+    if isinstance(delay, (_ConstantDelay, _IndependentDelay)):
+        # a kernel that a wrapper of compile_fn returns has no _made
+        make, args = getattr(f_fn, "_made", None) or _point_kernel(
+            system.f, _F_ARGS, system.params)._made
+        traj, steps = _start(delay, phi, dy0, x_end, h)
+        _stepper(make, delay.xm)(*args)(
+            steps, traj.xs, traj.ys, traj.dys, delay.at, phi.value,
+            phi.interval[0] - 1e-12)
+        traj.n_rhs_evals = 4 * (len(traj.xs) - 1)
+    else:
+        traj = solve_numeric(f_fn, delay, phi, dy0, x_end, h)
     traj.warnings = warnings
     return traj
 
@@ -568,10 +596,250 @@ def _violation(xm: float, x: float) -> DelayViolationError:
         f"delay relation puts the delayed point at {xm:g} >= x = {x:g}")
 
 
-def _stage_plan(grid: list, steps, xm_of=None):
+def _start(delay, phi: HistoryFunction, dy0: float | str, x_end: float,
+           h: float) -> tuple[Trajectory, object]:
+    """The trajectory of a solve with its first node, where the history
+    ends, and the plan of its steps."""
+    x0 = phi.interval[1]
+    steps = _step_plan(x0, x_end, h, delay.tau if isinstance(
+        delay, _ConstantDelay) else None)
+    y0, phi_dy0 = phi.value(x0)
+    dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
+    return Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi), steps
+
+
+def solve_numeric(
+    f_eval,
+    delay,
+    phi: HistoryFunction,
+    dy0: float | str,
+    x_end: float,
+    h: float,
+) -> Trajectory:
+    """The per-stage driver over a numeric right-hand side f(x, y, xm, ym,
+    dy, dym).
+
+    delay locates xm at each of the four RK4 stages: _delay_spec(system,
+    warn) for a system's delay relation, or _ConstantDelay(tau).  The stage
+    reads (ym, dym) at xm through Trajectory.interpolate and calls f_eval.
+    solve runs it for a state-dependent delay; for a planned one it is the
+    reference that the stepper reproduces bit for bit.
+    """
+    traj, steps = _start(delay, phi, dy0, x_end, h)
+    xs, ys, dys = traj.xs, traj.ys, traj.dys
+    hist_lo = phi.interval[0]
+    prev_xm = xs[0] - min(1.0, x_end - xs[0])
+    n_iter = fallbacks = 0
+
+    def rhs(x: float, y: float, dy: float) -> float:
+        nonlocal prev_xm, n_iter, fallbacks
+        xm, iters, fell_back = delay.resolve(x, y, dy, traj.interpolate,
+                                             prev_xm, hist_lo, xs[-1])
+        n_iter += iters
+        fallbacks += fell_back
+        if xm >= x:
+            raise _violation(xm, x)
+        prev_xm = xm
+        ym, dym = traj.interpolate(xm)
+        try:
+            return f_eval(x, y, xm, ym, dy, dym)
+        except DomainError as exc:
+            raise _rejection(x, exc) from None
+
+    y, dy = ys[0], dys[0]
+    for x, step in steps:
+        half = 0.5 * step
+        k1 = rhs(x, y, dy)
+        xh = x + half
+        y2, d2 = y + half * dy, dy + half * k1
+        k2 = rhs(xh, y2, d2)
+        y3, d3 = y + half * d2, dy + half * k2
+        k3 = rhs(xh, y3, d3)
+        xe = x + step
+        y4, d4 = y + step * d3, dy + step * k3
+        k4 = rhs(xe, y4, d4)
+        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+        dy = dy + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        xs.append(xe)
+        ys.append(y)
+        dys.append(dy)
+    traj.n_fixed_point_fallbacks = fallbacks
+    traj.n_rhs_evals = 4 * (len(xs) - 1)
+    traj.n_delay_iterations = n_iter
+    return traj
+
+
+# -- the stepper ---------------------------------------------------------------
+#
+# For a delay whose point depends on the stage time alone, solve runs one
+# generated loop per shape of f: its RK4 steps read each delayed point
+# with _hermite's arithmetic and evaluate f's statements, as
+# expr._generate emits them for f's point kernel, at the four stages
+# inline.  It reads the variables of f's kernel: the stage (x, y, xm, ym,
+# dy, dym) is (_a0, ..., _a5), and the cells are the kernel's own.
+
+
+def _reject(x: float, error, tree, n_rhs_evals: int):
+    """The rejection solve_numeric raises where f's kernel fails at stage
+    x, as the n_rhs_evals-th evaluation of f: with the DomainError the
+    kernel raises for the error its statements raised, or for a
+    non-finite result where error is None."""
+    message = ("non-finite result" if error is None else "division by zero"
+               if isinstance(error, ZeroDivisionError) else str(error))
+    err = _rejection(x, DomainError(message, tree))
+    err.n_rhs_evals = n_rhs_evals
+    return err
+
+
+def _outside(x, xm, x0, newest, lo, phi_value, ys, dys):
+    """(ym, dym) at the delayed point xm of stage x where xm is not inside
+    the grid from x0 to the newest node: in the history below x0, or at
+    the newest node at or past it.  Raises what Trajectory.interpolate and
+    solve_numeric raise there: for a point not behind its stage, one below
+    the history lo (less 1e-12), or one more than 1e-12 past the newest
+    node."""
+    if xm >= x:
+        raise _violation(xm, x)
+    if xm < x0:
+        if xm < lo:
+            raise HistoryUnderrunError(f"{xm:g} is below the covered range")
+        return phi_value(xm)
+    if xm > newest + 1e-12:
+        raise IntegrationError(f"{xm:g} is beyond the computed range")
+    return ys[-1], dys[-1]
+
+
+def _read_point(xm: str, done: int) -> list[str]:
+    """The stepper's lines that set (_a2, _a3, _a5) to (xm, ym, dym) at
+    stage time _a0, where xm is the delay's code, after done evaluations
+    of f in the step.
+
+    They place the point as _stage_plan does: inside the grid at its node
+    or in its segment, read with _hermite's arithmetic, and otherwise as
+    _outside reads it.  A failure, the delay's own DomainError included,
+    carries the evaluations of f made before it as n_rhs_evals.
+    """
+    return [
+        "try:",
+        f"    _a2 = {xm}",
+        "    if x0 <= _a2 < newest:",
+        "        j = _bisect_right(grid, _a2) - 1",
+        "        g0 = grid[j]",
+        "        if _a2 == g0:",
+        "            _a3 = ys[j]",
+        "            _a5 = dys[j]",
+        "        else:",
+        "            h = grid[j + 1] - g0",
+        "            s = _a2 - g0",
+        "            y0 = ys[j]",
+        "            d0 = dys[j]",
+        "            d1 = dys[j + 1]",
+        "            slope = (ys[j + 1] - y0) / h",
+        "            c2 = (3.0 * slope - 2.0 * d0 - d1) / h",
+        "            c3 = (d0 + d1 - 2.0 * slope) / (h * h)",
+        "            _a3 = y0 + s * (d0 + s * (c2 + s * c3))",
+        "            _a5 = d0 + s * (2.0 * c2 + 3.0 * s * c3)",
+        "    else:",
+        "        _a3, _a5 = _outside(_a0, _a2, x0, newest, lo, phi_value, ys,"
+        " dys)",
+        "except Exception as exc:",
+        f"    exc.n_rhs_evals = 4 * len(ys) - 4 + {done}",
+        "    raise",
+    ]
+
+
+def _evaluate(body: _PointBody, stage: int) -> list[str]:
+    """The stepper's lines that set k<stage> to f at the stage: the
+    statements of f's kernel, and its checks, failing as solve_numeric
+    does."""
+    n = f"4 * len(ys) - 4 + {stage}"
+    lines = []
+    if body.statements:
+        lines += [
+            "try:", *(f"    {line}" for line in body.statements),
+            "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+            f"    raise _reject(_a0, exc, {body.tree}, {n}) from None"]
+    return lines + [
+        f"if not _isfinite({body.out}):",
+        f"    raise _reject(_a0, None, {body.tree}, {n})",
+        f"k{stage} = {body.out}"]
+
+
+def _stepper_source(body: _PointBody, xm: str) -> str:
+    """The text of the stepper's factory `_make`, which takes what the
+    factory of f's point kernel takes and returns the loop
+    `_run(steps, grid, ys, dys, delay, phi_value, lo)`.
+
+    The loop takes the steps of the plan steps from the last node of grid,
+    appending each step's end and (y, dy) there to grid, ys and dys; delay
+    is the delay's `at`, phi_value the history's value and lo the lowest
+    point the history covers, less 1e-12.  Stages 2 and 3 share their
+    point, and stage 1 keeps the previous step's stage-4 point unless that
+    one lies past the node it was read at.
+    """
+    loop = [
+        "half = 0.5 * step",
+        "newest = grid[-1]",
+        "_a0 = x",
+        "_a1 = y",
+        "_a4 = dy",
+        "if not keep:",
+        *(f"    {line}" for line in _read_point(xm, 0)),
+        *_evaluate(body, 1),
+        "_a0 = x + half",
+        *_read_point(xm, 1),
+        "_a1 = y + half * dy",
+        "_a4 = d2 = dy + half * k1",
+        *_evaluate(body, 2),
+        "_a1 = y + half * d2",
+        "_a4 = d3 = dy + half * k2",
+        *_evaluate(body, 3),
+        "_a0 = x + step",
+        *_read_point(xm, 3),
+        "keep = _a2 <= newest",
+        "_a1 = y + step * d3",
+        "_a4 = d4 = dy + step * k3",
+        *_evaluate(body, 4),
+        "y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0",
+        "dy = dy + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
+        "grid.append(_a0)",
+        "ys.append(y)",
+        "dys.append(dy)",
+    ]
+    lines = [
+        f"def _make({body.head}):",
+        "    def _run(steps, grid, ys, dys, delay, phi_value, lo):",
+        "        x0 = grid[0]",
+        "        y = ys[-1]",
+        "        dy = dys[-1]",
+        "        keep = False",
+        "        for x, step in steps:",
+        *(f"            {line}" for line in loop),
+        "    return _run",
+    ]
+    return "".join(f"{line}\n" for line in lines)
+
+
+#: what the stepper reads besides f's own primitives
+_STEPPER_NAMES = {**_POINT_PRIMITIVES, "_reject": _reject,
+                  "_outside": _outside, "_bisect_right": bisect.bisect_right}
+
+
+@functools.lru_cache(maxsize=64)
+def _stepper(make, xm: str):
+    """The stepper's factory for the point kernels that the factory make
+    returns, under the delay code xm: the stepper's shape table, so that
+    the kernels of one shape, trees that differ only in their constants,
+    share one exec of its text."""
+    ns = dict(_STEPPER_NAMES)
+    exec(_stepper_source(make._body, xm), ns)
+    return ns["_make"]
+
+
+def _stage_plan(grid: list, steps, tau: float):
     """Per step (x, step) of steps, lazily: (x, step, half, points), with
     points the delayed points of its stages at x, x + half and x + step
-    under the map xm_of, or None where there is no map.
+    under the constant delay tau.
 
     grid holds the nodes, the first of them where the history ends, and
     the plan appends each step's end x + step to it once the step is
@@ -579,23 +847,15 @@ def _stage_plan(grid: list, steps, xm_of=None):
     xm, terms): terms None puts xm at node j, and otherwise inside the
     segment from node j to node j + 1 with the Hermite terms that every
     trajectory on that grid shares.  A point at or past the newest node
-    when the step starts is at that node (solve_numeric refuses one more
-    than 1e-12 past it).  j = -1 puts xm in the history, and there terms
-    holds the error the stage fails with, if any: xm_of's own DomainError,
-    or a DelayViolationError where xm is not behind the stage.  A reader
-    raises it when it reaches the stage, so failures keep stage order.  A
-    step's point 0 is the previous step's point 2 object unless that one
-    lies past the node it is at.
+    when the step starts is at that node, and j = -1 puts xm in the
+    history.  A step's point 0 is the previous step's point 2 object
+    unless that one lies past the node it is at.  With tau > 0 and a plan
+    whose steps advance x, every point lies behind its stage.
     """
     x0 = grid[0]
 
     def place(xs: float, newest: float):
-        try:
-            xm = xm_of(xs)
-        except DomainError as err:
-            return -1, None, err
-        if xm >= xs:
-            return -1, xm, _violation(xm, xs)
+        xm = xs - tau
         if xm < x0:
             return -1, xm, None
         if xm >= newest:
@@ -607,113 +867,14 @@ def _stage_plan(grid: list, steps, xm_of=None):
     last = None
     for x, step in steps:
         half = 0.5 * step
-        points = None
-        if xm_of is not None:
-            newest = grid[-1]
-            points = (last or place(x, newest), place(x + half, newest),
-                      place(x + step, newest))
-            j, xm, _ = last = points[2]
-            if j >= 0 and xm > newest:
-                last = None
+        newest = grid[-1]
+        points = (last or place(x, newest), place(x + half, newest),
+                  place(x + step, newest))
+        j, xm, _ = last = points[2]
+        if j >= 0 and xm > newest:
+            last = None
         yield x, step, half, points
         grid.append(x + step)
-
-
-def solve_numeric(
-    f_eval,
-    delay,
-    phi: HistoryFunction,
-    dy0: float | str,
-    x_end: float,
-    h: float,
-) -> Trajectory:
-    """Driver over a numeric right-hand side f(x, y, xm, ym, dy, dym).
-
-    delay locates xm at every stage: _delay_spec(system, warn) for a
-    system's delay relation, or _ConstantDelay(tau).  Where its xm_of is
-    set, the stage plan places the delayed points and each distinct one is
-    read once; otherwise every stage resolves its own.
-    """
-    x0 = phi.interval[1]
-    steps = _step_plan(x0, x_end, h, delay.tau if isinstance(
-        delay, _ConstantDelay) else None)
-    y0, phi_dy0 = phi.value(x0)
-    dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
-
-    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi)
-    xs, ys, dys = traj.xs, traj.ys, traj.dys
-    hist_lo = phi.interval[0]
-    prev_xm = x0 - min(1.0, x_end - x0)
-    n_iter = fallbacks = 0
-
-    def read(point):
-        """(xm, ym, dym) at a point of the stage plan, as interpolate
-        reads it."""
-        j, xm, terms = point
-        if j >= 0:
-            if terms is not None:
-                return (xm, *_hermite(terms, ys[j], ys[j + 1], dys[j],
-                                      dys[j + 1]))
-            if xm > xs[j] + 1e-12:
-                raise IntegrationError(f"{xm:g} is beyond the computed range")
-            return xm, ys[j], dys[j]
-        if terms is not None:
-            raise terms
-        if xm < hist_lo - 1e-12:
-            raise HistoryUnderrunError(f"{xm:g} is below the covered range")
-        return (xm, *phi.value(xm))
-
-    def rhs(x: float, y: float, dy: float, at) -> float:
-        """f at stage x, with at the (xm, ym, dym) read from the plan, or
-        None to have the delay locate xm."""
-        nonlocal prev_xm, n_iter, fallbacks
-        if at is None:
-            xm, iters, fell_back = delay.resolve(x, y, dy, traj.interpolate,
-                                                 prev_xm, hist_lo, xs[-1])
-            n_iter += iters
-            fallbacks += fell_back
-            if xm >= x:
-                raise _violation(xm, x)
-            prev_xm = xm
-            ym, dym = traj.interpolate(xm)
-        else:
-            xm, ym, dym = at
-        try:
-            return f_eval(x, y, xm, ym, dy, dym)
-        except DomainError as exc:
-            raise _rejection(x, exc) from None
-
-    y, dy = y0, dy_start
-    # the readings of the plan's points, None where there is no plan;
-    # last is the previous step's stage-4 point, whose reading is a4
-    a1 = a2 = a4 = last = None
-    for x, step, half, points in _stage_plan(xs, steps, delay.xm_of):
-        planned = points is not None
-        if planned:
-            p1, p2, p4 = points
-            a1 = a4 if p1 is last else read(p1)
-            last = p4
-        k1 = rhs(x, y, dy, a1)
-        xh = x + half
-        if planned:
-            a2 = read(p2)
-        y2, d2 = y + half * dy, dy + half * k1
-        k2 = rhs(xh, y2, d2, a2)
-        y3, d3 = y + half * d2, dy + half * k2
-        k3 = rhs(xh, y3, d3, a2)
-        xe = x + step
-        if planned:
-            a4 = read(p4)
-        y4, d4 = y + step * d3, dy + step * k3
-        k4 = rhs(xe, y4, d4, a4)
-        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
-        dy = dy + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        ys.append(y)
-        dys.append(dy)
-    traj.n_fixed_point_fallbacks = fallbacks
-    traj.n_rhs_evals = 4 * (len(xs) - 1)
-    traj.n_delay_iterations = n_iter
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +902,7 @@ def residual_on_trajectory(
     f or g is undefined are skipped; n_samples counts the ones used.
     """
     rng = np.random.default_rng(seed)
-    f_fn = compile_fn(system.f, ("x", "y", "xm", "ym", "dy", "dym"),
-                      system.params)
+    f_fn = compile_fn(system.f, _F_ARGS, system.params)
     warnings: list[str] = []
     spec = _delay_spec(system, warnings.append)
     g_full = compile_fn(system.g, FREE_COORDS, system.params)

@@ -28,9 +28,7 @@ from .integrate import (
     HistoryFunction,
     HistoryUnderrunError,
     Trajectory,
-    _ConstantDelay,
     _exact_drift,
-    _hermite,
     _real_roots,
     _rejection,
     _stage_plan,
@@ -375,18 +373,24 @@ def simulate_platoon(
 
     Every history must end at the same t0 (a TrafficError names the first
     car whose history ends elsewhere), so that all cars share one node
-    grid, and with it one stage plan, integrate._stage_plan as a solve
-    under the delay tau reads it: the steps from t0 to t_end aligned to
-    tau, and the delayed point of every RK4 stage, each distinct one once.
-    The cars are integrated one after another in index order over that
-    plan.  Car i reads car i-1 only at those delayed points, so each car
+    grid, and with it one stage plan, integrate._stage_plan: the steps
+    from t0 to t_end aligned to tau, as a solve under the delay tau takes
+    them, and the delayed point of every RK4 stage, placed by the rules
+    the solve's stepper follows, each distinct one once.  The plan is made
+    once and read by every car, as a table of the stages of each step
+    (_stage_table).  The cars are integrated one after another in index
+    order over that table, each in one loop (_drive) that reads its
+    points, checks its headway and applies the law at every stage without
+    a call.  Car i reads car i-1 only at those delayed points, so each car
     keeps the values it read there for itself, and the car behind reads
-    them; car 1 reads the leader.  A delayed point at the
-    newest node, or rounded just past it (only one step per delay allows
-    that), reads that node.  Every car runs the same right-hand side.  Its
-    two powers are taken with math.pow, except that an exponent of 1 gives
-    the base itself and one of 0 gives 1.0, as math.pow would: a power
-    without a real value or a non-finite result is a StepRejectionError.
+    them; car 1 reads the leader.  A delayed point at the newest node, or
+    rounded just past it (only one step per delay allows that), reads
+    that node.  Every car runs the same right-hand side.  Its two powers
+    are taken with math.pow, except that an exponent of 1 gives the base
+    itself and one of 0 gives 1.0, as math.pow would: a power without a
+    real value or a non-finite result is a StepRejectionError.  A t_end,
+    h or tau that is not finite is a StepPlanError before any car is
+    integrated.
 
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
@@ -419,22 +423,22 @@ def simulate_platoon(
     lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
                           values)
     grid = [t0]
-    plan = list(_stage_plan(grid, _step_plan(t0, t_end, h, p.tau),
-                            _ConstantDelay(p.tau).xm_of))
-    ahead = _front_values(lead_pos, lead_vel, plan)
+    table = _stage_table(_stage_plan(grid, _step_plan(t0, t_end, h, p.tau),
+                                     p.tau))
+    ahead = _front_values(lead_pos, lead_vel, table)
     front_ys = None
     state = PlatoonState(trajectories=[])
     for car, phi in enumerate(histories, start=1):
         y0, dy0 = phi.value(t0)
         ys, dys = [y0], [dy0]
         try:
-            ahead = _drive(p, plan, phi, ys, dys, ahead)
+            ahead = _drive(p, table, phi, ys, dys, ahead)
             t_c, n_accels = None, 4 * (len(ys) - 1)
         except _Collapse as exc:
             t_c, end, n_accels = exc.x, exc.x - 2 * h, exc.n_accels
             kept = 1  # the start node and the steps a solve to end takes
-            for x, step, _, _ in plan:
-                if step > end - x:
+            for step, stages in table:
+                if step > end - stages[0][1]:
                     break
                 kept += 1
             del ys[kept:], dys[kept:]
@@ -455,21 +459,37 @@ def simulate_platoon(
     return state
 
 
-def _front_values(lead_pos, lead_vel, plan):
-    """(ys, dys, error): the leader's position and velocity at the distinct
-    delayed points of plan, in order, up to the first where either raises
-    a DomainError, and that error.  A step's point 0 that is the previous
-    step's point 2 is not read again."""
-    ys, dys = [], []
+def _stage_table(plan) -> list:
+    """Per step of plan: (step, stages), with each RK4 stage (done, x,
+    point, w, c): the accelerations of the step before it, its time, the
+    distinct delayed point it reads (None where it keeps the reading of
+    the stage before: stage 3, and stage 1 whose point is the previous
+    step's stage-4 point), the weight of its rates in the step, and the c
+    with which the next stage's velocity is dy + c * acceleration."""
+    table = []
     last = None
+    for x, step, half, (p1, p2, p4) in plan:
+        xh = x + half
+        table.append((step, ((0, x, None if p1 is last else p1, 1.0, half),
+                             (1, xh, p2, 2.0, half), (2, xh, None, 2.0, step),
+                             (3, x + step, p4, 1.0, 0.0))))
+        last = p4
+    return table
+
+
+def _front_values(lead_pos, lead_vel, table):
+    """(ys, dys, error): the leader's position and velocity at the distinct
+    delayed points of the stage table, in order, up to the first where
+    either raises a DomainError, and that error."""
+    ys, dys = [], []
     try:
-        for _, _, _, points in plan:
-            for point in points[1:] if points[0] is last else points:
-                xm = point[1]
-                y, dy = lead_pos(xm), lead_vel(xm)
-                ys.append(y)
-                dys.append(dy)
-            last = points[2]
+        for _, stages in table:
+            for _, _, point, _, _ in stages:
+                if point is not None:
+                    xm = point[1]
+                    y, dy = lead_pos(xm), lead_vel(xm)
+                    ys.append(y)
+                    dys.append(dy)
     except DomainError as err:
         return ys, dys, err
     return ys, dys, None
@@ -489,17 +509,19 @@ class _Collapse(Exception):
         self.n_accels = n_accels
 
 
-def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
+def _drive(p: TrafficParams, table, phi: HistoryFunction, ys: list,
            dys: list, ahead) -> tuple:
-    """Take the steps of plan from the last of the rows ys, dys, one row
-    appended per step, under the car-following law of p.
+    """Take the steps of the stage table from the last of the rows ys, dys,
+    one row appended per step, under the car-following law of p.
 
     ahead is (ys, dys, error) of the car in front at the distinct delayed
-    points of plan, as _front_values gives it: a stage past the values it
-    holds fails with its error.  Returns the car's own values at those
-    points, in the same form, for the car behind.  Raises _Collapse at a
-    stage whose delayed headway is below the floor, and the failure of a
-    stage that has no value.
+    points of the table, as _front_values gives it: a stage past the
+    values it holds fails with its error.  Returns the car's own values at
+    those points, in the same form, for the car behind.  Raises _Collapse
+    at a stage whose delayed headway is below the floor, and the failure
+    of a stage that has no value.  The rates of a step are summed stage by
+    stage from -0.0, which adds nothing to the first, in the order and
+    with the weights of dy + 2 d2 + 2 d3 + d4.
     """
     alpha, n1, n2 = p.alpha, p.n1, p.n2
     # with n2 = 0 the headway never enters: no floor and no division
@@ -509,68 +531,59 @@ def _drive(p: TrafficParams, plan, phi: HistoryFunction, ys: list,
     n_front = len(front_y)
     own_y, own_d = [], []
     lo = phi.interval[0] - 1e-12
-
-    def delayed(point, xs, done):
-        """(gap, velocity difference) to the car in front at the next
-        distinct point of the plan, read at stage time xs after done
-        accelerations of the step."""
-        j, xm, terms = point
-        if terms is not None:
-            ym, dym = _hermite(terms, ys[j], ys[j + 1], dys[j], dys[j + 1])
-        elif j >= 0:
-            ym, dym = ys[j], dys[j]
-        elif xm < lo:
-            raise HistoryUnderrunError(f"{xm:g} is below the covered range")
-        else:
-            ym, dym = phi.value(xm)
-        k = len(own_y)
-        own_y.append(ym)
-        own_d.append(dym)
-        if k >= n_front:
-            raise _rejection(xs, front_err)
-        gap = front_y[k] - ym
-        if gap < floor:
-            raise _Collapse(xs, 4 * (len(ys) - 1) + done)
-        return gap, front_d[k] - dym
-
-    # math.pow(v, 1.0) is v and math.pow(v, 0.0) is 1.0 for every float v,
-    # so those exponents take no power and give the same acceleration
-    def accel(xs, d, gap, dv):
-        try:
-            if n1 != 1.0:
-                d = 1.0 if n1 == 0.0 else pow_(d, n1)
-            acc = alpha * d * dv
-            if n2 == 1.0:
-                acc = acc / gap
-            elif n2 != 0.0:
-                acc = acc / pow_(gap, n2)
-        except (ValueError, OverflowError, ZeroDivisionError) as err:
-            raise _rejection(xs, err) from None
-        if not isfinite(acc):
-            raise _rejection(xs, "non-finite result")
-        return acc
-
     y, dy = ys[-1], dys[-1]
-    last = None  # the previous step's stage-4 point, read into gap and dv
-    for x, step, half, (p1, p2, p4) in plan:
-        if p1 is not last:
-            gap, dv = delayed(p1, x, 0)
-        a1 = accel(x, dy, gap, dv)
-        xh = x + half
-        d2 = dy + half * a1
-        gap, dv = delayed(p2, xh, 1)
-        a2 = accel(xh, d2, gap, dv)
-        d3 = dy + half * a2
-        a3 = accel(xh, d3, gap, dv)
-        d4 = dy + step * a3
-        xe = x + step
-        gap, dv = delayed(p4, xe, 3)
-        a4 = accel(xe, d4, gap, dv)
-        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
-        dy = dy + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+    k = 0  # the distinct points read
+    for step, stages in table:
+        d = dy
+        d_sum = a_sum = -0.0
+        for done, x, point, w, c in stages:
+            if point is not None:
+                # the gap and velocity difference to the car in front there
+                j, xm, terms = point
+                if terms is not None:  # _hermite's arithmetic
+                    h, s, hh, s3 = terms
+                    y0, d0, d1 = ys[j], dys[j], dys[j + 1]
+                    slope = (ys[j + 1] - y0) / h
+                    c2 = (3.0 * slope - 2.0 * d0 - d1) / h
+                    c3 = (d0 + d1 - 2.0 * slope) / hh
+                    ym = y0 + s * (d0 + s * (c2 + s * c3))
+                    dym = d0 + s * (2.0 * c2 + s3 * c3)
+                elif j >= 0:
+                    ym, dym = ys[j], dys[j]
+                elif xm < lo:
+                    raise HistoryUnderrunError(
+                        f"{xm:g} is below the covered range")
+                else:
+                    ym, dym = phi.value(xm)
+                own_y.append(ym)
+                own_d.append(dym)
+                if k >= n_front:
+                    raise _rejection(x, front_err)
+                gap = front_y[k] - ym
+                if gap < floor:
+                    raise _Collapse(x, 4 * (len(ys) - 1) + done)
+                dv = front_d[k] - dym
+                k += 1
+            # math.pow(v, 1.0) is v and math.pow(v, 0.0) is 1.0 for every
+            # float v, so those exponents take no power
+            try:
+                acc = alpha * (d if n1 == 1.0 else 1.0 if n1 == 0.0
+                               else pow_(d, n1)) * dv
+                if n2 == 1.0:
+                    acc = acc / gap
+                elif n2 != 0.0:
+                    acc = acc / pow_(gap, n2)
+            except (ValueError, OverflowError, ZeroDivisionError) as err:
+                raise _rejection(x, err) from None
+            if not isfinite(acc):
+                raise _rejection(x, "non-finite result")
+            d_sum = d_sum + w * d
+            a_sum = a_sum + w * acc
+            d = dy + c * acc
+        y = y + step * d_sum / 6.0
+        dy = dy + step * a_sum / 6.0
         ys.append(y)
         dys.append(dy)
-        last = p4
     return own_y, own_d, None
 
 

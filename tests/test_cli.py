@@ -266,6 +266,13 @@ class TestIntegrate:
         ("x - 1", "0,1e17", "2e17", "0.001",
          "the plan from 1e+17 to 2e+17 (tau = 1, h = 0.001) takes"
          " 100000000000000000000 steps, more than 1000000"),
+        # no end or no step: no step is planned, and no one-row CSV printed
+        ("x - 1", "-1,0", "nan", "0.1",
+         "the plan from 0 to nan (tau = 1, h = 0.1) is not finite"),
+        ("x - 1", "-1,0", "2", "nan",
+         "the plan from 0 to 2 (tau = 1, h = nan) is not finite"),
+        ("0.5*x", "0.5,1", "inf", "0.1",
+         "the plan from 1 to inf (h = 0.1) is not finite"),
     ])
     def test_plan_refused_before_any_step(self, tmp_path, g, history, to, h,
                                           expected):
@@ -405,6 +412,24 @@ class TestTraffic:
         proc = run_cli("traffic", "--scenario", str(scenario))
         assert proc.returncode == 1, proc.stderr
         assert re.search(expected, proc.stdout), proc.stdout
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("t_end", "nan", "the plan from 0 to nan (tau = 0.5, h = 0.01) is"
+         " not finite"),
+        ("tau", "inf", "the plan from 0 to 3 (tau = inf, h = 0.01) is not"
+         " finite"),
+    ])
+    def test_scenario_without_a_finite_plan_is_refused(self, tmp_path, key,
+                                                       value, expected):
+        # no car is integrated: no one-node cars and no "no collisions"
+        lines = {"leader": "t + 10", "alpha": "1", "tau": "0.5", "cars": "2",
+                 "t_end": "3", "h": "0.01", "history.1": "t + 5",
+                 "history.2": "t", key: value}
+        scenario = tmp_path / "platoon.txt"
+        scenario.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        proc = run_cli("traffic", "--scenario", str(scenario))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == f"error: StepPlanError: {expected}\n"
 
     def test_traffic_needs_example_or_scenario(self):
         proc = run_cli("traffic")

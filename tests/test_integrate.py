@@ -23,7 +23,6 @@ from dodesym.integrate import (
     _bisect,
     _delay_spec,
     _real_roots,
-    _rejection,
     _sign_scan,
     _stage_plan,
     _step_plan,
@@ -733,6 +732,39 @@ class TestStepPlanBounds:
                 r"^a step of 1 \(h = 1\) does not advance x at 9.0072e\+15$")):
             _step_plan(2.0**53 - 100, 2.0**53 + 100, 1.0)
 
+    @pytest.mark.parametrize("x_end,h,tau,shown", [
+        (math.nan, 0.1, None, "(h = 0.1)"), (math.inf, 0.1, 1.0,
+                                             "(tau = 1, h = 0.1)"),
+        (1.0, math.nan, None, "(h = nan)"), (1.0, math.inf, 0.5,
+                                             "(tau = 0.5, h = inf)"),
+        (1.0, 0.1, math.inf, "(tau = inf, h = 0.1)"),
+        (1.0, 0.1, math.nan, "(tau = nan, h = 0.1)")])
+    def test_a_plan_that_is_not_finite_is_refused(self, x_end, h, tau,
+                                                  shown):
+        with pytest.raises(StepPlanError) as info:
+            _step_plan(0.0, x_end, h, tau)
+        assert str(info.value) == \
+            f"the plan from 0 to {x_end:g} {shown} is not finite"
+
+    @pytest.mark.parametrize("g", ["x - 1", "0.5*x", "x - 1 - 0.1*sin(y)"])
+    def test_solve_without_an_end_takes_no_step(self, g):
+        # NaN compares false with every edge: without the refusal, the
+        # solve would end at once and look successful
+        calls = [0]
+
+        def f_eval(*args):
+            calls[0] += 1
+            return 0.0
+
+        system = DodsSystem(f=parse("-ym"), g=parse(g))
+        for run in (lambda: solve(system, ramp_history(), 0.0, math.nan, 0.1),
+                    lambda: solve_numeric(f_eval, _delay_spec(system, None),
+                                          ramp_history(), 0.0, math.nan,
+                                          0.1)):
+            with pytest.raises(StepPlanError, match="to nan .* is not finite$"):
+                run()
+        assert calls[0] == 0
+
     def test_solve_refuses_before_the_first_step(self):
         system = DodsSystem(f=parse("-ym"), g=parse("x - 1e-7"))
         calls = [0]
@@ -765,60 +797,7 @@ class TestHistoryFunction:
 
 
 # ---------------------------------------------------------------------------
-# the stage plan against the driver that resolved every stage
-
-
-def per_stage_reference(f_eval, delay, phi, dy0, x_end, h):
-    """The driver before the stage plan: each of the four RK4 stages
-    resolves its delayed point and reads it through Trajectory.interpolate.
-    Kept as the reference that the planned reads reproduce bit for bit."""
-    x0 = phi.interval[1]
-    plan = _step_plan(x0, x_end, h, delay.tau if isinstance(
-        delay, _ConstantDelay) else None)
-    y0, phi_dy0 = phi.value(x0)
-    dy_start = phi_dy0 if dy0 == "from-phi" else float(dy0)
-    traj = Trajectory(xs=[x0], ys=[y0], dys=[dy_start], history=phi)
-    hist_lo = phi.interval[0]
-    prev_xm = x0 - (delay.tau if isinstance(delay, _ConstantDelay) else
-                    min(1.0, x_end - x0))
-    n_rhs = n_iter = fallbacks = 0
-
-    def rhs(xs, ys, dys):
-        nonlocal prev_xm, n_rhs, n_iter, fallbacks
-        xm, iters, fell_back = delay.resolve(xs, ys, dys, traj.interpolate,
-                                             prev_xm, hist_lo, traj.xs[-1])
-        n_rhs += 1
-        n_iter += iters
-        fallbacks += fell_back
-        if xm >= xs:
-            raise DelayViolationError(
-                f"delay relation puts the delayed point at {xm:g} >= x = {xs:g}"
-            )
-        prev_xm = xm
-        ym, dym = traj.interpolate(xm)
-        try:
-            fv = f_eval(xs, ys, xm, ym, dys, dym)
-        except DomainError as exc:
-            raise _rejection(xs, exc) from None
-        return dys, fv
-
-    y, dy = y0, dy_start
-    for x, step in plan:
-        k1y, k1d = rhs(x, y, dy)
-        k2y, k2d = rhs(x + 0.5 * step, y + 0.5 * step * k1y,
-                       dy + 0.5 * step * k1d)
-        k3y, k3d = rhs(x + 0.5 * step, y + 0.5 * step * k2y,
-                       dy + 0.5 * step * k2d)
-        k4y, k4d = rhs(x + step, y + step * k3y, dy + step * k3d)
-        y = y + step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        dy = dy + step * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
-        traj.xs.append(x + step)
-        traj.ys.append(y)
-        traj.dys.append(dy)
-    traj.n_fixed_point_fallbacks = fallbacks
-    traj.n_rhs_evals = n_rhs
-    traj.n_delay_iterations = n_iter
-    return traj
+# the stepper against the per-stage driver
 
 
 F_ARGS = ("x", "y", "xm", "ym", "dy", "dym")
@@ -836,13 +815,19 @@ def _seeded(seed, g):
     return system, phi
 
 
-def _run(driver, system, phi, hist, dy0, x_end, h, f_eval=None):
-    """The trajectory of driver as float.hex rows, with its counters and
+def _run(per_stage, system, phi, hist, dy0, x_end, h, f_eval=None):
+    """The trajectory of solve, or with per_stage of solve_numeric on f_eval
+    or the kernel solve compiles, as float.hex rows, with its counters and
     warnings."""
-    warnings = []
-    traj = driver(f_eval or E.compile_fn(system.f, F_ARGS, system.params),
-                  _delay_spec(system, warnings.append),
-                  HistoryFunction(parse(phi), hist), dy0, x_end, h)
+    history = HistoryFunction(parse(phi), hist)
+    if per_stage:
+        warnings = []
+        traj = solve_numeric(
+            f_eval or E.compile_fn(system.f, F_ARGS, system.params),
+            _delay_spec(system, warnings.append), history, dy0, x_end, h)
+    else:
+        traj = solve(system, history, dy0, x_end, h)
+        warnings = traj.warnings
     return ([[v.hex() for v in vs] for vs in (traj.xs, traj.ys, traj.dys)],
             traj.n_rhs_evals, traj.n_delay_iterations,
             traj.n_fixed_point_fallbacks, warnings)
@@ -875,32 +860,92 @@ class TestStagePlan:
         g, hist, x_end, h = PLANNED_CASES[name]
         system, phi = _seeded(seed, g)
         args = (system, phi, hist, "from-phi", x_end, h)
-        assert _run(solve_numeric, *args) == _run(per_stage_reference, *args)
+        assert _run(False, *args) == _run(True, *args)
 
     def test_one_step_per_delay_example(self):
         system = load_dods(ONE_STEP_PER_DELAY.read_text())
         for x_end in (2.0, 9.0):
             args = (system, "1", (-0.7, 0.2), "from-phi", x_end, 0.9)
-            assert _run(solve_numeric, *args) == \
-                _run(per_stage_reference, *args)
+            assert _run(False, *args) == _run(True, *args)
 
     def test_one_step_per_delay_plans_past_the_newest_node(self):
         # the example's last delayed point of a step rounds past the newest
         # node: it reads that node, and the next step reads its own point 0
         grid = [0.2]
-        plan = list(_stage_plan(grid, _step_plan(0.2, 9.0, 0.9, 0.9),
-                                _ConstantDelay(0.9).xm_of))
+        plan = list(_stage_plan(grid, _step_plan(0.2, 9.0, 0.9, 0.9), 0.9))
         past = [k for k, (_, _, _, (_, _, (j, xm, terms))) in enumerate(plan)
                 if j >= 0 and terms is None and xm > grid[j]]
         assert past
         for k in range(1, len(plan)):
             assert (plan[k][3][0] is plan[k - 1][3][2]) == (k - 1 not in past)
 
+    def test_the_stepper_calls_no_kernel_of_f(self, monkeypatch):
+        # a wrapper of compile_fn hands solve a kernel without the factory
+        # it was made from: solve looks that up and still inlines f
+        calls = [0]
+        compile_fn = integrate.compile_fn
+        system, phi = _seeded(3, "x - 1 - 0.2*sin(x)")
 
-def _failure(driver, f, g, phi, hist, dy0, x_end, h):
-    """(type, message, f evaluations made) of the failure driver raises."""
-    system = DodsSystem(f=parse(f), g=parse(g))
-    kernel = E.compile_fn(system.f, F_ARGS)
+        def wrapped(e, *args):
+            kernel = compile_fn(e, *args)
+            if e is not system.f:
+                return kernel
+
+            def counted(*a):
+                calls[0] += 1
+                return kernel(*a)
+
+            return counted
+
+        args = (system, phi, (-1.0, 0.0), "from-phi", 2.5, 0.02)
+        want = _run(False, *args)
+        monkeypatch.setattr(integrate, "compile_fn", wrapped)
+        assert _run(False, *args) == want and calls == [0]
+
+
+class TestStepperShapes:
+    def test_constants_share_one_exec(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(integrate, "exec", lambda src, ns: (
+            sources.append(src), exec(src, ns)), raising=False)
+        for c in (0.7, 1.3):
+            system = DodsSystem(f=parse(f"{c!r}*ym + 0.25*dy*sin(x)"),
+                                g=parse("x - 1"))
+            args = (system, "1 + x", (-1.0, 0.0), "from-phi", 2.0, 0.05)
+            assert _run(False, *args) == _run(True, *args)
+        assert len(sources) == 1
+        # the kernel's statements, once per stage
+        assert sources[0].count("sin(") == 4
+
+    def test_each_delay_kind_has_its_stepper(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(integrate, "exec", lambda src, ns: (
+            sources.append(src), exec(src, ns)), raising=False)
+        for g in ("x - 1", "x - 1 - 0.2*sin(x)", "x - 0.5"):
+            solve(DodsSystem(f=parse("-ym"), g=parse(g)), ramp_history(),
+                  0.0, 1.0, 0.1)
+        assert [src.count("_a2 = _a0 - delay") for src in sources] == [3, 0]
+        assert sources[1].count("_a2 = delay(_a0)") == 3
+
+    def test_undefined_f_names_its_params(self):
+        # f is undefined past x = 1.234: the stepper's rejection names f
+        # with its params in place, as the point kernel's DomainError does
+        case = ("a*ym + b*sqrt(c - x)", "x - 1", "1", (-1.0, 0.0), 0.0, 2.0,
+                0.1, {"a": -0.7, "b": 0.3, "c": 1.234})
+        got = _failure(False, *case)
+        assert got == _failure(True, *case)
+        assert got == (
+            "StepRejectionError", "right-hand side not evaluable at x = 1.25:"
+            " math domain error in '((-0.7 * ym) + (0.3 * sqrt((1.234 -"
+            " x))))'", 50)
+
+
+def _failure(per_stage, f, g, phi, hist, dy0, x_end, h, params=None):
+    """(type, message, f evaluations made) of the failure of solve, or with
+    per_stage of solve_numeric; the stepper reports its evaluations on the
+    exception, and solve_numeric's are counted."""
+    system = DodsSystem(f=parse(f), g=parse(g), params=params or {})
+    kernel = E.compile_fn(system.f, F_ARGS, system.params)
     calls = [0]
 
     def counted(*args):
@@ -908,8 +953,9 @@ def _failure(driver, f, g, phi, hist, dy0, x_end, h):
         return kernel(*args)
 
     with pytest.raises(Exception) as info:
-        _run(driver, system, phi, hist, dy0, x_end, h, f_eval=counted)
-    return type(info.value).__name__, str(info.value), calls[0]
+        _run(per_stage, system, phi, hist, dy0, x_end, h, f_eval=counted)
+    made = calls[0] if per_stage else info.value.n_rhs_evals
+    return type(info.value).__name__, str(info.value), made
 
 
 #: (f, g, phi, history interval, dy0, x_end, h) and the failure's type
@@ -937,6 +983,9 @@ FAILURES = {
                               1.0, 0.1), "StepRejectionError"),
     "f-before-g": (("ln(dy)", "0.5*x + 0.1*sqrt(1.05 - x)", "1", (0.5, 1.0),
                     -1.0, 2.0, 0.1), "StepRejectionError"),
+    # stage 3 fails at the time and point of stage 2, which did not
+    "f-at-stage-3": (("sqrt(dy) - 20*x", "x - 1", "1", (-1.0, 0.0), 0.5,
+                      2.0, 0.1), "StepRejectionError"),
 }
 
 
@@ -944,15 +993,23 @@ class TestFailureParity:
     @pytest.mark.parametrize("name", list(FAILURES))
     def test_same_failure_at_the_same_stage(self, name):
         case, kind = FAILURES[name]
-        got = _failure(solve_numeric, *case)
-        assert got == _failure(per_stage_reference, *case)
+        got = _failure(False, *case)
+        assert got == _failure(True, *case)
         assert got[0] == kind
 
     def test_stage_four_point_of_the_first_step_fails(self):
-        # the reference pins the stage: stages 1 and 2 evaluate f first
+        # the per-stage driver pins the stage: stages 1 and 2 evaluate f
+        # first
         case, _ = FAILURES["underrun-at-stage-4"]
-        assert _failure(solve_numeric, *case) == (
+        assert _failure(False, *case) == (
             "HistoryUnderrunError", "-0.6 is below the covered range", 3)
+
+    def test_stage_three_fails_where_stage_two_did_not(self):
+        # the third step's stages 2 and 3 share x = 0.25 and their point
+        case, _ = FAILURES["f-at-stage-3"]
+        assert _failure(False, *case) == (
+            "StepRejectionError", "right-hand side not evaluable at x ="
+            " 0.25: math domain error in '(sqrt(dy) - (20 * x))'", 11)
 
 
 class TestReadCounts:

@@ -765,7 +765,7 @@ def _fingerprint(case):
             [len(t.xs) for t in state.trajectories], digest.hexdigest()[:16])
 
 
-def reference_drive(p, plan, phi, ys, dys, ahead, counter):
+def reference_drive(p, table, phi, ys, dys, ahead, counter):
     """traffic._drive as it took both powers with math.pow at every
     acceleration, counting the accelerations in counter[0]: the reference
     the power-free law at exponents 0 and 1 reproduces bit for bit."""
@@ -808,26 +808,23 @@ def reference_drive(p, plan, phi, ys, dys, ahead, counter):
         return acc
 
     y, dy = ys[-1], dys[-1]
-    last = None
-    for x, step, half, (p1, p2, p4) in plan:
-        if p1 is not last:
+    for step, ((_, x, p1, _, half), (_, xh, p2, _, _), _,
+               (_, xe, p4, _, _)) in table:
+        if p1 is not None:
             gap, dv = delayed(p1, x, 0)
         a1 = accel(x, dy, gap, dv)
-        xh = x + half
         d2 = dy + half * a1
         gap, dv = delayed(p2, xh, 1)
         a2 = accel(xh, d2, gap, dv)
         d3 = dy + half * a2
         a3 = accel(xh, d3, gap, dv)
         d4 = dy + step * a3
-        xe = x + step
         gap, dv = delayed(p4, xe, 3)
         a4 = accel(xe, d4, gap, dv)
         y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
         dy = dy + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
         ys.append(y)
         dys.append(dy)
-        last = p4
     return own_y, own_d, None
 
 
@@ -917,8 +914,7 @@ class TestLockStepPlatoon:
         p, _, histories, t_end, h = case
         grid = [histories[0].interval[1]]
         plan = list(integrate._stage_plan(
-            grid, integrate._step_plan(grid[0], t_end, h, p.tau),
-            integrate._ConstantDelay(p.tau).xm_of))
+            grid, integrate._step_plan(grid[0], t_end, h, p.tau), p.tau))
         past = sum(j >= 0 and terms is None and xm > grid[j]
                    for *_, (_, _, (j, xm, terms)) in plan)
         assert (past > 0) == name.startswith("one-step")
