@@ -13,6 +13,10 @@ Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
+Each row's value depends on that row alone, so `check_algebra` puts the
+first blocks of all its fields on the manifold in one kernel call where
+they fit in it and then checks field by field; `check_invariance` is its
+one-field case.
 Per system, `expr.compile_columns` compiles g and one 15-output kernel
 of f and the 14 jet partials of f and g with the system's params, so each
 block evaluates f and its partials in one pass that computes every
@@ -195,35 +199,61 @@ def sample_point(
 _I_XM, _I_YM, _I_DYM, _I_DDY = (
     JET.index(v) for v in ("xm", "ym", "dym", "ddy"))
 
-#: most rows one sampling block draws.  Each block pays a fixed cost of a
-#: few dozen numpy calls and three kernel calls, so a check of up to 4096
-#: rows is drawn as one block, plus tail blocks for rejected rows.  Work
-#: arrays hold one 32 kB column per kernel node, so a block peaks at about
-#: 2-3 MB on the traffic systems, A6_3 and A3_11 (5.3 MB on H3_DET,
-#: measured by tracemalloc) however large n is.
+#: most rows one kernel call evaluates.  Each call pays a fixed cost of a
+#: few dozen numpy calls, so a check of up to 4096 rows draws one block
+#: per field, plus tail blocks for rejected rows, and check_algebra puts
+#: the first blocks of all its fields on the manifold in one call where
+#: they fit in it.  Work arrays hold one 32 kB column per kernel node,
+#: so a call peaks at about 2-3 MB on the traffic systems, A6_3 and A3_11
+#: (5.3 MB on H3_DET, measured by tracemalloc) however large n is.  As
+#: first blocks share a call only where they fit in it, check_algebra
+#: holds no more rows at once than one call evaluates.
 _BLOCK_ROWS = 4096
 
 
-def _sample_manifold(rng, box, m, kernels) -> tuple[np.ndarray, np.ndarray,
-                                                    np.ndarray]:
-    """Draw m points of the free coordinates and put them on the manifold.
-
-    The (m, 5) draw consumes the generator exactly as m calls of
-    sample_point do.  xm := g and ddy := f (f evaluated at ddy = 0, which
-    neither f nor its partials read).  A row is kept where both are
-    defined and xm < x.  Returns the kept rows as jet columns, shape
-    (7, k) in JET order, their positions in the block, and the partials
-    of f and g at them, shape (14, k) in JET order, f then g.
-    """
+def _draw(rng, box, m) -> np.ndarray:
+    """m points of the free coordinates as columns, shape (5, m) in
+    FREE_COORDS order, drawn exactly as m calls of sample_point draw."""
     lo, hi = zip(*(box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
-    x, y, ym, dy, dym = rng.uniform(lo, hi, size=(m, 5)).T
+    return rng.uniform(lo, hi, size=(m, 5)).T
+
+
+def _on_manifold(free: np.ndarray, kernels) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+    """Put drawn points of the free coordinates on the manifold.
+
+    xm := g and ddy := f (f evaluated at ddy = 0, which neither f nor its
+    partials read).  A row is kept where both are defined and xm < x.
+    Returns the kept rows as jet columns, shape (7, k) in JET order, their
+    positions among the columns of free, and the partials of f and g at
+    them, shape (14, k) in JET order, f then g.  Each row's values depend
+    on that row alone (the contract of `compile_columns`), so the columns
+    of several blocks give what each block gives by itself.
+    """
+    x, y, ym, dy, dym = free
     xm = kernels.g(x, y, ym, dy, dym)
     rows = np.flatnonzero(xm < x)
-    jet = np.stack([x, y, xm, ym, dy, dym, np.zeros(m)])[:, rows]
+    jet = np.stack([x, y, xm, ym, dy, dym, np.zeros(len(x))])[:, rows]
     f, *partials = kernels.f_partials(*jet)
     jet[_I_DDY] = f
     keep = np.isfinite(f)
     return jet[:, keep], rows[keep], np.stack(partials)[:, keep]
+
+
+def _sample_manifold(rng, box, m, kernels):
+    """Draw m points of the free coordinates and put them on the manifold:
+    `_on_manifold` of `_draw`."""
+    return _on_manifold(_draw(rng, box, m), kernels)
+
+
+def _first_blocks(rngs, box, m, kernels) -> list[tuple[np.ndarray, ...]]:
+    """`_sample_manifold(rng, box, m, kernels)` of each generator, in
+    order, from one kernel call over the drawn blocks laid end to end."""
+    jet, rows, d = _on_manifold(
+        np.concatenate([_draw(rng, box, m) for rng in rngs], axis=1), kernels)
+    cuts = np.searchsorted(rows, m * np.arange(len(rngs) + 1))
+    return [(jet[:, a:b], rows[a:b] - i * m, d[:, a:b])
+            for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
 
 
 @dataclass
@@ -302,13 +332,52 @@ def check_invariance(
     n rejected rows and more rejected than accepted aborts; a row becomes
     the worst point when it is the first or raises either running
     maximum.  A NaN residual on an accepted row makes its maximum NaN, so
-    the report fails, and the first such row stays the worst point.
+    the report fails, and the first such row stays the worst point.  This
+    is check_algebra of the one field.
     """
+    return check_algebra(system, [x_field], n=n, seed=seed, tol=tol)[0]
+
+
+def check_algebra(
+    system: DodsSystem,
+    fields: list[VectorField],
+    n: int = 200,
+    seed: int = 42,
+    tol: float = 1e-8,
+) -> list[InvarianceReport]:
+    """check_invariance of each basis field, field i with seed + i; all
+    must pass to admit the algebra.
+
+    Where the first blocks of two or more fields, each drawn from its own
+    generator, fit in one kernel call (n = 200 with up to 20 fields), they
+    are put on the manifold together (`_first_blocks`), so g and the
+    kernel of f and its partials run once per check rather than once per
+    field.  Then each field in turn is checked as check_invariance checks
+    it, tail blocks included, so the reports, and an error and the field
+    it surfaces at, are those of check_invariance field by field.
+    """
+    if not fields:
+        return []
     if n < 1:
         raise ValueError("n must be at least 1")
     kernels = system.kernels()
+    rngs = [np.random.default_rng(seed + i) for i in range(len(fields))]
+    m = min(n, _BLOCK_ROWS)
+    # the first blocks of several fields share a kernel call where they
+    # fit in one; otherwise each field draws its own.  Each is dropped
+    # once its field has been checked.
+    shared = 1 < len(fields) and len(fields) * m <= _BLOCK_ROWS
+    firsts = (_first_blocks(rngs, system.box, m, kernels) if shared
+              else [None] * len(fields))
+    return [_check_field(system, kernels, x_field, rng, firsts.pop(0), n, tol)
+            for x_field, rng in zip(fields, rngs)]
+
+
+def _check_field(system, kernels, x_field, rng, block, n, tol):
+    """The report of check_invariance on x_field, drawing from rng, where
+    block is None or holds the first block rng has already drawn, on the
+    manifold; the sampling loop of every check."""
     coeffs = field_kernel(x_field, system.params)
-    rng = np.random.default_rng(seed)
     worst: np.ndarray | None = None
     good = 0
     bad = 0
@@ -318,7 +387,9 @@ def check_invariance(
         # a block never holds more rows than are still needed, so every
         # row drawn is taken, in order
         m = min(n - good, _BLOCK_ROWS)
-        jet, rows, d = _sample_manifold(rng, system.box, m, kernels)
+        jet, rows, d = (block if block is not None
+                        else _sample_manifold(rng, system.box, m, kernels))
+        block = None
         r_dode, r_delay, ok = _residuals(coeffs, jet, d)
         jet, rows = jet[:, ok], rows[ok]
         # accepted and rejected counts before each row is drawn
@@ -353,18 +424,6 @@ def check_invariance(
         field_label=x_field.label or x_field.describe(),
         n_rejected=bad,
     )
-
-
-def check_algebra(
-    system: DodsSystem,
-    fields: list[VectorField],
-    n: int = 200,
-    seed: int = 42,
-    tol: float = 1e-8,
-) -> list[InvarianceReport]:
-    """check_invariance for each basis field; all must pass to admit the algebra."""
-    return [check_invariance(system, f, n=n, seed=seed + i, tol=tol)
-            for i, f in enumerate(fields)]
 
 
 # ---------------------------------------------------------------------------

@@ -491,8 +491,8 @@ def _step_plan(x0: float, x_end: float, h: float, tau: float | None = None):
     last step of a stretch is cut short to end on its edge.  Raises
     StepPlanError for a non-finite x_end, h or tau, ValueError for h <= 0
     or x_end <= x0, and StepPlanError for a plan of more than _MAX_STEPS
-    steps or one whose step does not advance x at x0 or at x_end (there,
-    |x| is largest), before any step is planned.
+    steps or one whose step is at most half an ulp of the largest |x| of
+    the plan, so may not advance x, before any step is planned.
     """
     delay = "" if tau is None else f"tau = {tau:g}, "
     if not all(map(math.isfinite, (x_end, h, 0.0 if tau is None else tau))):
@@ -509,11 +509,13 @@ def _step_plan(x0: float, x_end: float, h: float, tau: float | None = None):
         raise StepPlanError(
             f"the plan from {x0:g} to {x_end:g} ({delay}h = {h:g}) takes"
             f" {n_steps:.0f} steps, more than {_MAX_STEPS}")
-    for x in (x0, x_end):
-        if x + h_eff == x:
-            raise StepPlanError(
-                f"a step of {h_eff:g} ({delay}h = {h:g}) does not advance"
-                f" x at {x:g}")
+    # a step of at most half an ulp of x leaves x where it is, or advances
+    # it only from an odd mantissa; |x| is largest at x0 or at x_end
+    x = max(x0, x_end, key=abs)
+    if not h_eff > math.ulp(x) / 2:
+        raise StepPlanError(
+            f"a step of {h_eff:g} ({delay}h = {h:g}) does not advance"
+            f" x at {x:g}")
     if tau is None:
         return _steps(x0, h, [x_end])
     edges = []

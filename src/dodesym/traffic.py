@@ -63,7 +63,7 @@ class TrafficParams:
         if (self.tau is None) == (self.q is None):
             raise TrafficError("exactly one of tau (constant) or q"
                                " (proportional) must be set")
-        if self.tau is not None and self.tau <= 0:
+        if self.tau is not None and not self.tau > 0:
             raise TrafficError("reaction delay tau must be positive")
         if self.q is not None and not 0.0 < self.q < 1.0:
             raise TrafficError("proportional delay needs 0 < q < 1")

@@ -251,15 +251,16 @@ class TestDeterminantFamilies:
         from dodesym import dods
 
         calls = []
-        real = dods.check_invariance
+        real = dods.field_kernel
 
-        def counting(system, field, **kw):
-            calls.append(kw["n"])
-            return real(system, field, **kw)
+        def counting(field, params=None):
+            calls.append(field)
+            return real(field, params)
 
-        monkeypatch.setattr(dods, "check_invariance", counting)
+        monkeypatch.setattr(dods, "field_kernel", counting)
         reports = check_entry("A3_11", n=40)
-        assert calls == [40, 40, 40]
+        assert calls == list(get_entry("A3_11").basis)
+        assert [r.n_samples for r in reports] == [40, 40, 40]
         assert all(r.passed for r in reports)
 
     def test_s3_passes_by_default(self):

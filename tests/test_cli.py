@@ -273,6 +273,11 @@ class TestIntegrate:
          "the plan from 0 to 2 (tau = 1, h = nan) is not finite"),
         ("0.5*x", "0.5,1", "inf", "0.1",
          "the plan from 1 to inf (h = 0.1) is not finite"),
+        # past 2^53 a step of 1 is half an ulp: from an even mantissa it
+        # does not advance x, so the plan would stall between its ends
+        ("x - 1", "9007199254740990,9007199254740994", "9007199254741002",
+         "1", "a step of 1 (tau = 1, h = 1) does not advance x at"
+         " 9.0072e+15"),
     ])
     def test_plan_refused_before_any_step(self, tmp_path, g, history, to, h,
                                           expected):
@@ -430,6 +435,15 @@ class TestTraffic:
         proc = run_cli("traffic", "--scenario", str(scenario))
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == f"error: StepPlanError: {expected}\n"
+
+    def test_scenario_with_nan_tau_names_tau(self, tmp_path):
+        example = (PKG_ROOT / "examples" / "platoon.txt").read_text()
+        scenario = tmp_path / "platoon.txt"
+        scenario.write_text(re.sub(r"(?m)^tau = .*$", "tau = nan", example))
+        proc = run_cli("traffic", "--scenario", str(scenario))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == \
+            "error: TrafficError: reaction delay tau must be positive\n"
 
     def test_traffic_needs_example_or_scenario(self):
         proc = run_cli("traffic")

@@ -389,6 +389,77 @@ class TestCheckAlgebra:
         assert reports[2].max_residual_dode > 1e-3
 
 
+def report_key(r):
+    """Everything a report says, floats by their bits."""
+    return (r.max_residual_dode.hex(), r.max_residual_delay.hex(),
+            {v: x.hex() for v, x in r.worst_point.items()}, r.n_samples,
+            r.n_rejected, r.field_label, r.passed)
+
+
+class TestCheckAlgebraMatchesFieldByField:
+    """check_algebra puts the first blocks of its fields on the manifold
+    in one kernel call where they fit in it; its reports are
+    check_invariance's of each field with seed + i, bit for bit."""
+
+    @staticmethod
+    def _field_by_field(system, fields, n, seed):
+        return [report_key(check_invariance(system, fld, n=n, seed=seed + i))
+                for i, fld in enumerate(fields)]
+
+    @pytest.mark.parametrize("n,seeds", [(60, range(5)), (200, range(5)),
+                                         (dods._BLOCK_ROWS + 100, [3])])
+    def test_catalog_defaults(self, n, seeds):
+        checked = 0
+        for entry in catalog.list_entries():
+            if not entry.has_system:
+                continue
+            entry, system = catalog._build_system(
+                catalog.default_instantiation(entry.id))
+            fields = list(entry.basis) + [catalog.negative_control(entry)]
+            for seed in seeds:
+                got = [report_key(r)
+                       for r in check_algebra(system, fields, n=n, seed=seed)]
+                assert got == self._field_by_field(system, fields, n, seed)
+            checked += 1
+        assert checked == 25
+
+    @pytest.mark.parametrize("n", [50, 250, 1300])
+    def test_rejected_rows_and_tail_blocks(self, n, monkeypatch):
+        # the first blocks of the two fields share one kernel call of 512
+        # rows (n=50, 250) or are drawn field by field (n=1300); each
+        # field then draws tail blocks for its rejections
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", 512)
+        system, fields = _rejecting_traffic_system()
+        got = check_algebra(system, fields, n=n, seed=11)
+        assert [report_key(r) for r in got] == \
+            self._field_by_field(system, fields, n, 11)
+        assert all(r.n_rejected > 0 for r in got)
+
+    def test_sampling_error_at_the_second_field(self, monkeypatch):
+        # the second field's eta is undefined for y < 2.2, most of the box
+        system = DodsSystem(f=parse("ym + dym"), g=parse("x - 1"))
+        fields = [VectorField.from_text("1", "0"),
+                  VectorField.from_text("0", "sqrt(y - 2.2)"),
+                  VectorField.from_text("0", "1")]
+        check_invariance(system, fields[0], n=40, seed=5)
+        with pytest.raises(SamplingError) as alone:
+            check_invariance(system, fields[1], n=40, seed=6)
+        built = []
+        kernel = dods.field_kernel
+        monkeypatch.setattr(dods, "field_kernel",
+                            lambda fld, params=None: built.append(fld)
+                            or kernel(fld, params))
+        with pytest.raises(SamplingError) as together:
+            check_algebra(system, fields, n=40, seed=5)
+        assert str(together.value) == str(alone.value)
+        assert type(together.value) is type(alone.value)
+        # the third field was never reached
+        assert built == fields[:2]
+
+    def test_no_fields(self):
+        assert check_algebra(a24_example(), [], n=0) == []
+
+
 class TestKernelsOncePerSystem:
     @staticmethod
     def _count_generated(monkeypatch):

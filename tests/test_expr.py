@@ -666,6 +666,19 @@ def test_columns_match_compile_fn_on_singular_rows(text, x):
         _assert_row_matches_closure(fn, (value,), got)
 
 
+@pytest.mark.parametrize("text", ["ln(x) + sqrt(x - 1)", "x^0.5 * exp(x)"])
+def test_columns_match_compile_fn_where_runs_of_rows_raise(text):
+    # raising rows first, last, alone and in runs, among rows that do not
+    e = parse(text)
+    fn = compile_fn(e, ("x",))
+    xs = np.array([-1.0, 0.0, 2.0, 3.0, -0.0, 0.5, -2.0, -3.0, 1.0, 800.0,
+                   4.0, -1.0])
+    out = compile_columns(e, ("x",))(xs)
+    assert np.isnan(out).sum() >= 5 and np.isfinite(out).sum() >= 5
+    for value, got in zip(xs.tolist(), out):
+        _assert_row_matches_closure(fn, (value,), got)
+
+
 def test_sgn_of_nan_is_nan_on_every_call():
     # (-x)*x at NaN meets two NaNs of opposite sign; which one the product
     # keeps changed once CPython specialized the multiplication

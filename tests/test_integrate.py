@@ -732,6 +732,19 @@ class TestStepPlanBounds:
                 r"^a step of 1 \(h = 1\) does not advance x at 9.0072e\+15$")):
             _step_plan(2.0**53 - 100, 2.0**53 + 100, 1.0)
 
+    def test_half_an_ulp_is_refused(self):
+        # past 2^53 the ulp is 2: a step of 1 advances x from 2^53 + 2 only
+        # to the even 2^53 + 4, where it stalls, though x + 1 != x at both
+        # ends
+        x0, x_end = 2.0**53 + 2, 2.0**53 + 10
+        assert x0 + 1.0 != x0 and x_end + 1.0 != x_end
+        with pytest.raises(StepPlanError, match=(
+                r"^a step of 1 \(h = 1\) does not advance x at 9.0072e\+15$")):
+            _step_plan(x0, x_end, 1.0)
+        # just over half an ulp advances from every mantissa
+        steps = list(_step_plan(x0, x_end, 1.0 + 2.0**-52))
+        assert [x for x, _ in steps] == [x0 + 2 * k for k in range(4)]
+
     @pytest.mark.parametrize("x_end,h,tau,shown", [
         (math.nan, 0.1, None, "(h = 0.1)"), (math.inf, 0.1, 1.0,
                                              "(tau = 1, h = 0.1)"),

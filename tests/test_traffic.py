@@ -177,6 +177,13 @@ class TestParamsValidation:
             TrafficParams(alpha=1.0, n1=1, n2=1, tau=0.5, q=0.5,
                           leader=parse("t"))
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan])
+    def test_tau_must_be_positive(self, tau):
+        # NaN <= 0 is false: the test is that tau > 0 holds
+        with pytest.raises(TrafficError,
+                           match="^reaction delay tau must be positive$"):
+            TrafficParams(alpha=1.0, n1=1, n2=1, tau=tau, leader=parse("t"))
+
     def test_example2_exponent_restrictions(self):
         with pytest.raises(TrafficError, match="n1"):
             example_params(2, n1=1.0)
