@@ -14,9 +14,9 @@ expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
 Each row's value depends on that row alone, so `check_algebra` puts the
-first blocks of all its fields on the manifold in one kernel call where
-they fit in it and then checks field by field; `check_invariance` is its
-one-field case.
+first blocks of as many fields as fit in one kernel call on the manifold
+in that call and then checks them field by field; `check_invariance` is
+its one-field case.
 Per system, `expr.compile_columns` compiles g and one 15-output kernel
 of f and the 14 jet partials of f and g with the system's params, so each
 block evaluates f and its partials in one pass that computes every
@@ -202,12 +202,12 @@ _I_XM, _I_YM, _I_DYM, _I_DDY = (
 #: most rows one kernel call evaluates.  Each call pays a fixed cost of a
 #: few dozen numpy calls, so a check of up to 4096 rows draws one block
 #: per field, plus tail blocks for rejected rows, and check_algebra puts
-#: the first blocks of all its fields on the manifold in one call where
-#: they fit in it.  Work arrays hold one 32 kB column per kernel node,
-#: so a call peaks at about 2-3 MB on the traffic systems, A6_3 and A3_11
-#: (5.3 MB on H3_DET, measured by tracemalloc) however large n is.  As
-#: first blocks share a call only where they fit in it, check_algebra
-#: holds no more rows at once than one call evaluates.
+#: the first blocks of _BLOCK_ROWS // min(n, _BLOCK_ROWS) fields on the
+#: manifold in one call.  Work arrays hold one 32 kB column per kernel
+#: node, so a call peaks at about 2-3 MB on the traffic systems, A6_3
+#: and A3_11 (5.3 MB on H3_DET, measured by tracemalloc) however large n
+#: is.  A group's first blocks, at most _BLOCK_ROWS rows, stay alive
+#: until its last field has been checked.
 _BLOCK_ROWS = 4096
 
 
@@ -251,9 +251,15 @@ def _first_blocks(rngs, box, m, kernels) -> list[tuple[np.ndarray, ...]]:
     order, from one kernel call over the drawn blocks laid end to end."""
     jet, rows, d = _on_manifold(
         np.concatenate([_draw(rng, box, m) for rng in rngs], axis=1), kernels)
-    cuts = np.searchsorted(rows, m * np.arange(len(rngs) + 1))
-    return [(jet[:, a:b], rows[a:b] - i * m, d[:, a:b])
-            for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
+    blocks = []
+    a = 0
+    for i in range(len(rngs)):
+        # kept rows are in draw order; generator i drew [i m, (i + 1) m)
+        b = (len(rows) if i == len(rngs) - 1
+             else int(np.searchsorted(rows, (i + 1) * m)))
+        blocks.append((jet[:, a:b], rows[a:b] - i * m, d[:, a:b]))
+        a = b
+    return blocks
 
 
 @dataclass
@@ -348,13 +354,13 @@ def check_algebra(
     """check_invariance of each basis field, field i with seed + i; all
     must pass to admit the algebra.
 
-    Where the first blocks of two or more fields, each drawn from its own
-    generator, fit in one kernel call (n = 200 with up to 20 fields), they
-    are put on the manifold together (`_first_blocks`), so g and the
-    kernel of f and its partials run once per check rather than once per
-    field.  Then each field in turn is checked as check_invariance checks
-    it, tail blocks included, so the reports, and an error and the field
-    it surfaces at, are those of check_invariance field by field.
+    The first blocks of the fields, each drawn from its own generator,
+    are put on the manifold (`_first_blocks`) in groups of as many as fit
+    in one kernel call (20 at n = 200), so g and the kernel of f and its
+    partials run once per group rather than once per field.  Then each
+    field of the group in turn is checked as check_invariance checks it,
+    tail blocks included, so the reports, and an error and the field it
+    surfaces at, are those of check_invariance field by field.
     """
     if not fields:
         return []
@@ -363,33 +369,34 @@ def check_algebra(
     kernels = system.kernels()
     rngs = [np.random.default_rng(seed + i) for i in range(len(fields))]
     m = min(n, _BLOCK_ROWS)
-    # the first blocks of several fields share a kernel call where they
-    # fit in one; otherwise each field draws its own.  Each is dropped
-    # once its field has been checked.
-    shared = 1 < len(fields) and len(fields) * m <= _BLOCK_ROWS
-    firsts = (_first_blocks(rngs, system.box, m, kernels) if shared
-              else [None] * len(fields))
-    return [_check_field(system, kernels, x_field, rng, firsts.pop(0), n, tol)
-            for x_field, rng in zip(fields, rngs)]
+    # k fields at a time share one kernel call of at most _BLOCK_ROWS rows
+    # for their first blocks, drawn just before the first of them is
+    # checked; the shared call's arrays are freed once the last of them
+    # has been checked, before the next group's call
+    k = _BLOCK_ROWS // m
+    reports = []
+    for a in range(0, len(fields), k):
+        firsts = _first_blocks(rngs[a:a + k], system.box, m, kernels)
+        reports += [_check_field(system, kernels, x_field, rng, first, n, tol)
+                    for x_field, rng, first in zip(fields[a:a + k],
+                                                   rngs[a:a + k], firsts)]
+        del firsts
+    return reports
 
 
-def _check_field(system, kernels, x_field, rng, block, n, tol):
+def _check_field(system, kernels, x_field, rng, first, n, tol):
     """The report of check_invariance on x_field, drawing from rng, where
-    block is None or holds the first block rng has already drawn, on the
-    manifold; the sampling loop of every check."""
+    first is the first block rng has drawn, min(n, _BLOCK_ROWS) rows, on
+    the manifold; the sampling loop of every check."""
     coeffs = field_kernel(x_field, system.params)
     worst: np.ndarray | None = None
     good = 0
     bad = 0
     max_dode = 0.0
     max_delay = 0.0
-    while good < n:
-        # a block never holds more rows than are still needed, so every
-        # row drawn is taken, in order
-        m = min(n - good, _BLOCK_ROWS)
-        jet, rows, d = (block if block is not None
-                        else _sample_manifold(rng, system.box, m, kernels))
-        block = None
+    m = min(n, _BLOCK_ROWS)
+    jet, rows, d = first
+    while True:
         r_dode, r_delay, ok = _residuals(coeffs, jet, d)
         jet, rows = jet[:, ok], rows[ok]
         # accepted and rejected counts before each row is drawn
@@ -415,6 +422,12 @@ def _check_field(system, kernels, x_field, rng, block, n, tol):
             raises[0] = True
         if raises.any():
             worst = jet[:, np.flatnonzero(raises)[-1]]
+        if good >= n:
+            break
+        # a tail block never holds more rows than are still needed, so
+        # every row drawn is taken, in order
+        m = min(n - good, _BLOCK_ROWS)
+        jet, rows, d = _sample_manifold(rng, system.box, m, kernels)
     return InvarianceReport(
         max_residual_dode=max_dode,
         max_residual_delay=max_delay,

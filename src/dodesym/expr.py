@@ -1028,20 +1028,13 @@ def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
             return np.fromiter(map(fn, *rows), float, len(bad))
         except _UNDEFINED:
             pass
-        # map resumes after a row that raised: each run of rows that do
-        # not raise is one C loop, and a row that raises holds NaN
-        values = map(fn, *rows)
-        out: list[float] = []
-        raised = []
-        while True:
+        out = np.full(bad.shape, math.nan)
+        for i, point in enumerate(zip(*rows)):
             try:
-                out.extend(values)
-                break
+                out[i] = fn(*point)
             except _UNDEFINED:
-                raised.append(len(out))
-                out.append(math.nan)
-        bad[raised] = True
-        return np.array(out)
+                bad[i] = True
+        return out
 
     return apply
 

@@ -426,8 +426,8 @@ class TestCheckAlgebraMatchesFieldByField:
     @pytest.mark.parametrize("n", [50, 250, 1300])
     def test_rejected_rows_and_tail_blocks(self, n, monkeypatch):
         # the first blocks of the two fields share one kernel call of 512
-        # rows (n=50, 250) or are drawn field by field (n=1300); each
-        # field then draws tail blocks for its rejections
+        # rows (n=50, 250) or take one call each (n=1300); each field
+        # then draws tail blocks for its rejections
         monkeypatch.setattr(dods, "_BLOCK_ROWS", 512)
         system, fields = _rejecting_traffic_system()
         got = check_algebra(system, fields, n=n, seed=11)
@@ -507,6 +507,28 @@ class TestKernelsOncePerSystem:
         # partials in one call, and evaluates the field at its kept rows
         assert g_calls >= 6  # n=3000 needs at least six blocks of 512
         assert [f_partials_calls, field_calls] == [g_calls] * 2
+
+    def test_one_kernel_call_for_the_first_blocks_of_a_basis(self,
+                                                              monkeypatch):
+        made = self._count_generated(monkeypatch)
+        system = a24_example()
+        fields = [VectorField.from_text("1", "0"),
+                  VectorField.from_text("0", "1"),
+                  VectorField.from_text("0", "y")]
+        reports = check_algebra(system, fields, n=50)
+        # no row is rejected, so no field draws a tail block
+        assert [r.n_rejected for r in reports] == [0, 0, 0]
+        assert [c[0] for c in made] == [1, 1, 1, 1, 1]  # g, f_partials, fields
+
+    def test_first_blocks_share_calls_in_groups_that_fit(self, monkeypatch):
+        made = self._count_generated(monkeypatch)
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", 512)
+        fields = [VectorField.from_text("1", "0"),
+                  VectorField.from_text("0", "1"),
+                  VectorField.from_text("0", "y")]
+        check_algebra(a24_example(), fields, n=200)
+        # two first blocks of 200 rows fit in a call of 512
+        assert [c[0] for c in made] == [2, 2, 1, 1, 1]
 
     def test_params_edit_rebuilds_the_kernels(self):
         def system(a):
