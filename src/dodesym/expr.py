@@ -7,8 +7,11 @@ There is deliberately no general CAS machinery here; semantic checks
 elsewhere are done by residual evaluation at sampled points.
 
 Nodes are hash-consed (interned): equal content is one object, so `==`
-and hash are identity, and simplify, diff and free_symbols keep their
-results on the node, computing each once per node.
+and hash are identity, and simplify, diff, free_symbols and to_text keep
+their results on the node, computing each once per node.  parse keeps
+the tree of each text it parses in a weak table, which keeps no tree
+alive: a text whose tree still lives is parsed again without a token
+scan.
 
 There is one numeric semantics with two calling conventions, one call
 each, both built by one value-numbering code generator (each repeated
@@ -113,11 +116,11 @@ class Expr:
     of that content, so equal content is the same object, and `==` and
     hash are identity.  A Const is keyed by the bit pattern of its value,
     so Const(0.0) and Const(-0.0) are two nodes, and two NaNs of one bit
-    pattern are one.  A node carries the caches of simplify, diff and
-    free_symbols, which die with it.
+    pattern are one.  A node carries the caches of simplify, diff,
+    free_symbols and to_text, which die with it.
     """
 
-    __slots__ = ("_simple", "_derivs", "_symbols", "__weakref__")
+    __slots__ = ("_simple", "_derivs", "_symbols", "_printed", "__weakref__")
     #: the content of a node, in constructor order
     _fields: tuple[str, ...] = ()
 
@@ -191,6 +194,7 @@ def _node(cls, key: tuple, *fields) -> Expr:
     _set(node, "_simple", None)
     _set(node, "_derivs", None)
     _set(node, "_symbols", None)
+    _set(node, "_printed", None)
     _NODES[key] = node
     return node
 
@@ -307,6 +311,11 @@ _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 MAX_NESTING = 100
 
 
+#: the tree parsed from each text, while it lives: an entry leaves with
+#: its tree, so the table keeps no tree alive
+_PARSED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class _Stop(Exception):
     """A syntax error at token index args[1], with message args[0]."""
 
@@ -321,7 +330,15 @@ def parse(text: str) -> Expr:
     ParseError names the 1-based offset of the token where parsing stops,
     which for text nested deeper than MAX_NESTING levels is the token that
     opens the first level too many.
+
+    A text parsed before whose tree still lives gives that node from the
+    text table (`_PARSED`) without a token scan; interning makes it the
+    node a new parse would build.  A ParseError is not kept: a bad text
+    raises on every call.
     """
+    e = _PARSED.get(text)
+    if e is not None:
+        return e
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end of the input
     try:
@@ -332,6 +349,7 @@ def parse(text: str) -> Expr:
         message, i = stop.args
         starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
         raise ParseError(message, starts[i] + 1) from None
+    _PARSED[text] = e
     return e
 
 
@@ -391,6 +409,15 @@ def _atom(tokens: list[str], i: int, depth: int) -> tuple[Expr, int]:
 
 
 def to_text(e: Expr) -> str:
+    """The fully parenthesized text of e, kept on each node it prints, so
+    each node is printed once.
+
+    A constant prints as an integer where it is one below 1e16 in
+    magnitude, as 1e999 or -1e999 where it is infinite (a literal that
+    overflows back to the same value) and by repr otherwise.  A NaN
+    constant prints as nan, which parses as a parameter: no literal gives
+    a NaN, and the folds of simplify make none.
+    """
     try:
         return _text(e)
     except RecursionError:
@@ -398,20 +425,30 @@ def to_text(e: Expr) -> str:
 
 
 def _text(e: Expr) -> str:
-    if isinstance(e, Const):
-        v = e.value
-        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(e, (Var, Param)):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{_text(e.arg)})"
-    if isinstance(e, BinOp):
-        return f"({_text(e.left)} {e.op} {_text(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({_text(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+    # the cache check and store stay in this one recursive function: a
+    # wrapper around it would cost a second frame per level of the tree
+    s = e._printed
+    if s is None:
+        if isinstance(e, Const):
+            v = e.value
+            if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+                s = str(int(v))
+            elif math.isinf(v):
+                s = "1e999" if v > 0.0 else "-1e999"
+            else:
+                s = repr(v)
+        elif isinstance(e, (Var, Param)):
+            s = e.name
+        elif isinstance(e, Neg):
+            s = f"(-{_text(e.arg)})"
+        elif isinstance(e, BinOp):
+            s = f"({_text(e.left)} {e.op} {_text(e.right)})"
+        elif isinstance(e, Call):
+            s = f"{e.fn}({_text(e.arg)})"
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        _set(e, "_printed", s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -1018,8 +1055,22 @@ def _point_kernel(e: Expr, names: tuple[str, ...],
 _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
 
-def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+def _column_map(fn: Callable[..., float],
+                refused: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> Callable[..., np.ndarray]:
+    """fn mapped over the rows; a row where fn raises is NaN and marked in
+    bad.  refused, where given, names the rows of fn's one argument where
+    fn raises: those are marked and mapped as NaN, so no row raises."""
     def apply(bad: np.ndarray, *args) -> np.ndarray:
+        if refused is not None:
+            (v,) = args
+            if isinstance(v, float) or v.shape != bad.shape:
+                v = np.broadcast_to(v, bad.shape)
+            undefined = refused(v)
+            if undefined.any():
+                bad |= undefined
+                v = np.where(undefined, math.nan, v)
+            return np.fromiter(map(fn, v.tolist()), float, len(bad))
         # a float argument (a constant cell) is the same on every row
         rows = [[a] * len(bad) if isinstance(a, float)
                 else a.tolist() if a.shape == bad.shape
@@ -1039,13 +1090,21 @@ def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     return apply
 
 
+#: the rows where math.sqrt and math.log raise, exactly: below zero
+#: (not at -0.0 or NaN), and at or below zero.  The other mapped
+#: primitives catch their failures row by row: no comparison names where
+#: exp or pow overflows or pow has no real value.
+_REFUSED = {"sqrt": lambda v: v < 0.0, "ln": lambda v: v <= 0.0}
+
+
 def _column_div(bad: np.ndarray, num, den):
     bad |= np.equal(den, 0.0)
     return np.true_divide(num, den)
 
 
 _COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
-    **{name: _column_map(fn) for name, fn in _PRIMITIVES.items()},
+    **{name: _column_map(fn, _REFUSED.get(name))
+       for name, fn in _PRIMITIVES.items()},
     "abs": lambda bad, v: np.abs(v),
     "sgn": lambda bad, v: np.sign(v),
     "_div": _column_div,

@@ -746,6 +746,20 @@ class TestFileFormat:
         assert again.params == system.params
         assert again.delay_kind is system.delay_kind
 
+    def test_infinite_constants_survive_a_round_trip(self):
+        # inf prints as a literal that overflows back to it, not as a name
+        system = DodsSystem(f=E.Const(math.inf) * E.YM, g=parse("x - 1e400"))
+        text = dump_dods(system)
+        assert text == "f = (1e999 * ym)\ng = (x - 1e999)\n"
+        again = load_dods(text)
+        assert again.f is system.f and again.g is system.g
+        assert E.free_symbols(again.f) == {"ym"}
+        # -inf reads back as a negated inf, as every negative constant does
+        negative = DodsSystem(f=E.Const(-math.inf) * E.YM, g=parse("x - 1"))
+        again = load_dods(dump_dods(negative))
+        assert E.free_symbols(again.f) == {"ym"}
+        assert E.simplify(again.f) is negative.f
+
     def test_unknown_key_rejected(self):
         with pytest.raises(DodsError, match="unknown key"):
             load_dods("f = ym\ng = x-1\nfrobnicate = 3\n")

@@ -7,6 +7,8 @@ import pickle
 import random
 import re
 import struct
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -591,6 +593,137 @@ class TestInterning:
 
 
 # ---------------------------------------------------------------------------
+# printing and parsing: each node's text is kept on it, and a text's tree
+# in the weak text table
+
+
+def _reference_text(e) -> str:
+    """to_text's text, printed anew on every call."""
+    if isinstance(e, Const):
+        v = e.value
+        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        if math.isinf(v):
+            return "1e999" if v > 0.0 else "-1e999"
+        return repr(v)
+    if isinstance(e, (Var, Param)):
+        return e.name
+    if isinstance(e, Neg):
+        return f"(-{_reference_text(e.arg)})"
+    if isinstance(e, BinOp):
+        return f"({_reference_text(e.left)} {e.op} {_reference_text(e.right)})"
+    return f"{e.fn}({_reference_text(e.arg)})"
+
+
+def _reference_to_text(e) -> str:
+    # the wrapper and one frame per level, as an uncached to_text
+    try:
+        return _reference_text(e)
+    except RecursionError:
+        raise E.ExprError(E.TOO_DEEP) from None
+
+
+def _catalog_trees() -> list:
+    from dodesym import catalog
+
+    trees = []
+    for entry in catalog.list_entries():
+        for field in entry.basis:
+            trees += [field.xi, field.eta]
+        trees += [entry.f_template, entry.g_template, *entry.f_slots,
+                  *entry.g_slots, entry.default_f, entry.default_g,
+                  entry.second_order_minor]
+    return [t for t in trees if t is not None]
+
+
+def _deepest_sum(printer) -> int:
+    """The most terms of a left-nested sum printer prints, in a new thread,
+    whose stack depth does not depend on the caller's; each sum is built
+    anew from a leaf no text has been kept for."""
+    def prints(n: int) -> bool:
+        e = Param(f"leaf_{n}")
+        for _ in range(n - 1):
+            e = BinOp("+", e, Var("y"))
+        try:
+            printer(e)
+        except E.ExprError as err:
+            assert str(err) == E.TOO_DEEP
+            return False
+        return True
+
+    def search():
+        lo, hi = 1, 4 * sys.getrecursionlimit()  # prints(lo), not prints(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if prints(mid) else (lo, mid)
+        found.append(lo)
+
+    found = []
+    thread = threading.Thread(target=search)
+    thread.start()
+    thread.join()
+    return found[0]
+
+
+class TestTextOnce:
+    def test_a_live_trees_text_parses_without_a_token_scan(self, monkeypatch):
+        text = "ym*sin(dym) - 7.25/(x + theta_once)"
+        e = parse(text)
+        printed = to_text(e)
+        assert parse(printed) is e  # a miss: its first parse
+        climbs = []
+        real = E._climb
+
+        def counted(*args):
+            climbs.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(E, "_climb", counted)
+        assert parse(text) is e and parse(printed) is e
+        assert climbs == []
+        assert parse(text + " ") is e  # another text: scanned and kept
+        assert climbs and E._PARSED[text + " "] is e
+
+    def test_the_text_table_returns_to_its_size(self):
+        gc.collect()
+        before = len(E._PARSED)
+        trees = [parse(f"{k}.5*x + sin({k}.25*ym)") for k in range(300)]
+        assert len(E._PARSED) == before + 300
+        last = weakref.ref(trees[-1])
+        del trees
+        gc.collect()
+        assert last() is None  # the table keeps no tree alive
+        assert len(E._PARSED) == before
+
+    def test_a_bad_text_raises_on_every_call(self):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse("2*x + $ - sin(y)")
+            errors.append((str(err.value), err.value.position))
+        assert errors == [("unknown character '$' at offset 7", 7)] * 2
+        assert "2*x + $ - sin(y)" not in E._PARSED
+
+    def test_to_text_of_catalog_and_corpus_trees(self):
+        trees = _catalog_trees()
+        for text in _file_expressions() + _random_texts():
+            try:
+                trees.append(parse(text))
+            except ParseError:
+                pass
+        assert len(trees) > 4000
+        for e in trees:
+            assert to_text(e) == _reference_text(e)
+        for e in trees:  # now every text is kept on its node
+            assert to_text(e) == _reference_text(e)
+
+    def test_to_text_prints_as_deep_as_one_frame_per_level(self):
+        deepest = _deepest_sum(to_text)
+        assert deepest == _deepest_sum(_reference_to_text)
+        assert deepest > 0.9 * sys.getrecursionlimit()
+
+
+# ---------------------------------------------------------------------------
 # compile_columns: every row is what compile_fn returns for that point
 
 
@@ -677,6 +810,34 @@ def test_columns_match_compile_fn_where_runs_of_rows_raise(text):
     assert np.isnan(out).sum() >= 5 and np.isfinite(out).sum() >= 5
     for value, got in zip(xs.tolist(), out):
         _assert_row_matches_closure(fn, (value,), got)
+
+
+@pytest.mark.parametrize("name", ["sqrt", "ln"])
+def test_sqrt_and_ln_columns_match_the_per_row_loop(name):
+    # the rows masked before the map are those where the math function
+    # raises: the column and the reject mask are the per-row loop's
+    fn = E._PRIMITIVES[name]
+    quiet = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    special = [-2.0, -0.0, 0.0, 5e-324, -5e-324, 1.0, 4.0, 1e308, -1e308,
+               math.inf, -math.inf, math.nan, -math.nan, quiet]
+    rng = np.random.default_rng(2006)
+    # columns of rows, one row broadcast, and a constant cell's float
+    for v in [np.array(special), rng.uniform(-1.0, 1.0, 200), np.array([-1.0]),
+              np.array([0.0]), -3.0, -0.0, 9.0, math.nan]:
+        rows = max(np.size(v), 6)
+        bad = np.zeros(rows, dtype=bool)
+        bad[::5] = True  # rows a sibling node already rejected
+        want_bad = bad.copy()
+        want = np.full(rows, math.nan)
+        for i, point in enumerate(np.broadcast_to(v, (rows,)).tolist()):
+            try:
+                want[i] = fn(point)
+            except ValueError:
+                want_bad[i] = True
+        with np.errstate(all="raise"):
+            got = E._COLUMN_PRIMITIVES[name](bad, v)
+        assert got.tobytes() == want.tobytes(), v
+        assert bad.tolist() == want_bad.tolist(), v
 
 
 def test_sgn_of_nan_is_nan_on_every_call():
