@@ -476,14 +476,21 @@ def load_dods(text: str) -> DodsSystem:
 
 def _key_values(text: str, error=DodsError):
     """(line number, key, value) of each line of a `key = value` file,
-    blank lines and `#` comments skipped."""
+    blank lines and `#` comments skipped; a key given twice (spaces
+    inside it aside) is an error naming both lines."""
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             if "=" not in line:
                 raise error(f"line {lineno}: expected key = value")
             key, _, value = line.partition("=")
-            yield lineno, key.strip(), value.strip()
+            key = key.strip()
+            first = seen.setdefault(" ".join(key.split()), lineno)
+            if first != lineno:
+                raise error(f"line {lineno}: '{key}' is given again, first"
+                            f" on line {first}")
+            yield lineno, key, value.strip()
 
 
 def _numbers(text: str, lineno: int, error=DodsError, count: int = 1):

@@ -23,8 +23,9 @@ stepper, one per shape of f, that evaluates f's own statements at the
 four stages inline.  A state-dependent delay runs the per-stage driver
 solve_numeric, which resolves the point of every stage and calls f; for
 the planned delays it is the reference that the stepper reproduces bit
-for bit.  The platoon of the traffic module places its points with the
-same rules (_stage_plan).
+for bit.  The platoon of the traffic module runs each car in the
+stepper of the constant delay, with the car-following law as its
+right-hand side.
 """
 
 from __future__ import annotations
@@ -99,22 +100,16 @@ def _segment_index(xs, x: float) -> int:
     return min(max(i, 0), len(xs) - 2)
 
 
-def _hermite_terms(x, x0, x1) -> tuple[float, float, float, float]:
-    """The terms of the cubic Hermite interpolant at x on [x0, x1] that the
-    node values do not enter: every trajectory on that segment shares them."""
+def _hermite(x, x0, x1, y0, y1, d0, d1) -> tuple[float, float]:
+    """(y, dy) at x of the cubic Hermite interpolant on [x0, x1] with the
+    values y0, y1 and slopes d0, d1 at the two nodes."""
     h = x1 - x0
     s = x - x0
-    return h, s, h * h, 3.0 * s
-
-
-def _hermite(terms, y0, y1, d0, d1) -> tuple[float, float]:
-    """(y, dy) of the cubic Hermite interpolant from _hermite_terms and the
-    values and slopes at the two nodes."""
-    h, s, hh, s3 = terms
     slope = (y1 - y0) / h
     c2 = (3.0 * slope - 2.0 * d0 - d1) / h
-    c3 = (d0 + d1 - 2.0 * slope) / hh
-    return y0 + s * (d0 + s * (c2 + s * c3)), d0 + s * (2.0 * c2 + s3 * c3)
+    c3 = (d0 + d1 - 2.0 * slope) / (h * h)
+    return (y0 + s * (d0 + s * (c2 + s * c3)),
+            d0 + s * (2.0 * c2 + 3.0 * s * c3))
 
 
 def _hermite_dd(x, x0, x1, y0, y1, d0, d1) -> float:
@@ -171,8 +166,8 @@ class Trajectory:
         i = bisect.bisect_right(xs, x) - 1
         if x == xs[i]:
             return self.ys[i], self.dys[i]
-        return _hermite(_hermite_terms(x, xs[i], xs[i + 1]), self.ys[i],
-                        self.ys[i + 1], self.dys[i], self.dys[i + 1])
+        return _hermite(x, xs[i], xs[i + 1], self.ys[i], self.ys[i + 1],
+                        self.dys[i], self.dys[i + 1])
 
     def second_derivative(self, x: float) -> float:
         if not self.xs[0] <= x <= self.xs[-1]:
@@ -678,7 +673,9 @@ def solve_numeric(
 # with _hermite's arithmetic and evaluate f's statements, as
 # expr._generate emits them for f's point kernel, at the four stages
 # inline.  It reads the variables of f's kernel: the stage (x, y, xm, ym,
-# dy, dym) is (_a0, ..., _a5), and the cells are the kernel's own.
+# dy, dym) is (_a0, ..., _a5), and the cells are the kernel's own.  The
+# platoon of the traffic module runs the same loop with its car-following
+# law as the right-hand side.
 
 
 def _reject(x: float, error, tree, n_rhs_evals: int):
@@ -716,10 +713,11 @@ def _read_point(xm: str, done: int) -> list[str]:
     stage time _a0, where xm is the delay's code, after done evaluations
     of f in the step.
 
-    They place the point as _stage_plan does: inside the grid at its node
-    or in its segment, read with _hermite's arithmetic, and otherwise as
-    _outside reads it.  A failure, the delay's own DomainError included,
-    carries the evaluations of f made before it as n_rhs_evals.
+    A point inside the grid from x0 to the newest node is read at its node
+    or in its segment with _hermite's arithmetic, one in the history from
+    phi_value, and any other as _outside reads it.  A failure, the delay's
+    own DomainError included, carries the evaluations of f made before it
+    as n_rhs_evals.
     """
     return [
         "try:",
@@ -741,6 +739,8 @@ def _read_point(xm: str, done: int) -> list[str]:
         "            c3 = (d0 + d1 - 2.0 * slope) / (h * h)",
         "            _a3 = y0 + s * (d0 + s * (c2 + s * c3))",
         "            _a5 = d0 + s * (2.0 * c2 + 3.0 * s * c3)",
+        "    elif lo <= _a2 < x0:",
+        "        _a3, _a5 = phi_value(_a2)",
         "    else:",
         "        _a3, _a5 = _outside(_a0, _a2, x0, newest, lo, phi_value, ys,"
         " dys)",
@@ -767,17 +767,21 @@ def _evaluate(body: _PointBody, stage: int) -> list[str]:
         f"k{stage} = {body.out}"]
 
 
-def _stepper_source(body: _PointBody, xm: str) -> str:
-    """The text of the stepper's factory `_make`, which takes what the
-    factory of f's point kernel takes and returns the loop
-    `_run(steps, grid, ys, dys, delay, phi_value, lo)`.
+def _stepper_source(head: str, evaluate, xm: str,
+                    point=lambda done: []) -> str:
+    """The text of a stepper's factory `_make`, which takes the arguments
+    head and returns the loop `_run(steps, grid, ys, dys, delay, phi_value,
+    lo)`.
 
     The loop takes the steps of the plan steps from the last node of grid,
     appending each step's end and (y, dy) there to grid, ys and dys; delay
     is the delay's `at`, phi_value the history's value and lo the lowest
     point the history covers, less 1e-12.  Stages 2 and 3 share their
     point, and stage 1 keeps the previous step's stage-4 point unless that
-    one lies past the node it was read at.
+    one lies past the node it was read at.  evaluate(stage) gives the lines
+    that set k<stage> to the right-hand side at the stage, and point(done)
+    the lines run where a delayed point has been read, after done
+    evaluations in the step.
     """
     loop = [
         "half = 0.5 * step",
@@ -786,30 +790,35 @@ def _stepper_source(body: _PointBody, xm: str) -> str:
         "_a1 = y",
         "_a4 = dy",
         "if not keep:",
-        *(f"    {line}" for line in _read_point(xm, 0)),
-        *_evaluate(body, 1),
+        *(f"    {line}" for line in _read_point(xm, 0) + point(0)),
+        *evaluate(1),
         "_a0 = x + half",
         *_read_point(xm, 1),
+        *point(1),
         "_a1 = y + half * dy",
         "_a4 = d2 = dy + half * k1",
-        *_evaluate(body, 2),
+        *evaluate(2),
         "_a1 = y + half * d2",
         "_a4 = d3 = dy + half * k2",
-        *_evaluate(body, 3),
+        *evaluate(3),
         "_a0 = x + step",
         *_read_point(xm, 3),
+        *point(3),
         "keep = _a2 <= newest",
         "_a1 = y + step * d3",
         "_a4 = d4 = dy + step * k3",
-        *_evaluate(body, 4),
+        *evaluate(4),
         "y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0",
         "dy = dy + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
         "grid.append(_a0)",
         "ys.append(y)",
         "dys.append(dy)",
     ]
+    if not any("_a1" in line for line in evaluate(1)):
+        # the right-hand side does not read the stage's y
+        loop = [line for line in loop if not line.startswith("_a1 = ")]
     lines = [
-        f"def _make({body.head}):",
+        f"def _make({head}):",
         "    def _run(steps, grid, ys, dys, delay, phi_value, lo):",
         "        x0 = grid[0]",
         "        y = ys[-1]",
@@ -822,9 +831,17 @@ def _stepper_source(body: _PointBody, xm: str) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-#: what the stepper reads besides f's own primitives
+#: the names every stepper's text is run with
 _STEPPER_NAMES = {**_POINT_PRIMITIVES, "_reject": _reject,
                   "_outside": _outside, "_bisect_right": bisect.bisect_right}
+
+
+def _exec_stepper(source: str, **names):
+    """The factory `_make` of the stepper text source, run with
+    _STEPPER_NAMES and names."""
+    ns = {**_STEPPER_NAMES, **names}
+    exec(source, ns)
+    return ns["_make"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -833,50 +850,9 @@ def _stepper(make, xm: str):
     returns, under the delay code xm: the stepper's shape table, so that
     the kernels of one shape, trees that differ only in their constants,
     share one exec of its text."""
-    ns = dict(_STEPPER_NAMES)
-    exec(_stepper_source(make._body, xm), ns)
-    return ns["_make"]
-
-
-def _stage_plan(grid: list, steps, tau: float):
-    """Per step (x, step) of steps, lazily: (x, step, half, points), with
-    points the delayed points of its stages at x, x + half and x + step
-    under the constant delay tau.
-
-    grid holds the nodes, the first of them where the history ends, and
-    the plan appends each step's end x + step to it once the step is
-    taken; each step starts where the one before it ended.  A point is (j,
-    xm, terms): terms None puts xm at node j, and otherwise inside the
-    segment from node j to node j + 1 with the Hermite terms that every
-    trajectory on that grid shares.  A point at or past the newest node
-    when the step starts is at that node, and j = -1 puts xm in the
-    history.  A step's point 0 is the previous step's point 2 object
-    unless that one lies past the node it is at.  With tau > 0 and a plan
-    whose steps advance x, every point lies behind its stage.
-    """
-    x0 = grid[0]
-
-    def place(xs: float, newest: float):
-        xm = xs - tau
-        if xm < x0:
-            return -1, xm, None
-        if xm >= newest:
-            return len(grid) - 1, xm, None
-        j = bisect.bisect_right(grid, xm) - 1
-        return j, xm, (None if xm == grid[j] else
-                       _hermite_terms(xm, grid[j], grid[j + 1]))
-
-    last = None
-    for x, step in steps:
-        half = 0.5 * step
-        newest = grid[-1]
-        points = (last or place(x, newest), place(x + half, newest),
-                  place(x + step, newest))
-        j, xm, _ = last = points[2]
-        if j >= 0 and xm > newest:
-            last = None
-        yield x, step, half, points
-        grid.append(x + step)
+    body = make._body
+    return _exec_stepper(
+        _stepper_source(body.head, functools.partial(_evaluate, body), xm))
 
 
 # ---------------------------------------------------------------------------

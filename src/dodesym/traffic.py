@@ -16,23 +16,24 @@ proportional delay, exponential leader with constant delay.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, fields, replace
 
 from . import expr as E
 from . import reduce as reduce_mod
 from .dods import DodsSystem, _expression, _key_values, _numbers
-from .expr import (Const, DomainError, Expr, Param, bind_params, compile_fn,
-                   diff, subs)
+from .expr import Const, Expr, Param, bind_params, compile_fn, diff, subs
 from .integrate import (
     HistoryFunction,
-    HistoryUnderrunError,
     Trajectory,
+    _ConstantDelay,
     _exact_drift,
+    _exec_stepper,
     _real_roots,
     _rejection,
-    _stage_plan,
     _step_plan,
+    _stepper_source,
 )
 from .symmetry import VectorField
 
@@ -373,24 +374,22 @@ def simulate_platoon(
 
     Every history must end at the same t0 (a TrafficError names the first
     car whose history ends elsewhere), so that all cars share one node
-    grid, and with it one stage plan, integrate._stage_plan: the steps
-    from t0 to t_end aligned to tau, as a solve under the delay tau takes
-    them, and the delayed point of every RK4 stage, placed by the rules
-    the solve's stepper follows, each distinct one once.  The plan is made
-    once and read by every car, as a table of the stages of each step
-    (_stage_table).  The cars are integrated one after another in index
-    order over that table, each in one loop (_drive) that reads its
-    points, checks its headway and applies the law at every stage without
-    a call.  Car i reads car i-1 only at those delayed points, so each car
-    keeps the values it read there for itself, and the car behind reads
-    them; car 1 reads the leader.  A delayed point at the newest node, or
-    rounded just past it (only one step per delay allows that), reads
-    that node.  Every car runs the same right-hand side.  Its two powers
-    are taken with math.pow, except that an exponent of 1 gives the base
-    itself and one of 0 gives 1.0, as math.pow would: a power without a
-    real value or a non-finite result is a StepRejectionError.  A t_end,
-    h or tau that is not finite is a StepPlanError before any car is
-    integrated.
+    grid: the steps from t0 to t_end aligned to tau, as a solve under the
+    delay tau takes them.  The cars are integrated one after another in
+    index order, each in the stepper that solve runs for a constant delay
+    (_follow), with the car-following law as its right-hand side.  The
+    stepper places each distinct delayed point of the RK4 stages once and
+    reads the car's own (y, dy) there, at its node or in its segment, from
+    the car's rows or its history.  Every car reads the same points, so
+    each keeps what it read there, and the car behind reads those values
+    as the car in front's; car 1 reads the leader.  A delayed point at the
+    newest node, or rounded just past it (only one step per delay allows
+    that), reads that node.  Every car runs the same right-hand side.  Its
+    two powers are taken with math.pow, except that an exponent of 1
+    gives the base itself and one of 0 gives 1.0, as math.pow would: a
+    power without a real value or a non-finite result is a
+    StepRejectionError.  A t_end, h or tau that is not finite is a
+    StepPlanError before any car is integrated.
 
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
@@ -422,29 +421,25 @@ def simulate_platoon(
     lead_pos = compile_fn(subs(p.leader, {"t": E.X}), ("x",), values)
     lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
                           values)
-    grid = [t0]
-    table = _stage_table(_stage_plan(grid, _step_plan(t0, t_end, h, p.tau),
-                                     p.tau))
-    ahead = _front_values(lead_pos, lead_vel, table)
+    steps = list(_step_plan(t0, t_end, h, p.tau))
+    ahead = lead_pos, lead_vel
     front_ys = None
     state = PlatoonState(trajectories=[])
     for car, phi in enumerate(histories, start=1):
         y0, dy0 = phi.value(t0)
-        ys, dys = [y0], [dy0]
+        traj = Trajectory(xs=[t0], ys=[y0], dys=[dy0], history=phi)
+        xs, ys, dys = traj.xs, traj.ys, traj.dys
         try:
-            ahead = _drive(p, table, phi, ys, dys, ahead)
-            t_c, n_accels = None, 4 * (len(ys) - 1)
+            ahead = _follow(p, ahead, steps, traj)
+            t_c, traj.n_rhs_evals = None, 4 * (len(ys) - 1)
         except _Collapse as exc:
-            t_c, end, n_accels = exc.x, exc.x - 2 * h, exc.n_accels
+            t_c, end, traj.n_rhs_evals = exc.x, exc.x - 2 * h, exc.n_accels
             kept = 1  # the start node and the steps a solve to end takes
-            for step, stages in table:
-                if step > end - stages[0][1]:
+            for x, step in steps:
+                if step > end - x:
                     break
                 kept += 1
-            del ys[kept:], dys[kept:]
-        xs = grid[:len(ys)]
-        traj = Trajectory(xs=xs, ys=ys, dys=dys, history=phi)
-        traj.n_rhs_evals = n_accels
+            del xs[kept:], ys[kept:], dys[kept:]
         for j in range(1, len(xs)):
             front_y = lead_pos(xs[j]) if front_ys is None else front_ys[j]
             if front_y - ys[j] <= 0.0:
@@ -457,42 +452,6 @@ def simulate_platoon(
             return state
         front_ys = ys
     return state
-
-
-def _stage_table(plan) -> list:
-    """Per step of plan: (step, stages), with each RK4 stage (done, x,
-    point, w, c): the accelerations of the step before it, its time, the
-    distinct delayed point it reads (None where it keeps the reading of
-    the stage before: stage 3, and stage 1 whose point is the previous
-    step's stage-4 point), the weight of its rates in the step, and the c
-    with which the next stage's velocity is dy + c * acceleration."""
-    table = []
-    last = None
-    for x, step, half, (p1, p2, p4) in plan:
-        xh = x + half
-        table.append((step, ((0, x, None if p1 is last else p1, 1.0, half),
-                             (1, xh, p2, 2.0, half), (2, xh, None, 2.0, step),
-                             (3, x + step, p4, 1.0, 0.0))))
-        last = p4
-    return table
-
-
-def _front_values(lead_pos, lead_vel, table):
-    """(ys, dys, error): the leader's position and velocity at the distinct
-    delayed points of the stage table, in order, up to the first where
-    either raises a DomainError, and that error."""
-    ys, dys = [], []
-    try:
-        for _, stages in table:
-            for _, _, point, _, _ in stages:
-                if point is not None:
-                    xm = point[1]
-                    y, dy = lead_pos(xm), lead_vel(xm)
-                    ys.append(y)
-                    dys.append(dy)
-    except DomainError as err:
-        return ys, dys, err
-    return ys, dys, None
 
 
 #: the delayed headway below which a platoon car's trajectory is cut
@@ -509,82 +468,77 @@ class _Collapse(Exception):
         self.n_accels = n_accels
 
 
-def _drive(p: TrafficParams, table, phi: HistoryFunction, ys: list,
-           dys: list, ahead) -> tuple:
-    """Take the steps of the stage table from the last of the rows ys, dys,
-    one row appended per step, under the car-following law of p.
+def _follow(p: TrafficParams, ahead, steps, traj: Trajectory) -> list:
+    """Take the steps of the plan steps from the last node of traj, one
+    node appended per step, under the car-following law of p.
 
-    ahead is (ys, dys, error) of the car in front at the distinct delayed
-    points of the table, as _front_values gives it: a stage past the
-    values it holds fails with its error.  Returns the car's own values at
-    those points, in the same form, for the car behind.  Raises _Collapse
-    at a stage whose delayed headway is below the floor, and the failure
-    of a stage that has no value.  The rates of a step are summed stage by
-    stage from -0.0, which adds nothing to the first, in the order and
-    with the weights of dy + 2 d2 + 2 d3 + d4.
+    ahead is the leader's compiled (position, velocity), or the (y, dy)
+    that the car in front read at each delayed point, in order.  Returns
+    the (y, dy) the car read at those points, in the same form, for the
+    car behind.  Raises _Collapse at a stage whose delayed headway is
+    below the floor, and the failure of a stage that has no value.
     """
-    alpha, n1, n2 = p.alpha, p.n1, p.n2
+    behind_a_car = isinstance(ahead, list)
+    front = (iter(ahead).__next__,) if behind_a_car else ahead
+    own = []
+    phi = traj.history
+    _car_stepper(behind_a_car, _power("_a4", "n1", p.n1),
+                 _power("gap", "n2", p.n2))(
+        p.alpha, p.n1, p.n2, math.pow, own.append, *front)(
+        steps, traj.xs, traj.ys, traj.dys, p.tau, phi.value,
+        phi.interval[0] - 1e-12)
+    return own
+
+
+def _power(base: str, name: str, exponent: float) -> str:
+    """The code of math.pow(base, name) where name holds exponent: the base
+    itself at 1 and 1.0 at 0, which math.pow gives there for every float
+    base."""
+    return (base if exponent == 1.0 else "1.0" if exponent == 0.0 else
+            f"_pow({base}, {name})")
+
+
+@functools.cache
+def _car_stepper(behind_a_car: bool, speed: str, headway: str):
+    """The factory of the stepper that solve runs for a constant delay,
+    with the car-following law alpha * speed * dv / headway as its
+    right-hand side, for a car behind another car or behind the leader.
+
+    What the car reads at a delayed point, (_a3, _a5), is kept by
+    `record`, and the car in front's (fy, fd) there comes from `ahead`, or
+    from `lead_pos` and `lead_vel`, whose DomainError rejects the stage.
+    """
+    front = ["fy, fd = ahead()"] if behind_a_car else [
+        "try:",
+        "    fy = lead_pos(_a2)",
+        "    fd = lead_vel(_a2)",
+        "except DomainError as err:",
+        "    raise _rejection(_a0, err) from None"]
     # with n2 = 0 the headway never enters: no floor and no division
-    floor = -math.inf if n2 == 0.0 else _HEADWAY_FLOOR
-    pow_, isfinite = math.pow, math.isfinite
-    front_y, front_d, front_err = ahead
-    n_front = len(front_y)
-    own_y, own_d = [], []
-    lo = phi.interval[0] - 1e-12
-    y, dy = ys[-1], dys[-1]
-    k = 0  # the distinct points read
-    for step, stages in table:
-        d = dy
-        d_sum = a_sum = -0.0
-        for done, x, point, w, c in stages:
-            if point is not None:
-                # the gap and velocity difference to the car in front there
-                j, xm, terms = point
-                if terms is not None:  # _hermite's arithmetic
-                    h, s, hh, s3 = terms
-                    y0, d0, d1 = ys[j], dys[j], dys[j + 1]
-                    slope = (ys[j + 1] - y0) / h
-                    c2 = (3.0 * slope - 2.0 * d0 - d1) / h
-                    c3 = (d0 + d1 - 2.0 * slope) / hh
-                    ym = y0 + s * (d0 + s * (c2 + s * c3))
-                    dym = d0 + s * (2.0 * c2 + s3 * c3)
-                elif j >= 0:
-                    ym, dym = ys[j], dys[j]
-                elif xm < lo:
-                    raise HistoryUnderrunError(
-                        f"{xm:g} is below the covered range")
-                else:
-                    ym, dym = phi.value(xm)
-                own_y.append(ym)
-                own_d.append(dym)
-                if k >= n_front:
-                    raise _rejection(x, front_err)
-                gap = front_y[k] - ym
-                if gap < floor:
-                    raise _Collapse(x, 4 * (len(ys) - 1) + done)
-                dv = front_d[k] - dym
-                k += 1
-            # math.pow(v, 1.0) is v and math.pow(v, 0.0) is 1.0 for every
-            # float v, so those exponents take no power
-            try:
-                acc = alpha * (d if n1 == 1.0 else 1.0 if n1 == 0.0
-                               else pow_(d, n1)) * dv
-                if n2 == 1.0:
-                    acc = acc / gap
-                elif n2 != 0.0:
-                    acc = acc / pow_(gap, n2)
-            except (ValueError, OverflowError, ZeroDivisionError) as err:
-                raise _rejection(x, err) from None
-            if not isfinite(acc):
-                raise _rejection(x, "non-finite result")
-            d_sum = d_sum + w * d
-            a_sum = a_sum + w * acc
-            d = dy + c * acc
-        y = y + step * d_sum / 6.0
-        dy = dy + step * a_sum / 6.0
-        ys.append(y)
-        dys.append(dy)
-    return own_y, own_d, None
+    divide = [] if headway == "1.0" else [f"    acc = acc / {headway}"]
+
+    def point(done):
+        lines = [*front, "record((_a3, _a5))", "gap = fy - _a3"]
+        if divide:
+            lines += [f"if gap < {_HEADWAY_FLOOR!r}:",
+                      f"    raise _Collapse(_a0, 4 * len(ys) - 4 + {done})"]
+        return lines + ["dv = fd - _a5"]
+
+    def law(stage):
+        return [
+            "try:",
+            f"    acc = alpha * {speed} * dv",
+            *divide,
+            "except (ValueError, OverflowError, ZeroDivisionError) as err:",
+            "    raise _rejection(_a0, err) from None",
+            "if not _isfinite(acc):",
+            "    raise _rejection(_a0, 'non-finite result')",
+            f"k{stage} = acc"]
+
+    head = "alpha, n1, n2, _pow, record, " + (
+        "ahead" if behind_a_car else "lead_pos, lead_vel")
+    return _exec_stepper(_stepper_source(head, law, _ConstantDelay.xm, point),
+                         _Collapse=_Collapse, _rejection=_rejection)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +548,16 @@ def _drive(p: TrafficParams, table, phi: HistoryFunction, ys: list,
 def load_scenario(text: str):
     """Keys: leader, n1, n2, alpha, tau, cars, history.i, t0, t_end, h."""
     values: dict = {"n1": 1.0, "n2": 1.0, "t0": 0.0}
-    histories: dict[int, Expr] = {}
+    histories: dict[int, tuple[int, str, Expr]] = {}
     for lineno, key, value in _key_values(text, TrafficError):
         if key.startswith("history."):
-            histories[_whole(key.split(".", 1)[1], lineno)] = _expression(
-                value, lineno, TrafficError)
+            car = _whole(key.split(".", 1)[1], lineno)
+            if car in histories:
+                raise TrafficError(
+                    f"line {lineno}: '{key}' is a second history of car"
+                    f" {car}, first on line {histories[car][0]}")
+            histories[car] = lineno, key, _expression(value, lineno,
+                                                      TrafficError)
         elif key == "leader":
             values[key] = _expression(value, lineno, TrafficError)
         elif key == "cars":
@@ -614,12 +573,16 @@ def load_scenario(text: str):
     params = TrafficParams(alpha=values["alpha"], n1=values["n1"],
                            n2=values["n2"], tau=tau,
                            leader=values["leader"])
+    for car, (lineno, key, _) in histories.items():
+        if not 1 <= car <= n_cars:
+            raise TrafficError(
+                f"line {lineno}: '{key}' names car {car}, but cars = {n_cars}")
     hist_fns = []
     for i in range(1, n_cars + 1):
         if i not in histories:
             raise TrafficError(f"scenario file is missing history.{i}")
         hist_fns.append(
-            HistoryFunction(subs(histories[i], {"t": E.X}), (t0 - tau, t0))
+            HistoryFunction(subs(histories[i][2], {"t": E.X}), (t0 - tau, t0))
         )
     return params, n_cars, hist_fns, values["t_end"], values["h"]
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -382,6 +383,21 @@ class TestTraffic:
         for i in (1, 2):
             lines = (tmp_path / f"run_car{i}.csv").read_text().splitlines()
             assert lines[0] == "x,y,dy"
+
+    def test_example_platoon_bytes(self, tmp_path):
+        # stdout and a sha256 prefix of each per-car CSV of the example
+        prefix = str(tmp_path / "run")
+        proc = run_cli("traffic", "--scenario", "examples/platoon.txt",
+                       "--out-prefix", prefix)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "".join(
+            f"car {i}: 501 breakpoints, t in [0, 5]\n"
+            f"  wrote {prefix}_car{i}.csv\n" for i in (1, 2, 3, 4)
+        ) + "no collisions\n"
+        digests = [hashlib.sha256((tmp_path / f"run_car{i}.csv").read_bytes())
+                   .hexdigest()[:16] for i in (1, 2, 3, 4)]
+        assert digests == ["97583e236b3eff8f", "bb598a11100e222d",
+                           "b38998f533af941f", "b833720d46abedd4"]
 
     @pytest.mark.parametrize("lines,expected", [
         # the first car reaches the leader at a node before its headway

@@ -768,6 +768,26 @@ class TestFileFormat:
         with pytest.raises(DodsError, match="both f and g"):
             load_dods("f = ym\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("f = -ym\ng = x - 1\nf = ym\n",
+         "line 3: 'f' is given again, first on line 1"),
+        ("f = a*ym\nparam a = 1\ng = x - 1\n# b\nparam  a = 2\n",
+         "line 5: 'param  a' is given again, first on line 2"),
+        ("f = ym\ng = x - 1\ndelay = constant\ndelay = state\n",
+         "line 4: 'delay' is given again, first on line 3"),
+    ])
+    def test_a_key_given_twice_names_both_lines(self, text, message):
+        with pytest.raises(DodsError) as err:
+            load_dods(text)
+        assert str(err.value) == message
+
+    def test_a_key_given_twice_in_a_linear_file(self):
+        from dodesym.linear import LinearError, load_linear
+
+        with pytest.raises(LinearError) as err:
+            load_linear("g = x - 1\na1 = 1\ndomain = 0,3\na1 = 2\n")
+        assert str(err.value) == "line 4: 'a1' is given again, first on line 2"
+
     def test_param_and_delay_lines(self):
         system = load_dods(
             "f = a*ym\ng = x - 1\nparam a = 2.5\ndelay = constant\n")

@@ -24,7 +24,6 @@ from dodesym.integrate import (
     _delay_spec,
     _real_roots,
     _sign_scan,
-    _stage_plan,
     _step_plan,
     combine_trajectories,
     residual_on_trajectory,
@@ -883,14 +882,34 @@ class TestStagePlan:
 
     def test_one_step_per_delay_plans_past_the_newest_node(self):
         # the example's last delayed point of a step rounds past the newest
-        # node: it reads that node, and the next step reads its own point 0
-        grid = [0.2]
-        plan = list(_stage_plan(grid, _step_plan(0.2, 9.0, 0.9, 0.9), 0.9))
-        past = [k for k, (_, _, _, (_, _, (j, xm, terms))) in enumerate(plan)
-                if j >= 0 and terms is None and xm > grid[j]]
+        # node: it reads that node, and the next step reads its own point
+        # 0.  Under the code of a delay g(x), here a counted x - 0.9, the
+        # stepper takes the constant delay's plan and places its points
+        system = load_dods(ONE_STEP_PER_DELAY.read_text())
+        phi = HistoryFunction(parse("1"), (-0.7, 0.2))
+        make, args = E._point_kernel(system.f, F_ARGS, system.params)._made
+        times = []
+
+        def delay(x):
+            times.append(x)
+            return x - 0.9
+
+        grid, ys, dys = [0.2], [1.0], [0.0]
+        steps = list(_step_plan(0.2, 9.0, 0.9, 0.9))
+        integrate._stepper(make, integrate._IndependentDelay.xm)(*args)(
+            steps, grid, ys, dys, delay, phi.value, -0.7 - 1e-12)
+        want = solve(system, phi, "from-phi", 9.0, 0.9)
+        assert (grid, ys, dys) == (want.xs, want.ys, want.dys)
+        past = [k for k in range(len(steps) - 1)
+                if grid[k + 1] - 0.9 > grid[k]]
         assert past
-        for k in range(1, len(plan)):
-            assert (plan[k][3][0] is plan[k - 1][3][2]) == (k - 1 not in past)
+        read = []
+        for k, (x, step) in enumerate(steps):
+            if k == 0 or k - 1 in past:
+                read.append(x)
+            read += [x + 0.5 * step, x + step]
+        assert times == read
+        assert len(times) == 2 * len(steps) + 1 + len(past)
 
     def test_the_stepper_calls_no_kernel_of_f(self, monkeypatch):
         # a wrapper of compile_fn hands solve a kernel without the factory

@@ -587,10 +587,31 @@ h = 0.002
         with pytest.raises(TrafficError, match="history.2"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("extra, message", [
+        ("history.3 = t - 3", "line 13: 'history.3' names car 3, but cars = 2"),
+        ("history.0 = t", "line 13: 'history.0' names car 0, but cars = 2"),
+        ("history.-1 = t", "line 13: 'history.-1' names car -1, but cars = 2"),
+        ("history.02 = t - 3",
+         "line 13: 'history.02' is a second history of car 2, first on"
+         " line 10"),
+        ("t_end = 3", "line 13: 't_end' is given again, first on line 11"),
+    ])
+    def test_histories_and_keys_name_their_line(self, extra, message):
+        with pytest.raises(TrafficError) as err:
+            load_scenario(self.SCENARIO + extra + "\n")
+        assert str(err.value) == message
+
+    def test_one_car_with_histories_of_cars_it_lacks(self):
+        one = self.SCENARIO.replace("cars = 2", "cars = 1").replace(
+            "history.2 = t - 2", "history.0 = t + 1")
+        with pytest.raises(TrafficError, match="^line 10: 'history.0' names"
+                           " car 0, but cars = 1$"):
+            load_scenario(one)
+
 
 # ---------------------------------------------------------------------------
-# the platoon over its shared stage plan against the sweep that integrated
-# one car after another with the scalar integrator
+# the platoon against the sweep that integrated one car after another with
+# the scalar integrator
 
 #: (alpha, tau, v, spacing, jitter) of round 0 of the benchmark's
 #: steps-pipelines workload at seeds 101-103: the 10-car platoon request
@@ -772,75 +793,62 @@ def _fingerprint(case):
             [len(t.xs) for t in state.trajectories], digest.hexdigest()[:16])
 
 
-def reference_drive(p, table, phi, ys, dys, ahead, counter):
-    """traffic._drive as it took both powers with math.pow at every
-    acceleration, counting the accelerations in counter[0]: the reference
-    the power-free law at exponents 0 and 1 reproduces bit for bit."""
-    alpha, n1, n2 = p.alpha, p.n1, p.n2
-    floor = -math.inf if n2 == 0.0 else traffic._HEADWAY_FLOOR
-    front_y, front_d, front_err = ahead
-    own_y, own_d = [], []
-    lo = phi.interval[0] - 1e-12
+def reference_follow(t_end, h, counter):
+    """traffic._follow rebuilt on integrate.solve_numeric, taking both
+    powers with math.pow at every acceleration and counting the
+    accelerations in counter[0]: the reference the platoon's stepper and
+    its power-free law at exponents 0 and 1 reproduce bit for bit.  A car
+    returns its (ym, dym) at every stage, and the car behind reads them at
+    the same stage; car 1 reads the leader."""
 
-    def delayed(point, xs, done):
-        j, xm, terms = point
-        if terms is not None:
-            ym, dym = integrate._hermite(terms, ys[j], ys[j + 1], dys[j],
-                                         dys[j + 1])
-        elif j >= 0:
-            ym, dym = ys[j], dys[j]
-        elif xm < lo:
-            raise integrate.HistoryUnderrunError(
-                f"{xm:g} is below the covered range")
-        else:
-            ym, dym = phi.value(xm)
-        k = len(own_y)
-        own_y.append(ym)
-        own_d.append(dym)
-        if k >= len(front_y):
-            raise integrate._rejection(xs, front_err)
-        gap = front_y[k] - ym
-        if gap < floor:
-            raise traffic._Collapse(xs, 4 * (len(ys) - 1) + done)
-        return gap, front_d[k] - dym
+    def follow(p, ahead, steps, traj):
+        alpha, n1, n2 = p.alpha, p.n1, p.n2
+        floor = -math.inf if n2 == 0.0 else traffic._HEADWAY_FLOOR
+        reads, nodes = [], []
 
-    def accel(xs, d, gap, dv):
-        counter[0] += 1
+        def f_eval(x, y, xm, ym, dy, dym):
+            k = len(reads)
+            if k % 4 == 0:  # stage 1 starts at a node
+                nodes.append((x, y, dy))
+            fy, fd = ahead[k] if isinstance(ahead, list) else (
+                ahead[0](xm), ahead[1](xm))
+            reads.append((ym, dym))
+            gap = fy - ym
+            if gap < floor:
+                raise traffic._Collapse(x, k)
+            counter[0] += 1
+            try:
+                acc = alpha * math.pow(dy, n1) * (fd - dym) / math.pow(gap, n2)
+            except (ValueError, OverflowError, ZeroDivisionError) as err:
+                raise integrate._rejection(x, err) from None
+            if not math.isfinite(acc):
+                raise integrate._rejection(x, "non-finite result")
+            return acc
+
         try:
-            acc = alpha * math.pow(d, n1) * dv / math.pow(gap, n2)
-        except (ValueError, OverflowError) as err:
-            raise integrate._rejection(xs, err) from None
-        if not math.isfinite(acc):
-            raise integrate._rejection(xs, "non-finite result")
-        return acc
+            got = integrate.solve_numeric(
+                f_eval, integrate._ConstantDelay(p.tau), traj.history,
+                traj.dys[0], t_end, h)
+        except traffic._Collapse:
+            # the rows of the nodes the car had reached
+            traj.xs += [x for x, _, _ in nodes[1:]]
+            traj.ys += [y for _, y, _ in nodes[1:]]
+            traj.dys += [dy for _, _, dy in nodes[1:]]
+            raise
+        traj.xs += got.xs[1:]
+        traj.ys += got.ys[1:]
+        traj.dys += got.dys[1:]
+        return reads
 
-    y, dy = ys[-1], dys[-1]
-    for step, ((_, x, p1, _, half), (_, xh, p2, _, _), _,
-               (_, xe, p4, _, _)) in table:
-        if p1 is not None:
-            gap, dv = delayed(p1, x, 0)
-        a1 = accel(x, dy, gap, dv)
-        d2 = dy + half * a1
-        gap, dv = delayed(p2, xh, 1)
-        a2 = accel(xh, d2, gap, dv)
-        d3 = dy + half * a2
-        a3 = accel(xh, d3, gap, dv)
-        d4 = dy + step * a3
-        gap, dv = delayed(p4, xe, 3)
-        a4 = accel(xe, d4, gap, dv)
-        y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
-        dy = dy + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        ys.append(y)
-        dys.append(dy)
-    return own_y, own_d, None
+    return follow
 
 
 def _reference_run(case, monkeypatch):
-    """(fingerprint, accelerations computed) of case under reference_drive."""
+    """(fingerprint, accelerations computed) of case under reference_follow."""
     counter = [0]
+    *_, t_end, h = case
     with monkeypatch.context() as patch:
-        patch.setattr(traffic, "_drive", lambda *args: reference_drive(
-            *args, counter))
+        patch.setattr(traffic, "_follow", reference_follow(t_end, h, counter))
         return _fingerprint(case), counter[0]
 
 
@@ -918,29 +926,28 @@ class TestLockStepPlatoon:
         # step's stage-4 point: two leader reads a step, plus one, plus one
         # for each stage-4 point read at a newest node it rounded past
         case = PLATOON_CASES[name]()
-        p, _, histories, t_end, h = case
-        grid = [histories[0].interval[1]]
-        plan = list(integrate._stage_plan(
-            grid, integrate._step_plan(grid[0], t_end, h, p.tau), p.tau))
-        past = sum(j >= 0 and terms is None and xm > grid[j]
-                   for *_, (_, _, (j, xm, terms)) in plan)
-        assert (past > 0) == name.startswith("one-step")
-        calls = {"pos": 0, "vel": 0}
-        front_values = traffic._front_values
+        p = case[0]
+        calls = []  # of the position, then of the velocity
+        compile_fn = traffic.compile_fn
 
-        def counted(lead_pos, lead_vel, plan):
-            def pos(x):
-                calls["pos"] += 1
-                return lead_pos(x)
+        def counted_compile(*args):
+            kernel = compile_fn(*args)
+            k = len(calls)
+            calls.append(0)
 
-            def vel(x):
-                calls["vel"] += 1
-                return lead_vel(x)
+            def counted(x):
+                calls[k] += 1
+                return kernel(x)
 
-            return front_values(pos, vel, plan)
+            return counted
 
-        monkeypatch.setattr(traffic, "_front_values", counted)
+        monkeypatch.setattr(traffic, "compile_fn", counted_compile)
         state = simulate_platoon(*case)
-        steps = len(plan)
-        assert len(state.trajectories[0].xs) == steps + 1
-        assert calls["pos"] == calls["vel"] == 2 * steps + 1 + past
+        xs = state.trajectories[0].xs
+        steps = len(xs) - 1
+        past = sum(xs[k + 1] - p.tau > xs[k] for k in range(steps - 1))
+        assert (past > 0) == name.startswith("one-step")
+        reads = 2 * steps + 1 + past
+        # the position is read at every node past t0 too, where car 1 is
+        # checked for reaching the leader
+        assert calls == [reads + steps, reads]
