@@ -23,9 +23,9 @@ stepper, one per shape of f, that evaluates f's own statements at the
 four stages inline.  A state-dependent delay runs the per-stage driver
 solve_numeric, which resolves the point of every stage and calls f; for
 the planned delays it is the reference that the stepper reproduces bit
-for bit.  The platoon of the traffic module runs each car in the
-stepper of the constant delay, with the car-following law as its
-right-hand side.
+for bit.  The platoon of the traffic module is built from the same
+pieces: one loop takes all its cars through each step of the constant
+delay, placing each delayed point once for all of them.
 """
 
 from __future__ import annotations
@@ -674,8 +674,13 @@ def solve_numeric(
 # expr._generate emits them for f's point kernel, at the four stages
 # inline.  It reads the variables of f's kernel: the stage (x, y, xm, ym,
 # dy, dym) is (_a0, ..., _a5), and the cells are the kernel's own.  The
-# platoon of the traffic module runs the same loop with its car-following
-# law as the right-hand side.
+# loop is assembled from pieces: _rk4_source is the step, with its stage
+# times and its shared points, and _read_point places a point once and
+# reads any number of solutions on one grid there.  The platoon of the
+# traffic module (traffic._lockstep) takes all its cars through each
+# step of one such loop: every car reads itself at the point placed for
+# all, reads the car in front from that car's values at the same point,
+# and applies the car-following law at each stage.
 
 
 def _reject(x: float, error, tree, n_rhs_evals: int):
@@ -708,45 +713,46 @@ def _outside(x, xm, x0, newest, lo, phi_value, ys, dys):
     return ys[-1], dys[-1]
 
 
-def _read_point(xm: str, done: int) -> list[str]:
-    """The stepper's lines that set (_a2, _a3, _a5) to (xm, ym, dym) at
-    stage time _a0, where xm is the delay's code, after done evaluations
-    of f in the step.
+def _indent(lines: list[str], n: int) -> list[str]:
+    return [" " * n + line for line in lines]
 
-    A point inside the grid from x0 to the newest node is read at its node
-    or in its segment with _hermite's arithmetic, one in the history from
-    phi_value, and any other as _outside reads it.  A failure, the delay's
-    own DomainError included, carries the evaluations of f made before it
-    as n_rhs_evals.
+
+def _read_point(xm: str, cars, off_grid: list[str]) -> list[str]:
+    """The stepper's lines that set _a2 to the delay's code xm at stage
+    time _a0 and read every solution of cars there.
+
+    cars holds, for each solution, the names of its y and dy lists and of
+    the two variables it reads its (ym, dym) into.  The point is placed
+    once: a point inside the grid from x0 to the newest node is read by
+    every solution at that node or in that segment, with _hermite's
+    arithmetic; off_grid are the lines run at any other point.
     """
+    node, segment = [], []
+    for ys, dys, y, dy in cars:
+        node += [f"{y} = {ys}[j]", f"{dy} = {dys}[j]"]
+        segment += [
+            f"y0 = {ys}[j]",
+            f"d0 = {dys}[j]",
+            f"d1 = {dys}[j + 1]",
+            f"slope = ({ys}[j + 1] - y0) / h",
+            "c2 = (3.0 * slope - 2.0 * d0 - d1) / h",
+            "c3 = (d0 + d1 - 2.0 * slope) / hh",
+            f"{y} = y0 + s * (d0 + s * (c2 + s * c3))",
+            f"{dy} = d0 + s * (2.0 * c2 + 3.0 * s * c3)"]
     return [
-        "try:",
-        f"    _a2 = {xm}",
-        "    if x0 <= _a2 < newest:",
-        "        j = _bisect_right(grid, _a2) - 1",
-        "        g0 = grid[j]",
-        "        if _a2 == g0:",
-        "            _a3 = ys[j]",
-        "            _a5 = dys[j]",
-        "        else:",
-        "            h = grid[j + 1] - g0",
-        "            s = _a2 - g0",
-        "            y0 = ys[j]",
-        "            d0 = dys[j]",
-        "            d1 = dys[j + 1]",
-        "            slope = (ys[j + 1] - y0) / h",
-        "            c2 = (3.0 * slope - 2.0 * d0 - d1) / h",
-        "            c3 = (d0 + d1 - 2.0 * slope) / (h * h)",
-        "            _a3 = y0 + s * (d0 + s * (c2 + s * c3))",
-        "            _a5 = d0 + s * (2.0 * c2 + 3.0 * s * c3)",
-        "    elif lo <= _a2 < x0:",
-        "        _a3, _a5 = phi_value(_a2)",
+        f"_a2 = {xm}",
+        "if x0 <= _a2 < newest:",
+        "    j = _bisect_right(grid, _a2) - 1",
+        "    g0 = grid[j]",
+        "    if _a2 == g0:",
+        *_indent(node, 8),
         "    else:",
-        "        _a3, _a5 = _outside(_a0, _a2, x0, newest, lo, phi_value, ys,"
-        " dys)",
-        "except Exception as exc:",
-        f"    exc.n_rhs_evals = 4 * len(ys) - 4 + {done}",
-        "    raise",
+        "        h = grid[j + 1] - g0",
+        "        hh = h * h",
+        "        s = _a2 - g0",
+        *_indent(segment, 8),
+        "else:",
+        *_indent(off_grid, 4),
     ]
 
 
@@ -767,68 +773,109 @@ def _evaluate(body: _PointBody, stage: int) -> list[str]:
         f"k{stage} = {body.out}"]
 
 
-def _stepper_source(head: str, evaluate, xm: str,
-                    point=lambda done: []) -> str:
+#: a solution's stage y, the name of its stage dy and that name's code, at
+#: each RK4 stage, for the suffix {i} of the solution's names
+_STAGES = {
+    1: ("y{i}", "dy{i}", None),
+    2: ("y{i} + half * dy{i}", "d2{i}", "dy{i} + half * k1{i}"),
+    3: ("y{i} + half * d2{i}", "d3{i}", "dy{i} + half * k2{i}"),
+    4: ("y{i} + step * d3{i}", "d4{i}", "dy{i} + step * k3{i}"),
+}
+
+
+def _rk4_source(head: str, args: str, solutions, place, stage) -> str:
     """The text of a stepper's factory `_make`, which takes the arguments
-    head and returns the loop `_run(steps, grid, ys, dys, delay, phi_value,
-    lo)`.
+    head and returns the loop `_run(steps, grid, args)`.
 
     The loop takes the steps of the plan steps from the last node of grid,
-    appending each step's end and (y, dy) there to grid, ys and dys; delay
-    is the delay's `at`, phi_value the history's value and lo the lowest
-    point the history covers, less 1e-12.  Stages 2 and 3 share their
-    point, and stage 1 keeps the previous step's stage-4 point unless that
-    one lies past the node it was read at.  evaluate(stage) gives the lines
-    that set k<stage> to the right-hand side at the stage, and point(done)
-    the lines run where a delayed point has been read, after done
-    evaluations in the step.
+    appending each step's end to grid, for every solution whose names end
+    in a suffix i of solutions: it starts from the last (y, dy) of the
+    lists ys<i> and dys<i>, sets k1<i> to k4<i> in the stages and appends
+    each step's (y, dy) to the lists.  In each step, place(done) gives the
+    lines that read the delayed point of stage time _a0 after done stages
+    of the step, and stage(k) the lines of RK4 stage k (_STAGES).  Stages
+    2 and 3 share their point, and stage 1 keeps the previous step's
+    stage-4 point unless that one lies past the newest node it was read
+    at.  solve's stepper (_stepper_source) steps one solution; the
+    platoon's (traffic._lockstep) steps each of its cars, stage by stage,
+    in every step, and returns at the first car that collapses or fails.
     """
+    start, finish = [], []
+    for i in solutions:
+        start += [f"y{i} = ys{i}[-1]", f"dy{i} = dys{i}[-1]"]
+        finish += [
+            f"y{i} = y{i} + step * (dy{i} + 2.0 * d2{i} + 2.0 * d3{i}"
+            f" + d4{i}) / 6.0",
+            f"dy{i} = dy{i} + step * (k1{i} + 2.0 * k2{i} + 2.0 * k3{i}"
+            f" + k4{i}) / 6.0",
+            f"ys{i}.append(y{i})",
+            f"dys{i}.append(dy{i})"]
     loop = [
         "half = 0.5 * step",
         "newest = grid[-1]",
         "_a0 = x",
-        "_a1 = y",
-        "_a4 = dy",
         "if not keep:",
-        *(f"    {line}" for line in _read_point(xm, 0) + point(0)),
-        *evaluate(1),
+        *_indent(place(0), 4),
+        *stage(1),
         "_a0 = x + half",
-        *_read_point(xm, 1),
-        *point(1),
-        "_a1 = y + half * dy",
-        "_a4 = d2 = dy + half * k1",
-        *evaluate(2),
-        "_a1 = y + half * d2",
-        "_a4 = d3 = dy + half * k2",
-        *evaluate(3),
+        *place(1),
+        *stage(2),
+        *stage(3),
         "_a0 = x + step",
-        *_read_point(xm, 3),
-        *point(3),
+        *place(3),
         "keep = _a2 <= newest",
-        "_a1 = y + step * d3",
-        "_a4 = d4 = dy + step * k3",
-        *evaluate(4),
-        "y = y + step * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0",
-        "dy = dy + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
+        *stage(4),
+        *finish,
         "grid.append(_a0)",
-        "ys.append(y)",
-        "dys.append(dy)",
     ]
-    if not any("_a1" in line for line in evaluate(1)):
-        # the right-hand side does not read the stage's y
-        loop = [line for line in loop if not line.startswith("_a1 = ")]
     lines = [
         f"def _make({head}):",
-        "    def _run(steps, grid, ys, dys, delay, phi_value, lo):",
+        f"    def _run(steps, grid, {args}):",
         "        x0 = grid[0]",
-        "        y = ys[-1]",
-        "        dy = dys[-1]",
+        *_indent(start, 8),
         "        keep = False",
         "        for x, step in steps:",
-        *(f"            {line}" for line in loop),
+        *_indent(loop, 12),
         "    return _run",
     ]
     return "".join(f"{line}\n" for line in lines)
+
+
+def _stepper_source(head: str, evaluate, xm: str) -> str:
+    """The text of solve's stepper factory `_make`, which takes the
+    arguments head and returns the loop `_run(steps, grid, ys, dys, delay,
+    phi_value, lo)` of _rk4_source for one solution.
+
+    delay is the delay's `at`, phi_value the history's value and lo the
+    lowest point the history covers, less 1e-12.  A delayed point off the
+    grid is read from phi_value in the history, and as _outside reads it
+    otherwise.  A failure to read a point, the delay's own DomainError
+    included, carries the evaluations of f made before it in the step as
+    n_rhs_evals.  evaluate(stage) gives the lines that set k<stage> to the
+    right-hand side at the stage, whose (x, y, xm, ym, dy, dym) is (_a0,
+    ..., _a5).
+    """
+    off_grid = ["_a3, _a5 = phi_value(_a2) if lo <= _a2 < x0 else _outside(",
+                "    _a0, _a2, x0, newest, lo, phi_value, ys, dys)"]
+    # the right-hand side may not read the stage's y
+    reads_y = any("_a1" in line for line in evaluate(1))
+
+    def place(done):
+        return ["try:",
+                *_indent(_read_point(xm, [("ys", "dys", "_a3", "_a5")],
+                                     off_grid), 4),
+                "except Exception as exc:",
+                f"    exc.n_rhs_evals = 4 * len(ys) - 4 + {done}",
+                "    raise"]
+
+    def stage(k):
+        y, dy, code = (text and text.format(i="") for text in _STAGES[k])
+        return [*([f"_a1 = {y}"] if reads_y else []),
+                f"_a4 = {dy}" if code is None else f"_a4 = {dy} = {code}",
+                *evaluate(k)]
+
+    return _rk4_source(head, "ys, dys, delay, phi_value, lo", [""], place,
+                       stage)
 
 
 #: the names every stepper's text is run with

@@ -28,12 +28,14 @@ from .integrate import (
     HistoryFunction,
     Trajectory,
     _ConstantDelay,
+    _STAGES,
     _exact_drift,
     _exec_stepper,
+    _read_point,
     _real_roots,
     _rejection,
+    _rk4_source,
     _step_plan,
-    _stepper_source,
 )
 from .symmetry import VectorField
 
@@ -375,21 +377,22 @@ def simulate_platoon(
     Every history must end at the same t0 (a TrafficError names the first
     car whose history ends elsewhere), so that all cars share one node
     grid: the steps from t0 to t_end aligned to tau, as a solve under the
-    delay tau takes them.  The cars are integrated one after another in
-    index order, each in the stepper that solve runs for a constant delay
-    (_follow), with the car-following law as its right-hand side.  The
-    stepper places each distinct delayed point of the RK4 stages once and
-    reads the car's own (y, dy) there, at its node or in its segment, from
-    the car's rows or its history.  Every car reads the same points, so
-    each keeps what it read there, and the car behind reads those values
-    as the car in front's; car 1 reads the leader.  A delayed point at the
-    newest node, or rounded just past it (only one step per delay allows
-    that), reads that node.  Every car runs the same right-hand side.  Its
-    two powers are taken with math.pow, except that an exponent of 1
-    gives the base itself and one of 0 gives 1.0, as math.pow would: a
-    power without a real value or a non-finite result is a
-    StepRejectionError.  A t_end, h or tau that is not finite is a
-    StepPlanError before any car is integrated.
+    delay tau takes them.  The cars advance together, in groups of at most
+    _GROUP cars, in one generated loop per shape (_lockstep) that takes
+    every car through each RK4 step with the car-following law as its
+    right-hand side.  The loop places each distinct delayed point of the
+    stages once for all cars, reads every car's own (y, dy) there, at its
+    node or in its segment, from the car's rows or its history, and hands
+    each car the values the car in front read at that point; car 1 reads
+    the leader, once at each point.  The first car of a later group reads
+    the last car of the group in front, from its rows, as that car read
+    itself.  A delayed point at the newest node, or rounded just past it
+    (only one step per delay allows that), reads that node.  Every car
+    runs the same right-hand side.  Its two powers are taken with
+    math.pow, except that an exponent of 1 gives the base itself and one
+    of 0 gives 1.0, as math.pow would: a power without a real value or a
+    non-finite result is a StepRejectionError.  A t_end, h or tau that is
+    not finite is a StepPlanError before any car is integrated.
 
     A car collides at the first node after t0 where it has reached the car
     in front, and its trajectory ends at that node.  If its delayed headway
@@ -399,10 +402,13 @@ def simulate_platoon(
     no car is integrated twice.  The car collides at t_c unless one of the
     kept nodes has reached the car in front.  A car's n_rhs_evals counts
     every acceleration it computed, past its last kept node too.  A car
-    that fails -- a rejected step or a history that does not reach back
-    one delay -- raises the failure, even after a node where it reached
-    the car in front.  The first car that collides or fails ends the run:
-    the cars behind it are not integrated.
+    fails where a step is rejected or its history does not reach back one
+    delay.  The outcome is that of the lowest-index car that collides or
+    fails, and the cars behind it are dropped: a failure is raised, even
+    after a node where the car reached the car in front.  So a car that
+    collapses or fails stops the cars behind it at that step, and the
+    failure of a car is held while the cars in front of it run on, raised
+    only if every one of them finishes without a collision.
     """
     if p.q is not None:
         raise TrafficError("platoon simulation is stated for constant delay")
@@ -422,40 +428,47 @@ def simulate_platoon(
     lead_vel = compile_fn(subs(diff(p.leader, "t"), {"t": E.X}), ("x",),
                           values)
     steps = list(_step_plan(t0, t_end, h, p.tau))
-    ahead = lead_pos, lead_vel
-    front_ys = None
     state = PlatoonState(trajectories=[])
-    for car, phi in enumerate(histories, start=1):
-        y0, dy0 = phi.value(t0)
-        traj = Trajectory(xs=[t0], ys=[y0], dys=[dy0], history=phi)
-        xs, ys, dys = traj.xs, traj.ys, traj.dys
-        try:
-            ahead = _follow(p, ahead, steps, traj)
+    front = None  # the last car of the group in front
+    for first in range(0, n_cars, _GROUP):
+        trajs, event = _advance(p, steps, histories[first:first + _GROUP],
+                                front, (lead_pos, lead_vel))
+        for car, traj in enumerate(trajs, start=first + 1):
+            xs, ys, dys = traj.xs, traj.ys, traj.dys
             t_c, traj.n_rhs_evals = None, 4 * (len(ys) - 1)
-        except _Collapse as exc:
-            t_c, end, traj.n_rhs_evals = exc.x, exc.x - 2 * h, exc.n_accels
-            kept = 1  # the start node and the steps a solve to end takes
-            for x, step in steps:
-                if step > end - x:
+            if event is not None and event[0] == car - first:
+                if not isinstance(event[1], _Collapse):
+                    raise event[1]
+                t_c, traj.n_rhs_evals = event[1].x, event[1].n_accels
+                end = t_c - 2 * h
+                kept = 1  # the start node and the steps a solve to end takes
+                for x, step in steps:
+                    if step > end - x:
+                        break
+                    kept += 1
+                del xs[kept:], ys[kept:], dys[kept:]
+            for j in range(1, len(xs)):
+                front_y = lead_pos(xs[j]) if front is None else front.ys[j]
+                if front_y - ys[j] <= 0.0:
+                    t_c = xs[j]
+                    del xs[j + 1:], ys[j + 1:], dys[j + 1:]
                     break
-                kept += 1
-            del xs[kept:], ys[kept:], dys[kept:]
-        for j in range(1, len(xs)):
-            front_y = lead_pos(xs[j]) if front_ys is None else front_ys[j]
-            if front_y - ys[j] <= 0.0:
-                t_c = xs[j]
-                del xs[j + 1:], ys[j + 1:], dys[j + 1:]
-                break
-        state.trajectories.append(traj)
-        if t_c is not None:
-            state.collisions.append((car, float(t_c)))
-            return state
-        front_ys = ys
+            state.trajectories.append(traj)
+            if t_c is not None:
+                state.collisions.append((car, float(t_c)))
+                return state
+            front = traj
+        if event is not None:  # a history without a value at t0
+            raise event[1]
     return state
 
 
 #: the delayed headway below which a platoon car's trajectory is cut
 _HEADWAY_FLOOR = 1e-6
+
+#: the most cars one generated loop steps, which bounds the text of a
+#: loop, about 100 lines a car, and so the time to compile it
+_GROUP = 16
 
 
 class _Collapse(Exception):
@@ -468,26 +481,46 @@ class _Collapse(Exception):
         self.n_accels = n_accels
 
 
-def _follow(p: TrafficParams, ahead, steps, traj: Trajectory) -> list:
-    """Take the steps of the plan steps from the last node of traj, one
-    node appended per step, under the car-following law of p.
+def _advance(p: TrafficParams, steps, histories, front, lead):
+    """Take the cars of histories, one group, through the steps of the
+    plan steps, behind the trajectory front or, where front is None,
+    behind the leader's compiled (position, velocity) lead.
 
-    ahead is the leader's compiled (position, velocity), or the (y, dy)
-    that the car in front read at each delayed point, in order.  Returns
-    the (y, dy) the car read at those points, in the same form, for the
-    car behind.  Raises _Collapse at a stage whose delayed headway is
-    below the floor, and the failure of a stage that has no value.
+    Returns the cars' trajectories, on one grid, and the event that ends
+    the group: (i, exc) for its first car i (from 1) that collapsed (exc a
+    _Collapse) or failed, or None.  The cars from an event car back stop
+    at the step of the event, and the cars in front of it take that step
+    again in a loop without them, so that a later event of one of them
+    replaces it.  A car whose history has no value at t0 is an event
+    without a trajectory.
     """
-    behind_a_car = isinstance(ahead, list)
-    front = (iter(ahead).__next__,) if behind_a_car else ahead
-    own = []
-    phi = traj.history
-    _car_stepper(behind_a_car, _power("_a4", "n1", p.n1),
-                 _power("gap", "n2", p.n2))(
-        p.alpha, p.n1, p.n2, math.pow, own.append, *front)(
-        steps, traj.xs, traj.ys, traj.dys, p.tau, phi.value,
-        phi.interval[0] - 1e-12)
-    return own
+    t0 = histories[0].interval[1]
+    trajs, event = [], None
+    for i, phi in enumerate(histories, start=1):
+        try:
+            y0, dy0 = phi.value(t0)
+        except Exception as exc:
+            event = i, exc
+            break
+        trajs.append(Trajectory(xs=[], ys=[y0], dys=[dy0], history=phi))
+    grid = [t0]
+    speed, headway = _power("{}", "n1", p.n1), _power("{}", "n2", p.n2)
+    n = len(trajs)
+    while n:
+        args = [a for t in trajs[:n] for a in (
+            t.ys, t.dys, t.history.value, t.history.interval[0] - 1e-12)]
+        if front is not None:
+            args += [front.ys, front.dys, front.history.value]
+        loop = _lockstep(n, front is not None, speed, headway)(
+            p.alpha, p.n1, p.n2, math.pow, *(lead if front is None else ()))
+        stop = loop(steps[len(grid) - 1:], grid, p.tau, *args)
+        if stop is None:
+            break
+        event = stop
+        n = stop[0] - 1
+    for t in trajs:
+        t.xs = grid[:len(t.ys)]
+    return trajs, event
 
 
 def _power(base: str, name: str, exponent: float) -> str:
@@ -499,45 +532,86 @@ def _power(base: str, name: str, exponent: float) -> str:
 
 
 @functools.cache
-def _car_stepper(behind_a_car: bool, speed: str, headway: str):
-    """The factory of the stepper that solve runs for a constant delay,
-    with the car-following law alpha * speed * dv / headway as its
-    right-hand side, for a car behind another car or behind the leader.
+def _lockstep(n: int, behind_a_car: bool, speed: str, headway: str):
+    """The factory of the loop that takes n cars of a platoon through each
+    RK4 step together, under the car-following law alpha * speed * dv /
+    headway, where speed and headway are _power codes of the base `{}`.
 
-    What the car reads at a delayed point, (_a3, _a5), is kept by
-    `record`, and the car in front's (fy, fd) there comes from `ahead`, or
-    from `lead_pos` and `lead_vel`, whose DomainError rejects the stage.
+    The loop is `_run(steps, grid, delay, ys_1, dys_1, phi_1, lo_1, ...,
+    ys_n, dys_n, phi_n, lo_n)` of integrate._rk4_source, with the names of
+    car i ending in _i, followed by the front car's `ys_0, dys_0, phi_0`
+    for a group behind a car; otherwise car 1 reads `lead_pos` and
+    `lead_vel`, whose DomainError rejects the stage.  Each distinct
+    delayed point is placed once, and every car reads itself there into
+    (m_i, p_i) as a solve reads its own rows, with its own history and
+    lower end off the grid; the front car reads its complete rows as it
+    read them when they ended at the newest node.  Car i then takes the
+    headway m_<i-1> - m_i and the velocity difference p_<i-1> - p_i from
+    the car in front.  The loop returns None when it has taken every
+    step, or (i, exc) at the first car i whose headway collapsed (a
+    _Collapse) or which failed, before the step is appended.
     """
-    front = ["fy, fd = ahead()"] if behind_a_car else [
-        "try:",
-        "    fy = lead_pos(_a2)",
-        "    fd = lead_vel(_a2)",
-        "except DomainError as err:",
-        "    raise _rejection(_a0, err) from None"]
-    # with n2 = 0 the headway never enters: no floor and no division
-    divide = [] if headway == "1.0" else [f"    acc = acc / {headway}"]
-
-    def point(done):
-        lines = [*front, "record((_a3, _a5))", "gap = fy - _a3"]
-        if divide:
-            lines += [f"if gap < {_HEADWAY_FLOOR!r}:",
-                      f"    raise _Collapse(_a0, 4 * len(ys) - 4 + {done})"]
-        return lines + ["dv = fd - _a5"]
-
-    def law(stage):
-        return [
+    cars = [f"_{c}" for c in range(1, n + 1)]
+    reads = [(f"ys{i}", f"dys{i}", f"m{i}", f"p{i}") for i in cars]
+    off_grid = []
+    for c, i in enumerate(cars, start=1):
+        off_grid += [
             "try:",
-            f"    acc = alpha * {speed} * dv",
-            *divide,
-            "except (ValueError, OverflowError, ZeroDivisionError) as err:",
-            "    raise _rejection(_a0, err) from None",
-            "if not _isfinite(acc):",
-            "    raise _rejection(_a0, 'non-finite result')",
-            f"k{stage} = acc"]
+            f"    m{i}, p{i} = phi{i}(_a2) if lo{i} <= _a2 < x0 else"
+            f" _outside(_a0, _a2, x0, newest, lo{i}, phi{i}, ys{i}, dys{i})",
+            "except Exception as exc:",
+            f"    return {c}, exc"]
+    if behind_a_car:
+        reads.insert(0, ("ys_0", "dys_0", "m_0", "p_0"))
+        off_grid.insert(0, "m_0, p_0 = phi_0(_a2) if _a2 < x0 else"
+                           " (ys_0[len(grid) - 1], dys_0[len(grid) - 1])")
+        front = []
+    else:
+        front = ["try:",
+                 "    m_0 = lead_pos(_a2)",
+                 "    p_0 = lead_vel(_a2)",
+                 "except DomainError as err:",
+                 "    return 1, _rejection(_a0, err)"]
+    # with n2 = 0 the headway never enters: no floor and no division
+    divides = headway != "1.0"
 
-    head = "alpha, n1, n2, _pow, record, " + (
-        "ahead" if behind_a_car else "lead_pos, lead_vel")
-    return _exec_stepper(_stepper_source(head, law, _ConstantDelay.xm, point),
+    def place(done):
+        lines = _read_point(_ConstantDelay.xm, reads, off_grid) + front
+        for c, i in enumerate(cars, start=1):
+            ahead = f"_{c - 1}"
+            if divides:
+                lines += [
+                    f"gap{i} = m{ahead} - m{i}",
+                    f"if gap{i} < {_HEADWAY_FLOOR!r}:",
+                    f"    return {c}, _Collapse(_a0, 4 * len(grid) - 4"
+                    f" + {done})"]
+            lines.append(f"dv{i} = p{ahead} - p{i}")
+        return lines
+
+    def stage(k):
+        lines = []
+        for c, i in enumerate(cars, start=1):
+            _, dy, code = (text and text.format(i=i) for text in _STAGES[k])
+            lines += [
+                *([f"{dy} = {code}"] if code else []),
+                "try:",
+                f"    acc = alpha * {speed.format(dy)} * dv{i}",
+                *([f"    acc = acc / {headway.format(f'gap{i}')}"]
+                  if divides else []),
+                "except (ValueError, OverflowError, ZeroDivisionError)"
+                " as err:",
+                f"    return {c}, _rejection(_a0, err)",
+                "if not _isfinite(acc):",
+                f"    return {c}, _rejection(_a0, 'non-finite result')",
+                f"k{k}{i} = acc"]
+        return lines
+
+    head = "alpha, n1, n2, _pow" + ("" if behind_a_car else
+                                    ", lead_pos, lead_vel")
+    args = ", ".join(["delay", *(f"ys{i}, dys{i}, phi{i}, lo{i}"
+                                 for i in cars),
+                      *(["ys_0, dys_0, phi_0"] if behind_a_car else [])])
+    return _exec_stepper(_rk4_source(head, args, cars, place, stage),
                          _Collapse=_Collapse, _rejection=_rejection)
 
 

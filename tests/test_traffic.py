@@ -1,5 +1,6 @@
 import hashlib
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -609,6 +610,20 @@ h = 0.002
             load_scenario(one)
 
 
+#: sha256 of the default stdout of scripts/traffic_demo.py, recorded from
+#: the platoon that integrated one car after another
+TRAFFIC_DEMO_SHA256 = (
+    "d8b20ac9dbc75f26788c698a62c950088a31e08e67df53a9a9e68a94c2af8541")
+
+
+def test_traffic_demo_stdout_is_pinned():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "traffic_demo.py")],
+        capture_output=True, check=True, cwd=root, timeout=300).stdout
+    assert hashlib.sha256(out).hexdigest() == TRAFFIC_DEMO_SHA256
+
+
 # ---------------------------------------------------------------------------
 # the platoon against the sweep that integrated one car after another with
 # the scalar integrator
@@ -731,6 +746,40 @@ PLATOON_CASES = {
     # the leader is undefined at nodes only: the node scan fails
     "leader-domain-scan": lambda: _cars(
         "sqrt(4 - t) + 10", ["x - 3", "x - 4"], 4.3, 0.01),
+    # car 3's acceleration overflows at t0, an earlier step than the one
+    # where car 2's headway behind the stopped car 1 collapses: car 2's
+    # collision stands and car 3 surfaces nothing
+    "collapse-over-earlier-raise": lambda: _cars(
+        "t + 20", ["0*x + 10", "x + 9.9", "1e300*x - 10"], 6.0, 0.003,
+        tau=0.05, alpha=1.0),
+    # car 1 reaches the leader at a node without a collapse, and car 2
+    # fails at t0, earlier in time: car 1's collision stands
+    "reach-over-earlier-raise": lambda: _cars(
+        "t + 1", ["2*x + 0.5", "-x - 3"], 3.0, 0.01, alpha=0.5, n1=0.5,
+        n2=0.0),
+    # more cars than one generated loop steps
+    "forty-cars": lambda: _cars(
+        "t + 3 + 0.2*sin(2*t)",
+        [f"{1 + 0.01 * (i * 7 % 5 - 2)!r}*x + {3 - 2 * i}"
+         for i in range(1, 41)], 2.0, 0.01, tau=0.4, alpha=0.8),
+    # car 2's history has no slope at t0: the failure of car 2
+    "history-undefined-at-t0": lambda: _cars(
+        "t + 10", ["x + 5", "sqrt(-x)", "x"], 2.0, 0.01),
+    # car 3's history has no slope at t0, but car 1 collides later
+    "collides-over-undefined-history": lambda: _cars(
+        "5 + 0*t", ["x", "x - 1", "sqrt(-x)"], 8.0, 0.01, n1=0.5),
+    # one step per delay behind a car of the group in front: car 17 reads
+    # car 16 at the newest node its stage-4 points round past
+    "one-step-eighteen-cars": lambda: _cars(
+        "t + 3 + 0.5*sin(3*t)",
+        [f"{0.5 + 0.25 * (i % 3)!r}*x - {1.5 * i!r}" for i in range(1, 19)],
+        3.110446121668833, 0.13723709241004053, tau=0.1,
+        alpha=2.7011652761450753, n2=2.0),
+    # car 18 collapses behind the stopped car 17, and car 19 fails at t0
+    "collapse-in-a-later-group": lambda: _cars(
+        "t + 20", [f"x + {20 - i}" for i in range(1, 17)]
+        + ["0*x + 3", "x + 2.9", "1e300*x - 10"], 2.0, 0.003, tau=0.05,
+        alpha=1.0),
 }
 
 #: Recorded from the sweep that integrated one car after another with the
@@ -741,7 +790,9 @@ PLATOON_CASES = {
 #: collapsed car (those four and collapse-at-start) counting every
 #: acceleration it computed: the collisions, each trajectory's
 #: n_rhs_evals and node count, and a sha256 prefix of the trajectories'
-#: CSVs in car order; or the error raised.
+#: CSVs in car order; or the error raised.  The cases from
+#: collapse-over-earlier-raise on were recorded from the sweep that ran
+#: one car after another in the stepper of a constant-delay solve.
 PLATOON_PINS = {
     "bench10-101": ([], [2008] * 10, [503] * 10, "af54c166e0fdb542"),
     "bench10-102": ([], [2032] * 10, [509] * 10, "fd7a2dc8cd7284c4"),
@@ -778,12 +829,26 @@ PLATOON_PINS = {
         " '(sqrt((4 - x)) + 10)'"),
     "leader-domain-scan": ("raises", "DomainError",
                            "math domain error in '(sqrt((4 - x)) + 10)'"),
+    "collapse-over-earlier-raise": ([(2, 0.9911764705882323)], [8160, 1347],
+                                    [2041, 335], "7cf8824266f7bf8b"),
+    "reach-over-earlier-raise": ([(1, 0.6400000000000001)], [1200], [65],
+                                 "1c957a40717b583a"),
+    "forty-cars": ([], [800] * 40, [201] * 40, "e0cb1b46686118ae"),
+    "history-undefined-at-t0": (
+        "raises", "DomainError",
+        "division by zero in '(-(1 / (2 * sqrt((-x)))))'"),
+    "collides-over-undefined-history": ([(1, 5.209999999999932)], [2281],
+                                        [522], "020a5942e435ef2e"),
+    "one-step-eighteen-cars": ([], [128] * 18, [33] * 18, "03eede0fe62a9a0b"),
+    "collapse-in-a-later-group": ([(18, 0.9911764705882323)],
+                                  [2720] * 17 + [1347], [681] * 17 + [335],
+                                  "d601b16db90422ac"),
 }
 
 
-def _fingerprint(case):
+def _fingerprint(case, run=simulate_platoon):
     try:
-        state = simulate_platoon(*case)
+        state = run(*case)
     except Exception as exc:
         return ("raises", type(exc).__name__, str(exc))
     digest = hashlib.sha256()
@@ -794,12 +859,14 @@ def _fingerprint(case):
 
 
 def reference_follow(t_end, h, counter):
-    """traffic._follow rebuilt on integrate.solve_numeric, taking both
+    """One car of the platoon on integrate.solve_numeric, taking both
     powers with math.pow at every acceleration and counting the
-    accelerations in counter[0]: the reference the platoon's stepper and
-    its power-free law at exponents 0 and 1 reproduce bit for bit.  A car
-    returns its (ym, dym) at every stage, and the car behind reads them at
-    the same stage; car 1 reads the leader."""
+    accelerations in counter[0]: follow(p, ahead, steps, traj) appends the
+    car's nodes to traj and returns its (ym, dym) at every stage, and the
+    car behind reads them at the same stage; car 1 reads the leader's
+    compiled (position, velocity) ahead.  It raises traffic._Collapse
+    where the delayed headway falls below the floor, with the nodes the
+    car reached appended, and the failure of a stage without a value."""
 
     def follow(p, ahead, steps, traj):
         alpha, n1, n2 = p.alpha, p.n1, p.n2
@@ -843,13 +910,62 @@ def reference_follow(t_end, h, counter):
     return follow
 
 
-def _reference_run(case, monkeypatch):
-    """(fingerprint, accelerations computed) of case under reference_follow."""
+def reference_platoon(counter):
+    """simulate_platoon as a sweep that integrates one car after another in
+    index order with reference_follow, counting the accelerations in
+    counter[0]: a car that collapses is cut to the grid nodes at or before
+    t_c - 2h, a car collides at the first node where it has reached the
+    car in front, and the first car that collides or fails ends the run
+    before the cars behind it are integrated."""
+
+    def run(p, n_cars, histories, t_end, h):
+        t0 = histories[0].interval[1]
+        values = p.values()
+        ahead = tuple(
+            E.compile_fn(E.subs(e, {"t": E.X}), ("x",), values)
+            for e in (p.leader, E.diff(p.leader, "t")))
+        lead_pos = ahead[0]
+        follow = reference_follow(t_end, h, counter)
+        steps = list(integrate._step_plan(t0, t_end, h, p.tau))
+        front_ys = None
+        state = traffic.PlatoonState(trajectories=[])
+        for car, phi in enumerate(histories, start=1):
+            y0, dy0 = phi.value(t0)
+            traj = integrate.Trajectory(xs=[t0], ys=[y0], dys=[dy0],
+                                        history=phi)
+            xs, ys, dys = traj.xs, traj.ys, traj.dys
+            try:
+                ahead = follow(p, ahead, steps, traj)
+                t_c, traj.n_rhs_evals = None, 4 * (len(ys) - 1)
+            except traffic._Collapse as exc:
+                t_c, end, traj.n_rhs_evals = exc.x, exc.x - 2 * h, exc.n_accels
+                kept = 1
+                for x, step in steps:
+                    if step > end - x:
+                        break
+                    kept += 1
+                del xs[kept:], ys[kept:], dys[kept:]
+            for j in range(1, len(xs)):
+                front_y = lead_pos(xs[j]) if front_ys is None else front_ys[j]
+                if front_y - ys[j] <= 0.0:
+                    t_c = xs[j]
+                    del xs[j + 1:], ys[j + 1:], dys[j + 1:]
+                    break
+            state.trajectories.append(traj)
+            if t_c is not None:
+                state.collisions.append((car, float(t_c)))
+                return state
+            front_ys = ys
+        return state
+
+    return run
+
+
+def _reference_run(case):
+    """(fingerprint, accelerations computed) of case under
+    reference_platoon."""
     counter = [0]
-    *_, t_end, h = case
-    with monkeypatch.context() as patch:
-        patch.setattr(traffic, "_follow", reference_follow(t_end, h, counter))
-        return _fingerprint(case), counter[0]
+    return _fingerprint(case, reference_platoon(counter)), counter[0]
 
 
 class TestLockStepPlatoon:
@@ -858,12 +974,12 @@ class TestLockStepPlatoon:
         assert _fingerprint(PLATOON_CASES[name]()) == PLATOON_PINS[name]
 
     @pytest.mark.parametrize("name", list(PLATOON_CASES))
-    def test_n_rhs_evals_counts_every_acceleration(self, name, monkeypatch):
+    def test_n_rhs_evals_counts_every_acceleration(self, name):
         # every acceleration the reference computed, past a car's last kept
         # node and in the step whose headway collapsed too
         case = PLATOON_CASES[name]
         got = _fingerprint(case())
-        want, n_accels = _reference_run(case(), monkeypatch)
+        want, n_accels = _reference_run(case())
         assert got == want
         if got[0] != "raises":
             assert n_accels == sum(got[1])
@@ -877,7 +993,7 @@ class TestLockStepPlatoon:
             return _cars("1.3*t + 4", ["1.1*x + 2.2", "x + 0.9"], 3.0, 0.01,
                          tau=0.4, alpha=0.8, n1=n1, n2=n2)
 
-        want, _ = _reference_run(case(), monkeypatch)
+        want, _ = _reference_run(case())
         calls = [0]
         pow_ = math.pow
 
@@ -951,3 +1067,50 @@ class TestLockStepPlatoon:
         # the position is read at every node past t0 too, where car 1 is
         # checked for reaching the leader
         assert calls == [reads + steps, reads]
+
+    @pytest.mark.parametrize("name,loops", [
+        # two full groups and one of eight, the later two behind a car
+        ("forty-cars", [(16, False), (16, True), (8, True)]),
+        # car 3 fails in step 0, so cars 1 and 2 take it again without
+        # car 3; car 2 collapses later, and car 1 runs on alone
+        ("collapse-over-earlier-raise", [(3, False), (2, False), (1, False)]),
+        ("collapse-in-a-later-group",
+         [(16, False), (3, True), (2, True), (1, True)]),
+    ])
+    def test_loops_take_the_cars_left(self, name, loops, monkeypatch):
+        shapes = []
+        lockstep = traffic._lockstep
+
+        def counted(n, behind_a_car, speed, headway):
+            shapes.append((n, behind_a_car))
+            return lockstep(n, behind_a_car, speed, headway)
+
+        monkeypatch.setattr(traffic, "_lockstep", counted)
+        assert _fingerprint(PLATOON_CASES[name]()) == PLATOON_PINS[name]
+        assert shapes == loops
+
+    @pytest.mark.parametrize("name", ["bench10-101", "one-step-per-delay",
+                                      "forty-cars"])
+    def test_each_delayed_point_is_placed_once_for_all_cars(self, name):
+        # the grid is searched once per delayed point inside it in each
+        # group, as often as for car 1 alone
+        names = integrate._STEPPER_NAMES
+        bisect_right = names["_bisect_right"]
+        calls = [0]
+
+        def counted(grid, x):
+            calls[0] += 1
+            return bisect_right(grid, x)
+
+        p, n_cars, hists, t_end, h = PLATOON_CASES[name]()
+        traffic._lockstep.cache_clear()
+        names["_bisect_right"] = counted
+        try:
+            simulate_platoon(p, n_cars, hists, t_end, h)
+            searches, calls[0] = calls[0], 0
+            simulate_platoon(p, 1, hists[:1], t_end, h)
+        finally:
+            names["_bisect_right"] = bisect_right
+            traffic._lockstep.cache_clear()
+        groups = -(-n_cars // traffic._GROUP)
+        assert searches == groups * calls[0] > 0
