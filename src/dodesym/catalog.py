@@ -27,8 +27,8 @@ from .dods import (DelayKind, DodsSystem, SamplingError, _delay_kind,
                    _expression, _numbers, check_algebra)
 from .expr import (Const, Expr, Param, compile_columns, free_symbols, parse,
                    subs, to_text)
-from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel, _span_fit,
-                       check_closure)
+from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel,
+                       _plane_values, _span_fit, check_closure)
 
 _X, _Y, _XM, _YM, _DY, _DYM, _DDY = E.X, E.Y, E.XM, E.YM, E.DY, E.DYM, E.DDY
 
@@ -699,13 +699,14 @@ def negative_control(entry: CatalogEntry, seed: int = 42) -> VectorField:
     candidates = [parse("0.1*x^2"), parse("0.1*x^3"), parse("0.1*sin(x)"),
                   parse("0.1*exp(x)"), parse("0.1*sin(5*x)"),
                   parse("0.1/(x + 0.5)")]
-    basis = _plane_kernel(list(entry.basis), entry.default_params)
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(*_PLANE_BOX, size=(len(entry.basis) + 4, 2)).T
+    basis = _plane_values(
+        _plane_kernel(list(entry.basis), entry.default_params), x, y)
     base = entry.basis[0]
     for pert in candidates:
-        fit = _span_fit(basis, _plane_kernel([VectorField(Const(0.0), pert)],
-                                             {}), x, y)
+        target = _plane_kernel([VectorField(Const(0.0), pert)], {})
+        fit = _span_fit(basis, _plane_values(target, x, y)[..., 0])
         if fit is not None and fit[1] > 1e-3:
             return VectorField(base.xi, E.simplify(base.eta + pert),
                                label=f"{base.label}+perturbation")

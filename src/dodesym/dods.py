@@ -61,7 +61,7 @@ from .expr import (
     parse,
     to_text,
 )
-from .symmetry import JET, VectorField, field_kernel
+from .symmetry import _BLOCK_ROWS, JET, VectorField, field_kernel
 
 
 class DelayKind(enum.Enum):
@@ -199,16 +199,16 @@ def sample_point(
 _I_XM, _I_YM, _I_DYM, _I_DDY = (
     JET.index(v) for v in ("xm", "ym", "dym", "ddy"))
 
-#: most rows one kernel call evaluates.  Each call pays a fixed cost of a
-#: few dozen numpy calls, so a check of up to 4096 rows draws one block
-#: per field, plus tail blocks for rejected rows, and check_algebra puts
-#: the first blocks of _BLOCK_ROWS // min(n, _BLOCK_ROWS) fields on the
-#: manifold in one call.  Work arrays hold one 32 kB column per kernel
-#: node, so a call peaks at about 2-3 MB on the traffic systems, A6_3
-#: and A3_11 (5.3 MB on H3_DET, measured by tracemalloc) however large n
-#: is.  A group's first blocks, at most _BLOCK_ROWS rows, stay alive
-#: until its last field has been checked.
-_BLOCK_ROWS = 4096
+# _BLOCK_ROWS (from symmetry) bounds every kernel call here too.  Each
+# call pays a fixed cost of a few dozen numpy calls, so a check of up to
+# 4096 rows draws one block per field, plus tail blocks for rejected
+# rows, and check_algebra puts the first blocks of
+# _BLOCK_ROWS // min(n, _BLOCK_ROWS) fields on the manifold in one call.
+# Work arrays hold one 32 kB column per kernel node, so a call peaks at
+# about 2-3 MB on the traffic systems, A6_3 and A3_11 (5.3 MB on H3_DET,
+# measured by tracemalloc) however large n is.  A group's first blocks,
+# at most _BLOCK_ROWS rows, stay alive until its last field has been
+# checked.
 
 
 def _draw(rng, box, m) -> np.ndarray:

@@ -34,8 +34,15 @@ from .expr import (
 
 JET = ("x", "y", "xm", "ym", "dy", "dym", "ddy")
 
+#: most rows one kernel call evaluates, in check_closure and in the
+#: invariance checks of dods
+_BLOCK_ROWS = 4096
+
 #: the interval of x and of y from which points of the (x, y) plane are
-#: drawn, in check_closure and catalog.negative_control
+#: drawn, in check_closure and catalog.negative_control.  check_closure
+#: draws a block of n + 3 points for each fit, the blocks of all its pairs
+#: in one draw; negative_control draws one set of n + 4 points for all
+#: its candidates
 _PLANE_BOX = (0.5, 2.5)
 
 _BASE_ALLOWED = {"x", "y"}
@@ -191,6 +198,14 @@ def check_closure(
     pair.  A pair gets two draws of points: a draw where a coefficient is
     undefined is dropped, and so is a first draw whose system is rank
     deficient.
+
+    The points come in blocks of n+3 from one seeded stream: pair p, in
+    (i, j) order, takes the next unused block and a retry the block after
+    that.  The blocks of every pair are drawn together, in one draw of at
+    most _BLOCK_ROWS rows, and the basis kernel is evaluated once over
+    them; only when retries have used the blocks up are the blocks of the
+    pairs left drawn again.  One draw of many blocks is the same stream as
+    a draw per block, so every fit sees the points it would see alone.
     """
     n = len(fields)
     if n < 2:
@@ -198,33 +213,43 @@ def check_closure(
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     basis = _plane_kernel(fields, params)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = n + 3
+    per_draw = max(1, _BLOCK_ROWS // m)
+    used = drawn = 0  # blocks of the current draw
     constants: dict[tuple[int, int], np.ndarray] = {}
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = _bracket_kernel(fields[i], fields[j], params)
-            solved = None
-            for attempt in range(2):
-                x, y = rng.uniform(*_PLANE_BOX, size=(n + 3, 2)).T
-                solved = _span_fit(basis, bracket, x, y)
-                if solved is not None and (solved[2] == n or attempt == 1):
-                    break
-                solved = None  # undefined or degenerate: retry with new points
-            if solved is None:
-                raise ClosureError(
-                    "could not sample a well-posed span system for "
-                    f"[{fields[i].label or i}, {fields[j].label or j}]",
-                    (fields[i].label or str(i), fields[j].label or str(j)),
-                )
-            c, resid, _ = solved
-            if resid > 1e-9:
-                raise ClosureError(
-                    f"bracket [{fields[i].label or i}, {fields[j].label or j}]"
-                    f" leaves the span (residual {resid:.3e})",
-                    (fields[i].label or str(i), fields[j].label or str(j)),
-                )
-            constants[(i, j)] = c
-            worst = max(worst, resid)
+    for p, (i, j) in enumerate(pairs):
+        bracket = _bracket_kernel(fields[i], fields[j], params)
+        solved = None
+        for attempt in range(2):
+            if used == drawn:
+                # a block for this pair and for each pair after it
+                drawn, used = min(len(pairs) - p, per_draw), 0
+                points = rng.uniform(*_PLANE_BOX, size=(drawn * m, 2))
+                values = _plane_values(basis, *points.T)
+            rows = slice(used * m, (used + 1) * m)
+            used += 1
+            solved = _span_fit(values[rows], _plane_values(
+                bracket, *points[rows].T)[..., 0])
+            if solved is not None and (solved[2] == n or attempt == 1):
+                break
+            solved = None  # undefined or degenerate: retry with new points
+        if solved is None:
+            raise ClosureError(
+                "could not sample a well-posed span system for "
+                f"[{fields[i].label or i}, {fields[j].label or j}]",
+                (fields[i].label or str(i), fields[j].label or str(j)),
+            )
+        c, resid, _ = solved
+        if resid > 1e-9:
+            raise ClosureError(
+                f"bracket [{fields[i].label or i}, {fields[j].label or j}]"
+                f" leaves the span (residual {resid:.3e})",
+                (fields[i].label or str(i), fields[j].label or str(j)),
+            )
+        constants[(i, j)] = c
+        worst = max(worst, resid)
     return ClosureResult(constants, worst)
 
 
@@ -250,19 +275,22 @@ def _bracket_kernel(a: VectorField, b: VectorField, params: Bindings):
     return _memoized("bracket", (a.xi, a.eta, b.xi, b.eta), params, build)
 
 
-def _span_fit(basis, target, x, y):
-    """Least-squares fit of the first field of the plane kernel target by
-    the fields of the plane kernel basis at the points (x, y).
+def _plane_values(kernel, x, y) -> np.ndarray:
+    """The values of a plane kernel at the points (x, y), shaped
+    (points, 2, fields): xi and eta of each field at each point."""
+    return np.array(kernel(x, y)).reshape(-1, 2, len(x)).T
+
+
+def _span_fit(basis: np.ndarray, target: np.ndarray):
+    """Least-squares fit of target, the (points, 2) values of one field, by
+    the fields of basis, their (points, 2, fields) values at the same
+    points (see _plane_values).
 
     Returns (coefficients, largest residual, rank), or None where a
     coefficient is undefined at some point.
     """
-    def rows(kernel):
-        # rows interleave xi and eta point by point, one column per field
-        return np.array(kernel(x, y)).reshape(-1, 2, len(x)).T.reshape(
-            2 * len(x), -1)
-
-    a, b = rows(basis), rows(target)[:, 0]
+    # rows interleave xi and eta point by point, one column per field
+    a, b = basis.reshape(-1, basis.shape[-1]), target.reshape(-1)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return None
     c, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)

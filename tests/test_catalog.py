@@ -211,6 +211,31 @@ class TestNegativeControl:
         assert max(report.max_residual_dode,
                    report.max_residual_delay) > 1e-3
 
+    #: the perturbation negative_control adds to the eta of the first
+    #: field for each entry with a basis; S_m and H_m have none
+    PICKED = {
+        "A1_1": "0.1*x^2", "A2_1": "0.1*x^2", "A2_2": "0.1*x^2",
+        "A2_3": "0.1*x^2", "A2_4": "0.1*x^2", "A3_1": "0.1*x^2",
+        "A3_2a": "0.1*x^2", "A3_8": "0.1*x^2", "A3_11": "0.1*x^2",
+        "A3_13": "0.1*x^2", "A3_15": "0.1*x^3", "A4_1": "0.1*x^3",
+        "A4_8": "0.1*x^2", "A4_11": "0.1*x^2", "A4_20": "0.1*x^2",
+        "A5_1": "0.1*x^3", "A5_6": "0.1*x^2", "A5_8": "0.1*x^2",
+        "A6_2": "0.1*x^3", "A6_3": "0.1*x^2", "H3_DET": "0.1*x^2",
+        "S3_DET": "0.1*sin(5*x)", "TRAFFIC_EX1": "0.1*x^2",
+        "TRAFFIC_EX2": "0.1*x^2", "TRAFFIC_EX3": "0.1*x^2",
+    }
+
+    def test_picked_perturbations_are_pinned(self):
+        entries = [e for e in list_entries() if e.basis]
+        assert [e.id for e in entries] == list(self.PICKED)
+        for entry in entries:
+            base = entry.basis[0]
+            want = VectorField(base.xi, E.simplify(
+                base.eta + parse(self.PICKED[entry.id])),
+                label=f"{base.label}+perturbation")
+            # compared by repr, so 0.0 and -0.0 differ
+            assert repr(negative_control(entry)) == repr(want)
+
 
 class TestDeterminantFamilies:
     def test_h3_degenerate_chi_rejected(self):

@@ -197,6 +197,21 @@ class TestBracketAndRank:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    @pytest.mark.parametrize("fields,code,stdout", [
+        (("1;0", "x;y", "y;0"), 0, (
+            'closed under commutation; span residual 5.551e-16\n'
+            '[X1, X2] = (1, -1.791100381e-16, -4.575765255e-16) . basis\n'
+            '[X1, X3] = (0, 0, 0) . basis\n'
+            '[X2, X3] = (0, 0, 0) . basis\n')),
+        (("0;1", "x;y", "x^2;x*y"), 1, (
+            'FAIL: bracket [0;1, x^2;x*y] leaves the span'
+            ' (residual 3.614e-01)\n')),
+    ])
+    def test_bracket_stdout_is_pinned(self, fields, code, stdout):
+        proc = run_cli("bracket", "--fields", *fields)
+        assert proc.returncode == code
+        assert proc.stdout == stdout
+
     def test_rank_report(self):
         proc = run_cli("rank", "--fields", "0;1", "1;0")
         assert proc.returncode == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dodesym import catalog
+from dodesym import catalog, symmetry
 from dodesym import expr as E
 from dodesym.expr import Const, evaluate, parse
 from dodesym.symmetry import (
@@ -393,6 +393,31 @@ def reference_rank_outcome(fields, params=None, n_points=5, seed=42):
         return str(exc)
 
 
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """The number of rows of each call of a basis kernel check_closure
+    builds, in call order."""
+    calls = []
+    plane_kernel = symmetry._plane_kernel
+
+    def counting(fields, params):
+        kernel = plane_kernel(fields, params)
+
+        def counted(x, y):
+            calls.append(len(x))
+            return kernel(x, y)
+        return counted
+
+    monkeypatch.setattr(symmetry, "_plane_kernel", counting)
+    return calls
+
+
+#: 20 fields whose 190 brackets close: d/dx, y d/dy and sin(k x) d/dy,
+#: cos(k x) d/dy for k = 1..9; 190 blocks of 23 points are 4370 rows
+TRIG_FIELDS = [field("1", "0"), field("0", "y")] + [
+    field("0", f"{t}({k}*x)") for k in range(1, 10) for t in ("sin", "cos")]
+
+
 class TestColumnsMatchPointLoop:
     """Rank and closure answers equal a loop over single points, bit for bit
     (compared by repr, so 0.0 and -0.0 differ)."""
@@ -440,6 +465,56 @@ class TestColumnsMatchPointLoop:
             fields = [field("1", "0"), partial, field("0", "1")]
             assert repr(closure_outcome(fields, seed=seed)) == \
                 repr(reference_closure(fields, seed=seed))
+
+    @pytest.mark.parametrize("entry_id,basis,params",
+                             [c for c in CATALOG_BASES if len(c[1]) >= 2])
+    def test_closure_evaluates_the_basis_once(self, entry_id, basis, params,
+                                              basis_calls):
+        n = len(basis)
+        for seed in (0, 1, 2, 42):
+            basis_calls.clear()
+            check_closure(basis, params, seed)
+            assert basis_calls == [n * (n - 1) // 2 * (n + 3)]
+            assert basis_calls[0] <= symmetry._BLOCK_ROWS
+
+    def test_closure_draws_more_than_one_block(self, basis_calls):
+        # 4096 // 23 = 178 blocks, then a block for each pair left; a
+        # rank-deficient first block costs its pair the next block: at
+        # seed 1 in the first draw, at seed 5 in the second
+        for seed, blocks in ((0, [178, 12]), (1, [178, 13]),
+                             (5, [178, 12, 1])):
+            basis_calls.clear()
+            assert repr(closure_outcome(TRIG_FIELDS, seed=seed)) == \
+                repr(reference_closure(TRIG_FIELDS, seed=seed))
+            assert basis_calls == [23 * b for b in blocks]
+
+    @pytest.mark.parametrize("block_rows", [60, 23, 5])
+    def test_closure_with_smaller_draws(self, monkeypatch, basis_calls,
+                                        block_rows):
+        # a draw holds at least one block, even one larger than the bound;
+        # no pair retries at seed 4
+        monkeypatch.setattr(symmetry, "_BLOCK_ROWS", block_rows)
+        blocks = max(1, block_rows // 23)
+        basis_calls.clear()
+        assert repr(closure_outcome(TRIG_FIELDS, seed=4)) == \
+            repr(reference_closure(TRIG_FIELDS, seed=4))
+        assert basis_calls == [blocks * 23] * (190 // blocks) + \
+            [190 % blocks * 23] * (190 % blocks > 0)
+
+    def test_closure_retries_past_the_drawn_blocks(self, basis_calls):
+        # ln(y - 0.6) is undefined at a block of 6 points with chance
+        # 1 - 0.95^6; a retry takes a block of a later pair, so the pairs
+        # left are drawn again, and the brackets close
+        fields = [field("1", "0"), field("x", "0"), field("0", "ln(y - 0.6)")]
+        draws = {}
+        for seed in range(12):
+            basis_calls.clear()
+            assert repr(closure_outcome(fields, seed=seed)) == \
+                repr(reference_closure(fields, seed=seed))
+            draws[seed] = list(basis_calls)
+        assert draws[1] == [18, 6] and draws[5] == [18, 12]
+        assert draws[7] == [18, 6, 6]
+        assert check_closure(fields, seed=7).residual < 1e-9
 
     def test_closure_redraws_after_an_undefined_first_draw(self):
         # ln(y - 0.6) is undefined at the first draw of seed 1 and defined
