@@ -694,8 +694,11 @@ def negative_control(entry: CatalogEntry, seed: int = 42) -> VectorField:
 
     A fixed eta bump would land inside the span for families whose algebra
     already contains that coefficient (x^2 d/dy and friends), so candidates
-    are screened by a numeric span test first.
+    are screened by a numeric span test first.  An entry without a basis
+    (S_m, H_m) is a CatalogError.
     """
+    if not entry.basis:
+        raise CatalogError(f"entry '{entry.id}' has no basis field to perturb")
     candidates = [parse("0.1*x^2"), parse("0.1*x^3"), parse("0.1*sin(x)"),
                   parse("0.1*exp(x)"), parse("0.1*sin(5*x)"),
                   parse("0.1/(x + 0.5)")]

@@ -116,8 +116,9 @@ class Expr:
     of that content, so equal content is the same object, and `==` and
     hash are identity.  A Const is keyed by the bit pattern of its value,
     so Const(0.0) and Const(-0.0) are two nodes, and two NaNs of one bit
-    pattern are one.  A node carries the caches of simplify, diff,
-    free_symbols and to_text, which die with it.
+    pattern are one.  Neg of a Const is the Const of the negated value, so
+    no tree holds a negated constant.  A node carries the caches of
+    simplify, diff, free_symbols and to_text, which die with it.
     """
 
     __slots__ = ("_simple", "_derivs", "_symbols", "_printed", "__weakref__")
@@ -239,6 +240,10 @@ class Neg(Expr):
     _fields = ("arg",)
 
     def __new__(cls, arg: Expr):
+        # a negated constant is the constant of the negated value, which is
+        # exact: a signed constant has one node and one text
+        if isinstance(arg, Const):
+            return Const(-arg.value)
         key = (cls, arg)
         node = _NODES.get(key)
         return _node(cls, key, arg) if node is None else node
@@ -327,9 +332,11 @@ def parse(text: str) -> Expr:
     binds tighter than these and looser than ^, which is right-associative
     and takes a unary exponent.  Parentheses, `name(arg)` calls of
     FUNCTIONS and decimal literals; other names become parameters.  A
-    ParseError names the 1-based offset of the token where parsing stops,
-    which for text nested deeper than MAX_NESTING levels is the token that
-    opens the first level too many.
+    negated literal is the constant of the negated value (see Neg), so
+    "-1" and "-(1)" give Const(-1.0).  A ParseError names the 1-based
+    offset of the token where parsing stops, which for text nested deeper
+    than MAX_NESTING levels is the token that opens the first level too
+    many.
 
     A text parsed before whose tree still lives gives that node from the
     text table (`_PARSED`) without a token scan; interning makes it the
@@ -405,18 +412,25 @@ def _atom(tokens: list[str], i: int, depth: int) -> tuple[Expr, int]:
 
 
 # ---------------------------------------------------------------------------
-# printing (fully parenthesized canonical text; parse(to_text(e)) == value of e)
+# printing (fully parenthesized canonical text; parse(to_text(e)) is e for
+# every tree without a NaN constant)
 
 
 def to_text(e: Expr) -> str:
     """The fully parenthesized text of e, kept on each node it prints, so
-    each node is printed once.
+    each node is printed once.  parse reads it back as e itself, for every
+    tree that holds no NaN constant.
 
     A constant prints as an integer where it is one below 1e16 in
-    magnitude, as 1e999 or -1e999 where it is infinite (a literal that
-    overflows back to the same value) and by repr otherwise.  A NaN
-    constant prints as nan, which parses as a parameter: no literal gives
-    a NaN, and the folds of simplify make none.
+    magnitude (-0.0 as -0), as 1e999 or -1e999 where it is infinite (a
+    literal that overflows back to the same value) and by repr otherwise.
+    A negative constant prints with its sign, which parse reads as a
+    negation and the interner folds back into the same constant; as the
+    base of ^, which binds tighter than a unary minus, it is parenthesized:
+    ((-2) ^ x).  A NaN constant prints as nan, which parses as a
+    parameter: no literal gives a NaN, simplify leaves unmade every fold
+    whose value would be NaN, and diff makes none, so only a tree built
+    with a NaN (Const(nan), bind_params of a NaN value) holds one.
     """
     try:
         return _text(e)
@@ -431,7 +445,9 @@ def _text(e: Expr) -> str:
     if s is None:
         if isinstance(e, Const):
             v = e.value
-            if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+            if v == 0.0:
+                s = "-0" if math.copysign(1.0, v) < 0.0 else "0"
+            elif math.isfinite(v) and v == int(v) and abs(v) < 1e16:
                 s = str(int(v))
             elif math.isinf(v):
                 s = "1e999" if v > 0.0 else "-1e999"
@@ -442,7 +458,10 @@ def _text(e: Expr) -> str:
         elif isinstance(e, Neg):
             s = f"(-{_text(e.arg)})"
         elif isinstance(e, BinOp):
-            s = f"({_text(e.left)} {e.op} {_text(e.right)})"
+            left = _text(e.left)
+            if e.op == "^" and left[0] == "-":
+                left = f"({left})"  # only a negative constant starts so
+            s = f"({left} {e.op} {_text(e.right)})"
         elif isinstance(e, Call):
             s = f"{e.fn}({_text(e.arg)})"
         else:
@@ -674,7 +693,10 @@ def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities and like-term collection.
 
     Value-preserving up to removable singularities (0*u and 0/u fold to 0).
-    The result is cached on e, so each node is simplified once.
+    A fold whose value would be NaN (inf*0, inf - inf, inf/inf) is left
+    unmade, and the unfolded node evaluates to the same NaN: simplify makes
+    no NaN constant.  The result is cached on e, so each node is
+    simplified once.
     """
     s = e._simple
     if s is None:
@@ -697,8 +719,6 @@ def _simplify(e: Expr) -> Expr:
     """One rewrite of simplify, its children simplified through the cache."""
     if isinstance(e, Neg):
         a = simplify(e.arg)
-        if isinstance(a, Const):
-            return Const(-a.value)
         if isinstance(a, Neg):
             return a.arg
         return Neg(a)
@@ -724,7 +744,9 @@ def _simplify(e: Expr) -> Expr:
                 if r.value == 1.0:
                     return l
                 if isinstance(l, Const) and r.value != 0.0:
-                    return Const(l.value / r.value)
+                    q = l.value / r.value
+                    if not math.isnan(q):
+                        return Const(q)
             return BinOp("/", l, r)
         if e.op == "^":
             if isinstance(r, Const):
@@ -744,7 +766,8 @@ def _simplify(e: Expr) -> Expr:
 
 def _simplify_mul(l: Expr, r: Expr) -> Expr:
     if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value * r.value)
+        v = l.value * r.value
+        return BinOp("*", l, r) if math.isnan(v) else Const(v)
     for a, b in ((l, r), (r, l)):
         if isinstance(a, Const):
             if a.value == 0.0:
@@ -810,6 +833,9 @@ def _collect_sum(e: Expr) -> Expr:
             const_part += coeff
             continue
         buckets[key] = buckets[key] + coeff if key in buckets else coeff
+    if math.isnan(const_part) or any(map(math.isnan, buckets.values())):
+        # inf - inf: the sum of its two operands, each simplified, instead
+        return BinOp(e.op, simplify(e.left), simplify(e.right))
     parts: list[Expr] = []
     for key, coeff in buckets.items():
         if coeff == 0.0:

@@ -10,6 +10,7 @@ import struct
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,19 +129,20 @@ def _digest(texts: list[str]) -> str:
 
 class TestParserCorpus:
     """The parser's node or error on every corpus text, as the
-    character-cursor recursive-descent parser gave them.  The file corpus
-    follows the catalog and the examples: a change to either changes its
-    texts, and its digest is then recorded anew from the parser that
-    precedes the change."""
+    character-cursor recursive-descent parser gave them with each negated
+    constant folded, bottom-up, into the constant of the negated value
+    (the interner's rule).  The file corpus follows the catalog and the
+    examples: a change to either changes its texts, and its digest is then
+    recorded anew from the parser that precedes the change."""
 
     def test_file_expressions(self):
         assert len(_file_expressions()) >= 318
         assert _digest(_file_expressions()) == (
-            "448b73c0846817192f1fc252acd3879058452c1e2d17ec0472c098bbe00f0d54")
+            "ebbc29d2c77393d4e41f71d9c08424d7c1175361398a1543abe60af8fc765f1e")
 
     def test_random_texts(self):
         assert _digest(_random_texts()) == (
-            "7419793cef955838c34c3c94ee28d83fc7756676a87fb47cea3cc29256e07bdc")
+            "ebc47dc277178ae136cbc5bb82d99006f8435367cb44b9300c93f7d173fc1809")
 
 
 class TestParseErrors:
@@ -392,6 +394,18 @@ class TestSimplify:
         s = simplify(parse(text))
         assert simplify(s) is s
 
+    @pytest.mark.parametrize("text, left", [
+        ("1e999 * 0", "(1e999 * 0)"),
+        ("1e999 - 1e999", "(1e999 - 1e999)"),
+        ("x * 0 * 1e999", "(0 * 1e999)"),
+    ])
+    def test_a_fold_whose_value_is_nan_is_left_unmade(self, text, left):
+        s = simplify(parse(text))
+        assert to_text(s) == left and parse(left) is s
+        assert E.free_symbols(s) == set()  # no constant became 'nan'
+        with pytest.raises(DomainError, match="non-finite result"):
+            evaluate(s, {})
+
 
 def _random_bindings(rng_vals, names):
     return dict(zip(names, rng_vals))
@@ -428,8 +442,8 @@ def test_print_parse_round_trip_preserves_value(idx, vals):
     e = parse(_expr_pool[idx])
     binds = _random_bindings(vals, ("x", "y", "ym", "dy", "dym"))
     again = parse(to_text(e))
-    assert evaluate(again, binds) == pytest.approx(evaluate(e, binds),
-                                                   rel=1e-14, abs=1e-14)
+    assert again is e
+    assert evaluate(again, binds) == evaluate(e, binds)
 
 
 class TestSubsAndCompile:
@@ -504,7 +518,17 @@ class TestInterning:
         assert Const(0.0) is not Const(-0.0)
         assert Const(0.0) != Const(-0.0)
         assert parse("0.0") is Const(0.0)
-        assert simplify(parse("-0.0")) is Const(-0.0)
+        assert parse("-0.0") is Const(-0.0)
+        assert to_text(Const(-0.0)) == "-0" and parse("-0") is Const(-0.0)
+
+    def test_a_negated_constant_is_the_negated_value(self):
+        assert Neg(Const(2.0)) is Const(-2.0)
+        assert Neg(Const(-0.0)) is Const(0.0)
+        assert Neg(Const(math.inf)) is Const(-math.inf)
+        assert parse("-1") is Const(-1.0) and parse("--1") is Const(1.0)
+        assert parse("-(3)") is Const(-3.0)
+        assert isinstance(Neg(Var("x")), Neg)
+        assert diff(parse("-x"), "x") is Const(-1.0)
 
     def test_equal_texts_parse_to_one_node(self):
         text = "sin(x)*exp(0.3*y) - alpha/(1 + dym^2)"
@@ -601,6 +625,8 @@ def _reference_text(e) -> str:
     """to_text's text, printed anew on every call."""
     if isinstance(e, Const):
         v = e.value
+        if v == 0.0 and math.copysign(1.0, v) < 0.0:
+            return "-0"
         if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
             return str(int(v))
         if math.isinf(v):
@@ -611,7 +637,10 @@ def _reference_text(e) -> str:
     if isinstance(e, Neg):
         return f"(-{_reference_text(e.arg)})"
     if isinstance(e, BinOp):
-        return f"({_reference_text(e.left)} {e.op} {_reference_text(e.right)})"
+        left = _reference_text(e.left)
+        if e.op == "^" and isinstance(e.left, Const) and left[0] == "-":
+            left = f"({left})"
+        return f"({left} {e.op} {_reference_text(e.right)})"
     return f"{e.fn}({_reference_text(e.arg)})"
 
 
@@ -706,6 +735,7 @@ class TestTextOnce:
 
     def test_to_text_of_catalog_and_corpus_trees(self):
         trees = _catalog_trees()
+        assert len(trees) == 318
         for text in _file_expressions() + _random_texts():
             try:
                 trees.append(parse(text))
@@ -716,11 +746,68 @@ class TestTextOnce:
             assert to_text(e) == _reference_text(e)
         for e in trees:  # now every text is kept on its node
             assert to_text(e) == _reference_text(e)
+            assert parse(to_text(e)) is e, to_text(e)
 
     def test_to_text_prints_as_deep_as_one_frame_per_level(self):
         deepest = _deepest_sum(to_text)
         assert deepest == _deepest_sum(_reference_to_text)
         assert deepest > 0.9 * sys.getrecursionlimit()
+
+
+# ---------------------------------------------------------------------------
+# one canonical text per tree: parse(to_text(e)) is e
+
+#: constants of the round-trip trees: signed zeros, infinities, integers,
+#: fractions and literals printed by repr, each with both signs
+_ROUND_TRIP_CONSTANTS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.25,
+                         -7.125, 1e-7, -1e-7, 1e16, -2.5e16, 0.1, -1 / 3,
+                         math.inf, -math.inf]
+
+
+def _random_tree(rng: random.Random, depth: int):
+    """A random tree of at most depth levels over x, y, ym, a parameter
+    and _ROUND_TRIP_CONSTANTS, every node built by its constructor."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        if rng.random() < 0.5:
+            return Const(rng.choice(_ROUND_TRIP_CONSTANTS))
+        return E.symbol(rng.choice(("x", "y", "ym", "a")))
+    if pick < 0.45:
+        return Neg(_random_tree(rng, depth - 1))
+    if pick < 0.55:
+        return Call(rng.choice(E.FUNCTIONS), _random_tree(rng, depth - 1))
+    return BinOp(rng.choice("+-*/^^"), _random_tree(rng, depth - 1),
+                 _random_tree(rng, depth - 1))
+
+
+def _negative_power_base(e) -> bool:
+    if isinstance(e, BinOp):
+        if e.op == "^" and isinstance(e.left, Const) and \
+                math.copysign(1.0, e.left.value) < 0.0:
+            return True
+        return _negative_power_base(e.left) or _negative_power_base(e.right)
+    if isinstance(e, (Neg, Call)):
+        return _negative_power_base(e.arg)
+    return False
+
+
+class TestOneTextPerTree:
+    def test_every_tree_reads_back_as_itself(self):
+        rng = random.Random(20190118)
+        seen = Counter()
+        for _ in range(10_000):
+            e = parse(to_text(_random_tree(rng, 4)))
+            for tree in (e, simplify(e), diff(e, "x"), diff(e, "y")):
+                text = to_text(tree)
+                assert parse(text) is tree, text
+                seen["negative base of ^"] += _negative_power_base(tree)
+                seen["-0"] += re.search(r"-0(?![\d.])", text) is not None
+                seen["1e999"] += "1e999" in text
+                seen["nan"] += "nan" in text
+        # the trees hold every case of a signed constant, and no NaN
+        assert seen["nan"] == 0
+        assert all(seen[k] > 100
+                   for k in ("negative base of ^", "-0", "1e999"))
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,29 @@ class TestCanonicalLinearType:
             cl.to_linear()
 
 
+#: every linear system the tests of this module build
+_LINEAR_CASES = {
+    "delayed-position": delayed_position_system,
+    "delayed-position-inhomogeneous": lambda: delayed_position_system(b="1"),
+    **{f"canonical{q}": lambda q=q: CanonicalLinear(*q).to_linear()
+       for q in [(1.0, 0.2, 0.3, 1.0), (0.0, 0.1, 1.0, 1.0),
+                 (0.7, -0.3, 0.4, 0.6), (-0.45, 0.8, -0.9, 0.35)]},
+    "a1-feeds-eta": lambda: _linear("0.4", "1", "0", "0.3", "x-1", (0.0, 3.0)),
+    "constant-a1-K2": lambda: _linear("0.4", "0", "0", "0.3", "x-1",
+                                      (0.0, 4.0)),
+    "varying-K-proportional": lambda: _linear(
+        "0", "1/x", "0.3/x^2", "0.2/x^2", "0.5*x", (1.0, 3.0)),
+    "variable-a2": lambda: _linear("0", "1/x^2", "0", "0", "0.5*x",
+                                   (1.0, 3.0)),
+    "exp-a4": lambda: _linear("0", "0", "0", "exp(x)", "x-1", (0.0, 3.0)),
+    **{f"constant-a1{q}": lambda q=q: LinearDods(
+        a1=Const(q[0]), a2=Const(0.0), a3=Const(0.0), a4=Const(q[1]),
+        b=Const(0.0), g=E.X - Const(q[2]), domain=(0.0, 4.0))
+       for q in [(0.4, 0.3, 1.0), (-0.7, 0.5, 0.8), (1.1, -0.4, 0.5),
+                 (0.0, 0.9, 1.0)]},
+}
+
+
 class TestFileFormat:
     def test_round_trip(self):
         L = LinearDods(a1=parse("0.4"), a2=parse("1"), a3=parse("0"),
@@ -399,7 +422,16 @@ class TestFileFormat:
                        domain=(0.0, 3.0), params={"c": 2.0})
         text = dump_linear(L)
         again = load_linear(text)
-        assert E.to_text(again.a4) == E.to_text(L.a4)
+        assert again.a4 is L.a4
+        assert again.domain == L.domain
+        assert again.params == L.params
+
+    @pytest.mark.parametrize("name", list(_LINEAR_CASES))
+    def test_round_trip_gives_the_same_nodes(self, name):
+        L = _LINEAR_CASES[name]()
+        again = load_linear(dump_linear(L))
+        for key in ("a1", "a2", "a3", "a4", "b", "g"):
+            assert getattr(again, key) is getattr(L, key), key
         assert again.domain == L.domain
         assert again.params == L.params
 
