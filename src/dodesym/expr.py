@@ -693,10 +693,10 @@ def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities and like-term collection.
 
     Value-preserving up to removable singularities (0*u and 0/u fold to 0).
-    A fold whose value would be NaN (inf*0, inf - inf, inf/inf) is left
-    unmade, and the unfolded node evaluates to the same NaN: simplify makes
-    no NaN constant.  The result is cached on e, so each node is
-    simplified once.
+    A fold whose value would be NaN (inf*0, inf - inf, inf/inf), or a sum
+    whose collected constant or coefficients are not finite (1e308*x +
+    1e308*x overflows), is left unmade: the unfolded node evaluates to the
+    same value.  The result is cached on e, so each node is simplified once.
     """
     s = e._simple
     if s is None:
@@ -833,8 +833,8 @@ def _collect_sum(e: Expr) -> Expr:
             const_part += coeff
             continue
         buckets[key] = buckets[key] + coeff if key in buckets else coeff
-    if math.isnan(const_part) or any(map(math.isnan, buckets.values())):
-        # inf - inf: the sum of its two operands, each simplified, instead
+    if not all(map(math.isfinite, (const_part, *buckets.values()))):
+        # inf - inf or an overflow: the two operands, each simplified
         return BinOp(e.op, simplify(e.left), simplify(e.right))
     parts: list[Expr] = []
     for key, coeff in buckets.items():

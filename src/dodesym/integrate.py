@@ -18,14 +18,14 @@ point is placed and read once (Bellen & Zennaro, Numerical Methods for
 Delay Differential Equations, OUP 2003, on planning the method of
 steps).  Stages 2 and 3 share their time and so their point, and stage
 1 shares the previous step's stage-4 point unless that one was read at
-the newest node it rounded past.  solve runs them in a generated
-stepper, one per shape of f, that evaluates f's own statements at the
-four stages inline.  A state-dependent delay runs the per-stage driver
-solve_numeric, which resolves the point of every stage and calls f; for
-the planned delays it is the reference that the stepper reproduces bit
-for bit.  The platoon of the traffic module is built from the same
-pieces: one loop takes all its cars through each step of the constant
-delay, placing each delayed point once for all of them.
+the newest node it rounded past.  A state-dependent delay places a
+point at every stage.  solve runs every kind in a generated stepper, one
+per shape of f and delay code, that evaluates f's own statements at the
+four stages inline; it reproduces the per-stage reference solve_numeric,
+which no library code calls, bit for bit.  The platoon of the traffic
+module is built from the same pieces: one loop takes all its cars
+through each step of the constant delay, placing each delayed point once
+for all of them.
 """
 
 from __future__ import annotations
@@ -318,9 +318,10 @@ def _real_roots(fn, dfn, lo: float, hi: float, cells: int, zero: float = 0.0):
 
 # How a driver finds the delayed point xm at each stage: the resolve of
 # each class below returns (xm, g evaluations spent, 1 if it fell back to
-# the bracket scan else 0).  The two planned delays, whose xm depends on
-# the stage time alone, also give the stepper their xm as code: `xm`
-# reads the stage time `_a0` and the value `at` is passed as `delay`.
+# the bracket scan else 0).  Each also gives the stepper its xm as code:
+# `xm` reads the stage's (x, y, dy) as (_a0, _a1, _a4) and, as `delay`,
+# at(traj, x_end) of a solve of traj to x_end: a planned delay's tau or
+# g, whose xm depends on the stage time alone, or the solve's _resolver.
 
 
 class _ConstantDelay:
@@ -329,20 +330,44 @@ class _ConstantDelay:
     def __init__(self, tau: float):
         if tau <= 0:
             raise DelayViolationError(f"constant delay must be positive, got {tau:g}")
-        self.tau = self.at = tau
+        self.tau = tau
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
         return x - self.tau, 0, 0
+
+    def at(self, traj, x_end):
+        return self.tau
 
 
 class _IndependentDelay:
     xm = "delay(_a0)"
 
     def __init__(self, g_of_x):
-        self.g = self.at = g_of_x
+        self.g = g_of_x
 
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
         return self.g(x), 0, 0
+
+    def at(self, traj, x_end):
+        return self.g
+
+
+def _resolver(delay, traj: Trajectory, x_end: float):
+    """xm(x, y, dy) at the stages of a solve of traj to x_end: delay's
+    resolve on traj.interpolate, warm-started from the previous stage's xm,
+    its g evaluations and fallbacks added to traj's counters."""
+    xs, lookup, hist_lo = traj.xs, traj.interpolate, traj.history.interval[0]
+    prev_xm = xs[0] - min(1.0, x_end - xs[0])
+
+    def resolve(x: float, y: float, dy: float) -> float:
+        nonlocal prev_xm
+        prev_xm, iters, fell_back = delay.resolve(x, y, dy, lookup, prev_xm,
+                                                  hist_lo, xs[-1])
+        traj.n_delay_iterations += iters
+        traj.n_fixed_point_fallbacks += fell_back
+        return prev_xm
+
+    return resolve
 
 
 #: the failure of a state-dependent delay that has no admissible xm
@@ -375,6 +400,8 @@ class _StateDelay:
     pick the one nearest the previous step's xm and are reported in
     warnings.
     """
+
+    xm, at = "delay(_a0, _a1, _a4)", _resolver
 
     def __init__(self, g_full, warn):
         self.g = g_full
@@ -440,6 +467,8 @@ class _ExplicitStateDelay:
     the delay fails with the FixedPointError that _StateDelay's bracket
     scan raises for such a g.
     """
+
+    xm, at = _StateDelay.xm, _resolver
 
     def __init__(self, g_full):
         self.g = g_full
@@ -547,25 +576,21 @@ def solve(
     breakpoint by construction; continuity of the second derivative at the
     start is neither required nor expected.
 
-    A constant or solution-independent delay runs the stepper of f's shape
-    (_stepper), and a state-dependent one the per-stage driver
-    solve_numeric.  On a planned delay the two give the same trajectory,
-    counters and failures.
+    Every delay kind runs the one stepper of f's shape and the delay's
+    code (_stepper).  It gives the trajectory, counters, warnings and
+    failures of the per-stage reference solve_numeric bit for bit.
     """
     f_fn = compile_fn(system.f, _F_ARGS, system.params)
     warnings: list[str] = []
     delay = _delay_spec(system, warnings.append)
-    if isinstance(delay, (_ConstantDelay, _IndependentDelay)):
-        # a kernel that a wrapper of compile_fn returns has no _made
-        make, args = getattr(f_fn, "_made", None) or _point_kernel(
-            system.f, _F_ARGS, system.params)._made
-        traj, steps = _start(delay, phi, dy0, x_end, h)
-        _stepper(make, delay.xm)(*args)(
-            steps, traj.xs, traj.ys, traj.dys, delay.at, phi.value,
-            phi.interval[0] - 1e-12)
-        traj.n_rhs_evals = 4 * (len(traj.xs) - 1)
-    else:
-        traj = solve_numeric(f_fn, delay, phi, dy0, x_end, h)
+    # a kernel that a wrapper of compile_fn returns has no _made
+    make, args = getattr(f_fn, "_made", None) or _point_kernel(
+        system.f, _F_ARGS, system.params)._made
+    traj, steps = _start(delay, phi, dy0, x_end, h)
+    _stepper(make, delay.xm)(*args)(
+        steps, traj.xs, traj.ys, traj.dys, delay.at(traj, x_end), phi.value,
+        phi.interval[0] - 1e-12)
+    traj.n_rhs_evals = 4 * (len(traj.xs) - 1)
     traj.warnings = warnings
     return traj
 
@@ -613,30 +638,22 @@ def solve_numeric(
     x_end: float,
     h: float,
 ) -> Trajectory:
-    """The per-stage driver over a numeric right-hand side f(x, y, xm, ym,
-    dy, dym).
+    """The per-stage reference driver over a numeric right-hand side f(x,
+    y, xm, ym, dy, dym), which solve's stepper reproduces bit for bit.
 
-    delay locates xm at each of the four RK4 stages: _delay_spec(system,
-    warn) for a system's delay relation, or _ConstantDelay(tau).  The stage
-    reads (ym, dym) at xm through Trajectory.interpolate and calls f_eval.
-    solve runs it for a state-dependent delay; for a planned one it is the
-    reference that the stepper reproduces bit for bit.
+    delay, _delay_spec(system, warn) or _ConstantDelay(tau), locates xm at
+    each of the four RK4 stages through a _resolver; the stage reads (ym,
+    dym) there through Trajectory.interpolate and calls f_eval.  No
+    library code calls it; the benchmark's tracing patches it by name.
     """
     traj, steps = _start(delay, phi, dy0, x_end, h)
     xs, ys, dys = traj.xs, traj.ys, traj.dys
-    hist_lo = phi.interval[0]
-    prev_xm = xs[0] - min(1.0, x_end - xs[0])
-    n_iter = fallbacks = 0
+    locate = _resolver(delay, traj, x_end)
 
     def rhs(x: float, y: float, dy: float) -> float:
-        nonlocal prev_xm, n_iter, fallbacks
-        xm, iters, fell_back = delay.resolve(x, y, dy, traj.interpolate,
-                                             prev_xm, hist_lo, xs[-1])
-        n_iter += iters
-        fallbacks += fell_back
+        xm = locate(x, y, dy)
         if xm >= x:
             raise _violation(xm, x)
-        prev_xm = xm
         ym, dym = traj.interpolate(xm)
         try:
             return f_eval(x, y, xm, ym, dy, dym)
@@ -660,22 +677,20 @@ def solve_numeric(
         xs.append(xe)
         ys.append(y)
         dys.append(dy)
-    traj.n_fixed_point_fallbacks = fallbacks
     traj.n_rhs_evals = 4 * (len(xs) - 1)
-    traj.n_delay_iterations = n_iter
     return traj
 
 
 # -- the stepper ---------------------------------------------------------------
 #
-# For a delay whose point depends on the stage time alone, solve runs one
-# generated loop per shape of f: its RK4 steps read each delayed point
-# with _hermite's arithmetic and evaluate f's statements, as
+# For every delay kind, solve runs one generated loop per shape of f and
+# code of the delay: its RK4 steps read each delayed point with
+# _hermite's arithmetic and evaluate f's statements, as
 # expr._generate emits them for f's point kernel, at the four stages
 # inline.  It reads the variables of f's kernel: the stage (x, y, xm, ym,
 # dy, dym) is (_a0, ..., _a5), and the cells are the kernel's own.  The
 # loop is assembled from pieces: _rk4_source is the step, with its stage
-# times and its shared points, and _read_point places a point once and
+# times and any shared points, and _read_point places a point once and
 # reads any number of solutions on one grid there.  The platoon of the
 # traffic module (traffic._lockstep) takes all its cars through each
 # step of one such loop: every car reads itself at the point placed for
@@ -791,14 +806,15 @@ def _rk4_source(head: str, args: str, solutions, place, stage) -> str:
     appending each step's end to grid, for every solution whose names end
     in a suffix i of solutions: it starts from the last (y, dy) of the
     lists ys<i> and dys<i>, sets k1<i> to k4<i> in the stages and appends
-    each step's (y, dy) to the lists.  In each step, place(done) gives the
-    lines that read the delayed point of stage time _a0 after done stages
-    of the step, and stage(k) the lines of RK4 stage k (_STAGES).  Stages
+    each step's (y, dy) to the lists.  In each step, stage(k) gives the
+    lines of RK4 stage k (_STAGES), and place(done) the lines that read the
+    delayed point of stage time _a0 after done stages of the step.  Stages
     2 and 3 share their point, and stage 1 keeps the previous step's
     stage-4 point unless that one lies past the newest node it was read
-    at.  solve's stepper (_stepper_source) steps one solution; the
-    platoon's (traffic._lockstep) steps each of its cars, stage by stage,
-    in every step, and returns at the first car that collapses or fails.
+    at; where place is None, each stage places its own point instead.
+    solve's stepper (_stepper_source) steps one solution; the platoon's
+    (traffic._lockstep) steps each of its cars, stage by stage, in every
+    step, and returns at the first car that collapses or fails.
     """
     start, finish = [], []
     for i in solutions:
@@ -810,20 +826,19 @@ def _rk4_source(head: str, args: str, solutions, place, stage) -> str:
             f" + k4{i}) / 6.0",
             f"ys{i}.append(y{i})",
             f"dys{i}.append(dy{i})"]
+    shared = place is not None
     loop = [
         "half = 0.5 * step",
         "newest = grid[-1]",
         "_a0 = x",
-        "if not keep:",
-        *_indent(place(0), 4),
+        *(["if not keep:", *_indent(place(0), 4)] if shared else []),
         *stage(1),
         "_a0 = x + half",
-        *place(1),
+        *(place(1) if shared else []),
         *stage(2),
         *stage(3),
         "_a0 = x + step",
-        *place(3),
-        "keep = _a2 <= newest",
+        *([*place(3), "keep = _a2 <= newest"] if shared else []),
         *stage(4),
         *finish,
         "grid.append(_a0)",
@@ -833,7 +848,7 @@ def _rk4_source(head: str, args: str, solutions, place, stage) -> str:
         f"    def _run(steps, grid, {args}):",
         "        x0 = grid[0]",
         *_indent(start, 8),
-        "        keep = False",
+        *(["        keep = False"] if shared else []),
         "        for x, step in steps:",
         *_indent(loop, 12),
         "    return _run",
@@ -846,19 +861,21 @@ def _stepper_source(head: str, evaluate, xm: str) -> str:
     arguments head and returns the loop `_run(steps, grid, ys, dys, delay,
     phi_value, lo)` of _rk4_source for one solution.
 
-    delay is the delay's `at`, phi_value the history's value and lo the
-    lowest point the history covers, less 1e-12.  A delayed point off the
-    grid is read from phi_value in the history, and as _outside reads it
-    otherwise.  A failure to read a point, the delay's own DomainError
-    included, carries the evaluations of f made before it in the step as
-    n_rhs_evals.  evaluate(stage) gives the lines that set k<stage> to the
-    right-hand side at the stage, whose (x, y, xm, ym, dy, dym) is (_a0,
-    ..., _a5).
+    delay is the spec's `at`, phi_value the history's value and lo the
+    lowest point the history covers, less 1e-12.  A code xm that reads the
+    stage's y or dy (_a1, _a4) is placed at each stage once they are set.
+    A delayed point off the grid is read from phi_value in the history,
+    and as _outside reads it otherwise.  A failure to read a point, the
+    delay's own included, carries the evaluations of f made before it in
+    the step as n_rhs_evals.  evaluate(stage) gives the lines that set
+    k<stage> to the right-hand side at the stage, whose (x, y, xm, ym, dy,
+    dym) is (_a0, ..., _a5).
     """
     off_grid = ["_a3, _a5 = phi_value(_a2) if lo <= _a2 < x0 else _outside(",
                 "    _a0, _a2, x0, newest, lo, phi_value, ys, dys)"]
-    # the right-hand side may not read the stage's y
-    reads_y = any("_a1" in line for line in evaluate(1))
+    per_stage = "_a1" in xm or "_a4" in xm
+    # neither the right-hand side nor the delay may read the stage's y
+    reads_y = "_a1" in xm or any("_a1" in line for line in evaluate(1))
 
     def place(done):
         return ["try:",
@@ -872,10 +889,11 @@ def _stepper_source(head: str, evaluate, xm: str) -> str:
         y, dy, code = (text and text.format(i="") for text in _STAGES[k])
         return [*([f"_a1 = {y}"] if reads_y else []),
                 f"_a4 = {dy}" if code is None else f"_a4 = {dy} = {code}",
+                *(place(k - 1) if per_stage else []),
                 *evaluate(k)]
 
-    return _rk4_source(head, "ys, dys, delay, phi_value, lo", [""], place,
-                       stage)
+    return _rk4_source(head, "ys, dys, delay, phi_value, lo", [""],
+                       None if per_stage else place, stage)
 
 
 #: the names every stepper's text is run with

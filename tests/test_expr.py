@@ -406,6 +406,23 @@ class TestSimplify:
         with pytest.raises(DomainError, match="non-finite result"):
             evaluate(s, {})
 
+    @pytest.mark.parametrize("text, left, want", [
+        # the collected coefficient 2e308 overflows at every x
+        ("1e308*x + 1e308*x", "((1e+308 * x) + (1e+308 * x))", 1e308),
+        # and stays infinite when a third term takes one back off
+        ("x*1e308 + x*1e308 - x*1e308",
+         "(((x * 1e+308) + (x * 1e+308)) - (x * 1e+308))", 5e307),
+    ])
+    def test_a_sum_whose_collection_overflows_is_left_unmade(self, text,
+                                                             left, want):
+        e = parse(text)
+        s = simplify(e)
+        assert to_text(s) == left and parse(left) is s
+        assert evaluate(s, {"x": 0.5}) == evaluate(e, {"x": 0.5}) == want
+        assert compile_fn(s, ("x",))(0.5) == want
+        with pytest.raises(DomainError, match="non-finite result"):
+            evaluate(s, {"x": 1.0})
+
 
 def _random_bindings(rng_vals, names):
     return dict(zip(names, rng_vals))

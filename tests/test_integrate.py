@@ -836,7 +836,8 @@ def _run(per_stage, system, phi, hist, dy0, x_end, h, f_eval=None):
         warnings = []
         traj = solve_numeric(
             f_eval or E.compile_fn(system.f, F_ARGS, system.params),
-            _delay_spec(system, warnings.append), history, dy0, x_end, h)
+            integrate._delay_spec(system, warnings.append), history, dy0,
+            x_end, h)
     else:
         traj = solve(system, history, dy0, x_end, h)
         warnings = traj.warnings
@@ -860,7 +861,7 @@ PLANNED_CASES = {
     "pantograph-on-nodes": ("0.5*x", (0.5, 1.0), 3.0, 0.25),
     "pantograph-0.8": ("0.8*x", (0.8, 1.0), 1.6, 0.03),
     "independent-sin": ("x - 1 - 0.2*sin(x)", (-1.0, 0.0), 2.5, 0.02),
-    # the unplanned kind runs in the same loop
+    # the unplanned kind runs in the same loop, placing a point per stage
     "state": ("x - 1 - 0.1*sin(y)", (-1.3, 0.0), 2.0, 0.02),
 }
 
@@ -953,11 +954,17 @@ class TestStepperShapes:
         sources = []
         monkeypatch.setattr(integrate, "exec", lambda src, ns: (
             sources.append(src), exec(src, ns)), raising=False)
-        for g in ("x - 1", "x - 1 - 0.2*sin(x)", "x - 0.5"):
+        for g in ("x - 1", "x - 1 - 0.2*sin(x)", "x - 0.5",
+                  "x - 1 - 0.1*sin(y)", "x - 1 - 0.1*ym"):
             solve(DodsSystem(f=parse("-ym"), g=parse(g)), ramp_history(),
                   0.0, 1.0, 0.1)
-        assert [src.count("_a2 = _a0 - delay") for src in sources] == [3, 0]
+        # the two state specs share one stepper, which places a point at
+        # each of the four stages and keeps none
+        assert [src.count("_a2 = _a0 - delay") for src in sources] == [3, 0,
+                                                                       0]
         assert sources[1].count("_a2 = delay(_a0)") == 3
+        assert sources[2].count("_a2 = delay(_a0, _a1, _a4)") == 4
+        assert "keep" in sources[0] and "keep" not in sources[2]
 
     def test_undefined_f_names_its_params(self):
         # f is undefined past x = 1.234: the stepper's rejection names f
@@ -1071,3 +1078,118 @@ class TestReadCounts:
         traj = solve(system, HistoryFunction.from_text("1 + x", hist), 0.0,
                      3.0, 0.01)
         assert traj.n_rhs_evals == 4 * (len(traj.xs) - 1)
+
+
+# ---------------------------------------------------------------------------
+# state-dependent delays in the stepper against the per-stage driver
+
+
+def _outcome_of(per_stage, f, g, phi, hist, dy0, x_end, h):
+    """_run of the case, or its _failure where it fails."""
+    try:
+        return _run(per_stage, DodsSystem(f=parse(f), g=parse(g)), phi, hist,
+                    dy0, x_end, h)
+    except Exception:
+        return _failure(per_stage, f, g, phi, hist, dy0, x_end, h)
+
+
+#: (f, g, phi, history interval, dy0, x_end, h) of state-dependent delays
+STATE_CASES = {
+    **{name: (f, g, phi, hist, "from-phi", x_end, h)
+       for name, (f, g, phi, hist, x_end, h) in EXPLICIT_CASES.items()},
+    "implicit-ym": ("-0.7*ym + 0.2*dym", "x - 1 - 0.1*sin(ym)",
+                    "0.4 + 0.3*sin(x)", (-1.3, 0.0), "from-phi", 3.0, 0.02),
+    "implicit-dym": ("-0.7*ym + 0.2*dym", "x - 1 - 0.3*dym",
+                     "0.4 + 0.3*sin(x)", (-1.3, 0.0), "from-phi", 3.0, 0.02),
+    # the secant fails at two stages, where the scan finds five roots
+    "bracket-scan": ("-ym", "x - 0.6 - 0.5*sin(6*ym)", "sin(3*x)",
+                     (-2.0, 0.0), "from-phi", 1.5, 0.05),
+    "implicit-no-root": ("-0.7*ym", "x + 0.5 + 0.1*sin(ym)",
+                         "0.4 + 0.3*sin(x)", (-1.3, 0.0), "from-phi", 3.0,
+                         0.02),
+    "implicit-no-root-later": ("-0.7*ym + 0.2*dym",
+                               "x - 1 + 2*exp(-50*(x - 1.5)^2)"
+                               " + 0.01*sin(ym)", "0.4 + 0.3*sin(x)",
+                               (-1.3, 0.0), "from-phi", 3.0, 0.02),
+}
+
+
+#: the STATE_CASES that fail with a FixedPointError, and the f evaluations
+#: made before
+NO_ROOT = {"g-ahead-at-the-start": 0, "g-ahead-later": 55,
+           "below-the-history": 0, "g-undefined": 0, "g-undefined-later": 59,
+           "implicit-no-root": 0, "implicit-no-root-later": 277}
+
+
+class _Unchecked(_ExplicitStateDelay):
+    """xm = g(x, y, dy) outside the bracket too: a delay whose point the
+    solve itself must refuse, ahead of its stage or below the history."""
+
+    def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
+        return self.g(x, y, 0.0, dy, 0.0), 1, 0
+
+
+class TestStateDelayParity:
+    @pytest.mark.parametrize("name", list(STATE_CASES))
+    def test_matches_the_per_stage_driver(self, name):
+        got = _outcome_of(False, *STATE_CASES[name])
+        assert got == _outcome_of(True, *STATE_CASES[name])
+        assert (got[0] == "FixedPointError") == (name in NO_ROOT)
+
+    def test_the_bracket_scan_falls_back_twice(self):
+        _, n_f, n_g, fallbacks, warnings = _outcome_of(
+            False, *STATE_CASES["bracket-scan"])
+        assert (n_f, fallbacks) == (120, 2)
+        assert n_g > n_f
+        assert warnings == 2 * ["state-dependent delay has 5 candidate roots;"
+                                " taking the one nearest the previous"
+                                " delayed point"]
+
+    @pytest.mark.parametrize("name", list(NO_ROOT))
+    def test_no_root_fails_at_its_stage(self, name):
+        assert _outcome_of(False, *STATE_CASES[name]) == (
+            "FixedPointError", "state-dependent delay: no root of xm - g"
+            " located in the admissible bracket", NO_ROOT[name])
+
+    @pytest.mark.parametrize("g,failure", [
+        # xm passes stage 4 of the 14th step, at x = 1.4
+        ("x - 1 + 2*exp(-50*(x - 1.5)^2) + 0.01*sin(y)",
+         ("DelayViolationError", "delay relation puts the delayed point at"
+          " 1.6133 >= x = 1.4", 55)),
+        # xm leaves the history at stage 2 of the 15th step, at x = 1.45
+        ("x - 1 - 2*exp(-50*(x - 1.5)^2) + 0.01*sin(y)",
+         ("HistoryUnderrunError", "-1.31549 is below the covered range",
+          57)),
+    ])
+    def test_an_unchecked_point_fails_at_its_stage(self, g, failure,
+                                                   monkeypatch):
+        monkeypatch.setattr(integrate, "_delay_spec", lambda system, warn:
+                            _Unchecked(E.compile_fn(system.g, FREE_COORDS,
+                                                    system.params)))
+        case = ("-ym", g, "1", (-1.0, 0.0), 0.0, 2.0, 0.1)
+        assert _failure(False, *case) == _failure(True, *case) == failure
+
+    def test_solve_runs_no_per_stage_driver(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve_numeric called")
+
+        monkeypatch.setattr(integrate, "solve_numeric", refuse)
+        for g, kind in (("x - 1", DelayKind.CONSTANT),
+                        ("x - 1 - 0.2*sin(x)", DelayKind.SOLUTION_INDEPENDENT),
+                        ("x - 1 - 0.1*sin(y)", DelayKind.STATE_DEPENDENT),
+                        ("x - 1 - 0.1*ym", DelayKind.STATE_DEPENDENT)):
+            system = DodsSystem(f=parse("-ym"), g=parse(g))
+            assert system.delay_kind is kind
+            traj = solve(system, ramp_history(), 0.0, 2.0, 0.1)
+            assert traj.n_rhs_evals == 80
+        # solve takes no branch on the delay kind, and no module of the
+        # library calls the per-stage driver
+        names = set(solve.__code__.co_names)
+        assert not names & {"isinstance", "_ConstantDelay",
+                            "_IndependentDelay", "_StateDelay",
+                            "_ExplicitStateDelay", "solve_numeric"}
+        package = Path(integrate.__file__).parent
+        for module in package.glob("*.py"):
+            text = module.read_text()
+            assert text.count("solve_numeric(") == text.count(
+                "def solve_numeric("), module.name
