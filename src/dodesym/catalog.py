@@ -16,6 +16,7 @@ car-following example systems.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .dods import (DelayKind, DodsSystem, SamplingError, _delay_kind,
-                   _expression, _numbers, check_algebra)
+from .dods import (FREE_COORDS, DelayKind, DodsSystem, SamplingError,
+                   _delay_kind, _expression, _numbers, check_algebra)
 from .expr import (Const, Expr, Param, compile_columns, free_symbols, parse,
                    subs, to_text)
 from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel,
@@ -782,6 +783,20 @@ _EXPRESSION_KEYS = {
 }
 
 
+def _box_line(coord: str, value: str, lineno: int):
+    """The coordinate and (lo, hi) of a `box <coord> = lo,hi` line: a free
+    coordinate, and bounds lo < hi whose width, so each bound, is finite,
+    as the sampler needs."""
+    if coord not in FREE_COORDS:
+        raise CatalogError(f"line {lineno}: box coordinate must be one of"
+                           f" {', '.join(FREE_COORDS)}, got '{coord}'")
+    lo, hi = _numbers(value, lineno, CatalogError, count=2)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise CatalogError(f"line {lineno}: box bounds must be finite with"
+                           f" lo < hi and a finite width, got '{value}'")
+    return coord, (lo, hi)
+
+
 def parse_catalog_text(text: str) -> list[CatalogEntry]:
     """Rebuild entry structures from export_text output."""
     entries: list[CatalogEntry] = []
@@ -832,8 +847,8 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
             rule, _, description = value.partition("::")
             current["constraints"].append((rule.strip(), description.strip()))
         elif key.startswith("box "):
-            current["box"][key[len("box "):].strip()] = _numbers(
-                value, lineno, CatalogError, count=2)
+            coord, bounds = _box_line(key[len("box "):].strip(), value, lineno)
+            current["box"][coord] = bounds
         elif key == "delay":
             current["delay_kind"] = _delay_kind(value, lineno, CatalogError)
         else:

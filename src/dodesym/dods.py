@@ -13,6 +13,10 @@ Sampling is column-wise: a block of rows is drawn at once and every
 expression is evaluated over it by column functions, whose rows hold
 exactly what `compile_fn` returns point by point, so a seeded check gives
 the same verdict, maxima and worst point as a loop over single points.
+A block is drawn in one pass, lo + (hi - lo) u as numpy's uniform draws
+it, and put on the manifold without a copy of its rows unless some are
+rejected; a block after the first is sized by the acceptance rate seen so
+far, and the rows it draws after the n-th accepted one count nowhere.
 Each row's value depends on that row alone, so `check_algebra` puts the
 first blocks of as many fields as fit in one kernel call on the manifold
 in that call and then checks them field by field; `check_invariance` is
@@ -202,42 +206,68 @@ _I_XM, _I_YM, _I_DYM, _I_DDY = (
 # _BLOCK_ROWS (from symmetry) bounds every kernel call here too.  Each
 # call pays a fixed cost of a few dozen numpy calls, so a check of up to
 # 4096 rows draws one block per field, plus tail blocks for rejected
-# rows, and check_algebra puts the first blocks of
-# _BLOCK_ROWS // min(n, _BLOCK_ROWS) fields on the manifold in one call.
-# Work arrays hold one 32 kB column per kernel node, so a call peaks at
-# about 2-3 MB on the traffic systems, A6_3 and A3_11 (5.3 MB on H3_DET,
-# measured by tracemalloc) however large n is.  A group's first blocks,
-# at most _BLOCK_ROWS rows, stay alive until its last field has been
-# checked.
+# rows, sized by the acceptance rate so far, and check_algebra puts the
+# first blocks of _BLOCK_ROWS // min(n, _BLOCK_ROWS) fields on the
+# manifold in one call.  Work arrays hold one 32 kB column per kernel
+# node, and a block's rows are copied only where some are rejected, so a
+# check of 4096 rows peaks at 1.3-1.9 MB on the traffic systems, 2.6-2.7
+# MB on A6_3 and A3_11 and 5.3 MB on H3_DET (tracemalloc).  A group's
+# first blocks, at most _BLOCK_ROWS rows, stay alive until its last field
+# has been checked, so a larger n, which works on a tail block meanwhile,
+# peaks at most 1.8 MB higher on these, however large n is.
 
 
 def _draw(rng, box, m) -> np.ndarray:
     """m points of the free coordinates as columns, shape (5, m) in
-    FREE_COORDS order, drawn exactly as m calls of sample_point draw."""
-    lo, hi = zip(*(box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
-    return rng.uniform(lo, hi, size=(m, 5)).T
+    FREE_COORDS order, drawn exactly as m calls of sample_point draw:
+    lo + (hi - lo) u over one standard uniform u per value, numpy's own
+    uniform formula.  A box whose width is not finite raises
+    OverflowError, and one whose width is negative ValueError, as uniform
+    does."""
+    lo, hi = np.array([box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS]).T
+    width = hi - lo
+    if not np.isfinite(width).all():
+        raise OverflowError("Range exceeds valid bounds")
+    if (width < 0.0).any():
+        raise ValueError("high - low < 0")
+    u = rng.random((m, 5))
+    u *= width
+    u += lo
+    return u.T
 
 
 def _on_manifold(free: np.ndarray, kernels) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
+                                                     list[np.ndarray]]:
     """Put drawn points of the free coordinates on the manifold.
 
     xm := g and ddy := f (f evaluated at ddy = 0, which neither f nor its
     partials read).  A row is kept where both are defined and xm < x.
     Returns the kept rows as jet columns, shape (7, k) in JET order, their
-    positions among the columns of free, and the partials of f and g at
-    them, shape (14, k) in JET order, f then g.  Each row's values depend
-    on that row alone (the contract of `compile_columns`), so the columns
-    of several blocks give what each block gives by itself.
+    positions among the columns of free, and the 14 partials of f and g at
+    them, columns of k rows in JET order, f then g.  Rows are selected
+    only where some are dropped, so a block that keeps every row copies
+    nothing but the free coordinates into its jet.  Each row's values
+    depend on that row alone (the contract of `compile_columns`), so the
+    columns of several blocks give what each block gives by itself.
     """
-    x, y, ym, dy, dym = free
-    xm = kernels.g(x, y, ym, dy, dym)
-    rows = np.flatnonzero(xm < x)
-    jet = np.stack([x, y, xm, ym, dy, dym, np.zeros(len(x))])[:, rows]
+    x = free[0]
+    xm = kernels.g(*free)
+    below = xm < x
+    rows = np.arange(len(x))
+    if not below.all():
+        rows = np.flatnonzero(below)
+        free, xm = free.take(rows, axis=1), xm.take(rows)
+    jet = np.empty((7, len(rows)))
+    jet[:2], jet[_I_XM], jet[_I_YM:_I_DDY] = free[:2], xm, free[2:]
+    jet[_I_DDY] = 0.0
     f, *partials = kernels.f_partials(*jet)
     jet[_I_DDY] = f
     keep = np.isfinite(f)
-    return jet[:, keep], rows[keep], np.stack(partials)[:, keep]
+    if not keep.all():
+        keep = np.flatnonzero(keep)
+        jet, rows = jet.take(keep, axis=1), rows.take(keep)
+        partials = [p.take(keep) for p in partials]
+    return jet, rows, partials
 
 
 def _sample_manifold(rng, box, m, kernels):
@@ -246,9 +276,11 @@ def _sample_manifold(rng, box, m, kernels):
     return _on_manifold(_draw(rng, box, m), kernels)
 
 
-def _first_blocks(rngs, box, m, kernels) -> list[tuple[np.ndarray, ...]]:
+def _first_blocks(rngs, box, m, kernels) -> list[tuple]:
     """`_sample_manifold(rng, box, m, kernels)` of each generator, in
     order, from one kernel call over the drawn blocks laid end to end."""
+    if len(rngs) == 1:
+        return [_sample_manifold(rngs[0], box, m, kernels)]
     jet, rows, d = _on_manifold(
         np.concatenate([_draw(rng, box, m) for rng in rngs], axis=1), kernels)
     blocks = []
@@ -257,7 +289,7 @@ def _first_blocks(rngs, box, m, kernels) -> list[tuple[np.ndarray, ...]]:
         # kept rows are in draw order; generator i drew [i m, (i + 1) m)
         b = (len(rows) if i == len(rngs) - 1
              else int(np.searchsorted(rows, (i + 1) * m)))
-        blocks.append((jet[:, a:b], rows[a:b] - i * m, d[:, a:b]))
+        blocks.append((jet[:, a:b], rows[a:b] - i * m, [p[a:b] for p in d]))
         a = b
     return blocks
 
@@ -300,7 +332,7 @@ class _SystemKernels(NamedTuple):
     f_partials: Callable[..., tuple[np.ndarray, ...]]
 
 
-def _residuals(coeffs, jet: np.ndarray, d: np.ndarray):
+def _residuals(coeffs, jet: np.ndarray, d):
     """pr X (ddy - f) and pr X (xm - g) at the columns of jet, where d
     holds the partials of f and g there (JET order, f then g), and the
     mask of rows where every coefficient and partial is defined."""
@@ -308,15 +340,12 @@ def _residuals(coeffs, jet: np.ndarray, d: np.ndarray):
     with np.errstate(all="ignore"):
         r_dode = c[_I_DDY] - sum(c[i] * d[i] for i in range(7))
         r_delay = c[_I_XM] - sum(c[i] * d[7 + i] for i in range(7))
+        # a value that is not finite makes a residual, and so the sum of
+        # every residual, not finite; only then is each value checked
+        if math.isfinite(r_dode.sum() + r_delay.sum()):
+            return r_dode, r_delay, np.ones(len(r_dode), dtype=bool)
     ok = np.isfinite(c).all(axis=0) & np.isfinite(d).all(axis=0)
     return r_dode, r_delay, ok
-
-
-def _running_max(start: float, values: np.ndarray) -> tuple[float, np.ndarray]:
-    """The maximum of start and values (a NaN among them makes it NaN),
-    and the mask of values greater than the maximum before them."""
-    run = np.maximum.accumulate(np.concatenate(([start], values)))
-    return float(run[-1]), values > run[:-1]
 
 
 def check_invariance(
@@ -398,35 +427,63 @@ def _check_field(system, kernels, x_field, rng, first, n, tol):
     jet, rows, d = first
     while True:
         r_dode, r_delay, ok = _residuals(coeffs, jet, d)
-        jet, rows = jet[:, ok], rows[ok]
-        # accepted and rejected counts before each row is drawn
-        i = np.arange(m)
-        good_before = good + np.searchsorted(rows, i)
-        bad_before = bad + i - (good_before - good)
-        if np.any((bad_before > n) & (bad_before > good_before)):
-            raise SamplingError(
-                "incompatible sampling domain: more than half the samples hit"
-                " domain errors"
-            )
-        good += len(rows)
-        bad += m - len(rows)
-        a_dode, a_delay = np.abs(r_dode[ok]), np.abs(r_delay[ok])
-        nan_rows = np.isnan(a_dode) | np.isnan(a_delay)
-        # rows after the first NaN residual never become the worst point
-        after_nan = np.logical_or.accumulate(np.concatenate(
-            ([math.isnan(max_dode) or math.isnan(max_delay)], nan_rows)))[:-1]
-        max_dode, raises_dode = _running_max(max_dode, a_dode)
-        max_delay, raises_delay = _running_max(max_delay, a_delay)
-        raises = (raises_dode | raises_delay | nan_rows) & ~after_nan
-        if worst is None and len(rows):
-            raises[0] = True
-        if raises.any():
-            worst = jet[:, np.flatnonzero(raises)[-1]]
+        # the rows taken are the accepted ones up to the n-th accepted row
+        # of the check; the rows drawn after it count nowhere.  cols holds
+        # their columns of jet, or is None where they are the first ones
+        if ok.all():
+            cols = None
+            taken = rows[:n - good]
+            r_dode, r_delay = r_dode[:n - good], r_delay[:n - good]
+        else:
+            cols = np.flatnonzero(ok)[:n - good]
+            taken = rows[cols]
+            r_dode, r_delay = r_dode[cols], r_delay[cols]
+        drawn = int(taken[-1]) + 1 if good + len(taken) == n else m
+        if bad + drawn - len(taken) > n:
+            # accepted and rejected counts before each row is drawn
+            i = np.arange(drawn)
+            good_before = good + np.searchsorted(taken, i)
+            bad_before = bad + i - (good_before - good)
+            if np.any((bad_before > n) & (bad_before > good_before)):
+                raise SamplingError(
+                    "incompatible sampling domain: more than half the samples"
+                    " hit domain errors"
+                )
+        good += len(taken)
+        bad += drawn - len(taken)
+        if len(taken):
+            # the last row that raises a running maximum is the first NaN
+            # residual, after which no row does, else the first row with
+            # the largest residual if that exceeds the maximum before it
+            a_dode, a_delay = np.abs(r_dode), np.abs(r_delay)
+            i_dode, i_delay = int(a_dode.argmax()), int(a_delay.argmax())
+            top_dode, top_delay = float(a_dode[i_dode]), float(a_delay[i_delay])
+            last = -1
+            if not (math.isnan(max_dode) or math.isnan(max_delay)):
+                nans = [i for i, top in ((i_dode, top_dode), (i_delay, top_delay))
+                        if math.isnan(top)]
+                last = min(nans) if nans else max(
+                    i_dode if top_dode > max_dode else -1,
+                    i_delay if top_delay > max_delay else -1)
+            if worst is None and last < 0:
+                last = 0
+            if last >= 0:
+                worst = jet[:, last if cols is None else cols[last]]
+            if top_dode > max_dode or math.isnan(top_dode):
+                max_dode = top_dode
+            if top_delay > max_delay or math.isnan(top_delay):
+                max_delay = top_delay
         if good >= n:
             break
-        # a tail block never holds more rows than are still needed, so
-        # every row drawn is taken, in order
-        m = min(n - good, _BLOCK_ROWS)
+        # enough rows to hold the rest at the acceptance rate so far, with
+        # a margin of four standard deviations of the count that does,
+        # and never more than can be drawn before the abort rule fires
+        need = n - good
+        m = min(_BLOCK_ROWS, 2 * n + 1 - good - bad)
+        if good:
+            rate = good / (good + bad)
+            m = min(m, int((need + 4 * math.sqrt(need * (1 - rate))) / rate)
+                    + 16)
         jet, rows, d = _sample_manifold(rng, system.box, m, kernels)
     return InvarianceReport(
         max_residual_dode=max_dode,

@@ -957,11 +957,17 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
     outs = [code(ref) for ref in roots]
     if columns:
         for k, out in enumerate(outs):
-            # NaN where not finite or a node of the tree failed (readers 0: none)
-            bad = [m for r, m in masks.items() if r >> k & 1] or [
-                masks.setdefault(0, f"_b{len(masks)}")]
-            outs[k] = (f"_where(~_isfinite({out}) | {' | '.join(bad)},"
-                       f" nan, {out})")
+            bad = [m for r, m in masks.items() if r >> k & 1]
+            if bad:
+                # NaN where not finite or a node of the tree failed
+                outs[k] = (f"_where(~_isfinite({out}) | {' | '.join(bad)},"
+                           f" nan, {out})")
+            elif free_symbols(trees[k]) & slots.keys():
+                # + - * and negation of full columns: one full column
+                outs[k] = f"_where(_isfinite({out}), {out}, nan)"
+            else:
+                # a float: a constant, a parameter or arithmetic of them
+                outs[k] = f"_full(_shape, {out} if _finite({out}) else nan)"
         body[:0] = [f"{m} = _mask(_shape)" for m in masks.values()]
         body.append("return " + (outs[0] if isinstance(exprs, Expr)
                                  else f"({''.join(o + ', ' for o in outs)})"))
@@ -1077,6 +1083,12 @@ def _point_kernel(e: Expr, names: tuple[str, ...],
 # The other primitives of _PRIMITIVES are mapped over the rows, because
 # numpy's exp, tan, arctan, log and power can differ from math's by an
 # ulp; a row where one raises is marked too.
+#
+# Each output is a fresh column of the rows' shape (the arguments are
+# broadcast to it), NaN where its value is not finite or a node it reads
+# is marked.  An output that reads no argument and no marked node is one
+# float (a constant, a parameter, or + - * of them), filled into its
+# column once; one that reads arguments but no marked node needs no mask.
 
 _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
@@ -1136,12 +1148,14 @@ _COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
     "_div": _column_div,
     "_where": np.where, "_isfinite": np.isfinite, "nan": math.nan,
     "_mask": functools.partial(np.zeros, dtype=bool),
+    "_full": np.full, "_finite": math.isfinite,
 }
 
 
 def _columns_checked(fn: Callable, *cols):
     cols = [np.asarray(c, dtype=float) for c in cols]
     shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
+    cols = [c if c.shape == shape else np.broadcast_to(c, shape) for c in cols]
     with np.errstate(all="ignore"):
         return fn(shape, *cols)
 

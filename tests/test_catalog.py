@@ -440,6 +440,17 @@ class TestExport:
     @pytest.mark.parametrize("line,message", [
         ("param a = x", "line 3: expected a number, got 'x'"),
         ("box x = 1", "line 3: expected 2 comma-separated numbers, got '1'"),
+        ("box yy = 1.6,2.5", "line 3: box coordinate must be one of x, y,"
+                             " ym, dy, dym, got 'yy'"),
+        ("box y = 1.6,inf", "line 3: box bounds must be finite with lo < hi"
+                            " and a finite width, got '1.6,inf'"),
+        ("box y = nan,2.5", "line 3: box bounds must be finite with lo < hi"
+                            " and a finite width, got 'nan,2.5'"),
+        ("box y = 2.5,1.6", "line 3: box bounds must be finite with lo < hi"
+                            " and a finite width, got '2.5,1.6'"),
+        ("box y = -1e308,1e308", "line 3: box bounds must be finite with"
+                                 " lo < hi and a finite width, got"
+                                 " '-1e308,1e308'"),
         ("delay = bogus", "line 3: delay must be constant, independent or"
                           " state"),
         ("f_template = F +", "line 3: unexpected end of input at offset 4"),

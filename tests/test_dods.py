@@ -346,6 +346,106 @@ class TestColumnwiseMatchesPointLoop:
         assert outcomes == {None, SamplingError}
 
 
+def _every_box():
+    """The default box, and the box of every catalog system and of every
+    traffic example."""
+    boxes = [{}]
+    for entry in catalog.list_entries():
+        if entry.has_system:
+            boxes.append(catalog._build_system(
+                catalog.default_instantiation(entry.id))[1].box)
+    boxes += [traffic.example_system(ex, traffic.example_params(ex)).box
+              for ex in (1, 2, 3)]
+    return boxes
+
+
+class TestDraw:
+    """A block is drawn in one pass, bit for bit as numpy's uniform."""
+
+    def test_equals_uniform_on_every_box(self):
+        boxes = _every_box()
+        assert len(boxes) == 29
+        for box in boxes:
+            lo, hi = zip(*(box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS))
+            for seed in range(1000):
+                m = 1 + seed % 11
+                rng, ref = (np.random.default_rng(seed) for _ in range(2))
+                got = dods._draw(rng, box, m)
+                want = ref.uniform(lo, hi, size=(m, 5)).T
+                assert got.shape == (5, m)
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+                # the next block starts where the next uniform call would
+                assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("bounds,error", [
+        ((-1e308, 1e308), OverflowError), ((0.5, math.inf), OverflowError),
+        ((-math.inf, 1.0), OverflowError), ((math.nan, 2.5), OverflowError),
+        ((2.5, 1.6), ValueError),
+    ])
+    def test_a_box_uniform_refuses_is_refused(self, bounds, error):
+        with pytest.raises(error) as want, np.errstate(over="ignore"):
+            np.random.default_rng(1).uniform(*zip(bounds, bounds), size=(3, 2))
+        system = DodsSystem(f=parse("ym + dym"), g=parse("x - 1"),
+                            box={"y": bounds})
+        with pytest.raises(error) as got, np.errstate(over="ignore"):
+            check_invariance(system, VectorField.from_text("1", "0"), n=10)
+        assert str(got.value) == str(want.value)
+
+
+def _counted_on_manifold(monkeypatch):
+    """The number of rows of each block put on the manifold, in order."""
+    blocks = []
+    on_manifold = dods._on_manifold
+    monkeypatch.setattr(dods, "_on_manifold", lambda free, kernels: (
+        blocks.append(free.shape[1]) or on_manifold(free, kernels)))
+    return blocks
+
+
+class TestTailBlocks:
+    """A tail block is sized by the acceptance rate so far; rows drawn
+    after the n-th accepted one count nowhere."""
+
+    #: f is undefined for y < 1, a quarter of the default box
+    SYSTEM = ("ym*dy^1.5 + sqrt(y - 1)", "x - 1")
+
+    def test_a_quarter_rejected_takes_two_blocks(self, monkeypatch):
+        blocks = _counted_on_manifold(monkeypatch)
+        system = DodsSystem(f=parse(self.SYSTEM[0]), g=parse(self.SYSTEM[1]))
+        fld = VectorField.from_text("x", "y")
+        for seed in range(10):
+            blocks.clear()
+            report = check_invariance(system, fld, n=2000, seed=seed)
+            assert len(blocks) == 2 and blocks[0] == 2000, (seed, blocks)
+            assert 600 < report.n_rejected < 800
+        assert report == reference_check(system, fld, n=2000, seed=9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+    def test_rows_past_the_last_one_needed_count_nowhere(self, n):
+        system = DodsSystem(f=parse(self.SYSTEM[0]), g=parse(self.SYSTEM[1]))
+        fld = VectorField.from_text("x", "y")
+        for seed in range(4):
+            got = check_invariance(system, fld, n=n, seed=seed)
+            assert got == reference_check(system, fld, n=n, seed=seed)
+
+    def test_abort_rule_inside_a_tail_block(self):
+        # half the box is undefined: at n = 200 whether more than half the
+        # draws fail first depends on the seed
+        system = DodsSystem(f=parse("ym + sqrt(y - 1.5)"), g=parse("x - 1"))
+        fld = VectorField.from_text("1", "0")
+        outcomes = set()
+        for seed in range(30):
+            try:
+                want = reference_check(system, fld, n=200, seed=seed)
+            except SamplingError:
+                with pytest.raises(SamplingError, match="incompatible"):
+                    check_invariance(system, fld, n=200, seed=seed)
+                outcomes.add("raised")
+            else:
+                assert check_invariance(system, fld, n=200, seed=seed) == want
+                outcomes.add("report")
+        assert outcomes == {"raised", "report"}
+
+
 class TestRejectedSamples:
     def test_counts_the_rows_rejected_before_n_were_accepted(self):
         system, fields = _rejecting_traffic_system()

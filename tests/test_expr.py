@@ -962,6 +962,38 @@ def test_columns_of_a_constant_broadcast_to_the_rows():
         compile_columns(parse("x + y"), ("x",))
 
 
+@pytest.mark.parametrize("a", [1.5, -0.0, math.inf, -math.inf, math.nan])
+def test_constant_and_parameter_outputs_are_fresh_full_columns(a):
+    trees = [parse("a"), parse("2.5"), parse("a*3 - 1"), parse("-0"),
+             parse("x"), parse("x*a")]
+    xs = np.array([0.5, -1.0, 2.0])
+    for args, rows in (((xs,), 3), ((0.5,), 1)):
+        outs = compile_columns(trees, ("x",), {"a": a})(*args)
+        for out, v in zip(outs, [a, 2.5, a * 3 - 1, -0.0]):
+            want = np.full(rows, v if math.isfinite(v) else math.nan)
+            assert out.tobytes() == want.tobytes() and out.dtype == float
+        for i, out in enumerate(outs):
+            assert out.shape == (rows,) and out.flags.writeable
+            assert not np.shares_memory(out, xs)
+            assert not any(np.shares_memory(out, other)
+                           for other in outs[i + 1:])
+
+
+def test_no_two_outputs_of_a_kernel_share_memory():
+    from dodesym.linear import CanonicalLinear
+    from dodesym.symmetry import JET, VectorField, field_kernel
+
+    # f = a y + b ym + c dym: f and 14 partials, all but f constant
+    system = CanonicalLinear(0.3, 0.2, 0.5, 0.8).to_linear().to_dods()
+    jet = np.random.default_rng(3).uniform(0.5, 2.5, size=(len(JET), 50))
+    outs = [*system.kernels().f_partials(*jet),
+            *field_kernel(VectorField.from_text("1", "y"), system.params)(*jet)]
+    assert len(outs) == 15 + len(JET)
+    for i, out in enumerate(outs):
+        assert out.shape == (50,) and not np.shares_memory(out, jet)
+        assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+
+
 # ---------------------------------------------------------------------------
 # compile_columns: several trees in one function, each output as if alone
 
