@@ -367,8 +367,9 @@ def check_invariance(
     n rejected rows and more rejected than accepted aborts; a row becomes
     the worst point when it is the first or raises either running
     maximum.  A NaN residual on an accepted row makes its maximum NaN, so
-    the report fails, and the first such row stays the worst point.  This
-    is check_algebra of the one field.
+    the report fails, and the first such row stays the worst point.  The
+    other maximum is still taken over all n rows, so each reported bound
+    holds on every sample.  This is check_algebra of the one field.
     """
     return check_algebra(system, [x_field], n=n, seed=seed, tol=tol)[0]
 
@@ -452,9 +453,12 @@ def _check_field(system, kernels, x_field, rng, first, n, tol):
         good += len(taken)
         bad += drawn - len(taken)
         if len(taken):
-            # the last row that raises a running maximum is the first NaN
-            # residual, after which no row does, else the first row with
-            # the largest residual if that exceeds the maximum before it
+            # each maximum is taken over every accepted row, a NaN residual
+            # being the maximum from its row on, so one maximum still rises
+            # after the other turns NaN.  The worst point is the last row
+            # that raises either maximum up to the first NaN residual, that
+            # NaN row included, after which no row moves it; in a block,
+            # the first row with the block's largest residual stands for it
             a_dode, a_delay = np.abs(r_dode), np.abs(r_delay)
             i_dode, i_delay = int(a_dode.argmax()), int(a_delay.argmax())
             top_dode, top_delay = float(a_dode[i_dode]), float(a_delay[i_delay])

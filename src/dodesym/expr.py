@@ -34,7 +34,9 @@ shape table (an LRU of 512 texts, holding no tree), so trees that differ
 only in their constants share one compiled function body and each gets
 its own cells.  Each param a tree reads is a cell as well, filled with
 its value: both calls compile the tree as written and give what compiling
-bind_params(tree, params) gives.
+bind_params(tree, params) gives, but where a parameter exponent is bound
+to 2.0: that stays math.pow, while the constant 2.0 in its place is a
+square, the product u * u (see `_generate`), which can differ by an ulp.
 
 One bounded memo (`_memoized`, `memo_info`) keeps what other modules
 build from trees, keyed by a kind, the interned trees and the names of
@@ -290,6 +292,7 @@ def symbol(name: str) -> Expr:
 X, Y, XM, YM, DY, DYM, DDY, T = (Var(s) for s in VARIABLES[:8])
 ZERO = Const(0.0)
 ONE = Const(1.0)
+TWO = Const(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +493,8 @@ def _sgn(v: float) -> float:
 
 #: The numeric primitives, by the name generated code calls them by: the
 #: grammar's functions plus `pow` for ^.  The constant folds of simplify
-#: call the same table.
+#: call the same table.  A square, ^ with the constant exponent 2.0, is
+#: not in it: the kernels compute it as the product u * u (see _generate).
 _PRIMITIVES: dict[str, Callable[..., float]] = {
     "sin": math.sin,
     "cos": math.cos,
@@ -636,7 +640,7 @@ def _diff(e: Expr, v: str) -> Expr:
             return BinOp("+", BinOp("*", dl, ru), BinOp("*", lu, dr))
         if e.op == "/":
             num = BinOp("-", BinOp("*", dl, ru), BinOp("*", lu, dr))
-            return BinOp("/", num, BinOp("^", ru, Const(2.0)))
+            return BinOp("/", num, BinOp("^", ru, TWO))
         if e.op == "^":
             if isinstance(ru, Const):
                 c = ru.value
@@ -666,15 +670,15 @@ def _diff(e: Expr, v: str) -> Expr:
         elif e.fn == "cos":
             outer = Neg(Call("sin", u))
         elif e.fn == "tan":
-            outer = BinOp("+", ONE, BinOp("^", Call("tan", u), Const(2.0)))
+            outer = BinOp("+", ONE, BinOp("^", Call("tan", u), TWO))
         elif e.fn == "arctan":
-            outer = BinOp("/", ONE, BinOp("+", ONE, BinOp("^", u, Const(2.0))))
+            outer = BinOp("/", ONE, BinOp("+", ONE, BinOp("^", u, TWO)))
         elif e.fn == "exp":
             outer = e
         elif e.fn == "ln":
             outer = BinOp("/", ONE, u)
         elif e.fn == "sqrt":
-            outer = BinOp("/", ONE, BinOp("*", Const(2.0), e))
+            outer = BinOp("/", ONE, BinOp("*", TWO, e))
         elif e.fn == "abs":
             outer = Call("sgn", u)
         elif e.fn == "sgn":
@@ -754,7 +758,13 @@ def _simplify(e: Expr) -> Expr:
                     return l
                 if r.value == 0.0:
                     return ONE
-                if isinstance(l, Const):
+                if r is TWO and isinstance(l, Const):
+                    # the kernels' product (_generate); unmade where it
+                    # is not finite, as the fold of pow is
+                    v = l.value * l.value
+                    if math.isfinite(v):
+                        return Const(v)
+                elif isinstance(l, Const):
                     try:
                         return Const(_checked(_PRIMITIVES["pow"], e,
                                               l.value, r.value))
@@ -889,7 +899,11 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
     `_cN`, numbered in first-read order.  So trees that differ only in
     their constants have one text, whose factory is compiled once
     (`_factory`) and called with their cells, and a tree of parameters is
-    walked once for every set of values (see `_bind`).  A point kernel's
+    walked once for every set of values (see `_bind`).  A square, ^ with
+    the constant exponent 2.0 (not a parameter bound to it), is one node
+    of its own whose exponent is no cell: the correctly rounded product
+    u * u, which fails where math.pow(u, 2.0) raises, on an overflow from
+    a finite u; every other power calls pow.  A point kernel's
     factory keeps its _PointBody as `_body`.  A name the trees read as an
     argument and a parameter both is an ExprError."""
     trees = [exprs] if isinstance(exprs, Expr) else list(exprs)
@@ -920,7 +934,9 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
         ref = number.get(e)
         if ref is not None and readers[ref] >> k & 1:
             return ref  # its subtree is already read by tree k
-        if isinstance(e, BinOp):
+        if isinstance(e, BinOp) and e.op == "^" and e.right is TWO:
+            key = ("_square", walk(e.left, k))
+        elif isinstance(e, BinOp):
             key = (e.op, walk(e.left, k), walk(e.right, k))
         else:
             key = ("neg" if isinstance(e, Neg) else e.fn, walk(e.arg, k))
@@ -947,6 +963,14 @@ def _generate(exprs, arg_names: Iterable[str], columns: bool,
         args = [code(a) for a in args]
         if op == "neg":
             text = f"-{args[0]}"
+        elif op == "_square" and not columns:
+            # math.pow's overflow, raised where the product of a finite
+            # value is not finite
+            (u,) = args
+            body += [f"_t{ref} = {u} * {u}",
+                     f"if _t{ref} == _inf and _isfinite({u}):"
+                     " raise OverflowError('math range error')"]
+            continue
         elif op in "+-*" or (op == "/" and not columns):
             text = f"{args[0]} {op} {args[1]}"
         else:
@@ -1035,7 +1059,8 @@ _SHAPE_BOUND = 512
 
 #: what a point kernel reads: the primitives and its own domain check
 _POINT_PRIMITIVES = {**_PRIMITIVES, "DomainError": DomainError,
-                     "_isfinite": math.isfinite, "_bind": bind_params}
+                     "_isfinite": math.isfinite, "_inf": math.inf,
+                     "_bind": bind_params}
 
 
 @functools.lru_cache(maxsize=_SHAPE_BOUND)
@@ -1055,11 +1080,12 @@ def compile_fn(e: Expr, arg_names: Iterable[str],
     Arguments become positional slots `_a0, _a1, ...`, so a symbol may
     carry any name, a Python keyword included.  Each param that e reads is
     a closure cell holding its value, so the closure is what compile_fn of
-    bind_params(e, params) is, without building that tree: it is built
-    once per tree, argument names and names of the params e reads, and a
-    call with other values only fills the cells.  An undefined or
-    non-finite result raises DomainError naming the whole of e, with the
-    values of its params in place.
+    bind_params(e, params) is (but for a parameter exponent bound to 2.0,
+    which calls pow where the constant is a product), without building
+    that tree: it is built once per tree, argument names and names of the
+    params e reads, and a call with other values only fills the cells.
+    An undefined or non-finite result raises DomainError naming the whole
+    of e, with the values of its params in place.
     """
     return _point_kernel(e, tuple(arg_names), params)
 
@@ -1080,9 +1106,11 @@ def _point_kernel(e: Expr, names: tuple[str, ...],
 # overflow included, and abs and sgn are numpy's, which agree with
 # builtin abs and _sgn.  Python raises on a zero divisor, -0.0 included,
 # so such rows are marked in the row-reject mask of the node's readers.
-# The other primitives of _PRIMITIVES are mapped over the rows, because
-# numpy's exp, tan, arctan, log and power can differ from math's by an
-# ulp; a row where one raises is marked too.
+# A square (u ^ 2.0) is the product u * u, whose rows are marked where a
+# finite u overflows, as the point kernel raises there.  The other
+# primitives of _PRIMITIVES are mapped over the rows, because numpy's
+# exp, tan, arctan, log and power can differ from math's by an ulp; a row
+# where one raises is marked too.
 #
 # Each output is a fresh column of the rows' shape (the arguments are
 # broadcast to it), NaN where its value is not finite or a node it reads
@@ -1140,12 +1168,20 @@ def _column_div(bad: np.ndarray, num, den):
     return np.true_divide(num, den)
 
 
+def _column_square(bad: np.ndarray, u):
+    r = u * u
+    over = np.isinf(r)
+    if over.any():
+        bad |= over & np.isfinite(u)
+    return r
+
+
 _COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
     **{name: _column_map(fn, _REFUSED.get(name))
        for name, fn in _PRIMITIVES.items()},
     "abs": lambda bad, v: np.abs(v),
     "sgn": lambda bad, v: np.sign(v),
-    "_div": _column_div,
+    "_div": _column_div, "_square": _column_square,
     "_where": np.where, "_isfinite": np.isfinite, "nan": math.nan,
     "_mask": functools.partial(np.zeros, dtype=bool),
     "_full": np.full, "_finite": math.isfinite,

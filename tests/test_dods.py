@@ -139,9 +139,11 @@ def nan_max(a, b):
     return b if math.isnan(b) or b > a else a
 
 
-def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
-    """check_invariance as a loop over single points with compile_fn
-    closures: the algorithm the column-wise check must reproduce."""
+def reference_rows(system, x_field, n=200, seed=42):
+    """The sampling of check_invariance as a loop over single points with
+    compile_fn closures: the accepted rows in the order drawn, each as
+    (point, dode residual, delay residual), and the number of rows
+    rejected before the n-th was accepted."""
     rng = np.random.default_rng(seed)
     g_fn = E.compile_fn(system.bound(system.g), FREE_COORDS)
     f_fn = E.compile_fn(system.bound(system.f), JET)
@@ -149,9 +151,9 @@ def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
               for c in prolong(x_field).coefficients()]
     df = [E.compile_fn(system.bound(E.diff(system.f, v)), JET) for v in JET]
     dg = [E.compile_fn(system.bound(E.diff(system.g, v)), JET) for v in JET]
-    worst, good, bad, max_dode, max_delay = {}, 0, 0, 0.0, 0.0
-    while good < n:
-        if bad > n and bad > good:
+    rows, bad = [], 0
+    while len(rows) < n:
+        if bad > n and bad > len(rows):
             raise SamplingError("incompatible sampling domain")
         p = sample_point(rng, system.box)
         try:
@@ -166,14 +168,24 @@ def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
         except E.DomainError:
             bad += 1
             continue
-        good += 1
-        # a NaN residual is the maximum from its row on, and the first one
-        # stays the worst point
-        if math.isnan(max_dode) or math.isnan(max_delay):
-            continue
-        if (not worst or abs(r_dode) > max_dode or abs(r_delay) > max_delay
+        rows.append((dict(zip(JET, args)), r_dode, r_delay))
+    return rows, bad
+
+
+def reference_check(system, x_field, n=200, seed=42, tol=1e-8):
+    """check_invariance as a fold over reference_rows: the algorithm the
+    column-wise check must reproduce."""
+    rows, bad = reference_rows(system, x_field, n, seed)
+    worst, max_dode, max_delay = {}, 0.0, 0.0
+    for point, r_dode, r_delay in rows:
+        # each maximum is taken over every row, a NaN residual being the
+        # maximum from its row on; the worst point is the last row to raise
+        # either maximum before the first NaN residual, else that NaN row
+        if not (math.isnan(max_dode) or math.isnan(max_delay)) and (
+                not worst or abs(r_dode) > max_dode
+                or abs(r_delay) > max_delay
                 or math.isnan(r_dode) or math.isnan(r_delay)):
-            worst = dict(zip(JET, args))
+            worst = point
         max_dode = nan_max(max_dode, abs(r_dode))
         max_delay = nan_max(max_delay, abs(r_delay))
     return InvarianceReport(max_dode, max_delay, n, worst, tol,
@@ -267,6 +279,9 @@ class TestColumnwiseMatchesPointLoop:
         ("ym*dy + sqrt(y - 1)", "x - 1"),
         # xm = x exactly for y >= 2: no delay there
         ("ym + dym", "x - (abs(y - 2) - (y - 2))"),
+        # a square in f overflows for y > 2.34, as pow's did; under sgn
+        # every partial of f is 0, so only the square's mark rejects
+        ("ym + sgn((1e154*(y - 1))^2)", "x - 1"),
     ])
     def test_each_rejection_rule(self, f, g):
         system = DodsSystem(f=parse(f), g=parse(g))
@@ -295,6 +310,40 @@ class TestColumnwiseMatchesPointLoop:
             # the first NaN row is the worst point: x > 2.35 overflows
             assert got.worst_point["x"] > 2.35
             assert "<= nan" in got.summary()
+
+    #: xm = x/2 reads the field's x^2 into the delay residual; the dode
+    #: residual is inf - inf = NaN wherever 1e160 * exp(400 (x - 1.5))
+    #: overflows, on 12 to 22 of 200 rows, the first of them early
+    NAN_SYSTEM = ("exp(400*(x - 1.5))*(y - ym) + y^2 + dym", "0.5*x")
+
+    @pytest.mark.parametrize("block_rows", [16, 4096])
+    def test_delay_maximum_rises_after_a_nan(self, block_rows, monkeypatch):
+        # blocks of 16 rows put the rise in a later block than the NaN
+        monkeypatch.setattr(dods, "_BLOCK_ROWS", block_rows)
+        system = DodsSystem(f=parse(self.NAN_SYSTEM[0]),
+                            g=parse(self.NAN_SYSTEM[1]))
+        fld = VectorField.from_text("x^2", "1e160")
+        for seed in range(3):
+            rows, _ = reference_rows(system, fld, 200, seed)
+            first = next(i for i, (_, r, _) in enumerate(rows) if math.isnan(r))
+            before = max(abs(r) for _, _, r in rows[:first + 1])
+            got = check_invariance(system, fld, n=200, seed=seed)
+            assert repr(got) == repr(reference_check(system, fld, 200, seed))
+            assert math.isnan(got.max_residual_dode)
+            # the delay maximum is over all 200 rows, past the first NaN
+            assert got.max_residual_delay == max(abs(r) for _, _, r in rows)
+            assert got.max_residual_delay > before
+
+    def test_the_first_nan_row_is_the_worst_point(self):
+        system = DodsSystem(f=parse(self.NAN_SYSTEM[0]),
+                            g=parse(self.NAN_SYSTEM[1]))
+        fld = VectorField.from_text("x^2", "1e160")
+        for seed in range(3):
+            rows, _ = reference_rows(system, fld, 200, seed)
+            nans = [point for point, r, _ in rows if math.isnan(r)]
+            assert len(nans) >= 10 and nans[0] != nans[-1]
+            got = check_invariance(system, fld, n=200, seed=seed)
+            assert got.worst_point == nans[0]
 
     def test_nan_residual_everywhere_fails(self, monkeypatch):
         # 1e160*1e160 - 1e160*1e160 is inf - inf on every row; n = 1300

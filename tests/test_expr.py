@@ -1087,6 +1087,99 @@ def test_shared_subtrees_are_generated_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# squares: u ^ 2.0 is the product u * u, failing where math.pow raises
+
+#: sqrt(DBL_MAX) as a float: its square is finite, the next float's is not
+_ROOT_MAX = 1.3407807929942596e154
+#: a base whose square math.pow(u, 2.0) rounds one ulp away from u * u
+_POW_OFF = 31.879633114332773
+
+
+def _square_bases():
+    near = [_ROOT_MAX]
+    for _ in range(3):
+        near = [math.nextafter(near[0], 0.0), *near,
+                math.nextafter(near[-1], math.inf)]
+    return [*near, *(-u for u in near), 0.0, -0.0, math.inf, -math.inf,
+            math.nan, _POW_OFF, 5e-324, 1.5e-154]
+
+
+def test_squares_of_points_and_columns_agree_where_pow_would_overflow():
+    bases = _square_bases()
+    overflowing = []
+    for u in bases:
+        try:
+            math.pow(u, 2.0)
+        except OverflowError:
+            overflowing.append(u)
+    assert len(overflowing) == 6  # three floats past _ROOT_MAX, each sign
+    for text in ("x^2", "exp(-x^2)", "x^2 - x^2"):
+        e = parse(text)
+        fn = compile_fn(e, ("x",))
+        out = compile_columns(e, ("x",))(np.array(bases))
+        for u, got in zip(bases, out):
+            _assert_row_matches_closure(fn, (u,), got)
+            if u in overflowing:
+                with pytest.raises(DomainError, match="^math range error"):
+                    fn(u)
+    # the product, where it is finite: here an ulp from pow's value
+    square = compile_fn(parse("x^2"), ("x",))
+    assert square(_ROOT_MAX) == _ROOT_MAX * _ROOT_MAX
+    assert square(_POW_OFF) == _POW_OFF * _POW_OFF != math.pow(_POW_OFF, 2.0)
+    # an infinite base is not an overflow, as for pow: exp(-inf) is 0
+    assert compile_fn(parse("exp(-x^2)"), ("x",))(-math.inf) == 0.0
+
+
+def test_an_overflowing_square_raises_pows_domain_error():
+    e = parse("-ym + exp(-(1e200*y)^2)")
+    with pytest.raises(DomainError) as info:
+        compile_fn(e, ("y", "ym"))(1.0, 0.0)
+    assert str(info.value) == (
+        "math range error in '((-ym) + exp((-((1e+200 * y) ^ 2))))'")
+    assert info.value.subexpr is e
+
+
+def test_an_overflowing_square_marks_only_its_row():
+    trees = [parse("exp(-x^2)"), parse("sin(x)"), parse("exp(-x^2) + y")]
+    xs = np.array([1.0, 1e200, -1e200, 2.0])
+    ys = np.array([0.5, 0.5, 0.5, math.inf])
+    first, second, third = compile_columns(trees, ("x", "y"))(xs, ys)
+    assert np.isnan(first).tolist() == [False, True, True, False]
+    assert first[[0, 3]].tolist() == [math.exp(-1.0), math.exp(-4.0)]
+    assert np.isfinite(second).all()
+    assert np.isnan(third).tolist() == [False, True, True, True]
+
+
+def test_the_fold_of_a_constant_square_is_the_kernels_value():
+    square = compile_fn(parse("x^2"), ("x",))
+    for c in _square_bases():
+        folded = simplify(BinOp("^", Const(c), Const(2.0)))
+        try:
+            want = square(c)
+        except DomainError:
+            # an overflow or a non-finite square is left unmade
+            assert folded is BinOp("^", Const(c), Const(2.0)), c
+            continue
+        assert isinstance(folded, Const), c
+        assert E._bits(folded.value) == E._bits(want), c
+
+
+def test_other_exponents_and_a_parameter_bound_to_two_call_pow():
+    # 2.0000000000000004 is the float after 2.0
+    cases = [(parse("x^2.0000000000000004"), {}, 2.0000000000000004),
+             (parse("x^p"), {"p": 2.0}, 2.0)]
+    for e, params, w in cases:
+        want = math.pow(_POW_OFF, w)
+        assert compile_fn(e, ("x",), params)(_POW_OFF) == want
+        column = compile_columns(e, ("x",), params)(np.array([_POW_OFF]))
+        assert column.tolist() == [want]
+    assert math.pow(_POW_OFF, 2.0) != _POW_OFF * _POW_OFF
+    # the parameter stays a cell: the product is the constant's alone
+    frozen = E.bind_params(parse("x^p"), {"p": 2.0})
+    assert compile_fn(frozen, ("x",))(_POW_OFF) == _POW_OFF * _POW_OFF
+
+
+# ---------------------------------------------------------------------------
 # the shape table: trees that differ only in constants share one compile
 
 

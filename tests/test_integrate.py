@@ -1025,6 +1025,16 @@ FAILURES = {
     # stage 3 fails at the time and point of stage 2, which did not
     "f-at-stage-3": (("sqrt(dy) - 20*x", "x - 1", "1", (-1.0, 0.0), 0.5,
                       2.0, 0.1), "StepRejectionError"),
+    # a square overflows at x = 1.35, stage 2 of the 14th step, for each
+    # delay kind
+    "square-overflow": (("-ym + exp(-(1e154*x)^2)", "x - 1", "1",
+                         (-1.0, 0.0), 0.0, 2.0, 0.1), "StepRejectionError"),
+    "square-overflow-independent": (("-ym + exp(-(1e154*x)^2)", "0.5*x", "1",
+                                     (0.5, 1.0), 0.0, 2.0, 0.1),
+                                    "StepRejectionError"),
+    "square-overflow-state": (("-ym + exp(-(1e154*x)^2)", "x - 0.5 - 0.1*y",
+                               "1", (-1.0, 0.0), 0.0, 2.0, 0.1),
+                              "StepRejectionError"),
 }
 
 
@@ -1049,6 +1059,14 @@ class TestFailureParity:
         assert _failure(False, *case) == (
             "StepRejectionError", "right-hand side not evaluable at x ="
             " 0.25: math domain error in '(sqrt(dy) - (20 * x))'", 11)
+
+    def test_an_overflowing_square_fails_as_pow_did(self):
+        # the inlined product raises math.pow's OverflowError text
+        case, _ = FAILURES["square-overflow"]
+        assert _failure(False, *case) == (
+            "StepRejectionError", "right-hand side not evaluable at x ="
+            " 1.35: math range error in '((-ym) + exp((-((1e+154 * x) ^"
+            " 2))))'", 54)
 
 
 class TestReadCounts:
