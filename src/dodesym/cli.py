@@ -19,7 +19,7 @@ from . import catalog as catalog_mod
 from . import expr as E
 from . import reduce as reduce_mod
 from . import traffic as traffic_mod
-from .dods import DodsError, check_invariance, load_dods
+from .dods import DodsError, DodsSystem, check_invariance, load_dods
 from .integrate import HistoryFunction, IntegrationError, solve
 from .linear import (CanonicalLinear, LinearError, characteristic_roots,
                      verify_exponential_solution)
@@ -61,9 +61,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def cmd_verify(args) -> int:
+def _system(args) -> DodsSystem:
+    """The system file of args.system with its --param values applied."""
     system = load_dods(_read(args.system))
     system.params.update(_params_from_args(args.param))
+    return system
+
+
+def cmd_verify(args) -> int:
+    system = _system(args)
     system.validate()
     fld = _field_from_spec(args.field)
     report = check_invariance(system, fld, n=args.n, seed=args.seed)
@@ -141,8 +147,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    system = load_dods(_read(args.system))
-    system.params.update(_params_from_args(args.param))
+    system = _system(args)
     phi = HistoryFunction(E.parse(args.phi), _pair(args.history))
     dy0 = args.dy0 if args.dy0 == "from-phi" else float(args.dy0)
     traj = solve(system, phi, dy0, args.to, args.h)
@@ -172,8 +177,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    system = load_dods(_read(args.system))
-    system.params.update(_params_from_args(args.param))
+    system = _system(args)
     system.validate()
     fld = _field_from_spec(args.field)
     pair = reduce_mod.invariants_of(fld, params=system.params)

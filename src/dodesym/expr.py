@@ -1107,10 +1107,11 @@ def _point_kernel(e: Expr, names: tuple[str, ...],
 # builtin abs and _sgn.  Python raises on a zero divisor, -0.0 included,
 # so such rows are marked in the row-reject mask of the node's readers.
 # A square (u ^ 2.0) is the product u * u, whose rows are marked where a
-# finite u overflows, as the point kernel raises there.  The other
-# primitives of _PRIMITIVES are mapped over the rows, because numpy's
-# exp, tan, arctan, log and power can differ from math's by an ulp; a row
-# where one raises is marked too.
+# finite u overflows, as the point kernel raises there.  sqrt is numpy's
+# over the rows below zero marked and set to NaN: IEEE 754 rounds both
+# square roots correctly.  The other primitives of _PRIMITIVES are mapped
+# over the rows, because numpy's exp, tan, arctan, log and power can
+# differ from math's by an ulp; a row where one raises is marked too.
 #
 # Each output is a fresh column of the rows' shape (the arguments are
 # broadcast to it), NaN where its value is not finite or a node it reads
@@ -1121,22 +1122,10 @@ def _point_kernel(e: Expr, names: tuple[str, ...],
 _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
 
-def _column_map(fn: Callable[..., float],
-                refused: Callable[[np.ndarray], np.ndarray] | None = None
-                ) -> Callable[..., np.ndarray]:
+def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     """fn mapped over the rows; a row where fn raises is NaN and marked in
-    bad.  refused, where given, names the rows of fn's one argument where
-    fn raises: those are marked and mapped as NaN, so no row raises."""
+    bad."""
     def apply(bad: np.ndarray, *args) -> np.ndarray:
-        if refused is not None:
-            (v,) = args
-            if isinstance(v, float) or v.shape != bad.shape:
-                v = np.broadcast_to(v, bad.shape)
-            undefined = refused(v)
-            if undefined.any():
-                bad |= undefined
-                v = np.where(undefined, math.nan, v)
-            return np.fromiter(map(fn, v.tolist()), float, len(bad))
         # a float argument (a constant cell) is the same on every row
         rows = [[a] * len(bad) if isinstance(a, float)
                 else a.tolist() if a.shape == bad.shape
@@ -1156,11 +1145,21 @@ def _column_map(fn: Callable[..., float],
     return apply
 
 
-#: the rows where math.sqrt and math.log raise, exactly: below zero
-#: (not at -0.0 or NaN), and at or below zero.  The other mapped
-#: primitives catch their failures row by row: no comparison names where
-#: exp or pow overflows or pow has no real value.
-_REFUSED = {"sqrt": lambda v: v < 0.0, "ln": lambda v: v <= 0.0}
+def _column_refusing(fn: Callable[[np.ndarray], np.ndarray],
+                     refused: Callable[[np.ndarray], np.ndarray]
+                     ) -> Callable[..., np.ndarray]:
+    """fn of one column whose rows that refused names, the rows where the
+    point primitive raises, are marked in bad and given to fn as NaN."""
+    def apply(bad: np.ndarray, v) -> np.ndarray:
+        if isinstance(v, float) or v.shape != bad.shape:
+            v = np.broadcast_to(v, bad.shape)
+        undefined = refused(v)
+        if undefined.any():
+            bad |= undefined
+            v = np.where(undefined, math.nan, v)
+        return fn(v)
+
+    return apply
 
 
 def _column_div(bad: np.ndarray, num, den):
@@ -1177,8 +1176,15 @@ def _column_square(bad: np.ndarray, u):
 
 
 _COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
-    **{name: _column_map(fn, _REFUSED.get(name))
-       for name, fn in _PRIMITIVES.items()},
+    **{name: _column_map(fn) for name, fn in _PRIMITIVES.items()},
+    # the rows where math.sqrt and math.log raise, exactly: below zero
+    # (not at -0.0 or NaN), and at or below zero.  The other mapped
+    # primitives catch their failures row by row: no comparison names
+    # where exp or pow overflows or pow has no real value.
+    "sqrt": _column_refusing(np.sqrt, lambda v: v < 0.0),
+    "ln": _column_refusing(
+        lambda v: np.fromiter(map(math.log, v.tolist()), float, len(v)),
+        lambda v: v <= 0.0),
     "abs": lambda bad, v: np.abs(v),
     "sgn": lambda bad, v: np.sign(v),
     "_div": _column_div, "_square": _column_square,

@@ -39,8 +39,7 @@ import numpy as np
 
 from .dods import DelayKind, DodsSystem, FREE_COORDS
 from .expr import (_POINT_PRIMITIVES, DomainError, Expr, _point_kernel,
-                   _PointBody, bind_params, compile_fn, diff, free_symbols,
-                   parse)
+                   _PointBody, compile_fn, diff, free_symbols, parse)
 
 
 class IntegrationError(Exception):
@@ -73,14 +72,13 @@ class HistoryFunction:
 
     phi: Expr
     interval: tuple[float, float]
-    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("history interval must have positive length")
-        self._y = compile_fn(self.phi, ("x",), self.params)
-        self._dy = compile_fn(diff(self.phi, "x"), ("x",), self.params)
+        self._y = compile_fn(self.phi, ("x",))
+        self._dy = compile_fn(diff(self.phi, "x"), ("x",))
 
     @staticmethod
     def from_text(text: str, interval: tuple[float, float]) -> "HistoryFunction":
@@ -181,22 +179,6 @@ class Trajectory:
         for x, y, dy in zip(self.xs, self.ys, self.dys):
             lines.append(f"{x:.17g},{y:.17g},{dy:.17g}")
         return "\n".join(lines) + "\n"
-
-
-def combine_trajectories(a: Trajectory, b: Trajectory, ca: float,
-                         cb: float) -> Trajectory:
-    """Pointwise linear combination; grids must match exactly."""
-    if a.xs != b.xs:
-        raise ValueError("trajectories live on different grids")
-    phi = bind_params(a.history.phi, a.history.params) * ca \
-        + bind_params(b.history.phi, b.history.params) * cb
-    hist = HistoryFunction(phi, a.history.interval)
-    return Trajectory(
-        xs=list(a.xs),
-        ys=[ca * u + cb * v for u, v in zip(a.ys, b.ys)],
-        dys=[ca * u + cb * v for u, v in zip(a.dys, b.dys)],
-        history=hist,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dodesym import expr as E
@@ -867,22 +867,45 @@ def _result(fn, args):
         return str(exc)
 
 
+def _binds_a_square(e, params) -> bool:
+    """Whether an exponent of e binds to the constant 2.0 only under
+    params: bind_params then makes it a square, u * u, where the
+    parameter kernel keeps math.pow, and the two can differ by an ulp."""
+    if isinstance(e, BinOp):
+        if e.op == "^" and e.right is not E.TWO \
+                and E.bind_params(e.right, params) is E.TWO:
+            return True
+        return _binds_a_square(e.left, params) or \
+            _binds_a_square(e.right, params)
+    if isinstance(e, (Neg, Call)):
+        return _binds_a_square(e.arg, params)
+    return False
+
+
 @settings(max_examples=400, deadline=None)
 @given(e=_trees_over(st.one_of(_leaves, st.just(Param("p")))), p=_values,
        rows=st.lists(st.tuples(_values, _values), min_size=1, max_size=16))
+# math.pow(x, 2.0) is x * x plus one ulp here
+@example(e=BinOp("^", Var("x"), Param("p")), p=2.0,
+         rows=[(31.879633114332773, 0.0)])
 def test_columns_match_compile_fn_bitwise(e, p, rows):
-    # the parameter is a closure cell; bind_params makes it a constant
+    # the parameter is a closure cell; bind_params makes it a constant,
+    # which gives the same bits but where that constant is a square
     params = {"p": p}
     bound = E.bind_params(e, params)
+    same_bits = not _binds_a_square(e, params)
     fn = compile_fn(e, ("x", "y"), params)
     frozen = compile_fn(bound, ("x", "y"))
     xs, ys = (np.array(c, dtype=float) for c in zip(*rows))
     out = compile_columns(e, ("x", "y"), params)(xs, ys)
     assert out.shape == (len(rows),)
-    assert out.tobytes() == compile_columns(bound, ("x", "y"))(xs, ys).tobytes()
+    if same_bits:
+        assert out.tobytes() == \
+            compile_columns(bound, ("x", "y"))(xs, ys).tobytes()
     for args, got in zip(rows, out):
         _assert_row_matches_closure(fn, args, got)
-        assert _result(fn, args) == _result(frozen, args)
+        if same_bits:
+            assert _result(fn, args) == _result(frozen, args)
 
 
 @pytest.mark.parametrize("text,x", [

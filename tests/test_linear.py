@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dodesym import expr as E
-from dodesym.dods import check_invariance
+from dodesym.dods import DodsSystem, check_invariance
 from dodesym.expr import Const, parse
 from dodesym.integrate import HistoryFunction, solve
 from dodesym.linear import (
@@ -81,6 +81,33 @@ class TestVerifyLinearSymmetries:
         phi = HistoryFunction.from_text("x", (-1.0, 0.0))
         sigma = solve(L.to_dods(), phi, "from-phi", 3.0, 1e-3)
         assert inhomogeneous_scaling_residual(L, sigma) < 1e-6
+
+
+class TestLinearChecksCanFail:
+    # solves y'' = -5y + 3y', not y'' = y(x-1) + b
+    @pytest.fixture(scope="class")
+    def wrong_solution(self):
+        system = DodsSystem(f=parse("-5*y + 3*dy"), g=parse("x-1"))
+        phi = HistoryFunction.from_text("x", (-1.0, 0.0))
+        return solve(system, phi, "from-phi", 3.0, 1e-3)
+
+    def test_shifted_scaling_fails_a_non_solution(self, wrong_solution):
+        L = delayed_position_system(b="1")
+        assert inhomogeneous_scaling_residual(L, wrong_solution) > 10.0
+
+    def test_superposition_fails_a_non_solution(self, wrong_solution):
+        report = verify_linear_symmetries(delayed_position_system(),
+                                          [wrong_solution])
+        assert report.scaling.passed
+        assert report.perturbation_residuals[0] > 1e-2
+        assert not report.passed
+
+    def test_undefined_f_is_refused_not_skipped(self, wrong_solution):
+        # a3 has no value anywhere on the trajectory
+        L = LinearDods(a1=Const(0.0), a2=Const(0.0), a3=parse("sqrt(-x-10)"),
+                       a4=Const(1.0), b=Const(1.0), g=parse("x-1"))
+        with pytest.raises(LinearError, match="undefined at 200 of 200"):
+            inhomogeneous_scaling_residual(L, wrong_solution)
 
 
 class TestSuperpositionAndShift:
