@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import traceback
 
@@ -34,21 +35,26 @@ KNOWN_ERRORS = (DodsError, SymmetryError, E.ExprError, IntegrationError,
                 traffic_mod.TrafficError, LinearError, ValueError, OSError)
 
 
-def _field_from_spec(spec: str) -> VectorField:
-    xi, sep, eta = spec.partition(";")
+def _field_spec(text: str) -> tuple[str, str]:
+    """(xi, eta) of an 'xi;eta' field spec; its expressions are parsed
+    by the command, so that a malformed one is a failed check."""
+    xi, sep, eta = text.partition(";")
     if not sep:
-        raise SystemExit(f"field spec must look like 'xi;eta', got '{spec}'")
-    return VectorField.from_text(xi.strip(), eta.strip())
+        raise argparse.ArgumentTypeError(
+            f"field spec must look like 'xi;eta', got '{text}'")
+    return xi.strip(), eta.strip()
 
 
-def _params_from_args(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for item in pairs or []:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"--param needs name=value, got '{item}'")
-        out[name.strip()] = float(value)
-    return out
+def _param(text: str) -> tuple[str, str]:
+    """(name, value) of a name=value pair; the command converts the value."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"needs name=value, got '{text}'")
+    return name.strip(), value
+
+
+def _params_from_args(pairs: list[tuple[str, str]] | None) -> dict[str, float]:
+    return {name: float(value) for name, value in pairs or []}
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -71,7 +77,7 @@ def _system(args) -> DodsSystem:
 def cmd_verify(args) -> int:
     system = _system(args)
     system.validate()
-    fld = _field_from_spec(args.field)
+    fld = VectorField.from_text(*args.field)
     report = check_invariance(system, fld, n=args.n, seed=args.seed)
     print(report.summary())
     print(f"worst point: {_fmt_point(report.worst_point)}")
@@ -83,7 +89,7 @@ def _fmt_point(point: dict) -> str:
 
 
 def cmd_bracket(args) -> int:
-    fields = [_field_from_spec(s) for s in args.fields]
+    fields = [VectorField.from_text(*s) for s in args.fields]
     params = _params_from_args(args.param)
     try:
         result = check_closure(fields, params=params, seed=args.seed)
@@ -98,7 +104,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    fields = [_field_from_spec(s) for s in args.fields]
+    fields = [VectorField.from_text(*s) for s in args.fields]
     params = _params_from_args(args.param)
     report = invariant_count(fields, params=params, seed=args.seed)
     print(f"dim M = {report.dim_m}")
@@ -119,7 +125,7 @@ def cmd_catalog(args) -> int:
         print(f"wrote {len(catalog_mod.list_entries())} entries to {path}")
         return 0
     if not args.id:
-        raise SystemExit("catalog show/check need an entry id")
+        _parser().error(f"catalog {args.action} needs an entry id")
     entry = catalog_mod.get_entry(args.id)
     if args.action == "show":
         print(f"entry {entry.id} ({entry.algebra_label})")
@@ -133,17 +139,15 @@ def cmd_catalog(args) -> int:
         if entry.notes:
             print(f"  notes: {entry.notes}")
         return 0
-    if args.action == "check":
-        if not entry.has_system:
-            print(f"{entry.id} is a marker entry; nothing to check")
-            return 0
-        reports = catalog_mod.check_entry(entry.id, n=args.n, seed=args.seed)
-        ok = True
-        for r in reports:
-            print(r.summary())
-            ok = ok and r.passed
-        return 0 if ok else CHECK_FAIL
-    raise SystemExit(f"unknown catalog action '{args.action}'")
+    if not entry.has_system:
+        print(f"{entry.id} is a marker entry; nothing to check")
+        return 0
+    reports = catalog_mod.check_entry(entry.id, n=args.n, seed=args.seed)
+    ok = True
+    for r in reports:
+        print(r.summary())
+        ok = ok and r.passed
+    return 0 if ok else CHECK_FAIL
 
 
 def cmd_integrate(args) -> int:
@@ -179,7 +183,7 @@ def cmd_roots(args) -> int:
 def cmd_reduce(args) -> int:
     system = _system(args)
     system.validate()
-    fld = _field_from_spec(args.field)
+    fld = VectorField.from_text(*args.field)
     pair = reduce_mod.invariants_of(fld, params=system.params)
     print(f"J1 = {E.to_text(pair.J1)}")
     print(f"J2 = {E.to_text(pair.J2)}")
@@ -197,10 +201,6 @@ def cmd_reduce(args) -> int:
 def cmd_traffic(args) -> int:
     if args.scenario:
         return _traffic_scenario(args)
-    if args.example is None:
-        print("usage error: traffic needs --example or --scenario",
-              file=sys.stderr)
-        return 2
     overrides = {}
     for name in ("alpha", "n1", "n2", "tau", "q", "v", "k", "n", "epsilon",
                  "beta"):
@@ -275,8 +275,20 @@ def _traffic_scenario(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a token starting with `-` as a value, not as an
+    option, when it is a number or window (-3e-05, -.5, -3,3) or a field
+    spec (-x;y).  Subparsers are built of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-.*;")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once: parsing leaves it as it is."""
+    parser = _Parser(
         prog="dodesym",
         description="symmetry analysis of second-order delay systems",
     )
@@ -286,17 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a field against a system file")
     p.add_argument("--system", required=True)
-    p.add_argument("--field", required=True, help="'xi;eta'")
-    p.add_argument("--param", action="append", help="name=value")
+    p.add_argument("--field", type=_field_spec, required=True,
+                   help="'xi;eta'")
+    p.add_argument("--param", type=_param, action="append", help="name=value")
     p.add_argument("--n", type=int, default=200)
 
     p = sub.add_parser("bracket", help="structure constants of a field list")
-    p.add_argument("--fields", nargs="+", required=True)
-    p.add_argument("--param", action="append")
+    p.add_argument("--fields", type=_field_spec, nargs="+", required=True)
+    p.add_argument("--param", type=_param, action="append")
 
     p = sub.add_parser("rank", help="prolonged coefficient rank and k")
-    p.add_argument("--fields", nargs="+", required=True)
-    p.add_argument("--param", action="append")
+    p.add_argument("--fields", type=_field_spec, nargs="+", required=True)
+    p.add_argument("--param", type=_param, action="append")
 
     p = sub.add_parser("catalog", help="list/show/check/export stored families")
     p.add_argument("action", choices=("list", "show", "check", "export"))
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
-    p.add_argument("--param", action="append")
+    p.add_argument("--param", type=_param, action="append")
 
     p = sub.add_parser("roots", help="real characteristic roots")
     p.add_argument("--alpha", type=float, required=True)
@@ -323,14 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="group-invariant solution constants")
     p.add_argument("--system", required=True)
-    p.add_argument("--field", required=True)
+    p.add_argument("--field", type=_field_spec, required=True)
     p.add_argument("--guess", action="append", help="a,b (repeatable)")
     p.add_argument("--interval", help="lo,hi reference window")
-    p.add_argument("--param", action="append")
+    p.add_argument("--param", type=_param, action="append")
 
     p = sub.add_parser("traffic", help="run a car-following example pipeline")
-    p.add_argument("--example", type=int, choices=(1, 2, 3))
-    p.add_argument("--scenario", help="platoon scenario file")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--example", type=int, choices=(1, 2, 3))
+    which.add_argument("--scenario", help="platoon scenario file")
     p.add_argument("--out-prefix", help="write per-car CSVs with this prefix")
     p.add_argument("--alpha", type=float)
     p.add_argument("--n1", type=float)
@@ -350,56 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _looks_numeric(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return "," in token
-    return True
-
-
-def _merge_negative_values(argv: list[str],
-                           parser: argparse.ArgumentParser) -> list[str]:
-    """Keep argparse from reading a value that starts with `-` as an option.
-
-    A single-valued option and a negative value such as -3e-05 or -3,3 are
-    joined into `--opt=value`.  A field spec such as `-x;y` among the
-    values of a multi-valued option gets a leading space: argparse then
-    reads it as a value, and the field parser strips the space.
-    """
-    single, multi, parsers = set(), set(), [parser]
-    while parsers:
-        for action in parsers.pop()._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-            elif action.option_strings and action.nargs is None:
-                single.update(action.option_strings)
-            elif action.option_strings and action.nargs == "+":
-                multi.update(action.option_strings)
-    merged: list[str] = []
-    in_values = False  # inside the values of a multi-valued option
-    for tok in argv:
-        if merged and merged[-1] in single and tok.startswith("-") \
-                and _looks_numeric(tok):
-            merged[-1] = f"{merged[-1]}={tok}"
-            continue
-        if in_values and tok.startswith("-") and ";" in tok:
-            tok = " " + tok
-        in_values = tok in multi or (in_values and not tok.startswith("-"))
-        merged.append(tok)
-    return merged
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built once: parsing leaves it as it is."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(_merge_negative_values(
-        list(sys.argv[1:] if argv is None else argv), parser))
+    args = _parser().parse_args(argv)
     try:
         # looked up by name at call time, so that a command function
         # replaced on this module is the one that runs

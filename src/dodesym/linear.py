@@ -106,7 +106,11 @@ class CanonicalLinear:
     C: float
 
     def __post_init__(self):
-        if self.C <= 0:
+        for name in ("alpha", "beta", "gamma", "C"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise LinearError(f"{name} must be finite, got {value}")
+        if not self.C > 0:
             raise LinearError("delay width C must be positive")
 
     def to_linear(self, domain=(0.0, 3.0)) -> LinearDods:

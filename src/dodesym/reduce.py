@@ -13,6 +13,7 @@ family rather than a point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,16 @@ def _reduced_residual_exprs(system: DodsSystem, h: Expr, k: Expr):
     return r1, r2
 
 
+def _window(interval: tuple[float, float]) -> tuple[float, float]:
+    """lo, hi of a finite interval with lo < hi; anything else would
+    check the reduced residuals at a single abscissa, or at none."""
+    lo, hi = interval
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ReduceError(f"interval must be finite with lo < hi, got"
+                          f" [{lo}, {hi}]")
+    return lo, hi
+
+
 def reduce_and_solve(
     system: DodsSystem,
     x_field: VectorField,
@@ -254,12 +265,12 @@ def reduce_and_solve(
             "invariant pair carries no reduction formulas; only the"
             " closed-form families (or a user-supplied h, k) reduce"
         )
+    lo, hi = _window(interval if interval is not None else (1.0, 2.0))
     pre = check_invariance(system, x_field, n=80, seed=seed, tol=1e-8)
     if not pre.passed:
         raise ReduceError(
             f"field is not a symmetry of the system: {pre.summary()}"
         )
-    lo, hi = interval if interval is not None else (1.0, 2.0)
     x_ref = 0.5 * (lo + hi)
     r1, r2 = _reduced_residual_exprs(system, pair.h_expr, pair.k_expr)
     args = ("x", "A", "B")
@@ -384,7 +395,7 @@ def verify_invariant_solution(
     step (the initial data must already satisfy y = h(x, A)) and the two
     curves compared over the interval.
     """
-    lo, hi = interval
+    lo, hi = _window(interval)
     grid = np.linspace(lo, hi, 50)
     r1, r2 = (compile_fn(r, ("x",))
               for r in _reduced_residual_exprs(system, sol.h, sol.k))

@@ -90,7 +90,7 @@ def example_params(example_id: int, **overrides) -> TrafficParams:
     """Defaults for the three worked examples; overrides are keyword fields.
 
     A field the example does not take is a TrafficError naming it and the
-    fields the example takes.
+    fields the example takes; so is a NaN or infinite value.
     """
     if example_id not in _EXAMPLE_DEFAULTS:
         raise TrafficError(f"no example {example_id}")
@@ -99,6 +99,9 @@ def example_params(example_id: int, **overrides) -> TrafficParams:
         if name not in base:
             raise TrafficError(f"example {example_id} takes no {name}; it"
                                f" takes {', '.join(base)}")
+        if not math.isfinite(overrides[name]):
+            raise TrafficError(f"{name} must be finite, got"
+                               f" {overrides[name]}")
     base = {**base, **overrides}
     if example_id == 1:
         return TrafficParams(**base, leader=Param("v") * E.T)

@@ -122,6 +122,16 @@ class TestRoots:
         assert proc.stdout == (f"error: ValueError: n_seed must be at least"
                                f" 1, got {n_seed}\n")
 
+    @pytest.mark.parametrize("name, value", [("alpha", "nan"), ("C", "inf")])
+    def test_non_finite_coefficient_is_refused(self, name, value):
+        coefficients = {"alpha": "0", "beta": "1", "gamma": "0", "C": "1",
+                        name: value}
+        proc = run_cli("roots", *(f"--{k}={v}" for k, v in
+                                  coefficients.items()), "--range=-3,3")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == (f"error: LinearError: {name} must be finite,"
+                               f" got {value}\n")
+
     def test_negative_exponent_value_in_either_spelling(self):
         common = ("--beta", "1", "--gamma", "0.5", "--C", "1")
         split = run_cli("roots", "--alpha", "-3e-05", *common,
@@ -132,27 +142,50 @@ class TestRoots:
         assert split.stdout == joined.stdout
 
 
-def test_negative_values_join_every_single_valued_option():
-    from dodesym.cli import _merge_negative_values, build_parser
-
-    argv = ["traffic", "--example", "1", "--alpha", "-1e-1", "--tau", "-2",
-            "--v", "1.5", "--A", "-0.5"]
-    assert _merge_negative_values(argv, build_parser()) == [
-        "traffic", "--example", "1", "--alpha=-1e-1", "--tau=-2",
-        "--v", "1.5", "--A=-0.5"]
-    # multi-valued options and non-numeric values are left to argparse
-    argv = ["bracket", "--fields", "-1,2", "--param", "-x"]
-    assert _merge_negative_values(argv, build_parser()) == argv
+def test_negative_values_join_every_single_valued_option(drift_file):
+    # a number or window that starts with a minus sign is a value, as it is
+    # after `=`
+    cases = [
+        (["traffic", "--example", "1", "--alpha", "-1e-1", "--tau", "-2",
+          "--v", "1.5", "--A", "-0.5"],
+         ["traffic", "--example", "1", "--alpha=-1e-1", "--tau=-2",
+          "--v", "1.5", "--A=-0.5"], 1),
+        (["integrate", "--system", drift_file, "--phi", "x", "--history",
+          "-1,0", "--dy0", "-0.5", "--to", "0.3", "--h", "0.1"],
+         ["integrate", "--system", drift_file, "--phi", "x",
+          "--history=-1,0", "--dy0=-0.5", "--to", "0.3", "--h", "0.1"], 0),
+        (["reduce", "--system", drift_file, "--field", "1;1", "--interval",
+          "1.2,1.8", "--guess", "-0.5,1"],
+         ["reduce", "--system", drift_file, "--field", "1;1", "--interval",
+          "1.2,1.8", "--guess=-0.5,1"], 0),
+    ]
+    for split_argv, joined_argv, code in cases:
+        split, joined = run_cli(*split_argv), run_cli(*joined_argv)
+        assert split.returncode == joined.returncode == code, split.stderr
+        assert split.stdout == joined.stdout
 
 
 def test_field_specs_starting_with_minus_are_kept_as_values():
-    from dodesym.cli import _merge_negative_values, build_parser
+    proc = run_cli("rank", "--fields", "-x;y", "0;1", "-y;x", "--param",
+                   "a=1")
+    paren = run_cli("rank", "--fields", "(-x);y", "0;1", "(-y);x", "--param",
+                    "a=1")
+    assert proc.returncode == paren.returncode == 0, proc.stderr
+    assert proc.stdout == paren.stdout
+    assert "rank Z = 3" in proc.stdout
 
-    argv = ["rank", "--fields", "-x;y", "0;1", "-y;x", "--param", "a=1",
-            "-x;y"]
-    assert _merge_negative_values(argv, build_parser()) == [
-        "rank", "--fields", " -x;y", "0;1", " -y;x", "--param", "a=1",
-        "-x;y"]
+
+@pytest.mark.parametrize("option, value", [("--field", "-1;0"),
+                                           ("--phi", "-1*x")])
+def test_minus_led_field_and_expression_are_values(system_file, drift_file,
+                                                   option, value):
+    command = (("verify", "--system", system_file) if option == "--field"
+               else ("integrate", "--system", drift_file, "--to", "0.5",
+                     "--h", "0.1"))
+    split = run_cli(*command, option, value)
+    joined = run_cli(*command, f"{option}={value}")
+    assert split.returncode == joined.returncode == 0, split.stderr
+    assert split.stdout == joined.stdout
 
 
 @pytest.mark.parametrize("fields", [("-x;y", "0;1"), ("0;1", "-x;y")])
@@ -333,6 +366,15 @@ class TestReduce:
         assert proc.returncode == 0
         assert "J1 =" in proc.stdout and "B =" in proc.stdout
 
+    def test_empty_interval_is_refused(self, drift_file):
+        # a single abscissa could not show the residuals varying with x
+        proc = run_cli("reduce", "--system", drift_file, "--field", "1;1",
+                       "--interval", "2.2,2.2")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines()[-1] == (
+            "error: ReduceError: interval must be finite with lo < hi, got"
+            " [2.2, 2.2]")
+
 
 class TestTraffic:
     def test_example_one_pipeline(self):
@@ -479,6 +521,16 @@ class TestTraffic:
     def test_traffic_needs_example_or_scenario(self):
         proc = run_cli("traffic")
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr
+
+    @pytest.mark.parametrize("name, value", [("v", "nan"), ("tau", "inf")])
+    def test_non_finite_override_is_refused(self, name, value):
+        proc = run_cli("traffic", "--example", "1", f"--{name}", value)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == (f"error: TrafficError: {name} must be finite,"
+                               f" got {value}\n")
+        assert proc.stderr == ""
 
 
 class TestUsage:
@@ -499,6 +551,21 @@ class TestUsage:
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("verify", "--system", "examples/one_step_per_delay.txt",
+                      "--field", "1"), id="field-without-semicolon"),
+        pytest.param(("rank", "--fields", "0;1", "--param", "a"),
+                     id="param-without-equals"),
+        pytest.param(("catalog", "show"), id="catalog-show-without-id"),
+        pytest.param(("traffic", "--example", "1", "--scenario",
+                      "examples/platoon.txt"), id="example-and-scenario"),
+    ])
+    def test_usage_error_exits_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr
 
 
 class TestExitCodes:

@@ -412,6 +412,16 @@ class TestCanonicalLinearType:
         with pytest.raises(LinearError):
             CanonicalLinear(0, 1, 0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_coefficient_is_refused(self, index, value):
+        # a NaN C is refused too, although NaN <= 0 is false
+        quad = [0.0, 1.0, 0.0, 1.0]
+        quad[index] = value
+        name = ("alpha", "beta", "gamma", "C")[index]
+        with pytest.raises(LinearError, match=f"^{name} must be finite"):
+            CanonicalLinear(*quad)
+
     def test_degenerate_quadruple_cannot_become_a_system(self):
         # no delayed term at all: fine for root analysis, not as a system
         cl = CanonicalLinear(0, 1, 0, 1)

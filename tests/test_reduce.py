@@ -184,6 +184,21 @@ class TestReduceAndSolve:
         with pytest.raises(ReduceError, match="not a symmetry"):
             reduce_and_solve(system, lone_time_shift, pair)
 
+    @pytest.mark.parametrize("interval", [(2.2, 2.2), (2.4, 2.2),
+                                          (2.2, math.inf), (math.nan, 2.4)])
+    def test_interval_must_be_finite_with_lo_below_hi(self, interval):
+        # one abscissa, or none, cannot show a residual varying with x
+        p = traffic.example_params(1)
+        system = traffic.example_system(1, p)
+        x_field = traffic.example_symmetry(1, p)
+        pair = invariants_of(x_field)
+        message = r"^interval must be finite with lo < hi, got \["
+        with pytest.raises(ReduceError, match=message):
+            reduce_and_solve(system, x_field, pair, interval=interval)
+        sol = reduce_and_solve(system, x_field, pair, interval=(2.2, 2.4))
+        with pytest.raises(ReduceError, match=message):
+            verify_invariant_solution(system, sol, interval)
+
     def test_pair_without_reduction_formulas(self):
         p = traffic.example_params(1)
         system = traffic.example_system(1, p)

@@ -209,6 +209,15 @@ class TestParamsValidation:
             example_params(example_id, **overrides)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("example_id,name,value", [
+        (1, "v", math.nan), (1, "tau", math.inf), (1, "alpha", math.nan),
+        (2, "q", -math.inf), (3, "k", math.nan),
+    ])
+    def test_non_finite_field_is_refused(self, example_id, name, value):
+        with pytest.raises(TrafficError) as err:
+            example_params(example_id, **{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value}"
+
     def test_example3_nonzero_exponent(self):
         with pytest.raises(TrafficError, match="n != 0"):
             example_params(3, n=0.0)
