@@ -25,7 +25,8 @@ import numpy as np
 
 from . import expr as E
 from .dods import (FREE_COORDS, DelayKind, DodsSystem, SamplingError,
-                   _delay_kind, _expression, _numbers, check_algebra)
+                   _delay_kind, _expression, _numbers, _once,
+                   check_algebra)
 from .expr import (Const, Expr, Param, compile_columns, free_symbols, parse,
                    subs, to_text)
 from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel,
@@ -56,7 +57,9 @@ class CatalogEntry:
     f_template: Expr | None = None
     g_template: Expr | None = None
     f_slots: tuple[Expr, ...] = ()
-    g_slots: tuple[Expr, ...] = ()
+    #: None for the f_slots: F and G of a family are functions of the same
+    #: invariants of its algebra
+    g_slots: tuple[Expr, ...] | None = None
     default_f: Expr | None = None
     default_g: Expr | None = None
     default_params: dict[str, float] = field(default_factory=dict)
@@ -65,6 +68,10 @@ class CatalogEntry:
     delay_kind: DelayKind = DelayKind.STATE_DEPENDENT
     notes: str = ""
     second_order_minor: Expr | None = None  # must not vanish on the box
+
+    def __post_init__(self):
+        if self.g_slots is None:
+            self.g_slots = self.f_slots
 
     @property
     def has_system(self) -> bool:
@@ -147,7 +154,6 @@ def _builders() -> dict[str, CatalogEntry]:
         basis=_fields(("0", "1")),
         f_template=_F, g_template=_G,
         f_slots=(_X, _DELTA_Y, _DY, _DYM),
-        g_slots=(_X, _DELTA_Y, _DY, _DYM),
         default_f=u2 + E.Call("sin", u3) + u4,
         default_g=u1 - 1 - 0.25 * u3 ** 2,
         notes="vertical translations only; both halves free in four slots",
@@ -157,7 +163,6 @@ def _builders() -> dict[str, CatalogEntry]:
         basis=_fields(("0", "1"), ("0", "y")),
         f_template=_DY * _F, g_template=_G,
         f_slots=(_X, _DY / _DELTA_Y, _DYM / _DELTA_Y),
-        g_slots=(_X, _DY / _DELTA_Y, _DYM / _DELTA_Y),
         default_f=u2 + u3,
         default_g=u1 - 1 - 0.1 * u2,
         box=dict(_BOX_DY_POS),
@@ -168,7 +173,6 @@ def _builders() -> dict[str, CatalogEntry]:
         basis=_fields(("0", "1"), ("x", "y")),
         f_template=(Const(1.0) / _X) * _F, g_template=_X * _G,
         f_slots=(_SLOPE, _DY, _DYM),
-        g_slots=(_SLOPE, _DY, _DYM),
         default_f=u1 + u2,
         default_g=parse("0.4 + 0.05*u2"),
         notes="slot u1 carries the delayed abscissa; delay side must avoid it",
@@ -178,7 +182,6 @@ def _builders() -> dict[str, CatalogEntry]:
         basis=_fields(("0", "1"), ("0", "x")),
         f_template=_F, g_template=_G,
         f_slots=(_X, _DY - _SLOPE, _DY - _DYM),
-        g_slots=(_X, _DY - _SLOPE, _DY - _DYM),
         default_f=u2 + u3,
         default_g=u1 - 1 - 0.1 * u3 ** 2,
     ))
@@ -187,7 +190,6 @@ def _builders() -> dict[str, CatalogEntry]:
         basis=_fields(("1", "0"), ("0", "1")),
         f_template=_F, g_template=_X - _G,
         f_slots=(_DELTA_Y, _DY, _DYM),
-        g_slots=(_DELTA_Y, _DY, _DYM),
         default_f=u1 * E.Call("sin", u2) + u3,
         default_g=1 + u2 ** 2,
         notes="both translations; everything a function of differences",
@@ -199,7 +201,6 @@ def _builders() -> dict[str, CatalogEntry]:
         basis=_fields(("0", "1"), ("0", "x"), ("1", "0")),
         f_template=_F, g_template=_X - _G,
         f_slots=(_DY - _SLOPE, _DY - _DYM),
-        g_slots=(_DY - _SLOPE, _DY - _DYM),
         default_f=u1 + 0.5 * u2 ** 2,
         default_g=1 + 0.2 * u2 ** 2,
     ))
@@ -211,7 +212,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=abs_dx ** (a - 2) * _F,
         g_template=_X - E.Call("abs", _DELTA_Y) ** (1 / a) * _G,
         f_slots=(_DY / abs_dx ** (a - 1), _DYM / abs_dx ** (a - 1)),
-        g_slots=(_DY / abs_dx ** (a - 1), _DYM / abs_dx ** (a - 1)),
         default_f=u1 + u2,
         default_g=Const(1.0),
         default_params={"a": 0.5},
@@ -226,7 +226,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=-_DY / (2 * _X) + (_DY ** 3 / _X) * _F,
         g_template=(_DELTA_Y ** 2 / _X) * _G,
         f_slots=(1 / _DY - 2 * _X / _DELTA_Y, 1 / _DYM + 2 * _XM / _DELTA_Y),
-        g_slots=(1 / _DY - 2 * _X / _DELTA_Y, 1 / _DYM + 2 * _XM / _DELTA_Y),
         default_f=u1,
         default_g=Const(0.05),
         box=dict(_BOX_DY_POS),
@@ -238,7 +237,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=2 * _DY ** 2 / _DELTA_Y + _DY * _F,
         g_template=_G,
         f_slots=(_X, _DELTA_Y ** 2 / (_DY * _DYM)),
-        g_slots=(_X, _DELTA_Y ** 2 / (_DY * _DYM)),
         default_f=u2,
         default_g=u1 - 1 / u2,
         box=dict(_BOX_DY_POS),
@@ -250,7 +248,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=_DY * _F,
         g_template=_X - _G,
         f_slots=(_DY / _DELTA_Y, _DYM / _DELTA_Y),
-        g_slots=(_DY / _DELTA_Y, _DYM / _DELTA_Y),
         default_f=u1,
         default_g=u2 + 1,
         box=dict(_BOX_DY_POS),
@@ -270,7 +267,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=(chi_dd / den1) * (_DY - _SLOPE) + chi_dd * _F,
         g_template=_G,
         f_slots=(_X, w_inv),
-        g_slots=(_X, w_inv),
         default_f=u2,
         default_g=u1 - 1,
         delay_kind=DelayKind.CONSTANT,
@@ -286,7 +282,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=(_DY - _DYM) / _DELTA_X + _F,
         g_template=_X - _G,
         f_slots=(acc,),
-        g_slots=(acc,),
         default_f=1 + 0.25 * u1 ** 2,
         default_g=Const(1.0),
         delay_kind=DelayKind.CONSTANT,
@@ -299,7 +294,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=(Const(1.0) / _DELTA_X ** 2) * _F,
         g_template=_X - (_DELTA_Y + _G) / _DY,
         f_slots=(_DELTA_X * _DYM - _DELTA_Y,),
-        g_slots=(_DELTA_X * _DYM - _DELTA_Y,),
         default_f=u1 + 2,
         default_g=Const(1.5),
         box=dict(_BOX_DY_POS),
@@ -311,7 +305,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=(Const(1.0) / _DELTA_X) * _F,
         g_template=_X - _DELTA_Y / (_DY - _G),
         f_slots=(_DYM - _SLOPE,),
-        g_slots=(_DYM - _SLOPE,),
         default_f=E.Call("sin", u1) + 2,
         default_g=Const(0.2),
         box=dict(_BOX_DY_POS),
@@ -323,7 +316,6 @@ def _builders() -> dict[str, CatalogEntry]:
         f_template=(_DY / _DELTA_X) * _F,
         g_template=_X - (_DELTA_Y / _DY) * _G,
         f_slots=(_DYM / _DY,),
-        g_slots=(_DYM / _DY,),
         default_f=u1,
         default_g=1 + 0.1 * u1,
         box=dict(_BOX_DY_POS),
@@ -466,7 +458,6 @@ def make_h3_entry(chi: Expr, entry_id: str = "H3_DET") -> CatalogEntry:
         f_template=f_template,
         g_template=_G,
         f_slots=(_X,),
-        g_slots=(_X,),
         delay_kind=DelayKind.SOLUTION_INDEPENDENT,
         notes="homogeneous linear family written as a determinant ratio;"
               f" chi(x) = {to_text(chi)}",
@@ -497,7 +488,6 @@ def make_s3_entry(chi2: Expr, chi3: Expr, entry_id: str = "S3_DET") -> CatalogEn
         f_template=f_template,
         g_template=_G,
         f_slots=(_X,),
-        g_slots=(_X,),
         delay_kind=DelayKind.SOLUTION_INDEPENDENT,
         notes="inhomogeneous linear family: determinant equals the free"
               f" function of x; chi2 = {to_text(chi2)}, chi3 = {to_text(chi3)}",
@@ -797,8 +787,18 @@ def _box_line(coord: str, value: str, lineno: int):
     return coord, (lo, hi)
 
 
+#: the keys an entry block may repeat
+_REPEATABLE = ("field", "constraint")
+
+
 def parse_catalog_text(text: str) -> list[CatalogEntry]:
-    """Rebuild entry structures from export_text output."""
+    """Rebuild entry structures from export_text output.
+
+    Only `field` and `constraint` lines repeat in a block; any other key
+    given twice is an error naming both lines.  The slots of F (and of G)
+    are `f_slot u1`, `f_slot u2`, ... in that order, and a block without
+    `g_slot` lines gives G the slots of F.
+    """
     entries: list[CatalogEntry] = []
     current: dict | None = None  # the open block's CatalogEntry fields
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -810,8 +810,9 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
                 raise CatalogError(f"line {lineno}: entry '{current['id']}'"
                                    " is not closed by 'end'")
             current = {"id": line[len("entry "):].strip(), "algebra_label": "",
-                       "basis": [], "f_slots": [], "g_slots": [],
-                       "default_params": {}, "constraints": [], "box": {}}
+                       "basis": [], "default_params": {}, "constraints": [],
+                       "box": {}}
+            seen: dict[str, int] = {}
             continue
         if current is None:
             raise CatalogError(f"line {lineno}: content outside an entry block")
@@ -824,6 +825,8 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in _REPEATABLE:
+            _once(seen, key, lineno, CatalogError)
         if key in _TEXT_KEYS:
             current[_TEXT_KEYS[key]] = value
         elif key in _EXPRESSION_KEYS:
@@ -837,9 +840,12 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
                 _expression(xi.strip(), lineno, CatalogError),
                 _expression(eta.strip(), lineno, CatalogError),
                 label.strip() or f"X{len(basis) + 1}"))
-        elif key.startswith(("f_slot", "g_slot")):
-            current[key[:6] + "s"].append(
-                _expression(value, lineno, CatalogError))
+        elif (slot := key.partition(" ")[0]) in ("f_slot", "g_slot"):
+            slots = current.setdefault(slot + "s", [])
+            if key[len(slot):].strip() != f"u{len(slots) + 1}":
+                raise CatalogError(f"line {lineno}: expected '{slot}"
+                                   f" u{len(slots) + 1}', got '{key}'")
+            slots.append(_expression(value, lineno, CatalogError))
         elif key.startswith("param "):
             current["default_params"][key[len("param "):].strip()] = _numbers(
                 value, lineno, CatalogError)[0]

@@ -522,10 +522,7 @@ def load_dods(text: str) -> DodsSystem:
         elif key == "g":
             g_expr = _expression(value, lineno)
         elif key.startswith("param "):
-            name = key[len("param "):].strip()
-            if not name:
-                raise DodsError(f"line {lineno}: param needs a name")
-            params[name] = _numbers(value, lineno)[0]
+            params[key[len("param "):].strip()] = _numbers(value, lineno)[0]
         elif key == "delay":
             _delay_kind(value, lineno)
         else:
@@ -547,11 +544,17 @@ def _key_values(text: str, error=DodsError):
                 raise error(f"line {lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            first = seen.setdefault(" ".join(key.split()), lineno)
-            if first != lineno:
-                raise error(f"line {lineno}: '{key}' is given again, first"
-                            f" on line {first}")
+            _once(seen, key, lineno, error)
             yield lineno, key, value.strip()
+
+
+def _once(seen: dict[str, int], key: str, lineno: int, error) -> None:
+    """Note in seen that key (spaces inside it aside) is on line lineno; a
+    key seen before is an error naming both lines."""
+    first = seen.setdefault(" ".join(key.split()), lineno)
+    if first != lineno:
+        raise error(f"line {lineno}: '{key}' is given again, first"
+                    f" on line {first}")
 
 
 def _numbers(text: str, lineno: int, error=DodsError, count: int = 1):

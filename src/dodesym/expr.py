@@ -1093,8 +1093,8 @@ def compile_fn(e: Expr, arg_names: Iterable[str],
 def _point_kernel(e: Expr, names: tuple[str, ...],
                   params: Bindings | None) -> Callable[..., float]:
     """compile_fn's memo lookup, for a caller that reads the kernel's
-    `_made` where a wrapper of compile_fn (a counter, a tracer) hands it
-    a kernel without one."""
+    `_made`: it goes past any wrapper of compile_fn (a counter, a tracer),
+    whose kernel has no `_made`."""
     return _memoized(("point", names), (e,), params,
                      lambda: _generate(e, names, False, params))
 

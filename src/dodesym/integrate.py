@@ -4,13 +4,14 @@ Classical 4th-order one-step integration of (y, dy)' = (dy, f), reading
 delayed values from the already-computed part of the trajectory or from
 the initial history.  For constant delay the step grid is aligned so the
 multiples of the delay are breakpoints, which confines derivative
-discontinuities to nodes.  A delayed point at the newest node, or rounded
-just past it (one step per delay allows that), reads that node.
-Solution-independent delays evaluate g(x) directly.  A state-dependent g
-that reads no delayed value (neither ym nor dym) gives xm in one
-evaluation at each stage; one that does is located by a safeguarded
-secant iteration on s - g(s), warm-started from the previous stage, with
-a bracket scan and bisection as the fallback.
+discontinuities to nodes.  One function, _outside, rules on a delayed
+point off the grid for Trajectory.interpolate and the steppers alike: at
+the newest node, or rounded just past it (one step per delay allows
+that), it reads that node.  Solution-independent delays evaluate g(x)
+directly.  A state-dependent g that reads no delayed value (neither ym
+nor dym) gives xm in one evaluation at each stage; one that does is
+located by a safeguarded secant iteration on s - g(s), warm-started from
+the previous stage, with a bracket scan and bisection as the fallback.
 
 Constant and solution-independent delays are planned: the delayed point
 of a stage depends on the stage time alone, so each distinct delayed
@@ -93,11 +94,6 @@ class HistoryFunction:
         return self._y(x), self._dy(x)
 
 
-def _segment_index(xs, x: float) -> int:
-    i = bisect.bisect_right(xs, x) - 1
-    return min(max(i, 0), len(xs) - 2)
-
-
 def _hermite(x, x0, x1, y0, y1, d0, d1) -> tuple[float, float]:
     """(y, dy) at x of the cubic Hermite interpolant on [x0, x1] with the
     values y0, y1 and slopes d0, d1 at the two nodes."""
@@ -145,34 +141,28 @@ class Trajectory:
         return self.xs[-1]
 
     def interpolate(self, x: float) -> tuple[float, float]:
-        """(y, dy) from the Hermite dense output or the history.
-
-        A point at the newest node, or rounded just past it (within 1e-12),
-        reads that node.
-        """
+        """(y, dy) from the Hermite dense output inside the grid, the
+        history below it, and _outside at any other point."""
         xs = self.xs
-        if x < self.history.interval[0] - 1e-12:
-            raise HistoryUnderrunError(
-                f"{x:g} is below the covered range"
-            )
-        if x < xs[0]:
+        if xs[0] <= x < xs[-1]:
+            i = bisect.bisect_right(xs, x) - 1
+            if x == xs[i]:
+                return self.ys[i], self.dys[i]
+            return _hermite(x, xs[i], xs[i + 1], self.ys[i], self.ys[i + 1],
+                            self.dys[i], self.dys[i + 1])
+        lo = self.history.interval[0] - 1e-12
+        if lo <= x < xs[0]:
             return self.history.value(x)
-        if x >= xs[-1]:
-            if x > xs[-1] + 1e-12:
-                raise IntegrationError(f"{x:g} is beyond the computed range")
-            return self.ys[-1], self.dys[-1]
-        i = bisect.bisect_right(xs, x) - 1
-        if x == xs[i]:
-            return self.ys[i], self.dys[i]
-        return _hermite(x, xs[i], xs[i + 1], self.ys[i], self.ys[i + 1],
-                        self.dys[i], self.dys[i + 1])
+        # no point is at or past a NaN stage, so none violates it
+        return _outside(math.nan, x, xs[-1], lo, self.ys, self.dys)
 
     def second_derivative(self, x: float) -> float:
-        if not self.xs[0] <= x <= self.xs[-1]:
+        xs = self.xs
+        if not xs[0] <= x <= xs[-1]:
             raise IntegrationError("second derivative only on the computed range")
-        i = _segment_index(self.xs, x)
-        return _hermite_dd(x, self.xs[i], self.xs[i + 1], self.ys[i],
-                           self.ys[i + 1], self.dys[i], self.dys[i + 1])
+        i = min(bisect.bisect_right(xs, x) - 1, len(xs) - 2)
+        return _hermite_dd(x, xs[i], xs[i + 1], self.ys[i], self.ys[i + 1],
+                           self.dys[i], self.dys[i + 1])
 
     def to_csv(self) -> str:
         lines = ["x,y,dy"]
@@ -562,12 +552,9 @@ def solve(
     code (_stepper).  It gives the trajectory, counters, warnings and
     failures of the per-stage reference solve_numeric bit for bit.
     """
-    f_fn = compile_fn(system.f, _F_ARGS, system.params)
+    make, args = _point_kernel(system.f, _F_ARGS, system.params)._made
     warnings: list[str] = []
     delay = _delay_spec(system, warnings.append)
-    # a kernel that a wrapper of compile_fn returns has no _made
-    make, args = getattr(f_fn, "_made", None) or _point_kernel(
-        system.f, _F_ARGS, system.params)._made
     traj, steps = _start(delay, phi, dy0, x_end, h)
     _stepper(make, delay.xm)(*args)(
         steps, traj.xs, traj.ys, traj.dys, delay.at(traj, x_end), phi.value,
@@ -692,20 +679,18 @@ def _reject(x: float, error, tree, n_rhs_evals: int):
     return err
 
 
-def _outside(x, xm, x0, newest, lo, phi_value, ys, dys):
-    """(ym, dym) at the delayed point xm of stage x where xm is not inside
-    the grid from x0 to the newest node: in the history below x0, or at
-    the newest node at or past it.  Raises what Trajectory.interpolate and
-    solve_numeric raise there: for a point not behind its stage, one below
-    the history lo (less 1e-12), or one more than 1e-12 past the newest
-    node."""
+def _outside(x, xm, newest, lo, ys, dys):
+    """(ym, dym) at a delayed point xm of stage x off the grid: neither in
+    the grid up to the newest node nor in the history from lo, its lowest
+    point less 1e-12.  A point not behind its stage raises
+    DelayViolationError, one below lo HistoryUnderrunError, and one more
+    than 1e-12 past the newest node, or NaN, IntegrationError; any other
+    reads the newest node."""
     if xm >= x:
         raise _violation(xm, x)
-    if xm < x0:
-        if xm < lo:
-            raise HistoryUnderrunError(f"{xm:g} is below the covered range")
-        return phi_value(xm)
-    if xm > newest + 1e-12:
+    if xm < lo:
+        raise HistoryUnderrunError(f"{xm:g} is below the covered range")
+    if not xm <= newest + 1e-12:
         raise IntegrationError(f"{xm:g} is beyond the computed range")
     return ys[-1], dys[-1]
 
@@ -854,7 +839,7 @@ def _stepper_source(head: str, evaluate, xm: str) -> str:
     dym) is (_a0, ..., _a5).
     """
     off_grid = ["_a3, _a5 = phi_value(_a2) if lo <= _a2 < x0 else _outside(",
-                "    _a0, _a2, x0, newest, lo, phi_value, ys, dys)"]
+                "    _a0, _a2, newest, lo, ys, dys)"]
     per_stage = "_a1" in xm or "_a4" in xm
     # neither the right-hand side nor the delay may read the stage's y
     reads_y = "_a1" in xm or any("_a1" in line for line in evaluate(1))

@@ -561,7 +561,7 @@ def _lockstep(n: int, behind_a_car: bool, speed: str, headway: str):
         off_grid += [
             "try:",
             f"    m{i}, p{i} = phi{i}(_a2) if lo{i} <= _a2 < x0 else"
-            f" _outside(_a0, _a2, x0, newest, lo{i}, phi{i}, ys{i}, dys{i})",
+            f" _outside(_a0, _a2, newest, lo{i}, ys{i}, dys{i})",
             "except Exception as exc:",
             f"    return {c}, exc"]
     if behind_a_car:

@@ -465,6 +465,70 @@ class TestExport:
             parse_catalog_text(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("line, first", [
+        ("algebra = L2", 2), ("f_template = F", 3), ("default_F = u1", 4),
+        ("delay = state", 5), ("param a = 2", 6), ("param  a = 2", 6),
+        ("box y = 1.6,2.5", 7), ("f_slot u1 = x", 8), ("notes = again", 9),
+    ])
+    def test_a_key_given_twice_names_both_lines(self, line, first):
+        text = ("entry Z\nalgebra = L1\nf_template = F\ndefault_F = u1\n"
+                "delay = state\nparam a = 1\nbox y = 1,2\nf_slot u1 = y\n"
+                f"notes = once\n{line}\nend\n")
+        key = line.partition("=")[0].strip()
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text(text)
+        assert str(err.value) == \
+            f"line 10: '{key}' is given again, first on line {first}"
+
+    def test_fields_and_constraints_repeat(self):
+        text = ("entry Z\nalgebra = L1\nfield = 0 ; 1 :: X1\n"
+                "field = 0 ; y :: X2\nconstraint = a > 0 :: one\n"
+                "constraint = a < 1 :: two\nend\n")
+        entry, = parse_catalog_text(text)
+        assert [f.label for f in entry.basis] == ["X1", "X2"]
+        assert entry.constraints == (("a > 0", "one"), ("a < 1", "two"))
+
+    @pytest.mark.parametrize("kind", ["f_slot", "g_slot"])
+    def test_swapped_slot_lines_are_refused(self, kind):
+        # read in file order, the swapped lines gave A1_1 the slots
+        # (y - ym, x, ...): another family
+        lines = export_text().splitlines()
+        i = lines.index(f"{kind} u1 = x")
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        assert lines[i] == f"{kind} u2 = (y - ym)"
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text("\n".join(lines))
+        assert str(err.value) == \
+            f"line {i + 1}: expected '{kind} u1', got '{kind} u2'"
+
+    @pytest.mark.parametrize("line, message", [
+        ("f_slotty u1 = x", "line 3: unknown key 'f_slotty u1'"),
+        ("f_slot = x", "line 3: expected 'f_slot u1', got 'f_slot'"),
+        ("g_slot u2 = x", "line 3: expected 'g_slot u1', got 'g_slot u2'"),
+        ("g_slot u1x = x", "line 3: expected 'g_slot u1', got 'g_slot u1x'"),
+    ])
+    def test_a_slot_line_names_the_next_slot(self, line, message):
+        text = f"entry Z\nalgebra = L1\n{line}\nend\n"
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text(text)
+        assert str(err.value) == message
+
+    def test_a_block_without_g_slots_reads_back_its_f_slots(self):
+        text = "\n".join(line for line in export_text().splitlines()
+                         if not line.startswith("g_slot"))
+        again = parse_catalog_text(text)
+        for original, entry in zip(list_entries(), again):
+            assert entry.f_slots == original.f_slots
+            assert entry.g_slots == original.g_slots == original.f_slots
+
+    def test_g_slots_default_to_the_f_slots(self):
+        slots = (parse("x"), parse("dy - dym"))
+        entry = catalog.CatalogEntry(id="Z", algebra_label="L1", basis=(),
+                                     f_slots=slots)
+        assert entry.g_slots == slots
+        assert catalog.CatalogEntry(id="Z", algebra_label="L1", basis=(),
+                                    f_slots=slots, g_slots=()).g_slots == ()
+
     def test_unclosed_last_entry_is_an_error(self):
         # three exported blocks with the last `end` removed
         blocks = export_text().split("end\n\n")[:3]

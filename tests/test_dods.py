@@ -960,6 +960,12 @@ class TestFileFormat:
         with pytest.raises(DodsError, match="line 3: unknown key 'domain'"):
             load_dods("f = ym\ng = x - 1\ndomain = 0,5\n")
 
+    @pytest.mark.parametrize("line", ["param = 2", "param   = 2", " param=2"])
+    def test_a_param_without_a_name_is_an_unknown_key(self, line):
+        with pytest.raises(DodsError) as err:
+            load_dods(f"f = ym\ng = x - 1\n{line}\n")
+        assert str(err.value) == "line 3: unknown key 'param'"
+
     def test_bad_delay_word_names_its_line(self):
         with pytest.raises(DodsError, match="line 3: delay must be"):
             load_dods("f = ym\ng = x - 1\ndelay = fixed\n")

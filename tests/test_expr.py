@@ -967,6 +967,22 @@ def test_sqrt_and_ln_columns_match_the_per_row_loop(name):
         assert bad.tolist() == want_bad.tolist(), v
 
 
+@pytest.mark.parametrize("a, b", [(2.0, -1.0), (-1.0, 2.0), (0.0, 0.0),
+                                  (-0.0, 1.0), (math.nan, math.inf)])
+def test_sqrt_and_ln_of_a_parameter_cell_match_compile_fn(a, b):
+    # sqrt and ln of a parameter read one float cell, broadcast to the rows
+    trees = [parse("sqrt(a)*x"), parse("ln(b)*x")]
+    params = {"a": a, "b": b}
+    xs = np.array([1.5, -2.0, 0.0, 3.0])
+    outs = compile_columns(trees, ("x",), params)(xs)
+    assert len(outs) == 2
+    for e, out in zip(trees, outs):
+        assert out.shape == (4,)
+        fn = compile_fn(e, ("x",), params)
+        for value, got in zip(xs.tolist(), out):
+            _assert_row_matches_closure(fn, (value,), got)
+
+
 def test_sgn_of_nan_is_nan_on_every_call():
     # (-x)*x at NaN meets two NaNs of opposite sign; which one the product
     # keeps changed once CPython specialized the multiplication

@@ -170,6 +170,39 @@ class TestInterpolate:
         with pytest.raises(IntegrationError):
             traj.interpolate(2.0)
 
+    @pytest.mark.parametrize("x, error, message", [
+        (math.nan, IntegrationError, "nan is beyond the computed range"),
+        (math.inf, IntegrationError, "inf is beyond the computed range"),
+        (2.0, IntegrationError, "2 is beyond the computed range"),
+        (-math.inf, HistoryUnderrunError, "-inf is below the covered range"),
+        (-1.5, HistoryUnderrunError, "-1.5 is below the covered range"),
+    ])
+    def test_off_grid_failures_are_named(self, x, error, message):
+        # the steppers' rule for a point off the grid: a NaN point is
+        # refused, not sent into the Hermite read
+        traj = solve(linear_delay_system(), ramp_history(), 1.0, 1.5, 0.01)
+        with pytest.raises(IntegrationError) as err:
+            traj.interpolate(x)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_history_reads_down_to_its_rounded_lowest_point(self):
+        traj = solve(linear_delay_system(), ramp_history(), 1.0, 1.5, 0.01)
+        for x in (-1.0 - 1e-12, -1.0, -0.25, math.nextafter(0.0, -1.0)):
+            assert traj.interpolate(x) == traj.history.value(x)
+
+    def test_second_derivative_of_a_cubic(self):
+        # a node reads the segment to its right, the last node its left one
+        xs = [0.0, 0.5, 1.0]
+        traj = Trajectory(
+            xs=xs, ys=[x ** 3 - 2 * x ** 2 for x in xs],
+            dys=[3 * x ** 2 - 4 * x for x in xs], history=ramp_history())
+        for x in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert traj.second_derivative(x) == pytest.approx(6 * x - 4,
+                                                              abs=1e-12)
+        for x in (-0.1, 1.1, math.nan):
+            with pytest.raises(IntegrationError, match="only on the computed"):
+                traj.second_derivative(x)
+
     def test_first_derivative_continuous_at_breakpoints(self):
         traj = solve(linear_delay_system(), ramp_history(), 1.0, 2.0, 0.05)
         for i in range(1, len(traj.xs) - 1):
@@ -912,8 +945,8 @@ class TestStagePlan:
         assert len(times) == 2 * len(steps) + 1 + len(past)
 
     def test_the_stepper_calls_no_kernel_of_f(self, monkeypatch):
-        # a wrapper of compile_fn hands solve a kernel without the factory
-        # it was made from: solve looks that up and still inlines f
+        # solve takes f's factory from the memo, past a wrapper of
+        # compile_fn, and inlines f: the wrapper's kernel is never called
         calls = [0]
         compile_fn = integrate.compile_fn
         system, phi = _seeded(3, "x - 1 - 0.2*sin(x)")

@@ -222,6 +222,50 @@ class TestReduceAndSolve:
         assert sol.residual < 1e-12
 
 
+#: the outcome of reduce_and_solve for a field of the catalog: solved, or
+#: the ReduceError whose message starts with the text
+_OUTCOMES = {"xi vanishes identically": "V",
+             "unsupported field family": "U",
+             "no root found from any starting guess": "N",
+             "reduced residuals vary with x": "X"}
+
+#: the outcome of each basis field of each catalog entry with a system,
+#: in basis order, under the default instantiation and arguments
+_CATALOG_OUTCOMES = {
+    "A1_1": "V", "A2_1": "VV", "A2_2": "VS", "A2_3": "VV", "A2_4": "SV",
+    "A3_1": "VVS", "A3_2a": "SVS", "A3_8": "VSU", "A3_11": "VVV",
+    "A3_13": "SVV", "A3_15": "VVV", "A4_1": "VVVN", "A4_8": "VNVN",
+    "A4_11": "VNVX", "A4_20": "SSVV", "A5_1": "VVVNN", "A5_6": "NUUVV",
+    "A5_8": "SSVVV", "A6_2": "SXUVVV", "A6_3": "SSUVVV", "H3_DET": "VVVV",
+    "S3_DET": "VVVV", "TRAFFIC_EX1": "S", "TRAFFIC_EX2": "SV",
+    "TRAFFIC_EX3": "S",
+}
+
+
+def _outcome(system, x_field) -> str:
+    try:
+        reduce_and_solve(system, x_field,
+                         invariants_of(x_field, params=system.params))
+    except ReduceError as exc:
+        return next((code for text, code in _OUTCOMES.items()
+                     if str(exc).startswith(text)), str(exc))
+    return "S"
+
+
+def test_every_catalog_basis_field_has_its_outcome():
+    # the last two failures of reduce_and_solve are reached by the catalog
+    got = {}
+    for entry in catalog.list_entries():
+        if entry.has_system:
+            system = catalog.instantiate(
+                catalog.default_instantiation(entry.id))
+            got[entry.id] = "".join(_outcome(system, f) for f in entry.basis)
+    assert got == _CATALOG_OUTCOMES
+    table = "".join(got.values())
+    assert {code: table.count(code) for code in "SVUNX"} == \
+        {"S": 17, "V": 51, "U": 5, "N": 7, "X": 2}
+
+
 class TestVerification:
     def test_drifting_solution_grid_and_integrator(self):
         p = traffic.example_params(1)
