@@ -21,8 +21,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expr as E
 from .dods import (FREE_COORDS, DelayKind, DodsSystem, SamplingError,
                    _delay_kind, _expression, _numbers, _once,
@@ -662,6 +660,8 @@ def _check_nondegeneracy(entry: CatalogEntry, system: DodsSystem) -> None:
     means it vanishes inside the interval, a near-zero magnitude means it
     nearly does; either way the input is rejected.
     """
+    import numpy as np
+
     minor = E.subs(entry.second_order_minor, {"xm": system.g})
     lo, hi = system.box.get("x", (0.5, 2.5))
     values = compile_columns(minor, ("x",), system.params)(
@@ -688,6 +688,8 @@ def negative_control(entry: CatalogEntry, seed: int = 42) -> VectorField:
     are screened by a numeric span test first.  An entry without a basis
     (S_m, H_m) is a CatalogError.
     """
+    import numpy as np
+
     if not entry.basis:
         raise CatalogError(f"entry '{entry.id}' has no basis field to perturb")
     candidates = [parse("0.1*x^2"), parse("0.1*x^3"), parse("0.1*sin(x)"),

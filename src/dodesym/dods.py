@@ -48,9 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .expr import (
     DomainError,
@@ -66,6 +64,9 @@ from .expr import (
     to_text,
 )
 from .symmetry import _BLOCK_ROWS, JET, VectorField, field_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DelayKind(enum.Enum):
@@ -163,6 +164,8 @@ class DodsSystem:
         Checks that f genuinely involves delayed quantities and that g
         stays below x.
         """
+        import numpy as np
+
         if n < 1:
             raise ValueError("n must be at least 1")
         rng = np.random.default_rng(seed)
@@ -224,6 +227,8 @@ def _draw(rng, box, m) -> np.ndarray:
     uniform formula.  A box whose width is not finite raises
     OverflowError, and one whose width is negative ValueError, as uniform
     does."""
+    import numpy as np
+
     lo, hi = np.array([box.get(v, DEFAULT_BOX[v]) for v in FREE_COORDS]).T
     width = hi - lo
     if not np.isfinite(width).all():
@@ -250,6 +255,8 @@ def _on_manifold(free: np.ndarray, kernels) -> tuple[np.ndarray, np.ndarray,
     depend on that row alone (the contract of `compile_columns`), so the
     columns of several blocks give what each block gives by itself.
     """
+    import numpy as np
+
     x = free[0]
     xm = kernels.g(*free)
     below = xm < x
@@ -279,6 +286,8 @@ def _sample_manifold(rng, box, m, kernels):
 def _first_blocks(rngs, box, m, kernels) -> list[tuple]:
     """`_sample_manifold(rng, box, m, kernels)` of each generator, in
     order, from one kernel call over the drawn blocks laid end to end."""
+    import numpy as np
+
     if len(rngs) == 1:
         return [_sample_manifold(rngs[0], box, m, kernels)]
     jet, rows, d = _on_manifold(
@@ -336,6 +345,8 @@ def _residuals(coeffs, jet: np.ndarray, d):
     """pr X (ddy - f) and pr X (xm - g) at the columns of jet, where d
     holds the partials of f and g there (JET order, f then g), and the
     mask of rows where every coefficient and partial is defined."""
+    import numpy as np
+
     c = coeffs(*jet)
     with np.errstate(all="ignore"):
         r_dode = c[_I_DDY] - sum(c[i] * d[i] for i in range(7))
@@ -392,6 +403,8 @@ def check_algebra(
     tail blocks included, so the reports, and an error and the field it
     surfaces at, are those of check_invariance field by field.
     """
+    import numpy as np
+
     if not fields:
         return []
     if n < 1:
@@ -418,6 +431,8 @@ def _check_field(system, kernels, x_field, rng, first, n, tol):
     """The report of check_invariance on x_field, drawing from rng, where
     first is the first block rng has drawn, min(n, _BLOCK_ROWS) rows, on
     the manifold; the sampling loop of every check."""
+    import numpy as np
+
     coeffs = field_kernel(x_field, system.params)
     worst: np.ndarray | None = None
     good = 0

@@ -62,9 +62,11 @@ import re
 import struct
 import weakref
 from collections import Counter, OrderedDict
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
+                    Union)
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Jet alphabet: `m` suffix marks the delayed point (xm = delayed x, ym = y at
 # the delayed point, dym = first derivative there).  t and n are auxiliary
@@ -1042,7 +1044,8 @@ def _bind(make: Callable, tree: Expr | None, sources: list,
             c = values[c]
         cells.append(c)
     if tree is None:
-        kernel = functools.partial(_columns_checked, make(*cells))
+        kernel = functools.partial(_column_primitives()["_checked"],
+                                   make(*cells))
     else:
         args = (tree, values, *cells) if values else (tree, *cells)
         kernel = make(*args)
@@ -1067,7 +1070,7 @@ _POINT_PRIMITIVES = {**_PRIMITIVES, "DomainError": DomainError,
 def _factory(src: str, columns: bool) -> Callable:
     """The factory `_make` that src defines: the shape table, keyed by the
     text, which holds no tree, so exec runs once per shape."""
-    ns = dict(_COLUMN_PRIMITIVES if columns else _POINT_PRIMITIVES)
+    ns = dict(_column_primitives() if columns else _POINT_PRIMITIVES)
     exec(src, ns)
     return ns["_make"]
 
@@ -1118,6 +1121,12 @@ def _point_kernel(e: Expr, names: tuple[str, ...],
 # is marked.  An output that reads no argument and no marked node is one
 # float (a constant, a parameter, or + - * of them), filled into its
 # column once; one that reads arguments but no marked node needs no mask.
+#
+# numpy is imported when the first column kernel is compiled, which
+# builds the primitive table (`_column_primitives`), and not before: a
+# program that compiles no column kernel never loads it.  The primitives
+# and `_checked`, the call of every column kernel, close over that
+# import, so a call imports nothing.
 
 _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
@@ -1125,6 +1134,8 @@ _UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 def _column_map(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     """fn mapped over the rows; a row where fn raises is NaN and marked in
     bad."""
+    import numpy as np
+
     def apply(bad: np.ndarray, *args) -> np.ndarray:
         # a float argument (a constant cell) is the same on every row
         rows = [[a] * len(bad) if isinstance(a, float)
@@ -1150,6 +1161,8 @@ def _column_refusing(fn: Callable[[np.ndarray], np.ndarray],
                      ) -> Callable[..., np.ndarray]:
     """fn of one column whose rows that refused names, the rows where the
     point primitive raises, are marked in bad and given to fn as NaN."""
+    import numpy as np
+
     def apply(bad: np.ndarray, v) -> np.ndarray:
         if isinstance(v, float) or v.shape != bad.shape:
             v = np.broadcast_to(v, bad.shape)
@@ -1162,44 +1175,50 @@ def _column_refusing(fn: Callable[[np.ndarray], np.ndarray],
     return apply
 
 
-def _column_div(bad: np.ndarray, num, den):
-    bad |= np.equal(den, 0.0)
-    return np.true_divide(num, den)
+@functools.cache
+def _column_primitives() -> dict[str, Callable[..., np.ndarray]]:
+    """What a column kernel reads, and `_checked`, which `_bind` calls it
+    through: built, and numpy imported, when `_factory` compiles the first
+    column kernel."""
+    import numpy as np
 
+    def div(bad: np.ndarray, num, den):
+        bad |= np.equal(den, 0.0)
+        return np.true_divide(num, den)
 
-def _column_square(bad: np.ndarray, u):
-    r = u * u
-    over = np.isinf(r)
-    if over.any():
-        bad |= over & np.isfinite(u)
-    return r
+    def square(bad: np.ndarray, u):
+        r = u * u
+        over = np.isinf(r)
+        if over.any():
+            bad |= over & np.isfinite(u)
+        return r
 
+    def checked(fn: Callable, *cols):
+        cols = [np.asarray(c, dtype=float) for c in cols]
+        shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
+        cols = [c if c.shape == shape else np.broadcast_to(c, shape)
+                for c in cols]
+        with np.errstate(all="ignore"):
+            return fn(shape, *cols)
 
-_COLUMN_PRIMITIVES: dict[str, Callable[..., np.ndarray]] = {
-    **{name: _column_map(fn) for name, fn in _PRIMITIVES.items()},
-    # the rows where math.sqrt and math.log raise, exactly: below zero
-    # (not at -0.0 or NaN), and at or below zero.  The other mapped
-    # primitives catch their failures row by row: no comparison names
-    # where exp or pow overflows or pow has no real value.
-    "sqrt": _column_refusing(np.sqrt, lambda v: v < 0.0),
-    "ln": _column_refusing(
-        lambda v: np.fromiter(map(math.log, v.tolist()), float, len(v)),
-        lambda v: v <= 0.0),
-    "abs": lambda bad, v: np.abs(v),
-    "sgn": lambda bad, v: np.sign(v),
-    "_div": _column_div, "_square": _column_square,
-    "_where": np.where, "_isfinite": np.isfinite, "nan": math.nan,
-    "_mask": functools.partial(np.zeros, dtype=bool),
-    "_full": np.full, "_finite": math.isfinite,
-}
-
-
-def _columns_checked(fn: Callable, *cols):
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
-    cols = [c if c.shape == shape else np.broadcast_to(c, shape) for c in cols]
-    with np.errstate(all="ignore"):
-        return fn(shape, *cols)
+    return {
+        **{name: _column_map(fn) for name, fn in _PRIMITIVES.items()},
+        # the rows where math.sqrt and math.log raise, exactly: below zero
+        # (not at -0.0 or NaN), and at or below zero.  The other mapped
+        # primitives catch their failures row by row: no comparison names
+        # where exp or pow overflows or pow has no real value.
+        "sqrt": _column_refusing(np.sqrt, lambda v: v < 0.0),
+        "ln": _column_refusing(
+            lambda v: np.fromiter(map(math.log, v.tolist()), float, len(v)),
+            lambda v: v <= 0.0),
+        "abs": lambda bad, v: np.abs(v),
+        "sgn": lambda bad, v: np.sign(v),
+        "_div": div, "_square": square,
+        "_where": np.where, "_isfinite": np.isfinite, "nan": math.nan,
+        "_mask": functools.partial(np.zeros, dtype=bool),
+        "_full": np.full, "_finite": math.isfinite,
+        "_checked": checked,
+    }
 
 
 def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
@@ -1214,7 +1233,8 @@ def compile_columns(exprs: Expr | Iterable[Expr], arg_names: Iterable[str],
     closure raises DomainError; a row is defined exactly where the result
     is finite.  As in compile_fn, each param the trees read is a closure
     cell, so a memo that keeps the function gives it other values without
-    compiling it again.
+    compiling it again.  numpy is imported, and the column primitives
+    built, when the first such function is compiled.
     """
     return _generate(exprs, arg_names, True, params)
 

@@ -36,8 +36,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dods import DelayKind, DodsSystem, FREE_COORDS
 from .expr import (_POINT_PRIMITIVES, DomainError, Expr, _point_kernel,
                    _PointBody, compile_fn, diff, free_symbols, parse)
@@ -175,16 +173,34 @@ class Trajectory:
 # delay resolution
 
 
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, the grid of every scalar
+    scan, bit for bit `numpy.linspace(lo, hi, n).tolist()` by numpy's own
+    formula: point i is i * step + lo with step = (hi - lo) / (n - 1), or
+    i / (n - 1) * (hi - lo) + lo where that step is zero (a subnormal
+    width), and the last point is hi."""
+    lo, hi = float(lo), float(hi)
+    width = hi - lo
+    step = width / (n - 1)
+    if step == 0.0:
+        grid = [i / (n - 1) * width + lo for i in range(n - 1)]
+    else:
+        grid = [i * step + lo for i in range(n - 1)]
+    grid.append(hi)
+    return grid
+
+
 def _sign_scan(fn, lo: float, hi: float, cells: int, zero: float = 0.0,
                errors=()):
-    """fn on cells + 1 evenly spaced points of [lo, hi], and its brackets.
+    """fn on the cells + 1 points of `_grid(lo, hi, cells + 1)`, and its
+    brackets.
 
-    A value is NaN where fn raises one of errors.  Returns the grid (as
-    floats), the values and the root brackets in grid order: (a, a) at a
-    node where |fn| <= zero, and otherwise (a, b) over each cell whose end
-    values have strictly opposite signs.
+    A value is NaN where fn raises one of errors.  Returns the grid, the
+    values and the root brackets in grid order: (a, a) at a node where
+    |fn| <= zero, and otherwise (a, b) over each cell whose end values have
+    strictly opposite signs.
     """
-    grid = np.linspace(lo, hi, cells + 1).tolist()
+    grid = _grid(lo, hi, cells + 1)
     values = []
     for s in grid:
         try:
@@ -911,6 +927,8 @@ def residual_on_trajectory(
     defect |xm - g| under the system's own delay resolution.  Samples where
     f or g is undefined are skipped; n_samples counts the ones used.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     f_fn = compile_fn(system.f, _F_ARGS, system.params)
     warnings: list[str] = []

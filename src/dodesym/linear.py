@@ -24,8 +24,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expr as E
 from .dods import (DodsSystem, InvarianceReport, _expression,
                    _key_values, _numbers, check_invariance)
@@ -33,6 +31,7 @@ from .expr import Const, DomainError, Expr, compile_fn, diff, subs, to_text
 from .integrate import (
     HistoryFunction,
     Trajectory,
+    _grid,
     _real_roots,
     residual_on_trajectory,
     solve,
@@ -74,7 +73,7 @@ class LinearDods:
 
     def _probe_points(self) -> list[float]:
         lo, hi = self.domain
-        return [float(x) for x in np.linspace(lo, hi, 17)]
+        return _grid(lo, hi, 17)
 
     def _fn(self, e: Expr):
         """e as a compiled function of x, parameters bound."""
@@ -314,6 +313,8 @@ def detect_extra_symmetry(L: LinearDods) -> ExtraSymmetry | None:
     constant) and must pass check_invariance.  Any failed check returns
     None.
     """
+    import numpy as np
+
     if not L.is_homogeneous():
         raise LinearError("non-homogeneous")
     lo, hi = L.domain
@@ -334,8 +335,7 @@ def detect_extra_symmetry(L: LinearDods) -> ExtraSymmetry | None:
 
     g_fn, gd_fn = L._fn(L.g), L._fn(gd)
     # grid on which g stays inside the domain (needed for K(g), xi(g))
-    grid = [float(x) for x in np.linspace(lo, hi, 4 * _N_GRID)
-            if lo <= g_fn(float(x)) <= hi]
+    grid = [x for x in _grid(lo, hi, 4 * _N_GRID) if lo <= g_fn(x) <= hi]
     if len(grid) < _N_GRID:
         raise LinearError(
             "domain too short: g(x) leaves it for almost every x"
@@ -430,6 +430,8 @@ def verify_canonical_transform(
     residual and a constant transformed delay certify the
     constant-coefficient form.
     """
+    import numpy as np
+
     if extra.xi is None or not extra.xi_is_constant:
         raise LinearError("canonical transform check needs constant xi")
     traj = solve(L.to_dods(), phi, "from-phi", x_end, h)
@@ -441,9 +443,9 @@ def verify_canonical_transform(
 
     lo = traj.x_start
     hi = traj.x_end
-    xs = [float(x) for x in np.linspace(lo, hi, 60)
-          if g_fn(float(x)) >= traj.history.interval[0] + 1e-9
-          and lo + 1e-6 <= float(x) <= hi - 1e-6]
+    xs = [x for x in _grid(lo, hi, 60)
+          if g_fn(x) >= traj.history.interval[0] + 1e-9
+          and lo + 1e-6 <= x <= hi - 1e-6]
     rows, rhs, delays = [], [], []
     for x in xs:
         xm = g_fn(x)
@@ -527,7 +529,7 @@ def verify_exponential_solution(cl: CanonicalLinear, lam: float) -> float:
                     + Const(cl.gamma) * ym)
     scaled = E.simplify(defect / y)
     fn = compile_fn(scaled, ("x",))
-    return max(abs(fn(float(x))) for x in np.linspace(0.0, 1.0, 50))
+    return max(abs(fn(x)) for x in _grid(0.0, 1.0, 50))
 
 
 # ---------------------------------------------------------------------------

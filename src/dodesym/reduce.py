@@ -16,13 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expr as E
 from .dods import DodsSystem, check_invariance
 from .expr import (Const, DomainError, Expr, Param, _memoized, compile_columns,
                    compile_fn, diff, subs)
-from .integrate import HistoryFunction, _exact_drift
+from .integrate import HistoryFunction, _exact_drift, _grid
 from .symmetry import _JET_BOX, VectorField, prolong
 
 
@@ -150,6 +148,8 @@ def _annihilation(x_field: VectorField, pair: InvariantPair,
     of J1 are defined and |pr X J2| at checked points.  A NaN there (inf
     - inf after an overflow) makes the largest value NaN.
     """
+    import numpy as np
+
     kernel = _memoized(
         "annihilation", (x_field.xi, x_field.eta, pair.J1, pair.J2), params,
         lambda: _annihilation_columns(x_field, pair, params))
@@ -260,6 +260,8 @@ def reduce_and_solve(
     the operational signature that the field really is a symmetry and the
     ansatz valid.
     """
+    import numpy as np
+
     if not pair.can_reduce():
         raise ReduceError(
             "invariant pair carries no reduction formulas; only the"
@@ -339,9 +341,9 @@ def reduce_and_solve(
     spread = 0.0
     for fn in (r1_fn, r2_fn):
         vals = []
-        for x in np.linspace(lo, hi, 10):
+        for x in _grid(lo, hi, 10):
             try:
-                vals.append(fn(float(x), float(z[0]), float(z[1])))
+                vals.append(fn(x, float(z[0]), float(z[1])))
             except DomainError:
                 continue
         if len(vals) >= 2:
@@ -396,17 +398,17 @@ def verify_invariant_solution(
     curves compared over the interval.
     """
     lo, hi = _window(interval)
-    grid = np.linspace(lo, hi, 50)
+    grid = _grid(lo, hi, 50)
     r1, r2 = (compile_fn(r, ("x",))
               for r in _reduced_residual_exprs(system, sol.h, sol.k))
     grid_res = 0.0
     for x in grid:
-        grid_res = max(grid_res, abs(r1(float(x))), abs(r2(float(x))))
+        grid_res = max(grid_res, abs(r1(x)), abs(r2(x)))
 
     deviation = None
     if cross_check:
         k_fn = compile_fn(sol.k, ("x",))
-        hist_lo = min(k_fn(float(x)) for x in grid)
+        hist_lo = min(k_fn(x) for x in grid)
         deviation = _exact_drift(system, HistoryFunction(sol.h, (hist_lo, lo)),
                                  hi, h_step)
     return SolutionVerification(grid_residual=grid_res,

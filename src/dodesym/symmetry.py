@@ -9,8 +9,7 @@ derivative coefficients follow the usual total-derivative recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .expr import (
     TOO_DEEP,
@@ -31,6 +30,9 @@ from .expr import (
     XM,
     YM,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 JET = ("x", "y", "xm", "ym", "dy", "dym", "ddy")
 
@@ -207,6 +209,8 @@ def check_closure(
     pairs left drawn again.  One draw of many blocks is the same stream as
     a draw per block, so every fit sees the points it would see alone.
     """
+    import numpy as np
+
     n = len(fields)
     if n < 2:
         raise ValueError("need at least two fields")
@@ -278,6 +282,8 @@ def _bracket_kernel(a: VectorField, b: VectorField, params: Bindings):
 def _plane_values(kernel, x, y) -> np.ndarray:
     """The values of a plane kernel at the points (x, y), shaped
     (points, 2, fields): xi and eta of each field at each point."""
+    import numpy as np
+
     return np.array(kernel(x, y)).reshape(-1, 2, len(x)).T
 
 
@@ -289,6 +295,8 @@ def _span_fit(basis: np.ndarray, target: np.ndarray):
     Returns (coefficients, largest residual, rank), or None where a
     coefficient is undefined at some point.
     """
+    import numpy as np
+
     # rows interleave xi and eta point by point, one column per field
     a, b = basis.reshape(-1, basis.shape[-1]), target.reshape(-1)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -318,6 +326,8 @@ def invariant_count(
     dropped and another drawn, up to 20 * n_points draws in all; fewer
     than n_points usable points is a SymmetryError.
     """
+    import numpy as np
+
     if not fields:
         raise ValueError("need at least one field")
     params = dict(params or {})

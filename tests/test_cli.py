@@ -13,14 +13,23 @@ from dodesym.dods import DodsError
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args: str):
+def run_python(*argv: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(PKG_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "dodesym", *args],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=300,
     )
+
+
+def run_cli(*args: str):
+    return run_python("-m", "dodesym", *args)
+
+
+#: the command line with numpy blocked, so that importing it raises
+BLOCK_NUMPY = ('import sys; sys.modules["numpy"] = None; '
+               'from dodesym.cli import main; sys.exit(main(sys.argv[1:]))')
 
 
 @pytest.fixture
@@ -273,6 +282,50 @@ class TestCatalog:
         proc = run_cli("catalog", "check", "A9_9")
         assert proc.returncode == 1
         assert "no catalog entry" in proc.stdout
+
+
+class TestStartUp:
+    # numpy is imported where arrays are made: the catalog listing and the
+    # commands that compute on floats alone never load it
+
+    def test_the_catalog_listing_loads_no_numpy(self):
+        proc = run_python("-c", """\
+import sys
+import dodesym.cli
+from dodesym import catalog
+catalog.list_entries()
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("args", [
+        ("catalog", "list"),
+        ("catalog", "show", "A4_1"),
+        ("catalog", "export", "{file}"),
+        ("integrate", "--system", "examples/one_step_per_delay.txt", "--phi",
+         "1", "--history", "-0.7,0.2", "--to", "2", "--h", "0.9"),
+        ("roots", "--alpha", "0.2", "--beta", "1", "--gamma", "0.1", "--C",
+         "0.5", "--range=-3,3"),
+        ("traffic", "--scenario", "examples/platoon.txt"),
+    ], ids=lambda args: " ".join(args[:2]))
+    def test_float_only_commands_run_without_numpy(self, args, tmp_path):
+        file = tmp_path / "catalog.txt"
+        args = [a.format(file=file) for a in args]
+        want = run_cli(*args)
+        written = file.read_bytes() if file.exists() else None
+        file.unlink(missing_ok=True)
+        got = run_python("-c", BLOCK_NUMPY, *args)
+        assert want.returncode == 0, want.stdout + want.stderr
+        assert (got.returncode, got.stdout, got.stderr) == (
+            want.returncode, want.stdout, want.stderr)
+        assert (file.read_bytes() if file.exists() else None) == written
+
+    def test_a_command_that_makes_arrays_needs_numpy(self):
+        # the block holds: a sampled check imports numpy, and fails without
+        proc = run_python("-c", BLOCK_NUMPY, "catalog", "check", "A1_1")
+        assert proc.returncode == 3
+        assert "import of numpy halted" in proc.stderr
 
 
 class TestIntegrate:

@@ -962,7 +962,7 @@ def test_sqrt_and_ln_columns_match_the_per_row_loop(name):
             except ValueError:
                 want_bad[i] = True
         with np.errstate(all="raise"):
-            got = E._COLUMN_PRIMITIVES[name](bad, v)
+            got = E._column_primitives()[name](bad, v)
         assert got.tobytes() == want.tobytes(), v
         assert bad.tolist() == want_bad.tolist(), v
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dodesym import expr as E
 from dodesym import integrate
@@ -22,6 +24,7 @@ from dodesym.integrate import (
     _StateDelay,
     _bisect,
     _delay_spec,
+    _grid,
     _real_roots,
     _sign_scan,
     _step_plan,
@@ -520,6 +523,28 @@ class TestExplicitStateDelay:
         assert _outcome(_secant_spec, *case)[0][0] == "FixedPointError"
         assert _outcome(_delay_spec, *case)[0] == (
             "DomainError", "math domain error in '(1 + sqrt((x + 0.6)))'")
+
+
+#: a window end: any finite float, or one within a few subnormals of zero,
+#: so that two of them can be a subnormal width apart
+_WINDOW_ENDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-320, max_value=1e-320))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=_WINDOW_ENDS, hi=_WINDOW_ENDS, n=st.integers(2, 5000))
+@example(lo=-3.0, hi=3.0, n=401)
+@example(lo=0.0, hi=5e-324, n=4001)  # a step of zero
+@example(lo=-1e300, hi=1e300, n=17)
+@example(lo=-1.7e308, hi=1.7e308, n=3)  # a width past the float range
+@example(lo=1.0, hi=1.0, n=2)
+def test_grid_is_numpys_linspace_bit_for_bit(lo, hi, n):
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, n).tolist()
+    got = _grid(lo, hi, n)
+    assert all(type(s) is float for s in got)
+    assert [s.hex() for s in got] == [s.hex() for s in want]
 
 
 class TestSignScanAndBisect:
