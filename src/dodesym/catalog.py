@@ -8,23 +8,29 @@ family is nonsingular.  Delay templates are stored in explicit form
 slots that would drag the delayed abscissa into the delay relation are
 rejected at instantiation time.
 
-Family identifiers follow the usual dimension-based naming (A1_1 ...
-A6_3) plus two determinant-built linear families (H3_DET, S3_DET), two
-marker records for the infinite linear chains (S_m, H_m), and the three
-car-following example systems.
+The entries are data: `catalog.txt`, next to this module, holds one block
+per entry in the format of `export_text`, and every catalog command reads
+it through `parse_catalog_text`, once per process.  Family identifiers
+follow the usual dimension-based naming (A1_1 ... A6_3) plus two
+determinant-built linear families (H3_DET, S3_DET), two marker records
+for the infinite linear chains (S_m, H_m), and the three car-following
+example systems.  The H3_DET and S3_DET blocks are what `make_h3_entry`
+and `make_s3_entry` build for one chi; those builders stay here for
+families of another chi, which a data file cannot hold.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 
 from . import expr as E
 from .dods import (FREE_COORDS, DelayKind, DodsSystem, SamplingError,
                    _delay_kind, _expression, _numbers, _once,
-                   check_algebra)
+                   _param_line, check_algebra)
 from .expr import (Const, Expr, Param, compile_columns, free_symbols, parse,
                    subs, to_text)
 from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel,
@@ -32,15 +38,11 @@ from .symmetry import (_PLANE_BOX, VectorField, _plane_kernel,
 
 _X, _Y, _XM, _YM, _DY, _DYM, _DDY = E.X, E.Y, E.XM, E.YM, E.DY, E.DYM, E.DDY
 
-_DELTA_Y = _Y - _YM
-_DELTA_X = _X - _XM
-_SLOPE = _DELTA_Y / _DELTA_X  # finite slope, the tables' y_x
-
 _F = Param("F")
 _G = Param("G")
 
-#: admissible box for families whose denominators contain y - ym
-_BOX_DY_POS = {"y": (1.6, 2.5), "ym": (0.5, 1.4)}
+#: the catalog's entries, one block each, read by parse_catalog_text
+_DATA = os.path.join(os.path.dirname(__file__), "catalog.txt")
 
 
 class CatalogError(Exception):
@@ -95,13 +97,6 @@ class Instantiation:
     params: dict[str, float] = field(default_factory=dict)
 
 
-def _fields(*specs: tuple[str, str]) -> tuple[VectorField, ...]:
-    return tuple(
-        VectorField.from_text(xi, eta, label=f"X{i + 1}")
-        for i, (xi, eta) in enumerate(specs)
-    )
-
-
 _COMPARE = {"<=": operator.le, ">=": operator.ge, "!=": operator.ne,
             "==": operator.eq, "<": operator.lt, ">": operator.gt}
 
@@ -136,289 +131,6 @@ def _det(rows: list[list[Expr]]) -> Expr:
 
 def _at_delayed(e: Expr) -> Expr:
     return subs(e, {"x": _XM, "y": _YM})
-
-
-def _builders() -> dict[str, CatalogEntry]:
-    entries: dict[str, CatalogEntry] = {}
-
-    def add(entry: CatalogEntry) -> None:
-        entries[entry.id] = entry
-
-    u1, u2, u3, u4 = (Param(f"u{i}") for i in range(1, 5))
-
-    # --- dimension 1 and 2 -------------------------------------------------
-    add(CatalogEntry(
-        id="A1_1", algebra_label="n_{1,1}",
-        basis=_fields(("0", "1")),
-        f_template=_F, g_template=_G,
-        f_slots=(_X, _DELTA_Y, _DY, _DYM),
-        default_f=u2 + E.Call("sin", u3) + u4,
-        default_g=u1 - 1 - 0.25 * u3 ** 2,
-        notes="vertical translations only; both halves free in four slots",
-    ))
-    add(CatalogEntry(
-        id="A2_1", algebra_label="s_{2,1}",
-        basis=_fields(("0", "1"), ("0", "y")),
-        f_template=_DY * _F, g_template=_G,
-        f_slots=(_X, _DY / _DELTA_Y, _DYM / _DELTA_Y),
-        default_f=u2 + u3,
-        default_g=u1 - 1 - 0.1 * u2,
-        box=dict(_BOX_DY_POS),
-        notes="linearly connected pair; y - ym kept positive on the box",
-    ))
-    add(CatalogEntry(
-        id="A2_2", algebra_label="s_{2,1}",
-        basis=_fields(("0", "1"), ("x", "y")),
-        f_template=(Const(1.0) / _X) * _F, g_template=_X * _G,
-        f_slots=(_SLOPE, _DY, _DYM),
-        default_f=u1 + u2,
-        default_g=parse("0.4 + 0.05*u2"),
-        notes="slot u1 carries the delayed abscissa; delay side must avoid it",
-    ))
-    add(CatalogEntry(
-        id="A2_3", algebra_label="2n_{1,1}",
-        basis=_fields(("0", "1"), ("0", "x")),
-        f_template=_F, g_template=_G,
-        f_slots=(_X, _DY - _SLOPE, _DY - _DYM),
-        default_f=u2 + u3,
-        default_g=u1 - 1 - 0.1 * u3 ** 2,
-    ))
-    add(CatalogEntry(
-        id="A2_4", algebra_label="2n_{1,1}",
-        basis=_fields(("1", "0"), ("0", "1")),
-        f_template=_F, g_template=_X - _G,
-        f_slots=(_DELTA_Y, _DY, _DYM),
-        default_f=u1 * E.Call("sin", u2) + u3,
-        default_g=1 + u2 ** 2,
-        notes="both translations; everything a function of differences",
-    ))
-
-    # --- dimension 3 -------------------------------------------------------
-    add(CatalogEntry(
-        id="A3_1", algebra_label="n_{3,1}",
-        basis=_fields(("0", "1"), ("0", "x"), ("1", "0")),
-        f_template=_F, g_template=_X - _G,
-        f_slots=(_DY - _SLOPE, _DY - _DYM),
-        default_f=u1 + 0.5 * u2 ** 2,
-        default_g=1 + 0.2 * u2 ** 2,
-    ))
-    abs_dx = E.Call("abs", _DELTA_X)
-    a = Param("a")
-    add(CatalogEntry(
-        id="A3_2a", algebra_label="s_{3,1}",
-        basis=_fields(("1", "0"), ("0", "1"), ("x", "a*y")),
-        f_template=abs_dx ** (a - 2) * _F,
-        g_template=_X - E.Call("abs", _DELTA_Y) ** (1 / a) * _G,
-        f_slots=(_DY / abs_dx ** (a - 1), _DYM / abs_dx ** (a - 1)),
-        default_f=u1 + u2,
-        default_g=Const(1.0),
-        default_params={"a": 0.5},
-        constraints=(("0 < abs(a) <= 1", "scaling weight a in (0, 1]"),),
-        box=dict(_BOX_DY_POS),
-        notes="slots depend on the delay width, so the delay side takes"
-              " constants only; x and the delayed point stay positive",
-    ))
-    add(CatalogEntry(
-        id="A3_8", algebra_label="sl(2,R)",
-        basis=_fields(("0", "1"), ("x", "y"), ("2*x*y", "y^2")),
-        f_template=-_DY / (2 * _X) + (_DY ** 3 / _X) * _F,
-        g_template=(_DELTA_Y ** 2 / _X) * _G,
-        f_slots=(1 / _DY - 2 * _X / _DELTA_Y, 1 / _DYM + 2 * _XM / _DELTA_Y),
-        default_f=u1,
-        default_g=Const(0.05),
-        box=dict(_BOX_DY_POS),
-        notes="projective action in x; second slot needs the delayed point",
-    ))
-    add(CatalogEntry(
-        id="A3_11", algebra_label="sl(2,R)",
-        basis=_fields(("0", "1"), ("0", "y"), ("0", "y^2")),
-        f_template=2 * _DY ** 2 / _DELTA_Y + _DY * _F,
-        g_template=_G,
-        f_slots=(_X, _DELTA_Y ** 2 / (_DY * _DYM)),
-        default_f=u2,
-        default_g=u1 - 1 / u2,
-        box=dict(_BOX_DY_POS),
-        notes="projective action in y alone; linearly connected triple",
-    ))
-    add(CatalogEntry(
-        id="A3_13", algebra_label="n_{1,1} + s_{2,1}",
-        basis=_fields(("1", "0"), ("0", "1"), ("0", "y")),
-        f_template=_DY * _F,
-        g_template=_X - _G,
-        f_slots=(_DY / _DELTA_Y, _DYM / _DELTA_Y),
-        default_f=u1,
-        default_g=u2 + 1,
-        box=dict(_BOX_DY_POS),
-    ))
-    chi = _X ** 2
-    chi_d = E.diff(chi, "x")
-    chi_dd = E.diff(chi_d, "x")
-    chi_slope = (chi - _at_delayed(chi)) / _DELTA_X
-    den1 = chi_d - chi_slope
-    den2 = chi_d - _at_delayed(chi_d)
-    w_inv = (_DY - _SLOPE) / den1 - (_DY - _DYM) / den2
-    add(CatalogEntry(
-        id="A3_15", algebra_label="3n_{1,1}",
-        basis=(VectorField.from_text("0", "1", "X1"),
-               VectorField.from_text("0", "x", "X2"),
-               VectorField(Const(0.0), chi, "X3")),
-        f_template=(chi_dd / den1) * (_DY - _SLOPE) + chi_dd * _F,
-        g_template=_G,
-        f_slots=(_X, w_inv),
-        default_f=u2,
-        default_g=u1 - 1,
-        delay_kind=DelayKind.CONSTANT,
-        notes="abelian triple built on the representative curvature"
-              " function chi(x) = x^2; delay side restricted to x",
-    ))
-
-    # --- dimension 4 -------------------------------------------------------
-    acc = _DY + _DYM - 2 * _SLOPE
-    add(CatalogEntry(
-        id="A4_1", algebra_label="n_{4,1}",
-        basis=_fields(("0", "1"), ("0", "x"), ("0", "x^2"), ("1", "0")),
-        f_template=(_DY - _DYM) / _DELTA_X + _F,
-        g_template=_X - _G,
-        f_slots=(acc,),
-        default_f=1 + 0.25 * u1 ** 2,
-        default_g=Const(1.0),
-        delay_kind=DelayKind.CONSTANT,
-        notes="the single slot carries the delayed abscissa, so the delay"
-              " side accepts constants only",
-    ))
-    add(CatalogEntry(
-        id="A4_8", algebra_label="s_{4,6}",
-        basis=_fields(("0", "1"), ("1", "0"), ("0", "x"), ("x", "0")),
-        f_template=(Const(1.0) / _DELTA_X ** 2) * _F,
-        g_template=_X - (_DELTA_Y + _G) / _DY,
-        f_slots=(_DELTA_X * _DYM - _DELTA_Y,),
-        default_f=u1 + 2,
-        default_g=Const(1.5),
-        box=dict(_BOX_DY_POS),
-        notes="delay written in the solved form (dx)(dy' - slope) = const",
-    ))
-    add(CatalogEntry(
-        id="A4_11", algebra_label="s_{4,11}",
-        basis=_fields(("0", "1"), ("1", "0"), ("0", "x"), ("x", "y")),
-        f_template=(Const(1.0) / _DELTA_X) * _F,
-        g_template=_X - _DELTA_Y / (_DY - _G),
-        f_slots=(_DYM - _SLOPE,),
-        default_f=E.Call("sin", u1) + 2,
-        default_g=Const(0.2),
-        box=dict(_BOX_DY_POS),
-        notes="solved delay form dy - slope = const",
-    ))
-    add(CatalogEntry(
-        id="A4_20", algebra_label="2s_{2,1}",
-        basis=_fields(("1", "0"), ("x", "0"), ("0", "1"), ("0", "y")),
-        f_template=(_DY / _DELTA_X) * _F,
-        g_template=_X - (_DELTA_Y / _DY) * _G,
-        f_slots=(_DYM / _DY,),
-        default_f=u1,
-        default_g=1 + 0.1 * u1,
-        box=dict(_BOX_DY_POS),
-        notes="two commuting affine copies, one per coordinate",
-    ))
-
-    # --- dimension 5 and 6 (fixed forms, two constants) ---------------------
-    c1, c2 = Param("C1"), Param("C2")
-    add(CatalogEntry(
-        id="A5_1", algebra_label="s_{5,33}",
-        basis=_fields(("0", "1"), ("0", "x"), ("0", "x^2"), ("1", "0"),
-                      ("x", "0")),
-        f_template=2 * (_DY - _SLOPE) / _DELTA_X + c1 / _DELTA_X ** 2,
-        g_template=_X - (c2 + 2 * _DELTA_Y) / (_DY + _DYM),
-        default_params={"C1": 0.3, "C2": 1.2},
-        constraints=(("C2 > 0", "C2 positive keeps the delay positive"),),
-        box=dict(_BOX_DY_POS),
-        notes="delay solved from dx = C2 / (dy + dy' - 2 slope)",
-    ))
-    disc = (_DELTA_Y * (_DY + _DYM) + c2) ** 2 - 4 * _DY * _DYM * _DELTA_Y ** 2
-    s_plus = ((_DELTA_Y * (_DY + _DYM) + c2) + E.Call("sqrt", disc)) / (
-        2 * _DY * _DYM)
-    add(CatalogEntry(
-        id="A5_6", algebra_label="sl(2,R) |x 2n_{1,1}",
-        basis=_fields(("1", "0"), ("2*x", "y"), ("x^2", "x*y"),
-                      ("0", "1"), ("0", "x")),
-        f_template=c1 * (_DY - _SLOPE) ** 3,
-        g_template=_X - s_plus,
-        default_params={"C1": 0.4, "C2": 1.0},
-        constraints=(("C2 > 0", "C2 positive"), ("C1 != 0", "C1 nonzero")),
-        box=dict(_BOX_DY_POS),
-        notes="delay is the larger root of the quadratic hidden in"
-              " dx (dy - slope)(dy' - slope) = C2",
-    ))
-    add(CatalogEntry(
-        id="A5_8", algebra_label="s_{2,1} + sl(2,R)",
-        basis=_fields(("1", "0"), ("x", "0"), ("0", "1"), ("0", "y"),
-                      ("0", "y^2")),
-        f_template=2 * _DY ** 2 / _DELTA_Y + c1 * _DY / _DELTA_X,
-        g_template=_X - E.Call("sqrt", c2 * _DELTA_Y ** 2 / (_DY * _DYM)),
-        default_params={"C1": 0.5, "C2": 2.0},
-        constraints=(("C2 > 0", "C2 positive"),),
-        box=dict(_BOX_DY_POS),
-    ))
-    c = Param("C1")
-    add(CatalogEntry(
-        id="A6_2", algebra_label="sl(2,R) |x 3n_{1,1}",
-        basis=_fields(("1", "0"), ("x", "y"), ("x^2", "2*x*y"),
-                      ("0", "1"), ("0", "x"), ("0", "x^2")),
-        f_template=2 * (_DY - _SLOPE) / _DELTA_X,
-        g_template=_X - 2 * _DELTA_Y / (_DY + _DYM - c),
-        default_params={"C1": 0.5},
-        constraints=(("C1 < 1.0", "keeps dy + dy' - C positive on the box"),),
-        box=dict(_BOX_DY_POS),
-    ))
-    add(CatalogEntry(
-        id="A6_3", algebra_label="sl(2,R) + sl(2,R)",
-        basis=_fields(("1", "0"), ("x", "0"), ("x^2", "0"),
-                      ("0", "1"), ("0", "y"), ("0", "y^2")),
-        f_template=2 * _DY ** 2 / _DELTA_Y - 2 * _DY / _DELTA_X,
-        g_template=_X - E.Call("sqrt", c1 * _DELTA_Y ** 2 / (_DY * _DYM)),
-        default_params={"C1": 4.0},
-        constraints=(("C1 > 0", "C1 positive"),),
-        box=dict(_BOX_DY_POS),
-        notes="independent projective actions in each coordinate",
-    ))
-
-    # --- determinant-built linear families ----------------------------------
-    entries.update(_linear_det_entries())
-
-    # --- infinite linear chains, metadata only ------------------------------
-    add(CatalogEntry(
-        id="S_m", algebra_label="(m+1) n_{1,1}",
-        basis=(),
-        notes="marker: abelian chains d/dy, x d/dy, chi_2(x) d/dy, ...,"
-              " chi_m(x) d/dy with linearly independent chi's; admitted by"
-              " linear inhomogeneous systems.  No finite instantiation is"
-              " enumerated here; see the linear module.",
-    ))
-    add(CatalogEntry(
-        id="H_m", algebra_label="(m+1) n_{1,1} + n_{1,1}",
-        basis=(),
-        notes="marker: the S_m chain extended by y d/dy; admitted by linear"
-              " homogeneous systems.  Metadata only.",
-    ))
-
-    # --- car-following examples ---------------------------------------------
-    entries.update(_traffic_entries())
-    return entries
-
-
-def _linear_det_entries() -> dict[str, CatalogEntry]:
-    u1 = Param("u1")
-    out: dict[str, CatalogEntry] = {}
-    h3 = make_h3_entry(chi=_X ** 3)
-    h3.default_f = 0.3 * u1
-    h3.default_g = u1 - 1
-    out[h3.id] = h3
-    # chi2 = x^2, chi3 = e^x keeps the second-order minor sign-definite on
-    # the default box together with the default delay x - 1
-    s3 = make_s3_entry(chi2=_X ** 2, chi3=E.Call("exp", _X))
-    s3.default_f = 1 + 0.5 * u1
-    s3.default_g = u1 - 1
-    out[s3.id] = s3
-    return out
 
 
 def make_h3_entry(chi: Expr, entry_id: str = "H3_DET") -> CatalogEntry:
@@ -492,38 +204,15 @@ def make_s3_entry(chi2: Expr, chi3: Expr, entry_id: str = "S3_DET") -> CatalogEn
     )
 
 
-def _traffic_entries() -> dict[str, CatalogEntry]:
-    from . import traffic  # local import, the modules are otherwise independent
-
-    out: dict[str, CatalogEntry] = {}
-    for ex in (1, 2, 3):
-        p = traffic.example_params(ex)
-        system = traffic.example_system(ex, p)
-        basis = [traffic.bound_field(f, system.params)
-                 for f in traffic.example_algebra(ex, p)]
-        system = traffic.bound_system(system)
-        entry = CatalogEntry(
-            id=f"TRAFFIC_EX{ex}",
-            algebra_label="car-following example",
-            basis=tuple(basis),
-            f_template=system.f,
-            g_template=system.g,
-            default_params=dict(system.params),
-            box=dict(system.box),
-            delay_kind=system.delay_kind,
-            notes=f"two-car system of worked example {ex}; fixed form",
-        )
-        out[entry.id] = entry
-    return out
-
-
 _CACHE: dict[str, CatalogEntry] | None = None
 
 
 def _all_entries() -> dict[str, CatalogEntry]:
+    """The entries of catalog.txt by id, in file order, read once."""
     global _CACHE
     if _CACHE is None:
-        _CACHE = _builders()
+        with open(_DATA, encoding="utf-8") as fh:
+            _CACHE = {e.id: e for e in parse_catalog_text(fh.read())}
     return _CACHE
 
 
@@ -796,24 +485,34 @@ _REPEATABLE = ("field", "constraint")
 def parse_catalog_text(text: str) -> list[CatalogEntry]:
     """Rebuild entry structures from export_text output.
 
-    Only `field` and `constraint` lines repeat in a block; any other key
-    given twice is an error naming both lines.  The slots of F (and of G)
-    are `f_slot u1`, `f_slot u2`, ... in that order, and a block without
-    `g_slot` lines gives G the slots of F.
+    Each block opens with `entry <id>`, an id without white space that no
+    other block has.  Only `field` and `constraint` lines repeat in a
+    block; any other key given twice is an error naming both lines.  The
+    slots of F (and of G) are `f_slot u1`, `f_slot u2`, ... in that order,
+    and a block without `g_slot` lines gives G the slots of F.  Blank lines
+    and lines starting with `#` are skipped.
     """
     entries: list[CatalogEntry] = []
     current: dict | None = None  # the open block's CatalogEntry fields
+    ids: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
-        if line.startswith("entry "):
+        head, *rest = line.split(None, 1)
+        if head == "entry":
             if current is not None:
                 raise CatalogError(f"line {lineno}: entry '{current['id']}'"
                                    " is not closed by 'end'")
-            current = {"id": line[len("entry "):].strip(), "algebra_label": "",
-                       "basis": [], "default_params": {}, "constraints": [],
-                       "box": {}}
+            if not rest:
+                raise CatalogError(f"line {lineno}: 'entry' needs an id")
+            entry_id, = rest
+            if len(entry_id.split()) > 1:
+                raise CatalogError(f"line {lineno}: entry id '{entry_id}'"
+                                   " contains white space")
+            _once(ids, f"entry {entry_id}", lineno, CatalogError)
+            current = {"id": entry_id, "algebra_label": "", "basis": [],
+                       "default_params": {}, "constraints": [], "box": {}}
             seen: dict[str, int] = {}
             continue
         if current is None:
@@ -849,8 +548,8 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
                                    f" u{len(slots) + 1}', got '{key}'")
             slots.append(_expression(value, lineno, CatalogError))
         elif key.startswith("param "):
-            current["default_params"][key[len("param "):].strip()] = _numbers(
-                value, lineno, CatalogError)[0]
+            name, number = _param_line(key, value, lineno, CatalogError)
+            current["default_params"][name] = number
         elif key == "constraint":
             rule, _, description = value.partition("::")
             current["constraints"].append((rule.strip(), description.strip()))

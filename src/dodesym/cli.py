@@ -16,23 +16,33 @@ import re
 import sys
 import traceback
 
-from . import catalog as catalog_mod
 from . import expr as E
-from . import reduce as reduce_mod
-from . import traffic as traffic_mod
-from .dods import DodsError, DodsSystem, check_invariance, load_dods
-from .integrate import HistoryFunction, IntegrationError, solve
-from .linear import (CanonicalLinear, LinearError, characteristic_roots,
-                     verify_exponential_solution)
-from .symmetry import (ClosureError, SymmetryError, VectorField, check_closure,
-                       invariant_count)
+from .dods import DodsSystem, check_invariance, load_dods
+from .symmetry import ClosureError, VectorField, check_closure, invariant_count
 
 CHECK_FAIL = 1  # argparse itself exits 2 on usage errors
 CRASH = 3
-#: what failed checks, bad input and missing files raise; anything else is a bug
-KNOWN_ERRORS = (DodsError, SymmetryError, E.ExprError, IntegrationError,
-                catalog_mod.CatalogError, reduce_mod.ReduceError,
-                traffic_mod.TrafficError, LinearError, ValueError, OSError)
+#: what failed checks, bad input and missing files raise, by module and
+#: class name; anything else is a bug
+KNOWN_ERRORS = {
+    "builtins": ("ValueError", "OSError"),
+    "dodesym.expr": ("ExprError",),
+    "dodesym.symmetry": ("SymmetryError",),
+    "dodesym.dods": ("DodsError",),
+    "dodesym.catalog": ("CatalogError",),
+    "dodesym.integrate": ("IntegrationError",),
+    "dodesym.linear": ("LinearError",),
+    "dodesym.reduce": ("ReduceError",),
+    "dodesym.traffic": ("TrafficError",),
+}
+
+
+def _known_errors() -> tuple[type[Exception], ...]:
+    """The KNOWN_ERRORS classes of the modules loaded so far: each command
+    imports the modules it runs, and a module not loaded raised nothing."""
+    return tuple(getattr(sys.modules[module], name)
+                 for module, names in KNOWN_ERRORS.items()
+                 if sys.modules.get(module) is not None for name in names)
 
 
 def _field_spec(text: str) -> tuple[str, str]:
@@ -114,6 +124,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as catalog_mod
+
     if args.action == "list":
         for entry in catalog_mod.list_entries():
             print(entry.summary())
@@ -151,6 +163,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .integrate import HistoryFunction, solve
+
     system = _system(args)
     phi = HistoryFunction(E.parse(args.phi), _pair(args.history))
     dy0 = args.dy0 if args.dy0 == "from-phi" else float(args.dy0)
@@ -168,6 +182,9 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .linear import (CanonicalLinear, characteristic_roots,
+                         verify_exponential_solution)
+
     window = _pair(args.range)
     cl = CanonicalLinear(args.alpha, args.beta, args.gamma, args.C)
     roots = characteristic_roots(cl, window, n_seed=args.nseed)
@@ -181,6 +198,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reduce as reduce_mod
+
     system = _system(args)
     system.validate()
     fld = VectorField.from_text(*args.field)
@@ -199,6 +218,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_traffic(args) -> int:
+    from . import traffic as traffic_mod
+
     if args.scenario:
         return _traffic_scenario(args)
     overrides = {}
@@ -256,6 +277,8 @@ def cmd_traffic(args) -> int:
 
 
 def _traffic_scenario(args) -> int:
+    from . import traffic as traffic_mod
+
     params, n_cars, histories, t_end, h = traffic_mod.load_scenario(
         _read(args.scenario))
     state = traffic_mod.simulate_platoon(params, n_cars, histories, t_end, h)
@@ -370,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         # looked up by name at call time, so that a command function
         # replaced on this module is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except KNOWN_ERRORS as exc:  # diagnostics to stdout, failure exit code
+    except _known_errors() as exc:  # diagnostics to stdout, failure exit code
         print(f"error: {type(exc).__name__}: {exc}")
         return CHECK_FAIL
     except Exception:

@@ -522,11 +522,11 @@ def _check_field(system, kernels, x_field, rng, first, n, tol):
 def load_dods(text: str) -> DodsSystem:
     """Parse the key=value system format.
 
-    Lines: `f = <expr>`, `g = <expr>` and `param <name> = <value>`.  Blank
-    lines and `#` comments are ignored; unknown keys are errors.  A line
-    `delay = constant|independent|state` is accepted, a word outside those
-    three being an error that names its line, and otherwise unused: g alone
-    decides the kind (`DodsSystem.delay_kind`).
+    Lines: `f = <expr>`, `g = <expr>` and `param <name> = <value>`, a
+    finite number.  Blank lines and `#` comments are ignored; unknown keys
+    are errors.  A line `delay = constant|independent|state` is accepted, a
+    word outside those three being an error that names its line, and
+    otherwise unused: g alone decides the kind (`DodsSystem.delay_kind`).
     """
     f_expr = None
     g_expr = None
@@ -537,7 +537,8 @@ def load_dods(text: str) -> DodsSystem:
         elif key == "g":
             g_expr = _expression(value, lineno)
         elif key.startswith("param "):
-            params[key[len("param "):].strip()] = _numbers(value, lineno)[0]
+            name, number = _param_line(key, value, lineno)
+            params[name] = number
         elif key == "delay":
             _delay_kind(value, lineno)
         else:
@@ -582,6 +583,19 @@ def _numbers(text: str, lineno: int, error=DodsError, count: int = 1):
         what = "a number" if count == 1 else f"{count} comma-separated numbers"
         raise error(f"line {lineno}: expected {what}, got '{text}'")
     return values
+
+
+def _param_line(key: str, value: str, lineno: int,
+                error=DodsError) -> tuple[str, float]:
+    """The name and value of a `param <name> = <value>` line, the value
+    one finite number: a parameter of nan or inf would fail every check
+    later for another reason."""
+    name = key[len("param "):].strip()
+    number, = _numbers(value, lineno, error)
+    if not math.isfinite(number):
+        raise error(f"line {lineno}: parameter '{name}' must be finite,"
+                    f" got '{value}'")
+    return name, number
 
 
 def _expression(text: str, lineno: int, error=DodsError) -> Expr:

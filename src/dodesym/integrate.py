@@ -451,9 +451,9 @@ class _ExplicitStateDelay:
 
     One evaluation of g at the stage gives xm, and no dense output is
     read.  xm must lie in the bracket _StateDelay searches, from the start
-    of the history to _bracket_top; outside it, or where g is undefined,
-    the delay fails with the FixedPointError that _StateDelay's bracket
-    scan raises for such a g.
+    of the history to _bracket_top.  Outside it, or where g is undefined,
+    the delay fails with a FixedPointError that names xm or g's error, the
+    bound broken and x: no root is searched for.
     """
 
     xm, at = _StateDelay.xm, _resolver
@@ -464,11 +464,18 @@ class _ExplicitStateDelay:
     def resolve(self, x, y, dy, lookup, prev_xm, hist_lo, completed_end):
         try:
             xm = self.g(x, y, 0.0, dy, 0.0)  # ym and dym do not enter
-        except DomainError:
-            raise FixedPointError(_NO_ROOT) from None
-        if not hist_lo <= xm <= _bracket_top(x, completed_end):
-            raise FixedPointError(_NO_ROOT)
-        return xm, 1, 0
+        except DomainError as exc:
+            raise FixedPointError(f"state-dependent delay: g is undefined"
+                                  f" at x = {x:g}: {exc}") from None
+        if hist_lo <= xm <= _bracket_top(x, completed_end):
+            return xm, 1, 0
+        if xm < hist_lo:
+            where = f"below the history's start {hist_lo:g} at x = {x:g}"
+        elif xm > completed_end:
+            where = f"past the newest node {completed_end:g} at x = {x:g}"
+        else:  # within 1e-13 of x at the first stage of a step
+            where = f"not below x = {x:g}"
+        raise FixedPointError(f"state-dependent delay: xm = {xm:g} is {where}")
 
 
 def _delay_spec(system: DodsSystem, warn):

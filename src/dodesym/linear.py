@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .dods import (DodsSystem, InvarianceReport, _expression,
-                   _key_values, _numbers, check_invariance)
+                   _key_values, _numbers, _param_line, check_invariance)
 from .expr import Const, DomainError, Expr, compile_fn, diff, subs, to_text
 from .integrate import (
     HistoryFunction,
@@ -537,7 +537,7 @@ def verify_exponential_solution(cl: CanonicalLinear, lam: float) -> float:
 
 
 def load_linear(text: str) -> LinearDods:
-    """Keys: a1..a4, b, g, param <name>, domain."""
+    """Keys: a1..a4, b, g, param <name> (a finite number), domain."""
     values: dict[str, Expr] = {}
     params: dict[str, float] = {}
     domain = (0.0, 3.0)
@@ -545,8 +545,8 @@ def load_linear(text: str) -> LinearDods:
         if key in ("a1", "a2", "a3", "a4", "b", "g"):
             values[key] = _expression(value, lineno, LinearError)
         elif key.startswith("param "):
-            name = key[len("param "):].strip()
-            params[name] = _numbers(value, lineno, LinearError)[0]
+            name, number = _param_line(key, value, lineno, LinearError)
+            params[name] = number
         elif key == "domain":
             domain = _numbers(value, lineno, LinearError, count=2)
         else:

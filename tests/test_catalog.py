@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from dodesym.catalog import (
     instantiate,
     list_entries,
     make_h3_entry,
+    make_s3_entry,
     negative_control,
     parse_catalog_text,
     verify_entry_closure,
@@ -394,6 +396,91 @@ def test_each_parameter_value_is_checked_against_the_constraints():
     assert len(kinds) == 2
 
 
+def _normal(value):
+    """A value of an entry field that == compares in full: every
+    expression is compared as its node, and nodes are interned, so == on
+    them is identity."""
+    if isinstance(value, VectorField):
+        return value.xi, value.eta, value.label
+    if isinstance(value, (tuple, list)):
+        return tuple(_normal(v) for v in value)
+    return value
+
+
+def _assert_same_entry(got, want):
+    for f in dataclasses.fields(catalog.CatalogEntry):
+        assert _normal(getattr(got, f.name)) == \
+            _normal(getattr(want, f.name)), (want.id, f.name)
+
+
+#: `catalog export` as it was when Python builders made every entry, before
+#: the entries became the data file catalog.txt: each entry read from that
+#: file must equal its record here, node for node
+BUILT_EXPORT = Path(__file__).parent / "data" / "catalog_export.txt"
+BUILT_EXPORT_SHA256 = ("b77f2fa5552b4b3bb8d95a5799da84595732d2f3341746a48a6"
+                       "60e174a08473e")
+
+
+class TestShippedData:
+    def test_every_entry_is_the_one_the_builders_made(self):
+        text = BUILT_EXPORT.read_text(encoding="utf-8")
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILT_EXPORT_SHA256
+        record = parse_catalog_text(text)
+        entries = list_entries()
+        assert [e.id for e in entries] == [e.id for e in record]
+        for entry, want in zip(entries, record):
+            _assert_same_entry(entry, want)
+        assert export_text() == text
+
+    def test_the_determinant_blocks_are_their_builders(self):
+        # chi2 = x^2, chi3 = e^x keep the second-order minor sign-definite
+        # on the default box together with the default delay x - 1
+        u1 = E.Param("u1")
+        h3 = make_h3_entry(chi=E.X ** 3)
+        h3.default_f, h3.default_g = 0.3 * u1, u1 - 1
+        s3 = make_s3_entry(chi2=E.X ** 2, chi3=E.Call("exp", E.X))
+        s3.default_f, s3.default_g = 1 + 0.5 * u1, u1 - 1
+        for want in (h3, s3):
+            _assert_same_entry(get_entry(want.id), want)
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_the_traffic_blocks_are_the_worked_examples(self, example):
+        from dodesym import traffic
+
+        p = traffic.example_params(example)
+        system = traffic.example_system(example, p)
+        basis = tuple(traffic.bound_field(f, system.params)
+                      for f in traffic.example_algebra(example, p))
+        bound = traffic.bound_system(system)
+        want = catalog.CatalogEntry(
+            id=f"TRAFFIC_EX{example}",
+            algebra_label="car-following example",
+            basis=basis,
+            f_template=bound.f,
+            g_template=bound.g,
+            default_params=dict(bound.params),
+            box=dict(bound.box),
+            delay_kind=bound.delay_kind,
+            notes=f"two-car system of worked example {example}; fixed form",
+        )
+        _assert_same_entry(get_entry(want.id), want)
+
+    def test_the_file_is_read_once(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_CACHE", None)
+        calls = []
+        real = catalog.parse_catalog_text
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(catalog, "parse_catalog_text", counted)
+        for _ in range(2):
+            assert len(list_entries()) == 27
+            get_entry("A4_1")
+        assert len(calls) == 1
+
+
 class TestExport:
     def test_round_trip(self):
         text = export_text()
@@ -415,22 +502,11 @@ class TestExport:
                 assert again.default_params == original.default_params
 
     def test_round_trip_keeps_every_field(self):
-        # every expression reads back as the node it was exported from:
-        # nodes are interned, so == on them is identity
-        def normal(value):
-            if isinstance(value, VectorField):
-                return value.xi, value.eta, value.label
-            if isinstance(value, (tuple, list)):
-                return tuple(normal(v) for v in value)
-            return value
-
         originals = list_entries()
         again = parse_catalog_text(export_text())
         assert [e.id for e in again] == [e.id for e in originals]
         for original, entry in zip(originals, again):
-            for f in dataclasses.fields(catalog.CatalogEntry):
-                assert normal(getattr(entry, f.name)) == \
-                    normal(getattr(original, f.name)), (original.id, f.name)
+            _assert_same_entry(entry, original)
         by_id = {e.id: e for e in again}
         assert by_id["H3_DET"].second_order_minor is not None
         assert by_id["S3_DET"].second_order_minor is not None
@@ -458,6 +534,9 @@ class TestExport:
         ("g_slot u1 = x y", "line 3: unexpected 'y' at offset 3"),
         ("field = 1 ; y^ :: X1", "line 3: unexpected end of input at offset 3"),
         ("second_order_minor = (ddy", "line 3: expected ')' at offset 5"),
+        ("param a = nan", "line 3: parameter 'a' must be finite, got 'nan'"),
+        ("param a = -inf",
+         "line 3: parameter 'a' must be finite, got '-inf'"),
     ])
     def test_malformed_line_is_named(self, line, message):
         text = f"entry Z\nalgebra = L1\n{line}\nend\n"
@@ -544,6 +623,27 @@ class TestExport:
             parse_catalog_text(text)
         assert str(err.value) == \
             "line 3: entry 'A1_1' is not closed by 'end'"
+
+    @pytest.mark.parametrize("text, message", [
+        # the table of entries is keyed by id and would keep the last block
+        ("entry A\nend\n\nentry B\nend\nentry A\nend\n",
+         "line 6: 'entry A' is given again, first on line 1"),
+        ("entry\nalgebra = L1\nend\n", "line 1: 'entry' needs an id"),
+        ("entry A1_1\nend\nentry \t\nend\n", "line 3: 'entry' needs an id"),
+        ("entry A B\nend\n", "line 1: entry id 'A B' contains white space"),
+        ("entry A\tB\nend\n",
+         "line 1: entry id 'A\tB' contains white space"),
+    ])
+    def test_an_ambiguous_entry_line_is_refused(self, text, message):
+        with pytest.raises(CatalogError) as err:
+            parse_catalog_text(text)
+        assert str(err.value) == message
+
+    def test_comment_lines_are_skipped(self):
+        text = ("# a catalog\nentry Z\n# the algebra\nalgebra = L1\n"
+                "  # indented\nend\n")
+        entry, = parse_catalog_text(text)
+        assert (entry.id, entry.algebra_label) == ("Z", "L1")
 
     def test_reparsed_entry_still_checks(self):
         text = export_text()

@@ -299,6 +299,48 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_the_set_up_loads_four_modules(self):
+        # the set-up every CLI call pays, as the benchmark times it
+        proc = run_python("-c", """\
+import sys
+import dodesym
+from dodesym import catalog
+catalog.list_entries()
+print(*sorted(m for m in sys.modules
+              if m.partition(".")[0] in ("dodesym", "numpy")))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "dodesym", "dodesym.catalog", "dodesym.dods", "dodesym.expr",
+            "dodesym.symmetry"]
+
+    @pytest.mark.parametrize("args, loaded", [
+        (("catalog", "list"), "catalog"),
+        (("catalog", "show", "A4_1"), "catalog"),
+        (("catalog", "export", "{file}"), "catalog"),
+        (("integrate", "--system", "examples/one_step_per_delay.txt", "--phi",
+          "1", "--history", "-0.7,0.2", "--to", "2", "--h", "0.9"),
+         "integrate"),
+        (("roots", "--alpha", "0.2", "--beta", "1", "--gamma", "0.1", "--C",
+          "0.5", "--range=-3,3"), "integrate linear"),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else v)
+    def test_a_command_loads_only_the_modules_it_runs(self, args, loaded,
+                                                       tmp_path):
+        # besides the front end and the three modules under every command
+        args = [a.format(file=tmp_path / "catalog.txt") for a in args]
+        proc = run_python("-c", """\
+import sys
+from dodesym.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules
+              if m.partition(".")[0] in ("dodesym", "numpy")), file=sys.stderr)
+sys.exit(code)
+""", *args)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        base = ["cli", "dods", "expr", "symmetry"]
+        assert proc.stderr.split() == ["dodesym"] + sorted(
+            f"dodesym.{m}" for m in base + loaded.split())
+
     @pytest.mark.parametrize("args", [
         ("catalog", "list"),
         ("catalog", "show", "A4_1"),

@@ -966,6 +966,15 @@ class TestFileFormat:
             load_dods(f"f = ym\ng = x - 1\n{line}\n")
         assert str(err.value) == "line 3: unknown key 'param'"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_a_non_finite_param_names_its_line(self, value):
+        # a NaN or infinite parameter would fail every check later, for
+        # another reason: a sampling failure, a non-finite delay
+        with pytest.raises(DodsError) as err:
+            load_dods(f"f = -a*ym\ng = x - 1\nparam a = {value}\n")
+        assert str(err.value) == \
+            f"line 3: parameter 'a' must be finite, got '{value}'"
+
     def test_bad_delay_word_names_its_line(self):
         with pytest.raises(DodsError, match="line 3: delay must be"):
             load_dods("f = ym\ng = x - 1\ndelay = fixed\n")

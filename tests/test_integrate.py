@@ -452,6 +452,26 @@ EXPLICIT_CASES = {
                           "1", (-1.0, 0.0), 2.0, 0.1),
 }
 
+#: the secant's failure where no root of xm - g lies in its bracket
+NO_ROOT_MESSAGE = ("state-dependent delay: no root of xm - g located in the"
+                   " admissible bracket")
+
+#: the failure of each EXPLICIT_CASES case that fails: no root is searched
+#: for, so the message names xm, or g's error, and the bound broken
+EXPLICIT_FAILURES = {
+    "g-ahead-at-the-start": "state-dependent delay: xm = 0.108415 is past"
+                            " the newest node 0 at x = 0",
+    "g-ahead-later": "state-dependent delay: xm = 1.6133 is past the newest"
+                     " node 1.3 at x = 1.4",
+    "below-the-history": "state-dependent delay: xm = -5 is below the"
+                         " history's start -1 at x = 0",
+    "g-undefined": "state-dependent delay: g is undefined at x = 0: math"
+                   " domain error in '((x - 1) + sqrt((y - 10)))'",
+    "g-undefined-later": "state-dependent delay: g is undefined at x = 1.5:"
+                         " math domain error in '(((x - 1) - (0.1 * sin(y)))"
+                         " + (0.1 * sqrt((1.5 - x))))'",
+}
+
 
 class TestExplicitStateDelay:
     @pytest.mark.parametrize("name", list(EXPLICIT_CASES))
@@ -461,12 +481,33 @@ class TestExplicitStateDelay:
         assert isinstance(_delay_spec(system, None), _ExplicitStateDelay)
         got, n_f, n_g = _outcome(_delay_spec, *case)
         want, want_f, _ = _outcome(_secant_spec, *case)
-        assert (got, n_f) == (want, want_f)
         if n_g is None:
-            assert got == ("FixedPointError", "state-dependent delay: no root"
-                           " of xm - g located in the admissible bracket")
+            # both fail at the same stage; the secant finds no root there
+            assert (got[0], n_f) == (want[0], want_f)
+            assert want == ("FixedPointError", NO_ROOT_MESSAGE)
+            assert got[1] == EXPLICIT_FAILURES[name]
         else:
+            assert (got, n_f) == (want, want_f)
             assert n_g == n_f  # one g evaluation per stage
+        assert (n_g is None) == (name in EXPLICIT_FAILURES)
+
+    @pytest.mark.parametrize("f,g,phi,hist,h,message", [
+        # A2_4's default, whose xm falls below the history at x = 1.46
+        ("(y - ym)*sin(dy) + dym", "x - dy^2 - 1", "0.3*x + 0.05*sin(x)",
+         (-3.0, 0.0), 0.01, "state-dependent delay: xm = -3.02588 is below"
+                            " the history's start -3 at x = 1.46"),
+        # behind x at the second stage, yet past the step's start
+        ("-ym", "x - 0.001*y^2 - 0.001", "1", (-1.0, 0.0), 0.1,
+         "state-dependent delay: xm = 0.048 is past the newest node 0 at"
+         " x = 0.05"),
+    ])
+    def test_a_failure_names_xm_and_its_bound(self, f, g, phi, hist, h,
+                                              message):
+        system = DodsSystem(f=parse(f), g=parse(g))
+        with pytest.raises(FixedPointError) as err:
+            solve(system, HistoryFunction(parse(phi), hist), "from-phi", 3.0,
+                  h)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("g,explicit", [
         ("x - 1 - 0.1*sin(y)*dy", True), ("x - 1 - 0.1*ym", False),
@@ -478,12 +519,15 @@ class TestExplicitStateDelay:
 
     @pytest.mark.parametrize("g,x,y,completed_end,xm", [
         ("x - y", 0.0, 1.0, 0.0, -1.0),          # at the start of the history
-        ("x - y", 0.0, 1.0 + 2.0 ** -40, 0.0, None),  # below it
+        ("x - y", 0.0, 1.0 + 2.0 ** -40, 0.0,    # below it
+         "xm = -1 is below the history's start -1 at x = 0"),
         ("x - y", 2.0, 0.5, 1.5, 1.5),           # at the newest node
-        ("x - y", 2.0, 0.5 - 2.0 ** -40, 1.5, None),  # past it
+        ("x - y", 2.0, 0.5 - 2.0 ** -40, 1.5,    # past it
+         "xm = 1.5 is past the newest node 1.5 at x = 2"),
         ("x - y", 2.0, 2e-13, 2.0, 2.0 - 2e-13),  # 1e-13 relative behind x
-        ("x - y", 2.0, 1e-13, 2.0, None),        # closer to x
-        ("x - sqrt(y)", 2.0, -1.0, 2.0, None),   # g undefined
+        ("x - y", 2.0, 1e-13, 2.0, "xm = 2 is not below x = 2"),  # closer
+        ("x - sqrt(y)", 2.0, -1.0, 2.0,          # g undefined
+         "g is undefined at x = 2: math domain error in '(x - sqrt(y))'"),
     ])
     def test_one_evaluation_inside_the_bracket(self, g, x, y, completed_end,
                                                xm):
@@ -494,11 +538,10 @@ class TestExplicitStateDelay:
 
         spec = _delay_spec(DodsSystem(f=parse("-ym"), g=parse(g)), None)
         args = (x, y, 0.0, refuse, 0.5, -1.0, completed_end)
-        if xm is None:
-            with pytest.raises(FixedPointError, match="^state-dependent delay:"
-                               " no root of xm - g located in the admissible"
-                               " bracket$"):
+        if isinstance(xm, str):
+            with pytest.raises(FixedPointError) as err:
                 spec.resolve(*args)
+            assert str(err.value) == f"state-dependent delay: {xm}"
         else:
             assert spec.resolve(*args) == (xm, 1, 0)
 
@@ -1223,8 +1266,8 @@ class TestStateDelayParity:
     @pytest.mark.parametrize("name", list(NO_ROOT))
     def test_no_root_fails_at_its_stage(self, name):
         assert _outcome_of(False, *STATE_CASES[name]) == (
-            "FixedPointError", "state-dependent delay: no root of xm - g"
-            " located in the admissible bracket", NO_ROOT[name])
+            "FixedPointError", EXPLICIT_FAILURES.get(name, NO_ROOT_MESSAGE),
+            NO_ROOT[name])
 
     @pytest.mark.parametrize("g,failure", [
         # xm passes stage 4 of the 14th step, at x = 1.4

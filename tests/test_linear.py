@@ -485,6 +485,13 @@ class TestFileFormat:
         with pytest.raises(LinearError, match="line 3"):
             load_linear(f"a2 = 1\ng = x - 1\n{line}\n")
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_a_non_finite_param_names_its_line(self, value):
+        with pytest.raises(LinearError) as err:
+            load_linear(f"a2 = b\ng = x - 1\nparam b = {value}\n")
+        assert str(err.value) == \
+            f"line 3: parameter 'b' must be finite, got '{value}'"
+
     def test_malformed_expression_names_the_line(self):
         with pytest.raises(LinearError) as err:
             load_linear("a2 = 1\ng = x - (1\n")
