@@ -9,6 +9,28 @@ ansatz valid, are solved for (A, B) by a damped Newton iteration on
 their exact Jacobian, the compiled partials by A and B that diff derives.
 A rank-deficient Jacobian at the root marks a free direction (a solution
 family rather than a point).
+
+The reduction is derived once per family.  `invariants_of` writes the
+constants of each closed-form family as parameters (slope; eps and beta;
+a and beta), and `reduce_and_solve` substitutes that h and k into the
+system's f and g with the system's params kept as symbols too, so R1, R2
+and their four partials are derived, simplified and compiled once per
+family and kept in the kernel memo of `expr`.  Two kinds of parameter,
+of the family or of the system, are bound as constants before deriving,
+so that the trees are those the bound values give: one whose value is 0,
+1 or -1, since simplify folds those values (0*u, u/1, u^0, ...) and a
+symbol in their place would leave a 0/0 in the trees; and one that an
+exponent reads (the scaling family's a, a traffic exponent n), since
+diff takes the power rule for a constant exponent but exp(w ln u) for an
+exponent such as a - 1, undefined where u = 0.  A system without params
+is one parameter set, so the constants of its family are bound as well,
+and simplify cancels them against those of f and g.  The bound values
+are part of the memo key.  A second parameter set of the same family,
+with the same exponents and the same 0/1/-1 pattern, costs a memo lookup
+and a fill of the kernels' parameter cells, and no derivation.  A
+user-supplied pair is its own family, with no parameters.
+`verify_invariant_solution` stays an independent check: it derives the
+residuals again from the solution's own h and k, with every value bound.
 """
 
 from __future__ import annotations
@@ -18,8 +40,8 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .dods import DodsSystem, check_invariance
-from .expr import (Const, DomainError, Expr, Param, _memoized, compile_columns,
-                   compile_fn, diff, subs)
+from .expr import (Const, DomainError, Expr, Param, _memoized, bind_params,
+                   compile_columns, compile_fn, diff, subs)
 from .integrate import HistoryFunction, _exact_drift, _grid
 from .symmetry import _JET_BOX, VectorField, prolong
 
@@ -37,9 +59,21 @@ class InvariantPair:
     J2: Expr  # in (x, y, xm, ym)
     h_expr: Expr | None = None  # y = h(x, A)
     k_expr: Expr | None = None  # xm = k(x, A, B)
+    # h and k of a closed-form family, its constants as params whose
+    # values family_params holds: h_expr and k_expr with those bound
+    family_h: Expr | None = None
+    family_k: Expr | None = None
+    family_params: dict[str, float] = field(default_factory=dict)
 
     def can_reduce(self) -> bool:
         return self.h_expr is not None and self.k_expr is not None
+
+    def family(self) -> tuple[Expr, Expr, dict[str, float]]:
+        """h, k and the values of their params: those of the closed-form
+        family, or h_expr and k_expr as their own family, with none."""
+        if self.family_h is None:
+            return self.h_expr, self.k_expr, {}
+        return self.family_h, self.family_k, dict(self.family_params)
 
 
 @dataclass
@@ -51,6 +85,13 @@ class InvariantSolution:
     residual: float
     free_parameters: list[str] = field(default_factory=list)
     degenerate_delay: bool = False
+    # the Newton work: guesses tried, steps taken, evaluations of the
+    # residual vector (line-search trials included) and of the Jacobian
+    # (the one at the root included)
+    n_guesses: int = 0
+    n_newton_steps: int = 0
+    n_residual_evals: int = 0
+    n_jacobian_evals: int = 0
 
     def summary(self) -> str:
         frees = f" free: {','.join(self.free_parameters)}" if self.free_parameters else ""
@@ -68,6 +109,27 @@ def _is_const(e: Expr, samples) -> float | None:
     if max(vals) - min(vals) < 1e-12 * (1.0 + abs(vals[0])):
         return float(vals[0])
     return None
+
+
+def _y_minus(beta: float) -> Expr:
+    """y - beta, or y where beta is zero, of either sign."""
+    return E.Y if beta == 0.0 else E.Y - Const(beta)
+
+
+def _beta_plus(beta: float, e: Expr) -> Expr:
+    """The param beta + e, or e where beta is zero, of either sign."""
+    return e if beta == 0.0 else Param("beta") + e
+
+
+def _family_pair(j1: Expr, j2: Expr, h: Expr, k: Expr,
+                 constants: dict[str, float]) -> InvariantPair:
+    """The pair of a closed-form family: h and k with its constants as
+    params, h_expr and k_expr with their values bound."""
+    constants = {name: value for name, value in constants.items()
+                 if name in E.free_symbols(h) | E.free_symbols(k)}
+    return InvariantPair(J1=j1, J2=j2, h_expr=bind_params(h, constants),
+                         k_expr=bind_params(k, constants), family_h=h,
+                         family_k=k, family_params=constants)
 
 
 def invariants_of(x_field: VectorField,
@@ -100,35 +162,27 @@ def invariants_of(x_field: VectorField,
         if eta_c is not None:
             # translation a d/dx + b d/dy: J1 = y - (b/a) x, J2 = x - xm
             slope = eta_c / xi_c
-            pair = InvariantPair(
-                J1=E.Y - Const(slope) * E.X,
-                J2=E.X - E.XM,
-                h_expr=Const(slope) * E.X + _A,
-                k_expr=E.X - _B,
-            )
+            pair = _family_pair(E.Y - Const(slope) * E.X, E.X - E.XM,
+                                Param("slope") * E.X + _A, E.X - _B,
+                                {"slope": slope})
             return validate_invariants(x_field, pair, params=params)
         if linear_in_y and a_c is not None and a_c != 0.0 and c_c is not None:
             # exponential: xi = s, eta = a (y - beta) with beta = -c/a
             eps = a_c / xi_c
             beta = -c_c / a_c
-            expo = E.Call("exp", Const(-eps) * E.X)
-            pair = InvariantPair(
-                J1=(E.Y - Const(beta)) * expo,
-                J2=E.X - E.XM,
-                h_expr=Const(beta) + _A * E.Call("exp", Const(eps) * E.X),
-                k_expr=E.X - _B,
-            )
+            pair = _family_pair(
+                _y_minus(beta) * E.Call("exp", Const(-eps) * E.X),
+                E.X - E.XM,
+                _beta_plus(beta, _A * E.Call("exp", Param("eps") * E.X)),
+                E.X - _B, {"eps": eps, "beta": beta})
             return validate_invariants(x_field, pair, params=params)
     if _is_const(E.simplify(xi - E.X), samples) == 0.0 and linear_in_y \
             and a_c is not None and c_c is not None:
         # scaling x d/dx + a(y - beta) d/dy, shifts absorbed
         beta = -c_c / a_c if a_c != 0.0 else 0.0
-        pair = InvariantPair(
-            J1=(E.Y - Const(beta)) / E.X ** a_c,
-            J2=E.XM / E.X,
-            h_expr=Const(beta) + _A * E.X ** a_c,
-            k_expr=_B * E.X,
-        )
+        pair = _family_pair(_y_minus(beta) / E.X ** a_c, E.XM / E.X,
+                            _beta_plus(beta, _A * E.X ** Param("a")),
+                            _B * E.X, {"a": a_c, "beta": beta})
         return validate_invariants(x_field, pair, params=params)
     raise ReduceError(
         "unsupported field family; supply user invariants (they are"
@@ -219,19 +273,79 @@ def validate_invariants(
     return pair
 
 
-def _reduced_residual_exprs(system: DodsSystem, h: Expr, k: Expr):
-    """R1, R2 of the ansatz y = h(x), xm = k(x) substituted into the system."""
+def _reduced_residual_exprs(f: Expr, g: Expr, h: Expr, k: Expr):
+    """R1, R2 of the ansatz y = h(x), xm = k(x) substituted into ddy = f
+    and xm = g."""
     hp = diff(h, "x")
     hpp = diff(hp, "x")
     h_at_k = subs(h, {"x": k})
     hp_at_k = subs(hp, {"x": k})
     ansatz = {"y": h, "ym": h_at_k, "dy": hp, "dym": hp_at_k, "xm": k,
               "ddy": hpp}
-    f_sub = subs(system.bound(system.f), ansatz)
-    g_sub = subs(system.bound(system.g), ansatz)
-    r1 = E.simplify(hpp - f_sub)
-    r2 = E.simplify(k - g_sub)
+    r1 = E.simplify(hpp - subs(f, ansatz))
+    r2 = E.simplify(k - subs(g, ansatz))
     return r1, r2
+
+
+def _exponent_symbols(trees) -> set[str]:
+    """The names that the exponent of some power in the trees reads."""
+    names: set[str] = set()
+    stack, seen = list(trees), set()
+    while stack:
+        e = stack.pop()
+        if e in seen:
+            continue
+        seen.add(e)
+        if isinstance(e, E.BinOp):
+            if e.op == "^":
+                names |= E.free_symbols(e.right)
+            stack += (e.left, e.right)
+        elif isinstance(e, (E.Neg, E.Call)):
+            stack.append(e.arg)
+    return names
+
+
+def _reduced_kernels(system: DodsSystem, pair: InvariantPair):
+    """R1, R2, dR1/dA, dR1/dB, dR2/dA and dR2/dB compiled as functions of
+    (x, A, B), with the values of the family's and the system's params.
+
+    The trees are derived once per f, g, h and k and names of the params
+    they read, and kept in the kernel memo.  Bound before deriving, so
+    that the derivation is that of the bound trees: a param whose value
+    is 0, 1 or -1, which simplify folds; a param that an exponent reads,
+    since diff takes the power rule for a constant exponent but
+    exp(w ln u) for w = a - 1, undefined at u = 0; every family param of
+    a system without params; and a system param named A or B.  A family
+    param named like a system param, A or B is renamed by appending
+    underscores.
+    """
+    h, k, constants = pair.family()
+    taken = set(system.params) | {"A", "B"}
+    for name in [n for n in constants if n in taken]:
+        new = name + "_"
+        while new in taken or new in constants:
+            new += "_"
+        h, k = (subs(e, {name: Param(new)}) for e in (h, k))
+        constants[new] = constants.pop(name)
+    values = {**system.params, **constants}
+    # a system param named A or B is bound into f and g alone
+    shadowed = {n: values.pop(n) for n in ("A", "B") if n in values}
+    trees = [bind_params(e, shadowed) for e in (system.f, system.g)] + [h, k]
+    powers = _exponent_symbols(trees)
+    # a system without params is one parameter set, whose derivation no
+    # other shares: the family's constants are bound too, so that
+    # simplify cancels them against the constants of f and g
+    fixed = {name: v for name, v in values.items()
+             if not system.params or v in (0.0, 1.0, -1.0) or name in powers}
+    free = {name: v for name, v in values.items() if name not in fixed}
+    trees = [bind_params(e, fixed) for e in trees]
+
+    def derive():
+        r1, r2 = _reduced_residual_exprs(*trees)
+        return (r1, r2, *(diff(r, v) for r in (r1, r2) for v in ("A", "B")))
+
+    return [compile_fn(e, ("x", "A", "B"), free)
+            for e in _memoized("reduced", trees, free, derive)]
 
 
 def _window(interval: tuple[float, float]) -> tuple[float, float]:
@@ -274,17 +388,16 @@ def reduce_and_solve(
             f"field is not a symmetry of the system: {pre.summary()}"
         )
     x_ref = 0.5 * (lo + hi)
-    r1, r2 = _reduced_residual_exprs(system, pair.h_expr, pair.k_expr)
-    args = ("x", "A", "B")
-    r1_fn, r2_fn = (compile_fn(r, args) for r in (r1, r2))
-    partials = [compile_fn(diff(r, v), args) for r in (r1, r2)
-                for v in ("A", "B")]
+    r1_fn, r2_fn, *partials = _reduced_kernels(system, pair)
+    work = {"guesses": 0, "steps": 0, "residuals": 0, "jacobians": 0}
 
     def residual_vec(z):
+        work["residuals"] += 1
         a, b = z
         return np.array([r1_fn(x_ref, a, b), r2_fn(x_ref, a, b)])
 
     def jacobian(z):
+        work["jacobians"] += 1
         a, b = z
         return np.array([fn(x_ref, a, b) for fn in partials]).reshape(2, 2)
 
@@ -296,6 +409,7 @@ def reduce_and_solve(
 
     best = None
     for guess in guesses:
+        work["guesses"] += 1
         z = np.asarray(guess, dtype=float)
         try:
             fz = residual_vec(z)
@@ -323,6 +437,7 @@ def reduce_and_solve(
                 if np.max(np.abs(ftrial)) < np.max(np.abs(fz)) or \
                         np.max(np.abs(ftrial)) < 1e-13:
                     z, fz = trial, ftrial
+                    work["steps"] += 1
                     improved = True
                     break
                 lam *= 0.5
@@ -374,6 +489,8 @@ def reduce_and_solve(
     return InvariantSolution(
         h=E.simplify(h_bound), k=E.simplify(k_bound), A=a_val, B=b_val,
         residual=res, free_parameters=frees, degenerate_delay=degenerate,
+        n_guesses=work["guesses"], n_newton_steps=work["steps"],
+        n_residual_evals=work["residuals"], n_jacobian_evals=work["jacobians"],
     )
 
 
@@ -400,7 +517,9 @@ def verify_invariant_solution(
     lo, hi = _window(interval)
     grid = _grid(lo, hi, 50)
     r1, r2 = (compile_fn(r, ("x",))
-              for r in _reduced_residual_exprs(system, sol.h, sol.k))
+              for r in _reduced_residual_exprs(system.bound(system.f),
+                                               system.bound(system.g),
+                                               sol.h, sol.k))
     grid_res = 0.0
     for x in grid:
         grid_res = max(grid_res, abs(r1(x)), abs(r2(x)))

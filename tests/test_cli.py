@@ -433,6 +433,44 @@ class TestIntegrate:
         assert proc.stdout == f"error: StepPlanError: {expected}\n"
 
 
+class TestStateDelay:
+    # the console cases of a state-dependent delay: explicit, implicit and
+    # the bracket-scan fallback
+    def test_explicit_xm_past_the_newest_node_fails(self, tmp_path):
+        # g reads no delayed value: one evaluation resolves xm
+        path = tmp_path / "explicit.txt"
+        path.write_text("f = 1 + 0*ym\ng = x - 1 + y\n")
+        proc = run_cli("integrate", "--system", str(path), "--phi", "0.5",
+                       "--history", "-1.5,0", "--to", "2", "--h", "0.05")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == (
+            "error: FixedPointError: state-dependent delay: xm = 0.90125 is"
+            " past the newest node 0.9 at x = 0.95\n")
+
+    def test_implicit_delay_is_located(self, tmp_path):
+        # g reads the delayed state: the secant locates xm
+        path = tmp_path / "implicit.txt"
+        path.write_text("f = ym\ng = x - 1 - 0.1*ym\n")
+        out = tmp_path / "implicit.csv"
+        proc = run_cli("integrate", "--system", str(path), "--phi",
+                       "exp(0.7*x)", "--history", "-1.5,0", "--to", "2",
+                       "--h", "0.05", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote 41 breakpoints to {out}\n"
+
+    def test_fallback_warns_of_candidate_roots(self, tmp_path):
+        # where the secant fails, the bracket scan finds several roots
+        path = tmp_path / "fallback.txt"
+        path.write_text("f = -ym\ng = x - 0.6 - 0.5*sin(6*ym)\n")
+        proc = run_cli("integrate", "--system", str(path), "--phi",
+                       "sin(3*x)", "--history", "-2,0", "--to", "1.5",
+                       "--h", "0.05")
+        assert proc.returncode == 0, proc.stderr
+        assert ("warning: state-dependent delay has 5 candidate roots; taking"
+                " the one nearest the previous delayed point"
+                in proc.stdout.splitlines())
+
+
 @pytest.mark.parametrize("text, field, history, to", [
     pytest.param("f = -ym\ng = 0.5*x\n", "0;y", "0.5,1", "2",
                  id="no-delay-line"),
@@ -455,11 +493,46 @@ def test_g_decides_the_delay_kind_for_verify_and_integrate(
 
 
 class TestReduce:
+    # one system of each closed-form family, stdout byte for byte
     def test_drift_reduction(self, drift_file):
         proc = run_cli("reduce", "--system", drift_file, "--field", "1;1",
                        "--interval", "1.2,1.8")
-        assert proc.returncode == 0
-        assert "J1 =" in proc.stdout and "B =" in proc.stdout
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "J1 = (y - (1 * x))\n"
+            "J2 = (x - xm)\n"
+            "h(x) = (x + -4.5)\n"
+            "k(x) = (x + -1)\n"
+            "A = -4.5, B = 1, residual = 0.000e+00 free: A\n")
+
+    def test_scaling_reduction(self, tmp_path):
+        # beta = -c/a is -0 here: J1 is written without the shift
+        path = tmp_path / "scaling.txt"
+        path.write_text("f = -(dy^2)*((2*(xm^-0.5)) - dym)\ng = 0.25*x\n")
+        proc = run_cli("reduce", "--system", str(path), "--field", "x;0.5*y",
+                       "--interval=1.2,1.8")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "J1 = (y / (x ^ 0.5))\n"
+            "J2 = (xm / x)\n"
+            "h(x) = (0.2679491924311227 * (x ^ 0.5))\n"
+            "k(x) = (0.25 * x)\n"
+            "A = 0.267949192431, B = 0.25, residual = 0.000e+00\n")
+
+    def test_exponential_reduction(self, tmp_path):
+        # traffic example 3 at its defaults, the leader written out
+        path = tmp_path / "exponential.txt"
+        path.write_text("f = dy^2*(0.5*exp(0.5*xm) - dym)"
+                        "/(exp(0.5*xm) - ym)^2\ng = x - 1\n")
+        proc = run_cli("reduce", "--system", str(path), "--field", "1;0.5*y",
+                       "--interval", "1.2,1.8")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "J1 = (y * exp((-0.5 * x)))\n"
+            "J2 = (x - xm)\n"
+            "h(x) = (0.5481372381223939 * exp((0.5 * x)))\n"
+            "k(x) = (x + -1)\n"
+            "A = 0.548137238122, B = 1, residual = 0.000e+00\n")
 
     def test_empty_interval_is_refused(self, drift_file):
         # a single abscissa could not show the residuals varying with x

@@ -45,6 +45,25 @@ class TestInvariantsOf:
         assert evaluate(pair.J1, {"x": x0, "y": y0}) == pytest.approx(a0,
                                                                       rel=1e-12)
 
+    @pytest.mark.parametrize("eta, j1, h", [
+        # beta = -c/a = -0.0 in both
+        ("0.5*y", "(y * exp((-0.5 * x)))", "(A * exp((0.5 * x)))"),
+        ("-0.5*y", "(y * exp((0.5 * x)))", "(A * exp((-0.5 * x)))"),
+    ])
+    def test_a_zero_shift_is_not_written(self, eta, j1, h):
+        x_field = VectorField.from_text("1", eta)
+        pair = invariants_of(x_field)
+        assert (E.to_text(pair.J1), E.to_text(pair.h_expr)) == (j1, h)
+        shifted = (E.Y - Const(-0.0)) * pair.J1.right
+        for x, y in ((0.7, 1.3), (1.9, -0.6), (2.3, 0.0)):
+            assert evaluate(pair.J1, {"x": x, "y": y}) == \
+                evaluate(shifted, {"x": x, "y": y})
+
+    def test_a_zero_shift_of_a_scaling_is_not_written(self):
+        pair = invariants_of(VectorField.from_text("x", "0.5*y"))
+        assert E.to_text(pair.J1) == "(y / (x ^ 0.5))"
+        assert E.to_text(pair.h_expr) == "(A * (x ^ 0.5))"
+
     def test_vanishing_xi_is_rejected(self):
         with pytest.raises(ReduceError, match="xi vanishes"):
             invariants_of(VectorField.from_text("0", "y"))
@@ -220,6 +239,175 @@ class TestReduceAndSolve:
         assert sol.degenerate_delay
         assert set(sol.free_parameters) == {"A", "B"}
         assert sol.residual < 1e-12
+
+
+def _bound_kernels(system, pair):
+    """The reference derivation: R1, R2 and their partials by A and B from
+    the system's trees and the pair's h and k with every value bound,
+    derived and compiled on each call."""
+    r1, r2 = reduce_mod._reduced_residual_exprs(
+        system.bound(system.f), system.bound(system.g), pair.h_expr,
+        pair.k_expr)
+    args = ("x", "A", "B")
+    return [E.compile_fn(r, args) for r in (r1, r2)] + [
+        E.compile_fn(E.diff(r, v), args) for r in (r1, r2) for v in "AB"]
+
+
+def _example_cases(example_id, rng):
+    """(params, guesses, interval) of a seeded parameter set of a traffic
+    example that reduce_and_solve solves."""
+    if example_id == 1:
+        p = traffic.example_params(1, alpha=rng.uniform(0.5, 1.5),
+                                   tau=rng.uniform(0.3, 0.9),
+                                   v=rng.uniform(1.1, 1.5))
+        return p, None, (2.2, 2.4)
+    if example_id == 2:
+        p = traffic.example_params(2, alpha=rng.uniform(-2.5, -1.5),
+                                   q=rng.uniform(0.2, 0.6),
+                                   k=rng.uniform(2.5, 3.5))
+        root = traffic.solve_constraint(2, p, verify=False).roots[0]
+        return p, [(0.95 * root.A, 0.8 * p.q)], (1.5, 2.5)
+    p = traffic.example_params(3, alpha=rng.uniform(0.5, 1.5),
+                               epsilon=rng.uniform(0.3, 0.7),
+                               tau=rng.uniform(0.5, 1.2),
+                               k=rng.uniform(1.0, 2.0))
+    closed = p.k / (1.0 + p.alpha * p.epsilon * math.exp(p.epsilon * p.tau))
+    return p, [(0.9 * closed, 0.8 * p.tau)], (2.0, 2.5)
+
+
+class TestFamilyDerivation:
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    def test_family_solves_as_the_bound_derivation(self, example_id,
+                                                   monkeypatch):
+        rng = np.random.default_rng(100 + example_id)
+        for _ in range(4):
+            p, guesses, interval = _example_cases(example_id, rng)
+            system = traffic.example_system(example_id, p)
+            x_field = traffic.example_symmetry(example_id, p)
+            pair = invariants_of(x_field)
+            got = reduce_and_solve(system, x_field, pair, guesses=guesses,
+                                   interval=interval)
+            with monkeypatch.context() as m:
+                m.setattr(reduce_mod, "_reduced_kernels", _bound_kernels)
+                want = reduce_and_solve(system, x_field, pair,
+                                        guesses=guesses, interval=interval)
+            assert got.A == pytest.approx(want.A, rel=1e-12, abs=0.0)
+            assert got.B == pytest.approx(want.B, rel=1e-12, abs=0.0)
+            assert got.free_parameters == want.free_parameters
+
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    @pytest.mark.parametrize("symbolic", [True, False],
+                             ids=["field-of-params", "field-of-constants"])
+    def test_a_second_parameter_set_derives_nothing(self, example_id,
+                                                    symbolic, monkeypatch):
+        # the two sets share their exponents and their 0/1/-1 pattern
+        work = dict.fromkeys(("_diff", "_generate", "_reduced_residual_exprs"),
+                             0)
+        for module, name in ((E, "_diff"), (E, "_generate"),
+                             (reduce_mod, "_reduced_residual_exprs")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                work[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        rng = np.random.default_rng(200 + example_id)
+        for first in (True, False):
+            p, guesses, interval = _example_cases(example_id, rng)
+            system = traffic.example_system(example_id, p)
+            x_field = traffic._symmetry(example_id) if symbolic else \
+                traffic.example_symmetry(example_id, p)
+            pair = invariants_of(x_field, params=system.params)
+            work.update(dict.fromkeys(work, 0))
+            before, keys = E.memo_info(), set(E._memo)
+            reduce_and_solve(system, x_field, pair, guesses=guesses,
+                             interval=interval)
+            built = [key[0] for key in E._memo if key not in keys]
+        assert work["_reduced_residual_exprs"] == 0
+        if symbolic:
+            assert work == {"_diff": 0, "_generate": 0,
+                            "_reduced_residual_exprs": 0}
+            assert E.memo_info().misses == before.misses
+        else:
+            # the field of new constants is the one kernel built
+            assert set(built) <= {"field"}
+            assert E.memo_info().misses - before.misses == len(built)
+            assert work["_generate"] == len(built)
+
+    def test_zero_and_one_stay_constants(self):
+        # with slope 0 as a symbol s, y - ym would be s*x + A - (s*(x - B)
+        # + A) and R1 = 0 - c*s*s/(y - ym), 0/0 at s = 0; bound, it folds
+        system = DodsSystem(f=parse("c*dy*dym/(y - ym)"), g=parse("x - 1"),
+                            params={"c": 2.0})
+        x_field = VectorField(Const(1.0), Const(0.0))
+        pair = invariants_of(x_field)
+        assert pair.family()[2] == {"slope": 0.0}
+        sol = reduce_and_solve(system, x_field, pair, interval=(1.2, 1.8))
+        assert (sol.A, sol.B, sol.free_parameters) == (-4.5, 1.0, ["A"])
+
+    def test_a_system_without_params_binds_the_family(self, monkeypatch):
+        # f and g of constants are one parameter set: the slope 1.3 is
+        # bound, so that dym - 1.3 folds to 0 and R1 with it
+        derived = []
+        real = reduce_mod._reduced_residual_exprs
+        monkeypatch.setattr(reduce_mod, "_reduced_residual_exprs",
+                            lambda *trees: derived.append(trees) or real(*trees))
+        system = DodsSystem(f=parse("0.7123*dy*(1.3 - dym)"),
+                            g=parse("x - 0.5"))
+        x_field = VectorField(Const(1.0), Const(1.3))
+        sol = reduce_and_solve(system, x_field, invariants_of(x_field),
+                               interval=(2.2, 2.4))
+        assert (sol.B, sol.free_parameters) == (0.5, ["A"])
+        (f, g, h, k), = derived
+        assert E.to_text(h) == "((1.3 * x) + A)"
+        assert E.simplify(real(f, g, h, k)[0]) is Const(0.0)
+
+    def test_family_params_are_renamed_away_from_the_system(self):
+        # system params named slope, A and B beside the family's slope 0.5
+        # and the constants A and B: B = 2 * 0.5 * 3 * 1 / 6
+        system = DodsSystem(f=parse("dy - dym"),
+                            g=parse("x - slope*dy*A*B/6"),
+                            params={"slope": 2.0, "A": 3.0, "B": 1.0})
+        x_field = VectorField(Const(1.0), Const(0.5))
+        pair = invariants_of(x_field, params=system.params)
+        sol = reduce_and_solve(system, x_field, pair, interval=(1.2, 1.8))
+        assert (sol.A, sol.B, sol.free_parameters) == (-4.5, 0.5, ["A"])
+
+    def test_family_binds_to_the_printed_pair(self):
+        # bound, each family's h and k are the trees written with constants
+        a, b = E.Param("A"), E.Param("B")
+        for x_field, params, h_expr, k_expr in (
+                (VectorField(Const(2.0), Const(3.0)), {"slope": 1.5},
+                 Const(1.5) * E.X + a, E.X - b),
+                (VectorField(Const(1.0), Const(0.5) * (E.Y - Const(2.0))),
+                 {"eps": 0.5, "beta": 2.0},
+                 Const(2.0) + a * E.Call("exp", Const(0.5) * E.X), E.X - b),
+                (VectorField(E.X, Const(0.5) * (E.Y - Const(2.0))),
+                 {"a": 0.5, "beta": 2.0}, Const(2.0) + a * E.X ** 0.5,
+                 b * E.X)):
+            pair = invariants_of(x_field)
+            h, k, values = pair.family()
+            assert values == params
+            assert pair.h_expr is h_expr and pair.k_expr is k_expr
+            assert E.bind_params(h, params) is h_expr
+            assert E.bind_params(k, params) is k_expr
+
+    def test_a_user_pair_is_its_own_family(self):
+        pair = InvariantPair(J1=parse("y - x"), J2=parse("x - xm"),
+                             h_expr=parse("x + A"), k_expr=parse("x - B"))
+        assert pair.family() == (pair.h_expr, pair.k_expr, {})
+
+    def test_newton_work_of_the_drift_case(self):
+        # R2 = 1 - B is linear, so each of the 24 default guesses takes one
+        # full step: two residuals and one Jacobian each, and one more
+        # Jacobian at the root
+        system = DodsSystem(f=parse("dy - dym"), g=parse("x - 1"))
+        x_field = VectorField(Const(1.0), Const(1.0))
+        sol = reduce_and_solve(system, x_field, invariants_of(x_field),
+                               interval=(1.2, 1.8))
+        assert (sol.n_guesses, sol.n_newton_steps, sol.n_residual_evals,
+                sol.n_jacobian_evals) == (24, 24, 48, 25)
 
 
 #: the outcome of reduce_and_solve for a field of the catalog: solved, or
