@@ -112,10 +112,10 @@ class CanonicalLinear:
         if not self.C > 0:
             raise LinearError("delay width C must be positive")
 
-    def to_linear(self, domain=(0.0, 3.0)) -> LinearDods:
-        """The linear system, with alpha, beta, gamma and C as parameters
-        of those names: every canonical system is one family, whose
-        kernels are built once."""
+    def to_linear(self) -> LinearDods:
+        """The linear system on the domain (0, 3), with alpha, beta, gamma
+        and C as parameters of those names: every canonical system is one
+        family, whose kernels are built once."""
         # a genuine delay system needs a delayed term present
         if self.alpha ** 2 + self.gamma ** 2 == 0.0:
             raise LinearError(
@@ -124,8 +124,9 @@ class CanonicalLinear:
         return LinearDods(
             a1=E.ZERO, a2=E.Param("alpha"), a3=E.Param("beta"),
             a4=E.Param("gamma"), b=E.ZERO, g=E.X - E.Param("C"),
-            domain=domain, params={"alpha": self.alpha, "beta": self.beta,
-                                   "gamma": self.gamma, "C": self.C},
+            domain=(0.0, 3.0),
+            params={"alpha": self.alpha, "beta": self.beta,
+                    "gamma": self.gamma, "C": self.C},
         )
 
     def char_value(self, lam: float) -> float:
@@ -226,10 +227,9 @@ def inhomogeneous_scaling_residual(L: LinearDods, sigma: Trajectory) -> float:
 # compatibility and the extra-symmetry detector
 
 
-def compatibility_residual(g: Expr, K: Expr, xs: list[float],
-                           params=None) -> float:
+def compatibility_residual(g: Expr, K: Expr, xs: list[float]) -> float:
     """max |K(g(x)) g'^2 - g'' - K(x) g'| over xs."""
-    fn = compile_fn(_compatibility(g, K), ("x",), params)
+    fn = compile_fn(_compatibility(g, K), ("x",))
     return max(abs(fn(float(x))) for x in xs)
 
 
@@ -416,10 +416,10 @@ def verify_canonical_transform(
     extra: ExtraSymmetry,
     phi: HistoryFunction,
     x_end: float,
-    h: float = 1e-3,
 ) -> CanonicalTransformReport:
     """Map a sample solution through the straightening change of variables
-    and fit constant coefficients to the image.
+    and fit constant coefficients to the image.  The solution is solved
+    with step 1e-3.
 
     Only the constant-xi case is handled (that is what the detector returns
     in closed form); the transform is then x -> x / xi with
@@ -434,7 +434,7 @@ def verify_canonical_transform(
 
     if extra.xi is None or not extra.xi_is_constant:
         raise LinearError("canonical transform check needs constant xi")
-    traj = solve(L.to_dods(), phi, "from-phi", x_end, h)
+    traj = solve(L.to_dods(), phi, "from-phi", x_end, 1e-3)
     a1_fn, da1_fn, g_fn = L._fn(L.a1), L._fn(diff(L.a1, "x")), L._fn(L.g)
     anchor = traj.x_start
 
@@ -480,14 +480,20 @@ def _char_slope(cl: CanonicalLinear):
         compile_fn(diff(E.parse(h), "lam"), ("lam",), vars(cl))))
 
 
+#: the most cells characteristic_roots scans, as many as the longest step
+#: plan of integrate (_MAX_STEPS): the scan keeps two lists of n_seed + 1
+#: floats
+_MAX_CELLS = 10**6
+
+
 def characteristic_roots(
     cl: CanonicalLinear,
     lam_range: tuple[float, float],
     n_seed: int = 400,
 ) -> list[float]:
     """All real roots in the window, by integrate._real_roots over n_seed
-    cells with h' from diff.  A root of multiplicity 3 or more is bisected
-    on h alone.
+    cells (1 to _MAX_CELLS) with h' from diff.  A root of multiplicity 3 or
+    more is bisected on h alone.
 
     Every returned root satisfies |h(lambda)| < 1e-10; an empty list is a
     legitimate outcome.  A root refined to no better raises LinearError
@@ -495,6 +501,8 @@ def characteristic_roots(
     """
     if n_seed < 1:
         raise ValueError(f"n_seed must be at least 1, got {n_seed}")
+    if n_seed > _MAX_CELLS:
+        raise ValueError(f"n_seed must be at most {_MAX_CELLS}, got {n_seed}")
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("need lam_lo < lam_hi")

@@ -13,13 +13,13 @@ from dodesym.dods import DodsError
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*argv: str):
-    env = dict(os.environ)
+def run_python(*argv: str, cwd=PKG_ROOT, **environ: str):
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = str(PKG_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=300,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
     )
 
 
@@ -123,13 +123,15 @@ class TestRoots:
         assert [line.split("   ")[0] for line in proc.stdout.splitlines()] \
             == ["lambda = 0.998999583087", "lambda = 1.00099958358"]
 
-    @pytest.mark.parametrize("n_seed", ["0", "-3"])
+    @pytest.mark.parametrize("n_seed", ["0", "-3", "1000001"])
     def test_fewer_than_one_cell_is_rejected(self, n_seed):
+        # and more than 10**6 cells, refused before any grid is built
         proc = run_cli("roots", "--alpha", "0", "--beta", "1", "--gamma", "0",
                        "--C", "1", "--range=-3,3", f"--nseed={n_seed}")
+        bound = "at least 1" if int(n_seed) < 1 else "at most 1000000"
         assert proc.returncode == 1
-        assert proc.stdout == (f"error: ValueError: n_seed must be at least"
-                               f" 1, got {n_seed}\n")
+        assert proc.stdout == (f"error: ValueError: n_seed must be {bound},"
+                               f" got {n_seed}\n")
 
     @pytest.mark.parametrize("name, value", [("alpha", "nan"), ("C", "inf")])
     def test_non_finite_coefficient_is_refused(self, name, value):
@@ -261,6 +263,71 @@ class TestBracketAndRank:
         assert "invariant count k = 5" in proc.stdout
 
 
+#: the stdout of `catalog check` for the determinant blocks, which must
+#: not move with the form in which their templates are stored
+DETERMINANT_CHECKS = {
+    "H3_DET": (
+        "PASS X1: |pr X (ddy - f)| <= 0.000e+00,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+        "PASS X2: |pr X (ddy - f)| <= 2.109e-15,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+        "PASS X3: |pr X (ddy - f)| <= 3.197e-14,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+        "PASS X4: |pr X (ddy - f)| <= 5.329e-15,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+    ),
+    "S3_DET": (
+        "PASS X1: |pr X (ddy - f)| <= 0.000e+00,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+        "PASS X2: |pr X (ddy - f)| <= 1.288e-14,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+        "PASS X3: |pr X (ddy - f)| <= 7.283e-14,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+        "PASS X4: |pr X (ddy - f)| <= 1.048e-13,"
+        " |pr X (xm - g)| <= 0.000e+00 over 200 samples\n"
+    ),
+}
+
+#: the f template line of `catalog show H3_DET`, the simplified template
+SHOW_H3_TEMPLATE = (
+    "  f template: (((((F * ((((dy * ((((-(xm ^ 3)) + (3 * (xm * (xm ^ 2)"
+    "))) + (x ^ 3)) + (-3 * (x * (xm ^ 2))))) - (dym * ((((-(xm ^ 3)) + ("
+    "3 * (xm * (x ^ 2)))) + (x ^ 3)) + (-3 * (x * (x ^ 2)))))) + (y * ((3"
+    " * (xm ^ 2)) + (-3 * (x ^ 2))))) - (ym * ((3 * (xm ^ 2)) + (-3 * (x "
+    "^ 2)))))) + (dy * ((6 * (xm * x)) + (-6 * (x * x))))) + (6 * (y * x)"
+    ")) + (-6 * (ym * x))) / ((((-(xm ^ 3)) + (3 * (xm * (x ^ 2)))) + (x "
+    "^ 3)) + (-3 * (x * (x ^ 2)))))"
+)
+
+
+#: `catalog export`, then `catalog check <id>` for every listed id, all
+#: through cli.main in one process; exits with the largest exit code
+CATALOG_RUN = """
+import sys
+from dodesym import catalog
+from dodesym.cli import main
+codes = [main(["catalog", "export"])]
+codes += [main(["catalog", "check", e.id]) for e in catalog.list_entries()]
+sys.exit(max(codes))
+"""
+
+
+def test_catalog_output_does_not_follow_hash_order(tmp_path):
+    # nodes hash by address, so output ordered by hashes or addresses
+    # would differ between these two runs
+    runs = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        proc = run_python("-c", CATALOG_RUN, cwd=tmp_path / seed,
+                          PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        written = (tmp_path / seed / "catalog.txt").read_text()
+        runs.append((proc.stdout, written))
+    assert runs[0][0].startswith("wrote 27 entries to catalog.txt\n")
+    assert runs[0][0].count("PASS") == 82  # and two marker lines
+    assert runs[0] == runs[1]
+
+
 class TestCatalog:
     def test_list(self):
         proc = run_cli("catalog", "list")
@@ -277,6 +344,17 @@ class TestCatalog:
         proc = run_cli("catalog", "check", "A6_3")
         assert proc.returncode == 0
         assert proc.stdout.count("PASS") == 6
+
+    @pytest.mark.parametrize("entry_id", ["H3_DET", "S3_DET"])
+    def test_check_determinant_entry_is_pinned(self, entry_id, capsys):
+        assert cli.main(["catalog", "check", entry_id]) == 0
+        assert capsys.readouterr().out == DETERMINANT_CHECKS[entry_id]
+
+    def test_show_prints_the_reduced_template(self, capsys):
+        assert cli.main(["catalog", "show", "H3_DET"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "f template" in line] == [
+            SHOW_H3_TEMPLATE]
 
     def test_unknown_entry(self):
         proc = run_cli("catalog", "check", "A9_9")
@@ -685,6 +763,18 @@ class TestTraffic:
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == \
             "error: TrafficError: reaction delay tau must be positive\n"
+
+    def test_a_long_platoon(self, tmp_path):
+        # 200 cars are more than one generated loop steps, so the cars run
+        # in groups, each behind the last car of the group in front
+        scenario = tmp_path / "long_platoon.txt"
+        scenario.write_text(
+            "leader = t + 3\nalpha = 0.8\ntau = 0.4\ncars = 200\n"
+            + "".join(f"history.{i} = t + 3 - 2*{i}\n" for i in range(1, 201))
+            + "t_end = 5\nh = 0.01\n")
+        proc = run_cli("traffic", "--scenario", str(scenario))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "no collisions"
 
     def test_traffic_needs_example_or_scenario(self):
         proc = run_cli("traffic")

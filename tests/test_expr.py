@@ -138,7 +138,7 @@ class TestParserCorpus:
     def test_file_expressions(self):
         assert len(_file_expressions()) >= 318
         assert _digest(_file_expressions()) == (
-            "ebbc29d2c77393d4e41f71d9c08424d7c1175361398a1543abe60af8fc765f1e")
+            "a451ef5ec089582287871fab297de613ac41c30b459d3d7d9484db827d63d1da")
 
     def test_random_texts(self):
         assert _digest(_random_texts()) == (

@@ -378,9 +378,16 @@ class TestCharacteristicRoots:
         assert characteristic_roots(CanonicalLinear(0, 1e6, 0, 1),
                                     (-2000, 0)) == [-1000.0]
 
-    @pytest.mark.parametrize("n_seed", [0, -3])
-    def test_rejects_fewer_than_one_cell(self, n_seed):
-        with pytest.raises(ValueError, match="n_seed must be at least 1"):
+    @pytest.mark.parametrize("n_seed", [0, -3, 10**6 + 1])
+    def test_rejects_fewer_than_one_cell(self, n_seed, monkeypatch):
+        # and more than 10**6 cells, refused before any grid is built
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the window was scanned")
+
+        monkeypatch.setattr("dodesym.linear._real_roots", no_scan)
+        bound = "at least 1" if n_seed < 1 else "at most 1000000"
+        with pytest.raises(ValueError,
+                           match=f"^n_seed must be {bound}, got {n_seed}$"):
             characteristic_roots(CanonicalLinear(0, 1, 0, 1), (-3, 3),
                                  n_seed=n_seed)
 
